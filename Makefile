@@ -10,7 +10,7 @@ GO ?= go
 # `make lint`, so bumping the version here is the whole upgrade.
 STATICCHECK_VERSION = 2024.1.1
 
-.PHONY: all build test race vet lint bench bench-core bench-smoke bench-compare trend serve-smoke serve-family-smoke serve-golden suite golden-drift telemetry-smoke cover fuzz-smoke race-partitioned scale-smoke parallel-smoke ci
+.PHONY: all build test race vet lint bench bench-core bench-smoke bench-compare trend serve-smoke serve-family-smoke serve-golden suite golden-drift telemetry-smoke cover fuzz-smoke scale-smoke parallel-smoke ci
 
 # Coverage floor for `make cover` (total statement coverage, percent,
 # measured under -short so the floor tracks the fast deterministic
@@ -51,23 +51,21 @@ bench:
 
 # Engine-core performance tracking: the BenchmarkEngine* set, each
 # benchmark once per event-queue kind (binary heap, timing wheel),
-# plus the end-to-end BenchmarkScaleCell* pairs (rack-scale COARSE
-# cells with the flow-aggregation/fast-forward accelerations on and
-# off; benchjson pins their iteration count — see cmd/benchjson) and
-# the BenchmarkServeCell* inference-serving pair (local vs pooled KV),
-# and rewrite BENCH_core.json — the committed record the wheel-vs-heap
-# cancel-churn ratio and the accel-vs-baseline scale ratio are pinned
-# in.
+# plus the end-to-end BenchmarkScaleCell* rack-scale COARSE cells
+# (benchjson pins their iteration count — see cmd/benchjson) and the
+# BenchmarkServeCell* inference-serving pair (local vs pooled KV), and
+# rewrite BENCH_core.json — the committed record the wheel-vs-heap
+# cancel-churn ratio is pinned in.
 bench-core:
 	$(GO) run ./cmd/benchjson -set core
 
-# Scale smoke: one accelerated 1024-worker COARSE scale cell end to
-# end (the BenchmarkScaleCell1024/accel path). The ceiling is the
-# -timeout, deliberately generous for a run that takes seconds with
-# the accelerations on: it catches the rack-scale cell falling off the
-# aggregation/fast-forward fast path entirely, not timing noise.
+# Scale smoke: one 1024-worker COARSE scale cell end to end
+# (BenchmarkScaleCell1024). The ceiling is the -timeout, deliberately
+# generous for a run that takes seconds: it catches the rack-scale cell
+# falling off the aggregation/fast-forward fast path entirely, not
+# timing noise.
 scale-smoke:
-	$(GO) test ./internal/experiments -run '^$$' -bench 'BenchmarkScaleCell1024/accel' -benchtime 1x -count=1 -timeout 10m
+	$(GO) test ./internal/experiments -run '^$$' -bench 'BenchmarkScaleCell1024$$' -benchtime 1x -count=1 -timeout 10m
 
 # CI guard: every microbenchmark must still compile and run. One
 # iteration each, no file rewritten, no timing claims.
@@ -163,15 +161,6 @@ parallel-smoke:
 # dumps at -parallel 1 and 4 and compare against the committed goldens.
 serve-golden:
 	$(GO) test ./internal/experiments -run TestGoldenDeterminismServe -count=1 -v
-
-# Race gate for the partitioned engine core: run the engine, fabric
-# and training suites under -race with rack partitioning forced on
-# (COARSE_PARTITION supplies the drain parallelism wherever a config
-# leaves it unset; multi-rack cells then drain rack events on real
-# goroutines). Any rack callback that touches state outside its rack
-# without routing through PartSched.Defer shows up here as a race.
-race-partitioned:
-	COARSE_PARTITION=4 $(GO) test -race -count=1 ./internal/sim/... ./internal/fabric/... ./internal/train/...
 
 # End-to-end observability check: run one telemetry-enabled simulation,
 # verify the dump and Perfetto trace are written and byte-stable across

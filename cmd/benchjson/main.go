@@ -139,12 +139,11 @@ var benchSets = map[string]benchSet{
 	// The engine-core record: every BenchmarkEngine* runs once per
 	// queue kind (heap, wheel), so this file is where the
 	// wheel-vs-heap churn ratio is pinned — plus the end-to-end
-	// BenchmarkScaleCell* pairs, where the committed
-	// accel-vs-baseline ratio of the fabric scale accelerations
-	// (flow aggregation + steady-state fast-forward) is recorded, and
-	// the BenchmarkServeCell* pair timing the inference-serving hot
-	// path under both KV placements (local compute-bound, pooled
-	// fabric-bound).
+	// BenchmarkScaleCell* rack-scale COARSE cells, which time the
+	// fabric reallocation path with flow aggregation and steady-state
+	// fast-forward, and the BenchmarkServeCell* pair timing the
+	// inference-serving hot path under both KV placements (local
+	// compute-bound, pooled fabric-bound).
 	"core": {
 		runs: []benchRun{
 			{pkg: "./internal/sim", pattern: "^BenchmarkEngine"},

@@ -85,6 +85,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "serve: trace/chaos seed")
 	flag.Parse()
 
+	if _, err := sim.DefaultQueueKind(); err != nil {
+		fmt.Fprintln(os.Stderr, "coarsesim:", err)
+		os.Exit(1)
+	}
 	var chaosSpec *chaos.Spec
 	if *chaosIntensity > 0 {
 		kinds, err := chaos.ParseKinds(*chaosKinds)

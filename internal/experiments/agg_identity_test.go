@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"coarse/internal/chaos"
+	"coarse/internal/fabric"
 	"coarse/internal/metrics"
 	"coarse/internal/model"
 	"coarse/internal/runner"
@@ -21,9 +22,9 @@ import (
 // half lives in internal/fabric's aggregation tests): seeded random
 // scale cells — worker count, shard count, batch, layer width, all
 // four synchronization strategies, chaos on and off — each run twice,
-// with both accelerations forced off and forced on, asserting byte
-// identity of the rendered metrics table AND the sha256 of the full
-// serialized result including the telemetry time-series dump. Layer
+// on the reference pass and on the default accelerated one, asserting
+// byte identity of the rendered metrics table AND the sha256 of the
+// full serialized result including the telemetry time-series dump. Layer
 // widths above the partition size produce multi-chunk pushes whose
 // symmetric fans actually aggregate, so the test fails loudly if the
 // property ever becomes vacuous (no scenario aggregated anything).
@@ -71,15 +72,17 @@ func TestAggregationByteIdentity(t *testing.T) {
 						Period: period, Repeat: 64, Target: 2, Factor: 0.5},
 				}}
 			}
-			run := func(enable string) (string, [sha256.Size]byte) {
-				t.Setenv("COARSE_FLOW_AGG", enable)
-				t.Setenv("COARSE_FASTFORWARD", enable)
+			run := func(accelerated bool) (string, [sha256.Size]byte) {
+				defer fabric.SetReferenceFillingForTest(!accelerated)()
 				s := spec
-				if enable == "1" {
-					s.Probe = func(p *runner.Probe) {
-						n := p.Trainer.Ctx().Machine.Net
+				s.Probe = func(p *runner.Probe) {
+					n := p.Trainer.Ctx().Machine.Net
+					if accelerated {
 						aggregated += n.FlowsAggregated()
 						fastForwarded += n.FastForwardPasses()
+					} else if n.FlowsAggregated() != 0 || n.FastForwardPasses() != 0 {
+						t.Errorf("reference run aggregated %d flows and fast-forwarded %d passes",
+							n.FlowsAggregated(), n.FastForwardPasses())
 					}
 				}
 				res := runner.Run(s)
@@ -94,8 +97,8 @@ func TestAggregationByteIdentity(t *testing.T) {
 				}
 				return tab.String(), sha256.Sum256(blob)
 			}
-			baseTab, baseSHA := run("0")
-			accTab, accSHA := run("1")
+			baseTab, baseSHA := run(false)
+			accTab, accSHA := run(true)
 			if baseTab != accTab {
 				t.Errorf("tables differ between baseline and accelerated runs:\n--- off ---\n%s--- on ---\n%s", baseTab, accTab)
 			}

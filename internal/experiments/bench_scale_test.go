@@ -7,46 +7,29 @@ import (
 )
 
 // BenchmarkScaleCell* time one COARSE weak-scaling cell end to end —
-// the workload class the flow-aggregation and steady-state
-// fast-forward accelerations exist for. Each size runs twice: "accel"
-// with both accelerations forced on, "baseline" with both forced off
-// (b.Setenv overrides whatever COARSE_FLOW_AGG / COARSE_FASTFORWARD
-// the environment carries, so the pair is meaningful in any CI lane).
-// The two modes produce byte-identical simulations — the benchmark
-// asserts the pinned iteration time as a cheap guard against timing a
-// run that silently diverged. These benchmarks feed BENCH_core.json
-// via `go run ./cmd/benchjson -set core`, which is where the
-// accel-vs-baseline ratio is pinned.
+// the workload class flow aggregation and steady-state fast-forward
+// exist for. The benchmark asserts the iteration time stays the same
+// across runs as a cheap guard against timing a run that silently
+// diverged. These benchmarks feed BENCH_core.json via
+// `go run ./cmd/benchjson -set core`.
 
 func BenchmarkScaleCell256(b *testing.B)  { benchScaleCell(b, 256) }
 func BenchmarkScaleCell1024(b *testing.B) { benchScaleCell(b, 1024) }
 
 func benchScaleCell(b *testing.B, workers int) {
-	var iter string // pinned across modes: accel and baseline must agree
-	for _, mode := range []struct {
-		name string
-		env  string
-	}{
-		{"accel", "1"},
-		{"baseline", "0"},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.Setenv("COARSE_FLOW_AGG", mode.env)
-			b.Setenv("COARSE_FASTFORWARD", mode.env)
-			spec := scaleSpec(Config{Quick: true}, workers, scaleShards, 4, "COARSE")
-			spec.Key = "" // no result cache: each iteration must simulate
-			for i := 0; i < b.N; i++ {
-				res := runner.Run(spec)
-				if !res.OK() {
-					b.Fatalf("scale cell failed: %s", res.Err)
-				}
-				got := res.Train.IterTime.String()
-				if iter == "" {
-					iter = got
-				} else if got != iter {
-					b.Fatalf("iteration time drifted: %s vs %s", got, iter)
-				}
-			}
-		})
+	spec := scaleSpec(Config{Quick: true}, workers, scaleShards, 4, "COARSE")
+	spec.Key = "" // no result cache: each iteration must simulate
+	var iter string
+	for i := 0; i < b.N; i++ {
+		res := runner.Run(spec)
+		if !res.OK() {
+			b.Fatalf("scale cell failed: %s", res.Err)
+		}
+		got := res.Train.IterTime.String()
+		if iter == "" {
+			iter = got
+		} else if got != iter {
+			b.Fatalf("iteration time drifted: %s vs %s", got, iter)
+		}
 	}
 }

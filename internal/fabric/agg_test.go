@@ -6,14 +6,16 @@ import (
 	"coarse/internal/sim"
 )
 
-// runFan admits k size-sized flows over path at t=0 — tagged as one fan
-// when agg is true — plus one background flow over bgPath, and returns
-// every completion time (fan members first, background last) together
-// with the bottleneck channel's integrated byte count at drain.
+// runFan admits k size-sized flows over path at t=0, tagged as one fan,
+// plus one background flow over bgPath, and returns every completion
+// time (fan members first, background last) together with the
+// bottleneck channel's integrated byte count at drain. With agg false
+// the network runs the reference pass, which admits every member on
+// its own.
 func runFan(t *testing.T, agg bool, k int, size float64, mkPaths func(n *Network) (fan, bg []*Channel)) (fanDone []sim.Time, bgDone sim.Time, bneckBytes float64) {
 	t.Helper()
+	defer SetReferenceFillingForTest(!agg)()
 	eng, net := newNet()
-	net.EnableFlowAggregation(agg)
 	fan, bg := mkPaths(net)
 	fanDone = make([]sim.Time, k)
 	var tag AggTag
@@ -30,6 +32,42 @@ func runFan(t *testing.T, agg bool, k int, size float64, mkPaths func(n *Network
 	net.Flush()
 	bneckBytes = fan[0].IntegratedBytes(eng.Now())
 	return fanDone, bgDone, bneckBytes
+}
+
+// TestGroupCompletionAllocsConstant: completing an aggregated group
+// costs a constant number of allocations whatever its member count —
+// the fan-out shares one callback and recycles its events.
+func TestGroupCompletionAllocsConstant(t *testing.T) {
+	const runs = 8
+	allocs := func(k int) float64 {
+		eng, net := newNet()
+		completed := 0
+		done := func() { completed++ }
+		// One group per measured call plus AllocsPerRun's warm-up call,
+		// each alone on its own link and sized to finish at its own
+		// instant, all admitted before measuring.
+		for g := 0; g <= runs; g++ {
+			path := []*Channel{net.NewLink("l", gib, gib, 0).Fwd()}
+			tag := new(AggTag)
+			for i := 0; i < k; i++ {
+				net.StartEphemeralTagged(tag, path, float64((g+1)*mib), done)
+			}
+		}
+		eng.RunUntil(0)
+		if got := net.FlowsAggregated(); got != uint64((runs+1)*(k-1)) {
+			t.Fatalf("k=%d: %d members aggregated, want %d", k, got, (runs+1)*(k-1))
+		}
+		return testing.AllocsPerRun(runs, func() {
+			for target := completed + k; completed < target; {
+				eng.Step()
+			}
+		})
+	}
+	small, large := allocs(4), allocs(64)
+	t.Logf("allocations per group completion: %.1f at k=4, %.1f at k=64", small, large)
+	if large > small+2 {
+		t.Errorf("completing a group allocates %.1f objects at k=64 vs %.1f at k=4; want O(1) in k", large, small)
+	}
 }
 
 // TestAggregatedGroupMatchesIndependentFlows pins the core byte-identity

@@ -48,14 +48,14 @@
 // case (and only then) the block is re-reserved. See
 // refreshCompletions and scheduleCompletions.
 //
-// # Opt-in scale accelerations
+// # Scale accelerations
 //
-// Two further optimizations are off by default and enabled per network
-// (COARSE_FLOW_AGG / COARSE_FASTFORWARD, or the corresponding
-// setters), because each reshapes the hot path enough that the
-// byte-identity argument deserves its own paragraph:
+// Two further optimizations reshape the hot path enough that the
+// byte-identity argument deserves its own paragraph. Both are always
+// on; SetReferenceFillingForTest switches them off for the tests that
+// use the plain progressive-filling pass as their oracle.
 //
-// Flow aggregation (COARSE_FLOW_AGG): collective phases emit fans of
+// Flow aggregation: collective phases emit fans of
 // pairwise-identical transfers — same path, same size, admitted
 // back-to-back at one instant. Callers mark such fans with an AggTag;
 // members after the first fold into the first member's Flow entry as a
@@ -67,12 +67,12 @@
 // addition), so residuals, rates, and stall decisions are bitwise what
 // m separate entries produce. Completion fans back out: the group's
 // carrier event fires at the first of the m consecutive ranks reserved
-// for the group and re-materializes one event per remaining member at
-// the following ranks, so per-member completion dispatches — count,
-// order, and interleaving with everything else — are exactly the
-// unaggregated schedule's.
+// for the group and the remaining members each fire an event at the
+// following ranks, so per-member completion dispatches — count, order,
+// and interleaving with everything else — are exactly the unaggregated
+// schedule's.
 //
-// Steady-state fast-forward (COARSE_FASTFORWARD): between collective
+// Steady-state fast-forward: between collective
 // boundaries the fabric sees long completion-only cascades whose
 // surviving allocation is provably constant, yet each completion pays
 // a full filling pass to rediscover it. Every pass records which
@@ -101,8 +101,8 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
+	"sync/atomic"
 
 	"coarse/internal/sim"
 )
@@ -241,7 +241,7 @@ type Flow struct {
 // that emit several transfers with the same path, size, and start
 // instant pass one tag (zero value, one per fan) to
 // StartEphemeralTagged and the fabric folds the fan into a single
-// multiplicity-counted entry when flow aggregation is enabled. The tag
+// multiplicity-counted entry. The tag
 // is only a hint — members that turn out not to be symmetric, or that
 // get interleaved with foreign admissions, are admitted individually
 // and the simulation is byte-identical either way.
@@ -322,14 +322,16 @@ type Network struct {
 	rescheduled uint64 // completion events moved by a pass
 	skipped     uint64 // completion events left in place by a pass
 
-	// Flow aggregation (COARSE_FLOW_AGG; see the package comment).
-	aggregate    bool
+	// reference disables both scale accelerations (see
+	// SetReferenceFillingForTest).
+	reference bool
+
+	// Flow aggregation (see the package comment).
 	lastAdmitted *Flow  // last entry admitted; joins require no interleaving
 	aggregated   uint64 // members folded into a group entry instead of admitted
 	groupObs     func(int)
 
-	// Steady-state fast-forward (COARSE_FASTFORWARD).
-	fastForward bool
+	// Steady-state fast-forward.
 	trigMask    uint8   // trigger kinds observed since the last pass
 	ffValid     bool    // freeze bookkeeping below reflects the last pass
 	stalled     int     // entries the last full pass left with rate 0
@@ -363,28 +365,18 @@ const (
 	trigCapacity
 )
 
-// Environment switches for the opt-in scale accelerations, read once
-// per NewNetwork (mirroring COARSE_EVENT_QUEUE / COARSE_PARTITION).
-const (
-	flowAggEnv     = "COARSE_FLOW_AGG"
-	fastForwardEnv = "COARSE_FASTFORWARD"
-)
+// referenceFilling is read by NewNetwork; see SetReferenceFillingForTest.
+var referenceFilling atomic.Bool
 
-func envEnabled(name string) bool {
-	switch os.Getenv(name) {
-	case "1", "on", "true":
-		return true
-	}
-	return false
+// SetReferenceFillingForTest makes the networks NewNetwork builds from
+// now on fold no aggregation tags and never fast-forward, so every
+// reallocation is the plain progressive-filling pass over every flow
+// and channel. Tests run a workload both ways and require identical
+// bytes. It returns a func that restores the previous setting.
+func SetReferenceFillingForTest(on bool) (restore func()) {
+	prev := referenceFilling.Swap(on)
+	return func() { referenceFilling.Store(prev) }
 }
-
-// DefaultFlowAggregation reports whether COARSE_FLOW_AGG asks for flow
-// aggregation ("1", "on", or "true").
-func DefaultFlowAggregation() bool { return envEnabled(flowAggEnv) }
-
-// DefaultFastForward reports whether COARSE_FASTFORWARD asks for
-// steady-state fast-forward ("1", "on", or "true").
-func DefaultFastForward() bool { return envEnabled(fastForwardEnv) }
 
 // maxFlowPool bounds the network's flow free-list.
 const maxFlowPool = 4096
@@ -399,40 +391,14 @@ const listCompactMin = 16
 const farFuture = sim.Time(math.MaxInt64)
 
 // NewNetwork creates an empty network bound to a simulation engine.
-// The opt-in scale accelerations start from their environment
-// defaults (COARSE_FLOW_AGG, COARSE_FASTFORWARD).
 func NewNetwork(eng *sim.Engine) *Network {
 	return &Network{
-		eng:         eng,
-		lastSettle:  -1,
-		dueInstant:  -1,
-		aggregate:   DefaultFlowAggregation(),
-		fastForward: DefaultFastForward(),
+		eng:        eng,
+		lastSettle: -1,
+		dueInstant: -1,
+		reference:  referenceFilling.Load(),
 	}
 }
-
-// EnableFlowAggregation switches symmetric-fan aggregation on or off.
-// Safe at any point: already-admitted groups drain normally, and
-// toggling changes nothing observable (aggregation is byte-exact).
-func (n *Network) EnableFlowAggregation(on bool) { n.aggregate = on }
-
-// FlowAggregationEnabled reports whether tagged symmetric fans are
-// being folded into multiplicity-counted entries.
-func (n *Network) FlowAggregationEnabled() bool { return n.aggregate }
-
-// EnableFastForward switches the steady-state pass skip on or off.
-// Safe at any point: the first pass after enabling is always a full
-// pass (the skip needs freeze bookkeeping only full passes record).
-func (n *Network) EnableFastForward(on bool) {
-	n.fastForward = on
-	if !on {
-		n.ffValid = false
-	}
-}
-
-// FastForwardEnabled reports whether completion-only instants may skip
-// the progressive-filling pass.
-func (n *Network) FastForwardEnabled() bool { return n.fastForward }
 
 // Engine returns the simulation engine the network schedules on.
 func (n *Network) Engine() *sim.Engine { return n.eng }
@@ -470,7 +436,7 @@ func (n *Network) CompletionsSkipped() uint64 { return n.skipped }
 
 // FlowsAggregated returns how many transfers were folded into an
 // existing group entry instead of admitted as their own flow. Zero
-// unless flow aggregation is enabled and callers tag symmetric fans.
+// unless callers tag symmetric fans.
 func (n *Network) FlowsAggregated() uint64 { return n.aggregated }
 
 // FastForwardPasses returns how many reallocation passes were served
@@ -546,7 +512,7 @@ func (n *Network) StartEphemeral(path []*Channel, size float64, onDone func()) {
 // fan: every transfer started with the same tag that shares the fan's
 // path (the same path slice — routes from a topology cache qualify),
 // size, and admission instant may be aggregated into one
-// multiplicity-counted entry when flow aggregation is enabled. The tag
+// multiplicity-counted entry. The tag
 // must be zero-valued at the fan's first transfer and must not be
 // shared across fans that could interleave with each other's
 // admissions; a fresh tag per fan is always correct.
@@ -619,7 +585,7 @@ func (n *Network) admit(f *Flow) {
 	}
 	n.requests++
 	n.settle(now)
-	if tag != nil && n.aggregate {
+	if tag != nil && !n.reference {
 		// Join the tag's group if this admission is exactly a repeat of
 		// the group's: same instant, same path slice, same size, and —
 		// load-bearing for byte identity — no foreign admission in
@@ -836,7 +802,7 @@ func (n *Network) flush() {
 // so every rate — and every golden downstream of one — is
 // bit-identical.
 func (n *Network) reallocate(now sim.Time) {
-	if n.fastForward && n.ffValid && n.stalled == 0 && n.ffStable() {
+	if !n.reference && n.ffValid && n.stalled == 0 && n.ffStable() {
 		if n.trigMask == trigComplete {
 			n.ffPass(now)
 			n.passDone()
@@ -863,32 +829,28 @@ func (n *Network) reallocate(now sim.Time) {
 		n.ffValid = false
 	}
 	pf, pr, pb := n.fill(n.flows)
-	if n.fastForward {
-		// Record which channel froze each entry: the steady-state skip
-		// is legal only while completions depart channels nobody
-		// surviving was frozen on. Rebuilt from scratch every full pass.
-		for _, id := range n.frozenList {
-			n.frozenCount[id] = 0
-		}
-		n.frozenList = n.frozenList[:0]
-		n.stalled = 0
-		for i, f := range pf {
-			if pr[i] <= 0 {
-				n.stalled++
-				f.bneck = -1
-				continue
-			}
-			b := pb[i]
-			f.bneck = b
-			if n.frozenCount[b] == 0 {
-				n.frozenList = append(n.frozenList, b)
-			}
-			n.frozenCount[b]++
-		}
-		n.ffValid = true
-	} else {
-		n.ffValid = false
+	// Record which channel froze each entry: the steady-state skip is
+	// legal only while completions depart channels nobody surviving was
+	// frozen on. Rebuilt from scratch every full pass.
+	for _, id := range n.frozenList {
+		n.frozenCount[id] = 0
 	}
+	n.frozenList = n.frozenList[:0]
+	n.stalled = 0
+	for i, f := range pf {
+		if pr[i] <= 0 {
+			n.stalled++
+			f.bneck = -1
+			continue
+		}
+		b := pb[i]
+		f.bneck = b
+		if n.frozenCount[b] == 0 {
+			n.frozenList = append(n.frozenList, b)
+		}
+		n.frozenCount[b]++
+	}
+	n.ffValid = true
 	// Fold per-channel utilization accounting. A channel with no live
 	// flows and a zero current rate is skipped outright: folding it
 	// would add rate*dt = 0 to the integral and re-store a zero rate,
@@ -897,11 +859,11 @@ func (n *Network) reallocate(now sim.Time) {
 	// visited so one that just went idle stops accumulating busy time.
 	// Summation order is the channel's active list in admission order —
 	// the same order the eager implementation summed — so the folded
-	// integrals are bit-identical. With fast-forward on, the fold walks
-	// the maintained non-idle channel list instead of every channel;
-	// the skipped channels are exactly those the full scan skips, and
-	// channels are independent, so the result is unchanged.
-	if n.fastForward {
+	// integrals are bit-identical. The reference pass scans every
+	// channel; otherwise the fold walks the maintained non-idle channel
+	// list, whose skipped channels are exactly those the full scan
+	// skips, and channels are independent, so the result is unchanged.
+	if !n.reference {
 		n.foldActive(now)
 		return
 	}
@@ -1320,10 +1282,10 @@ func (n *Network) scheduleCompletions(now sim.Time) {
 
 // complete handles the entry's completion event. For a plain flow it
 // completes the one member; for an aggregated group it is the carrier:
-// the first live member completes immediately, and the rest fan out as
-// completion events at the consecutive reserved ranks doneRank+1.. —
-// exactly the positions the unaggregated members' events held, with
-// nothing able to interleave between consecutive ranks.
+// the first live member completes immediately, and the rest fan out
+// (fanOut) at the consecutive reserved ranks doneRank+1.. — exactly
+// the positions the unaggregated members' events held, with nothing
+// able to interleave between consecutive ranks.
 //
 // The fan-out is conditional on the settle leaving the representative's
 // remaining at exactly zero. When rate*dt lands short by float dust,
@@ -1338,19 +1300,37 @@ func (n *Network) scheduleCompletions(now sim.Time) {
 func (n *Network) complete(f *Flow) {
 	n.eng.Recycle(f.done)
 	f.done = nil
-	base := f.doneBase
+	j := f.doneBase
 	f.doneBase++
-	rank := f.doneRank
-	n.completeMember(f, base)
+	n.completeMember(f, j)
 	if f.mult > 0 && f.remaining == 0 {
-		now := n.eng.Now()
-		k := f.mult
-		for j := 1; j <= k; j++ {
-			idx := base + j
-			n.eng.AtRanked(now, rank+uint64(j), func() { n.completeMember(f, idx) })
-		}
-		f.doneBase += k
+		n.fanOut(f)
 	}
+}
+
+// fanOut completes a group's remaining members, one event per member at
+// ranks doneRank+1.. of the current instant. Nothing else can hold a
+// rank inside the reserved range, so the members dispatch back to back
+// and one queued event at a time suffices: each member's event is
+// recycled as it fires and re-armed at the next rank before the member
+// completes, and the cursor doneBase names the member. A group of any
+// size thus costs one shared callback and no event allocations.
+func (n *Network) fanOut(f *Flow) {
+	now := n.eng.Now()
+	rank := f.doneRank
+	var ev *sim.Event
+	var next func()
+	next = func() {
+		n.eng.Recycle(ev)
+		rank++
+		j := f.doneBase
+		f.doneBase++
+		if f.mult > 1 {
+			ev = n.eng.AtRanked(now, rank+1, next)
+		}
+		n.completeMember(f, j)
+	}
+	ev = n.eng.AtRanked(now, rank+1, next)
 }
 
 // completeMember retires one member of an entry — the whole entry when
@@ -1368,12 +1348,10 @@ func (n *Network) completeMember(f *Flow, j int) {
 		c.bytesCarried += f.size
 		c.live--
 	}
-	if n.fastForward {
-		// The member's departure invalidates cached allocations along its
-		// path unless no survivor was frozen there; record the path for
-		// the skip check regardless of whether the entry is drained.
-		n.ffPaths = append(n.ffPaths, f.pathIDs...)
-	}
+	// The member's departure invalidates cached allocations along its
+	// path unless no survivor was frozen there; record the path for the
+	// skip check regardless of whether the entry is drained.
+	n.ffPaths = append(n.ffPaths, f.pathIDs...)
 	n.trigMask |= trigComplete
 	if f.mult == 0 {
 		if n.groupObs != nil && len(f.dones) > 1 {

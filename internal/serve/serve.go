@@ -41,9 +41,7 @@ package serve
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
-	"strconv"
 
 	"coarse/internal/cci"
 	"coarse/internal/chaos"
@@ -342,12 +340,6 @@ type Sim struct {
 // that many tokens.
 const tokensPerSample = 128
 
-// envPartition mirrors train's COARSE_PARTITION hook so CI can force
-// the partitioned engine core process-wide; serving machines are
-// single-rack (partitioning requires Racks > 1), so the setting is
-// accepted and inert — the byte-identity replays still cover it.
-const envPartition = "COARSE_PARTITION"
-
 // New builds a serving simulation. It fails when the machine cannot
 // host the configuration: fewer than two workers (the pools must
 // disaggregate), no CCI memory device for the shared parameter copy,
@@ -415,13 +407,6 @@ func New(cfg Config) (*Sim, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		s.chaos = chaos.NewInjector(plan, machine)
-	}
-	// COARSE_PARTITION handling mirrors train: parsed for parity, but
-	// single-rack serving machines never enable partitions.
-	if v, err := strconv.Atoi(os.Getenv(envPartition)); err == nil && v > 0 && machine.Spec.Racks > 1 {
-		if la := machine.MinLinkLatency(); la > 0 {
-			eng.EnablePartitions(machine.Spec.Racks, la, v)
-		}
 	}
 	if cfg.Telemetry != nil {
 		s.registerTelemetry()

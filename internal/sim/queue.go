@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"os"
 )
 
@@ -54,13 +55,17 @@ const queueKindEnv = "COARSE_EVENT_QUEUE"
 
 // DefaultQueueKind returns the queue implementation NewEngine uses:
 // QueueHeap unless the COARSE_EVENT_QUEUE environment variable names
-// another kind.
-func DefaultQueueKind() QueueKind {
-	switch QueueKind(os.Getenv(queueKindEnv)) {
+// another kind. A value that names no kind is an error. NewEngine
+// cannot fail and uses the heap for it, so the commands check first and
+// refuse to run rather than silently replaying the heap on a typo.
+func DefaultQueueKind() (QueueKind, error) {
+	switch v := QueueKind(os.Getenv(queueKindEnv)); v {
+	case "", QueueHeap:
+		return QueueHeap, nil
 	case QueueWheel:
-		return QueueWheel
+		return QueueWheel, nil
 	default:
-		return QueueHeap
+		return QueueHeap, fmt.Errorf("%s=%q names no event queue (want %q or %q)", queueKindEnv, string(v), QueueHeap, QueueWheel)
 	}
 }
 

@@ -2,8 +2,37 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
+
+// TestDefaultQueueKindRejectsUnknown: a misspelled COARSE_EVENT_QUEUE
+// must surface as an error naming the value, not as a quiet heap run.
+func TestDefaultQueueKindRejectsUnknown(t *testing.T) {
+	for _, tc := range []struct {
+		env  string
+		want QueueKind
+		bad  bool
+	}{
+		{"", QueueHeap, false},
+		{"heap", QueueHeap, false},
+		{"wheel", QueueWheel, false},
+		{"wheeel", QueueHeap, true},
+		{"Wheel", QueueHeap, true},
+	} {
+		t.Setenv("COARSE_EVENT_QUEUE", tc.env)
+		got, err := DefaultQueueKind()
+		if got != tc.want {
+			t.Errorf("%q: kind %q, want %q", tc.env, got, tc.want)
+		}
+		if tc.bad != (err != nil) {
+			t.Errorf("%q: err %v, want error %v", tc.env, err, tc.bad)
+		}
+		if err != nil && !strings.Contains(err.Error(), `"`+tc.env+`"`) {
+			t.Errorf("%q: error %q does not name the value", tc.env, err)
+		}
+	}
+}
 
 // TestQueuePropertyHeapVsWheel drives the heap and timing-wheel queues
 // through identical randomized op sequences — schedules (dense

@@ -48,15 +48,8 @@ type Event struct {
 	fn     func()
 	index  int   // position within the queue's backing store, -1 once removed
 	slot   int32 // timing-wheel bucket code; unused by the heap queue
-	part   int32 // partition tag: 0 = hub queue, p >= 1 = rack queue p-1
 	cancel bool
 	daemon bool
-}
-
-// before reports strict (time, seq) order — the engine's total dispatch
-// order.
-func (e *Event) before(o *Event) bool {
-	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // Daemon reports whether the event was scheduled as a daemon event.
@@ -98,17 +91,6 @@ type Engine struct {
 	// pool recycles Event allocations for owners that can prove
 	// exclusive ownership (see Recycle).
 	pool []*Event
-
-	// Partitioned execution (see partition.go): per-rack sub-queues
-	// beside the hub queue, the conservative lookahead window width,
-	// the drain-goroutine budget, and the per-rack drain contexts that
-	// are live only while a parallel window is in flight.
-	racks     []EventQueue
-	drains    []*drainCtx
-	lookahead Time
-	parallel  int
-	pwindows  uint64 // parallel windows executed
-	pdrained  uint64 // events drained inside parallel windows
 }
 
 // maxEventPool bounds the engine's event free-list.
@@ -121,7 +103,8 @@ const compactMinTombstones = 64
 // NewEngine returns an engine with virtual time zero and an empty
 // queue of the default kind (see DefaultQueueKind).
 func NewEngine() *Engine {
-	return NewEngineQueue(DefaultQueueKind())
+	kind, _ := DefaultQueueKind() // the heap on a bad value; the commands reject one up front
+	return NewEngineQueue(kind)
 }
 
 // NewEngineQueue returns an engine using the given event-queue
@@ -144,26 +127,7 @@ func (e *Engine) Now() Time { return e.now }
 // Pending returns the number of events waiting to fire, daemons
 // included. Tombstoned (cancelled but not yet compacted) events are
 // excluded: they occupy queue slots but will never fire.
-func (e *Engine) Pending() int { return e.queuedLen() - e.tombstones }
-
-// queuedLen is the total queued-event count across the hub queue and
-// every rack sub-queue, tombstones included.
-func (e *Engine) queuedLen() int {
-	n := e.queue.Len()
-	for _, q := range e.racks {
-		n += q.Len()
-	}
-	return n
-}
-
-// qof returns the queue an event belongs to: the hub queue for
-// untagged events, the owning rack sub-queue otherwise.
-func (e *Engine) qof(ev *Event) EventQueue {
-	if ev.part == 0 {
-		return e.queue
-	}
-	return e.racks[ev.part-1]
-}
+func (e *Engine) Pending() int { return e.queue.Len() - e.tombstones }
 
 // EventsTombstoned returns the cumulative number of cancels that were
 // recorded as lazy tombstones (every Cancel of a still-queued event).
@@ -247,30 +211,6 @@ func (e *Engine) at(t Time, fn func()) *Event {
 	return ev
 }
 
-// atPart is at() for a tagged partition: the event lands in the rack's
-// sub-queue instead of the hub queue. Always a foreground event.
-func (e *Engine) atPart(part int32, t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: schedule with nil callback")
-	}
-	e.seq++
-	var ev *Event
-	if n := len(e.pool); n > 0 {
-		ev = e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
-		*ev = Event{at: t, seq: e.seq, fn: fn, part: part}
-	} else {
-		ev = &Event{at: t, seq: e.seq, fn: fn, part: part}
-	}
-	e.qof(ev).Push(ev)
-	e.foreground++
-	return ev
-}
-
 // Recycle returns a fired (or fully cancelled-and-compacted) event to
 // the engine's allocation pool so the next Schedule can reuse it.
 // The caller must be the event's sole remaining owner: after Recycle
@@ -320,14 +260,10 @@ func (e *Engine) Cancel(ev *Event) {
 // re-established from (time, seq), so compaction is invisible to
 // dispatch order.
 func (e *Engine) maybeCompact() {
-	if e.tombstones < compactMinTombstones || e.tombstones*2 <= e.queuedLen() {
+	if e.tombstones < compactMinTombstones || e.tombstones*2 <= e.queue.Len() {
 		return
 	}
-	removed := e.queue.Compact()
-	for _, q := range e.racks {
-		removed += q.Compact()
-	}
-	e.tombstones -= removed
+	e.tombstones -= e.queue.Compact()
 	e.compactions++
 }
 
@@ -353,14 +289,14 @@ func (e *Engine) Reschedule(ev *Event, t Time) {
 		}
 		ev.at = t
 		ev.seq = e.seq
-		e.qof(ev).Fix(ev)
+		e.queue.Fix(ev)
 		return
 	}
 	// Fired or compacted away: re-arm from scratch.
 	ev.cancel = false
 	ev.at = t
 	ev.seq = e.seq
-	e.qof(ev).Push(ev)
+	e.queue.Push(ev)
 	if !ev.daemon {
 		e.foreground++
 	}
@@ -381,7 +317,7 @@ func (e *Engine) Retime(ev *Event, t Time) {
 		panic("sim: retime of a fired or cancelled event")
 	}
 	ev.at = t
-	e.qof(ev).Fix(ev)
+	e.queue.Fix(ev)
 }
 
 // SeqMark returns the most recently consumed sequence number. A caller
@@ -451,7 +387,7 @@ func (e *Engine) PlaceRanked(ev *Event, t Time, seq uint64) {
 		ev.cancel = false
 		ev.at = t
 		ev.seq = seq
-		e.qof(ev).Push(ev)
+		e.queue.Push(ev)
 		if !ev.daemon {
 			e.foreground++
 		}
@@ -470,7 +406,7 @@ func (e *Engine) PlaceRanked(ev *Event, t Time, seq uint64) {
 	}
 	ev.at = t
 	ev.seq = seq
-	e.qof(ev).Fix(ev)
+	e.queue.Fix(ev)
 }
 
 // AtInstantEnd registers fn to run once the current virtual instant is
@@ -519,7 +455,7 @@ func (e *Engine) Step() bool {
 		if ev == nil {
 			return false
 		}
-		e.qof(ev).Pop()
+		e.queue.Pop()
 		e.now = ev.at
 		if ev.daemon {
 			e.daemons++
@@ -560,9 +496,6 @@ func (e *Engine) Run() Time {
 			}
 			break
 		}
-		if e.parallel > 1 && e.racks != nil && e.parallelWindow() {
-			continue
-		}
 		if !e.Step() {
 			break
 		}
@@ -596,29 +529,15 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // RunFor is RunUntil(Now()+d).
 func (e *Engine) RunFor(d Time) Time { return e.RunUntil(e.now + d) }
 
-// peek returns the earliest live event across the hub queue and every
-// rack sub-queue, discarding tombstones off each queue's head on the
-// way. With no partitions it reduces to the historical single-queue
-// peek.
+// peek returns the earliest live event, popping tombstones off the
+// head of the queue until a live event (or nothing) surfaces.
 func (e *Engine) peek() *Event {
-	ev := e.skim(e.queue)
-	for _, q := range e.racks {
-		if r := e.skim(q); r != nil && (ev == nil || r.before(ev)) {
-			ev = r
-		}
-	}
-	return ev
-}
-
-// skim is peek on one queue: it pops tombstones off the head until a
-// live event (or nothing) surfaces.
-func (e *Engine) skim(q EventQueue) *Event {
 	for {
-		ev := q.Peek()
+		ev := e.queue.Peek()
 		if ev == nil || !ev.cancel {
 			return ev
 		}
-		q.Pop()
+		e.queue.Pop()
 		e.tombstones--
 	}
 }

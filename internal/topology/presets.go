@@ -143,24 +143,6 @@ func (m *Machine) RackOf(worker int) int {
 	return m.Workers[worker].Node / perRack
 }
 
-// MinLinkLatency returns the smallest per-hop propagation latency in
-// the machine's fabric. It is the conservative lookahead bound for
-// rack-partitioned execution: every cross-rack interaction crosses at
-// least one link, so no rack can observe another's actions sooner than
-// this. Zero (no links, or a zero-latency link) disables lookahead.
-func (m *Machine) MinLinkLatency() sim.Time {
-	min := sim.Time(-1)
-	for _, l := range m.Net.Links() {
-		if lat := l.Fwd().Latency(); min < 0 || lat < min {
-			min = lat
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
-}
-
 // Build constructs the machine described by a spec.
 func Build(eng *sim.Engine, spec Spec) *Machine {
 	t := New(eng)

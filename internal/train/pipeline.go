@@ -16,10 +16,6 @@ import (
 // synchronization stays with the strategy: once a layer's last
 // microbatch backward retires, GradientReady fires exactly as on the
 // data-parallel path, and the strategy reduces over the plan's tree.
-//
-// Non-trivial layouts run the engine unpartitioned (New gates the
-// rack-partitioned core off), so these callbacks run single-threaded
-// and may touch shared trainer state freely.
 
 // pipeOp is one in-flight group rendezvous: members arrive, the last
 // arrival launches the collective, completion resumes everyone.
@@ -94,7 +90,7 @@ func (t *Trainer) runPipeWorker(w, it int) {
 	}
 	ctx := t.ctx
 	plan := t.groups.plan
-	sch := t.scheds[w]
+	eng := ctx.Eng
 	g := ctx.Workers[w]
 	c := plan.Coords[w]
 	micro := plan.Micro
@@ -107,11 +103,11 @@ func (t *Trainer) runPipeWorker(w, it int) {
 	track := fmt.Sprintf("worker %d", w)
 
 	wait := func(l *Latch, what string, next func()) {
-		arrived := sch.Now()
+		arrived := eng.Now()
 		l.Wait(func() {
-			if stall := sch.Now() - arrived; stall > 0 {
+			if stall := eng.Now() - arrived; stall > 0 {
 				t.blocked[w] += stall
-				t.cfg.Trace.Span(track, "stall", what, arrived, sch.Now())
+				t.cfg.Trace.Span(track, "stall", what, arrived, eng.Now())
 			}
 			next()
 		})
@@ -129,11 +125,11 @@ func (t *Trainer) runPipeWorker(w, it int) {
 		base := members[0]
 		comm := t.tpComm(base, members)
 		vol := ctx.Layers()[l].ActBytes * int64(mbSize)
-		arrived := sch.Now()
+		arrived := eng.Now()
 		t.joinOp([5]int{base, it, mb, l, phase}, len(members), func(done func()) {
 			comm.AllReduceBytes(vol, done)
 		}, func() {
-			if stall := sch.Now() - arrived; stall > 0 {
+			if stall := eng.Now() - arrived; stall > 0 {
 				t.blocked[w] += stall
 			}
 			next()
@@ -152,7 +148,7 @@ func (t *Trainer) runPipeWorker(w, it int) {
 		members := plan.EPGroup(w)
 		base := members[0]
 		comm := t.epComm(base, members)
-		arrived := sch.Now()
+		arrived := eng.Now()
 		t.joinOp([5]int{base, it, mb, l, phase}, len(members), func(done func()) {
 			router := parallel.Router{
 				Seed:    t.cfg.Seed,
@@ -170,7 +166,7 @@ func (t *Trainer) runPipeWorker(w, it int) {
 			}
 			comm.AllToAll(mat, done)
 		}, func() {
-			if stall := sch.Now() - arrived; stall > 0 {
+			if stall := eng.Now() - arrived; stall > 0 {
 				t.blocked[w] += stall
 			}
 			next()
@@ -196,14 +192,12 @@ func (t *Trainer) runPipeWorker(w, it int) {
 			layer := ctx.Layers()[l]
 			wait(t.latch(it, w, l), "wait params "+layer.Name, func() {
 				moeStep(l, mb, phaseMoEDispatch, func() {
-					start := sch.Now()
+					start := eng.Now()
 					dur := g.LayerFwdTime(plan.LayerShard(l), mbSize)
-					sch.At(t.chaos.AdvanceCompute(w, start, dur), func() {
+					eng.At(t.chaos.AdvanceCompute(w, start, dur), func() {
 						t.compute[w] += dur
-						if lag := sch.Now() - start - dur; lag > 0 {
-							sch.Defer(func() { t.chaos.NoteWorkerStall(lag) })
-						}
-						t.cfg.Trace.Span(track, "compute", "fwd "+layer.Name, start, sch.Now())
+						t.chaos.NoteWorkerStall(eng.Now() - start - dur)
+						t.cfg.Trace.Span(track, "compute", "fwd "+layer.Name, start, eng.Now())
 						moeStep(l, mb, phaseMoECombine, func() {
 							tpStep(l, mb, phaseFwdTP, func() { runLayer(idx + 1) })
 						})
@@ -235,20 +229,18 @@ func (t *Trainer) runPipeWorker(w, it int) {
 			}
 			l := stage[idx]
 			layer := ctx.Layers()[l]
-			start := sch.Now()
+			start := eng.Now()
 			dur := g.LayerBwdTime(plan.LayerShard(l), mbSize)
-			sch.At(t.chaos.AdvanceCompute(w, start, dur), func() {
+			eng.At(t.chaos.AdvanceCompute(w, start, dur), func() {
 				t.compute[w] += dur
-				if lag := sch.Now() - start - dur; lag > 0 {
-					sch.Defer(func() { t.chaos.NoteWorkerStall(lag) })
-				}
-				t.cfg.Trace.Span(track, "compute", "bwd "+layer.Name, start, sch.Now())
+				t.chaos.NoteWorkerStall(eng.Now() - start - dur)
+				t.cfg.Trace.Span(track, "compute", "bwd "+layer.Name, start, eng.Now())
 				moeStep(l, mb, phaseMoEBwdCombine, func() {
 					tpStep(l, mb, phaseBwdTP, func() {
 						moeStep(l, mb, phaseMoEBwdDispatch, func() {
 							t.gradCount[w][idx]++
 							if t.gradCount[w][idx] == micro {
-								sch.Defer(func() { t.strat.GradientReady(it, w, l) })
+								t.strat.GradientReady(it, w, l)
 							}
 							runLayer(idx - 1)
 						})
@@ -287,12 +279,8 @@ func (t *Trainer) runPipeWorker(w, it int) {
 			bwdDone++
 			bwdMB(mb, step)
 		default:
-			end := int64(sch.Now())
-			for {
-				cur := t.iterEnd[it].Load()
-				if end <= cur || t.iterEnd[it].CompareAndSwap(cur, end) {
-					break
-				}
+			if eng.Now() > t.iterEnd[it] {
+				t.iterEnd[it] = eng.Now()
 			}
 			t.workerDone[w] = it + 1
 			t.runPipeWorker(w, it+1)

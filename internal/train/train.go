@@ -21,9 +21,6 @@ package train
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
-	"sync/atomic"
 
 	"coarse/internal/cci"
 	"coarse/internal/chaos"
@@ -133,29 +130,6 @@ type Config struct {
 	// first iteration; tests and experiments use it to schedule runtime
 	// perturbations (link degradation, etc.) on the engine.
 	OnStart func(*Ctx)
-	// PartitionParallel enables the rack-partitioned engine core on
-	// multi-rack machines: worker compute chains are confined to
-	// per-rack event sub-queues and drained in conservative parallel
-	// windows bounded by the machine's minimum link latency, with
-	// byte-identical output to sequential execution (see
-	// internal/sim's partitioned-execution contract). > 1 is the drain
-	// goroutine budget; 1 runs the partitioned queues sequentially (a
-	// determinism check); <= 0 leaves partitioning off. Forced off when
-	// Trace is set (the recorder is not drain-safe) or the machine has
-	// fewer than two racks. The COARSE_PARTITION environment variable
-	// supplies the value when the config leaves it zero, so CI can
-	// force partitioning across an existing test suite.
-	PartitionParallel int
-	// FlowAggregation forces symmetric-fan aggregation on for this
-	// run's fabric (fabric.Network.EnableFlowAggregation); false leaves
-	// the COARSE_FLOW_AGG environment default in place, so existing
-	// suites can opt whole processes in without config changes.
-	// Aggregation is byte-exact either way.
-	FlowAggregation bool
-	// FastForward forces the steady-state reallocation skip on
-	// (fabric.Network.EnableFastForward); false leaves the
-	// COARSE_FASTFORWARD environment default. Byte-exact either way.
-	FastForward bool
 	// Layout shards the model across the workers: pipeline stages (PP)
 	// driven on a microbatched 1F1B schedule, tensor-parallel splits
 	// (TP) with per-layer activation all-reduces inside the TP group,
@@ -164,10 +138,9 @@ type Config struct {
 	// count the layout leaves over is data-parallel. The zero value (or
 	// any explicitly trivial layout) is pure data parallelism and takes
 	// the historical unsharded path byte for byte. Non-trivial layouts
-	// are timing-only (no Numeric), run the engine unpartitioned (the
-	// 1F1B send/recv chains cross racks inside the lookahead window),
-	// and scope each strategy's gradient synchronization to the plan's
-	// per-layer reduction trees. See internal/parallel.
+	// are timing-only (no Numeric) and scope each strategy's gradient
+	// synchronization to the plan's per-layer reduction trees. See
+	// internal/parallel.
 	Layout parallel.Layout
 	// FlatCollectives forces the collective planner to a flat ring for
 	// every communicator — the topology-blind baseline the parallelism
@@ -390,22 +363,14 @@ type Trainer struct {
 	ctx   *Ctx
 
 	// latches is a dense (worker, iteration, layer) grid; workers own
-	// disjoint contiguous segments, so a worker's rack-partition drain
-	// goroutine touches only its own slots.
+	// disjoint contiguous segments.
 	latches   []Latch
 	latStride int // latches per worker: (Iterations+1) * layer count
 
-	blocked []sim.Time // per worker, total forward stall
-	compute []sim.Time // per worker, total roofline busy time
-	// iterEnd is the completion time per iteration (max over workers);
-	// atomics because workers in different racks race on the max during
-	// parallel window drains — max is order-independent, so the result
-	// is identical to sequential accumulation.
-	iterEnd    []atomic.Int64
-	workerDone []int // iterations completed per worker
-	// scheds is each worker's partition scheduling handle; the hub
-	// handle (plain engine scheduling) when partitioning is off.
-	scheds     []*sim.PartSched
+	blocked    []sim.Time // per worker, total forward stall
+	compute    []sim.Time // per worker, total roofline busy time
+	iterEnd    []sim.Time // completion time per iteration (max over workers)
+	workerDone []int      // iterations completed per worker
 	gradFn     func(it, w, layer int, grad *tensor.Tensor)
 	optimizers []optim.Optimizer // per worker, numeric mode only
 
@@ -529,7 +494,7 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 		latStride:  stride,
 		blocked:    make([]sim.Time, len(ctx.Workers)),
 		compute:    make([]sim.Time, len(ctx.Workers)),
-		iterEnd:    make([]atomic.Int64, cfg.Iterations),
+		iterEnd:    make([]sim.Time, cfg.Iterations),
 		workerDone: make([]int, len(ctx.Workers)),
 		groups:     newGroupInfo(plan, len(ctx.Workers), len(cfg.Model.Layers)),
 	}
@@ -545,40 +510,6 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 		for w := range tr.gradCount {
 			tr.gradCount[w] = make([]int, len(plan.Stages[plan.Coords[w].PP]))
 		}
-	}
-	// Rack-partitioned execution: confine each worker's event chain to
-	// its rack's sub-queue and let the engine drain racks in
-	// conservative parallel windows. The lookahead is the machine's
-	// minimum link latency — every cross-rack effect (gradient
-	// synchronization, parameter hand-off) crosses at least one fabric
-	// hop, so racks cannot observe each other within a window. With
-	// partitioning off, Sched degrades to the plain engine API and the
-	// run is the historical sequential one, byte for byte.
-	// Scale accelerations: config force-enables ride on top of the
-	// process-wide environment defaults NewNetwork already applied.
-	if cfg.FlowAggregation {
-		machine.Net.EnableFlowAggregation(true)
-	}
-	if cfg.FastForward {
-		machine.Net.EnableFastForward(true)
-	}
-	par := cfg.PartitionParallel
-	if par == 0 {
-		if v, err := strconv.Atoi(os.Getenv(envPartition)); err == nil {
-			par = v
-		}
-	}
-	// Non-trivial layouts additionally force partitioning off: the 1F1B
-	// boundary sends and TP/EP rendezvous open latches on cross-rack
-	// workers inside the lookahead window.
-	if par > 0 && cfg.Trace == nil && machine.Spec.Racks > 1 && plan == nil {
-		if la := machine.MinLinkLatency(); la > 0 {
-			eng.EnablePartitions(machine.Spec.Racks, la, par)
-		}
-	}
-	tr.scheds = make([]*sim.PartSched, len(ctx.Workers))
-	for w := range tr.scheds {
-		tr.scheds[w] = eng.Sched(machine.RackOf(w))
 	}
 	if cfg.Chaos != nil {
 		plan := cfg.Chaos.Compile(cfg.Seed, chaos.EnvOf(machine))
@@ -663,11 +594,6 @@ func (t *Trainer) registerTelemetry() {
 	}
 }
 
-// envPartition force-enables rack-partitioned execution process-wide
-// when Config.PartitionParallel is zero; the CI partitioned-DES race
-// lane uses it to run existing suites with partitioning on.
-const envPartition = "COARSE_PARTITION"
-
 func (t *Trainer) latch(it, w, layer int) *Latch {
 	return &t.latches[w*t.latStride+it*len(t.cfg.Model.Layers)+layer]
 }
@@ -740,21 +666,13 @@ func (t *Trainer) Run() (*Result, error) {
 	return t.result(), nil
 }
 
-// runWorker drives one worker's iteration. Every callback here may run
-// inside a rack-partition drain goroutine, so the rules are strict: it
-// may mutate only worker-owned state (this worker's latch slots,
-// blocked/compute/workerDone entries, gradient and parameter buffers),
-// schedule only through the worker's PartSched, and route every effect
-// that escapes the rack — the strategy notification, chaos stall
-// attribution, the cross-worker iteration-end max — through Defer or
-// an order-independent atomic. With partitioning off, sch is the plain
-// engine and Defer is an inline call: the historical sequential path.
+// runWorker drives one worker's iteration.
 func (t *Trainer) runWorker(w, it int) {
 	if it == t.cfg.Iterations {
 		return
 	}
 	ctx := t.ctx
-	sch := t.scheds[w]
+	eng := ctx.Eng
 	g := ctx.Workers[w]
 	layers := ctx.Layers()
 
@@ -768,57 +686,47 @@ func (t *Trainer) runWorker(w, it int) {
 			bwd(len(layers) - 1)
 			return
 		}
-		arrived := sch.Now()
+		arrived := eng.Now()
 		t.latch(it, w, layer).Wait(func() {
-			if stall := sch.Now() - arrived; stall > 0 {
+			if stall := eng.Now() - arrived; stall > 0 {
 				t.blocked[w] += stall
 				t.cfg.Trace.Span(track, "stall",
-					fmt.Sprintf("wait params %s", layers[layer].Name), arrived, sch.Now())
+					fmt.Sprintf("wait params %s", layers[layer].Name), arrived, eng.Now())
 			}
 			if t.cfg.Numeric && it > 0 {
 				// Apply the optimizer step with the averaged gradient
 				// the strategy left in the buffer.
 				t.optimizers[w].Step(layer, ctx.Params[w][layer].Data, ctx.Grads[w][layer].Data)
 			}
-			start := sch.Now()
+			start := eng.Now()
 			dur := g.LayerFwdTime(layers[layer], t.cfg.Batch)
-			sch.At(t.chaos.AdvanceCompute(w, start, dur), func() {
+			eng.At(t.chaos.AdvanceCompute(w, start, dur), func() {
 				t.compute[w] += dur
-				if lag := sch.Now() - start - dur; lag > 0 {
-					sch.Defer(func() { t.chaos.NoteWorkerStall(lag) })
-				}
-				t.cfg.Trace.Span(track, "compute", "fwd "+layers[layer].Name, start, sch.Now())
+				t.chaos.NoteWorkerStall(eng.Now() - start - dur)
+				t.cfg.Trace.Span(track, "compute", "fwd "+layers[layer].Name, start, eng.Now())
 				fwd(layer + 1)
 			})
 		})
 	}
 
 	bwd = func(layer int) {
-		start := sch.Now()
+		start := eng.Now()
 		dur := g.LayerBwdTime(layers[layer], t.cfg.Batch)
-		sch.At(t.chaos.AdvanceCompute(w, start, dur), func() {
+		eng.At(t.chaos.AdvanceCompute(w, start, dur), func() {
 			t.compute[w] += dur
-			if lag := sch.Now() - start - dur; lag > 0 {
-				sch.Defer(func() { t.chaos.NoteWorkerStall(lag) })
-			}
-			t.cfg.Trace.Span(track, "compute", "bwd "+layers[layer].Name, start, sch.Now())
+			t.chaos.NoteWorkerStall(eng.Now() - start - dur)
+			t.cfg.Trace.Span(track, "compute", "bwd "+layers[layer].Name, start, eng.Now())
 			if t.cfg.Numeric {
 				t.fillGradient(it, w, layer)
 			}
-			sch.Defer(func() { t.strat.GradientReady(it, w, layer) })
+			t.strat.GradientReady(it, w, layer)
 			if layer > 0 {
 				bwd(layer - 1)
 				return
 			}
-			// Iteration complete for this worker: fold into the
-			// cross-worker max (order-independent, so atomics preserve
-			// byte-identity under parallel drains).
-			end := int64(sch.Now())
-			for {
-				cur := t.iterEnd[it].Load()
-				if end <= cur || t.iterEnd[it].CompareAndSwap(cur, end) {
-					break
-				}
+			// Iteration complete for this worker.
+			if eng.Now() > t.iterEnd[it] {
+				t.iterEnd[it] = eng.Now()
 			}
 			t.workerDone[w] = it + 1
 			t.runWorker(w, it+1)
@@ -859,10 +767,10 @@ func (t *Trainer) result() *Result {
 	var iterSum sim.Time
 	count := 0
 	for it := 1; it < cfg.Iterations; it++ {
-		iterSum += sim.Time(t.iterEnd[it].Load() - t.iterEnd[it-1].Load())
+		iterSum += t.iterEnd[it] - t.iterEnd[it-1]
 		count++
 	}
-	iterTime := sim.Time(t.iterEnd[0].Load())
+	iterTime := t.iterEnd[0]
 	if count > 0 {
 		iterTime = iterSum / sim.Time(count)
 	}
