@@ -10,7 +10,7 @@ GO ?= go
 # `make lint`, so bumping the version here is the whole upgrade.
 STATICCHECK_VERSION = 2024.1.1
 
-.PHONY: all build test race vet lint bench bench-core bench-smoke bench-compare trend serve-smoke serve-family-smoke serve-golden suite golden-drift telemetry-smoke cover fuzz-smoke scale-smoke parallel-smoke ci
+.PHONY: all build test race vet lint bench-module bench bench-core bench-smoke bench-compare trend serve-smoke serve-family-smoke serve-golden suite golden-drift telemetry-smoke cover fuzz-smoke scale-smoke parallel-smoke ci
 
 # Coverage floor for `make cover` (total statement coverage, percent,
 # measured under -short so the floor tracks the fast deterministic
@@ -33,6 +33,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The repo benchmark (benchmark/) is its own module, so the root
+# `go build ./...` never compiles it: vet and test it separately so an
+# API change in the simulator cannot break it silently.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Formatting + vet + staticcheck, the CI lint lane. The staticcheck
 # step fetches the pinned module and so needs network on first use;

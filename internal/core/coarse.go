@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"strings"
 
-	"coarse/internal/collective"
 	"coarse/internal/fabric"
 	"coarse/internal/memdev"
 	"coarse/internal/model"
@@ -116,8 +115,7 @@ type Strategy struct {
 	ctx *train.Ctx
 	// shards are the parameter-space partitions (one with Shards <= 1,
 	// the paper's design). Layer l lives on shards[l % len(shards)].
-	shards  []*coarseShard
-	gpuRing *collective.Ring
+	shards []*coarseShard
 	// proxySynced[layer] records the dual-sync assignment.
 	proxySynced []bool
 	mBytes      int64
@@ -161,7 +159,7 @@ type iterState struct {
 	shardsLeft map[[2]int]int
 	// gpuArrived counts, per (layer, reduction tree), workers that
 	// produced the gradient (GPU-synced layers). The tree id is 0 on the
-	// trivial data-parallel layout.
+	// data-parallel layout.
 	gpuArrived map[[2]int]int
 	// workersLeft counts, per proxy-synced (layer, reduction tree),
 	// members that have not finished pulling yet.
@@ -171,7 +169,7 @@ type iterState struct {
 	// any worker can consume them).
 	averaged map[int]bool
 	// layersLeft counts (layer, reduction tree) completions still owed
-	// this iteration — the layer count on the trivial layout; the
+	// this iteration — the layer count on the data-parallel layout; the
 	// iteration's state is dropped (and the epoch checkpoint taken) when
 	// it reaches zero.
 	layersLeft int
@@ -289,26 +287,6 @@ func (s *Strategy) Setup(ctx *train.Ctx) error {
 		s.shards = append(s.shards, sh)
 	}
 
-	// GPU ring for the dual-sync high-priority tail.
-	n := ctx.NumWorkers()
-	send := func(i int, reverse bool, size int64, onDone func()) {
-		if n == 1 {
-			ctx.Eng.Schedule(0, onDone)
-			return
-		}
-		j := (i + 1) % n
-		if reverse {
-			j = (i - 1 + n) % n
-		}
-		// The GPU tail ring is synchronous across workers: a hop whose
-		// endpoint is chaos-silenced defers until it wakes. Only the
-		// tail pays this; the proxy path below keeps draining.
-		ctx.CCI.DMACopy(ctx.Workers[i].Dev, ctx.Workers[j].Dev, size, func() {
-			ctx.RunAwake(onDone, i, j)
-		})
-	}
-	s.gpuRing = collective.NewRing(ctx.Eng, n, send)
-
 	s.planDualSync()
 	s.registerTelemetry()
 	return nil
@@ -328,7 +306,10 @@ func (s *Strategy) registerTelemetry() {
 	reg.GaugeFunc("coarse/gpu_synced_bytes", "B", func() float64 { return float64(s.GPUSyncedBytes) })
 	reg.GaugeFunc("coarse/pull_hits", "count", func() float64 { return float64(s.PullHits) })
 	reg.GaugeFunc("coarse/pull_misses", "count", func() float64 { return float64(s.PullMisses) })
-	s.gpuRing.AttachTelemetry(reg, "coarse/gpu_ring")
+	// The GPU tail's ring counters follow reduction tree 0: on the
+	// data-parallel layout, the one flat ring over every worker; on a
+	// sharded layout, tree 0's ring when the planner picked one.
+	s.ctx.SyncComm(0).AttachTelemetry(reg, "coarse/gpu_ring")
 	for _, sh := range s.shards {
 		// Single-domain series keep the historical names; multi-domain
 		// runs prefix each domain.
@@ -568,7 +549,7 @@ func (s *Strategy) state(it int) *iterState {
 			gpuArrived:   make(map[[2]int]int),
 			workersLeft:  make(map[[2]int]int),
 			averaged:     make(map[int]bool),
-			layersLeft:   s.ctx.SyncTrees(),
+			layersLeft:   s.ctx.Plan().SyncTrees(),
 			assign:       append([]bool(nil), s.proxySynced...),
 		}
 		s.iters[it] = st
@@ -589,34 +570,33 @@ func (s *Strategy) GradientReady(it, w, layer int) {
 	}
 }
 
-// gpuSync: the high-priority tail synchronizes directly on worker GPUs
-// — the flat all-worker ring on the trivial layout, the layer's
-// reduction tree over its planner-chosen communicator under sharding.
+// gpuSync: the high-priority tail synchronizes directly on worker GPUs,
+// reducing the layer's tree over its communicator — the flat
+// all-worker ring on the data-parallel layout. The tail is synchronous
+// across its members: a hop whose endpoint is chaos-silenced defers
+// until it wakes, while the proxy path keeps draining.
 func (s *Strategy) gpuSync(it, w, layer int) {
 	ctx := s.ctx
+	plan := ctx.Plan()
 	st := s.state(it)
-	gid := ctx.LayerGroupID(w, layer)
-	members := ctx.GroupMembers(gid)
+	gid := plan.GroupID(w, layer)
+	members := plan.GroupMembers(gid)
 	gk := [2]int{layer, gid}
 	st.gpuArrived[gk]++
 	if st.gpuArrived[gk] < len(members) {
 		return
 	}
-	size := ctx.LayerSyncBytes(layer)
+	size := plan.SyncBytes(layer)
 	s.GPUSyncedBytes += size
 	done := func() {
 		if ctx.Cfg.Numeric {
-			s.averageGrads(layer)
+			ctx.AverageGrads(layer)
 			s.captureParam(it, layer)
 		}
 		for _, dst := range members {
 			ctx.MarkReady(it, dst, layer)
 		}
 		s.layerDone(it)
-	}
-	if ctx.Plan() == nil {
-		s.gpuRing.AllReduceBytes(size, false, done)
-		return
 	}
 	ctx.SyncComm(gid).AllReduceBytes(size, done)
 }
@@ -625,9 +605,10 @@ func (s *Strategy) gpuSync(it, w, layer int) {
 // sync shards whose every client copy has arrived.
 func (s *Strategy) pushToProxies(it, w, layer int) {
 	ctx := s.ctx
+	plan := ctx.Plan()
 	sh := s.shardOf(layer)
-	size := ctx.LayerSyncBytes(layer)
-	gid := ctx.LayerGroupID(w, layer)
+	size := plan.SyncBytes(layer)
+	gid := plan.GroupID(w, layer)
 	table := sh.tables[w]
 
 	var shardSizes []int64
@@ -650,7 +631,7 @@ func (s *Strategy) pushToProxies(it, w, layer int) {
 	st.shardsLeft[[2]int{w, layer}] = len(shardSizes)
 	gk := [2]int{layer, gid}
 	if _, ok := st.workersLeft[gk]; !ok {
-		st.workersLeft[gk] = len(ctx.GroupMembers(gid))
+		st.workersLeft[gk] = len(plan.GroupMembers(gid))
 	}
 
 	// One worker's partition pushes are a symmetric fan: size-based
@@ -702,7 +683,7 @@ func (s *Strategy) registerShard(it, layer, gid, idx int, shardSize int64, key s
 	ctx := s.ctx
 	st := s.state(it)
 	st.shardArrived[key]++
-	if st.shardArrived[key] < len(ctx.GroupMembers(gid)) {
+	if st.shardArrived[key] < len(ctx.Plan().GroupMembers(gid)) {
 		return
 	}
 	delete(st.shardArrived, key)
@@ -721,7 +702,7 @@ func (s *Strategy) onShardSynced(it, layer, gid, idx int, shardSize int64, key s
 		// Average once per layer, before any worker can pull and apply.
 		if st := s.state(it); !st.averaged[layer] {
 			st.averaged[layer] = true
-			s.averageGrads(layer)
+			ctx.AverageGrads(layer)
 			s.captureParam(it, layer)
 		}
 	}
@@ -742,7 +723,7 @@ func (s *Strategy) onShardSynced(it, layer, gid, idx int, shardSize int64, key s
 	// The first pull through a proxy stages the shard out of storage
 	// DRAM into the proxy's parameter cache; later pulls of the same
 	// shard hit the cache (Section III-D).
-	for _, w := range ctx.GroupMembers(gid) {
+	for _, w := range ctx.Plan().GroupMembers(gid) {
 		w := w
 		src := sh.localProxy[w]
 		if s.Opts.Routing {
@@ -792,25 +773,6 @@ func (s *Strategy) finishPull(it, w, layer, gid int) {
 	if st.workersLeft[gk] == 0 {
 		delete(st.workersLeft, gk)
 		s.layerDone(it)
-	}
-}
-
-// averageGrads applies the synchronization's numeric effect.
-func (s *Strategy) averageGrads(layer int) {
-	ctx := s.ctx
-	n := ctx.NumWorkers()
-	inv := 1 / float32(n)
-	sum := ctx.Grads[0][layer].Data
-	for w := 1; w < n; w++ {
-		for i, v := range ctx.Grads[w][layer].Data {
-			sum[i] += v
-		}
-	}
-	for i := range sum {
-		sum[i] *= inv
-	}
-	for w := 1; w < n; w++ {
-		copy(ctx.Grads[w][layer].Data, sum)
 	}
 }
 

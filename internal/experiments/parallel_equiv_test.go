@@ -1,12 +1,12 @@
 package experiments
 
-// Parallelism-equivalence property: a declared DP-only layout is the
-// SAME code path as the historical unsharded trainer, for every
-// synchronization strategy — not approximately, but byte for byte,
-// results and telemetry alike. This is the k=1 idiom that lets the
-// sharded machinery coexist with the frozen goldens: Layout{DP: n}
-// normalizes to the trivial layout, the plan stays nil, and every
-// strategy's historical branch runs unchanged.
+// Parallelism-equivalence property: every spelling of the data-parallel
+// layout binds the same single-tree plan, for every synchronization
+// strategy — not approximately, but byte for byte, results and
+// telemetry alike. Layout{DP: n} and Layout{PP: 1, TP: 1, EP: 1}
+// normalize to the zero layout: one microbatch, one all-worker
+// reduction tree per layer over a flat ring, no layout label. The
+// committed goldens pin that plan's output byte for byte.
 
 import (
 	"bytes"
@@ -44,8 +44,8 @@ func runEquiv(t *testing.T, lay parallel.Layout, strat string) (*train.Result, [
 }
 
 // TestDPOnlyLayoutByteIdentity: for all four strategies, the zero
-// layout, an explicit Layout{DP: world} and a DP-with-microbatch
-// declaration produce identical results and telemetry bytes.
+// layout, an explicit Layout{DP: world} and explicit unit factors
+// produce identical results and telemetry bytes.
 func TestDPOnlyLayoutByteIdentity(t *testing.T) {
 	const world = 4 // AWS V100 preset worker count (4 switches x "WM")
 	for _, strat := range smokeStrategies {
@@ -57,7 +57,7 @@ func TestDPOnlyLayoutByteIdentity(t *testing.T) {
 			}
 			for _, lay := range []parallel.Layout{
 				{DP: world},
-				{DP: world, Micro: 2},
+				{DP: world, Micro: 1},
 				{PP: 1, TP: 1, EP: 1},
 			} {
 				res, dump := runEquiv(t, lay, strat)
@@ -86,5 +86,19 @@ func TestNonDividingLayoutRejected(t *testing.T) {
 	cfg.Batch = 3 // not divisible into 2 microbatches
 	if _, err := train.New(cfg, train.NewAllReduce()); err == nil {
 		t.Fatal("batch not divisible by microbatches accepted")
+	}
+}
+
+// TestDPOnlyMicrobatchesRejected: a data-parallel layout runs one
+// microbatch per iteration, so asking for more is an error rather than
+// a silently ignored setting.
+func TestDPOnlyMicrobatchesRejected(t *testing.T) {
+	m := model.MLP("mlp", 512, 256, 10)
+	cfg := train.DefaultConfig(topology.AWSV100(), m, 4, 2)
+	for _, lay := range []parallel.Layout{{Micro: 2}, {DP: 4, Micro: 2}} {
+		cfg.Layout = lay
+		if _, err := train.New(cfg, train.NewAllReduce()); err == nil {
+			t.Errorf("%+v: data-parallel layout with %d microbatches accepted", lay, lay.Micro)
+		}
 	}
 }

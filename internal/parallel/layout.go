@@ -17,8 +17,9 @@ package parallel
 import "fmt"
 
 // Layout declares the parallelism factors of a run. Every field's zero
-// value means 1, so the zero Layout is pure data parallelism — the
-// historical unsharded path, byte for byte.
+// value means 1, so the zero Layout is pure data parallelism: bound by
+// NewPlan, it is the single-tree plan — one stage, one microbatch, one
+// reduction tree of every worker per layer at full volume.
 //
 // The factors follow Megatron-style rank order with TP innermost
 // (tensor-parallel peers are adjacent ranks and therefore share a node
@@ -58,8 +59,9 @@ func (l Layout) Product() int {
 }
 
 // Trivial reports whether the layout is pure data parallelism: no
-// pipeline, tensor or expert sharding. A trivial layout takes the
-// historical unsharded training path unchanged.
+// pipeline, tensor or expert sharding. Its plan is the single-tree
+// plan; the trainer runs it on the same path as every other layout,
+// with the paper's flat ring for the tree and no layout label.
 func (l Layout) Trivial() bool {
 	_, pp, tp, ep := l.norm()
 	return pp == 1 && tp == 1 && ep == 1

@@ -45,9 +45,6 @@ type Plan struct {
 
 	stageOf []int   // layer -> owning stage
 	groups  [][]int // group id -> sorted member workers
-	// layerGroups[layer] lists the group ids that reduce the layer (one
-	// per (tp) for dense layers, one per (tp, ep) for expert layers).
-	layerGroups [][]int
 	// groupLayers[gid] lists the layers a group reduces, forward order.
 	groupLayers [][]int
 }
@@ -162,22 +159,10 @@ func (p *Plan) buildGroups() {
 		}
 	}
 
-	p.layerGroups = make([][]int, len(p.Model.Layers))
 	p.groupLayers = make([][]int, len(p.groups))
-	for layer, l := range p.Model.Layers {
-		s := p.stageOf[layer]
-		for tp := 0; tp < p.TP; tp++ {
-			base := s*p.TP + tp
-			if p.expertSharded(l) {
-				for ep := 0; ep < p.EP; ep++ {
-					gid := denseGroups + base*p.EP + ep
-					p.layerGroups[layer] = append(p.layerGroups[layer], gid)
-					p.groupLayers[gid] = append(p.groupLayers[gid], layer)
-				}
-			} else {
-				p.layerGroups[layer] = append(p.layerGroups[layer], base)
-				p.groupLayers[base] = append(p.groupLayers[base], layer)
-			}
+	for layer := range p.Model.Layers {
+		for _, gid := range p.LayerGroups(layer) {
+			p.groupLayers[gid] = append(p.groupLayers[gid], layer)
 		}
 	}
 }
@@ -217,8 +202,24 @@ func (p *Plan) Groups() [][]int { return p.groups }
 func (p *Plan) GroupMembers(gid int) []int { return p.groups[gid] }
 
 // LayerGroups returns the ids of the trees reducing a layer: TP trees
-// for a dense layer, TP·EP for an expert-sharded one.
-func (p *Plan) LayerGroups(layer int) []int { return p.layerGroups[layer] }
+// for a dense layer (one per tp), TP·EP for an expert-sharded one (one
+// per (tp, ep)).
+func (p *Plan) LayerGroups(layer int) []int {
+	s := p.stageOf[layer]
+	sharded := p.expertSharded(p.Model.Layers[layer])
+	out := make([]int, 0, p.shardDiv(p.Model.Layers[layer]))
+	for tp := 0; tp < p.TP; tp++ {
+		base := s*p.TP + tp
+		if !sharded {
+			out = append(out, base)
+			continue
+		}
+		for ep := 0; ep < p.EP; ep++ {
+			out = append(out, p.PP*p.TP+base*p.EP+ep)
+		}
+	}
+	return out
+}
 
 // GroupLayers returns the layers one tree reduces, in forward order.
 func (p *Plan) GroupLayers(gid int) []int { return p.groupLayers[gid] }
@@ -227,8 +228,8 @@ func (p *Plan) GroupLayers(gid int) []int { return p.groupLayers[gid] }
 // iteration: every layer is reduced once by each of its trees.
 func (p *Plan) SyncTrees() int {
 	total := 0
-	for _, gids := range p.layerGroups {
-		total += len(gids)
+	for _, l := range p.Model.Layers {
+		total += p.shardDiv(l) // the layer's tree count
 	}
 	return total
 }

@@ -46,7 +46,7 @@ type CentralPS struct {
 
 	ctx *train.Ctx
 	// arrived counts pushes per (iteration, layer, reduction tree); the
-	// tree id is always 0 on the trivial data-parallel layout, where the
+	// tree id is always 0 on the data-parallel layout, where the
 	// single tree holds every worker.
 	arrived map[[3]int]int
 	servers []*psServer // nil in the Shards == 0 legacy mode
@@ -104,13 +104,14 @@ func (s *CentralPS) Setup(ctx *train.Ctx) error {
 
 // GradientReady implements train.Strategy: push to the CPU; once every
 // member of the layer's reduction tree arrives the server updates and
-// pushes back. On the trivial layout the single tree is every worker
-// and the volume is the full tensor — the historical behavior exactly.
+// pushes back. On the data-parallel layout the single tree is every
+// worker and the volume is the full tensor.
 func (s *CentralPS) GradientReady(it, w, layer int) {
 	ctx := s.ctx
-	size := ctx.LayerSyncBytes(layer)
-	gid := ctx.LayerGroupID(w, layer)
-	members := ctx.GroupMembers(gid)
+	plan := ctx.Plan()
+	size := plan.SyncBytes(layer)
+	gid := plan.GroupID(w, layer)
+	members := plan.GroupMembers(gid)
 	cpu := ctx.Machine.CPUs[ctx.Workers[w].Dev.Node]
 	var srv *psServer
 	if len(s.servers) > 0 {
@@ -128,7 +129,7 @@ func (s *CentralPS) GradientReady(it, w, layer int) {
 		update := sim.Seconds(float64(size) / s.UpdateBytesPerSec)
 		apply := func() {
 			if ctx.Cfg.Numeric {
-				averageGrads(ctx, layer)
+				ctx.AverageGrads(layer)
 			}
 			// The push-back fan is emitted in one burst and may be
 			// tagged: pulls sharing a source CPU, route, and size can
@@ -307,9 +308,10 @@ func (s *DENSE) PortRate(write bool) float64 {
 // GradientReady implements train.Strategy.
 func (s *DENSE) GradientReady(it, w, layer int) {
 	ctx := s.ctx
-	size := ctx.LayerSyncBytes(layer)
-	gid := ctx.LayerGroupID(w, layer)
-	members := ctx.GroupMembers(gid)
+	plan := ctx.Plan()
+	size := plan.SyncBytes(layer)
+	gid := plan.GroupID(w, layer)
+	members := plan.GroupMembers(gid)
 	writePort := s.writePorts[layer%len(s.writePorts)]
 	readPort := s.readPorts[layer%len(s.readPorts)]
 	// Push: write into the CCI parameter region through the layer's
@@ -326,7 +328,7 @@ func (s *DENSE) GradientReady(it, w, layer int) {
 		update := sim.Seconds(float64(size) / s.ProcessorBytesPerSec)
 		ctx.Eng.Schedule(update, func() {
 			if ctx.Cfg.Numeric {
-				averageGrads(ctx, layer)
+				ctx.AverageGrads(layer)
 			}
 			// Pull: each member reads the updated parameters back
 			// through its coherent cache and the same shared port.
@@ -340,23 +342,4 @@ func (s *DENSE) GradientReady(it, w, layer int) {
 			}
 		})
 	})
-}
-
-// averageGrads replaces every worker's gradient for a layer with the
-// cross-worker mean — the server-side aggregation's numeric effect.
-func averageGrads(ctx *train.Ctx, layer int) {
-	n := ctx.NumWorkers()
-	inv := 1 / float32(n)
-	sum := ctx.Grads[0][layer].Data
-	for w := 1; w < n; w++ {
-		for i, v := range ctx.Grads[w][layer].Data {
-			sum[i] += v
-		}
-	}
-	for i := range sum {
-		sum[i] *= inv
-	}
-	for w := 1; w < n; w++ {
-		copy(ctx.Grads[w][layer].Data, sum)
-	}
 }

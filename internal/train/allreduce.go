@@ -1,8 +1,6 @@
 package train
 
 import (
-	"coarse/internal/collective"
-	"coarse/internal/fabric"
 	"coarse/internal/model"
 )
 
@@ -16,35 +14,25 @@ type AllReduce struct {
 	// BucketBytes is the gradient-fusion threshold; a bucket launches
 	// when it exceeds this size or the backward pass ends.
 	BucketBytes int64
-	// Hierarchical switches multi-node machines to a two-level
-	// collective (intra-node rings + a cross-node leader ring) instead
-	// of one flat ring crossing the datacenter network every round. An
-	// extension beyond the paper's flat-ring baseline.
+	// Hierarchical makes every reduction tree run the two-level
+	// collective (intra-node rings, a cross-node leader ring, then an
+	// intra-node broadcast) instead of the planner's choice — on the
+	// data-parallel layout, instead of one flat ring crossing the
+	// datacenter network every round. An extension beyond the paper's
+	// flat-ring baseline.
 	Hierarchical bool
 
-	ctx       *Ctx
-	ring      *collective.Ring
-	hierarchy *collective.Hierarchy
-	iter      map[int]*arIterState
-	// grouped holds per-(iteration, reduction-tree) bucketing state on
-	// sharded layouts; the trivial path never touches it.
-	grouped map[[2]int]*arGroupState
+	ctx *Ctx
+	// trees holds per-(iteration, reduction-tree) bucketing state.
+	trees map[[2]int]*arTreeState
 }
 
-// arGroupState buckets one reduction tree's layers within an iteration.
-type arGroupState struct {
-	arrived map[int]int // layer -> gradients produced so far
-	bucket  []int
-	bytes   int64
-	pending int // (layer) completions this tree still owes
-}
-
-type arIterState struct {
-	arrived []int // per layer, how many workers produced the gradient
+// arTreeState buckets one reduction tree's layers within an iteration.
+type arTreeState struct {
+	arrived []int // per layer, tree members that produced the gradient
 	bucket  []int // layers accumulated into the pending bucket
 	bytes   int64
-	closed  bool // backward finished on all workers for all layers
-	pending int  // layers not yet fully arrived
+	pending int // layers of the tree not yet fully arrived
 }
 
 // NewAllReduce returns the baseline with the framework-typical 25 MB
@@ -63,209 +51,61 @@ func (a *AllReduce) WorkerStateBytes(m *model.Model) int64 {
 	return 4*m.ParamBytes() + a.BucketBytes
 }
 
-// Setup implements Strategy: build the ring over worker GPUs.
+// Setup implements Strategy. The communicators are built lazily, one
+// per reduction tree.
 func (a *AllReduce) Setup(ctx *Ctx) error {
 	a.ctx = ctx
-	a.iter = make(map[int]*arIterState)
-	if ctx.Plan() != nil {
-		// Sharded layouts reduce per tree over planner-chosen
-		// communicators; the flat worker ring below is the trivial path.
-		a.grouped = make(map[[2]int]*arGroupState)
-		return nil
-	}
-	n := ctx.NumWorkers()
-	// Concurrent fusion buckets drive independent ring operations whose
-	// same-step hops share one worker-to-neighbor route and one chunk
-	// size, emitted in a burst — a symmetric fan the fabric may carry
-	// as a single aggregated flow. One long-lived tag per (worker,
-	// direction) edge marks them (fabric.AggTag is instant-scoped and
-	// only a hint: byte-identical whether or not anything aggregates).
-	tags := make([][2]fabric.AggTag, n)
-	send := func(i int, reverse bool, size int64, onDone func()) {
-		if n == 1 {
-			ctx.Eng.Schedule(0, onDone)
-			return
-		}
-		j := (i + 1) % n
-		dir := 0
-		if reverse {
-			j = (i - 1 + n) % n
-			dir = 1
-		}
-		// Ring hops go through the CCI fabric so machines without
-		// peer-to-peer support (the T4 instance) pay the host bounce.
-		// A hop involving a chaos-silenced endpoint cannot complete
-		// until it wakes — the ring is fully synchronous, so one silent
-		// worker freezes the whole collective step.
-		ctx.CCI.DMACopyTagged(&tags[i][dir], ctx.Workers[i].Dev, ctx.Workers[j].Dev, size, func() {
-			ctx.RunAwake(onDone, i, j)
-		})
-	}
-	a.ring = collective.NewRing(ctx.Eng, n, send)
-
-	if a.Hierarchical {
-		nodes := map[int][]int{}
-		maxNode := 0
-		for i, g := range ctx.Workers {
-			nodes[g.Dev.Node] = append(nodes[g.Dev.Node], i)
-			if g.Dev.Node > maxNode {
-				maxNode = g.Dev.Node
-			}
-		}
-		groups := make([][]int, 0, maxNode+1)
-		for node := 0; node <= maxNode; node++ {
-			if len(nodes[node]) > 0 {
-				groups = append(groups, nodes[node])
-			}
-		}
-		// Same-pair hops of concurrent buckets fan the same way; the
-		// lazily-grown per-pair tag map is tiny (leader ring + each
-		// leader's own members, not n²).
-		pairTags := make(map[[2]int]*fabric.AggTag)
-		pairSend := func(from, to int, size int64, onDone func()) {
-			key := [2]int{from, to}
-			tag := pairTags[key]
-			if tag == nil {
-				tag = new(fabric.AggTag)
-				pairTags[key] = tag
-			}
-			ctx.CCI.DMACopyTagged(tag, ctx.Workers[from].Dev, ctx.Workers[to].Dev, size, func() {
-				ctx.RunAwake(onDone, from, to)
-			})
-		}
-		a.hierarchy = collective.NewHierarchy(ctx.Eng, groups, pairSend)
-	}
+	a.trees = make(map[[2]int]*arTreeState)
 	return nil
 }
 
-func (a *AllReduce) state(it int) *arIterState {
-	st, ok := a.iter[it]
-	if !ok {
-		st = &arIterState{
-			arrived: make([]int, len(a.ctx.Layers())),
-			pending: len(a.ctx.Layers()),
-		}
-		a.iter[it] = st
-	}
-	return st
-}
-
-// GradientReady implements Strategy. When every worker has produced a
-// layer's gradient it joins the current fusion bucket; full buckets (or
-// the final partial one) are allreduced over the ring.
+// GradientReady implements Strategy. When every member of the layer's
+// reduction tree has produced the gradient it joins the tree's current
+// fusion bucket; full buckets (or the tree's final partial one) are
+// allreduced over the tree's communicator.
 func (a *AllReduce) GradientReady(it, w, layer int) {
-	if a.ctx.Plan() != nil {
-		a.groupedReady(it, w, layer)
-		return
+	plan := a.ctx.Plan()
+	gid := plan.GroupID(w, layer)
+	key := [2]int{it, gid}
+	st := a.trees[key]
+	if st == nil {
+		st = &arTreeState{
+			arrived: make([]int, len(a.ctx.Layers())),
+			pending: len(plan.GroupLayers(gid)),
+		}
+		a.trees[key] = st
 	}
-	st := a.state(it)
 	st.arrived[layer]++
-	if st.arrived[layer] < a.ctx.NumWorkers() {
+	if st.arrived[layer] < len(plan.GroupMembers(gid)) {
 		return
 	}
 	st.pending--
 	st.bucket = append(st.bucket, layer)
-	st.bytes += a.ctx.Layers()[layer].SizeBytes()
+	st.bytes += plan.SyncBytes(layer)
 	if st.bytes >= a.BucketBytes || st.pending == 0 {
-		a.flush(it, st)
+		a.flush(it, gid, st)
 	}
 	if st.pending == 0 {
-		st.closed = true
-		delete(a.iter, it)
+		delete(a.trees, key)
 	}
 }
 
-func (a *AllReduce) flush(it int, st *arIterState) {
-	if len(st.bucket) == 0 {
-		return
-	}
+func (a *AllReduce) flush(it, gid int, st *arTreeState) {
 	layers := st.bucket
 	bytes := st.bytes
 	st.bucket = nil
 	st.bytes = 0
-	done := func() {
+	members := a.ctx.Plan().GroupMembers(gid)
+	a.ctx.syncComm(gid, a.Hierarchical).AllReduceBytes(bytes, func() {
 		if a.ctx.Cfg.Numeric {
-			a.averageGrads(layers)
-		}
-		for _, l := range layers {
-			for w := 0; w < a.ctx.NumWorkers(); w++ {
-				a.ctx.MarkReady(it, w, l)
+			for _, l := range layers {
+				a.ctx.AverageGrads(l)
 			}
 		}
-	}
-	if a.hierarchy != nil {
-		a.hierarchy.AllReduceBytes(bytes, done)
-		return
-	}
-	a.ring.AllReduceBytes(bytes, false, done)
-}
-
-// groupedReady is GradientReady for sharded layouts: the arrival joins
-// its reduction tree's bucket, and full buckets (or the tree's final
-// partial one) reduce over the tree's planned communicator.
-func (a *AllReduce) groupedReady(it, w, layer int) {
-	gid := a.ctx.LayerGroupID(w, layer)
-	key := [2]int{it, gid}
-	st := a.grouped[key]
-	if st == nil {
-		st = &arGroupState{
-			arrived: make(map[int]int),
-			pending: len(a.ctx.GroupLayers(gid)),
-		}
-		a.grouped[key] = st
-	}
-	st.arrived[layer]++
-	members := a.ctx.GroupMembers(gid)
-	if st.arrived[layer] < len(members) {
-		return
-	}
-	st.pending--
-	st.bucket = append(st.bucket, layer)
-	st.bytes += a.ctx.LayerSyncBytes(layer)
-	if st.bytes >= a.BucketBytes || st.pending == 0 {
-		a.flushGroup(it, gid, st)
-	}
-	if st.pending == 0 {
-		delete(a.grouped, key)
-	}
-}
-
-func (a *AllReduce) flushGroup(it, gid int, st *arGroupState) {
-	if len(st.bucket) == 0 {
-		return
-	}
-	layers := st.bucket
-	bytes := st.bytes
-	st.bucket = nil
-	st.bytes = 0
-	members := a.ctx.GroupMembers(gid)
-	a.ctx.SyncComm(gid).AllReduceBytes(bytes, func() {
 		for _, l := range layers {
 			for _, w := range members {
 				a.ctx.MarkReady(it, w, l)
 			}
 		}
 	})
-}
-
-// averageGrads replaces every worker's gradient with the cross-worker
-// mean for the given layers — the numerically exact equivalent of the
-// byte-level ring the timing path simulated.
-func (a *AllReduce) averageGrads(layers []int) {
-	n := a.ctx.NumWorkers()
-	inv := 1 / float32(n)
-	for _, l := range layers {
-		sum := a.ctx.Grads[0][l].Data
-		for w := 1; w < n; w++ {
-			for i, v := range a.ctx.Grads[w][l].Data {
-				sum[i] += v
-			}
-		}
-		for i := range sum {
-			sum[i] *= inv
-		}
-		for w := 1; w < n; w++ {
-			copy(a.ctx.Grads[w][l].Data, sum)
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"coarse/internal/collective"
 	"coarse/internal/fabric"
 	"coarse/internal/parallel"
+	"coarse/internal/telemetry"
 	"coarse/internal/topology"
 )
 
@@ -24,7 +25,8 @@ func commTopo(c *Ctx) parallel.CommTopo {
 		Node:     func(w int) int { return m.Workers[w].Node },
 		Rack:     m.RackOf,
 		RackDevs: rackDevs && len(m.Devs) > 0,
-		FlatRing: c.Cfg.FlatCollectives,
+		// The data-parallel layout keeps the paper's flat worker ring.
+		FlatRing: c.Cfg.FlatCollectives || c.Cfg.Layout.Trivial(),
 	}
 }
 
@@ -59,22 +61,20 @@ type GroupComm struct {
 	stat *int64 // payload accumulator for CommStats; may be nil
 }
 
-// NewGroupComm plans and builds the communicator for a sorted member
-// set. Strategies use it for grouped gradient reductions (payloads
-// count into CommStats.DPReduce); the pipeline driver builds its TP/EP
-// communicators through the unexported constructor with other
-// accumulators.
-func NewGroupComm(c *Ctx, members []int) *GroupComm {
-	return newGroupComm(c, members, &c.trainer.stats.DPReduce)
-}
-
-func newGroupComm(c *Ctx, members []int, stat *int64) *GroupComm {
+// newGroupComm plans and builds the communicator for a sorted member
+// set, adding every reduction payload to stat. hier overrides the
+// planner's choice with the hierarchical reduce for any multi-member
+// set.
+func newGroupComm(c *Ctx, members []int, stat *int64, hier bool) *GroupComm {
 	gc := &GroupComm{
 		ctx:      c,
 		members:  members,
 		alg:      parallel.Choose(members, commTopo(c)),
 		pairTags: make(map[[2]int]*fabric.AggTag),
 		stat:     stat,
+	}
+	if hier && gc.alg != parallel.AlgNone {
+		gc.alg = parallel.AlgHier
 	}
 	switch gc.alg {
 	case parallel.AlgRing:
@@ -87,8 +87,22 @@ func newGroupComm(c *Ctx, members []int, stat *int64) *GroupComm {
 	return gc
 }
 
-// Alg returns the planner's choice for this communicator.
+// Alg returns the algorithm this communicator runs.
 func (gc *GroupComm) Alg() parallel.Alg { return gc.alg }
+
+// AttachTelemetry registers <prefix>/sends and <prefix>/sent_bytes
+// counters on the communicator's flat ring. The other algorithms have
+// no ring to count; their series are registered all the same and stay
+// zero, so a dump's schema does not depend on the planner's choice.
+// Safe with a nil registry.
+func (gc *GroupComm) AttachTelemetry(reg *telemetry.Registry, prefix string) {
+	if gc.ring != nil {
+		gc.ring.AttachTelemetry(reg, prefix)
+		return
+	}
+	reg.Counter(prefix+"/sends", "ops")
+	reg.Counter(prefix+"/sent_bytes", "B")
+}
 
 func (gc *GroupComm) buildRing() {
 	c := gc.ctx
@@ -102,6 +116,11 @@ func (gc *GroupComm) buildRing() {
 			dir = 1
 		}
 		wi, wj := gc.members[i], gc.members[j]
+		// Hops go through the CCI fabric, so machines without
+		// peer-to-peer support (the T4 instance) pay the host bounce. A
+		// hop with a chaos-silenced endpoint completes only once it
+		// wakes: the ring is synchronous, so one silent member freezes
+		// the whole step.
 		c.CCI.DMACopyTagged(&tags[i][dir], c.Workers[wi].Dev, c.Workers[wj].Dev, size, func() {
 			c.RunAwake(onDone, wi, wj)
 		})
@@ -111,6 +130,8 @@ func (gc *GroupComm) buildRing() {
 
 func (gc *GroupComm) buildHier() {
 	c := gc.ctx
+	// Machines number workers node by node, so GroupBy's
+	// first-appearance order over sorted members is node-id order.
 	groups := parallel.GroupBy(gc.members, func(w int) int { return c.Workers[w].Dev.Node })
 	gc.hier = collective.NewHierarchy(c.Eng, groups, gc.pairSend)
 }

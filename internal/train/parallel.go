@@ -4,104 +4,20 @@ import (
 	"coarse/internal/parallel"
 )
 
-// groupInfo is the trainer's bound view of the parallelism plan: which
-// reduction tree each (worker, layer) joins, each tree's membership and
-// layer list, and the per-tree gradient volumes. On the trivial
-// (data-parallel) path plan is nil and the accessors answer with the
-// historical single-tree view — all workers, full layer volumes — so
-// strategies written against them behave identically to the unsharded
-// code they replaced.
-type groupInfo struct {
-	plan *parallel.Plan
+// Plan returns the bound parallelism plan. Every run has one: the
+// data-parallel layout binds the single-tree plan — one reduction tree
+// of every worker reducing every layer at full volume — so strategies
+// read reduction trees, memberships and volumes from the same methods
+// on every layout.
+func (c *Ctx) Plan() *parallel.Plan { return c.trainer.plan }
 
-	// Trivial-path caches (plan == nil).
-	allWorkers []int
-	allLayers  []int
-}
-
-func newGroupInfo(plan *parallel.Plan, workers, layers int) *groupInfo {
-	gi := &groupInfo{plan: plan}
-	if plan == nil {
-		gi.allWorkers = make([]int, workers)
-		for i := range gi.allWorkers {
-			gi.allWorkers[i] = i
-		}
-		gi.allLayers = make([]int, layers)
-		for i := range gi.allLayers {
-			gi.allLayers[i] = i
-		}
-	}
-	return gi
-}
-
-// Plan returns the bound parallelism plan, or nil on the trivial
-// data-parallel path. Strategies with bespoke historical code (the
-// flat worker ring, the COARSE GPU ring) branch on this to keep the
-// trivial path byte-identical.
-func (c *Ctx) Plan() *parallel.Plan { return c.trainer.groups.plan }
-
-// LayerGroupID returns the id of the gradient reduction tree worker w
-// joins for a layer: 0 (the single all-worker tree) on the trivial
-// path, the plan's tree otherwise, -1 when w's stage does not own the
-// layer.
-func (c *Ctx) LayerGroupID(w, layer int) int {
-	gi := c.trainer.groups
-	if gi.plan == nil {
-		return 0
-	}
-	return gi.plan.GroupID(w, layer)
-}
-
-// GroupMembers returns a reduction tree's sorted membership; tree 0 on
-// the trivial path is every worker.
-func (c *Ctx) GroupMembers(gid int) []int {
-	gi := c.trainer.groups
-	if gi.plan == nil {
-		return gi.allWorkers
-	}
-	return gi.plan.GroupMembers(gid)
-}
-
-// GroupLayers returns the layers a reduction tree reduces, in forward
-// order; tree 0 on the trivial path reduces every layer.
-func (c *Ctx) GroupLayers(gid int) []int {
-	gi := c.trainer.groups
-	if gi.plan == nil {
-		return gi.allLayers
-	}
-	return gi.plan.GroupLayers(gid)
-}
-
-// LayerSyncBytes returns the gradient volume one reduction tree of a
-// layer carries: the full tensor on the trivial path, the per-worker
-// shard under tensor/expert sharding.
-func (c *Ctx) LayerSyncBytes(layer int) int64 {
-	gi := c.trainer.groups
-	if gi.plan == nil {
-		return c.Layers()[layer].SizeBytes()
-	}
-	return gi.plan.SyncBytes(layer)
-}
-
-// SyncTrees counts the (layer, tree) synchronization completions per
-// iteration: the layer count on the trivial path, the plan's total
-// otherwise. Strategies count an iteration finished when this many
-// tree reductions have retired.
-func (c *Ctx) SyncTrees() int {
-	gi := c.trainer.groups
-	if gi.plan == nil {
-		return len(c.Layers())
-	}
-	return gi.plan.SyncTrees()
-}
-
-// CommStats totals the sharded-layout communication volumes by class —
-// the conservation quantities the parallelism-equivalence tests check
-// against the plan's analytic sums. All zero on the trivial path (the
-// historical code paths do not report here).
+// CommStats totals the communication volumes by class — the
+// conservation quantities the parallelism-equivalence tests check
+// against the plan's analytic sums.
 type CommStats struct {
-	// DPReduce is the gradient bytes handed to grouped tree reductions
-	// (each tree's payload counted once, before ring/hierarchy fan-out).
+	// DPReduce is the gradient bytes handed to tree reductions over a
+	// GroupComm (each tree's payload counted once, before ring/hierarchy
+	// fan-out).
 	DPReduce int64
 	// TPReduce is the tensor-parallel activation reduction payload.
 	TPReduce int64
@@ -112,21 +28,20 @@ type CommStats struct {
 	EPTokens int64
 }
 
-// CommStats returns the run's sharded-communication totals.
+// CommStats returns the run's communication totals.
 func (t *Trainer) CommStats() CommStats { return t.stats }
 
 // SyncComm returns the cached collective communicator for one gradient
-// reduction tree, planning its algorithm on first use. Only meaningful
-// under a non-trivial layout; strategies on the trivial path keep
-// their historical communicators.
-func (c *Ctx) SyncComm(gid int) *GroupComm {
+// reduction tree, planning its algorithm on first use.
+func (c *Ctx) SyncComm(gid int) *GroupComm { return c.syncComm(gid, false) }
+
+// syncComm is SyncComm with AllReduce.Hierarchical's override: hier
+// makes every multi-member tree run the hierarchical reduce.
+func (c *Ctx) syncComm(gid int, hier bool) *GroupComm {
 	t := c.trainer
-	if t.syncComms == nil {
-		t.syncComms = make(map[int]*GroupComm)
-	}
 	gc, ok := t.syncComms[gid]
 	if !ok {
-		gc = NewGroupComm(c, c.GroupMembers(gid))
+		gc = newGroupComm(c, t.plan.GroupMembers(gid), &t.stats.DPReduce, hier)
 		t.syncComms[gid] = gc
 	}
 	return gc

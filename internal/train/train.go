@@ -1,7 +1,8 @@
-// Package train implements the data-parallel training engine: the
-// iteration loop, the overlap of backward-pass gradient production with
-// parameter synchronization, and the measurements the paper's Figures 16
-// and 17 report (iteration time and blocked communication time).
+// Package train implements the training engine: the iteration loop
+// (one driver for every parallelism layout), the overlap of
+// backward-pass gradient production with parameter synchronization, and
+// the measurements the paper's Figures 16 and 17 report (iteration time
+// and blocked communication time).
 //
 // The trainer drives one schedule per worker GPU. An iteration's forward
 // pass consumes layers in order, and each layer's forward is gated on a
@@ -136,16 +137,17 @@ type Config struct {
 	// and expert-parallel MoE layers (EP) with seeded top-k token
 	// routing over all-to-all exchanges; whatever factor of the worker
 	// count the layout leaves over is data-parallel. The zero value (or
-	// any explicitly trivial layout) is pure data parallelism and takes
-	// the historical unsharded path byte for byte. Non-trivial layouts
-	// are timing-only (no Numeric) and scope each strategy's gradient
-	// synchronization to the plan's per-layer reduction trees. See
-	// internal/parallel.
+	// any explicitly trivial layout) is pure data parallelism: one
+	// microbatch, and one reduction tree of every worker per layer,
+	// reduced over the paper's flat worker ring. Non-trivial layouts are
+	// timing-only (no Numeric). Every layout runs the same driver and
+	// scopes each strategy's gradient synchronization to the plan's
+	// per-layer reduction trees. See internal/parallel.
 	Layout parallel.Layout
 	// FlatCollectives forces the collective planner to a flat ring for
 	// every communicator — the topology-blind baseline the parallelism
-	// ordering experiment compares the planner's choices against. No
-	// effect on trivial layouts (their strategies plan as before).
+	// ordering experiment compares the planner's choices against.
+	// Data-parallel layouts always reduce over a flat ring.
 	FlatCollectives bool
 	// LR is the SGD learning rate used in numeric mode.
 	LR   float32
@@ -177,7 +179,8 @@ type Ctx struct {
 
 	// Params and Grads are per-worker per-layer tensors; nil unless
 	// Cfg.Numeric. Strategies must leave every worker's gradient buffer
-	// holding the cross-worker average before marking the layer ready.
+	// holding the cross-worker average (AverageGrads) before marking the
+	// layer ready.
 	Params [][]*tensor.Tensor
 	Grads  [][]*tensor.Tensor
 
@@ -341,8 +344,8 @@ type Result struct {
 	Workers    int    `json:"workers"`
 	Iterations int    `json:"iterations"`
 	// Layout is the effective parallelism layout ("dp32-pp4-tp1-ep1")
-	// for non-trivial layouts; empty (and omitted from JSON) on the
-	// historical data-parallel path, so existing outputs are unchanged.
+	// for non-trivial layouts; empty (and omitted from JSON) on
+	// data-parallel runs.
 	Layout string `json:"layout,omitempty"`
 
 	RunMetrics
@@ -378,12 +381,12 @@ type Trainer struct {
 	// Cfg.Chaos is nil or compiles to nothing observable.
 	chaos *chaos.Injector
 
-	// Sharded-layout state: the bound plan view (also built, in trivial
-	// form, on the data-parallel path), the grouped-communicator caches,
-	// the pipeline's per-(worker, iteration, microbatch) boundary
-	// latches, and the communication totals. All except groups stay nil
-	// / zero on the trivial path.
-	groups      *groupInfo
+	// plan is the bound parallelism plan (the single all-worker tree on
+	// data-parallel layouts). Beside it: the communication totals, the
+	// communicator caches, the pipeline's per-(worker, iteration,
+	// microbatch) boundary latches and transfer tags (PP > 1 only), and
+	// the per-layer microbatch counts (Micro > 1 only).
+	plan        *parallel.Plan
 	stats       CommStats
 	syncComms   map[int]*GroupComm
 	tpComms     map[int]*GroupComm
@@ -420,47 +423,40 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 		}
 		ctx.Workers = append(ctx.Workers, g)
 	}
-	// Bind the parallelism plan. Trivial layouts leave plan nil and the
-	// whole trainer on the historical data-parallel path.
-	var plan *parallel.Plan
-	if !cfg.Layout.Trivial() {
-		if cfg.Numeric {
-			return nil, fmt.Errorf("train: numeric mode supports only the data-parallel layout")
-		}
-		p, err := parallel.NewPlan(cfg.Layout, len(machine.Workers), cfg.Model)
-		if err != nil {
-			return nil, fmt.Errorf("train: %w", err)
-		}
-		if cfg.Batch%p.Micro != 0 {
-			return nil, fmt.Errorf("train: batch %d does not split into %d microbatches", cfg.Batch, p.Micro)
-		}
-		plan = p
+	if cfg.Layout.Trivial() && cfg.Layout.Micro > 1 {
+		return nil, fmt.Errorf("train: %d microbatches on a data-parallel layout; microbatching needs pipeline, tensor or expert parallelism",
+			cfg.Layout.Micro)
 	}
-	// Memory feasibility: persistent strategy state + activations. Under
-	// a non-trivial layout each worker holds only its stage's sharded
-	// layers, with 1F1B keeping at most min(micro, PP-stage) microbatches
-	// of activations in flight.
-	if plan == nil {
-		state := strat.WorkerStateBytes(cfg.Model)
-		acts := int64(float64(cfg.Model.ActBytes()*int64(cfg.Batch)) * cfg.FrameworkActOverhead)
-		for _, g := range ctx.Workers {
-			if err := g.Alloc(state + acts); err != nil {
+	if cfg.Numeric && !cfg.Layout.Trivial() {
+		return nil, fmt.Errorf("train: numeric mode supports only the data-parallel layout")
+	}
+	plan, err := parallel.NewPlan(cfg.Layout, len(machine.Workers), cfg.Model)
+	if err != nil {
+		return nil, fmt.Errorf("train: %w", err)
+	}
+	if cfg.Batch%plan.Micro != 0 {
+		return nil, fmt.Errorf("train: batch %d does not split into %d microbatches", cfg.Batch, plan.Micro)
+	}
+	// Memory feasibility: persistent strategy state + activations. Each
+	// worker holds its stage's sharded layers (the whole model on the
+	// data-parallel layout), with 1F1B keeping at most min(micro,
+	// PP-stage) microbatches of activations in flight.
+	mbSize := cfg.Batch / plan.Micro
+	stageModels := make([]*model.Model, plan.PP)
+	for w, g := range ctx.Workers {
+		s := plan.Coords[w].PP
+		if stageModels[s] == nil {
+			stageModels[s] = plan.WorkerModel(w)
+		}
+		wm := stageModels[s]
+		inflight := min(plan.Micro, plan.PP-s)
+		acts := int64(float64(wm.ActBytes()*int64(mbSize*inflight)) * cfg.FrameworkActOverhead)
+		if err := g.Alloc(strat.WorkerStateBytes(wm) + acts); err != nil {
+			if cfg.Layout.Trivial() {
 				return nil, fmt.Errorf("%s replica (batch %d) does not fit: %w", cfg.Model.Name, cfg.Batch, err)
 			}
-		}
-	} else {
-		mbSize := cfg.Batch / plan.Micro
-		for w, g := range ctx.Workers {
-			wm := plan.WorkerModel(w)
-			inflight := plan.PP - plan.Coords[w].PP
-			if plan.Micro < inflight {
-				inflight = plan.Micro
-			}
-			acts := int64(float64(wm.ActBytes()*int64(mbSize*inflight)) * cfg.FrameworkActOverhead)
-			if err := g.Alloc(strat.WorkerStateBytes(wm) + acts); err != nil {
-				return nil, fmt.Errorf("%s shard (batch %d, %s) does not fit on worker %d: %w",
-					cfg.Model.Name, cfg.Batch, plan.Label(), w, err)
-			}
+			return nil, fmt.Errorf("%s shard (batch %d, %s) does not fit on worker %d: %w",
+				cfg.Model.Name, cfg.Batch, plan.Label(), w, err)
 		}
 	}
 	if cfg.Numeric {
@@ -496,27 +492,29 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 		compute:    make([]sim.Time, len(ctx.Workers)),
 		iterEnd:    make([]sim.Time, cfg.Iterations),
 		workerDone: make([]int, len(ctx.Workers)),
-		groups:     newGroupInfo(plan, len(ctx.Workers), len(cfg.Model.Layers)),
+		plan:       plan,
+		syncComms:  make(map[int]*GroupComm),
+		tpComms:    make(map[int]*GroupComm),
+		epComms:    make(map[int]*GroupComm),
+		pipeOps:    make(map[[5]int]*pipeOp),
 	}
-	if plan != nil {
-		tr.syncComms = make(map[int]*GroupComm)
-		tr.tpComms = make(map[int]*GroupComm)
-		tr.epComms = make(map[int]*GroupComm)
-		tr.pipeOps = make(map[[5]int]*pipeOp)
+	if plan.PP > 1 {
 		tr.pipeLatches = make([]Latch, len(ctx.Workers)*cfg.Iterations*plan.Micro*2)
 		tr.actTags = make([]fabric.AggTag, len(ctx.Workers))
 		tr.gradTags = make([]fabric.AggTag, len(ctx.Workers))
+	}
+	if plan.Micro > 1 {
 		tr.gradCount = make([][]int, len(ctx.Workers))
 		for w := range tr.gradCount {
 			tr.gradCount[w] = make([]int, len(plan.Stages[plan.Coords[w].PP]))
 		}
 	}
 	if cfg.Chaos != nil {
-		plan := cfg.Chaos.Compile(cfg.Seed, chaos.EnvOf(machine))
-		if err := plan.Validate(); err != nil {
+		faults := cfg.Chaos.Compile(cfg.Seed, chaos.EnvOf(machine))
+		if err := faults.Validate(); err != nil {
 			return nil, fmt.Errorf("train: %w", err)
 		}
-		tr.chaos = chaos.NewInjector(plan, machine)
+		tr.chaos = chaos.NewInjector(faults, machine)
 	}
 	if cfg.Telemetry != nil {
 		tr.registerTelemetry()
@@ -538,6 +536,27 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 	}
 	ctx.trainer = tr
 	return tr, nil
+}
+
+// AverageGrads replaces every worker's gradient for a layer with the
+// cross-worker mean: the numeric effect of a completed reduction, which
+// strategies apply before marking the layer ready. Numeric runs are
+// data-parallel, so the mean is over every worker.
+func (c *Ctx) AverageGrads(layer int) {
+	n := c.NumWorkers()
+	inv := 1 / float32(n)
+	sum := c.Grads[0][layer].Data
+	for w := 1; w < n; w++ {
+		for i, v := range c.Grads[w][layer].Data {
+			sum[i] += v
+		}
+	}
+	for i := range sum {
+		sum[i] *= inv
+	}
+	for w := 1; w < n; w++ {
+		copy(c.Grads[w][layer].Data, sum)
+	}
 }
 
 // PreviewUpdate returns what worker w's layer parameters will be once
@@ -637,11 +656,7 @@ func (t *Trainer) Run() (*Result, error) {
 		sampler.Start()
 	}
 	for w := range ctx.Workers {
-		if t.groups.plan != nil {
-			t.runPipeWorker(w, 0)
-		} else {
-			t.runWorker(w, 0)
-		}
+		newPipeWorker(t, w).run(0)
 	}
 	ctx.Eng.Run()
 	for w, done := range t.workerDone {
@@ -659,81 +674,11 @@ func (t *Trainer) Run() (*Result, error) {
 		t.dump.SetLabel("batch", fmt.Sprint(t.cfg.Batch))
 		t.dump.SetLabel("workers", fmt.Sprint(len(ctx.Workers)))
 		t.dump.SetLabel("iterations", fmt.Sprint(t.cfg.Iterations))
-		if t.groups.plan != nil {
-			t.dump.SetLabel("layout", t.groups.plan.Label())
+		if !t.cfg.Layout.Trivial() {
+			t.dump.SetLabel("layout", t.plan.Label())
 		}
 	}
 	return t.result(), nil
-}
-
-// runWorker drives one worker's iteration.
-func (t *Trainer) runWorker(w, it int) {
-	if it == t.cfg.Iterations {
-		return
-	}
-	ctx := t.ctx
-	eng := ctx.Eng
-	g := ctx.Workers[w]
-	layers := ctx.Layers()
-
-	var fwd func(layer int)
-	var bwd func(layer int)
-
-	track := fmt.Sprintf("worker %d", w)
-
-	fwd = func(layer int) {
-		if layer == len(layers) {
-			bwd(len(layers) - 1)
-			return
-		}
-		arrived := eng.Now()
-		t.latch(it, w, layer).Wait(func() {
-			if stall := eng.Now() - arrived; stall > 0 {
-				t.blocked[w] += stall
-				t.cfg.Trace.Span(track, "stall",
-					fmt.Sprintf("wait params %s", layers[layer].Name), arrived, eng.Now())
-			}
-			if t.cfg.Numeric && it > 0 {
-				// Apply the optimizer step with the averaged gradient
-				// the strategy left in the buffer.
-				t.optimizers[w].Step(layer, ctx.Params[w][layer].Data, ctx.Grads[w][layer].Data)
-			}
-			start := eng.Now()
-			dur := g.LayerFwdTime(layers[layer], t.cfg.Batch)
-			eng.At(t.chaos.AdvanceCompute(w, start, dur), func() {
-				t.compute[w] += dur
-				t.chaos.NoteWorkerStall(eng.Now() - start - dur)
-				t.cfg.Trace.Span(track, "compute", "fwd "+layers[layer].Name, start, eng.Now())
-				fwd(layer + 1)
-			})
-		})
-	}
-
-	bwd = func(layer int) {
-		start := eng.Now()
-		dur := g.LayerBwdTime(layers[layer], t.cfg.Batch)
-		eng.At(t.chaos.AdvanceCompute(w, start, dur), func() {
-			t.compute[w] += dur
-			t.chaos.NoteWorkerStall(eng.Now() - start - dur)
-			t.cfg.Trace.Span(track, "compute", "bwd "+layers[layer].Name, start, eng.Now())
-			if t.cfg.Numeric {
-				t.fillGradient(it, w, layer)
-			}
-			t.strat.GradientReady(it, w, layer)
-			if layer > 0 {
-				bwd(layer - 1)
-				return
-			}
-			// Iteration complete for this worker.
-			if eng.Now() > t.iterEnd[it] {
-				t.iterEnd[it] = eng.Now()
-			}
-			t.workerDone[w] = it + 1
-			t.runWorker(w, it+1)
-		})
-	}
-
-	fwd(0)
 }
 
 // fillGradient produces worker w's local gradient for a layer in
@@ -783,11 +728,11 @@ func (t *Trainer) result() *Result {
 	g := ctx.Workers[0]
 	compute := g.FwdTime(cfg.Model, cfg.Batch) + g.BwdTime(cfg.Model, cfg.Batch)
 	layout := ""
-	if t.groups.plan != nil {
+	if !cfg.Layout.Trivial() {
 		// Sharded layouts: workers run different slices, so the roofline
 		// replica time is meaningless — report the mean per-worker busy
 		// time per iteration instead.
-		layout = t.groups.plan.Label()
+		layout = t.plan.Label()
 		var busy sim.Time
 		for _, ct := range t.compute {
 			busy += ct
