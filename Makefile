@@ -10,7 +10,7 @@ GO ?= go
 # `make lint`, so bumping the version here is the whole upgrade.
 STATICCHECK_VERSION = 2024.1.1
 
-.PHONY: all build test race vet lint bench-module bench bench-core bench-smoke bench-compare trend serve-smoke serve-family-smoke serve-golden suite golden-drift telemetry-smoke cover fuzz-smoke scale-smoke parallel-smoke ci
+.PHONY: all build test race vet lint bench-module bench-e2e bench bench-core bench-smoke bench-compare trend serve-smoke serve-family-smoke serve-golden suite golden-drift telemetry-smoke cover fuzz-smoke scale-smoke parallel-smoke ci
 
 # Coverage floor for `make cover` (total statement coverage, percent,
 # measured under -short so the floor tracks the fast deterministic
@@ -39,6 +39,20 @@ vet:
 # API change in the simulator cannot break it silently.
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
+
+# The repo benchmark end to end, for correctness only: one short run of
+# each workload at seed 1 (about 21 s on a 2-CPU VM). Fails unless
+# every run exits 0 and its result line says "correct":true and
+# "failed":0. Timings are printed but not judged.
+BENCH_WORKLOADS = paper-fig16 scale-512 layouts-3d serve-kv
+
+bench-e2e:
+	@for w in $(BENCH_WORKLOADS); do \
+		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || { echo "bench-e2e: $$w exited non-zero" >&2; exit 1; }; \
+		line=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$w: $$line"; \
+		case "$$line" in *'"correct":true,'*'"failed":0,'*) ;; *) echo "bench-e2e: $$w is not correct:true, failed:0" >&2; exit 1;; esac; \
+	done
 
 # Formatting + vet + staticcheck, the CI lint lane. The staticcheck
 # step fetches the pinned module and so needs network on first use;

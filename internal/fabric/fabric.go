@@ -50,8 +50,8 @@
 //
 // # Scale accelerations
 //
-// Two further optimizations reshape the hot path enough that the
-// byte-identity argument deserves its own paragraph. Both are always
+// Three further optimizations reshape the hot path enough that the
+// byte-identity argument deserves its own paragraph. All are always
 // on; SetReferenceFillingForTest switches them off for the tests that
 // use the plain progressive-filling pass as their oracle.
 //
@@ -85,22 +85,39 @@
 // list of non-idle channels (rather than all channels) and reuses the
 // cached channel rate wherever the completion touched none of the
 // channel's flows; a re-sum would add the same float64 summands in the
-// same order, so the reuse is exact. An admission burst whose entrants
-// are channel-disjoint from every survivor (each channel an entrant
-// crosses carries only this instant's entrants) is also served without
-// a full pass: max-min filling decomposes over connected components,
-// so survivors replay their cached rates and the entrants fill locally
-// from full-capacity residuals with identical float operations
-// (ffAdmitPass). Everything else — overlapping admissions, a member
-// joining a group a mid-instant pass already rated, stalled flows,
-// capacity changes, and chaos actuations (which arrive as capacity
-// changes) — forces a full pass, which is what makes the skip exact
-// rather than approximate.
+// same order, so the reuse is exact. A lone entrant on otherwise idle
+// channels — an offline profiler probe — is also served without a
+// full pass: survivors replay their cached rates and the entrant fills
+// in one round from full capacity (ffAdmitPass).
+//
+// Component passes: the skip above needs every survivor's bottleneck
+// to be untouched. When it is not, max-min filling still decomposes
+// over the connected components of the flow graph (channels joined by
+// the live flows crossing them), so only the components holding a
+// trigger — a channel on the path of a flow admitted or completed since
+// the last pass — need refilling (componentPass). A breadth-first
+// search from the trigger channels collects those components' flows;
+// they are filled in admission order with the same fill the full pass
+// uses, which then performs, float for float, the rounds, subtractions
+// and strict-< tie-breaks the full pass performs for them, while every
+// other component keeps its rates, freezes and folded channel rates.
+// Layouts that shard communication into many small groups — expert
+// all-to-alls, tensor-parallel rings — produce many such components.
+// The search gives up once the touched part holds more than half the
+// live flows or reaches a channel carrying more than an eighth of
+// them, so on fabrics that form one component (a parameter-server
+// fan-in, a pooled-memory fabric) a failed search costs a fraction of
+// the full pass that follows. A member joining a group a mid-instant
+// pass already rated, capacity changes, and chaos actuations (which
+// arrive as capacity changes) always force a full pass, which is what
+// makes every shortcut exact rather than approximate.
 package fabric
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -234,7 +251,9 @@ type Flow struct {
 	doneBase int      // index into dones of the first still-live member
 	doneRank uint64   // rank of done; members fan out at doneRank+1..+mult-1
 	tag      *AggTag  // aggregation tag carried from emission to admit
-	bneck    int32    // channel that froze this entry in the last full pass, -1 none
+	bneck    int32    // channel that froze this entry when last rated, -1 none
+	seq      uint64   // admission rank: position in the network's admission order
+	visit    uint64   // component-search stamp (Network.ffEpoch)
 }
 
 // AggTag marks a fan of transfers as aggregation candidates: callers
@@ -322,7 +341,7 @@ type Network struct {
 	rescheduled uint64 // completion events moved by a pass
 	skipped     uint64 // completion events left in place by a pass
 
-	// reference disables both scale accelerations (see
+	// reference disables the scale accelerations (see
 	// SetReferenceFillingForTest).
 	reference bool
 
@@ -331,29 +350,28 @@ type Network struct {
 	aggregated   uint64 // members folded into a group entry instead of admitted
 	groupObs     func(int)
 
-	// Steady-state fast-forward.
+	// Steady-state fast-forward and component passes.
 	trigMask    uint8   // trigger kinds observed since the last pass
 	ffValid     bool    // freeze bookkeeping below reflects the last pass
-	stalled     int     // entries the last full pass left with rate 0
-	frozenCount []int32 // live entries frozen per channel, dense id
-	frozenList  []int32 // channels with frozenCount != 0
+	stalled     int     // rated live entries whose rate is 0
+	frozenCount []int32 // rated live entries frozen per channel, dense id
 	ffPaths     []int32 // path ids of members completed since the last pass
 	chTouched   []uint64
 	ffEpoch     uint64
 	activeCh    []*Channel // non-idle channels, the fold worklist
-	ffPasses    uint64     // passes served by the fast-forward skip
-	ffAdmits    uint64     // fast-forward passes that filled an entrant burst
+	ffPasses    uint64     // passes that refilled fewer than all live entries
+	ffAdmits    uint64     // of which filled a solo entrant
+	compPasses  uint64     // of which refilled the triggered components
+	admitSeq    uint64     // admission ranks handed out (Flow.seq)
 
-	// Admission fast-forward bookkeeping: the entries admitted since
-	// the last pass, in admission order, plus per-channel scratch for
-	// the disjointness check (entrantCnt is always zero between
-	// checks; entrantIDs carries the burst's channel set to the fold).
-	instAdmits []*Flow
-	entrantCnt []int32
-	entrantIDs []int32
-	joinedLate bool // a member joined a group that already holds a rate
+	// Entries admitted since the last pass, in admission order, and the
+	// component pass's search scratch (channel queue, reached entries).
+	instAdmits  []*Flow
+	joinedLate  bool // a member joined a group that already holds a rate
+	compQueue   []int32
+	compEntries []*Flow
 
-	passBneck []int32 // per-gathered-flow freezing channel, full pass scratch
+	passBneck []int32 // per-gathered-flow freezing channel, fill scratch
 
 	flowPool []*Flow // recycled ephemeral flows
 }
@@ -369,10 +387,11 @@ const (
 var referenceFilling atomic.Bool
 
 // SetReferenceFillingForTest makes the networks NewNetwork builds from
-// now on fold no aggregation tags and never fast-forward, so every
-// reallocation is the plain progressive-filling pass over every flow
-// and channel. Tests run a workload both ways and require identical
-// bytes. It returns a func that restores the previous setting.
+// now on fold no aggregation tags and never refill fewer than all
+// flows (no fast-forward, no component pass), so every reallocation is
+// the plain progressive-filling pass over every flow and channel. Tests
+// run a workload both ways and require identical bytes. It returns a
+// func that restores the previous setting.
 func SetReferenceFillingForTest(on bool) (restore func()) {
 	prev := referenceFilling.Swap(on)
 	return func() { referenceFilling.Store(prev) }
@@ -384,6 +403,11 @@ const maxFlowPool = 4096
 // listCompactMin is the tombstone floor below which active lists are
 // not compacted.
 const listCompactMin = 16
+
+// compHotShare: a component search gives up on reaching a channel
+// that carries more than 1/compHotShare of the live members (see
+// componentPass).
+const compHotShare = 8
 
 // farFuture is the provisional deadline given to a completion event
 // whose final time has not been derived yet: far enough that it can
@@ -439,15 +463,22 @@ func (n *Network) CompletionsSkipped() uint64 { return n.skipped }
 // unless callers tag symmetric fans.
 func (n *Network) FlowsAggregated() uint64 { return n.aggregated }
 
-// FastForwardPasses returns how many reallocation passes were served
-// by the steady-state skip (they are included in Reshares, whose count
-// is identical with the optimization on or off).
+// FastForwardPasses returns how many reallocation passes refilled
+// fewer than all live entries: steady-state skips that refilled none,
+// solo-entrant fills (FastForwardAdmissions) and component passes
+// (ComponentPasses). They are included in Reshares, whose count is
+// identical with the accelerations on or off.
 func (n *Network) FastForwardPasses() uint64 { return n.ffPasses }
 
 // FastForwardAdmissions counts the fast-forward passes that filled a
-// disjoint entrant burst (ffAdmitPass), a subset of
+// single entrant alone on its channels (ffAdmitPass), a subset of
 // FastForwardPasses.
 func (n *Network) FastForwardAdmissions() uint64 { return n.ffAdmits }
+
+// ComponentPasses counts the passes that refilled only the connected
+// components of the flow graph holding a trigger (componentPass), a
+// subset of FastForwardPasses.
+func (n *Network) ComponentPasses() uint64 { return n.compPasses }
 
 // OnGroupComplete registers an observer called with the member count
 // of every aggregated group as its completion fans out; telemetry uses
@@ -474,6 +505,7 @@ func (n *Network) NewLink(name string, fwdCap, revCap float64, latency sim.Time)
 	l.rev.id = int32(len(n.channels))
 	n.channels = append(n.channels, l.rev)
 	n.links = append(n.links, l)
+	n.ffValid = false // the next pass is a full one, which sizes the channel scratch
 	return l
 }
 
@@ -625,6 +657,8 @@ func (n *Network) admit(f *Flow) {
 	}
 	n.flows = append(n.flows, f)
 	n.liveFlows++
+	n.admitSeq++
+	f.seq = n.admitSeq
 	n.lastAdmitted = f
 	f.lastTick = now
 	f.pending = true
@@ -802,17 +836,11 @@ func (n *Network) flush() {
 // so every rate — and every golden downstream of one — is
 // bit-identical.
 func (n *Network) reallocate(now sim.Time) {
-	if !n.reference && n.ffValid && n.stalled == 0 && n.ffStable() {
-		if n.trigMask == trigComplete {
-			n.ffPass(now)
-			n.passDone()
-			return
-		}
-		if n.trigMask&^(trigAdmit|trigComplete) == 0 && n.entrantsDisjoint() {
-			n.ffAdmitPass(now)
-			n.passDone()
-			return
-		}
+	// Capacity changes and late group joins alter rated entries in ways
+	// the trigger channels do not capture; only the full pass serves them.
+	if !n.reference && n.ffValid && n.trigMask&trigCapacity == 0 && !n.joinedLate && n.partialPass(now) {
+		n.passDone()
+		return
 	}
 	n.passDone()
 	n.passes++
@@ -825,30 +853,15 @@ func (n *Network) reallocate(now sim.Time) {
 		n.roundSeq = 0
 		n.frozenCount = make([]int32, len(n.channels))
 		n.chTouched = make([]uint64, len(n.channels))
-		n.frozenList = n.frozenList[:0]
-		n.ffValid = false
 	}
 	pf, pr, pb := n.fill(n.flows)
 	// Record which channel froze each entry: the steady-state skip is
 	// legal only while completions depart channels nobody surviving was
 	// frozen on. Rebuilt from scratch every full pass.
-	for _, id := range n.frozenList {
-		n.frozenCount[id] = 0
-	}
-	n.frozenList = n.frozenList[:0]
+	clear(n.frozenCount)
 	n.stalled = 0
 	for i, f := range pf {
-		if pr[i] <= 0 {
-			n.stalled++
-			f.bneck = -1
-			continue
-		}
-		b := pb[i]
-		f.bneck = b
-		if n.frozenCount[b] == 0 {
-			n.frozenList = append(n.frozenList, b)
-		}
-		n.frozenCount[b]++
+		n.freeze(f, pr[i], pb[i])
 	}
 	n.ffValid = true
 	// Fold per-channel utilization accounting. A channel with no live
@@ -1020,104 +1033,183 @@ func (n *Network) passDone() {
 	n.joinedLate = false
 }
 
-// entrantsDisjoint reports whether every channel crossed by the
-// entrants admitted since the last pass carries only those entrants —
-// no surviving flow shares a channel with the burst — and no member
-// joined an already-rated group. It leaves the burst's channel set in
-// n.entrantIDs for ffAdmitPass. entrantCnt is zeroed on the way out,
-// so the scratch never needs a bulk clear.
-func (n *Network) entrantsDisjoint() bool {
-	if n.joinedLate {
-		return false
-	}
-	if len(n.entrantCnt) < len(n.channels) {
-		n.entrantCnt = make([]int32, len(n.channels))
-	}
-	ids := n.entrantIDs[:0]
-	for _, f := range n.instAdmits {
-		m := int32(f.mult)
-		for _, id := range f.pathIDs {
-			if n.entrantCnt[id] == 0 {
-				ids = append(ids, id)
-			}
-			n.entrantCnt[id] += m
+// partialPass serves the pass by refilling fewer than all live
+// entries when that is provably exact, trying the cheapest shortcut
+// first, and reports whether it did. The caller has ruled out capacity
+// changes and late group joins.
+func (n *Network) partialPass(now sim.Time) bool {
+	if n.stalled == 0 && n.ffStable() {
+		if n.trigMask == trigComplete {
+			n.ffPass(now)
+			return true
+		}
+		if f := n.soloEntrant(); f != nil {
+			n.ffAdmitPass(now, f)
+			return true
 		}
 	}
-	ok := true
-	for _, id := range ids {
-		if n.channels[id].live != int(n.entrantCnt[id]) {
-			ok = false
-		}
-		n.entrantCnt[id] = 0
-	}
-	n.entrantIDs = ids
-	return ok
+	return n.componentPass(now)
 }
 
-// ffAdmitPass serves a pass whose only rate changes are this instant's
-// entrants, admitted onto channels that carry no surviving flow
-// (entrantsDisjoint). Max-min filling decomposes over connected
-// components: the survivors' component replays the cached allocation
-// bitwise — the ffPass argument, extended by the entrant burst sharing
-// no channel with it — while the entrant component is filled locally
-// from full-capacity residuals, performing float-for-float the
-// operations the full pass would perform for exactly those channels.
-// Completions in the same window are covered by the ffStable guard,
-// as in ffPass.
-func (n *Network) ffAdmitPass(now sim.Time) {
+// soloEntrant returns the window's entrant when exactly one entry was
+// admitted since the last pass and it is alone on every channel it
+// crosses; nil otherwise.
+func (n *Network) soloEntrant() *Flow {
+	if len(n.instAdmits) != 1 {
+		return nil
+	}
+	f := n.instAdmits[0]
+	for _, c := range f.path {
+		if c.live != f.mult {
+			return nil
+		}
+	}
+	return f
+}
+
+// ffAdmitPass serves a pass whose only rate change is one entrant
+// admitted onto channels that carry no other flow (soloEntrant) — the
+// shape of an offline profiler probe on an idle fabric, where a
+// component search would cost more than the fill. Max-min filling
+// decomposes over connected components: the survivors replay the
+// cached allocation bitwise (the ffPass argument, extended by the
+// entrant sharing no channel with them), while the entrant alone fills
+// in a single round whose share is the smallest per-member capacity
+// along its path. Channel scan order and the strict-< winner are
+// exactly fill's; capacity/float64(m) is the very division fill
+// performs on freshly stamped scratch. Completions in the same window
+// are covered by the ffStable guard, as in ffPass.
+func (n *Network) ffAdmitPass(now sim.Time, f *Flow) {
 	n.passes++
 	n.ffPasses++
 	n.ffAdmits++
-	if len(n.instAdmits) == 1 {
-		// Singleton burst — one entry, alone on its channels: filling
-		// is a single round whose share is the smallest per-member
-		// capacity along the path. Channel scan order and the strict-<
-		// winner are exactly fill's; capacity/float64(m) is the very
-		// division fill performs on freshly stamped scratch.
-		f := n.instAdmits[0]
-		m := float64(f.mult)
-		share := math.Inf(1)
-		bneck := int32(-1)
-		for _, id := range f.pathIDs {
-			if s := n.channels[id].capacity / m; s < share {
-				share = s
-				bneck = id
-			}
-		}
-		f.rate = share
-		n.freezeEntrant(f, share, bneck)
-	} else {
-		n.epoch++
-		pf, pr, pb := n.fill(n.instAdmits)
-		// The entrants extend the last full pass's freeze bookkeeping
-		// incrementally; survivors' entries are untouched.
-		for i, f := range pf {
-			n.freezeEntrant(f, pr[i], pb[i])
+	m := float64(f.mult)
+	share := math.Inf(1)
+	bneck := int32(-1)
+	for _, id := range f.pathIDs {
+		if s := n.channels[id].capacity / m; s < share {
+			share = s
+			bneck = id
 		}
 	}
+	f.rate = share
+	n.freeze(f, share, bneck)
 	n.ffEpoch++
 	ep := n.ffEpoch
 	for _, id := range n.ffPaths {
 		n.chTouched[id] = ep
 	}
-	for _, id := range n.entrantIDs {
+	for _, id := range f.pathIDs {
 		n.chTouched[id] = ep
 	}
 	n.ffFold(now, ep)
 }
 
-// freezeEntrant extends the last full pass's freeze bookkeeping with
-// one rated entrant (rate <= 0 means stalled, as in the full pass).
-func (n *Network) freezeEntrant(f *Flow, rate float64, bneck int32) {
+// componentPass refills only the connected components of the flow
+// graph that hold a trigger, and reports whether it served the pass.
+// The flow graph joins channels by the live entries crossing them; a
+// trigger is a channel on the path of a member completed, or an entry
+// admitted, since the last pass. A breadth-first search from the
+// trigger channels collects the touched entries, which are then filled
+// in admission order — the order the full pass scans them in, which
+// its strict-< tie-breaks depend on. Max-min filling decomposes over
+// components: a component filled alone performs, float for float, the
+// rounds, subtractions and tie-breaks the full pass performs for it,
+// and every other component keeps its cached rates, freezes and folded
+// channel rates.
+//
+// The search gives up, changing no rate or freeze, as soon as the
+// touched part holds more than half the live entries, so a full pass
+// after a failed search costs at most twice what this pass would have.
+// It also gives up on reaching a channel that carries more than
+// 1/compHotShare of the live members: a channel that busy ties most of
+// the graph into one component, and one comparison spots it where the
+// entry budget would first walk half the graph (fabrics that form a
+// single component, like a rack-scale parameter-server fan-in, would
+// otherwise pay that walk on every pass). Below compHotShare live
+// members every occupied channel counts as busy, so small fabrics take
+// the full pass directly.
+func (n *Network) componentPass(now sim.Time) bool {
+	n.ffEpoch++
+	ep := n.ffEpoch
+	q := n.compQueue[:0]
+	ents := n.compEntries[:0]
+	budget := (len(n.flows) - n.deadFlows) / 2
+	giveUp := false
+	push := func(ids []int32) {
+		for _, id := range ids {
+			if n.chTouched[id] != ep {
+				n.chTouched[id] = ep
+				q = append(q, id)
+				giveUp = giveUp || compHotShare*n.channels[id].live > n.liveFlows
+			}
+		}
+	}
+	push(n.ffPaths)
+	for _, f := range n.instAdmits {
+		push(f.pathIDs)
+	}
+	for h := 0; h < len(q) && !giveUp; h++ {
+		c := n.channels[q[h]]
+		// Active lists keep tombstones: stop once every live member
+		// has been seen.
+		seen := 0
+		for _, f := range c.active {
+			if seen == c.live || giveUp {
+				break
+			}
+			if f.finished {
+				continue
+			}
+			seen += f.mult
+			if f.visit == ep {
+				continue
+			}
+			f.visit = ep
+			ents = append(ents, f)
+			giveUp = len(ents) > budget
+			push(f.pathIDs)
+		}
+	}
+	n.compQueue = q[:0]
+	if giveUp {
+		n.compEntries = ents[:0]
+		return false
+	}
+	slices.SortFunc(ents, func(a, b *Flow) int { return cmp.Compare(a.seq, b.seq) })
+	n.epoch++
+	pf, pr, pb := n.fill(ents)
+	for i, f := range pf {
+		if !f.pending {
+			// Retire the freeze the entry's last rating recorded; an
+			// entrant admitted since the last pass has none.
+			if f.bneck >= 0 {
+				n.frozenCount[f.bneck]--
+			} else {
+				n.stalled--
+			}
+		}
+		n.freeze(f, pr[i], pb[i])
+	}
+	n.compEntries = ents[:0]
+	n.passes++
+	n.ffPasses++
+	n.compPasses++
+	// Every reached channel is stamped, the departed paths included, so
+	// the fold re-sums exactly the channels whose entries changed.
+	n.ffFold(now, ep)
+	return true
+}
+
+// freeze records one rated entry in the freeze bookkeeping: the
+// channel that froze it, or the stalled count when its rate is 0.
+func (n *Network) freeze(f *Flow, rate float64, bneck int32) {
 	if rate <= 0 {
 		n.stalled++
 		f.bneck = -1
 		return
 	}
 	f.bneck = bneck
-	if n.frozenCount[bneck] == 0 {
-		n.frozenList = append(n.frozenList, bneck)
-	}
 	n.frozenCount[bneck]++
 }
 

@@ -464,3 +464,42 @@ func TestAccountSameTimestampRateSwap(t *testing.T) {
 	}
 	_ = eng
 }
+
+// TestFreezeScratchBoundedBetweenFullPasses streams back-to-back
+// transfers over one idle link, each started when the previous one
+// completes and admitted one latency later, so every admission and
+// every completion is a pass of its own and only the first is a full
+// pass. The freeze bookkeeping must stay bounded by the channel count
+// however long the stream runs without a full pass.
+func TestFreezeScratchBoundedBetweenFullPasses(t *testing.T) {
+	eng, net := newNet()
+	l := net.NewLink("pcie", gib, gib, 1)
+	path := []*Channel{l.Fwd()}
+	const transfers = 100_000
+	left := transfers
+	var next func()
+	next = func() {
+		if left > 0 {
+			left--
+			net.TransferEphemeral(path, mib, next)
+		}
+	}
+	next()
+	eng.Run()
+	if got := net.Reshares(); got != 2*transfers {
+		t.Fatalf("Reshares = %d, want %d (one pass per admission and per completion)", got, 2*transfers)
+	}
+	if full := net.Reshares() - net.FastForwardPasses(); full != 1 {
+		t.Fatalf("%d full passes, want 1", full)
+	}
+	chans := len(net.channels)
+	for name, c := range map[string]int{
+		"frozenCount": cap(net.frozenCount),
+		"ffPaths":     cap(net.ffPaths),
+		"compQueue":   cap(net.compQueue),
+	} {
+		if c > chans {
+			t.Errorf("%s holds %d slots after %d passes, want at most the %d channels", name, c, net.Reshares(), chans)
+		}
+	}
+}

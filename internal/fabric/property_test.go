@@ -16,15 +16,29 @@ package fabric
 //	(c) conservation: when the schedule drains, every channel's
 //	    carried-byte counter equals the summed sizes of the flows
 //	    routed through it, and the rate integral agrees with it up to
-//	    nanosecond completion-rounding.
+//	    nanosecond completion-rounding;
+//	(d) oracle: every admitted unfinished flow's rate matches, to a
+//	    relative 1e-9, what refMaxMin — a textbook solver written
+//	    independently of the fabric's pass — computes for the same
+//	    flows and capacities;
+//	(e) bookkeeping: the freeze counts the partial passes rely on
+//	    agree with a recount over the live flows.
+//
+// Clustered cases split the channels into disjoint groups and keep each
+// flow's path inside one group, so the flow graph has several
+// components and the fabric serves passes by refilling only the
+// triggered ones; each such case also runs on the reference pass and
+// must match it bit for bit.
 //
 // The unit tests pin exact scenarios; this layer pins the algebra on
 // shapes nobody hand-wrote, including multi-hop contention patterns and
 // mid-flight capacity changes.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coarse/internal/sim"
@@ -49,11 +63,20 @@ type propFlow struct {
 // after every admission, completion and capacity change. Everything —
 // link count, capacities, latencies, paths, sizes, offsets, capacity
 // changes — derives from the seeded rng, so a failure report's seed
-// reproduces the exact case.
-func buildPropCase(rng *rand.Rand, onEvent func(where string)) *propCase {
+// reproduces the exact case. clusters < 2 draws paths over all
+// channels; otherwise the links split into that many disjoint groups
+// and every path stays inside one group.
+func buildPropCase(rng *rand.Rand, clusters int, onEvent func(where string)) *propCase {
 	eng := sim.NewEngine()
 	pc := &propCase{eng: eng, net: NewNetwork(eng)}
 	nLinks := 1 + rng.Intn(8)
+	nFlows := 1 + rng.Intn(30)
+	if clusters >= 2 {
+		// Enough links and flows that no channel carries a large share
+		// of the live flows, which is when a component search proceeds.
+		nLinks = clusters * (4 + rng.Intn(5))
+		nFlows = 40 + rng.Intn(80)
+	}
 	links := make([]*Link, nLinks)
 	for i := range links {
 		// Capacities log-uniform over 1 MB/s .. 1 GB/s, possibly
@@ -64,22 +87,37 @@ func buildPropCase(rng *rand.Rand, onEvent func(where string)) *propCase {
 		if rng.Intn(3) == 0 {
 			rev = math.Pow(10, 6+3*rng.Float64())
 		}
-		links[i] = pc.net.NewLink("l"+string(rune('a'+i)), fwd, rev, sim.Time(1+rng.Intn(10000)))
+		if clusters >= 2 {
+			// Few distinct capacities, so fair shares tie and the
+			// filling order's tie-breaks decide which channel freezes
+			// a flow.
+			fwd = 1e8 * float64(int(1)<<rng.Intn(3))
+			rev = 1e8 * float64(int(1)<<rng.Intn(3))
+		}
+		links[i] = pc.net.NewLink(fmt.Sprintf("l%d", i), fwd, rev, sim.Time(1+rng.Intn(10000)))
 		pc.chans = append(pc.chans, links[i].Fwd(), links[i].Rev())
 	}
-	nFlows := 1 + rng.Intn(30)
 	for i := 0; i < nFlows; i++ {
 		// Path: 1..4 distinct channels in random order. Distinctness
 		// matters: a flow crossing the same channel twice would double
 		// its own contribution to the channel rate.
-		perm := rng.Perm(len(pc.chans))
+		group := pc.chans
+		if clusters >= 2 {
+			// Link i belongs to group i mod clusters.
+			g := rng.Intn(clusters)
+			group = nil
+			for l := g; l < nLinks; l += clusters {
+				group = append(group, links[l].Fwd(), links[l].Rev())
+			}
+		}
+		perm := rng.Perm(len(group))
 		hops := 1 + rng.Intn(4)
-		if hops > len(pc.chans) {
-			hops = len(pc.chans)
+		if hops > len(group) {
+			hops = len(group)
 		}
 		path := make([]*Channel, hops)
 		for h := 0; h < hops; h++ {
-			path[h] = pc.chans[perm[h]]
+			path[h] = group[perm[h]]
 		}
 		pf := &propFlow{path: path, size: math.Pow(10, 3+5*rng.Float64())}
 		pc.flows = append(pc.flows, pf)
@@ -107,8 +145,55 @@ func buildPropCase(rng *rand.Rand, onEvent func(where string)) *propCase {
 	return pc
 }
 
-// checkAllocation flushes the pending pass and asserts invariants (a)
-// and (b) on the settled allocation.
+// refMaxMin is a textbook progressive-filling solver, written
+// independently of the fabric's pass: until every flow is frozen, find
+// the channel with the smallest fair share (residual capacity over the
+// unfrozen flows crossing it), freeze every unfrozen flow crossing it
+// at that share, and charge the share to each channel on those flows'
+// paths. Ties may resolve in any order; the max-min allocation is
+// unique.
+func refMaxMin(paths [][]*Channel) []float64 {
+	rates := make([]float64, len(paths))
+	frozen := make([]bool, len(paths))
+	residual := make(map[*Channel]float64)
+	for _, p := range paths {
+		for _, c := range p {
+			residual[c] = c.Capacity()
+		}
+	}
+	for left := len(paths); left > 0; {
+		count := make(map[*Channel]int)
+		for i, p := range paths {
+			if !frozen[i] {
+				for _, c := range p {
+					count[c]++
+				}
+			}
+		}
+		var bneck *Channel
+		share := math.Inf(1)
+		for c, k := range count {
+			if s := math.Max(residual[c], 0) / float64(k); s < share {
+				bneck, share = c, s
+			}
+		}
+		for i, p := range paths {
+			if frozen[i] || !slices.Contains(p, bneck) {
+				continue
+			}
+			frozen[i] = true
+			rates[i] = share
+			left--
+			for _, c := range p {
+				residual[c] -= share
+			}
+		}
+	}
+	return rates
+}
+
+// checkAllocation flushes the pending pass and asserts invariants (a),
+// (b), (d) and (e) on the settled allocation.
 func (pc *propCase) checkAllocation(t *testing.T, seed int, where string) {
 	t.Helper()
 	pc.net.Flush()
@@ -138,6 +223,41 @@ func (pc *propCase) checkAllocation(t *testing.T, seed int, where string) {
 		} else if !saturated {
 			t.Errorf("seed %d %s t=%v: flow %d rate %.6g has slack on every path channel (not max-min)",
 				seed, where, pc.eng.Now(), fi, f.Rate())
+		}
+	}
+	// (d) oracle.
+	var live []*propFlow
+	var paths [][]*Channel
+	for _, pf := range pc.flows {
+		if pf.f != nil && pf.f.started && !pf.f.finished {
+			live = append(live, pf)
+			paths = append(paths, pf.path)
+		}
+	}
+	for i, want := range refMaxMin(paths) {
+		if got := live[i].f.Rate(); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("seed %d %s t=%v: flow rate %.17g, reference solver %.17g",
+				seed, where, pc.eng.Now(), got, want)
+		}
+	}
+	// (e) freeze bookkeeping: the per-channel freeze counts and the
+	// stalled count that partial passes trust match a recount over the
+	// live entries.
+	if n := pc.net; n.ffValid {
+		frozen := make([]int32, len(n.frozenCount))
+		stalled := 0
+		for _, f := range n.flows {
+			switch {
+			case f.finished:
+			case f.bneck >= 0:
+				frozen[f.bneck]++
+			default:
+				stalled++
+			}
+		}
+		if !slices.Equal(frozen, n.frozenCount) || stalled != n.stalled {
+			t.Errorf("seed %d %s t=%v: freeze counts %v, %d stalled; recount %v, %d stalled",
+				seed, where, pc.eng.Now(), n.frozenCount, n.stalled, frozen, stalled)
 		}
 	}
 }
@@ -188,7 +308,7 @@ func (pc *propCase) checkConservation(t *testing.T, seed int) {
 func TestMaxMinProperties(t *testing.T) {
 	for seed := 0; seed < 200; seed++ {
 		var pc *propCase
-		pc = buildPropCase(rand.New(rand.NewSource(int64(seed)+1)), func(where string) {
+		pc = buildPropCase(rand.New(rand.NewSource(int64(seed)+1)), 0, func(where string) {
 			pc.checkAllocation(t, seed, where)
 		})
 		rng := rand.New(rand.NewSource(int64(seed) * 977))
@@ -202,5 +322,76 @@ func TestMaxMinProperties(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("seed %d: stopping at first failing scenario", seed)
 		}
+	}
+}
+
+// TestMaxMinClusteredMatchesReference runs clustered cases — two to
+// four disjoint channel groups, so the flow graph has several
+// components — on the default fabric and again on the reference pass.
+// Every checkpoint of both runs checks the invariants and the oracle;
+// the two runs must then agree bit for bit on every rate at every
+// checkpoint, every flow's finish time and every channel's carried and
+// integrated bytes. The test fails if no case served a pass by
+// refilling only the triggered components, so it cannot pass
+// vacuously.
+func TestMaxMinClusteredMatchesReference(t *testing.T) {
+	type outcome struct {
+		rates               []float64 // every live flow's rate at every checkpoint
+		finish              []sim.Time
+		carried, integrated []float64
+		componentPasses     uint64
+	}
+	run := func(seed int, reference bool) outcome {
+		defer SetReferenceFillingForTest(reference)()
+		var o outcome
+		var pc *propCase
+		pc = buildPropCase(rand.New(rand.NewSource(int64(seed)+7919)), 2+seed%3, func(where string) {
+			pc.checkAllocation(t, seed, where)
+			for _, pf := range pc.flows {
+				if pf.f != nil && pf.f.started && !pf.f.finished {
+					o.rates = append(o.rates, pf.f.rate)
+				}
+			}
+		})
+		pc.eng.Run()
+		pc.checkConservation(t, seed)
+		o.componentPasses = pc.net.ComponentPasses()
+		for _, pf := range pc.flows {
+			o.finish = append(o.finish, pf.f.FinishTime())
+		}
+		for _, c := range pc.chans {
+			o.carried = append(o.carried, c.BytesCarried())
+			o.integrated = append(o.integrated, c.IntegratedBytes(pc.eng.Now()))
+		}
+		return o
+	}
+	var componentPasses uint64
+	for seed := 0; seed < 60; seed++ {
+		acc, ref := run(seed, false), run(seed, true)
+		componentPasses += acc.componentPasses
+		if ref.componentPasses != 0 {
+			t.Fatalf("seed %d: reference run served %d component passes", seed, ref.componentPasses)
+		}
+		if !slices.Equal(acc.rates, ref.rates) {
+			t.Errorf("seed %d: checkpoint rates differ from the reference pass's", seed)
+		}
+		for i := range acc.finish {
+			if acc.finish[i] != ref.finish[i] {
+				t.Errorf("seed %d: flow %d finished at %v, reference pass %v", seed, i, acc.finish[i], ref.finish[i])
+			}
+		}
+		for i := range acc.carried {
+			if acc.carried[i] != ref.carried[i] || acc.integrated[i] != ref.integrated[i] {
+				t.Errorf("seed %d: channel %d carried/integrated %v/%v bytes, reference pass %v/%v",
+					seed, i, acc.carried[i], acc.integrated[i], ref.carried[i], ref.integrated[i])
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("seed %d: stopping at first failing scenario", seed)
+		}
+	}
+	t.Logf("component passes over all clustered cases: %d", componentPasses)
+	if componentPasses == 0 {
+		t.Error("no clustered case ran a component pass; the identity check is vacuous")
 	}
 }

@@ -64,12 +64,22 @@ func (r Router) Matrix(it, mb, layer, group, tokens int, bytesPerToken int64) []
 	if topK > r.Experts {
 		topK = r.Experts
 	}
+	// One generator and one pick buffer serve every source rank: Seed
+	// resets the source completely, so each rank draws exactly the
+	// stream a fresh rand.New(rand.NewSource(seed)) would.
+	var rng *rand.Rand
+	picked := make([]int, 0, topK)
 	for i := 0; i < r.Ranks; i++ {
 		// One sub-stream per source rank: a rank's routing is
 		// independent of how many other ranks exist in the sweep.
-		rng := rand.New(rand.NewSource(r.mix(int64(it), int64(mb), int64(layer), int64(group), int64(i))))
+		seed := r.mix(int64(it), int64(mb), int64(layer), int64(group), int64(i))
+		if rng == nil {
+			rng = rand.New(rand.NewSource(seed))
+		} else {
+			rng.Seed(seed)
+		}
 		for t := 0; t < tokens; t++ {
-			picked := make([]int, 0, topK)
+			picked = picked[:0]
 			for len(picked) < topK {
 				e := rng.Intn(r.Experts)
 				dup := false

@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -82,6 +84,63 @@ func TestRouterCoordinateSensitivity(t *testing.T) {
 		if reflect.DeepEqual(m, base) {
 			t.Errorf("varying %s left the matrix unchanged", name)
 		}
+	}
+}
+
+// freshSourceMatrix is Matrix written with a fresh generator per source
+// rank and a fresh pick buffer per token: the reference form the
+// reused-generator implementation must reproduce exactly.
+func freshSourceMatrix(r Router, it, mb, layer, group, tokens int, bytesPerToken int64) [][]int64 {
+	out := make([][]int64, r.Ranks)
+	for i := range out {
+		out[i] = make([]int64, r.Ranks)
+	}
+	topK := min(max(r.TopK, 1), r.Experts)
+	for i := 0; i < r.Ranks; i++ {
+		rng := rand.New(rand.NewSource(r.mix(int64(it), int64(mb), int64(layer), int64(group), int64(i))))
+		for t := 0; t < tokens; t++ {
+			picked := make([]int, 0, topK)
+			for len(picked) < topK {
+				e := rng.Intn(r.Experts)
+				if slices.Contains(picked, e) {
+					continue
+				}
+				picked = append(picked, e)
+				out[i][e*r.Ranks/r.Experts] += bytesPerToken
+			}
+		}
+	}
+	return out
+}
+
+// TestRouterMatchesFreshSources: re-seeding one generator per source
+// rank draws the same routing as a fresh generator per rank, over a
+// grid of shapes and coordinates.
+func TestRouterMatchesFreshSources(t *testing.T) {
+	for _, r := range []Router{
+		{Seed: 1, Experts: 8, TopK: 2, Ranks: 4},
+		{Seed: 5, Experts: 4, TopK: 4, Ranks: 4},
+		{Seed: 9, Experts: 16, TopK: 3, Ranks: 8},
+		{Seed: 3, Experts: 2, TopK: 1, Ranks: 1},
+	} {
+		for it := 0; it < 3; it++ {
+			for layer := 0; layer < 3; layer++ {
+				got := r.Matrix(it, 1, layer, 2, 48, 16)
+				if want := freshSourceMatrix(r, it, 1, layer, 2, 48, 16); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%+v it %d layer %d: matrix %v, fresh-source form %v", r, it, layer, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRouterMatrixAllocs: a matrix costs its rows plus one generator and
+// one pick buffer, independent of the token count.
+func TestRouterMatrixAllocs(t *testing.T) {
+	r := testRouter(11)
+	allocs := testing.AllocsPerRun(20, func() { r.Matrix(1, 0, 2, 0, 256, 64) })
+	if limit := float64(r.Ranks + 4); allocs > limit {
+		t.Errorf("Matrix allocates %.0f objects per call, want at most %.0f (rows + out + generator + pick buffer)", allocs, limit)
 	}
 }
 
