@@ -43,14 +43,21 @@ bench-module:
 # The repo benchmark end to end, for correctness only: one short run of
 # each workload at seed 1 (about 21 s on a 2-CPU VM). Fails unless
 # every run exits 0 and its result line says "correct":true and
-# "failed":0. Timings are printed but not judged.
+# "failed":0. Timings are printed but not judged. So are each
+# workload's allocation metrics, on a line of their own so logs show
+# allocation drift at a glance (training cells repeat them to 0.01%).
 BENCH_WORKLOADS = paper-fig16 scale-512 layouts-3d serve-kv
+BENCH_MEM_METRICS = allocs_k alloc_mb heap_live_mb
 
 bench-e2e:
 	@for w in $(BENCH_WORKLOADS); do \
 		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || { echo "bench-e2e: $$w exited non-zero" >&2; exit 1; }; \
 		line=$$(printf '%s\n' "$$out" | tail -n 1); \
 		echo "$$w: $$line"; \
+		mem=""; for m in $(BENCH_MEM_METRICS); do \
+			mem="$$mem $$m=$$(printf '%s\n' "$$line" | sed -n "s/.*\"$$m\":{\"value\":\([^,}]*\).*/\1/p")"; \
+		done; \
+		echo "$$w memory:$$mem"; \
 		case "$$line" in *'"correct":true,'*'"failed":0,'*) ;; *) echo "bench-e2e: $$w is not correct:true, failed:0" >&2; exit 1;; esac; \
 	done
 

@@ -34,7 +34,12 @@
 // completion instant actually changed (an exact integer-nanosecond
 // comparison), and finished flows leave the per-channel active lists
 // by tombstone + amortized compaction so completion cost no longer
-// scales with the number of concurrent flows on every hop.
+// scales with the number of concurrent flows on every hop. Every event
+// of a flow — the end of its latency phase, its completion, each member
+// of a completing group's fan-out — dispatches through one callback
+// bound once per Flow object, which tells them apart by the flow's
+// state; with ephemeral flows and their events recycled, a steady
+// transfer stream allocates nothing.
 //
 // Determinism is byte-exact with respect to the historical eager
 // implementation, which cancelled and re-created every completion
@@ -226,6 +231,9 @@ func (l *Link) Rev() *Channel { return l.rev }
 // matters for byte identity (completion dispatch position, onDone,
 // per-channel byte accounting) is re-materialized at completion; all
 // other state is provably identical across members and stored once.
+//
+// Field order keeps the struct at 232 bytes, inside the allocator's
+// 240-byte size class (see TestFlowSizeClass).
 type Flow struct {
 	id        uint64
 	path      []*Channel
@@ -234,24 +242,25 @@ type Flow struct {
 	remaining float64 // per member (members stay bitwise identical)
 	rate      float64 // per member
 	lastTick  sim.Time
-	admitEv   *sim.Event
+	fire      func()     // the entry's one event callback (dispatch), bound once per object
 	done      *sim.Event // group carrier when mult > 1
+	fanEv     *sim.Event // next member's event while a group fans out
 	onDone    func()
 	started   bool
 	finished  bool
 	ephemeral bool // started via StartEphemeral: recycled once unreferenced
-	listRefs  int  // tombstone references still held by active lists
+	pending   bool // admitted since the last pass (in Network.instAdmits)
 	net       *Network
 	start     sim.Time
 	finish    sim.Time
 
 	mult     int      // live members sharing this entry (1 = plain flow)
-	pending  bool     // admitted since the last pass (in Network.instAdmits)
 	dones    []func() // per-member onDone once a second member joins
 	doneBase int      // index into dones of the first still-live member
 	doneRank uint64   // rank of done; members fan out at doneRank+1..+mult-1
 	tag      *AggTag  // aggregation tag carried from emission to admit
 	bneck    int32    // channel that froze this entry when last rated, -1 none
+	listRefs int32    // tombstone references still held by active lists
 	seq      uint64   // admission rank: position in the network's admission order
 	visit    uint64   // component-search stamp (Network.ffEpoch)
 }
@@ -374,6 +383,7 @@ type Network struct {
 	passBneck []int32 // per-gathered-flow freezing channel, fill scratch
 
 	flowPool []*Flow // recycled ephemeral flows
+	flushFn  func()  // n.flush, bound once: the end-of-instant hook
 }
 
 // Trigger kinds accumulated in trigMask between reallocation passes.
@@ -416,12 +426,14 @@ const farFuture = sim.Time(math.MaxInt64)
 
 // NewNetwork creates an empty network bound to a simulation engine.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{
+	n := &Network{
 		eng:        eng,
 		lastSettle: -1,
 		dueInstant: -1,
 		reference:  referenceFilling.Load(),
 	}
+	n.flushFn = n.flush
+	return n
 }
 
 // Engine returns the simulation engine the network schedules on.
@@ -523,7 +535,7 @@ func PathLatency(path []*Channel) sim.Time {
 // bandwidth phase. onDone (may be nil) fires when the last byte arrives.
 // A zero-size flow completes right after the latency phase.
 func (n *Network) StartFlow(path []*Channel, size float64, onDone func()) *Flow {
-	f := &Flow{}
+	f := n.newFlow()
 	n.start(f, path, size, onDone)
 	return f
 }
@@ -575,8 +587,26 @@ func (n *Network) start(f *Flow, path []*Channel, size float64, onDone func()) {
 	f.net = n
 	f.mult = 1
 	f.bneck = -1
-	lat := PathLatency(path)
-	f.admitEv = n.eng.Schedule(lat, func() { n.admit(f) })
+	n.eng.Schedule(PathLatency(path), f.fire)
+}
+
+// dispatch is every event callback of an entry, bound once per Flow
+// object as f.fire, so a transfer's admission, completion and fan-out
+// events allocate no closures. The entry's state names the event: not
+// yet started means the latency phase ended; an armed fan-out event
+// means the next member of a completing group; otherwise the carrier's
+// completion event fired. A carrier and a fan-out are never queued at
+// once: the fan-out runs within its instant, and only the end-of-instant
+// flush arms a new carrier.
+func (f *Flow) dispatch() {
+	switch n := f.net; {
+	case !f.started:
+		n.admit(f)
+	case f.fanEv != nil:
+		n.fanNext(f)
+	default:
+		n.complete(f)
+	}
 }
 
 // Transfer is a convenience wrapper for StartFlow with an int64 size.
@@ -598,8 +628,6 @@ func (n *Network) TransferEphemeralTagged(tag *AggTag, path []*Channel, size int
 
 func (n *Network) admit(f *Flow) {
 	now := n.eng.Now()
-	n.eng.Recycle(f.admitEv)
-	f.admitEv = nil
 	f.started = true
 	f.start = now
 	tag := f.tag
@@ -663,7 +691,7 @@ func (n *Network) admit(f *Flow) {
 	f.lastTick = now
 	f.pending = true
 	n.instAdmits = append(n.instAdmits, f)
-	f.listRefs = len(f.path) + 1
+	f.listRefs = int32(len(f.path) + 1)
 	for _, c := range f.path {
 		c.active = append(c.active, f)
 		c.live++
@@ -788,7 +816,7 @@ func (n *Network) refreshCompletions(now sim.Time) {
 func (n *Network) markDirty() {
 	if !n.eventsDirty {
 		n.eventsDirty = true
-		n.eng.AtInstantEnd(n.flush)
+		n.eng.AtInstantEnd(n.flushFn)
 	}
 	n.ratesDirty = true
 }
@@ -1355,8 +1383,7 @@ func (n *Network) scheduleCompletions(now sim.Time) {
 		if f.done == nil {
 			// Newly admitted this instant: materialize the event directly
 			// at its deadline with its reserved rank.
-			ff := f
-			f.done = n.eng.AtRanked(target, r, func() { n.complete(ff) })
+			f.done = n.eng.AtRanked(target, r, f.fire)
 			f.doneRank = r
 			n.rescheduled += uint64(f.mult)
 			continue
@@ -1375,7 +1402,7 @@ func (n *Network) scheduleCompletions(now sim.Time) {
 // complete handles the entry's completion event. For a plain flow it
 // completes the one member; for an aggregated group it is the carrier:
 // the first live member completes immediately, and the rest fan out
-// (fanOut) at the consecutive reserved ranks doneRank+1.. — exactly
+// (fanNext) at the consecutive reserved ranks doneRank+1.. — exactly
 // the positions the unaggregated members' events held, with nothing
 // able to interleave between consecutive ranks.
 //
@@ -1394,35 +1421,33 @@ func (n *Network) complete(f *Flow) {
 	f.done = nil
 	j := f.doneBase
 	f.doneBase++
+	// Read before the member completes: the last member finishes the
+	// entry, which may then be recycled and restarted by its onDone.
+	group := f.mult > 1
 	n.completeMember(f, j)
-	if f.mult > 0 && f.remaining == 0 {
-		n.fanOut(f)
+	if group && f.remaining == 0 {
+		f.fanEv = n.eng.AtRanked(n.eng.Now(), f.doneRank+1, f.fire)
 	}
 }
 
-// fanOut completes a group's remaining members, one event per member at
-// ranks doneRank+1.. of the current instant. Nothing else can hold a
-// rank inside the reserved range, so the members dispatch back to back
-// and one queued event at a time suffices: each member's event is
-// recycled as it fires and re-armed at the next rank before the member
-// completes, and the cursor doneBase names the member. A group of any
-// size thus costs one shared callback and no event allocations.
-func (n *Network) fanOut(f *Flow) {
-	now := n.eng.Now()
-	rank := f.doneRank
-	var ev *sim.Event
-	var next func()
-	next = func() {
-		n.eng.Recycle(ev)
-		rank++
-		j := f.doneBase
-		f.doneBase++
-		if f.mult > 1 {
-			ev = n.eng.AtRanked(now, rank+1, next)
-		}
-		n.completeMember(f, j)
+// fanNext completes a group's next member. The members fan out one
+// event each at ranks doneRank+1.. of the carrier's instant. Nothing
+// else can hold a rank inside the reserved range, so the members
+// dispatch back to back and one queued event at a time suffices: each
+// member's event is recycled as it fires and re-armed at the next rank
+// before the member completes, with doneRank as the rank cursor and
+// doneBase naming the member. A group of any size thus costs no
+// closure and no event allocation.
+func (n *Network) fanNext(f *Flow) {
+	n.eng.Recycle(f.fanEv)
+	f.fanEv = nil
+	f.doneRank++
+	j := f.doneBase
+	f.doneBase++
+	if f.mult > 1 {
+		f.fanEv = n.eng.AtRanked(n.eng.Now(), f.doneRank+1, f.fire)
 	}
-	ev = n.eng.AtRanked(now, rank+1, next)
+	n.completeMember(f, j)
 }
 
 // completeMember retires one member of an entry — the whole entry when
@@ -1514,12 +1539,16 @@ func (n *Network) newFlow() *Flow {
 		n.flowPool = n.flowPool[:k-1]
 		ids := f.pathIDs[:0] // keep the path-id buffer across recycles
 		dones := f.dones[:0] // likewise the member-onDone buffer
+		fire := f.fire       // and the bound callback
 		*f = Flow{}
 		f.pathIDs = ids
 		f.dones = dones
+		f.fire = fire
 		return f
 	}
-	return &Flow{}
+	f := &Flow{}
+	f.fire = f.dispatch
+	return f
 }
 
 func (n *Network) recycleFlow(f *Flow) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"coarse/internal/sim"
 )
@@ -501,5 +502,46 @@ func TestFreezeScratchBoundedBetweenFullPasses(t *testing.T) {
 		if c > chans {
 			t.Errorf("%s holds %d slots after %d passes, want at most the %d channels", name, c, net.Reshares(), chans)
 		}
+	}
+}
+
+// TestEphemeralStreamAllocsZero: once the flow and event free lists and
+// the pass scratch have grown, a stream of ephemeral transfers — latency
+// phase, admission, reallocation, completion — allocates nothing.
+func TestEphemeralStreamAllocsZero(t *testing.T) {
+	eng, net := newNet()
+	a := net.NewLink("a", gib, gib, 3)
+	b := net.NewLink("b", gib/2, gib, 5)
+	paths := [][]*Channel{{a.Fwd()}, {a.Fwd(), b.Fwd()}, {b.Rev()}, {a.Rev(), b.Fwd()}}
+	done := 0
+	onDone := func() { done++ }
+	burst := func() {
+		for i, p := range paths {
+			net.TransferEphemeral(p, int64((i+1)*mib), onDone)
+		}
+		net.TransferEphemeral(paths[0], 0, onDone)
+		eng.Run()
+	}
+	// Finished flows return to the free list in batches, as the active
+	// lists compact away their tombstones; warm up past the peak.
+	const warm = 100
+	for i := 0; i < warm; i++ {
+		burst()
+	}
+	if got := testing.AllocsPerRun(50, burst); got != 0 {
+		t.Errorf("a burst of ephemeral transfers allocates %.1f objects, want 0", got)
+	}
+	if want := (warm + 51) * (len(paths) + 1); done != want {
+		t.Fatalf("%d transfers completed, want %d", done, want)
+	}
+}
+
+// TestFlowSizeClass: Flow must fit the allocator's 240-byte size class.
+// At 256 bytes the repo benchmark's heap_live_mb rose about 5% on
+// paper-fig16 and layouts-3d, which keep thousands of flows in their
+// pools.
+func TestFlowSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Flow{}); got > 240 {
+		t.Fatalf("Flow is %d bytes, want at most 240", got)
 	}
 }

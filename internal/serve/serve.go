@@ -312,7 +312,9 @@ type Sim struct {
 	decodeQ      [][]int // per decode worker, FIFO
 	decodeActive [][]int
 	decodeBusy   []bool
-	kvUsed       []int64 // per decode worker, KVLocal reservations
+	decodeBar    []*barrier // per decode worker: one iteration in flight at a time
+	decodeDone   []func()   // decodeBar[d].done, bound once
+	kvUsed       []int64    // per decode worker, KVLocal reservations
 
 	completed  int
 	iterations int
@@ -399,6 +401,13 @@ func New(cfg Config) (*Sim, error) {
 	s.decodeQ = make([][]int, decode)
 	s.decodeActive = make([][]int, decode)
 	s.decodeBusy = make([]bool, decode)
+	s.decodeBar = make([]*barrier, decode)
+	s.decodeDone = make([]func(), decode)
+	for d := range s.decodeBar {
+		b := &barrier{fn: func() { s.finishIteration(d) }}
+		s.decodeBar[d] = b
+		s.decodeDone[d] = b.done
+	}
 	s.kvUsed = make([]int64, decode)
 
 	if cfg.Chaos != nil {
@@ -495,6 +504,7 @@ func (s *Sim) Run() (*Result, error) {
 		sampler.Start()
 	}
 	s.eng.Run()
+	s.eng.ReleasePool() // the finished simulation stays referenced while its results are read
 	if s.completed != len(s.trace) {
 		return nil, fmt.Errorf("serve: stalled: %d of %d requests completed", s.completed, len(s.trace))
 	}
@@ -631,15 +641,17 @@ func (s *Sim) startIteration(d int) {
 	s.iterations++
 	s.batchSum += batch
 
-	b := &barrier{fn: func() { s.finishIteration(d) }}
+	// The worker's barrier is free: its last iteration finished before
+	// this one could start.
+	b, done := s.decodeBar[d], s.decodeDone[d]
 	start := s.eng.Now()
 	b.add()
 	dur := s.decodeStepTime(g, batch)
-	s.eng.At(s.chaos.AdvanceCompute(w, start, dur), b.done)
+	s.eng.At(s.chaos.AdvanceCompute(w, start, dur), done)
 	if s.paramMiss > 0 {
 		b.add()
 		s.paramBytes += s.paramMiss
-		s.fab.DMACopy(s.paramDev, g.Dev, s.paramMiss, b.done)
+		s.fab.DMACopy(s.paramDev, g.Dev, s.paramMiss, done)
 	}
 	if s.cfg.KVPlacement == KVPooled {
 		for _, i := range s.decodeActive[d] {
@@ -647,7 +659,7 @@ func (s *Sim) startIteration(d int) {
 			// The new token's KV page goes to the pool.
 			b.add()
 			s.kvBytes += s.cfg.KVBytesPerToken
-			s.fab.DMACopy(g.Dev, seq.kvDev, s.cfg.KVBytesPerToken, b.done)
+			s.fab.DMACopy(g.Dev, seq.kvDev, s.cfg.KVBytesPerToken, done)
 			// The context slice that missed the local page cache comes
 			// back. Prefetched reads overlap compute (they are the
 			// *next* step's pages, issued now) and do not gate the
@@ -662,7 +674,7 @@ func (s *Sim) startIteration(d int) {
 				s.fab.DMACopy(seq.kvDev, g.Dev, miss, func() {})
 			} else {
 				b.add()
-				s.fab.DMACopy(seq.kvDev, g.Dev, miss, b.done)
+				s.fab.DMACopy(seq.kvDev, g.Dev, miss, done)
 			}
 		}
 	}

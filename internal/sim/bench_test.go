@@ -28,7 +28,7 @@ func BenchmarkEngineCancelChurn(b *testing.B) {
 				events := make([]*Event, population)
 				fn := func() {}
 				for j := range events {
-					events[j] = e.Schedule(Time(1000+(j*7919)%window), fn)
+					events[j] = atHandle(e, Time(1000+(j*7919)%window), fn)
 				}
 				for round := 0; round < 32; round++ {
 					for j := range events {
@@ -63,7 +63,7 @@ func BenchmarkEngineRetimeParkChurn(b *testing.B) {
 				events := make([]*Event, population)
 				fn := func() {}
 				for j := range events {
-					events[j] = e.Schedule(Time(1000+j), fn)
+					events[j] = atHandle(e, Time(1000+j), fn)
 				}
 				for round := 0; round < 16; round++ {
 					for j := range events {
@@ -92,7 +92,7 @@ func BenchmarkEngineReschedule(b *testing.B) {
 				events := make([]*Event, population)
 				fn := func() {}
 				for j := range events {
-					events[j] = e.Schedule(Time(1000+j), fn)
+					events[j] = atHandle(e, Time(1000+j), fn)
 				}
 				for round := 0; round < 16; round++ {
 					for j := range events {

@@ -33,7 +33,7 @@ func TestCounterPinningCancelHeavy(t *testing.T) {
 
 			events := make([]*Event, 200)
 			for j := range events {
-				events[j] = e.Schedule(Time(1000+j), func() {})
+				events[j] = atHandle(e, Time(1000+j), func() {})
 			}
 			assert("after schedule", 200, 200, 0, 0)
 

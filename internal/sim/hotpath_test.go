@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // TestCancelIsTombstone verifies that Cancel no longer removes the
 // event from the queue eagerly: Pending drops immediately (live view),
@@ -8,7 +12,7 @@ import "testing"
 func TestCancelIsTombstone(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(10, func() { fired = true })
+	ev := atHandle(e, 10, func() { fired = true })
 	keep := 0
 	e.Schedule(20, func() { keep++ })
 	if got := e.Pending(); got != 2 {
@@ -43,7 +47,7 @@ func TestQueueCompactionBoundsTombstones(t *testing.T) {
 	var order []int
 	for i := 0; i < n; i++ {
 		i := i
-		events[i] = e.Schedule(Time(i), func() { order = append(order, i) })
+		events[i] = atHandle(e, Time(i), func() { order = append(order, i) })
 	}
 	// Cancel two of every three events: tombstones cross the
 	// strictly-more-than-half compaction threshold partway through.
@@ -77,7 +81,7 @@ func TestQueueCompactionBoundsTombstones(t *testing.T) {
 func TestRescheduleRevivesTombstone(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	ev := e.Schedule(5, func() { fired++ })
+	ev := atHandle(e, 5, func() { fired++ })
 	e.Cancel(ev)
 	if !ev.Cancelled() {
 		t.Fatal("event not cancelled")
@@ -104,7 +108,7 @@ func TestRescheduleRevivesTombstone(t *testing.T) {
 func TestRetimeKeepsRank(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	a := e.Schedule(100, func() { order = append(order, "a") })
+	a := atHandle(e, 100, func() { order = append(order, "a") })
 	e.Schedule(50, func() { order = append(order, "b") })
 	// Move a onto b's instant. a was scheduled first, so with its
 	// original rank it must still fire before b.
@@ -119,7 +123,7 @@ func TestRetimeKeepsRank(t *testing.T) {
 // applies to live pending events.
 func TestRetimeOfCancelledPanics(t *testing.T) {
 	e := NewEngine()
-	ev := e.Schedule(10, func() {})
+	ev := atHandle(e, 10, func() {})
 	e.Cancel(ev)
 	defer func() {
 		if recover() == nil {
@@ -202,9 +206,9 @@ func TestAtInstantEndRunsBeforeRunUntilReturns(t *testing.T) {
 func TestRecycleReusesEvents(t *testing.T) {
 	e := NewEngine()
 	var first *Event
-	first = e.Schedule(1, func() { e.Recycle(first) })
+	first = atHandle(e, 1, func() { e.Recycle(first) })
 	e.Run()
-	second := e.Schedule(2, func() {})
+	second := atHandle(e, e.Now()+2, func() {})
 	if first != second {
 		t.Fatal("expected the recycled event to be reused by the next Schedule")
 	}
@@ -215,7 +219,7 @@ func TestRecycleReusesEvents(t *testing.T) {
 // a bug, not a silent corruption.
 func TestRecyclePendingPanics(t *testing.T) {
 	e := NewEngine()
-	ev := e.Schedule(1, func() {})
+	ev := atHandle(e, 1, func() {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic recycling a pending event")
@@ -229,10 +233,137 @@ func TestRecyclePendingPanics(t *testing.T) {
 // run loop open).
 func TestTombstoneExcludedFromForeground(t *testing.T) {
 	e := NewEngine()
-	ev := e.Schedule(100, func() { t.Fatal("cancelled event fired") })
+	ev := atHandle(e, 100, func() { t.Fatal("cancelled event fired") })
 	e.Schedule(1, func() { e.Cancel(ev) })
 	e.Run()
 	if e.Now() != 1 {
 		t.Fatalf("now = %v, want 1 (run must stop once only tombstones remain)", e.Now())
+	}
+}
+
+// TestRecycledHandleReusedInOwnCallback: a caller-owned event recycled
+// inside its own callback and reused there at once by an engine-owned
+// schedule must fire exactly once, and so must the new event. The
+// engine decides whether it owns an event before running the callback;
+// deciding afterwards would see the reused storage as engine-owned and
+// put a queued event on the free list.
+func TestRecycledHandleReusedInOwnCallback(t *testing.T) {
+	e := NewEngine()
+	first, second := 0, 0
+	var ev *Event
+	ev = atHandle(e, 1, func() {
+		first++
+		e.Recycle(ev)
+		e.Schedule(5, func() { second++ })
+		if ev.Time() != 6 {
+			t.Fatal("the engine-owned schedule did not reuse the recycled event")
+		}
+	})
+	e.Run()
+	if first != 1 || second != 1 {
+		t.Fatalf("fired %d and %d times, want 1 and 1", first, second)
+	}
+	seen := map[*Event]bool{}
+	for _, p := range e.pool {
+		if seen[p] {
+			t.Fatal("the free list holds one event twice")
+		}
+		seen[p] = true
+	}
+	// Two more events must be two distinct live events.
+	a, b := 0, 0
+	e.Schedule(1, func() { a++ })
+	e.Schedule(2, func() { b++ })
+	e.Run()
+	if a != 1 || b != 1 || e.Dispatched() != 4 {
+		t.Fatalf("later events fired %d and %d times (dispatched %d), want 1, 1 (4)", a, b, e.Dispatched())
+	}
+}
+
+// TestScheduleFireAllocsZero: once the free list, the queue and the
+// end-of-instant hook slices have grown to the program's peak, a
+// schedule-and-fire loop with engine-owned events and instant-end
+// hooks allocates nothing.
+func TestScheduleFireAllocsZero(t *testing.T) {
+	for _, kind := range queueKinds {
+		e := NewEngineQueue(kind)
+		hook := func() {}
+		fn := func() { e.AtInstantEnd(hook) }
+		loop := func() {
+			for j := 0; j < 64; j++ {
+				e.Schedule(Time(j%7), fn)
+			}
+			e.ScheduleDaemon(3, fn)
+			e.Run()
+		}
+		for i := 0; i < 1000; i++ { // warm every wheel bucket the loop visits
+			loop()
+		}
+		if got := testing.AllocsPerRun(100, loop); got != 0 {
+			t.Errorf("%s: %v allocations per schedule-and-fire loop, want 0", kind, got)
+		}
+	}
+}
+
+// TestFreeListDropsCallbacks: an event on the free list must not keep
+// its old callback, or whatever the callback captured, reachable.
+// Both ways onto the list are checked: Recycle of a caller-owned event,
+// and the engine's own recycling of an engine-owned one.
+func TestFreeListDropsCallbacks(t *testing.T) {
+	for _, owned := range []bool{false, true} {
+		e := NewEngine()
+		collected := make(chan struct{})
+		func() {
+			obj := new([1024]byte)
+			runtime.SetFinalizer(obj, func(*[1024]byte) { close(collected) })
+			fn := func() { obj[0]++ }
+			if owned {
+				e.Schedule(1, fn)
+				e.Run()
+				return
+			}
+			ev := atHandle(e, 1, fn)
+			e.Run()
+			e.Recycle(ev)
+		}()
+		if len(e.pool) != 1 {
+			t.Fatalf("owned=%v: free list holds %d events, want 1", owned, len(e.pool))
+		}
+		ok := false
+		for i := 0; i < 20 && !ok; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				ok = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if !ok {
+			t.Errorf("owned=%v: the recycled event keeps its callback's captures alive", owned)
+		}
+		runtime.KeepAlive(e)
+	}
+}
+
+// TestReleasePoolDropsFreeList: ReleasePool empties the free list, and
+// the engine keeps scheduling afterwards.
+func TestReleasePoolDropsFreeList(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 10; i++ {
+		e.Schedule(Time(i), func() {})
+	}
+	e.Run()
+	if len(e.pool) != 10 {
+		t.Fatalf("free list holds %d events after the run, want 10", len(e.pool))
+	}
+	e.ReleasePool()
+	if e.pool != nil {
+		t.Fatal("ReleasePool kept the free list")
+	}
+	fired := false
+	e.Schedule(1, func() { fired = true })
+	e.Run()
+	if !fired {
+		t.Fatal("event scheduled after ReleasePool did not fire")
 	}
 }

@@ -38,9 +38,11 @@ func TestDefaultQueueKindRejectsUnknown(t *testing.T) {
 // through identical randomized op sequences — schedules (dense
 // same-instant ties included), lazy cancels, revives, retimes to and
 // from the far-future park sentinel, reserved-rank placement, pool
-// recycling, and interleaved partial runs — and asserts the two
-// engines dispatch byte-identically: same event order, same clocks,
-// same counters. This is the contract that lets the wheel replace the
+// recycling, engine-owned events mixed with caller-owned ones (some
+// scheduling follow-ups from inside their callbacks, onto storage a
+// caller may just have recycled), and interleaved partial runs — and
+// asserts the two engines dispatch byte-identically: same event order,
+// same clocks, same counters. This is the contract that lets the wheel replace the
 // heap under every experiment without moving a golden.
 func TestQueuePropertyHeapVsWheel(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
@@ -58,14 +60,24 @@ type propState struct {
 	fired     []bool
 	recycled  []bool
 	wantRec   []bool // recycle inside the callback when it fires
+	owned     []bool // engine-owned: no handle to touch
 }
 
+// newEvent schedules one event on both engines: engine-owned one time
+// in three (half of those schedule an engine-owned follow-up, logged as
+// -1-id, when they fire), otherwise caller-owned.
 func (p *propState) newEvent(rng *rand.Rand, at Time, daemon bool) {
 	id := len(p.cancelled)
+	owned := rng.Intn(3) == 0
+	follow := Time(-1)
+	if owned && rng.Intn(2) == 0 {
+		follow = Time(rng.Int63n(64))
+	}
 	p.cancelled = append(p.cancelled, false)
 	p.fired = append(p.fired, false)
 	p.recycled = append(p.recycled, false)
-	p.wantRec = append(p.wantRec, rng.Intn(4) == 0)
+	p.wantRec = append(p.wantRec, !owned && rng.Intn(4) == 0)
+	p.owned = append(p.owned, owned)
 	for i, e := range p.engines {
 		i, e := i, e
 		var ev *Event
@@ -80,25 +92,33 @@ func (p *propState) newEvent(rng *rand.Rand, at Time, daemon bool) {
 				}
 				e.Recycle(ev)
 			}
+			if follow >= 0 {
+				e.Schedule(follow, func() { p.logs[i] = append(p.logs[i], -1-id) })
+			}
 		}
-		if daemon {
-			ev = e.AtDaemon(at, fn)
-		} else {
-			ev = e.At(at, fn)
+		switch {
+		case owned && daemon:
+			e.AtDaemon(at, fn)
+		case owned:
+			e.At(at, fn)
+		case daemon:
+			ev = e.AtDaemonHandle(at, fn)
+		default:
+			ev = atHandle(e, at, fn)
 		}
 		p.handles[i] = append(p.handles[i], ev)
 	}
 }
 
-// pick returns a random target event id that is safe to touch (never
-// recycled), or -1.
+// pick returns a random target event id that is safe to touch (caller
+// owned, never recycled), or -1.
 func (p *propState) pick(rng *rand.Rand) int {
 	if len(p.cancelled) == 0 {
 		return -1
 	}
 	for try := 0; try < 8; try++ {
 		id := rng.Intn(len(p.cancelled))
-		if !p.recycled[id] {
+		if !p.recycled[id] && !p.owned[id] {
 			return id
 		}
 	}
@@ -205,6 +225,7 @@ func runQueueProperty(t *testing.T, seed int64) {
 				p.fired = append(p.fired, false)
 				p.recycled = append(p.recycled, false)
 				p.wantRec = append(p.wantRec, false)
+				p.owned = append(p.owned, false)
 				for i, e := range p.engines {
 					i := i
 					ev := e.AtRanked(at, base0+uint64(j), func() {

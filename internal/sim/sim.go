@@ -6,6 +6,20 @@
 // wall clock or any other source of nondeterminism: running the same event
 // program twice yields the same trace, which the experiment harness relies
 // on to make figures reproducible.
+//
+// # Event ownership
+//
+// Schedule, At, ScheduleDaemon and AtDaemon return nothing: the engine
+// owns those events and returns each one to its free list as it is
+// dispatched, so a steady stream of fire-and-forget events allocates
+// nothing. A caller that must cancel, move or recycle an event
+// schedules it through AtRanked instead (AtRanked(t, ReserveSeq(1), fn)
+// ranks it exactly as At would), or AtDaemonHandle for a daemon, and
+// owns the returned *Event: the engine never recycles it. The owner
+// may hand it back with Recycle once it has fired, or was cancelled and
+// compacted away, and must not touch it after that; dropping it instead
+// is always safe. ReleasePool drops the free list of a finished
+// simulation that stays referenced.
 package sim
 
 import (
@@ -50,6 +64,7 @@ type Event struct {
 	slot   int32 // timing-wheel bucket code; unused by the heap queue
 	cancel bool
 	daemon bool
+	owned  bool // engine-owned: recycled by Step as it is dispatched
 }
 
 // Daemon reports whether the event was scheduled as a daemon event.
@@ -87,9 +102,12 @@ type Engine struct {
 	// uses this to coalesce same-instant reshare triggers into one
 	// reallocation pass.
 	instantEnd []func()
+	// instantSpare is the hook slice the last batch ran from, emptied:
+	// runInstantEnd alternates the two so hooks cost no allocation.
+	instantSpare []func()
 
-	// pool recycles Event allocations for owners that can prove
-	// exclusive ownership (see Recycle).
+	// pool is the free list of events: engine-owned events return to it
+	// as they are dispatched, caller-owned ones through Recycle.
 	pool []*Event
 }
 
@@ -151,21 +169,21 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 func (e *Engine) DaemonsFired() uint64 { return e.daemons }
 
 // Schedule registers fn to run after delay. A negative delay panics:
-// scheduling into the past would silently reorder causality.
-func (e *Engine) Schedule(delay Time, fn func()) *Event {
+// scheduling into the past would silently reorder causality. The event
+// is engine-owned (see the package comment): it cannot be cancelled or
+// moved, and it returns to the engine's free list as it is dispatched.
+func (e *Engine) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: schedule with negative delay %d", delay))
 	}
-	return e.At(e.now+delay, fn)
+	e.At(e.now+delay, fn)
 }
 
 // At registers fn to run at absolute virtual time t, which must not be in
-// the past.
-func (e *Engine) At(t Time, fn func()) *Event {
-	ev := e.at(t, fn)
-	ev.daemon = false
+// the past. Like Schedule, the event is engine-owned.
+func (e *Engine) At(t Time, fn func()) {
+	e.at(t, e.nextSeq(), fn, false).owned = true
 	e.foreground++
-	return ev
 }
 
 // ScheduleDaemon registers fn to run after delay as a daemon event.
@@ -174,51 +192,67 @@ func (e *Engine) At(t Time, fn func()) *Event {
 // returns without firing them, and they are excluded from Dispatched.
 // Observability machinery (the telemetry sampler) uses daemon events so
 // that enabling it perturbs neither the simulation's end time nor its
-// event-count fingerprint.
-func (e *Engine) ScheduleDaemon(delay Time, fn func()) *Event {
+// event-count fingerprint. The event is engine-owned, like Schedule's.
+func (e *Engine) ScheduleDaemon(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: schedule with negative delay %d", delay))
 	}
-	return e.AtDaemon(e.now+delay, fn)
+	e.AtDaemon(e.now+delay, fn)
 }
 
-// AtDaemon registers fn as a daemon event at absolute virtual time t.
-// See ScheduleDaemon for daemon-event semantics.
-func (e *Engine) AtDaemon(t Time, fn func()) *Event {
-	ev := e.at(t, fn)
-	ev.daemon = true
-	return ev
+// AtDaemon registers fn as an engine-owned daemon event at absolute
+// virtual time t. See ScheduleDaemon for daemon-event semantics.
+func (e *Engine) AtDaemon(t Time, fn func()) {
+	e.at(t, e.nextSeq(), fn, true).owned = true
 }
 
-func (e *Engine) at(t Time, fn func()) *Event {
+// AtDaemonHandle is AtDaemon for a caller that needs to cancel, move or
+// recycle the event; the caller owns the returned event.
+func (e *Engine) AtDaemonHandle(t Time, fn func()) *Event {
+	return e.at(t, e.nextSeq(), fn, true)
+}
+
+// nextSeq consumes and returns the next tie-break rank.
+func (e *Engine) nextSeq() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// at queues an event, taking its storage from the free list when it
+// can. The event is caller-owned until the caller sets owned; the
+// caller also counts it when it is a foreground event.
+func (e *Engine) at(t Time, seq uint64, fn func(), daemon bool) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
 	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
-	e.seq++
 	var ev *Event
 	if n := len(e.pool); n > 0 {
 		ev = e.pool[n-1]
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
-		*ev = Event{at: t, seq: e.seq, fn: fn}
+		*ev = Event{at: t, seq: seq, fn: fn, daemon: daemon}
 	} else {
-		ev = &Event{at: t, seq: e.seq, fn: fn}
+		ev = &Event{at: t, seq: seq, fn: fn, daemon: daemon}
 	}
 	e.queue.Push(ev)
 	return ev
 }
 
-// Recycle returns a fired (or fully cancelled-and-compacted) event to
-// the engine's allocation pool so the next Schedule can reuse it.
-// The caller must be the event's sole remaining owner: after Recycle
-// the object may be rearmed as an unrelated event at any moment, so
-// keeping (or later Cancelling) the pointer corrupts the queue. It is
-// legal to call Recycle from inside the event's own callback — by
-// then the event has left the queue. Recycling a still-queued event
-// panics. Recycle(nil) is a no-op.
+// Recycle returns a caller-owned event (AtRanked, AtDaemonHandle)
+// that has fired, or was cancelled and compacted away, to the
+// engine's free list so the next schedule can reuse it. Engine-owned
+// events are recycled by the engine and never reach a caller. The
+// caller must be the event's sole remaining owner: after Recycle the
+// object may be rearmed as an unrelated event at any moment, even an
+// engine-owned one, so keeping (or later Cancelling) the pointer
+// corrupts the queue. It is legal to call Recycle from inside the
+// event's own callback — by then the event has left the queue.
+// Recycling a still-queued event panics. Recycle(nil) is a no-op.
+// Recycle drops the event's callback, so whatever the callback
+// captured is not kept alive by the free list.
 func (e *Engine) Recycle(ev *Event) {
 	if ev == nil {
 		return
@@ -226,10 +260,22 @@ func (e *Engine) Recycle(ev *Event) {
 	if ev.index >= 0 {
 		panic("sim: Recycle of a still-queued event")
 	}
+	e.free(ev)
+}
+
+// free puts a dequeued event on the free list, dropping its callback.
+func (e *Engine) free(ev *Event) {
+	ev.fn = nil
 	if len(e.pool) < maxEventPool {
 		e.pool = append(e.pool, ev)
 	}
 }
+
+// ReleasePool drops the engine's event free list. A finished simulation
+// that stays referenced — a trainer whose results are still being read
+// — calls it after its last Run, so the events its peak left on the
+// free list do not stay live with it. Later schedules allocate afresh.
+func (e *Engine) ReleasePool() { e.pool = nil }
 
 // Cancel marks a pending event so it never fires. Cancelling an event
 // that already fired (or was already cancelled) is a no-op.
@@ -350,22 +396,7 @@ func (e *Engine) ReserveSeq(k int) uint64 {
 // rank uniqueness: attaching the same reserved rank to two pending
 // events leaves their mutual tie order undefined.
 func (e *Engine) AtRanked(t Time, seq uint64, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: schedule with nil callback")
-	}
-	var ev *Event
-	if n := len(e.pool); n > 0 {
-		ev = e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
-		*ev = Event{at: t, seq: seq, fn: fn}
-	} else {
-		ev = &Event{at: t, seq: seq, fn: fn}
-	}
-	e.queue.Push(ev)
+	ev := e.at(t, seq, fn, false)
 	e.foreground++
 	return ev
 }
@@ -429,23 +460,29 @@ func (e *Engine) AtInstantEnd(fn func()) {
 
 // runInstantEnd runs one batch of end-of-instant hooks, reporting
 // whether any ran. Hooks registered during the batch are deferred to
-// the next drain of the (possibly re-opened) instant.
+// the next drain of the (possibly re-opened) instant. The batch and the
+// slice that collects hooks registered during it trade places each time,
+// so a steady hook stream allocates nothing.
 func (e *Engine) runInstantEnd() bool {
 	if len(e.instantEnd) == 0 {
 		return false
 	}
 	fns := e.instantEnd
-	e.instantEnd = nil
+	e.instantEnd = e.instantSpare
 	for _, fn := range fns {
 		fn()
 	}
+	clear(fns)
+	e.instantSpare = fns[:0]
 	return true
 }
 
 // Step fires the earliest pending event and advances the clock to its
 // timestamp, running any end-of-instant hooks first when the earliest
 // event would move the clock forward. It reports whether an event was
-// fired.
+// fired. An engine-owned event goes back to the free list before its
+// callback runs: the engine has read all it needs from it, and the
+// callback may reuse its storage for the next schedule at once.
 func (e *Engine) Step() bool {
 	for {
 		ev := e.peek()
@@ -463,7 +500,11 @@ func (e *Engine) Step() bool {
 			e.dispatched++
 			e.foreground--
 		}
-		ev.fn()
+		fn := ev.fn
+		if ev.owned {
+			e.free(ev)
+		}
+		fn()
 		return true
 	}
 }

@@ -6,6 +6,12 @@ import (
 	"time"
 )
 
+// atHandle schedules a caller-owned foreground event at t, ranked
+// exactly as At would rank it.
+func atHandle(e *Engine, t Time, fn func()) *Event {
+	return e.AtRanked(t, e.ReserveSeq(1), fn)
+}
+
 func TestEngineStartsAtZero(t *testing.T) {
 	e := NewEngine()
 	if e.Now() != 0 {
@@ -115,7 +121,7 @@ func TestNilCallbackPanics(t *testing.T) {
 func TestCancelPreventsDispatch(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(10, func() { fired = true })
+	ev := atHandle(e, 10, func() { fired = true })
 	e.Cancel(ev)
 	e.Run()
 	if fired {
@@ -128,7 +134,7 @@ func TestCancelPreventsDispatch(t *testing.T) {
 
 func TestCancelIsIdempotent(t *testing.T) {
 	e := NewEngine()
-	ev := e.Schedule(10, func() {})
+	ev := atHandle(e, 10, func() {})
 	e.Cancel(ev)
 	e.Cancel(ev)
 	e.Cancel(nil) // must not panic
@@ -140,7 +146,7 @@ func TestCancelDuringDispatch(t *testing.T) {
 	fired := false
 	var victim *Event
 	e.Schedule(5, func() { e.Cancel(victim) })
-	victim = e.Schedule(10, func() { fired = true })
+	victim = atHandle(e, 10, func() { fired = true })
 	e.Run()
 	if fired {
 		t.Fatal("event cancelled mid-run still fired")
@@ -150,7 +156,7 @@ func TestCancelDuringDispatch(t *testing.T) {
 func TestReschedule(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	ev := e.Schedule(10, func() { at = e.Now() })
+	ev := atHandle(e, 10, func() { at = e.Now() })
 	e.Reschedule(ev, 25)
 	e.Run()
 	if at != 25 {
@@ -204,7 +210,7 @@ func TestNextEventTime(t *testing.T) {
 	if e.NextEventTime() != Infinity {
 		t.Fatal("NextEventTime on empty queue should be Infinity")
 	}
-	ev := e.Schedule(42, func() {})
+	ev := atHandle(e, 42, func() {})
 	if e.NextEventTime() != 42 {
 		t.Fatalf("NextEventTime = %v, want 42", e.NextEventTime())
 	}
@@ -286,7 +292,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 		fired := 0
 		var events []*Event
 		for _, d := range delays {
-			events = append(events, e.Schedule(Time(d), func() { fired++ }))
+			events = append(events, atHandle(e, Time(d), func() { fired++ }))
 		}
 		cancelled := 0
 		for i, ev := range events {
@@ -428,7 +434,7 @@ func TestSelfReschedulingDaemonBoundedByForeground(t *testing.T) {
 
 func TestCancelDaemonLeavesForegroundCount(t *testing.T) {
 	eng := NewEngine()
-	ev := eng.ScheduleDaemon(10, func() { t.Fatal("cancelled daemon fired") })
+	ev := eng.AtDaemonHandle(10, func() { t.Fatal("cancelled daemon fired") })
 	eng.Schedule(20, func() {})
 	if eng.PendingForeground() != 1 {
 		t.Fatalf("foreground = %d, want 1", eng.PendingForeground())
@@ -446,7 +452,7 @@ func TestCancelDaemonLeavesForegroundCount(t *testing.T) {
 func TestRescheduleDaemonStaysDaemon(t *testing.T) {
 	eng := NewEngine()
 	fired := false
-	ev := eng.ScheduleDaemon(10, func() { fired = true })
+	ev := eng.AtDaemonHandle(10, func() { fired = true })
 	eng.Reschedule(ev, 100)
 	if eng.PendingForeground() != 0 {
 		t.Fatalf("foreground = %d after daemon reschedule, want 0", eng.PendingForeground())

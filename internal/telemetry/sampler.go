@@ -33,10 +33,11 @@ type Sampler struct {
 	counters []*Counter
 	gauges   []*Gauge
 
-	times  []sim.Time
-	series [][]float64 // counters first, then gauges, aligned with times
-	tick   *sim.Event
-	start  bool
+	times    []sim.Time
+	series   [][]float64 // counters first, then gauges, aligned with times
+	tick     *sim.Event  // the queued tick, owned so Finish can cancel it
+	onTickFn func()      // s.onTick, bound once
+	start    bool
 }
 
 // NewSampler binds a sampler to an engine and registry. period <= 0
@@ -77,12 +78,15 @@ func (s *Sampler) Start() {
 	s.gauges = append([]*Gauge(nil), s.reg.gauges...)
 	s.series = make([][]float64, len(s.counters)+len(s.gauges))
 	s.sample()
-	s.tick = s.eng.ScheduleDaemon(s.period, s.onTick)
+	s.onTickFn = s.onTick
+	s.tick = s.eng.AtDaemonHandle(s.eng.Now()+s.period, s.onTickFn)
 }
 
+// onTick samples and re-arms the tick, reusing the event that just fired.
 func (s *Sampler) onTick() {
 	s.sample()
-	s.tick = s.eng.ScheduleDaemon(s.period, s.onTick)
+	s.eng.Recycle(s.tick)
+	s.tick = s.eng.AtDaemonHandle(s.eng.Now()+s.period, s.onTickFn)
 }
 
 // sample appends one snapshot, decimating first when at capacity.

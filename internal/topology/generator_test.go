@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"coarse/internal/fabric"
 	"coarse/internal/sim"
 )
 
@@ -96,6 +97,33 @@ func TestGenerateRouting(t *testing.T) {
 					t.Fatalf("tier %s: empty path %s -> %s", tier, w, w2)
 				}
 			}
+		}
+	}
+}
+
+// TestPathUncachedAllocs pins that deriving a route from a source's
+// cached shortest-path tree allocates only the returned path, built at
+// its exact length.
+func TestPathUncachedAllocs(t *testing.T) {
+	g := ScaleSpec{Racks: 2, NodesPerRack: 2, GPUsPerNode: 2, MemDevs: 3, MemDevTier: TierRack}
+	m := Build(sim.NewEngine(), g.Generate())
+	a, b := m.Workers[0], m.Workers[len(m.Workers)-1]
+	want := m.Path(a, b) // builds a's tree and caches the route
+	sr := m.routes[a.ID]
+	var got []*fabric.Channel
+	allocs := testing.AllocsPerRun(100, func() {
+		delete(sr.paths, int32(b.ID))
+		got = m.Path(a, b)
+	})
+	if allocs != 1 {
+		t.Fatalf("uncached Path allocates %v objects, want 1 (the path)", allocs)
+	}
+	if len(got) != len(want) || cap(got) != len(got) {
+		t.Fatalf("path len %d cap %d, want len %d at exact capacity", len(got), cap(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("hop %d: %s, want %s", i, got[i].Name(), want[i].Name())
 		}
 	}
 }

@@ -224,31 +224,32 @@ func (t *Topology) Path(a, b *Device) []*fabric.Channel {
 	if sr.prev[b.ID] < 0 {
 		panic(fmt.Sprintf("topology: no route %s -> %s", a, b))
 	}
-	// Walk back from b, recovering each hop's claiming edge as the
-	// predecessor's first adjacency entry pointing at the device.
-	var rev []*fabric.Channel
-	cur := int32(b.ID)
+	// Count the hops, then walk back from b filling the path from its
+	// end, recovering each hop's claiming edge as the predecessor's
+	// first adjacency entry pointing at the device.
 	src := int32(a.ID)
-	for cur != src {
+	hops := 0
+	for cur := int32(b.ID); cur != src; cur = sr.prev[cur] {
+		hops++
+	}
+	path := make([]*fabric.Channel, hops)
+	cur := int32(b.ID)
+	for i := hops - 1; i >= 0; i-- {
 		pred := sr.prev[cur]
 		adj := t.adj[pred]
 		var e *edge
-		for i := range adj {
-			if int32(adj[i].peer.ID) == cur {
-				e = &adj[i]
+		for j := range adj {
+			if int32(adj[j].peer.ID) == cur {
+				e = &adj[j]
 				break
 			}
 		}
 		if e.fwd {
-			rev = append(rev, e.link.Fwd())
+			path[i] = e.link.Fwd()
 		} else {
-			rev = append(rev, e.link.Rev())
+			path[i] = e.link.Rev()
 		}
 		cur = pred
-	}
-	path := make([]*fabric.Channel, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
 	}
 	sr.paths[int32(b.ID)] = path
 	return path

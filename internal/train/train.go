@@ -659,6 +659,7 @@ func (t *Trainer) Run() (*Result, error) {
 		newPipeWorker(t, w).run(0)
 	}
 	ctx.Eng.Run()
+	ctx.Eng.ReleasePool() // the finished trainer stays referenced while its results are read
 	for w, done := range t.workerDone {
 		if done != t.cfg.Iterations {
 			return nil, fmt.Errorf("train: %s stalled: worker %d finished %d of %d iterations (synchronization deadlock?)",
