@@ -76,13 +76,12 @@ lint: vet
 bench:
 	$(GO) run ./cmd/benchjson
 
-# Engine-core performance tracking: the BenchmarkEngine* set, each
-# benchmark once per event-queue kind (binary heap, timing wheel),
-# plus the end-to-end BenchmarkScaleCell* rack-scale COARSE cells
-# (benchjson pins their iteration count — see cmd/benchjson) and the
+# Engine-core performance tracking: the BenchmarkEngine* event-queue
+# set (cancel, retime and reschedule churn on the engine's heap), plus
+# the end-to-end BenchmarkScaleCell* rack-scale COARSE cells (benchjson
+# pins their iteration count — see cmd/benchjson) and the
 # BenchmarkServeCell* inference-serving pair (local vs pooled KV), and
-# rewrite BENCH_core.json — the committed record the wheel-vs-heap
-# cancel-churn ratio is pinned in.
+# rewrite BENCH_core.json.
 bench-core:
 	$(GO) run ./cmd/benchjson -set core
 
@@ -94,8 +93,9 @@ bench-core:
 scale-smoke:
 	$(GO) test ./internal/experiments -run '^$$' -bench 'BenchmarkScaleCell1024$$' -benchtime 1x -count=1 -timeout 10m
 
-# CI guard: every microbenchmark must still compile and run. One
-# iteration each, no file rewritten, no timing claims.
+# CI guard: every fabric and engine microbenchmark must still compile
+# and run. One iteration each, no file rewritten, no timing claims.
+# Figures are regenerated by coarsebench, not by benchmarks.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/fabric ./internal/sim
 	$(GO) test -race -bench=. -benchtime=1x -run=^$$ ./internal/fabric

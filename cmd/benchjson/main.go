@@ -4,10 +4,9 @@
 //
 //   - "fabric" (default): the fabric/sim microbenchmarks plus the
 //     quick-suite wall-clock measurement → BENCH_fabric.json;
-//   - "core": the engine/queue microbenchmarks only (cancel churn,
-//     retime park churn, reschedule, plain dispatch — each on the
-//     binary heap and the timing wheel, so the wheel-vs-heap ratio is
-//     read directly off the record) → BENCH_core.json.
+//   - "core": the engine event-queue microbenchmarks (cancel churn,
+//     retime park churn, reschedule, plain dispatch) plus the
+//     whole-cell scale and serving benchmarks → BENCH_core.json.
 //
 // The output file has three parts:
 //
@@ -136,9 +135,8 @@ var benchSets = map[string]benchSet{
 		suite: true,
 		out:   "BENCH_fabric.json",
 	},
-	// The engine-core record: every BenchmarkEngine* runs once per
-	// queue kind (heap, wheel), so this file is where the
-	// wheel-vs-heap churn ratio is pinned — plus the end-to-end
+	// The engine-core record: the BenchmarkEngine* event-queue churn
+	// set, plus the end-to-end
 	// BenchmarkScaleCell* rack-scale COARSE cells, which time the
 	// fabric reallocation path with flow aggregation and steady-state
 	// fast-forward, and the BenchmarkServeCell* pair timing the

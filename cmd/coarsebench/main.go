@@ -40,7 +40,6 @@ import (
 
 	"coarse/internal/experiments"
 	"coarse/internal/metrics"
-	"coarse/internal/sim"
 	"coarse/internal/telemetry/serve"
 )
 
@@ -68,10 +67,6 @@ func run() int {
 		"write a pprof allocation profile (inuse + alloc space) to this file at exit")
 	flag.Parse()
 
-	if _, err := sim.DefaultQueueKind(); err != nil {
-		fmt.Fprintln(os.Stderr, "coarsebench:", err)
-		return 1
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -12,8 +12,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -21,6 +24,7 @@ import (
 	"coarse/internal/chaos"
 	"coarse/internal/config"
 	"coarse/internal/core"
+	"coarse/internal/gpu"
 	"coarse/internal/parallel"
 	"coarse/internal/paramserver"
 	"coarse/internal/serve"
@@ -55,46 +59,59 @@ func keys[V any](m map[string]V) string {
 }
 
 func main() {
-	machine := flag.String("machine", "v100", "machine preset: "+keys(machines))
-	modelName := flag.String("model", "bert-base", "model: "+keys(models))
-	batch := flag.Int("batch", 2, "per-GPU batch size")
-	iters := flag.Int("iters", 4, "training iterations")
-	strategy := flag.String("strategy", "all", "DENSE, AllReduce, COARSE, CentralPS, or all")
-	jitter := flag.Float64("jitter", 0, "per-worker compute skew (0.3 = slowest worker 30% slower)")
-	traceFile := flag.String("trace", "", "write a chrome://tracing JSON timeline to this file (single-strategy runs)")
-	telemetryFile := flag.String("telemetry", "", "write the sampled time-series telemetry dump (JSON) to this exact path; single-strategy")
-	traceOut := flag.String("trace-out", "", "write a Perfetto trace with telemetry counter tracks to this exact path; single-strategy")
-	configFile := flag.String("config", "", "load a JSON scenario (overrides the other flags)")
-	hotPath := flag.Bool("telemetry-hot-path", false, "include the simulator's own hot-path counters (reshare coalescing, event-queue tombstones) in telemetry output; changes dump bytes")
-	chaosIntensity := flag.Float64("chaos-intensity", 0, "transient-fault duty cycle in (0,1]; 0 disables the seed-deterministic chaos profile")
-	chaosKinds := flag.String("chaos-kinds", "link,cci,stall", "comma-separated fault kinds to inject: link, cci, stall")
-	chaosFaults := flag.Int("chaos-faults", 2, "fault windows per kind in the chaos profile")
-	chaosHorizon := flag.Float64("chaos-horizon", 1.0, "virtual-time span (seconds) the chaos windows spread over")
-	pp := flag.Int("pp", 0, "pipeline-parallel stages (0/1 = off); pp*tp*ep must divide the worker count")
-	tp := flag.Int("tp", 0, "tensor-parallel group size (0/1 = off)")
-	ep := flag.Int("ep", 0, "expert-parallel group size (0/1 = off; needs an MoE model)")
-	micro := flag.Int("micro", 0, "microbatches per pipeline round (0 = one per stage)")
-	workload := flag.String("workload", "train", "workload family: train or serve")
-	arrival := flag.String("arrival", "poisson", "serve: arrival process (poisson, diurnal, bursty)")
-	rate := flag.Float64("rate", 28, "serve: offered load, requests/sec")
-	requests := flag.Int("requests", 144, "serve: total request count")
-	kvPlacement := flag.String("kv", "pooled", "serve: KV-cache placement (local, pooled)")
-	prefetch := flag.Bool("prefetch", false, "serve: prefetch the next decode step's pooled KV pages under compute")
-	promptMean := flag.Int("prompt-mean", 0, "serve: mean prompt tokens (0 = default)")
-	outputMean := flag.Int("output-mean", 0, "serve: mean output tokens (0 = default)")
-	seed := flag.Int64("seed", 1, "serve: trace/chaos seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if _, err := sim.DefaultQueueKind(); err != nil {
-		fmt.Fprintln(os.Stderr, "coarsesim:", err)
-		os.Exit(1)
+// run is the command: it parses args, writes the report to stdout and
+// diagnostics to stderr, and returns the exit status. Rejected input
+// of any kind exits 1 with the reason on stderr; only a configuration
+// that does not fit GPU memory is reported as a table row, because
+// that OOM is a result (Figure 16e's AllReduce at batch 4).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("coarsesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	machine := fs.String("machine", "v100", "machine preset: "+keys(machines))
+	modelName := fs.String("model", "bert-base", "model: "+keys(models))
+	batch := fs.Int("batch", 2, "per-GPU batch size")
+	iters := fs.Int("iters", 4, "training iterations")
+	strategy := fs.String("strategy", "all", "DENSE, AllReduce, COARSE, CentralPS, or all")
+	jitter := fs.Float64("jitter", 0, "per-worker compute skew (0.3 = slowest worker 30% slower)")
+	traceFile := fs.String("trace", "", "write a chrome://tracing JSON timeline to this file (single-strategy runs)")
+	telemetryFile := fs.String("telemetry", "", "write the sampled time-series telemetry dump (JSON) to this exact path; single-strategy")
+	traceOut := fs.String("trace-out", "", "write a Perfetto trace with telemetry counter tracks to this exact path; single-strategy")
+	configFile := fs.String("config", "", "load a JSON scenario (overrides the other flags)")
+	hotPath := fs.Bool("telemetry-hot-path", false, "include the simulator's own hot-path counters (reshare coalescing, event-queue tombstones) in telemetry output; changes dump bytes")
+	chaosIntensity := fs.Float64("chaos-intensity", 0, "transient-fault duty cycle in (0,1]; 0 disables the seed-deterministic chaos profile")
+	chaosKinds := fs.String("chaos-kinds", "link,cci,stall", "comma-separated fault kinds to inject: link, cci, stall")
+	chaosFaults := fs.Int("chaos-faults", 2, "fault windows per kind in the chaos profile")
+	chaosHorizon := fs.Float64("chaos-horizon", 1.0, "virtual-time span (seconds) the chaos windows spread over")
+	pp := fs.Int("pp", 0, "pipeline-parallel stages (0/1 = off); pp*tp*ep must divide the worker count")
+	tp := fs.Int("tp", 0, "tensor-parallel group size (0/1 = off)")
+	ep := fs.Int("ep", 0, "expert-parallel group size (0/1 = off; needs an MoE model)")
+	micro := fs.Int("micro", 0, "microbatches per pipeline round (0 = one per stage)")
+	workload := fs.String("workload", "train", "workload family: train or serve")
+	arrival := fs.String("arrival", "poisson", "serve: arrival process (poisson, diurnal, bursty)")
+	rate := fs.Float64("rate", 28, "serve: offered load, requests/sec")
+	requests := fs.Int("requests", 144, "serve: total request count")
+	kvPlacement := fs.String("kv", "pooled", "serve: KV-cache placement (local, pooled)")
+	prefetch := fs.Bool("prefetch", false, "serve: prefetch the next decode step's pooled KV pages under compute")
+	promptMean := fs.Int("prompt-mean", 0, "serve: mean prompt tokens (0 = default)")
+	outputMean := fs.Int("output-mean", 0, "serve: mean output tokens (0 = default)")
+	seed := fs.Int64("seed", 1, "serve: trace/chaos seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 	var chaosSpec *chaos.Spec
+	if err := checkChaos(*chaosIntensity, *chaosHorizon, *chaosFaults); err != nil {
+		return fail(stderr, err)
+	}
 	if *chaosIntensity > 0 {
 		kinds, err := chaos.ParseKinds(*chaosKinds)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "coarsesim:", err)
-			os.Exit(1)
+			return fail(stderr, err)
 		}
 		chaosSpec = &chaos.Spec{Profile: &chaos.Profile{
 			Intensity:     *chaosIntensity,
@@ -107,15 +124,13 @@ func main() {
 	if *workload == "serve" {
 		mk, ok := machines[*machine]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "coarsesim: unknown machine %q (have %s)\n", *machine, keys(machines))
-			os.Exit(1)
+			return fail(stderr, fmt.Errorf("unknown machine %q (have %s)", *machine, keys(machines)))
 		}
 		mdl, ok := models[*modelName]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "coarsesim: unknown model %q (have %s)\n", *modelName, keys(models))
-			os.Exit(1)
+			return fail(stderr, fmt.Errorf("unknown model %q (have %s)", *modelName, keys(models)))
 		}
-		serveMain(mk(), mdl(), serveFlags{
+		return serveMain(mk(), mdl(), serveFlags{
 			arrival:    *arrival,
 			rate:       *rate,
 			requests:   *requests,
@@ -126,12 +141,10 @@ func main() {
 			seed:       *seed,
 			chaos:      chaosSpec,
 			telemetry:  *telemetryFile,
-		})
-		return
+		}, stdout, stderr)
 	}
 	if *workload != "train" {
-		fmt.Fprintf(os.Stderr, "coarsesim: unknown workload %q (train, serve)\n", *workload)
-		os.Exit(1)
+		return fail(stderr, fmt.Errorf("unknown workload %q (train, serve)", *workload))
 	}
 
 	var spec coarse.MachineSpec
@@ -141,14 +154,12 @@ func main() {
 	if *configFile != "" {
 		scn, err := config.Load(*configFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "coarsesim:", err)
-			os.Exit(1)
+			return fail(stderr, err)
 		}
 		spec = scn.BuildSpec()
 		m, err = scn.BuildModel()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "coarsesim:", err)
-			os.Exit(1)
+			return fail(stderr, err)
 		}
 		*batch = scn.Batch
 		*iters = scn.Iterations
@@ -159,13 +170,11 @@ func main() {
 	} else {
 		mk, ok := machines[*machine]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "coarsesim: unknown machine %q (have %s)\n", *machine, keys(machines))
-			os.Exit(1)
+			return fail(stderr, fmt.Errorf("unknown machine %q (have %s)", *machine, keys(machines)))
 		}
 		mdl, ok := models[*modelName]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "coarsesim: unknown model %q (have %s)\n", *modelName, keys(models))
-			os.Exit(1)
+			return fail(stderr, fmt.Errorf("unknown model %q (have %s)", *modelName, keys(models)))
 		}
 		spec = mk()
 		m = mdl()
@@ -178,17 +187,17 @@ func main() {
 	if (*telemetryFile != "" || *traceOut != "") && len(strategies) > 1 {
 		// Telemetry/trace output is one file per run; pick the paper's
 		// strategy rather than overwrite it three times.
-		fmt.Fprintln(os.Stderr, "coarsesim: -telemetry/-trace-out are single-strategy outputs; selecting COARSE (pass -strategy to choose)")
+		fmt.Fprintln(stderr, "coarsesim: -telemetry/-trace-out are single-strategy outputs; selecting COARSE (pass -strategy to choose)")
 		strategies = []coarse.Strategy{coarse.StrategyCOARSE}
 	}
 	lay := parallel.Layout{PP: *pp, TP: *tp, EP: *ep, Micro: *micro}
-	fmt.Printf("machine=%s model=%s (%.1fM params) batch=%d iters=%d",
+	fmt.Fprintf(stdout, "machine=%s model=%s (%.1fM params) batch=%d iters=%d",
 		spec.Label, m.Name, float64(m.ParamElems())/1e6, *batch, *iters)
 	if !lay.Trivial() {
-		fmt.Printf(" layout=%s", lay.String())
+		fmt.Fprintf(stdout, " layout=%s", lay.String())
 	}
-	fmt.Printf("\n\n")
-	fmt.Printf("%-10s %14s %14s %14s %8s %14s %10s %10s\n",
+	fmt.Fprintf(stdout, "\n\n")
+	fmt.Fprintf(stdout, "%-10s %14s %14s %14s %8s %14s %10s %10s\n",
 		"strategy", "iter time", "compute", "blocked comm", "util", "throughput", "edge bus", "cci bus")
 	for _, s := range strategies {
 		cfg := train.DefaultConfig(spec, m, *batch, *iters)
@@ -215,48 +224,46 @@ func main() {
 		case coarse.StrategyCOARSE:
 			strat = core.New(core.DefaultOptions())
 		default:
-			fmt.Fprintf(os.Stderr, "coarsesim: unknown strategy %q\n", s)
-			os.Exit(1)
+			return fail(stderr, fmt.Errorf("unknown strategy %q", s))
 		}
 		tr, err := train.New(cfg, strat)
+		var res *train.Result
+		if err == nil {
+			res, err = tr.Run()
+		}
 		if err != nil {
-			fmt.Printf("%-10s %s\n", s, err)
+			if !errors.Is(err, gpu.ErrOOM) {
+				return fail(stderr, fmt.Errorf("%s: %w", s, err))
+			}
+			fmt.Fprintf(stdout, "%-10s %s\n", s, err)
 			continue
 		}
-		res, err := tr.Run()
-		if err != nil {
-			fmt.Printf("%-10s %s\n", s, err)
-			continue
-		}
-		fmt.Printf("%-10s %14v %14v %14v %7.1f%% %10.1f s/s %9.1f%% %9.1f%%\n",
+		fmt.Fprintf(stdout, "%-10s %14v %14v %14v %7.1f%% %10.1f s/s %9.1f%% %9.1f%%\n",
 			s, res.IterTime, res.ComputeTime, res.BlockedComm, 100*res.GPUUtil, res.Throughput(),
 			100*res.EdgeBusUtil, 100*res.CCIBusUtil)
 		if res.ChaosFaults > 0 {
-			fmt.Printf("           chaos: %d fault windows, %v attributed stall\n",
+			fmt.Fprintf(stdout, "           chaos: %d fault windows, %v attributed stall\n",
 				res.ChaosFaults, res.ChaosStall)
 		}
 		if *traceFile != "" {
 			// Per-strategy span timeline (no counter tracks).
 			if err := writeTrace(fmt.Sprintf("%s.%s.json", strings.TrimSuffix(*traceFile, ".json"), s), rec); err != nil {
-				fmt.Fprintln(os.Stderr, "coarsesim:", err)
-				os.Exit(1)
+				return fail(stderr, err)
 			}
-			fmt.Printf("           trace: %d events written\n", rec.Len())
+			fmt.Fprintf(stdout, "           trace: %d events written\n", rec.Len())
 		}
 		dump := tr.TelemetryDump()
 		if *telemetryFile != "" {
 			f, err := os.Create(*telemetryFile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "coarsesim:", err)
-				os.Exit(1)
+				return fail(stderr, err)
 			}
 			err = dump.WriteJSON(f)
 			f.Close()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "coarsesim:", err)
-				os.Exit(1)
+				return fail(stderr, err)
 			}
-			fmt.Printf("           telemetry: %d series, %d samples -> %s\n",
+			fmt.Fprintf(stdout, "           telemetry: %d series, %d samples -> %s\n",
 				len(dump.Series), len(dump.TimesNS), *telemetryFile)
 		}
 		if *traceOut != "" {
@@ -266,12 +273,19 @@ func main() {
 			// set stays in the -telemetry dump.
 			dump.EmitTraceCounters(rec, telemetry.DefaultTraceFilter)
 			if err := writeTrace(*traceOut, rec); err != nil {
-				fmt.Fprintln(os.Stderr, "coarsesim:", err)
-				os.Exit(1)
+				return fail(stderr, err)
 			}
-			fmt.Printf("           perfetto trace: %d events -> %s\n", rec.Len(), *traceOut)
+			fmt.Fprintf(stdout, "           perfetto trace: %d events -> %s\n", rec.Len(), *traceOut)
 		}
 	}
+	return 0
+}
+
+// fail reports err on stderr and returns the exit status for rejected
+// input.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "coarsesim:", err)
+	return 1
 }
 
 // serveFlags carries the serve-mode flag values.
@@ -288,18 +302,51 @@ type serveFlags struct {
 	telemetry  string
 }
 
+// check rejects serve flags the simulator would otherwise read as "no
+// traffic" or silently replace with a default.
+func (f serveFlags) check() error {
+	switch {
+	case f.requests < 1:
+		return fmt.Errorf("-requests %d: want at least 1", f.requests)
+	case !(f.rate > 0) || math.IsInf(f.rate, 1):
+		return fmt.Errorf("-rate %v: want a finite rate above 0", f.rate)
+	case f.promptMean < 0:
+		return fmt.Errorf("-prompt-mean %d: want 0 (default) or more", f.promptMean)
+	case f.outputMean < 0:
+		return fmt.Errorf("-output-mean %d: want 0 (default) or more", f.outputMean)
+	}
+	return nil
+}
+
+// checkChaos rejects chaos flags outside the ranges their help states,
+// instead of clamping them or quietly running without chaos.
+func checkChaos(intensity, horizon float64, faults int) error {
+	switch {
+	case !(intensity >= 0 && intensity <= 1):
+		return fmt.Errorf("-chaos-intensity %v: want a duty cycle in (0,1], or 0 for no chaos", intensity)
+	case intensity == 0:
+		return nil
+	case !(horizon > 0) || math.IsInf(horizon, 1):
+		return fmt.Errorf("-chaos-horizon %v: want a finite span above 0 seconds", horizon)
+	case faults < 1:
+		return fmt.Errorf("-chaos-faults %d: want at least 1", faults)
+	}
+	return nil
+}
+
 // serveMain runs one inference-serving simulation and prints its
 // summary: goodput, SLO attainment, and the TTFT/TPOT percentile rows.
-func serveMain(spec coarse.MachineSpec, m *coarse.Model, f serveFlags) {
+func serveMain(spec coarse.MachineSpec, m *coarse.Model, f serveFlags, stdout, stderr io.Writer) int {
+	if err := f.check(); err != nil {
+		return fail(stderr, err)
+	}
 	kind, err := serve.ParseArrival(f.arrival)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coarsesim:", err)
-		os.Exit(1)
+		return fail(stderr, err)
 	}
 	placement, err := serve.ParseKVPlacement(f.placement)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coarsesim:", err)
-		os.Exit(1)
+		return fail(stderr, err)
 	}
 	cfg := serve.DefaultConfig(spec, m, serve.Workload{
 		Arrival:    kind,
@@ -317,48 +364,45 @@ func serveMain(spec coarse.MachineSpec, m *coarse.Model, f serveFlags) {
 	}
 	sv, err := serve.New(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coarsesim:", err)
-		os.Exit(1)
+		return fail(stderr, err)
 	}
 	res, err := sv.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coarsesim:", err)
-		os.Exit(1)
+		return fail(stderr, err)
 	}
-	fmt.Printf("machine=%s model=%s workload=serve arrival=%s kv=%s prefetch=%v\n",
+	fmt.Fprintf(stdout, "machine=%s model=%s workload=serve arrival=%s kv=%s prefetch=%v\n",
 		res.Machine, res.Model, res.Arrival, res.Placement, res.Prefetch)
-	fmt.Printf("pools: %d prefill + %d decode workers\n\n", res.PrefillWorkers, res.DecodeWorkers)
-	fmt.Printf("requests: %d offered @ %.1f rps -> %d completed in %v\n",
+	fmt.Fprintf(stdout, "pools: %d prefill + %d decode workers\n\n", res.PrefillWorkers, res.DecodeWorkers)
+	fmt.Fprintf(stdout, "requests: %d offered @ %.1f rps -> %d completed in %v\n",
 		res.Requests, res.OfferedRPS, res.Completed, res.TotalTime)
-	fmt.Printf("achieved %.1f rps, goodput %.1f rps (SLO attainment %.1f%%), mean decode batch %.2f\n\n",
+	fmt.Fprintf(stdout, "achieved %.1f rps, goodput %.1f rps (SLO attainment %.1f%%), mean decode batch %.2f\n\n",
 		res.AchievedRPS, res.GoodputRPS, 100*res.SLOAttainment, res.MeanBatch)
-	fmt.Printf("%-6s %14s %14s %14s\n", "", "p50", "p99", "p99.9")
-	fmt.Printf("%-6s %14v %14v %14v\n", "ttft", res.TTFT.P50, res.TTFT.P99, res.TTFT.P999)
-	fmt.Printf("%-6s %14v %14v %14v\n", "tpot", res.TPOT.P50, res.TPOT.P99, res.TPOT.P999)
-	fmt.Printf("\nfabric: %.1f MB KV, %.1f MB params; edge bus %.1f%%, cci ports %.1f%%\n",
+	fmt.Fprintf(stdout, "%-6s %14s %14s %14s\n", "", "p50", "p99", "p99.9")
+	fmt.Fprintf(stdout, "%-6s %14v %14v %14v\n", "ttft", res.TTFT.P50, res.TTFT.P99, res.TTFT.P999)
+	fmt.Fprintf(stdout, "%-6s %14v %14v %14v\n", "tpot", res.TPOT.P50, res.TPOT.P99, res.TPOT.P999)
+	fmt.Fprintf(stdout, "\nfabric: %.1f MB KV, %.1f MB params; edge bus %.1f%%, cci ports %.1f%%\n",
 		float64(res.KVFabricBytes)/1e6, float64(res.ParamFabricBytes)/1e6,
 		100*res.EdgeBusUtil, 100*res.CCIBusUtil)
 	if res.ChaosFaults > 0 {
-		fmt.Printf("chaos: %d fault windows, %v attributed stall\n", res.ChaosFaults, res.ChaosStall)
+		fmt.Fprintf(stdout, "chaos: %d fault windows, %v attributed stall\n", res.ChaosFaults, res.ChaosStall)
 	}
 	if f.telemetry != "" {
 		dump := sv.TelemetryDump()
 		out, err := os.Create(f.telemetry)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "coarsesim:", err)
-			os.Exit(1)
+			return fail(stderr, err)
 		}
 		err = dump.WriteJSON(out)
 		if cerr := out.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "coarsesim:", err)
-			os.Exit(1)
+			return fail(stderr, err)
 		}
-		fmt.Printf("telemetry: %d series, %d samples -> %s\n",
+		fmt.Fprintf(stdout, "telemetry: %d series, %d samples -> %s\n",
 			len(dump.Series), len(dump.TimesNS), f.telemetry)
 	}
+	return 0
 }
 
 // writeTrace serializes a recorder to path in Chrome trace-event format.

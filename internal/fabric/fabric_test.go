@@ -545,3 +545,14 @@ func TestFlowSizeClass(t *testing.T) {
 		t.Fatalf("Flow is %d bytes, want at most 240", got)
 	}
 }
+
+// TestEventSizeClass: sim.Event must fit the allocator's 32-byte size
+// class. Each pending flow holds its completion handle from admission
+// until it completes, so the fabric keeps thousands of long-lived
+// events and each one counts toward heap_live_mb; at 40 bytes an event
+// takes a 48-byte slot.
+func TestEventSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(sim.Event{}); got > 32 {
+		t.Fatalf("sim.Event is %d bytes, want at most 32", got)
+	}
+}

@@ -2,80 +2,65 @@ package sim
 
 import "testing"
 
-// queueKinds enumerates the event-queue implementations the engine
-// benchmarks compare; every engine bench runs once per kind so the
-// wheel-vs-heap ratio is read directly off the report.
-var queueKinds = []QueueKind{QueueHeap, QueueWheel}
-
 // BenchmarkEngineCancelChurn models the fabric reshare pattern the
 // event queue pays for most: a standing population of pending
 // completion events — one per worker of a 4096-worker cell — cycled
 // the way an incremental reshare cycles them: tombstone the stale
 // deadline, park the event at the far-future sentinel, then settle it
-// back onto a fresh deadline. Cancellation is a lazy tombstone either
-// way; each park or settle costs the heap a full-depth sift — and the
-// partial drain between rounds a full-depth pop per dispatch — while
-// the wheel moves events between buckets and pops them in O(1).
+// back onto a fresh deadline. Cancellation is a lazy tombstone; each
+// park or settle costs a full-depth sift, and the partial drain
+// between rounds a full-depth pop per dispatch.
 func BenchmarkEngineCancelChurn(b *testing.B) {
 	const population = 4096
 	const window = 1 << 17 // deadlines jump anywhere in a ~130us window
 	const farFuture = Infinity - 1
-	for _, kind := range queueKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := NewEngineQueue(kind)
-				events := make([]*Event, population)
-				fn := func() {}
-				for j := range events {
-					events[j] = atHandle(e, Time(1000+(j*7919)%window), fn)
-				}
-				for round := 0; round < 32; round++ {
-					for j := range events {
-						e.Cancel(events[j])
-						e.Reschedule(events[j], farFuture)
-					}
-					base := e.Now()
-					for j := range events {
-						e.Reschedule(events[j], base+Time(1000+((j+round)*392917)%window))
-					}
-					e.RunUntil(base + window + 2000)
-				}
-				e.Run()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		events := make([]*Event, population)
+		fn := func() {}
+		for j := range events {
+			events[j] = atHandle(e, Time(1000+(j*7919)%window), fn)
+		}
+		for round := 0; round < 32; round++ {
+			for j := range events {
+				e.Cancel(events[j])
+				e.Reschedule(events[j], farFuture)
 			}
-		})
+			base := e.Now()
+			for j := range events {
+				e.Reschedule(events[j], base+Time(1000+((j+round)*392917)%window))
+			}
+			e.RunUntil(base + window + 2000)
+		}
+		e.Run()
 	}
 }
 
 // BenchmarkEngineRetimeParkChurn is the post-incremental-reshare hot
 // pattern: completion events parked at a far-future sentinel and later
 // settled back onto near deadlines with their reserved rank (Retime /
-// PlaceRanked). Each park or settle is a full-depth sift in the heap
-// but an O(1) bucket move in the wheel.
+// PlaceRanked). Each park or settle is a full-depth sift.
 func BenchmarkEngineRetimeParkChurn(b *testing.B) {
 	const population = 4096
 	const farFuture = Infinity - 1
-	for _, kind := range queueKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := NewEngineQueue(kind)
-				events := make([]*Event, population)
-				fn := func() {}
-				for j := range events {
-					events[j] = atHandle(e, Time(1000+j), fn)
-				}
-				for round := 0; round < 16; round++ {
-					for j := range events {
-						e.Retime(events[j], farFuture)
-					}
-					for j := range events {
-						e.Retime(events[j], Time(2000+round*100+j))
-					}
-				}
-				e.Run()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		events := make([]*Event, population)
+		fn := func() {}
+		for j := range events {
+			events[j] = atHandle(e, Time(1000+j), fn)
+		}
+		for round := 0; round < 16; round++ {
+			for j := range events {
+				e.Retime(events[j], farFuture)
 			}
-		})
+			for j := range events {
+				e.Retime(events[j], Time(2000+round*100+j))
+			}
+		}
+		e.Run()
 	}
 }
 
@@ -84,24 +69,20 @@ func BenchmarkEngineRetimeParkChurn(b *testing.B) {
 // reshare path.
 func BenchmarkEngineReschedule(b *testing.B) {
 	const population = 512
-	for _, kind := range queueKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := NewEngineQueue(kind)
-				events := make([]*Event, population)
-				fn := func() {}
-				for j := range events {
-					events[j] = atHandle(e, Time(1000+j), fn)
-				}
-				for round := 0; round < 16; round++ {
-					for j := range events {
-						e.Reschedule(events[j], Time(2000+round*100+j))
-					}
-				}
-				e.Run()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		events := make([]*Event, population)
+		fn := func() {}
+		for j := range events {
+			events[j] = atHandle(e, Time(1000+j), fn)
+		}
+		for round := 0; round < 16; round++ {
+			for j := range events {
+				e.Reschedule(events[j], Time(2000+round*100+j))
 			}
-		})
+		}
+		e.Run()
 	}
 }
 
@@ -109,17 +90,13 @@ func BenchmarkEngineReschedule(b *testing.B) {
 // no cancellations, the floor the other benches are compared against.
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	const n = 8192
-	for _, kind := range queueKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := NewEngineQueue(kind)
-				fn := func() {}
-				for j := 0; j < n; j++ {
-					e.Schedule(Time(j%509), fn)
-				}
-				e.Run()
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		fn := func() {}
+		for j := 0; j < n; j++ {
+			e.Schedule(Time(j%509), fn)
+		}
+		e.Run()
 	}
 }

@@ -60,8 +60,7 @@ type Event struct {
 	at     Time
 	seq    uint64
 	fn     func()
-	index  int   // position within the queue's backing store, -1 once removed
-	slot   int32 // timing-wheel bucket code; unused by the heap queue
+	index  int32 // position within the queue's heap, -1 once removed
 	cancel bool
 	daemon bool
 	owned  bool // engine-owned: recycled by Step as it is dispatched
@@ -81,8 +80,7 @@ func (e *Event) Time() Time { return e.at }
 type Engine struct {
 	now        Time
 	seq        uint64
-	queue      EventQueue
-	kind       QueueKind
+	queue      heapQueue
 	dispatched uint64
 	daemons    uint64 // daemon events fired (excluded from Dispatched)
 	foreground int    // pending non-daemon events
@@ -119,25 +117,8 @@ const maxEventPool = 4096
 const compactMinTombstones = 64
 
 // NewEngine returns an engine with virtual time zero and an empty
-// queue of the default kind (see DefaultQueueKind).
-func NewEngine() *Engine {
-	kind, _ := DefaultQueueKind() // the heap on a bad value; the commands reject one up front
-	return NewEngineQueue(kind)
-}
-
-// NewEngineQueue returns an engine using the given event-queue
-// implementation. Every implementation dispatches identically; the
-// choice only affects performance.
-func NewEngineQueue(kind QueueKind) *Engine {
-	if kind != QueueWheel {
-		kind = QueueHeap
-	}
-	return &Engine{queue: newQueue(kind), kind: kind}
-}
-
-// QueueKindUsed reports which event-queue implementation the engine
-// was built with.
-func (e *Engine) QueueKindUsed() QueueKind { return e.kind }
+// queue.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
