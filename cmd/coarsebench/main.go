@@ -23,14 +23,18 @@
 //
 // A panicking experiment is reported to stderr with its id and the
 // remaining experiments still run; the exit status is non-zero when any
-// experiment failed.
+// experiment failed. A malformed invocation (an unknown flag, a
+// positional argument, -parallel below 1) exits 2 before running
+// anything.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -44,38 +48,55 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	quick := flag.Bool("quick", false, "trim iteration counts for a fast pass")
-	only := flag.String("only", "", "run a single experiment id (see -list)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	asJSON := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
+// run is the command: it parses args, writes the tables to stdout and
+// diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("coarsebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "trim iteration counts for a fast pass")
+	only := fs.String("only", "", "run a single experiment id (see -list)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	asJSON := fs.Bool("json", false, "emit results as a JSON array instead of text tables")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for independent simulation cells (1 = serial; output is identical at any setting)")
-	timing := flag.Bool("timing", false,
+	timing := fs.Bool("timing", false,
 		"include per-experiment wall time in output (wall time varies run to run, so output is no longer byte-stable)")
-	traceDir := flag.String("trace-dir", "",
+	traceDir := fs.String("trace-dir", "",
 		"write per-cell telemetry dumps (<id>.telemetry.json) and Perfetto traces (<id>.trace.json) into this directory")
-	serveAddr := flag.String("serve", "",
+	serveAddr := fs.String("serve", "",
 		"serve live cell status and telemetry snapshots over HTTP on this address (e.g. :8080) while the grid runs; "+
 			"keeps serving after the run until SIGINT/SIGTERM. Read-only: stdout stays byte-identical")
-	cpuProfile := flag.String("cpuprofile", "",
+	cpuProfile := fs.String("cpuprofile", "",
 		"write a pprof CPU profile of the whole run to this file (inspect with 'go tool pprof')")
-	memProfile := flag.String("memprofile", "",
+	memProfile := fs.String("memprofile", "",
 		"write a pprof allocation profile (inuse + alloc space) to this file at exit")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "coarsebench: unexpected argument %q; select an experiment with -only\n", fs.Arg(0))
+		return 2
+	}
+	if *parallel < 1 {
+		fmt.Fprintf(stderr, "coarsebench: -parallel %d < 1\n", *parallel)
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "coarsebench: -cpuprofile:", err)
+			fmt.Fprintln(stderr, "coarsebench: -cpuprofile:", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, "coarsebench: -cpuprofile:", err)
+			fmt.Fprintln(stderr, "coarsebench: -cpuprofile:", err)
 			return 1
 		}
 		defer func() {
@@ -87,20 +108,20 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "coarsebench: -memprofile:", err)
+				fmt.Fprintln(stderr, "coarsebench: -memprofile:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle the heap so inuse numbers are meaningful
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "coarsebench: -memprofile:", err)
+				fmt.Fprintln(stderr, "coarsebench: -memprofile:", err)
 			}
 		}()
 	}
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-20s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-20s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
@@ -108,7 +129,7 @@ func run() int {
 	cfg := experiments.Config{Quick: *quick, Parallel: *parallel, TraceDir: *traceDir}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "coarsebench:", err)
+			fmt.Fprintln(stderr, "coarsebench:", err)
 			return 1
 		}
 	}
@@ -120,10 +141,10 @@ func run() int {
 	if *serveAddr != "" {
 		srv = serve.New()
 		if err := srv.Start(*serveAddr); err != nil {
-			fmt.Fprintln(os.Stderr, "coarsebench: -serve:", err)
+			fmt.Fprintln(stderr, "coarsebench: -serve:", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "# serving live status on http://%s/ (endpoints: /cells /telemetry/ /bench)\n", srv.Addr())
+		fmt.Fprintf(stderr, "# serving live status on http://%s/ (endpoints: /cells /telemetry/ /bench)\n", srv.Addr())
 		cfg.Observer = srv
 		cfg.Telemetry = true
 	}
@@ -131,7 +152,7 @@ func run() int {
 	if *only != "" {
 		e, ok := experiments.ByID(*only)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "coarsebench: unknown experiment %q; try -list\n", *only)
+			fmt.Fprintf(stderr, "coarsebench: unknown experiment %q; try -list\n", *only)
 			return 1
 		}
 		todo = []experiments.Experiment{e}
@@ -165,7 +186,7 @@ func run() int {
 			}
 			je := jsonExp{ID: e.ID, Title: e.Title, Paper: e.Paper}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "coarsebench: %v\n", err)
+				fmt.Fprintf(stderr, "coarsebench: %v\n", err)
 				je.Error = err.Error()
 				failed++
 			} else {
@@ -177,17 +198,17 @@ func run() int {
 			}
 			out = append(out, je)
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "coarsebench:", err)
+			fmt.Fprintln(stderr, "coarsebench:", err)
 			return 1
 		}
 	} else {
 		for _, e := range todo {
 			start := time.Now()
-			fmt.Printf("\n################ %s\n", e.Title)
-			fmt.Printf("# paper: %s\n\n", e.Paper)
+			fmt.Fprintf(stdout, "\n################ %s\n", e.Title)
+			fmt.Fprintf(stdout, "# paper: %s\n\n", e.Paper)
 			if srv != nil {
 				srv.ExperimentStarted(e.ID, e.Title)
 			}
@@ -198,39 +219,39 @@ func run() int {
 			if err != nil {
 				// Keep stdout byte-stable: failures go to stderr and the
 				// run continues with the next experiment.
-				fmt.Fprintf(os.Stderr, "coarsebench: %v\n", err)
+				fmt.Fprintf(stderr, "coarsebench: %v\n", err)
 				failed++
 				continue
 			}
 			for _, tab := range rep.Tables {
-				fmt.Println(tab.String())
+				fmt.Fprintln(stdout, tab.String())
 			}
 			// Wall time is nondeterministic, so it never lands on stdout.
-			fmt.Fprintf(os.Stderr, "# (%s regenerated in %.1fs)\n", e.ID, time.Since(start).Seconds())
+			fmt.Fprintf(stderr, "# (%s regenerated in %.1fs)\n", e.ID, time.Since(start).Seconds())
 		}
 	}
 
 	if *timing {
-		fmt.Fprintf(os.Stderr, "# suite: %d experiments in %.1fs (parallel=%d)\n",
+		fmt.Fprintf(stderr, "# suite: %d experiments in %.1fs (parallel=%d)\n",
 			len(todo), time.Since(suiteStart).Seconds(), *parallel)
 	}
 	status := 0
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "coarsebench: %d experiment(s) failed\n", failed)
+		fmt.Fprintf(stderr, "coarsebench: %d experiment(s) failed\n", failed)
 		status = 1
 	}
 
 	// With -serve, keep the dashboard up after the grid so results stay
 	// inspectable; SIGINT/SIGTERM triggers a graceful shutdown.
 	if srv != nil {
-		fmt.Fprintf(os.Stderr, "# grid complete; still serving on http://%s/ — Ctrl-C to exit\n", srv.Addr())
+		fmt.Fprintf(stderr, "# grid complete; still serving on http://%s/ — Ctrl-C to exit\n", srv.Addr())
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "coarsebench: shutdown:", err)
+			fmt.Fprintln(stderr, "coarsebench: shutdown:", err)
 			if status == 0 {
 				status = 1
 			}

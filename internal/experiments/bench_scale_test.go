@@ -7,8 +7,9 @@ import (
 )
 
 // BenchmarkScaleCell* time one COARSE weak-scaling cell end to end —
-// the workload class flow aggregation and steady-state fast-forward
-// exist for. The benchmark asserts the iteration time stays the same
+// the workload class steady-state fast-forward exists for. Flow
+// aggregation folds no transfer in these cells, so they do not
+// measure it; paper-fig16's collective fans do. The benchmark asserts the iteration time stays the same
 // across runs as a cheap guard against timing a run that silently
 // diverged. These benchmarks feed BENCH_core.json via
 // `go run ./cmd/benchjson -set core`.

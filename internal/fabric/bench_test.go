@@ -15,7 +15,10 @@ import (
 //   - all-to-all: every endpoint pair crossing a shared switch, the
 //     collective traffic pattern with the largest reshare fan-out;
 //   - capacity flap: SetLinkCapacity storms under long-lived flows,
-//     the dynamic re-profiling path.
+//     the dynamic re-profiling path;
+//   - disjoint burst: waves of same-instant flows that each sit alone
+//     on their channels, one step of a ring collective, served by a
+//     component pass per wave.
 //
 // Each iteration builds a fresh engine+network and runs to completion,
 // so ns/op covers admission, every reshare, and completion handling.
@@ -120,6 +123,42 @@ func BenchmarkFabricCapacityFlap(b *testing.B) {
 		eng.Run()
 		if completed != flows {
 			b.Fatalf("completed %d of %d flows", completed, flows)
+		}
+	}
+}
+
+// BenchmarkFabricDisjointBurst admits 8 waves of 256 same-instant
+// flows, each alone on its own two-hop path, under one long-lived flow
+// that keeps the fabric warm: every wave is an all-new component pass
+// of 256 one-flow components, the shape of a data-parallel ring step.
+// Sizes are staggered so each wave drains through a completion cascade
+// before the next one arrives.
+func BenchmarkFabricDisjointBurst(b *testing.B) {
+	const flows = 256
+	const waves = 8
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		net := NewNetwork(eng)
+		warm := net.NewLink("warm", 16*gib, 16*gib, 0)
+		paths := make([][]*Channel, flows)
+		for j := range paths {
+			up := net.NewLink("up", float64(8+j%4)*gib, 8*gib, 0)
+			down := net.NewLink("down", float64(6+j%5)*gib, 8*gib, 0)
+			paths[j] = []*Channel{up.Fwd(), down.Fwd()}
+		}
+		completed := 0
+		net.StartFlow([]*Channel{warm.Fwd()}, 16*gib, func() { completed++ })
+		for w := 0; w < waves; w++ {
+			eng.Schedule(sim.Time(1+w)*1_000_000, func() {
+				for j, p := range paths {
+					net.StartFlow(p, float64((1+j%16)*mib/4), func() { completed++ })
+				}
+			})
+		}
+		eng.Run()
+		if completed != 1+flows*waves {
+			b.Fatalf("completed %d of %d flows", completed, 1+flows*waves)
 		}
 	}
 }

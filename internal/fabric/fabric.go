@@ -101,21 +101,28 @@
 // the live flows crossing them), so only the components holding a
 // trigger — a channel on the path of a flow admitted or completed since
 // the last pass — need refilling (componentPass). A breadth-first
-// search from the trigger channels collects those components' flows;
-// they are filled in admission order with the same fill the full pass
-// uses, which then performs, float for float, the rounds, subtractions
-// and strict-< tie-breaks the full pass performs for them, while every
-// other component keeps its rates, freezes and folded channel rates.
+// search from each trigger channel collects one component's flows;
+// each component is filled on its own, in admission order, with the
+// same fill the full pass uses, which then performs, float for float,
+// the rounds, subtractions and strict-< tie-breaks the full pass
+// performs for it, while every other component keeps its rates,
+// freezes and folded channel rates. Filling components apart also
+// ends the joint fill's rescans: a pass that admits a whole collective
+// step at once — each flow alone on its channels — fills in one round
+// per component rather than one round per flow over every flow.
 // Layouts that shard communication into many small groups — expert
-// all-to-alls, tensor-parallel rings — produce many such components.
-// The search gives up once the touched part holds more than half the
-// live flows or reaches a channel carrying more than an eighth of
-// them, so on fabrics that form one component (a parameter-server
-// fan-in, a pooled-memory fabric) a failed search costs a fraction of
-// the full pass that follows. A member joining a group a mid-instant
-// pass already rated, capacity changes, and chaos actuations (which
-// arrive as capacity changes) always force a full pass, which is what
-// makes every shortcut exact rather than approximate.
+// all-to-alls, tensor-parallel rings, data-parallel ring steps —
+// produce many such components. The search gives up on reaching a
+// channel carrying more than an eighth of the live flows, checking the
+// trigger channels before it walks anything, so on fabrics that form
+// one component (a parameter-server fan-in, a pooled-memory fabric) a
+// failed search costs a fraction of the full pass that follows; a
+// search whose one component holds every live flow leaves the fill to
+// the full pass as well. A
+// member joining a group a mid-instant pass already rated, capacity
+// changes, and chaos actuations (which arrive as capacity changes)
+// always force a full pass, which is what makes every shortcut exact
+// rather than approximate.
 package fabric
 
 import (
@@ -374,11 +381,13 @@ type Network struct {
 	admitSeq    uint64     // admission ranks handed out (Flow.seq)
 
 	// Entries admitted since the last pass, in admission order, and the
-	// component pass's search scratch (channel queue, reached entries).
+	// component pass's search scratch (channel queue, reached entries,
+	// and the end of each component's run of them).
 	instAdmits  []*Flow
 	joinedLate  bool // a member joined a group that already holds a rate
 	compQueue   []int32
 	compEntries []*Flow
+	compBounds  []int
 
 	passBneck []int32 // per-gathered-flow freezing channel, fill scratch
 
@@ -1134,90 +1143,131 @@ func (n *Network) ffAdmitPass(now sim.Time, f *Flow) {
 }
 
 // componentPass refills only the connected components of the flow
-// graph that hold a trigger, and reports whether it served the pass.
-// The flow graph joins channels by the live entries crossing them; a
-// trigger is a channel on the path of a member completed, or an entry
-// admitted, since the last pass. A breadth-first search from the
-// trigger channels collects the touched entries, which are then filled
-// in admission order — the order the full pass scans them in, which
-// its strict-< tie-breaks depend on. Max-min filling decomposes over
-// components: a component filled alone performs, float for float, the
-// rounds, subtractions and tie-breaks the full pass performs for it,
-// and every other component keeps its cached rates, freezes and folded
-// channel rates.
+// graph that hold a trigger, each on its own, and reports whether it
+// served the pass. The flow graph joins channels by the live entries
+// crossing them; a trigger is a channel on the path of a member
+// completed, or an entry admitted, since the last pass. A
+// breadth-first search from each trigger channel not yet reached
+// collects one component's entries, which are then filled in admission
+// order — the order the full pass scans them in, which its strict-<
+// tie-breaks depend on. Max-min filling decomposes over components: a
+// component filled alone performs, float for float, the rounds,
+// subtractions and tie-breaks the full pass performs for it, since
+// first-appearance order restricted to a component is unchanged, and
+// every other component keeps its cached rates, freezes and folded
+// channel rates. Filling components apart costs the sum over them of
+// rounds times entries, where one joint fill would cost the product of
+// the sums: an all-new collective pass, whose flows each sit alone on
+// their channels, fills in one round per component instead of
+// rescanning every entry once per flow.
 //
-// The search gives up, changing no rate or freeze, as soon as the
-// touched part holds more than half the live entries, so a full pass
-// after a failed search costs at most twice what this pass would have.
-// It also gives up on reaching a channel that carries more than
-// 1/compHotShare of the live members: a channel that busy ties most of
-// the graph into one component, and one comparison spots it where the
-// entry budget would first walk half the graph (fabrics that form a
-// single component, like a rack-scale parameter-server fan-in, would
-// otherwise pay that walk on every pass). Below compHotShare live
-// members every occupied channel counts as busy, so small fabrics take
-// the full pass directly.
+// The search gives up, changing no rate or freeze, on reaching a
+// channel that carries more than 1/compHotShare of the live members: a
+// channel that busy ties most of the graph into one component (a
+// rack-scale parameter-server fan-in, a pooled-memory fabric), which a
+// full pass fills for less than the walk plus the fill. The trigger
+// channels are checked before anything is walked, so such fabrics pay
+// one comparison per trigger channel. Below compHotShare live members
+// every occupied channel counts as busy, so small fabrics take the
+// full pass directly. A search whose one component holds every live
+// entry (a graph with no busy channel that is still one component,
+// like a small all-to-all) also leaves the pass to the full fill,
+// which needs no sort into admission order.
 func (n *Network) componentPass(now sim.Time) bool {
+	busy := func(id int32) bool { return compHotShare*n.channels[id].live > n.liveFlows }
+	for _, id := range n.ffPaths {
+		if busy(id) {
+			return false
+		}
+	}
+	for _, f := range n.instAdmits {
+		for _, id := range f.pathIDs {
+			if busy(id) {
+				return false
+			}
+		}
+	}
 	n.ffEpoch++
 	ep := n.ffEpoch
 	q := n.compQueue[:0]
 	ents := n.compEntries[:0]
-	budget := (len(n.flows) - n.deadFlows) / 2
+	bounds := n.compBounds[:0]
 	giveUp := false
-	push := func(ids []int32) {
-		for _, id := range ids {
-			if n.chTouched[id] != ep {
-				n.chTouched[id] = ep
-				q = append(q, id)
-				giveUp = giveUp || compHotShare*n.channels[id].live > n.liveFlows
-			}
+	push := func(id int32) {
+		if n.chTouched[id] != ep {
+			n.chTouched[id] = ep
+			q = append(q, id)
+			giveUp = giveUp || busy(id)
 		}
 	}
-	push(n.ffPaths)
-	for _, f := range n.instAdmits {
-		push(f.pathIDs)
+	walk := func(root int32) {
+		if n.chTouched[root] == ep || giveUp {
+			return
+		}
+		first := len(ents)
+		q = q[:0]
+		push(root)
+		for h := 0; h < len(q) && !giveUp; h++ {
+			c := n.channels[q[h]]
+			// Active lists keep tombstones: stop once every live member
+			// has been seen.
+			seen := 0
+			for _, f := range c.active {
+				if seen == c.live || giveUp {
+					break
+				}
+				if f.finished {
+					continue
+				}
+				seen += f.mult
+				if f.visit == ep {
+					continue
+				}
+				f.visit = ep
+				ents = append(ents, f)
+				for _, id := range f.pathIDs {
+					push(id)
+				}
+			}
+		}
+		if len(ents) > first {
+			bounds = append(bounds, len(ents))
+		}
 	}
-	for h := 0; h < len(q) && !giveUp; h++ {
-		c := n.channels[q[h]]
-		// Active lists keep tombstones: stop once every live member
-		// has been seen.
-		seen := 0
-		for _, f := range c.active {
-			if seen == c.live || giveUp {
-				break
-			}
-			if f.finished {
-				continue
-			}
-			seen += f.mult
-			if f.visit == ep {
-				continue
-			}
-			f.visit = ep
-			ents = append(ents, f)
-			giveUp = len(ents) > budget
-			push(f.pathIDs)
+	for _, id := range n.ffPaths {
+		walk(id)
+	}
+	for _, f := range n.instAdmits {
+		for _, id := range f.pathIDs {
+			walk(id)
 		}
 	}
 	n.compQueue = q[:0]
-	if giveUp {
+	n.compBounds = bounds[:0]
+	if giveUp || len(bounds) == 1 && len(ents) == len(n.flows)-n.deadFlows {
 		n.compEntries = ents[:0]
 		return false
 	}
-	slices.SortFunc(ents, func(a, b *Flow) int { return cmp.Compare(a.seq, b.seq) })
+	// Components share no channel, so one epoch stamps them all fresh.
 	n.epoch++
-	pf, pr, pb := n.fill(ents)
-	for i, f := range pf {
-		if !f.pending {
-			// Retire the freeze the entry's last rating recorded; an
-			// entrant admitted since the last pass has none.
-			if f.bneck >= 0 {
-				n.frozenCount[f.bneck]--
-			} else {
-				n.stalled--
+	lo := 0
+	for _, hi := range bounds {
+		comp := ents[lo:hi]
+		lo = hi
+		slices.SortFunc(comp, func(a, b *Flow) int { return cmp.Compare(a.seq, b.seq) })
+		pf, pr, pb := n.fill(comp)
+		for i, f := range pf {
+			if !f.pending {
+				// Retire the freeze the entry's last rating recorded; an
+				// entrant admitted since the last pass has none.
+				if f.bneck >= 0 {
+					n.frozenCount[f.bneck]--
+				} else {
+					n.stalled--
+				}
 			}
+			n.freeze(f, pr[i], pb[i])
 		}
-		n.freeze(f, pr[i], pb[i])
 	}
 	n.compEntries = ents[:0]
 	n.passes++

@@ -556,3 +556,62 @@ func TestEventSizeClass(t *testing.T) {
 		t.Fatalf("sim.Event is %d bytes, want at most 32", got)
 	}
 }
+
+// TestDisjointBurstComponentPass: after a warm-up flow has come and
+// gone, a burst of same-instant flows on pairwise-disjoint links — the
+// shape of one step of a ring collective — is served by a component
+// pass even though it admits every live entry, and each flow's rate is
+// bitwise what the reference pass assigns.
+func TestDisjointBurstComponentPass(t *testing.T) {
+	const burst = 16
+	type outcome struct {
+		rates      []float64
+		finish     []sim.Time
+		compPasses uint64 // component passes at the burst's instant
+	}
+	run := func(reference bool) outcome {
+		defer SetReferenceFillingForTest(reference)()
+		eng, net := newNet()
+		warm := net.NewLink("warm", 10*gib, 10*gib, 0)
+		paths := make([][]*Channel, burst)
+		for i := range paths {
+			a := net.NewLink("a", float64(1+i%3)*gib, gib, 0)
+			b := net.NewLink("b", float64(2+i%4)*gib/2, gib, 0)
+			paths[i] = []*Channel{a.Fwd(), b.Fwd()}
+		}
+		net.StartFlow([]*Channel{warm.Fwd()}, 1024, nil) // done by t=1000
+		var o outcome
+		flows := make([]*Flow, burst)
+		var before uint64
+		eng.Schedule(1000, func() {
+			before = net.ComponentPasses()
+			for i, p := range paths {
+				flows[i] = net.StartFlow(p, float64(1+i)*mib, nil)
+			}
+		})
+		eng.Schedule(1001, func() {
+			o.compPasses = net.ComponentPasses() - before
+			for _, f := range flows {
+				o.rates = append(o.rates, f.Rate())
+			}
+		})
+		eng.Run()
+		for _, f := range flows {
+			o.finish = append(o.finish, f.FinishTime())
+		}
+		return o
+	}
+	acc, ref := run(false), run(true)
+	if acc.compPasses != 1 || ref.compPasses != 0 {
+		t.Errorf("burst instant served %d component passes (reference %d), want 1 (0)", acc.compPasses, ref.compPasses)
+	}
+	for i := range acc.rates {
+		if acc.rates[i] != ref.rates[i] || acc.finish[i] != ref.finish[i] {
+			t.Errorf("flow %d: rate %v finish %v, reference pass %v %v",
+				i, acc.rates[i], acc.finish[i], ref.rates[i], ref.finish[i])
+		}
+		if want := math.Min(float64(1+i%3)*gib, float64(2+i%4)*gib/2); acc.rates[i] != want {
+			t.Errorf("flow %d: rate %v, want its bottleneck capacity %v", i, acc.rates[i], want)
+		}
+	}
+}

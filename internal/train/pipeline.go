@@ -361,9 +361,22 @@ func (r *pipeWorker) tpStep(l, phase int, next func()) {
 	})
 }
 
+// moeRoute is one expert layer's routing for one (group, iteration,
+// microbatch): the dispatch matrix and its transpose, built once and
+// shared by the exchange's moePhases all-to-alls.
+type moeRoute struct {
+	mat, tr [][]int64
+	uses    int
+}
+
+// moePhases is the number of all-to-alls one routing serves: dispatch
+// and combine forward, and their two backwards.
+const moePhases = 4
+
 // moeStep rendezvouses the EP group for one all-to-all exchange of an
 // expert layer. The routing matrix is a pure function of (seed, it, mb,
-// layer, group), so every member computes the same exchange.
+// layer, group), so every member computes the same exchange; the first
+// of the layer's phases to launch builds it and the last one drops it.
 func (r *pipeWorker) moeStep(l, phase int, next func()) {
 	if !r.moeLayer(l) {
 		next()
@@ -378,19 +391,29 @@ func (r *pipeWorker) moeStep(l, phase int, next func()) {
 	it, mb := r.it, r.mb
 	arrived := t.ctx.Eng.Now()
 	t.joinOp([5]int{base, it, mb, l, phase}, len(members), func(done func()) {
-		router := parallel.Router{
-			Seed:    t.cfg.Seed,
-			Experts: layer.MoE.Experts,
-			TopK:    layer.MoE.TopK,
-			Ranks:   plan.EP,
+		key := [4]int{base, it, mb, l}
+		rt := t.moeRoutes[key]
+		if rt == nil {
+			router := parallel.Router{
+				Seed:    t.cfg.Seed,
+				Experts: layer.MoE.Experts,
+				TopK:    layer.MoE.TopK,
+				Ranks:   plan.EP,
+			}
+			bpt := layer.ActBytes / int64(2*layer.MoE.Tokens)
+			if bpt < 1 {
+				bpt = 1
+			}
+			mat := router.Matrix(it, mb, l, base, layer.MoE.Tokens*r.mbSize, bpt)
+			rt = &moeRoute{mat: mat, tr: parallel.Transpose(mat)}
+			t.moeRoutes[key] = rt
 		}
-		bpt := layer.ActBytes / int64(2*layer.MoE.Tokens)
-		if bpt < 1 {
-			bpt = 1
+		if rt.uses++; rt.uses == moePhases {
+			delete(t.moeRoutes, key)
 		}
-		mat := router.Matrix(it, mb, l, base, layer.MoE.Tokens*r.mbSize, bpt)
+		mat := rt.mat
 		if phase == phaseMoECombine || phase == phaseMoEBwdDispatch {
-			mat = parallel.Transpose(mat)
+			mat = rt.tr
 		}
 		comm.AllToAll(mat, done)
 	}, func() {

@@ -392,6 +392,7 @@ type Trainer struct {
 	tpComms     map[int]*GroupComm
 	epComms     map[int]*GroupComm
 	pipeOps     map[[5]int]*pipeOp
+	moeRoutes   map[[4]int]*moeRoute // keyed like pipeOps, without the phase
 	pipeLatches []Latch
 	actTags     []fabric.AggTag
 	gradTags    []fabric.AggTag
@@ -497,6 +498,7 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 		tpComms:    make(map[int]*GroupComm),
 		epComms:    make(map[int]*GroupComm),
 		pipeOps:    make(map[[5]int]*pipeOp),
+		moeRoutes:  make(map[[4]int]*moeRoute),
 	}
 	if plan.PP > 1 {
 		tr.pipeLatches = make([]Latch, len(ctx.Workers)*cfg.Iterations*plan.Micro*2)

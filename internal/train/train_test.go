@@ -6,6 +6,7 @@ import (
 
 	"coarse/internal/gpu"
 	"coarse/internal/model"
+	"coarse/internal/parallel"
 	"coarse/internal/sim"
 	"coarse/internal/tensor"
 	"coarse/internal/topology"
@@ -200,5 +201,27 @@ func TestSingleWorkerDegenerate(t *testing.T) {
 	}
 	if res.BlockedComm != 0 {
 		t.Fatalf("single worker blocked = %v", res.BlockedComm)
+	}
+}
+
+// TestMoERoutesReleased: the four all-to-alls of an expert layer share
+// one cached routing matrix, and the last of them drops it, so a
+// finished run holds no routing and no open rendezvous.
+func TestMoERoutesReleased(t *testing.T) {
+	spec := topology.ScaleSpec{Racks: 2, NodesPerRack: 2, GPUsPerNode: 2, MemDevs: 2, Oversub: 2}.Generate()
+	cfg := DefaultConfig(spec, model.MoETransformer("moe", 2, 128, 256, 4, 2, 32), 4, 2)
+	cfg.Layout = parallel.Layout{EP: 2}
+	tr, err := New(cfg, NewAllReduce())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.CommStats().EPTokens <= 0 {
+		t.Fatal("EP layout routed no tokens")
+	}
+	if len(tr.moeRoutes) != 0 || len(tr.pipeOps) != 0 {
+		t.Errorf("after Run: %d cached routings, %d open rendezvous; want none", len(tr.moeRoutes), len(tr.pipeOps))
 	}
 }
