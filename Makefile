@@ -137,6 +137,7 @@ fuzz-smoke:
 	$(GO) test ./internal/chaos -fuzz FuzzChaosWindows -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/metrics -fuzz FuzzTableRoundTrip -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/parallel -fuzz FuzzLayoutValidate -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/config -fuzz FuzzScenarioRead -fuzztime 10s -run '^$$'
 
 # Noise-aware perf regression guard (the CI bench-guard lane): measure
 # fresh candidate records for both committed sets — each measurement

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -21,9 +22,11 @@ type Scenario struct {
 	// Machine names a preset: t4, sdsc, v100, v100-2to1, v100-nvlink,
 	// multi.
 	Machine string `json:"machine"`
-	// Nodes overrides the node count for the multi preset.
+	// Nodes sets the multi preset's node count, at least 2; zero means
+	// 2. Other presets are one node and reject it.
 	Nodes int `json:"nodes,omitempty"`
-	// Overrides adjusts preset fields; zero values keep the preset's.
+	// Overrides adjusts preset fields; zero values keep the preset's,
+	// negative ones are rejected.
 	Overrides *SpecOverrides `json:"overrides,omitempty"`
 	// Model names the workload: resnet50, bert-base, bert-large, vgg16,
 	// or mlp:IN,HIDDEN...,OUT.
@@ -51,9 +54,9 @@ type SpecOverrides struct {
 	GPUTFLOPS float64 `json:"gpu_tflops,omitempty"`
 }
 
-// Presets maps machine names to constructors.
+// Presets maps machine names to constructors; multi has nodes nodes, 2 if 0.
 func presets(nodes int) map[string]func() topology.Spec {
-	if nodes < 2 {
+	if nodes == 0 {
 		nodes = 2
 	}
 	return map[string]func() topology.Spec{
@@ -90,10 +93,20 @@ func Read(r io.Reader) (*Scenario, error) {
 	return &s, nil
 }
 
-// Validate checks the scenario's fields.
+// Validate checks the scenario's fields. It rejects every value that
+// BuildSpec would otherwise ignore, clamp or wrap.
 func (s *Scenario) Validate() error {
 	if _, ok := presets(s.Nodes)[s.Machine]; !ok {
 		return fmt.Errorf("config: unknown machine %q", s.Machine)
+	}
+	if s.Nodes != 0 && s.Machine != "multi" {
+		return fmt.Errorf("config: nodes %d: only the multi preset takes a node count", s.Nodes)
+	}
+	if s.Nodes < 0 || s.Nodes == 1 {
+		return fmt.Errorf("config: nodes %d: multi needs at least 2", s.Nodes)
+	}
+	if err := s.Overrides.validate(); err != nil {
+		return err
 	}
 	if _, err := s.BuildModel(); err != nil {
 		return err
@@ -113,6 +126,26 @@ func (s *Scenario) Validate() error {
 	}
 	if s.ComputeJitter < 0 {
 		return fmt.Errorf("config: negative jitter")
+	}
+	return nil
+}
+
+// validate rejects negative overrides, values that overflow once
+// BuildSpec scales them to bytes (bandwidths by topology.GB, GPU memory
+// by 1 GiB in an int64), and, for a scenario built in Go, NaN. A nil
+// receiver has nothing to check.
+func (o *SpecOverrides) validate() error {
+	if o == nil {
+		return nil
+	}
+	names := [...]string{"edge_gbps", "peer_gbps", "up_gbps", "host_gbps", "cci_gbps", "net_gbps", "gpu_tflops"}
+	for i, v := range [...]float64{o.EdgeGBps, o.PeerGBps, o.UpGBps, o.HostGBps, o.CCIGBps, o.NetGBps, o.GPUTFLOPS} {
+		if !(v >= 0) || math.IsInf(v*topology.GB, 0) {
+			return fmt.Errorf("config: overrides.%s %v: want a finite value >= 0 (0 keeps the preset's)", names[i], v)
+		}
+	}
+	if o.GPUMemGiB < 0 || o.GPUMemGiB > math.MaxInt64>>30 {
+		return fmt.Errorf("config: overrides.gpu_mem_gib %d: want 0..%d (0 keeps the preset's)", o.GPUMemGiB, int64(math.MaxInt64>>30))
 	}
 	return nil
 }

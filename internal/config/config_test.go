@@ -1,6 +1,8 @@
 package config
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -88,6 +90,88 @@ func TestRejections(t *testing.T) {
 			t.Errorf("case %d accepted: %s", i, js)
 		}
 	}
+}
+
+// TestValidateRejectsIgnoredOrWrappedValues: every value BuildSpec
+// would silently ignore, clamp or wrap is an error, and the boundary
+// values on the accepted side still load.
+func TestValidateRejectsIgnoredOrWrappedValues(t *testing.T) {
+	const base = `"model":"bert-base","batch":2,"iterations":2`
+	for _, tc := range []struct {
+		name, js string
+		ok       bool
+	}{
+		{"negative edge bandwidth", `{"machine":"v100",` + base + `,"overrides":{"edge_gbps":-5}}`, false},
+		{"negative peer bandwidth", `{"machine":"v100",` + base + `,"overrides":{"peer_gbps":-1}}`, false},
+		{"negative uplink bandwidth", `{"machine":"v100",` + base + `,"overrides":{"up_gbps":-0.5}}`, false},
+		{"negative host bandwidth", `{"machine":"v100",` + base + `,"overrides":{"host_gbps":-2}}`, false},
+		{"negative CCI bandwidth", `{"machine":"v100",` + base + `,"overrides":{"cci_gbps":-3}}`, false},
+		{"negative network bandwidth", `{"machine":"multi",` + base + `,"overrides":{"net_gbps":-1}}`, false},
+		{"bandwidth overflowing to +Inf B/s", `{"machine":"v100",` + base + `,"overrides":{"net_gbps":1e300}}`, false},
+		{"negative TFLOPS", `{"machine":"v100",` + base + `,"overrides":{"gpu_tflops":-7}}`, false},
+		{"negative GPU memory", `{"machine":"v100",` + base + `,"overrides":{"gpu_mem_gib":-1}}`, false},
+		{"GPU memory wrapping to 0 bytes", `{"machine":"v100",` + base + `,"overrides":{"gpu_mem_gib":17179869184}}`, false},
+		{"GPU memory one past int64", `{"machine":"v100",` + base + `,"overrides":{"gpu_mem_gib":8589934592}}`, false},
+		{"largest GPU memory", `{"machine":"v100",` + base + `,"overrides":{"gpu_mem_gib":8589934591}}`, true},
+		{"zero overrides keep the preset", `{"machine":"v100",` + base + `,"overrides":{"edge_gbps":0}}`, true},
+		{"negative nodes", `{"machine":"multi","nodes":-3,` + base + `}`, false},
+		{"one node", `{"machine":"multi","nodes":1,` + base + `}`, false},
+		{"two nodes", `{"machine":"multi","nodes":2,` + base + `}`, true},
+		{"nodes on a one-node preset", `{"machine":"v100","nodes":4,` + base + `}`, false},
+	} {
+		s, err := Read(strings.NewReader(tc.js))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if tc.ok {
+			spec := s.BuildSpec()
+			if spec.GPU.MemBytes <= 0 || spec.EdgeBW <= 0 {
+				t.Errorf("%s: spec has MemBytes %d, EdgeBW %g", tc.name, spec.GPU.MemBytes, spec.EdgeBW)
+			}
+		}
+	}
+}
+
+// FuzzScenarioRead: any byte input ends in a scenario or an error,
+// never a panic, and an accepted scenario builds a machine whose
+// capacities are positive and whose model resolves.
+func FuzzScenarioRead(f *testing.F) {
+	for _, js := range []string{
+		`{"machine":"v100","model":"bert-base","batch":2,"iterations":3}`,
+		`{"machine":"multi","nodes":3,"model":"mlp:64,32,10","batch":4,"iterations":2,"strategies":["COARSE","DENSE"],"compute_jitter":0.1}`,
+		`{"machine":"sdsc","model":"resnet50","batch":8,"iterations":2,"overrides":{"edge_gbps":20,"gpu_mem_gib":32,"gpu_tflops":20}}`,
+		`{"machine":"v100","model":"bert-base","batch":2,"iterations":2,"overrides":{"gpu_mem_gib":17179869184}}`,
+		`{"machine":"multi","nodes":-3,"model":"vgg16","batch":1,"iterations":1}`,
+		`{"machine":"v100","model":"vgg16","batch":1,"iterations":1,"overrides":{"host_gbps":1e300}}`,
+		`{"machine":"v100","model":"mlp:5,x","batch":2,"iterations":2}`,
+		`{"machine":"v100"} trailing`,
+		`not json`,
+		``,
+	} {
+		f.Add([]byte(js))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Read(bytes.NewReader(data))
+		if (s == nil) == (err == nil) {
+			t.Fatalf("Read returned scenario %v and error %v", s, err)
+		}
+		if err != nil {
+			return
+		}
+		spec := s.BuildSpec()
+		if spec.GPU.MemBytes <= 0 || spec.GPU.TFLOPS <= 0 {
+			t.Fatalf("accepted scenario builds GPU %+v", spec.GPU)
+		}
+		for _, bw := range []float64{spec.EdgeBW, spec.PeerBW, spec.UpBW, spec.HostBW, spec.CCIRingBW, spec.NetBW} {
+			if bw < 0 || math.IsNaN(bw) || math.IsInf(bw, 0) {
+				t.Fatalf("accepted scenario builds bandwidth %g", bw)
+			}
+		}
+		if _, err := s.BuildModel(); err != nil {
+			t.Fatalf("accepted scenario's model fails: %v", err)
+		}
+	})
 }
 
 func TestLoadFromFile(t *testing.T) {

@@ -18,7 +18,10 @@ import (
 //     the dynamic re-profiling path;
 //   - disjoint burst: waves of same-instant flows that each sit alone
 //     on their channels, one step of a ring collective, served by a
-//     component pass per wave.
+//     component pass per wave;
+//   - rack fan-in: a tiered tree whose every worker sends to one of a
+//     few sinks, the rack-scale parameter-server shape, where every
+//     completion is a multi-round full pass over one component.
 //
 // Each iteration builds a fresh engine+network and runs to completion,
 // so ns/op covers admission, every reshare, and completion handling.
@@ -159,6 +162,44 @@ func BenchmarkFabricDisjointBurst(b *testing.B) {
 		eng.Run()
 		if completed != 1+flows*waves {
 			b.Fatalf("completed %d of %d flows", completed, 1+flows*waves)
+		}
+	}
+}
+
+// BenchmarkFabricRackFanIn runs a tiered fan-in: 16 racks of 16
+// workers, each worker sending one flow to each of 4 sinks over its
+// edge link, its rack's uplink and the sink's downlink, the
+// parameter-server push of a sharded model. Edge, uplink and downlink
+// capacities differ from link to link, so fills take several rounds
+// across the tiers, and each sink downlink carries a quarter of the
+// flows: the flow graph is one component on a hot channel, so no
+// component pass applies. Sizes are staggered so every completion
+// lands at its own instant and most are full passes over every live
+// flow, the shape of scale-512's parameter-server cells.
+func BenchmarkFabricRackFanIn(b *testing.B) {
+	const racks, perRack, sinks = 16, 16, 4
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		net := NewNetwork(eng)
+		down := make([]*Channel, sinks)
+		for s := range down {
+			down[s] = net.NewLink("down", float64(24+8*s)*gib, 32*gib, 0).Fwd()
+		}
+		completed := 0
+		for r := 0; r < racks; r++ {
+			up := net.NewLink("up", float64(40+8*(r%4))*gib, 64*gib, 0).Fwd()
+			for w := 0; w < perRack; w++ {
+				edge := net.NewLink("edge", float64(10+w%3)*gib, 12*gib, 0).Fwd()
+				for s, d := range down {
+					j := (r*perRack+w)*sinks + s
+					net.StartFlow([]*Channel{edge, up, d}, float64(4*mib+j*16*1024), func() { completed++ })
+				}
+			}
+		}
+		eng.Run()
+		if completed != racks*perRack*sinks {
+			b.Fatalf("completed %d of %d flows", completed, racks*perRack*sinks)
 		}
 	}
 }

@@ -21,15 +21,15 @@
 // state is exactly what the eager per-trigger implementation produced,
 // while N same-instant triggers pay for one pass instead of N.
 //
-// The pass itself allocates nothing and walks contiguous memory:
-// per-channel progressive-filling scratch lives in struct-of-arrays
-// owned by the Network, indexed by dense channel id and stamped with a
-// reshare epoch so stale scratch is ignored without clearing. Live
-// flows are gathered once per pass into parallel rate/path-id arrays,
-// and the progressive-filling rounds walk an admission-ordered
-// worklist of still-unassigned flows, so the inner loops touch int32
-// channel ids and flat float64 arrays instead of chasing Flow and
-// Channel pointers. Completion events are
+// The pass itself allocates nothing and gathers nothing: it fills from
+// state the network already maintains. Each filled channel's scratch
+// (residual, unassigned members, a cursor into its active list) lives
+// in struct-of-arrays owned by the Network, indexed by dense channel id
+// and initialized from the channel's capacity and live count. Each
+// round scans the channels still holding unassigned flows, not the
+// flows' hops, and the bottleneck's own active list names the flows it
+// freezes, so a pass costs the hops once plus rounds times live
+// channels (see fill). Completion events are
 // re-examined once per dirty instant but only moved when the flow's
 // completion instant actually changed (an exact integer-nanosecond
 // comparison), and finished flows leave the per-channel active lists
@@ -66,7 +66,7 @@
 // members after the first fold into the first member's Flow entry as a
 // multiplicity count instead of new entries, provided no foreign
 // admission interleaved (the lastAdmitted check — an interleaved entry
-// would change gather order and therefore float fold order). The
+// would change admission order and therefore float fold order). The
 // progressive-filling pass charges a group's bottleneck m times by
 // repeated subtraction (never share*m: float multiply is not repeated
 // addition), so residuals, rates, and stall decisions are bitwise what
@@ -101,15 +101,15 @@
 // the live flows crossing them), so only the components holding a
 // trigger — a channel on the path of a flow admitted or completed since
 // the last pass — need refilling (componentPass). A breadth-first
-// search from each trigger channel collects one component's flows;
-// each component is filled on its own, in admission order, with the
-// same fill the full pass uses, which then performs, float for float,
-// the rounds, subtractions and strict-< tie-breaks the full pass
+// search from each trigger channel collects one component's flows and
+// channels; each component is filled on its own with the same fill the
+// full pass uses, over its channels, which then performs, float for
+// float, the rounds, subtractions and tie-breaks the full pass
 // performs for it, while every other component keeps its rates,
 // freezes and folded channel rates. Filling components apart also
-// ends the joint fill's rescans: a pass that admits a whole collective
-// step at once — each flow alone on its channels — fills in one round
-// per component rather than one round per flow over every flow.
+// keeps a pass that admits a whole collective step at once — each flow
+// alone on its channels — to one round per component, where one joint
+// fill would scan every channel once per flow.
 // Layouts that shard communication into many small groups — expert
 // all-to-alls, tensor-parallel rings, data-parallel ring steps —
 // produce many such components. The search gives up on reaching a
@@ -126,7 +126,6 @@
 package fabric
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -321,28 +320,17 @@ type Network struct {
 	channels  []*Channel // both directions of every link, dense-id order
 
 	// Channel SoA scratch for the progressive-filling pass, indexed by
-	// dense channel id. An entry is valid only when its epoch stamp
-	// matches the network's current reshare epoch; stamping replaces
-	// clearing, so an idle channel costs nothing per pass.
-	chEpoch      []uint64
+	// dense channel id. fill initializes the entries of the channels it
+	// fills, so stale scratch is never read and an idle channel costs
+	// nothing per pass.
 	chResidual   []float64
 	chUnassigned []int32
-	chRound      []uint64 // round stamp: channel's share already examined
-	roundSeq     uint64   // current bottleneck-scan round
-
-	// Flow SoA scratch, rebuilt each pass from the live flows in
-	// admission order: parallel rate array, concatenated path ids with
-	// offsets, and the worklist of still-unassigned flow indices.
-	passFlows []*Flow
-	passRate  []float64
-	passOff   []int32
-	passPath  []int32
-	passWork  []int32
+	chCur        []int32 // active-list index at or before the first unassigned entry
+	fillCh       []int32 // channels still holding unassigned entries
 
 	ratesDirty  bool     // rates are stale; a pass must run before any rate read
 	eventsDirty bool     // completion deadlines await settling at instant end
 	lastSettle  sim.Time // last instant settle folded elapsed time
-	epoch       uint64   // current reshare epoch (stamps channel scratch)
 
 	// Completion-event rank bookkeeping (see refreshCompletions).
 	seqMark      uint64   // engine SeqMark at our last rank refresh
@@ -382,14 +370,12 @@ type Network struct {
 
 	// Entries admitted since the last pass, in admission order, and the
 	// component pass's search scratch (channel queue, reached entries,
-	// and the end of each component's run of them).
+	// and the end of each component's run of queued channels).
 	instAdmits  []*Flow
 	joinedLate  bool // a member joined a group that already holds a rate
-	compQueue   []int32
+	compQueue   []*Channel
 	compEntries []*Flow
 	compBounds  []int
-
-	passBneck []int32 // per-gathered-flow freezing channel, fill scratch
 
 	flowPool []*Flow // recycled ephemeral flows
 	flushFn  func()  // n.flush, bound once: the end-of-instant hook
@@ -659,7 +645,7 @@ func (n *Network) admit(f *Flow) {
 		// the group's: same instant, same path slice, same size, and —
 		// load-bearing for byte identity — no foreign admission in
 		// between (an interleaved entry would sit between the members in
-		// gather order, changing per-channel float fold order). The
+		// admission order, changing per-channel float fold order). The
 		// instant check runs first: it proves tag.group was recorded at
 		// this very instant, so the pointer is alive (a non-empty flow
 		// admitted now cannot complete, compact, and be recycled before
@@ -863,15 +849,11 @@ func (n *Network) flush() {
 // folds per-channel utilization accounting. It does not touch
 // completion events; scheduleCompletions does that at instant end.
 //
-// The pass runs entirely on struct-of-arrays scratch: live flows are
-// gathered once (admission order) into parallel rate / path-id arrays,
-// channel residual and unassigned counts live in dense-id-indexed
-// arrays on the Network, and each filling round walks an
-// admission-ordered worklist of still-unassigned flow indices. Scan
-// order, float operation order, and the strict `<` bottleneck
-// tie-break are exactly those of the pointer-walking implementation,
-// so every rate — and every golden downstream of one — is
-// bit-identical.
+// A full pass marks every live entry unassigned and fills the
+// maintained non-idle channel list (fill). Bottleneck choice, float
+// operation order and tie-breaks are exactly those of a scan of the
+// live entries in admission order, so every rate — and every golden
+// downstream of one — is bit-identical.
 func (n *Network) reallocate(now sim.Time) {
 	// Capacity changes and late group joins alter rated entries in ways
 	// the trigger channels do not capture; only the full pass serves them.
@@ -881,24 +863,28 @@ func (n *Network) reallocate(now sim.Time) {
 	}
 	n.passDone()
 	n.passes++
-	n.epoch++
-	if len(n.chEpoch) < len(n.channels) {
-		n.chEpoch = make([]uint64, len(n.channels))
+	if len(n.chResidual) < len(n.channels) {
 		n.chResidual = make([]float64, len(n.channels))
 		n.chUnassigned = make([]int32, len(n.channels))
-		n.chRound = make([]uint64, len(n.channels))
-		n.roundSeq = 0
+		n.chCur = make([]int32, len(n.channels))
 		n.frozenCount = make([]int32, len(n.channels))
 		n.chTouched = make([]uint64, len(n.channels))
 	}
-	pf, pr, pb := n.fill(n.flows)
+	for _, f := range n.flows {
+		if !f.finished {
+			f.rate = -1 // fill's unassigned marker
+		}
+	}
+	n.fill(n.activeCh)
 	// Record which channel froze each entry: the steady-state skip is
 	// legal only while completions depart channels nobody surviving was
 	// frozen on. Rebuilt from scratch every full pass.
 	clear(n.frozenCount)
 	n.stalled = 0
-	for i, f := range pf {
-		n.freeze(f, pr[i], pb[i])
+	for _, f := range n.flows {
+		if !f.finished {
+			n.freeze(f)
+		}
 	}
 	n.ffValid = true
 	// Fold per-channel utilization accounting. A channel with no live
@@ -925,136 +911,117 @@ func (n *Network) reallocate(now sim.Time) {
 	}
 }
 
-// fill runs one progressive filling over the given entries (admission
-// order), assigning every live one a rate. It is the shared core of
-// the full pass (every live flow) and of the admission fast-forward
-// (only the instant's entrant burst): per-channel scratch is
-// epoch-stamped on first touch, so filling a subset performs exactly
-// the subset's operations. Returns the gathered entries with their
-// parallel rate and freezing-channel arrays (channel -1 = stalled).
-func (n *Network) fill(src []*Flow) ([]*Flow, []float64, []int32) {
-	ep := n.epoch
-	// Gather live flows (admission order) and stamp the channels they
-	// touch with fresh scratch. A group entry counts with its live
-	// multiplicity: each member crosses its channels once.
-	pf := n.passFlows[:0]
-	pr := n.passRate[:0]
-	pb := n.passBneck[:0]
-	off := n.passOff[:0]
-	pp := n.passPath[:0]
-	for _, f := range src {
-		if f.finished {
+// fill runs one progressive filling over the live entries crossing the
+// given channels, which must include every channel those entries cross
+// (the non-idle channel list for a full pass, one component's channels
+// for a component pass), and sets each entry's rate and bneck. The
+// caller marks every entry to fill unassigned (rate -1) beforehand.
+//
+// The filling is the textbook one, run over channels rather than flow
+// hops. Each channel's scratch starts at its capacity and its live
+// member count — a group entry counts once per member, as each member
+// crosses its channels once — and each round scans the channels still
+// holding unassigned entries for the smallest fair share. Exact ties
+// go to the channel that comes first in a scan of the unassigned
+// entries in admission order, hop by hop: the one whose first
+// unassigned entry was admitted first, then the one earlier on that
+// entry's path (fillsFirst). That is the strict-< winner of the
+// entry-order scan earlier versions of the pass ran, so every round
+// freezes the same channel. The bottleneck's own active list, in
+// admission order from its cursor, then names the entries it freezes,
+// and each is charged along its path in that order: the subtractions
+// per channel are the entry-order scan's, operation for operation.
+func (n *Network) fill(chans []*Channel) {
+	res, un, cur := n.chResidual, n.chUnassigned, n.chCur
+	live := n.fillCh[:0]
+	for _, c := range chans {
+		if c.live == 0 {
 			continue
 		}
-		off = append(off, int32(len(pp)))
-		pf = append(pf, f)
-		pr = append(pr, -1) // unassigned marker
-		pb = append(pb, -1)
-		m := int32(f.mult)
-		for _, id := range f.pathIDs {
-			if n.chEpoch[id] != ep {
-				n.chEpoch[id] = ep
-				n.chResidual[id] = n.channels[id].capacity
-				n.chUnassigned[id] = 0
-			}
-			n.chUnassigned[id] += m
-			pp = append(pp, id)
-		}
+		res[c.id] = c.capacity
+		un[c.id] = int32(c.live)
+		cur[c.id] = 0
+		live = append(live, c.id)
 	}
-	off = append(off, int32(len(pp)))
-	work := n.passWork[:0]
-	for i := range pf {
-		work = append(work, int32(i))
-	}
-	for len(work) > 0 {
-		// Find the bottleneck: the channel with the smallest fair share.
-		// Deterministic order: unassigned flows (admission order), then
-		// their paths hop by hop. A channel's share is constant within
-		// the scan, and a repeated comparison of an identical value
-		// cannot change a strict-< winner — group members scanning m
-		// times in a row and popular channels crossed by many flows
-		// both reduce to the first occurrence — so each channel is
-		// examined once per round, at its first appearance.
-		n.roundSeq++
-		round := n.roundSeq
+	for {
 		bneck := int32(-1)
-		share := math.Inf(1)
-		for _, i := range work {
-			for _, id := range pp[off[i]:off[i+1]] {
-				if n.chRound[id] == round {
-					continue
-				}
-				n.chRound[id] = round
-				if n.chUnassigned[id] == 0 {
-					continue
-				}
-				s := n.chResidual[id] / float64(n.chUnassigned[id])
-				if s < share {
-					share = s
-					bneck = id
-				}
+		share := 0.0
+		keep := live[:0]
+		for _, id := range live {
+			if un[id] == 0 {
+				continue
+			}
+			keep = append(keep, id)
+			s := res[id] / float64(un[id])
+			if bneck < 0 || s < share || s == share && n.fillsFirst(id, bneck) {
+				bneck, share = id, s
 			}
 		}
+		live = keep
 		if bneck < 0 {
 			break
 		}
-		// Every unassigned flow crossing the bottleneck gets the share;
-		// the rest stay on the worklist, order preserved. A group entry
-		// charges its channels once per member by repeated subtraction —
-		// residual - m*share would round differently; m sequential
-		// clamped subtractions are bitwise what m member entries do.
-		rest := work[:0]
-		for _, i := range work {
-			crosses := false
-			for _, id := range pp[off[i]:off[i+1]] {
-				if id == bneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
-				rest = append(rest, i)
+		// Every unassigned entry crossing the bottleneck gets the share. A
+		// group entry charges its channels once per member by repeated
+		// subtraction — residual - m*share would round differently; m
+		// sequential clamped subtractions are bitwise what m member
+		// entries do.
+		act := n.channels[bneck].active
+		for i := cur[bneck]; un[bneck] > 0; i++ {
+			f := act[i]
+			if f.finished || f.rate >= 0 {
 				continue
 			}
-			pr[i] = share
-			pb[i] = bneck
-			if m := pf[i].mult; m == 1 {
-				for _, id := range pp[off[i]:off[i+1]] {
-					n.chResidual[id] -= share
-					if n.chResidual[id] < 0 {
-						n.chResidual[id] = 0
+			f.rate = share
+			f.bneck = bneck
+			if m := f.mult; m == 1 {
+				for _, id := range f.pathIDs {
+					res[id] -= share
+					if res[id] < 0 {
+						res[id] = 0
 					}
-					n.chUnassigned[id]--
+					un[id]--
 				}
 			} else {
-				for _, id := range pp[off[i]:off[i+1]] {
-					r := n.chResidual[id]
+				for _, id := range f.pathIDs {
+					r := res[id]
 					for j := 0; j < m; j++ {
 						r -= share
 						if r < 0 {
 							r = 0
 						}
 					}
-					n.chResidual[id] = r
-					n.chUnassigned[id] -= int32(m)
+					res[id] = r
+					un[id] -= int32(m)
 				}
 			}
 		}
-		work = rest
 	}
-	for i, f := range pf {
-		if pr[i] < 0 {
-			pr[i] = 0 // stalled: no residual capacity anywhere on its path
-		}
-		f.rate = pr[i]
+	n.fillCh = live
+}
+
+// fillsFirst breaks an exact fair-share tie between channels a and b:
+// it reports whether a comes first in a hop-by-hop scan of the
+// unassigned entries in admission order.
+func (n *Network) fillsFirst(a, b int32) bool {
+	fa, fb := n.firstUnassigned(a), n.firstUnassigned(b)
+	if fa != fb {
+		return fa.seq < fb.seq
 	}
-	n.passFlows = pf
-	n.passRate = pr
-	n.passBneck = pb
-	n.passOff = off
-	n.passPath = pp
-	n.passWork = work[:0]
-	return pf, pr, pb
+	return slices.Index(fa.pathIDs, a) < slices.Index(fa.pathIDs, b)
+}
+
+// firstUnassigned returns the earliest-admitted unassigned entry on a
+// channel that still holds one. Entries only ever become assigned
+// within a fill, so the channel's cursor only moves forward.
+func (n *Network) firstUnassigned(id int32) *Flow {
+	act := n.channels[id].active
+	i := n.chCur[id]
+	for act[i].finished || act[i].rate >= 0 {
+		i++
+	}
+	n.chCur[id] = i
+	return act[i]
 }
 
 // passDone closes the trigger window: every pass — full or
@@ -1112,9 +1079,10 @@ func (n *Network) soloEntrant() *Flow {
 // cached allocation bitwise (the ffPass argument, extended by the
 // entrant sharing no channel with them), while the entrant alone fills
 // in a single round whose share is the smallest per-member capacity
-// along its path. Channel scan order and the strict-< winner are
-// exactly fill's; capacity/float64(m) is the very division fill
-// performs on freshly stamped scratch. Completions in the same window
+// along its path. The winner is exactly fill's: every channel's first
+// unassigned entry is the entrant, so fill breaks ties by hop, as the
+// strict-< scan of the path does; capacity/float64(m) is the very
+// division fill performs on fresh scratch. Completions in the same window
 // are covered by the ffStable guard, as in ffPass.
 func (n *Network) ffAdmitPass(now sim.Time, f *Flow) {
 	n.passes++
@@ -1130,7 +1098,8 @@ func (n *Network) ffAdmitPass(now sim.Time, f *Flow) {
 		}
 	}
 	f.rate = share
-	n.freeze(f, share, bneck)
+	f.bneck = bneck
+	n.freeze(f)
 	n.ffEpoch++
 	ep := n.ffEpoch
 	for _, id := range n.ffPaths {
@@ -1148,18 +1117,16 @@ func (n *Network) ffAdmitPass(now sim.Time, f *Flow) {
 // crossing them; a trigger is a channel on the path of a member
 // completed, or an entry admitted, since the last pass. A
 // breadth-first search from each trigger channel not yet reached
-// collects one component's entries, which are then filled in admission
-// order — the order the full pass scans them in, which its strict-<
-// tie-breaks depend on. Max-min filling decomposes over components: a
-// component filled alone performs, float for float, the rounds,
-// subtractions and tie-breaks the full pass performs for it, since
-// first-appearance order restricted to a component is unchanged, and
-// every other component keeps its cached rates, freezes and folded
-// channel rates. Filling components apart costs the sum over them of
-// rounds times entries, where one joint fill would cost the product of
-// the sums: an all-new collective pass, whose flows each sit alone on
-// their channels, fills in one round per component instead of
-// rescanning every entry once per flow.
+// collects one component's entries and channels. Once every search has
+// finished, the reached entries retire their old freezes and are
+// marked unassigned, each component is filled over its own channels,
+// and the new freezes are recorded. Max-min filling decomposes over
+// components: a component filled alone performs, float for float, the
+// rounds, subtractions and tie-breaks the full pass performs for it,
+// since fill's tie-break key (admission rank, then hop) does not
+// depend on the order in which components or channels were reached,
+// and every other component keeps its cached rates, freezes and folded
+// channel rates.
 //
 // The search gives up, changing no rate or freeze, on reaching a
 // channel that carries more than 1/compHotShare of the live members: a
@@ -1171,8 +1138,7 @@ func (n *Network) ffAdmitPass(now sim.Time, f *Flow) {
 // every occupied channel counts as busy, so small fabrics take the
 // full pass directly. A search whose one component holds every live
 // entry (a graph with no busy channel that is still one component,
-// like a small all-to-all) also leaves the pass to the full fill,
-// which needs no sort into admission order.
+// like a small all-to-all) also leaves the pass to the full fill.
 func (n *Network) componentPass(now sim.Time) bool {
 	busy := func(id int32) bool { return compHotShare*n.channels[id].live > n.liveFlows }
 	for _, id := range n.ffPaths {
@@ -1196,7 +1162,7 @@ func (n *Network) componentPass(now sim.Time) bool {
 	push := func(id int32) {
 		if n.chTouched[id] != ep {
 			n.chTouched[id] = ep
-			q = append(q, id)
+			q = append(q, n.channels[id])
 			giveUp = giveUp || busy(id)
 		}
 	}
@@ -1205,10 +1171,10 @@ func (n *Network) componentPass(now sim.Time) bool {
 			return
 		}
 		first := len(ents)
-		q = q[:0]
+		h := len(q)
 		push(root)
-		for h := 0; h < len(q) && !giveUp; h++ {
-			c := n.channels[q[h]]
+		for ; h < len(q) && !giveUp; h++ {
+			c := q[h]
 			// Active lists keep tombstones: stop once every live member
 			// has been seen.
 			seen := 0
@@ -1231,7 +1197,7 @@ func (n *Network) componentPass(now sim.Time) bool {
 			}
 		}
 		if len(ents) > first {
-			bounds = append(bounds, len(ents))
+			bounds = append(bounds, len(q))
 		}
 	}
 	for _, id := range n.ffPaths {
@@ -1244,32 +1210,32 @@ func (n *Network) componentPass(now sim.Time) bool {
 	}
 	n.compQueue = q[:0]
 	n.compBounds = bounds[:0]
+	n.compEntries = ents[:0]
 	if giveUp || len(bounds) == 1 && len(ents) == len(n.flows)-n.deadFlows {
-		n.compEntries = ents[:0]
 		return false
 	}
-	// Components share no channel, so one epoch stamps them all fresh.
-	n.epoch++
+	for _, f := range ents {
+		if !f.pending {
+			// Retire the freeze the entry's last rating recorded; an
+			// entrant admitted since the last pass has none.
+			if f.bneck >= 0 {
+				n.frozenCount[f.bneck]--
+			} else {
+				n.stalled--
+			}
+		}
+		f.rate = -1 // fill's unassigned marker
+	}
+	// A component's channel run may open with departed channels that
+	// reached no entry; fill skips them as idle.
 	lo := 0
 	for _, hi := range bounds {
-		comp := ents[lo:hi]
+		n.fill(q[lo:hi])
 		lo = hi
-		slices.SortFunc(comp, func(a, b *Flow) int { return cmp.Compare(a.seq, b.seq) })
-		pf, pr, pb := n.fill(comp)
-		for i, f := range pf {
-			if !f.pending {
-				// Retire the freeze the entry's last rating recorded; an
-				// entrant admitted since the last pass has none.
-				if f.bneck >= 0 {
-					n.frozenCount[f.bneck]--
-				} else {
-					n.stalled--
-				}
-			}
-			n.freeze(f, pr[i], pb[i])
-		}
 	}
-	n.compEntries = ents[:0]
+	for _, f := range ents {
+		n.freeze(f)
+	}
 	n.passes++
 	n.ffPasses++
 	n.compPasses++
@@ -1280,15 +1246,15 @@ func (n *Network) componentPass(now sim.Time) bool {
 }
 
 // freeze records one rated entry in the freeze bookkeeping: the
-// channel that froze it, or the stalled count when its rate is 0.
-func (n *Network) freeze(f *Flow, rate float64, bneck int32) {
-	if rate <= 0 {
+// channel that froze it (f.bneck), or the stalled count when its rate
+// is 0.
+func (n *Network) freeze(f *Flow) {
+	if f.rate <= 0 {
 		n.stalled++
 		f.bneck = -1
 		return
 	}
-	f.bneck = bneck
-	n.frozenCount[bneck]++
+	n.frozenCount[f.bneck]++
 }
 
 // channelRate sums the live flow rates crossing a channel, walking the

@@ -22,7 +22,12 @@ package fabric
 //	    independently of the fabric's pass — computes for the same
 //	    flows and capacities;
 //	(e) bookkeeping: the freeze counts the partial passes rely on
-//	    agree with a recount over the live flows.
+//	    agree with a recount over the live flows;
+//	(f) filling order: every live entry's rate bits and freezing
+//	    channel equal what worklistRates — the entry-order progressive
+//	    filling the fabric's channel-driven fill replaced — derives
+//	    from the live entries, so every shortcut pass and every tie-
+//	    break matches a fresh fill bit for bit.
 //
 // Clustered cases split the channels into disjoint groups and keep each
 // flow's path inside one group, so the flow graph has several
@@ -208,8 +213,97 @@ func refMaxMin(paths [][]*Channel) []float64 {
 	return rates
 }
 
+// worklistRates is the progressive filling the fabric ran before its
+// fill scanned channels instead of flow hops, kept as a read-only
+// oracle. It gathers the live entries in admission order; each round
+// scans the still-unassigned entries hop by hop, examines each channel
+// at its first appearance, takes the strict-< minimum fair share, and
+// assigns that share to every unassigned entry crossing the winner, in
+// worklist order, charging its path once per member by clamped
+// repeated subtraction. It writes nothing to the network. An entry
+// whose rate is 0 reports freezing channel -1, as the fabric's freeze
+// bookkeeping records a stalled entry.
+func worklistRates(n *Network) (ents []*Flow, rates []float64, bnecks []int32) {
+	residual := make([]float64, len(n.channels))
+	unassigned := make([]int, len(n.channels))
+	for _, c := range n.channels {
+		residual[c.id] = c.capacity
+	}
+	for _, f := range n.flows {
+		if f.finished {
+			continue
+		}
+		ents = append(ents, f)
+		rates = append(rates, -1)
+		bnecks = append(bnecks, -1)
+		for _, id := range f.pathIDs {
+			unassigned[id] += f.mult
+		}
+	}
+	work := make([]int, len(ents))
+	for i := range work {
+		work[i] = i
+	}
+	for len(work) > 0 {
+		seen := make([]bool, len(n.channels))
+		bneck := int32(-1)
+		share := math.Inf(1)
+		for _, i := range work {
+			for _, id := range ents[i].pathIDs {
+				if seen[id] || unassigned[id] == 0 {
+					continue
+				}
+				seen[id] = true
+				if s := residual[id] / float64(unassigned[id]); s < share {
+					share, bneck = s, id
+				}
+			}
+		}
+		if bneck < 0 {
+			break
+		}
+		rest := work[:0]
+		for _, i := range work {
+			f := ents[i]
+			if !slices.Contains(f.pathIDs, bneck) {
+				rest = append(rest, i)
+				continue
+			}
+			rates[i], bnecks[i] = share, bneck
+			for _, id := range f.pathIDs {
+				for j := 0; j < f.mult; j++ {
+					residual[id] = math.Max(residual[id]-share, 0)
+				}
+				unassigned[id] -= f.mult
+			}
+		}
+		work = rest
+	}
+	for i := range rates {
+		if rates[i] <= 0 {
+			rates[i], bnecks[i] = 0, -1
+		}
+	}
+	return ents, rates, bnecks
+}
+
+// checkWorklistOracle asserts invariant (f): after the pending pass,
+// every live entry carries worklistRates' rate, bit for bit, and its
+// freezing channel.
+func checkWorklistOracle(t *testing.T, n *Network, label string) {
+	t.Helper()
+	n.Flush()
+	ents, rates, bnecks := worklistRates(n)
+	for i, f := range ents {
+		if math.Float64bits(f.rate) != math.Float64bits(rates[i]) || f.bneck != bnecks[i] {
+			t.Errorf("%s t=%v: entry %d rate %.17g frozen on %d; worklist oracle %.17g on %d",
+				label, n.eng.Now(), f.seq, f.rate, f.bneck, rates[i], bnecks[i])
+		}
+	}
+}
+
 // checkAllocation flushes the pending pass and asserts invariants (a),
-// (b), (d) and (e) on the settled allocation.
+// (b), (d), (e) and (f) on the settled allocation.
 func (pc *propCase) checkAllocation(t *testing.T, seed int, where string) {
 	t.Helper()
 	pc.net.Flush()
@@ -276,6 +370,8 @@ func (pc *propCase) checkAllocation(t *testing.T, seed int, where string) {
 				seed, where, pc.eng.Now(), n.frozenCount, n.stalled, frozen, stalled)
 		}
 	}
+	// (f) filling order.
+	checkWorklistOracle(t, pc.net, fmt.Sprintf("seed %d %s", seed, where))
 }
 
 // checkConservation asserts invariant (c) after the schedule drained.
@@ -427,4 +523,88 @@ func checkClusteredMatchesReference(t *testing.T, seedBase int64, burst bool) {
 	if componentPasses == 0 {
 		t.Error("no clustered case ran a component pass; the identity check is vacuous")
 	}
+}
+
+// TestWorklistOracleTaggedFans checks invariant (f) on seeded random
+// schedules of tagged fans: runs of identical transfers over one path
+// slice that the fabric folds into multiplicity-counted group entries,
+// interleaved with untagged singles. Every admission instant and every
+// member completion — fan-outs included — is a checkpoint, so group
+// entries are filled whole, partly drained and mid-fan-out. The test
+// fails if nothing folded, so it cannot pass vacuously.
+func TestWorklistOracleTaggedFans(t *testing.T) {
+	var folded uint64
+	for seed := 0; seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed) + 15485863))
+		eng := sim.NewEngine()
+		net := NewNetwork(eng)
+		var chans []*Channel
+		for i := 0; i < 3+rng.Intn(5); i++ {
+			// Few distinct capacities, so fair shares tie.
+			l := net.NewLink(fmt.Sprintf("l%d", i), 1e8*float64(int(1)<<rng.Intn(3)), 1e8, sim.Time(1+rng.Intn(1000)))
+			chans = append(chans, l.Fwd(), l.Rev())
+		}
+		label := fmt.Sprintf("seed %d", seed)
+		check := func() { checkWorklistOracle(t, net, label) }
+		for i := 0; i < 10+rng.Intn(20); i++ {
+			perm := rng.Perm(len(chans))
+			path := make([]*Channel, 1+rng.Intn(3))
+			for h := range path {
+				path[h] = chans[perm[h]]
+			}
+			size := float64((1 + rng.Intn(8)) * mib)
+			members := 1 + rng.Intn(6)
+			tagged := rng.Intn(4) != 0
+			at := sim.Time(rng.Intn(2_000_000))
+			eng.Schedule(at, func() {
+				var tag *AggTag
+				if tagged {
+					tag = new(AggTag)
+				}
+				for j := 0; j < members; j++ {
+					net.StartEphemeralTagged(tag, path, size, check)
+				}
+			})
+			eng.Schedule(at+PathLatency(path)+1, check)
+		}
+		eng.Run()
+		folded += net.FlowsAggregated()
+		if t.Failed() {
+			t.Fatalf("seed %d: stopping at first failing scenario", seed)
+		}
+	}
+	if folded == 0 {
+		t.Error("no tagged member folded into a group entry; the oracle check is vacuous")
+	}
+}
+
+// TestFillTieBreaksOnUnassignedEntries pins the tie-break rule on a
+// case where it decides a freeze. Channels C, X and Y carry 1, 3 and 4
+// GB/s; entries are admitted as F1 over C then X, F2 over Y, and F3
+// over X then Y. Round one freezes F1 on C at 1 GB/s. In round two X
+// and Y tie at 2 GB/s. Among the unassigned entries, Y appears first
+// (on F2), so F2 and F3 freeze on Y. Ranked by first appearance over
+// all entries, X (on F1) would win and F3 would freeze on X.
+func TestFillTieBreaksOnUnassignedEntries(t *testing.T) {
+	eng, net := newNet()
+	c := net.NewLink("c", 1e9, 1e9, 0).Fwd()
+	x := net.NewLink("x", 3e9, 3e9, 0).Fwd()
+	y := net.NewLink("y", 4e9, 4e9, 0).Fwd()
+	f1 := net.StartFlow([]*Channel{c, x}, gib, nil)
+	f2 := net.StartFlow([]*Channel{y}, gib, nil)
+	f3 := net.StartFlow([]*Channel{x, y}, gib, nil)
+	eng.RunUntil(0)
+	net.Flush()
+	for _, w := range []struct {
+		name  string
+		f     *Flow
+		rate  float64
+		bneck *Channel
+	}{{"F1", f1, 1e9, c}, {"F2", f2, 2e9, y}, {"F3", f3, 2e9, y}} {
+		if w.f.Rate() != w.rate || w.f.bneck != w.bneck.id {
+			t.Errorf("%s: rate %g frozen on channel %d, want %g on %s (channel %d)",
+				w.name, w.f.Rate(), w.f.bneck, w.rate, w.bneck.Name(), w.bneck.id)
+		}
+	}
+	checkWorklistOracle(t, net, "tie")
 }
