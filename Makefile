@@ -190,9 +190,10 @@ parallel-smoke:
 serve-golden:
 	$(GO) test ./internal/experiments -run TestGoldenDeterminismServe -count=1 -v
 
-# End-to-end observability check: run one telemetry-enabled simulation,
-# verify the dump and Perfetto trace are written and byte-stable across
-# two runs, and that the inspector reads them back.
+# End-to-end observability check: run one telemetry-enabled training
+# simulation and one serving simulation (both through internal/runner),
+# verify the dumps and the Perfetto trace are written and byte-stable
+# across two runs, and that the inspector reads them back.
 telemetry-smoke:
 	rm -rf .telemetry-smoke && mkdir -p .telemetry-smoke
 	$(GO) run ./cmd/coarsesim -machine v100 -model bert-base -batch 2 -iters 2 \
@@ -202,6 +203,10 @@ telemetry-smoke:
 	cmp .telemetry-smoke/a.json .telemetry-smoke/b.json
 	cmp .telemetry-smoke/a.trace .telemetry-smoke/b.trace
 	$(GO) run ./cmd/coarsestat .telemetry-smoke/a.json
+	$(GO) run ./cmd/coarsesim -workload serve -requests 24 -telemetry .telemetry-smoke/serve-a.json
+	$(GO) run ./cmd/coarsesim -workload serve -requests 24 -telemetry .telemetry-smoke/serve-b.json
+	cmp .telemetry-smoke/serve-a.json .telemetry-smoke/serve-b.json
+	$(GO) run ./cmd/coarsestat .telemetry-smoke/serve-a.json
 	rm -rf .telemetry-smoke
 
 ci: build vet test race

@@ -1,7 +1,8 @@
 // Command coarseprof runs the offline communication profiler on a
 // machine preset and prints each worker's routing table: the
 // latency-best proxy, the bandwidth-best proxy, the size threshold S and
-// the partition shard size S' (paper Section III-E).
+// the partition shard size S' (paper Section III-E). Machine names
+// resolve through internal/config, the table coarsesim uses.
 //
 // Usage:
 //
@@ -9,44 +10,51 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	coarse "coarse"
+	"coarse/internal/config"
 )
 
 func main() {
-	machine := flag.String("machine", "v100", "machine preset: t4, sdsc, v100, v100-2to1, multi")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var spec coarse.MachineSpec
-	switch *machine {
-	case "t4":
-		spec = coarse.AWST4()
-	case "sdsc":
-		spec = coarse.SDSCP100()
-	case "v100":
-		spec = coarse.AWSV100()
-	case "v100-2to1":
-		spec = coarse.AWSV100TwoToOne()
-	case "multi":
-		spec = coarse.MultiNodeV100(2)
-	default:
-		fmt.Fprintf(os.Stderr, "coarseprof: unknown machine %q\n", *machine)
-		os.Exit(1)
+// run is the command: it parses args, writes the routing tables to
+// stdout and diagnostics to stderr, and returns the exit status. An
+// unknown machine exits 1 with the reason on stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("coarseprof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	machine := fs.String("machine", "v100", "machine preset: "+strings.Join(config.MachineNames(), ", "))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	spec, err := config.Machine(*machine, 0)
+	if err != nil {
+		fmt.Fprintln(stderr, "coarseprof:", err)
+		return 1
 	}
 
-	fmt.Printf("offline profile of %s\n\n", spec.Label)
+	fmt.Fprintf(stdout, "offline profile of %s\n\n", spec.Label)
 	for w, table := range coarse.Profile(spec) {
-		fmt.Printf("worker %d: LatProxy=%d BwProxy=%d threshold=%s partition=%s non-uniform=%v\n",
+		fmt.Fprintf(stdout, "worker %d: LatProxy=%d BwProxy=%d threshold=%s partition=%s non-uniform=%v\n",
 			w, table.LatProxy, table.BwProxy,
 			size(table.ThresholdBytes), size(table.PartitionBytes), table.NonUniform())
 		for _, m := range table.Measurements {
-			fmt.Printf("    proxy %d: latency=%v bandwidth=%.2f GB/s\n",
+			fmt.Fprintf(stdout, "    proxy %d: latency=%v bandwidth=%.2f GB/s\n",
 				m.Proxy, m.Latency, m.Bandwidth/1e9)
 		}
 	}
+	return 0
 }
 
 func size(b int64) string {

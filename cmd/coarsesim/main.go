@@ -4,6 +4,10 @@
 // open-loop request stream through continuous-batching prefill/decode
 // pools with local or CCI-pooled KV caches).
 //
+// Machine, model and strategy names resolve through internal/config,
+// the same table the -config JSON reader uses. A -config scenario
+// replaces the training flags, so it cannot be combined with them.
+//
 // Usage:
 //
 //	coarsesim -machine v100 -model bert-base -batch 2 -iters 4
@@ -20,43 +24,16 @@ import (
 	"os"
 	"strings"
 
-	coarse "coarse"
 	"coarse/internal/chaos"
 	"coarse/internal/config"
-	"coarse/internal/core"
-	"coarse/internal/gpu"
 	"coarse/internal/parallel"
-	"coarse/internal/paramserver"
+	"coarse/internal/runner"
 	"coarse/internal/serve"
 	"coarse/internal/sim"
 	"coarse/internal/telemetry"
 	"coarse/internal/trace"
 	"coarse/internal/train"
 )
-
-var machines = map[string]func() coarse.MachineSpec{
-	"t4":        coarse.AWST4,
-	"sdsc":      coarse.SDSCP100,
-	"v100":      coarse.AWSV100,
-	"v100-2to1": coarse.AWSV100TwoToOne,
-	"multi":     func() coarse.MachineSpec { return coarse.MultiNodeV100(2) },
-}
-
-var models = map[string]func() *coarse.Model{
-	"resnet50":   coarse.ResNet50,
-	"bert-base":  coarse.BERTBase,
-	"bert-large": coarse.BERTLarge,
-	"vgg16":      coarse.VGG16,
-	"mlp":        func() *coarse.Model { return coarse.MLP("mlp", 1024, 512, 256, 10) },
-}
-
-func keys[V any](m map[string]V) string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	return strings.Join(ks, ", ")
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -70,16 +47,16 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("coarsesim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	machine := fs.String("machine", "v100", "machine preset: "+keys(machines))
-	modelName := fs.String("model", "bert-base", "model: "+keys(models))
+	machine := fs.String("machine", "v100", "machine preset: "+strings.Join(config.MachineNames(), ", "))
+	modelName := fs.String("model", "bert-base", "model: "+strings.Join(config.ModelNames(), ", ")+", or mlp:IN,HIDDEN...,OUT")
 	batch := fs.Int("batch", 2, "per-GPU batch size")
 	iters := fs.Int("iters", 4, "training iterations")
-	strategy := fs.String("strategy", "all", "DENSE, AllReduce, COARSE, CentralPS, or all")
+	strategy := fs.String("strategy", "all", strings.Join(config.Strategies(), ", ")+", or all")
 	jitter := fs.Float64("jitter", 0, "per-worker compute skew (0.3 = slowest worker 30% slower)")
 	traceFile := fs.String("trace", "", "write a chrome://tracing JSON timeline to this file (single-strategy runs)")
 	telemetryFile := fs.String("telemetry", "", "write the sampled time-series telemetry dump (JSON) to this exact path; single-strategy")
 	traceOut := fs.String("trace-out", "", "write a Perfetto trace with telemetry counter tracks to this exact path; single-strategy")
-	configFile := fs.String("config", "", "load a JSON scenario (overrides the other flags)")
+	configFile := fs.String("config", "", "load a JSON training scenario in place of -machine, -model, -batch, -iters, -strategy and -jitter")
 	hotPath := fs.Bool("telemetry-hot-path", false, "include the simulator's own hot-path counters (reshare coalescing, event-queue tombstones) in telemetry output; changes dump bytes")
 	chaosIntensity := fs.Float64("chaos-intensity", 0, "transient-fault duty cycle in (0,1]; 0 disables the seed-deterministic chaos profile")
 	chaosKinds := fs.String("chaos-kinds", "link,cci,stall", "comma-separated fault kinds to inject: link, cci, stall")
@@ -122,77 +99,78 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *workload == "serve" {
-		mk, ok := machines[*machine]
-		if !ok {
-			return fail(stderr, fmt.Errorf("unknown machine %q (have %s)", *machine, keys(machines)))
+		if *configFile != "" {
+			return fail(stderr, errors.New("-config is a training scenario; -workload serve takes flags only"))
 		}
-		mdl, ok := models[*modelName]
-		if !ok {
-			return fail(stderr, fmt.Errorf("unknown model %q (have %s)", *modelName, keys(models)))
+		spec, err := config.Machine(*machine, 0)
+		if err != nil {
+			return fail(stderr, err)
 		}
-		return serveMain(mk(), mdl(), serveFlags{
-			arrival:    *arrival,
-			rate:       *rate,
-			requests:   *requests,
-			placement:  *kvPlacement,
-			prefetch:   *prefetch,
-			promptMean: *promptMean,
-			outputMean: *outputMean,
-			seed:       *seed,
-			chaos:      chaosSpec,
-			telemetry:  *telemetryFile,
-		}, stdout, stderr)
+		mdl, err := config.Model(*modelName)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		if err := checkServe(*requests, *rate, *promptMean, *outputMean); err != nil {
+			return fail(stderr, err)
+		}
+		kind, err := serve.ParseArrival(*arrival)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		placement, err := serve.ParseKVPlacement(*kvPlacement)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		out := runner.RunServe(runner.ServeSpec{
+			ID:       "serve",
+			Topology: spec,
+			Model:    mdl,
+			Workload: serve.Workload{
+				Arrival:    kind,
+				RatePerSec: *rate,
+				Requests:   *requests,
+				PromptMean: *promptMean,
+				OutputMean: *outputMean,
+			},
+			Seed: *seed,
+			Options: func(cfg *serve.Config) {
+				cfg.KVPlacement = placement
+				cfg.Prefetch = *prefetch
+				// Spec.Seed 0 means "derive one"; -seed 0 means seed 0.
+				cfg.Seed = *seed
+				cfg.Chaos = chaosSpec
+			},
+			Telemetry: *telemetryFile != "",
+		})
+		return printServe(out, *telemetryFile, stdout, stderr)
 	}
 	if *workload != "train" {
 		return fail(stderr, fmt.Errorf("unknown workload %q (train, serve)", *workload))
 	}
 
-	var spec coarse.MachineSpec
-	var m *coarse.Model
-	var strategies []coarse.Strategy
-
-	if *configFile != "" {
-		scn, err := config.Load(*configFile)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		spec = scn.BuildSpec()
-		m, err = scn.BuildModel()
-		if err != nil {
-			return fail(stderr, err)
-		}
-		*batch = scn.Batch
-		*iters = scn.Iterations
-		*jitter = scn.ComputeJitter
-		for _, s := range scn.StrategyNames() {
-			strategies = append(strategies, coarse.Strategy(s))
-		}
-	} else {
-		mk, ok := machines[*machine]
-		if !ok {
-			return fail(stderr, fmt.Errorf("unknown machine %q (have %s)", *machine, keys(machines)))
-		}
-		mdl, ok := models[*modelName]
-		if !ok {
-			return fail(stderr, fmt.Errorf("unknown model %q (have %s)", *modelName, keys(models)))
-		}
-		spec = mk()
-		m = mdl()
-		if *strategy == "all" {
-			strategies = coarse.Strategies()
-		} else {
-			strategies = []coarse.Strategy{coarse.Strategy(*strategy)}
-		}
+	scn := &config.Scenario{Machine: *machine, Model: *modelName, Batch: *batch, Iterations: *iters, ComputeJitter: *jitter}
+	if *strategy != "all" {
+		scn.Strategies = []string{*strategy}
 	}
+	scn, err := loadScenario(fs, *configFile, scn)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	spec := scn.BuildSpec()
+	m, err := scn.BuildModel()
+	if err != nil {
+		return fail(stderr, err)
+	}
+	strategies := scn.StrategyNames()
 	if (*telemetryFile != "" || *traceOut != "") && len(strategies) > 1 {
 		// Telemetry/trace output is one file per run; pick the paper's
 		// strategy rather than overwrite it three times.
 		fmt.Fprintln(stderr, "coarsesim: -telemetry/-trace-out are single-strategy outputs; selecting COARSE (pass -strategy to choose)")
-		strategies = []coarse.Strategy{coarse.StrategyCOARSE}
+		strategies = []string{"COARSE"}
 	}
 	lay := parallel.Layout{PP: *pp, TP: *tp, EP: *ep, Micro: *micro}
 	fmt.Fprintf(stdout, "machine=%s model=%s (%.1fM params) batch=%d iters=%d",
-		spec.Label, m.Name, float64(m.ParamElems())/1e6, *batch, *iters)
+		spec.Label, m.Name, float64(m.ParamElems())/1e6, scn.Batch, scn.Iterations)
 	if !lay.Trivial() {
 		fmt.Fprintf(stdout, " layout=%s", lay.String())
 	}
@@ -200,44 +178,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%-10s %14s %14s %14s %8s %14s %10s %10s\n",
 		"strategy", "iter time", "compute", "blocked comm", "util", "throughput", "edge bus", "cci bus")
 	for _, s := range strategies {
-		cfg := train.DefaultConfig(spec, m, *batch, *iters)
-		cfg.ComputeJitter = *jitter
-		cfg.Chaos = chaosSpec
-		cfg.Layout = lay
+		strat, err := config.Strategy(s)
+		if err != nil {
+			return fail(stderr, err)
+		}
 		var rec *trace.Recorder
 		if *traceFile != "" || *traceOut != "" {
 			rec = trace.New()
-			cfg.Trace = rec
 		}
-		if *telemetryFile != "" || *traceOut != "" {
-			cfg.Telemetry = telemetry.NewRegistry()
-			cfg.TelemetryHotPath = *hotPath
-		}
-		var strat train.Strategy
-		switch s {
-		case coarse.StrategyDENSE:
-			strat = paramserver.NewDENSE()
-		case coarse.StrategyCentralPS:
-			strat = paramserver.NewCentralPS()
-		case coarse.StrategyAllReduce:
-			strat = train.NewAllReduce()
-		case coarse.StrategyCOARSE:
-			strat = core.New(core.DefaultOptions())
-		default:
-			return fail(stderr, fmt.Errorf("unknown strategy %q", s))
-		}
-		tr, err := train.New(cfg, strat)
-		var res *train.Result
-		if err == nil {
-			res, err = tr.Run()
-		}
-		if err != nil {
-			if !errors.Is(err, gpu.ErrOOM) {
-				return fail(stderr, fmt.Errorf("%s: %w", s, err))
+		out := runner.Run(runner.Spec{
+			ID:          s,
+			Topology:    spec,
+			Model:       m,
+			Batch:       scn.Batch,
+			Iterations:  scn.Iterations,
+			Seed:        1,
+			NewStrategy: func() train.Strategy { return strat },
+			Configure: func(cfg *train.Config) {
+				cfg.ComputeJitter = scn.ComputeJitter
+				cfg.Trace = rec
+				cfg.TelemetryHotPath = *hotPath
+			},
+			Layout:    lay,
+			Chaos:     chaosSpec,
+			Telemetry: *telemetryFile != "" || *traceOut != "",
+		})
+		if !out.OK() {
+			if !out.OOM {
+				return fail(stderr, fmt.Errorf("%s: %s", s, out.Err))
 			}
-			fmt.Fprintf(stdout, "%-10s %s\n", s, err)
+			fmt.Fprintf(stdout, "%-10s %s\n", s, out.Err)
 			continue
 		}
+		res := out.Train
 		fmt.Fprintf(stdout, "%-10s %14v %14v %14v %7.1f%% %10.1f s/s %9.1f%% %9.1f%%\n",
 			s, res.IterTime, res.ComputeTime, res.BlockedComm, 100*res.GPUUtil, res.Throughput(),
 			100*res.EdgeBusUtil, 100*res.CCIBusUtil)
@@ -247,20 +220,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *traceFile != "" {
 			// Per-strategy span timeline (no counter tracks).
-			if err := writeTrace(fmt.Sprintf("%s.%s.json", strings.TrimSuffix(*traceFile, ".json"), s), rec); err != nil {
+			if err := writeFile(fmt.Sprintf("%s.%s.json", strings.TrimSuffix(*traceFile, ".json"), s), rec.WriteChrome); err != nil {
 				return fail(stderr, err)
 			}
 			fmt.Fprintf(stdout, "           trace: %d events written\n", rec.Len())
 		}
-		dump := tr.TelemetryDump()
+		dump := out.Telemetry
 		if *telemetryFile != "" {
-			f, err := os.Create(*telemetryFile)
-			if err != nil {
-				return fail(stderr, err)
-			}
-			err = dump.WriteJSON(f)
-			f.Close()
-			if err != nil {
+			if err := writeFile(*telemetryFile, dump.WriteJSON); err != nil {
 				return fail(stderr, err)
 			}
 			fmt.Fprintf(stdout, "           telemetry: %d series, %d samples -> %s\n",
@@ -272,13 +239,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// running totals, and queue/backlog depths. The full series
 			// set stays in the -telemetry dump.
 			dump.EmitTraceCounters(rec, telemetry.DefaultTraceFilter)
-			if err := writeTrace(*traceOut, rec); err != nil {
+			if err := writeFile(*traceOut, rec.WriteChrome); err != nil {
 				return fail(stderr, err)
 			}
 			fmt.Fprintf(stdout, "           perfetto trace: %d events -> %s\n", rec.Len(), *traceOut)
 		}
 	}
 	return 0
+}
+
+// loadScenario returns the training scenario to run: the one the flags
+// filled in, or the -config file at path, which replaces it. Either
+// way the scenario has passed config's Validate. A training flag set
+// next to -config is rejected rather than silently ignored.
+func loadScenario(fs *flag.FlagSet, path string, flags *config.Scenario) (*config.Scenario, error) {
+	if path == "" {
+		return flags, flags.Validate()
+	}
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "machine", "model", "batch", "iters", "strategy", "jitter":
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) > 0 {
+		return nil, fmt.Errorf("-config replaces the training flags; drop %s or the file", strings.Join(set, ", "))
+	}
+	return config.Load(path)
 }
 
 // fail reports err on stderr and returns the exit status for rejected
@@ -288,32 +276,18 @@ func fail(stderr io.Writer, err error) int {
 	return 1
 }
 
-// serveFlags carries the serve-mode flag values.
-type serveFlags struct {
-	arrival    string
-	rate       float64
-	requests   int
-	placement  string
-	prefetch   bool
-	promptMean int
-	outputMean int
-	seed       int64
-	chaos      *chaos.Spec
-	telemetry  string
-}
-
-// check rejects serve flags the simulator would otherwise read as "no
-// traffic" or silently replace with a default.
-func (f serveFlags) check() error {
+// checkServe rejects serve flags the simulator would otherwise read as
+// "no traffic" or silently replace with a default.
+func checkServe(requests int, rate float64, promptMean, outputMean int) error {
 	switch {
-	case f.requests < 1:
-		return fmt.Errorf("-requests %d: want at least 1", f.requests)
-	case !(f.rate > 0) || math.IsInf(f.rate, 1):
-		return fmt.Errorf("-rate %v: want a finite rate above 0", f.rate)
-	case f.promptMean < 0:
-		return fmt.Errorf("-prompt-mean %d: want 0 (default) or more", f.promptMean)
-	case f.outputMean < 0:
-		return fmt.Errorf("-output-mean %d: want 0 (default) or more", f.outputMean)
+	case requests < 1:
+		return fmt.Errorf("-requests %d: want at least 1", requests)
+	case !(rate > 0) || math.IsInf(rate, 1):
+		return fmt.Errorf("-rate %v: want a finite rate above 0", rate)
+	case promptMean < 0:
+		return fmt.Errorf("-prompt-mean %d: want 0 (default) or more", promptMean)
+	case outputMean < 0:
+		return fmt.Errorf("-output-mean %d: want 0 (default) or more", outputMean)
 	}
 	return nil
 }
@@ -334,42 +308,13 @@ func checkChaos(intensity, horizon float64, faults int) error {
 	return nil
 }
 
-// serveMain runs one inference-serving simulation and prints its
-// summary: goodput, SLO attainment, and the TTFT/TPOT percentile rows.
-func serveMain(spec coarse.MachineSpec, m *coarse.Model, f serveFlags, stdout, stderr io.Writer) int {
-	if err := f.check(); err != nil {
-		return fail(stderr, err)
+// printServe prints a serving run's summary: goodput, SLO attainment,
+// and the TTFT/TPOT percentile rows.
+func printServe(out *runner.Result, telemetryFile string, stdout, stderr io.Writer) int {
+	if !out.OK() {
+		return fail(stderr, errors.New(out.Err))
 	}
-	kind, err := serve.ParseArrival(f.arrival)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	placement, err := serve.ParseKVPlacement(f.placement)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	cfg := serve.DefaultConfig(spec, m, serve.Workload{
-		Arrival:    kind,
-		RatePerSec: f.rate,
-		Requests:   f.requests,
-		PromptMean: f.promptMean,
-		OutputMean: f.outputMean,
-	})
-	cfg.KVPlacement = placement
-	cfg.Prefetch = f.prefetch
-	cfg.Seed = f.seed
-	cfg.Chaos = f.chaos
-	if f.telemetry != "" {
-		cfg.Telemetry = telemetry.NewRegistry()
-	}
-	sv, err := serve.New(cfg)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	res, err := sv.Run()
-	if err != nil {
-		return fail(stderr, err)
-	}
+	res := out.Serve
 	fmt.Fprintf(stdout, "machine=%s model=%s workload=serve arrival=%s kv=%s prefetch=%v\n",
 		res.Machine, res.Model, res.Arrival, res.Placement, res.Prefetch)
 	fmt.Fprintf(stdout, "pools: %d prefill + %d decode workers\n\n", res.PrefillWorkers, res.DecodeWorkers)
@@ -386,34 +331,26 @@ func serveMain(spec coarse.MachineSpec, m *coarse.Model, f serveFlags, stdout, s
 	if res.ChaosFaults > 0 {
 		fmt.Fprintf(stdout, "chaos: %d fault windows, %v attributed stall\n", res.ChaosFaults, res.ChaosStall)
 	}
-	if f.telemetry != "" {
-		dump := sv.TelemetryDump()
-		out, err := os.Create(f.telemetry)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		err = dump.WriteJSON(out)
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+	if telemetryFile != "" {
+		dump := out.Telemetry
+		if err := writeFile(telemetryFile, dump.WriteJSON); err != nil {
 			return fail(stderr, err)
 		}
 		fmt.Fprintf(stdout, "telemetry: %d series, %d samples -> %s\n",
-			len(dump.Series), len(dump.TimesNS), f.telemetry)
+			len(dump.Series), len(dump.TimesNS), telemetryFile)
 	}
 	return 0
 }
 
-// writeTrace serializes a recorder to path in Chrome trace-event format.
-func writeTrace(path string, rec *trace.Recorder) error {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rec.WriteChrome(f); err != nil {
-		f.Close()
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }

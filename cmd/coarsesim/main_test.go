@@ -15,12 +15,22 @@ func TestRunRejectsBadInput(t *testing.T) {
 		args   string
 		code   int
 		stderr string // substring, when code != 0
-		stdout string // substring that must appear on stdout
+		stdout string // substring that must appear on stdout; rejected input with none prints nothing there
 	}{
-		{args: "-strategy COARSE -iters 0", code: 1, stderr: "COARSE: train: iterations 0"},
-		{args: "-batch -3", code: 1, stderr: "train: iterations 4, batch -3"},
-		{args: "-pp -1", code: 1, stderr: "PP -1 < 1"},
-		{args: "-micro -2", code: 1, stderr: "Micro -2 < 0"},
+		{args: "-strategy COARSE -iters 0", code: 1, stderr: "iterations 0"},
+		{args: "-batch -3", code: 1, stderr: "batch -3"},
+		{args: "-batch 0", code: 1, stderr: "batch 0"},
+		{args: "-jitter -0.5", code: 1, stderr: "jitter -0.5"},
+		{args: "-strategy bogus", code: 1, stderr: `unknown strategy "bogus"`},
+		{args: "-machine nope", code: 1, stderr: `unknown machine "nope" (have multi, sdsc, t4, v100, v100-2to1, v100-nvlink)`},
+		{args: "-model nope", code: 1, stderr: `unknown model "nope"`},
+		{args: "-workload serve -machine nope", code: 1, stderr: `unknown machine "nope"`},
+		{args: "-config s.json -machine sdsc -batch 64 -model resnet50 -jitter -0.5", code: 1, stderr: "drop -batch, -jitter, -machine, -model"},
+		{args: "-workload serve -config s.json", code: 1, stderr: "-config is a training scenario"},
+		// The trainer checks a layout against the machine once the
+		// report header is out.
+		{args: "-pp -1", code: 1, stderr: "PP -1 < 1", stdout: "machine=AWS V100"},
+		{args: "-micro -2", code: 1, stderr: "Micro -2 < 0", stdout: "machine=AWS V100"},
 		{args: "-workload serve -requests -5", code: 1, stderr: "-requests -5"},
 		{args: "-workload serve -requests 0", code: 1, stderr: "-requests 0"},
 		{args: "-workload serve -rate 0", code: 1, stderr: "-rate 0"},
@@ -39,6 +49,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 			args:   "-machine v100 -model bert-large -batch 16 -iters 1 -strategy AllReduce",
 			stdout: "AllReduce  BERT-Large replica (batch 16) does not fit: gpu: out of memory",
 		},
+		{ // every name -config accepts works on flags too
+			args:   "-machine v100-nvlink -model mlp:64,32,10 -batch 4 -iters 1 -strategy DENSE",
+			stdout: "machine=AWS V100 NVLink model=mlp (0.0M params) batch=4",
+		},
 		{ // the chaos horizon only matters when chaos is on
 			args:   "-chaos-horizon -1 -strategy DENSE -iters 1",
 			stdout: "DENSE   ",
@@ -49,6 +63,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		if code != tc.code {
 			t.Errorf("%s: exit %d, want %d (stderr %q)", tc.args, code, tc.code, stderr.String())
 			continue
+		}
+		if tc.code == 1 && tc.stdout == "" && stdout.Len() > 0 {
+			t.Errorf("%s: rejected input printed a report: %q", tc.args, stdout.String())
 		}
 		if tc.code != 0 {
 			if !strings.Contains(stderr.String(), tc.stderr) {

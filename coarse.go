@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"coarse/internal/cci"
+	"coarse/internal/config"
 	"coarse/internal/core"
 	"coarse/internal/data"
 	"coarse/internal/experiments"
@@ -120,18 +121,13 @@ func Strategies() []Strategy {
 	return []Strategy{StrategyCentralPS, StrategyDENSE, StrategyAllReduce, StrategyCOARSE}
 }
 
+// newStrategy resolves a strategy through the shared name table; only
+// COARSE takes the caller's options.
 func newStrategy(s Strategy, opts CoarseOptions) (train.Strategy, error) {
-	switch s {
-	case StrategyCentralPS:
-		return paramserverCentral(), nil
-	case StrategyDENSE:
-		return paramserverDENSE(), nil
-	case StrategyAllReduce:
-		return train.NewAllReduce(), nil
-	case StrategyCOARSE:
+	if s == StrategyCOARSE {
 		return core.New(opts), nil
 	}
-	return nil, fmt.Errorf("coarse: unknown strategy %q", s)
+	return config.Strategy(string(s))
 }
 
 // Train simulates data-parallel training of a model on a machine preset

@@ -1,7 +1,7 @@
-// Package config loads training scenarios from JSON so coarsesim can
-// run custom machines and sweeps without recompilation: a scenario
-// names a machine preset (optionally overriding its link parameters),
-// a model, batch size, iteration count and strategies.
+// Package config is every front end's name table: Machine, Model and
+// Strategy resolve the names coarsesim, coarseprof, the root coarse
+// package and the experiments accept. It also loads training scenarios
+// from JSON, so coarsesim can run custom machines without recompiling.
 package config
 
 import (
@@ -10,8 +10,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"coarse/internal/model"
 	"coarse/internal/topology"
@@ -19,8 +17,8 @@ import (
 
 // Scenario is one training configuration.
 type Scenario struct {
-	// Machine names a preset: t4, sdsc, v100, v100-2to1, v100-nvlink,
-	// multi.
+	// Machine names a preset: multi, sdsc, t4, v100, v100-2to1,
+	// v100-nvlink.
 	Machine string `json:"machine"`
 	// Nodes sets the multi preset's node count, at least 2; zero means
 	// 2. Other presets are one node and reject it.
@@ -28,8 +26,8 @@ type Scenario struct {
 	// Overrides adjusts preset fields; zero values keep the preset's,
 	// negative ones are rejected.
 	Overrides *SpecOverrides `json:"overrides,omitempty"`
-	// Model names the workload: resnet50, bert-base, bert-large, vgg16,
-	// or mlp:IN,HIDDEN...,OUT.
+	// Model names the workload: bert-base, bert-large, mlp, resnet50,
+	// vgg16, or mlp:IN,HIDDEN...,OUT.
 	Model string `json:"model"`
 	// Batch is the per-GPU batch size.
 	Batch int `json:"batch"`
@@ -52,21 +50,6 @@ type SpecOverrides struct {
 	NetGBps   float64 `json:"net_gbps,omitempty"`
 	GPUMemGiB int64   `json:"gpu_mem_gib,omitempty"`
 	GPUTFLOPS float64 `json:"gpu_tflops,omitempty"`
-}
-
-// Presets maps machine names to constructors; multi has nodes nodes, 2 if 0.
-func presets(nodes int) map[string]func() topology.Spec {
-	if nodes == 0 {
-		nodes = 2
-	}
-	return map[string]func() topology.Spec{
-		"t4":          topology.AWST4,
-		"sdsc":        topology.SDSCP100,
-		"v100":        topology.AWSV100,
-		"v100-2to1":   topology.AWSV100TwoToOne,
-		"v100-nvlink": topology.AWSV100NVLink,
-		"multi":       func() topology.Spec { return topology.MultiNodeV100(nodes) },
-	}
 }
 
 // Load reads a scenario file.
@@ -96,36 +79,28 @@ func Read(r io.Reader) (*Scenario, error) {
 // Validate checks the scenario's fields. It rejects every value that
 // BuildSpec would otherwise ignore, clamp or wrap.
 func (s *Scenario) Validate() error {
-	if _, ok := presets(s.Nodes)[s.Machine]; !ok {
-		return fmt.Errorf("config: unknown machine %q", s.Machine)
-	}
-	if s.Nodes != 0 && s.Machine != "multi" {
-		return fmt.Errorf("config: nodes %d: only the multi preset takes a node count", s.Nodes)
-	}
-	if s.Nodes < 0 || s.Nodes == 1 {
-		return fmt.Errorf("config: nodes %d: multi needs at least 2", s.Nodes)
+	if _, err := Machine(s.Machine, s.Nodes); err != nil {
+		return err
 	}
 	if err := s.Overrides.validate(); err != nil {
 		return err
 	}
-	if _, err := s.BuildModel(); err != nil {
+	if _, err := Model(s.Model); err != nil {
 		return err
 	}
 	if s.Batch < 1 {
-		return fmt.Errorf("config: batch %d", s.Batch)
+		return fmt.Errorf("config: batch %d: want at least 1", s.Batch)
 	}
 	if s.Iterations < 1 {
-		return fmt.Errorf("config: iterations %d", s.Iterations)
+		return fmt.Errorf("config: iterations %d: want at least 1", s.Iterations)
 	}
 	for _, st := range s.Strategies {
-		switch st {
-		case "DENSE", "AllReduce", "COARSE", "CentralPS":
-		default:
-			return fmt.Errorf("config: unknown strategy %q", st)
+		if _, err := Strategy(st); err != nil {
+			return err
 		}
 	}
-	if s.ComputeJitter < 0 {
-		return fmt.Errorf("config: negative jitter")
+	if !(s.ComputeJitter >= 0) || math.IsInf(s.ComputeJitter, 1) {
+		return fmt.Errorf("config: compute jitter %v: want a finite value >= 0", s.ComputeJitter)
 	}
 	return nil
 }
@@ -150,9 +125,10 @@ func (o *SpecOverrides) validate() error {
 	return nil
 }
 
-// BuildSpec constructs the machine spec with overrides applied.
+// BuildSpec constructs the machine spec with overrides applied. The
+// scenario must have passed Validate.
 func (s *Scenario) BuildSpec() topology.Spec {
-	spec := presets(s.Nodes)[s.Machine]()
+	spec, _ := Machine(s.Machine, s.Nodes)
 	if o := s.Overrides; o != nil {
 		set := func(dst *float64, gbps float64) {
 			if gbps > 0 {
@@ -176,39 +152,12 @@ func (s *Scenario) BuildSpec() topology.Spec {
 }
 
 // BuildModel constructs the workload model.
-func (s *Scenario) BuildModel() (*model.Model, error) {
-	switch s.Model {
-	case "resnet50":
-		return model.ResNet50(), nil
-	case "bert-base":
-		return model.BERTBase(), nil
-	case "bert-large":
-		return model.BERTLarge(), nil
-	case "vgg16":
-		return model.VGG16(), nil
-	}
-	if strings.HasPrefix(s.Model, "mlp:") {
-		parts := strings.Split(s.Model[4:], ",")
-		var sizes []int
-		for _, p := range parts {
-			v, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil || v <= 0 {
-				return nil, fmt.Errorf("config: bad mlp sizes in %q", s.Model)
-			}
-			sizes = append(sizes, v)
-		}
-		if len(sizes) < 2 {
-			return nil, fmt.Errorf("config: mlp needs >=2 sizes in %q", s.Model)
-		}
-		return model.MLP("mlp", sizes...), nil
-	}
-	return nil, fmt.Errorf("config: unknown model %q", s.Model)
-}
+func (s *Scenario) BuildModel() (*model.Model, error) { return Model(s.Model) }
 
 // StrategyNames returns the scenario's strategies, defaulting to all.
 func (s *Scenario) StrategyNames() []string {
 	if len(s.Strategies) > 0 {
 		return s.Strategies
 	}
-	return []string{"CentralPS", "DENSE", "AllReduce", "COARSE"}
+	return Strategies()
 }

@@ -192,3 +192,62 @@ func TestLoadFromFile(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// TestEveryListedNameResolves: each name the table lists builds its
+// machine, model or strategy, the lists are sorted (strategies keep the
+// figures' order), and an unknown name is an error naming every
+// accepted one in that order.
+func TestEveryListedNameResolves(t *testing.T) {
+	machines := MachineNames()
+	if want := []string{"multi", "sdsc", "t4", "v100", "v100-2to1", "v100-nvlink"}; strings.Join(machines, ",") != strings.Join(want, ",") {
+		t.Errorf("MachineNames() = %v, want %v", machines, want)
+	}
+	for _, name := range machines {
+		spec, err := Machine(name, 0)
+		if err != nil || spec.Label == "" || spec.GPU.MemBytes <= 0 {
+			t.Errorf("Machine(%q) = %q, %v", name, spec.Label, err)
+		}
+	}
+	if spec, err := Machine("multi", 3); err != nil || spec.NodeCount != 3 {
+		t.Errorf("Machine(multi, 3): %d nodes, %v", spec.NodeCount, err)
+	}
+
+	models := ModelNames()
+	if want := []string{"bert-base", "bert-large", "mlp", "resnet50", "vgg16"}; strings.Join(models, ",") != strings.Join(want, ",") {
+		t.Errorf("ModelNames() = %v, want %v", models, want)
+	}
+	for _, name := range append(models, "mlp:64,32,10") {
+		if m, err := Model(name); err != nil || m.ParamElems() <= 0 {
+			t.Errorf("Model(%q): %v", name, err)
+		}
+	}
+
+	strategies := Strategies()
+	if want := []string{"CentralPS", "DENSE", "AllReduce", "COARSE"}; strings.Join(strategies, ",") != strings.Join(want, ",") {
+		t.Errorf("Strategies() = %v, want %v", strategies, want)
+	}
+	for _, name := range strategies {
+		s, err := Strategy(name)
+		if err != nil || s.Name() != name {
+			t.Errorf("Strategy(%q) = %v, %v", name, s, err)
+		}
+	}
+	a, _ := Strategy("COARSE")
+	b, _ := Strategy("COARSE")
+	if a == b {
+		t.Error("Strategy returned a shared instance")
+	}
+
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{func() error { _, err := Machine("nope", 0); return err }(), `config: unknown machine "nope" (have multi, sdsc, t4, v100, v100-2to1, v100-nvlink)`},
+		{func() error { _, err := Model("nope"); return err }(), `config: unknown model "nope" (have bert-base, bert-large, mlp, resnet50, vgg16, mlp:IN,HIDDEN...,OUT)`},
+		{func() error { _, err := Strategy("nope"); return err }(), `config: unknown strategy "nope" (have AllReduce, COARSE, CentralPS, DENSE)`},
+	} {
+		if tc.err == nil || tc.err.Error() != tc.want {
+			t.Errorf("error %v, want %q", tc.err, tc.want)
+		}
+	}
+}

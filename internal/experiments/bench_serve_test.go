@@ -21,7 +21,7 @@ func BenchmarkServeCellLocal(b *testing.B)  { benchServeCell(b, serve.KVLocal) }
 func BenchmarkServeCellPooled(b *testing.B) { benchServeCell(b, serve.KVPooled) }
 
 func benchServeCell(b *testing.B, placement serve.KVPlacement) {
-	spec := serveSpec(Config{}, topology.AWSV100(), evalModel("BERT"),
+	spec := serveSpec(Config{}, topology.AWSV100(), evalModel("bert-base"),
 		serve.Poisson, serveMidRate, placement, false)
 	spec.Key = "" // no result cache: each iteration must simulate
 	var total string

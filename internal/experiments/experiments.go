@@ -22,10 +22,9 @@ import (
 	"path/filepath"
 	"strings"
 
-	"coarse/internal/core"
+	"coarse/internal/config"
 	"coarse/internal/metrics"
 	"coarse/internal/model"
-	"coarse/internal/paramserver"
 	"coarse/internal/runner"
 	"coarse/internal/telemetry"
 	"coarse/internal/topology"
@@ -128,18 +127,16 @@ func IDs() []string {
 // strategyNames in figure order.
 var strategyNames = []string{"DENSE", "AllReduce", "COARSE"}
 
-func newStrategy(name string) train.Strategy {
-	switch name {
-	case "DENSE":
-		return paramserver.NewDENSE()
-	case "AllReduce":
-		return train.NewAllReduce()
-	case "COARSE":
-		return core.New(core.DefaultOptions())
-	case "CentralPS":
-		return paramserver.NewCentralPS()
+// newStrategy builds a named strategy with its default options.
+func newStrategy(name string) train.Strategy { return must(config.Strategy(name)) }
+
+// must unwraps a name-table lookup; the experiments name only entries
+// the table has.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
-	panic(fmt.Sprintf("experiments: unknown strategy %q", name))
+	return v
 }
 
 // stdSpec builds a cacheable runner spec for a named-strategy training
@@ -250,20 +247,8 @@ func writeFileOrWarn(path string, write func(io.Writer) error) {
 	}
 }
 
-// evalModel returns the model used for a figure panel; quick mode
-// substitutes BERT-Base for BERT-Large except where the Large model's
-// memory footprint is the point.
-func evalModel(name string) *model.Model {
-	switch name {
-	case "ResNet50":
-		return model.ResNet50()
-	case "BERT":
-		return model.BERTBase()
-	case "BERT-Large":
-		return model.BERTLarge()
-	}
-	panic("experiments: unknown model " + name)
-}
+// evalModel returns a fresh instance of a named evaluation model.
+func evalModel(name string) *model.Model { return must(config.Model(name)) }
 
 // singleNodePanels are Figure 16/17's per-machine panels (a-d).
 type panel struct {
@@ -276,9 +261,9 @@ type panel struct {
 
 func singleNodePanels() []panel {
 	return []panel{
-		{"a", topology.AWST4(), "ResNet50", 64, "T4 ResNet50"},
-		{"b", topology.AWST4(), "BERT", 2, "T4 BERT"},
-		{"c", topology.SDSCP100(), "BERT", 2, "P100 BERT"},
-		{"d", topology.AWSV100(), "BERT", 2, "V100 BERT"},
+		{"a", topology.AWST4(), "resnet50", 64, "T4 ResNet50"},
+		{"b", topology.AWST4(), "bert-base", 2, "T4 BERT"},
+		{"c", topology.SDSCP100(), "bert-base", 2, "P100 BERT"},
+		{"d", topology.AWSV100(), "bert-base", 2, "V100 BERT"},
 	}
 }

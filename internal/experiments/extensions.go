@@ -35,7 +35,7 @@ func ExtStraggler() Experiment {
 					id := rs.add(runner.Spec{
 						ID:          fmt.Sprintf("ext-straggler/j%.2f/%s", jitter, strat),
 						Topology:    topology.AWSV100(),
-						Model:       evalModel("BERT"),
+						Model:       evalModel("bert-base"),
 						Batch:       2,
 						Iterations:  cfg.iterations(),
 						NewStrategy: func() train.Strategy { return newStrategy(strat) },
@@ -80,7 +80,7 @@ func ExtNVLink() Experiment {
 			for _, spec := range []topology.Spec{topology.AWSV100(), topology.AWSV100NVLink()} {
 				for _, strat := range []string{"AllReduce", "COARSE"} {
 					cells = append(cells, cell{spec, strat,
-						rs.add(stdSpec(cfg, spec, evalModel("BERT"), 2, strat))})
+						rs.add(stdSpec(cfg, spec, evalModel("bert-base"), 2, strat))})
 				}
 			}
 			got, records := rs.results(cfg)
@@ -109,20 +109,20 @@ func ExtHierarchical() Experiment {
 		Title: "Extension: hierarchical AllReduce on two nodes",
 		Paper: "beyond the paper: a stronger multi-node baseline vs COARSE batch 4",
 		Run: func(cfg Config) *Report {
-			bert := evalModel("BERT-Large")
+			bert := evalModel("bert-large")
 			spec := topology.MultiNodeV100(2)
 			runs := []struct {
 				label string
 				batch int
 				build func() train.Strategy
 			}{
-				{"AllReduce (flat ring)", 2, func() train.Strategy { return train.NewAllReduce() }},
+				{"AllReduce (flat ring)", 2, func() train.Strategy { return newStrategy("AllReduce") }},
 				{"AllReduce (hierarchical)", 2, func() train.Strategy {
-					a := train.NewAllReduce()
+					a := newStrategy("AllReduce").(*train.AllReduce)
 					a.Hierarchical = true
 					return a
 				}},
-				{"COARSE", 4, func() train.Strategy { return core.New(core.DefaultOptions()) }},
+				{"COARSE", 4, func() train.Strategy { return newStrategy("COARSE") }},
 			}
 			rs := &runSet{}
 			var ids []string
@@ -176,7 +176,7 @@ func ExtSensitivity() Experiment {
 					pair[i] = rs.add(runner.Spec{
 						ID:          fmt.Sprintf("ext-sensitivity/up%g/%s", upGB, strat),
 						Topology:    spec,
-						Model:       evalModel("BERT"),
+						Model:       evalModel("bert-base"),
 						Batch:       2,
 						Iterations:  cfg.iterations(),
 						NewStrategy: func() train.Strategy { return newStrategy(strat) },
@@ -231,7 +231,7 @@ func ExtDynamic() Experiment {
 				ids = append(ids, rs.add(runner.Spec{
 					ID:         fmt.Sprintf("ext-dynamic/reprofile%d", every),
 					Topology:   topology.AWSV100(),
-					Model:      evalModel("BERT"),
+					Model:      evalModel("bert-base"),
 					Batch:      2,
 					Iterations: iters,
 					NewStrategy: func() train.Strategy {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"coarse/internal/core"
 	"coarse/internal/metrics"
 	"coarse/internal/model"
 	"coarse/internal/parallel"
@@ -91,19 +90,6 @@ var parallelismMoELayouts = []parallel.Layout{
 
 var parallelismStrategies = []string{"AllReduce", "COARSE"}
 
-func parallelismStrategy(name string) train.Strategy {
-	switch name {
-	case "AllReduce":
-		return train.NewAllReduce()
-	case "COARSE":
-		o := core.DefaultOptions()
-		o.Shards = 4
-		o.MFraction = 1
-		return core.New(o)
-	}
-	panic(fmt.Sprintf("experiments: unknown parallelism strategy %q", name))
-}
-
 // parallelismBatch returns the per-worker batch keeping the global
 // batch fixed: global / DPEff, where DPEff = world / (PP·TP·EP) (the
 // leftover world always folds into data parallelism).
@@ -134,7 +120,7 @@ func parallelismSpec(cfg Config, kind string, m *model.Model, l parallel.Layout,
 		Iterations:      iters,
 		Layout:          l,
 		FlatCollectives: flat,
-		NewStrategy:     func() train.Strategy { return parallelismStrategy(strategy) },
+		NewStrategy:     func() train.Strategy { return shardedStrategy(strategy, 4) },
 		Probe: func(p *runner.Probe) {
 			s := p.Trainer.CommStats()
 			if s.EPTokens > 0 {

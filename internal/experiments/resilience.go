@@ -101,7 +101,7 @@ type resilienceData struct {
 
 func resilienceRun(cfg Config) *resilienceData {
 	spec := topology.AWSV100()
-	m := evalModel("BERT")
+	m := evalModel("bert-base")
 	const batch = 2
 	iters := cfg.iterations()
 

@@ -112,27 +112,22 @@ func scaleModel() *model.Model {
 	return m
 }
 
-// scaleStrategy builds a k-sharded instance of a named design. COARSE
-// runs its full parameter space through the memory devices
-// (MFraction 1): at rack scale the per-layer tail rides the same
-// shard domains as the bulk instead of a 512-wide GPU ring.
-func scaleStrategy(name string, shards int) train.Strategy {
-	switch name {
-	case "COARSE":
-		o := core.DefaultOptions()
-		o.Shards = shards
-		o.MFraction = 1
-		return core.New(o)
-	case "DENSE":
-		d := paramserver.NewDENSE()
-		d.Shards = shards
-		return d
-	case "CentralPS":
-		p := paramserver.NewCentralPS()
-		p.Shards = shards
-		return p
+// shardedStrategy builds a named design with k shards; AllReduce has
+// none. COARSE runs its full parameter space through the memory
+// devices (MFraction 1): at rack scale the per-layer tail rides the
+// same shard domains as the bulk instead of a 512-wide GPU ring.
+func shardedStrategy(name string, shards int) train.Strategy {
+	strat := newStrategy(name)
+	switch s := strat.(type) {
+	case *core.Strategy:
+		s.Opts.Shards = shards
+		s.Opts.MFraction = 1
+	case *paramserver.DENSE:
+		s.Shards = shards
+	case *paramserver.CentralPS:
+		s.Shards = shards
 	}
-	panic(fmt.Sprintf("experiments: unknown scale strategy %q", name))
+	return strat
 }
 
 // scaleSpec builds a cacheable runner spec for one scale cell. The key
@@ -149,7 +144,7 @@ func scaleSpec(cfg Config, workers, shards, batch int, strategy string) runner.S
 		Model:       scaleModel(),
 		Batch:       batch,
 		Iterations:  iters,
-		NewStrategy: func() train.Strategy { return scaleStrategy(strategy, shards) },
+		NewStrategy: func() train.Strategy { return shardedStrategy(strategy, shards) },
 	}
 }
 

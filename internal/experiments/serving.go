@@ -140,7 +140,7 @@ type serveData struct {
 
 func serveRun(cfg Config) *serveData {
 	spec := topology.AWSV100()
-	m := evalModel("BERT")
+	m := evalModel("bert-base")
 
 	// Phase 1: the cacheable cells — load sweep, arrival shapes, and the
 	// prefetch variant — as one parallel batch.

@@ -58,7 +58,8 @@ func Fig16() Experiment {
 				for i, strat := range strategyNames {
 					res := got[ids.strats[i]]
 					if !res.OK() {
-						tab.AddRow(strat, "OOM", "-", "-")
+						status, detail := failCells(res, "OOM")
+						tab.AddRow(strat, status, detail, "-")
 						continue
 					}
 					if strat == "DENSE" {
@@ -97,7 +98,7 @@ type efPanel struct {
 // not a baseline here ("DENSE does not assume a multi-node system");
 // speedups normalize to AllReduce at its feasible batch.
 func fig16efPanels(cfg Config, rs *runSet) []efPanel {
-	bert := evalModel("BERT-Large")
+	bert := evalModel("bert-large")
 	panels := []efPanel{
 		{
 			title: "Figure 16e: single-node BERT-Large (vs AllReduce b2)",
@@ -127,6 +128,16 @@ func fig16efPanels(cfg Config, rs *runSet) []efPanel {
 	return panels
 }
 
+// failCells fills the two cells after a failed run's labels: oom and
+// "-" when the configuration does not fit device memory, which is a
+// result, and ERR with the error for any other failure.
+func failCells(res *runner.Result, oom string) (status, detail string) {
+	if res.OOM {
+		return oom, "-"
+	}
+	return "ERR", res.Err
+}
+
 // renderFig16ef renders the registered batch-scaling panels.
 func renderFig16ef(panels []efPanel, got map[string]*runner.Result) []*metrics.Table {
 	var tables []*metrics.Table
@@ -137,7 +148,8 @@ func renderFig16ef(panels []efPanel, got map[string]*runner.Result) []*metrics.T
 		for i, r := range p.rows {
 			res := got[r.id]
 			if !res.OK() {
-				tab.AddRow(r.spec.Label, r.strat, r.batch, "OOM (replica does not fit)", "-", "-")
+				status, detail := failCells(res, "OOM (replica does not fit)")
+				tab.AddRow(r.spec.Label, r.strat, r.batch, status, detail, "-")
 				continue
 			}
 			if i == p.base {
@@ -177,7 +189,7 @@ func Fig17() Experiment {
 				panels = append(panels, ids)
 			}
 			// Panels e-f: BERT-Large, normalized to AllReduce.
-			bert := evalModel("BERT-Large")
+			bert := evalModel("bert-large")
 			type efIDs struct {
 				spec   topology.Spec
 				ar     string
@@ -202,7 +214,8 @@ func Fig17() Experiment {
 				for i, strat := range strategyNames {
 					res := got[ids.strats[i]]
 					if !res.OK() {
-						tab.AddRow(strat, "OOM", "-", "-")
+						status, detail := failCells(res, "OOM")
+						tab.AddRow(strat, status, detail, "-")
 						continue
 					}
 					if strat == "DENSE" {
@@ -226,7 +239,8 @@ func Fig17() Experiment {
 				for i, batch := range []int{2, 4} {
 					res := got[ids.coarse[i]]
 					if !res.OK() {
-						tab.AddRow("COARSE", batch, "OOM", "-")
+						status, detail := failCells(res, "OOM")
+						tab.AddRow("COARSE", batch, status, detail)
 						continue
 					}
 					tab.AddRow("COARSE", batch, metrics.Ms(res.Train.BlockedComm),
@@ -326,7 +340,7 @@ func AblationRouting() Experiment {
 				opts.MFraction = 1.0
 				ids = append(ids, rs.add(coarseVariantSpec(cfg,
 					fmt.Sprintf("ablation-routing/%v", routing),
-					topology.AWSV100(), evalModel("BERT"), 2, opts,
+					topology.AWSV100(), evalModel("bert-base"), 2, opts,
 					func(s *core.Strategy, res *runner.Result) {
 						res.SetExtra("pushed_to_bw", byteSize(s.PushedToBw))
 					})))
@@ -365,7 +379,7 @@ func AblationPartitioning() Experiment {
 				opts.MFraction = 1.0
 				ids = append(ids, rs.add(coarseVariantSpec(cfg,
 					fmt.Sprintf("ablation-partition/%v", part),
-					topology.AWSV100(), evalModel("BERT"), 2, opts, nil)))
+					topology.AWSV100(), evalModel("bert-base"), 2, opts, nil)))
 			}
 			got, records := rs.results(cfg)
 			tab := metrics.NewTable("Ablation: partitioning on AWS V100, BERT batch 2 (all tensors proxied)",
@@ -398,7 +412,7 @@ func AblationDualSync() Experiment {
 				opts.MFraction = mf
 				ids = append(ids, rs.add(coarseVariantSpec(cfg,
 					fmt.Sprintf("ablation-dual/%g", mf),
-					topology.AWSV100(), evalModel("BERT"), 2, opts,
+					topology.AWSV100(), evalModel("bert-base"), 2, opts,
 					func(s *core.Strategy, res *runner.Result) {
 						res.SetExtra("m_bytes", byteSize(s.MBytes()))
 					})))

@@ -22,12 +22,14 @@
 package runner
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
 	"sync"
 
 	"coarse/internal/chaos"
+	"coarse/internal/gpu"
 	"coarse/internal/metrics"
 	"coarse/internal/model"
 	"coarse/internal/parallel"
@@ -139,6 +141,9 @@ type Result struct {
 	// Telemetry is the sampled time-series dump; non-nil only when the
 	// spec asked for it.
 	Telemetry *telemetry.Dump `json:"telemetry,omitempty"`
+	// OOM reports that the failure was gpu.ErrOOM: a configuration
+	// that does not fit device memory, which is a result, not an error.
+	OOM bool `json:"-"`
 }
 
 // SetExtra records a strategy-specific key/value on the result.
@@ -151,6 +156,12 @@ func (r *Result) SetExtra(k, v string) {
 
 // OK reports whether the run completed.
 func (r *Result) OK() bool { return r.Err == "" }
+
+// fail records the error that ended the run.
+func (r *Result) fail(err error) {
+	r.Err = err.Error()
+	r.OOM = errors.Is(err, gpu.ErrOOM)
+}
 
 // Record flattens the result into the machine-readable record
 // coarsebench emits under -json.
@@ -369,13 +380,12 @@ func Run(s Spec) (res *Result) {
 	}
 	strat := s.NewStrategy()
 	tr, err := train.New(cfg, strat)
-	if err != nil {
-		res.Err = err.Error()
-		return res
+	var tres *train.Result
+	if err == nil {
+		tres, err = tr.Run()
 	}
-	tres, err := tr.Run()
 	if err != nil {
-		res.Err = err.Error()
+		res.fail(err)
 		return res
 	}
 	res.Train = tres

@@ -157,7 +157,7 @@ func TestRunCapturesErrorsAndPanics(t *testing.T) {
 	oom.Model = model.BERTLarge()
 	oom.Batch = 4096
 	res := Run(oom)
-	if res.OK() || res.Train != nil {
+	if res.OK() || res.Train != nil || !res.OOM {
 		t.Fatalf("expected OOM failure, got %+v", res)
 	}
 
@@ -168,8 +168,8 @@ func TestRunCapturesErrorsAndPanics(t *testing.T) {
 	if res.OK() {
 		t.Fatal("panic not captured")
 	}
-	if res.Err != "panic: kaboom" {
-		t.Fatalf("unexpected panic message: %q", res.Err)
+	if res.Err != "panic: kaboom" || res.OOM {
+		t.Fatalf("unexpected panic result: %q (OOM %v)", res.Err, res.OOM)
 	}
 
 	// And captured in parallel pool execution too.

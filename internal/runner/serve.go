@@ -124,13 +124,12 @@ func RunServe(s ServeSpec) (res *Result) {
 		s.Options(&cfg)
 	}
 	sv, err := serve.New(cfg)
-	if err != nil {
-		res.Err = err.Error()
-		return res
+	var sres *serve.Result
+	if err == nil {
+		sres, err = sv.Run()
 	}
-	sres, err := sv.Run()
 	if err != nil {
-		res.Err = err.Error()
+		res.fail(err)
 		return res
 	}
 	res.Serve = sres
