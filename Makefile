@@ -77,7 +77,7 @@ bench:
 	$(GO) run ./cmd/benchjson
 
 # Engine-core performance tracking: the BenchmarkEngine* event-queue
-# set (cancel, retime and reschedule churn on the engine's heap), plus
+# set (cancel churn and plain schedule/run on the engine's heap), plus
 # the end-to-end BenchmarkScaleCell* rack-scale COARSE cells (benchjson
 # pins their iteration count — see cmd/benchjson) and the
 # BenchmarkServeCell* inference-serving pair (local vs pooled KV), and
@@ -138,6 +138,7 @@ fuzz-smoke:
 	$(GO) test ./internal/metrics -fuzz FuzzTableRoundTrip -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/parallel -fuzz FuzzLayoutValidate -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/config -fuzz FuzzScenarioRead -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/topology -fuzz FuzzScaleSpec -fuzztime 10s -run '^$$'
 
 # Noise-aware perf regression guard (the CI bench-guard lane): measure
 # fresh candidate records for both committed sets — each measurement

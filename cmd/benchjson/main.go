@@ -4,9 +4,9 @@
 //
 //   - "fabric" (default): the fabric/sim microbenchmarks plus the
 //     quick-suite wall-clock measurement → BENCH_fabric.json;
-//   - "core": the engine event-queue microbenchmarks (cancel churn,
-//     retime park churn, reschedule, plain dispatch) plus the
-//     whole-cell scale and serving benchmarks → BENCH_core.json.
+//   - "core": the engine event-queue microbenchmarks (cancel churn
+//     and plain dispatch) plus the whole-cell scale and serving
+//     benchmarks → BENCH_core.json.
 //
 // The output file has three parts:
 //

@@ -164,3 +164,45 @@ func TestCompletionCascadeCountsSkips(t *testing.T) {
 		t.Fatal("CompletionsRescheduled = 0, want > 0")
 	}
 }
+
+// TestOneCompletionEventPerNetwork pins the completion mechanism: the
+// network keeps its flows' completion keys on the flows and holds one
+// event in the engine queue at the earliest of them, so however many
+// flows are in flight, the queue holds that event plus the caller's own.
+func TestOneCompletionEventPerNetwork(t *testing.T) {
+	eng, net := newNet()
+	const flows, links, own = 64, 8, 3
+	var ls []*Link
+	for i := 0; i < links; i++ {
+		ls = append(ls, net.NewLink("l", gib, gib, 0))
+	}
+	for i := 0; i < flows; i++ {
+		net.Transfer([]*Channel{ls[i%links].Fwd()}, int64(i+1)*mib, nil)
+	}
+	for i := 0; i < own; i++ {
+		eng.Schedule(sim.Seconds(1), func() {})
+	}
+	check := func(stage string) {
+		t.Helper()
+		if got := eng.Pending(); got != 1+own {
+			t.Fatalf("%s: %d pending events with %d flows live, want %d (one completion event plus %d of the caller's)",
+				stage, got, net.ActiveFlows(), 1+own, own)
+		}
+	}
+	eng.RunUntil(0)
+	if got := net.ActiveFlows(); got != flows {
+		t.Fatalf("%d flows live after admission, want %d", got, flows)
+	}
+	check("after admission")
+	// Run to half way through the completions, then to the end of that
+	// instant, so its flush has re-keyed the survivors.
+	for net.ActiveFlows() > flows/2 {
+		eng.Step()
+	}
+	eng.RunUntil(eng.Now())
+	check("half way")
+	eng.Run()
+	if got := eng.Pending(); got != 0 {
+		t.Fatalf("after the run: %d pending events, want 0", got)
+	}
+}

@@ -29,29 +29,35 @@
 // round scans the channels still holding unassigned flows, not the
 // flows' hops, and the bottleneck's own active list names the flows it
 // freezes, so a pass costs the hops once plus rounds times live
-// channels (see fill). Completion events are
-// re-examined once per dirty instant but only moved when the flow's
-// completion instant actually changed (an exact integer-nanosecond
-// comparison), and finished flows leave the per-channel active lists
-// by tombstone + amortized compaction so completion cost no longer
-// scales with the number of concurrent flows on every hop. Every event
-// of a flow — the end of its latency phase, its completion, each member
-// of a completing group's fan-out — dispatches through one callback
-// bound once per Flow object, which tells them apart by the flow's
-// state; with ephemeral flows and their events recycled, a steady
-// transfer stream allocates nothing.
+// channels (see fill). Finished flows leave the per-channel active
+// lists by tombstone + amortized compaction so completion cost no
+// longer scales with the number of concurrent flows on every hop.
+//
+// Completions do not sit in the engine's event queue one per flow. Each
+// live entry keeps its completion key — deadline and dispatch rank — on
+// itself, and the network holds one event, armed at the earliest key.
+// The end-of-instant flush re-derives every key in one walk and lists
+// the entries tied at the earliest deadline (the due list); when the
+// event fires, the first of them completes and the event is re-armed
+// at the next. Only due entries can fire before the next flush, since
+// every completion and admission requests one, so the mid-instant
+// bookkeeping walks the due list alone. The end of a flow's latency
+// phase and each member of a completing group's fan-out dispatch
+// through one callback bound once per Flow object; with ephemeral flows
+// and events recycled, a steady transfer stream allocates nothing.
 //
 // Determinism is byte-exact with respect to the historical eager
 // implementation, which cancelled and re-created every completion
 // event on every trigger and thereby re-ranked them after everything
 // already scheduled in the instant. The incremental version reproduces
-// those same-nanosecond tie-breaks without the heap traffic by
+// those same-nanosecond tie-breaks without the queue traffic by
 // reserving a contiguous block of dispatch ranks per instant
 // (sim.Engine.ReserveSeq) that the end-of-instant flush attaches to
-// events in flow-admission order; a SeqMark snapshot detects whether
-// any foreign event took a rank since the block was reserved, in which
-// case (and only then) the block is re-reserved. See
-// refreshCompletions and scheduleCompletions.
+// completion keys in flow-admission order; a SeqMark snapshot detects
+// whether any foreign event took a rank since the block was reserved,
+// in which case (and only then) the block is re-reserved and the due
+// entries take fresh ranks. See refreshCompletions and
+// scheduleCompletions.
 //
 // # Scale accelerations
 //
@@ -71,7 +77,7 @@
 // repeated subtraction (never share*m: float multiply is not repeated
 // addition), so residuals, rates, and stall decisions are bitwise what
 // m separate entries produce. Completion fans back out: the group's
-// carrier event fires at the first of the m consecutive ranks reserved
+// carrier completes at the first of the m consecutive ranks reserved
 // for the group and the remaining members each fire an event at the
 // following ranks, so per-member completion dispatches — count, order,
 // and interleaving with everything else — are exactly the unaggregated
@@ -249,13 +255,14 @@ type Flow struct {
 	rate      float64 // per member
 	lastTick  sim.Time
 	fire      func()     // the entry's one event callback (dispatch), bound once per object
-	done      *sim.Event // group carrier when mult > 1
+	due       sim.Time   // completion deadline while armed; farFuture once parked
 	fanEv     *sim.Event // next member's event while a group fans out
 	onDone    func()
 	started   bool
 	finished  bool
 	ephemeral bool // started via StartEphemeral: recycled once unreferenced
 	pending   bool // admitted since the last pass (in Network.instAdmits)
+	armed     bool // due and doneRank are the entry's completion key
 	net       *Network
 	start     sim.Time
 	finish    sim.Time
@@ -263,7 +270,7 @@ type Flow struct {
 	mult     int      // live members sharing this entry (1 = plain flow)
 	dones    []func() // per-member onDone once a second member joins
 	doneBase int      // index into dones of the first still-live member
-	doneRank uint64   // rank of done; members fan out at doneRank+1..+mult-1
+	doneRank uint64   // completion rank; group members fan out at doneRank+1..+mult-1
 	tag      *AggTag  // aggregation tag carried from emission to admit
 	bneck    int32    // channel that froze this entry when last rated, -1 none
 	listRefs int32    // tombstone references still held by active lists
@@ -332,18 +339,23 @@ type Network struct {
 	eventsDirty bool     // completion deadlines await settling at instant end
 	lastSettle  sim.Time // last instant settle folded elapsed time
 
-	// Completion-event rank bookkeeping (see refreshCompletions).
-	seqMark      uint64   // engine SeqMark at our last rank refresh
-	rankBase     uint64   // first rank of the block reserved at the last refresh
-	rankReserved int      // ranks reserved in the current block
-	dueInstant   sim.Time // instant whose due-event park scan has run
-	dueFloor     sim.Time // no live completion event is due before this
+	// Completion bookkeeping (see refreshCompletions and
+	// scheduleCompletions).
+	doneEv       *sim.Event // the one completion event, at due[dueHead]'s key; nil once fired
+	doneFn       func()     // n.fireDue, bound once: doneEv's callback
+	due          []*Flow    // entries the last flush placed at dueFloor, in rank order
+	dueHead      int        // first due entry that may still be armed and unparked
+	seqMark      uint64     // engine SeqMark at our last rank refresh
+	rankBase     uint64     // first rank of the block reserved at the last refresh
+	rankReserved int        // ranks reserved in the current block
+	dueInstant   sim.Time   // instant whose due-entry park scan has run
+	dueFloor     sim.Time   // no armed entry is due before this
 
 	// hot-path telemetry
 	requests    uint64 // reshare triggers observed
 	passes      uint64 // progressive-filling passes actually run
-	rescheduled uint64 // completion events moved by a pass
-	skipped     uint64 // completion events left in place by a pass
+	rescheduled uint64 // completion deadlines moved by a flush
+	skipped     uint64 // completion deadlines a flush left in place
 
 	// reference disables the scale accelerations (see
 	// SetReferenceFillingForTest).
@@ -414,9 +426,9 @@ const listCompactMin = 16
 // componentPass).
 const compHotShare = 8
 
-// farFuture is the provisional deadline given to a completion event
-// whose final time has not been derived yet: far enough that it can
-// never dispatch before the end-of-instant flush retimes it.
+// farFuture is the deadline a parked due entry waits at: far enough
+// that it can never dispatch before the end-of-instant flush re-derives
+// it.
 const farFuture = sim.Time(math.MaxInt64)
 
 // NewNetwork creates an empty network bound to a simulation engine.
@@ -428,6 +440,7 @@ func NewNetwork(eng *sim.Engine) *Network {
 		reference:  referenceFilling.Load(),
 	}
 	n.flushFn = n.flush
+	n.doneFn = n.fireDue
 	return n
 }
 
@@ -456,13 +469,14 @@ func (n *Network) Reshares() uint64 { return n.passes }
 // a pass that served more than one trigger.
 func (n *Network) ResharesCoalesced() uint64 { return n.requests - n.passes }
 
-// CompletionsRescheduled returns how many completion events a reshare
-// pass actually moved to a new instant.
+// CompletionsRescheduled returns how many completion deadlines (one
+// per member) a flush set afresh: newly derived, moved to a new
+// instant, or revived from a park or stall.
 func (n *Network) CompletionsRescheduled() uint64 { return n.rescheduled }
 
-// CompletionsSkipped returns how many completion events reshare passes
-// left untouched because the flow's completion instant did not move
-// (exact integer-nanosecond comparison).
+// CompletionsSkipped returns how many completion deadlines (one per
+// member) a flush left in place because the flow's completion instant
+// did not move (exact integer-nanosecond comparison).
 func (n *Network) CompletionsSkipped() uint64 { return n.skipped }
 
 // FlowsAggregated returns how many transfers were folded into an
@@ -585,23 +599,18 @@ func (n *Network) start(f *Flow, path []*Channel, size float64, onDone func()) {
 	n.eng.Schedule(PathLatency(path), f.fire)
 }
 
-// dispatch is every event callback of an entry, bound once per Flow
-// object as f.fire, so a transfer's admission, completion and fan-out
-// events allocate no closures. The entry's state names the event: not
-// yet started means the latency phase ended; an armed fan-out event
-// means the next member of a completing group; otherwise the carrier's
-// completion event fired. A carrier and a fan-out are never queued at
-// once: the fan-out runs within its instant, and only the end-of-instant
-// flush arms a new carrier.
+// dispatch is the callback of an entry's own events, bound once per
+// Flow object as f.fire, so a transfer's admission and fan-out events
+// allocate no closures. Not yet started means the latency phase ended;
+// otherwise the next member of a completing group fans out. Completions
+// themselves arrive through the network's one completion event
+// (fireDue).
 func (f *Flow) dispatch() {
-	switch n := f.net; {
-	case !f.started:
-		n.admit(f)
-	case f.fanEv != nil:
-		n.fanNext(f)
-	default:
-		n.complete(f)
+	if !f.started {
+		f.net.admit(f)
+		return
 	}
+	f.net.fanNext(f)
 }
 
 // Transfer is a convenience wrapper for StartFlow with an int64 size.
@@ -724,55 +733,60 @@ func (n *Network) settle(now sim.Time) {
 	}
 }
 
-// refreshCompletions fixes the tie-break ranks of the live flows'
-// completion events "as of" the current trigger point, without
-// deriving rates or deadlines. The eager implementation cancelled and
-// re-created every completion event on every trigger, so after the
-// last fabric trigger of an instant each completion event carried a
-// fresh sequence number — outranking every event scheduled earlier in
-// the instant, outranked by anything scheduled later (e.g. by a
-// completion's own onDone). Same-nanosecond ties must keep resolving
-// exactly that way, but paying an O(flows) heap pass per trigger for
-// it is what made reshares quadratic, so the refresh is lazy:
+// refreshCompletions fixes the tie-break ranks of the live entries'
+// completions "as of" the current trigger point, without deriving
+// rates or deadlines. The eager implementation cancelled and re-created
+// every completion event on every trigger, so after the last fabric
+// trigger of an instant each completion carried a fresh sequence number
+// — outranking every event scheduled earlier in the instant, outranked
+// by anything scheduled later (e.g. by a completion's own onDone).
+// Same-nanosecond ties must keep resolving exactly that way, but paying
+// an O(flows) pass per trigger for it is what made reshares quadratic,
+// so the refresh is lazy:
 //
 //   - A contiguous rank block is reserved (sim.Engine.ReserveSeq) for
-//     the live flows at the trigger; the end-of-instant flush attaches
-//     block ranks to events in flow-admission order, which is exactly
-//     the order the eager re-create consumed sequence numbers in.
+//     the live entries at the trigger; the end-of-instant flush attaches
+//     block ranks to completion keys in admission order, which is
+//     exactly the order the eager re-create consumed sequence numbers in.
 //   - If no event anywhere acquired a rank since the block was
 //     reserved (sim.Engine.SeqMark unchanged), re-reserving at this
 //     trigger would be a monotone relabeling of the same block —
 //     invisible to dispatch order — so the trigger is O(1): keep the
 //     block, extending it if admissions outgrew it. Pure completion
-//     cascades stay on this path because the flush places events with
+//     cascades stay on this path because the flush places keys with
 //     reserved ranks and consumes no fresh ones.
 //   - Otherwise some foreign event now outranks the block, where the
-//     eager re-create would have ranked completions above it. Events
+//     eager re-create would have ranked completions above it. Entries
 //     due at this very instant take fresh ranks immediately (they may
 //     fire before the flush), then a fresh block is reserved for the
 //     deadlines the flush will place.
 //
-// Independently, once per instant, events that are due now but can no
-// longer fire now — bytes still pending after the settle, or a stalled
-// rate — are parked in the far future (rank-preserving Retime; their
-// rank is dead weight until the flush re-places them anyway). The
-// eager code re-created these with the true post-pass deadline; the
-// flush does the equivalent retiming at instant end.
+// Independently, once per instant, due entries that can no longer fire
+// now — bytes still pending after the settle, or a stalled rate — are
+// parked at farFuture, rank kept (it is dead weight until the flush
+// re-places them anyway). The eager code re-created these with the true
+// post-pass deadline; the flush does the equivalent at instant end.
+//
+// Both walks visit only the due list. Every trigger marks the network
+// dirty and every flush re-derives every deadline, so between two
+// flushes only entries the last flush placed at the earliest deadline
+// can reach the current instant: any other deadline lies beyond an
+// instant whose end runs a flush first. The walks finish by pointing
+// the network's one completion event at the earliest remaining key
+// (armDue).
 func (n *Network) refreshCompletions(now sim.Time) {
+	// Either walk has work only once the due deadline has been reached:
+	// dueFloor is the minimum the last flush placed, and keys only move
+	// later between flushes.
+	reached := n.dueFloor <= now
+	moved := false
 	if n.dueInstant != now {
 		n.dueInstant = now
-		// The scan has work only when some live deadline has been
-		// reached: dueFloor is the minimum the last flush placed, so a
-		// later instant means nothing can be due (events only move
-		// later between flushes — parking and chaos retiming both push
-		// toward the far future).
-		if n.dueFloor <= now {
-			for _, f := range n.flows {
-				if f.finished || f.done == nil || f.done.Cancelled() {
-					continue
-				}
-				if f.done.Time() <= now && (f.remaining != 0 || f.rate <= 0) {
-					n.eng.Retime(f.done, farFuture)
+		if reached {
+			for _, f := range n.due[n.dueHead:] {
+				if f.armed && f.due <= now && (f.remaining != 0 || f.rate <= 0) {
+					f.due = farFuture
+					moved = true
 				}
 			}
 		}
@@ -783,27 +797,65 @@ func (n *Network) refreshCompletions(now sim.Time) {
 			n.rankReserved = n.liveFlows
 			n.seqMark = n.eng.SeqMark()
 		}
-		return
-	}
-	for _, f := range n.flows {
-		if f.finished || f.done == nil || f.done.Cancelled() {
-			continue
-		}
-		if f.done.Time() <= now {
-			// Due at this instant and still able to fire at it: re-rank
-			// above the foreign events, in flow-admission order. A group
-			// carrier consumes one fresh rank per member — exactly what
-			// the members' own reschedules would — and keeps the member
-			// ranks consecutive behind it for the completion fan-out.
-			n.eng.Reschedule(f.done, now)
-			if f.mult > 1 {
-				f.doneRank = n.eng.ReserveSeq(f.mult-1) - 1
+	} else {
+		if reached {
+			for _, f := range n.due[n.dueHead:] {
+				if f.armed && f.due <= now {
+					// Due at this instant and still able to fire at it:
+					// re-rank above the foreign events, in admission order.
+					// A group entry takes one fresh rank per member — exactly
+					// what the members' own re-creates would — keeping the
+					// member ranks consecutive for the completion fan-out.
+					f.doneRank = n.eng.ReserveSeq(f.mult)
+					moved = true
+				}
 			}
 		}
+		n.rankBase = n.eng.ReserveSeq(n.liveFlows)
+		n.rankReserved = n.liveFlows
+		n.seqMark = n.eng.SeqMark()
 	}
-	n.rankBase = n.eng.ReserveSeq(n.liveFlows)
-	n.rankReserved = n.liveFlows
-	n.seqMark = n.eng.SeqMark()
+	if moved || n.doneEv == nil {
+		n.armDue()
+	}
+}
+
+// armDue points the network's one completion event at the earliest
+// completion key left in the due list: the first armed, unparked entry,
+// since ranks ascend along the list and re-ranks keep that order. A
+// fired event stays unarmed when no such entry is left; a queued one
+// whose entries were all parked follows them to farFuture. Either way
+// the flush the current instant's trigger requested re-derives every
+// deadline before the clock can move.
+func (n *Network) armDue() {
+	head := n.dueHead
+	for ; n.dueHead < len(n.due); n.dueHead++ {
+		if f := n.due[n.dueHead]; f.armed && f.due != farFuture {
+			n.placeDone(f)
+			return
+		}
+	}
+	if n.doneEv != nil && head < len(n.due) {
+		n.eng.PlaceRanked(n.doneEv, farFuture, n.due[head].doneRank)
+	}
+}
+
+// placeDone arms the network's completion event at f's key.
+func (n *Network) placeDone(f *Flow) {
+	if n.doneEv == nil {
+		n.doneEv = n.eng.AtRanked(f.due, f.doneRank, n.doneFn)
+		return
+	}
+	n.eng.PlaceRanked(n.doneEv, f.due, f.doneRank)
+}
+
+// fireDue is the network completion event's callback: the due entry
+// the event was armed for completes. The event is recycled first, so
+// the re-arm that completion's trigger performs reuses its storage.
+func (n *Network) fireDue() {
+	n.eng.Recycle(n.doneEv)
+	n.doneEv = nil
+	n.complete(n.due[n.dueHead])
 }
 
 // markDirty records a reshare trigger and arranges for one coalesced
@@ -847,7 +899,7 @@ func (n *Network) flush() {
 
 // reallocate recomputes max-min fair rates by progressive filling and
 // folds per-channel utilization accounting. It does not touch
-// completion events; scheduleCompletions does that at instant end.
+// completion keys; scheduleCompletions does that at instant end.
 //
 // A full pass marks every live entry unassigned and fills the
 // maintained non-idle channel list (fill). Bottleneck choice, float
@@ -1365,20 +1417,30 @@ func (n *Network) ffFold(now sim.Time, ep uint64) {
 	n.activeCh = keep
 }
 
-// scheduleCompletions settles every live flow's completion deadline
+// scheduleCompletions settles every live entry's completion deadline
 // from the rates of the last pass and attaches the tie-break ranks
-// reserved by refreshCompletions, walking flows in admission order so
+// reserved by refreshCompletions, walking entries in admission order so
 // rank r(i) = rankBase + i — the exact sequence the eager re-create
 // consumed at the instant's last trigger. It runs once per dirty
-// instant, at instant end, and consumes no fresh sequence numbers
-// (AtRanked/PlaceRanked only), which is what keeps the SeqMark valid
-// across pure completion cascades. A flow whose deadline did not move
-// is counted as skipped (its event is still re-ranked in place); a
-// stalled flow's event is tombstoned where it sits and revived by the
-// flush after the trigger that un-stalls it.
+// instant, at instant end, and consumes no fresh sequence numbers,
+// which is what keeps the SeqMark valid across pure completion
+// cascades.
+//
+// The keys stay on the entries; the walk does no queue operation per
+// entry. It collects the entries tied at the earliest deadline, in rank
+// order, into the due list, and arms the network's one completion event
+// at the first of them. That is exact: the event fires at the earliest
+// key among all entries, as the earliest of per-entry events would, and
+// no other entry can come due before the next flush re-derives its
+// deadline (see refreshCompletions). An entry whose deadline did not
+// move is counted as skipped, the rest as rescheduled. A stalled entry
+// is disarmed and re-keyed by the flush after the trigger that
+// un-stalls it; when every live entry is stalled, the event is
+// cancelled.
 func (n *Network) scheduleCompletions(now sim.Time) {
 	rank := n.rankBase
 	floor := farFuture
+	due := n.due[:0]
 	for _, f := range n.flows {
 		if f.finished {
 			continue
@@ -1386,36 +1448,34 @@ func (n *Network) scheduleCompletions(now sim.Time) {
 		r := rank
 		rank += uint64(f.mult) // a group entry owns one rank per member
 		if f.rate <= 0 {
-			if f.done != nil && !f.done.Cancelled() {
-				n.eng.Cancel(f.done)
-			}
-			continue // revived by the flush after the next change
+			f.armed = false
+			continue // re-keyed by the flush after the next change
 		}
 		secs := f.remaining / f.rate
 		target := now + sim.Time(math.Ceil(secs*1e9))
-		if target < floor {
-			floor = target
-		}
-		if f.done == nil {
-			// Newly admitted this instant: materialize the event directly
-			// at its deadline with its reserved rank.
-			f.done = n.eng.AtRanked(target, r, f.fire)
-			f.doneRank = r
-			n.rescheduled += uint64(f.mult)
-			continue
-		}
-		if !f.done.Cancelled() && f.done.Time() == target {
+		if f.armed && f.due == target {
 			n.skipped += uint64(f.mult)
 		} else {
 			n.rescheduled += uint64(f.mult)
 		}
-		n.eng.PlaceRanked(f.done, target, r)
-		f.doneRank = r
+		f.due, f.doneRank, f.armed = target, r, true
+		if target < floor {
+			floor = target
+			due = due[:0]
+		}
+		if target == floor {
+			due = append(due, f)
+		}
 	}
-	n.dueFloor = floor
+	n.due, n.dueHead, n.dueFloor = due, 0, floor
+	if len(due) > 0 {
+		n.placeDone(due[0])
+	} else if n.doneEv != nil {
+		n.eng.Cancel(n.doneEv)
+	}
 }
 
-// complete handles the entry's completion event. For a plain flow it
+// complete handles the entry's completion. For a plain flow it
 // completes the one member; for an aggregated group it is the carrier:
 // the first live member completes immediately, and the rest fan out
 // (fanNext) at the consecutive reserved ranks doneRank+1.. — exactly
@@ -1424,17 +1484,16 @@ func (n *Network) scheduleCompletions(now sim.Time) {
 //
 // The fan-out is conditional on the settle leaving the representative's
 // remaining at exactly zero. When rate*dt lands short by float dust,
-// the unaggregated world parks the not-yet-fired sibling events
-// (refreshCompletions' due-instant walk sees remaining != 0) and the
+// the unaggregated world parks the not-yet-fired siblings
+// (refreshCompletions' due-entry walk sees remaining != 0) and the
 // flush re-places them one deadline tick later — so the group must do
-// the same: no echoes, and the entry (done == nil, mult counting the
-// survivors) gets a fresh carrier from the next flush at the dust
-// deadline, resuming from doneBase. A member's own onDone may also
-// force a pass mid-fan-out (exactly as it could between unaggregated
-// completions); the partially-drained entry represents that correctly.
+// the same: no echoes, and the entry (disarmed, mult counting the
+// survivors) gets a fresh key from the next flush at the dust deadline,
+// resuming from doneBase. A member's own onDone may also force a pass
+// mid-fan-out (exactly as it could between unaggregated completions);
+// the partially-drained entry represents that correctly.
 func (n *Network) complete(f *Flow) {
-	n.eng.Recycle(f.done)
-	f.done = nil
+	f.armed = false
 	j := f.doneBase
 	f.doneBase++
 	// Read before the member completes: the last member finishes the

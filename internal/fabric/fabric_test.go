@@ -547,10 +547,10 @@ func TestFlowSizeClass(t *testing.T) {
 }
 
 // TestEventSizeClass: sim.Event must fit the allocator's 32-byte size
-// class. Each pending flow holds its completion handle from admission
-// until it completes, so the fabric keeps thousands of long-lived
-// events and each one counts toward heap_live_mb; at 40 bytes an event
-// takes a 48-byte slot.
+// class. Every admission, group fan-out member and foreign callback
+// takes one from the engine's free list, and the list keeps up to 4096
+// of them live, each counting toward heap_live_mb; at 40 bytes an
+// event takes a 48-byte slot.
 func TestEventSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(sim.Event{}); got > 32 {
 		t.Fatalf("sim.Event is %d bytes, want at most 32", got)

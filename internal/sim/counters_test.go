@@ -7,8 +7,8 @@ import "testing"
 // engine's binary-heap event queue. The numbers below are the contract: the
 // compaction trigger is tombstones >= 64 AND tombstones*2 > queue
 // length, compaction evicts every tombstone, cumulative
-// EventsTombstoned never decreases, and revivals (Reschedule of a
-// compacted event, Reschedule of a still-queued tombstone) adjust
+// EventsTombstoned never decreases, and revivals (PlaceRanked of a
+// compacted event, PlaceRanked of a still-queued tombstone) adjust
 // Pending without touching the cumulative count. Any drift here is a
 // behavior change in the engine's bookkeeping, not noise.
 func TestCounterPinningCancelHeavy(t *testing.T) {
@@ -57,13 +57,13 @@ func TestCounterPinningCancelHeavy(t *testing.T) {
 		// Revive 10 compacted-away events: re-armed from scratch,
 		// cumulative tombstone count unchanged.
 		for j := 0; j < 10; j++ {
-			e.Reschedule(events[j], Time(5000+j))
+			e.PlaceRanked(events[j], Time(5000+j), e.ReserveSeq(1))
 		}
 		assert("revived compacted", 60, 60, 150, 1)
 
 		// Revive 5 still-queued tombstones in place.
 		for j := 110; j < 115; j++ {
-			e.Reschedule(events[j], Time(6000+j))
+			e.PlaceRanked(events[j], Time(6000+j), e.ReserveSeq(1))
 		}
 		assert("revived queued tombstones", 65, 65, 150, 1)
 

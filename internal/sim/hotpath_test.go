@@ -76,63 +76,6 @@ func TestQueueCompactionBoundsTombstones(t *testing.T) {
 	}
 }
 
-// TestRescheduleRevivesTombstone checks the cancel-then-reschedule
-// path: the tombstone is revived in place with fresh tie-break rank.
-func TestRescheduleRevivesTombstone(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	ev := atHandle(e, 5, func() { fired++ })
-	e.Cancel(ev)
-	if !ev.Cancelled() {
-		t.Fatal("event not cancelled")
-	}
-	e.Reschedule(ev, 7)
-	if ev.Cancelled() {
-		t.Fatal("reschedule did not revive the tombstone")
-	}
-	if got := e.EventsTombstoned(); got != 1 {
-		t.Fatalf("EventsTombstoned = %d, want 1 (revival does not erase history)", got)
-	}
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d times, want 1", fired)
-	}
-	if e.Now() != 7 {
-		t.Fatalf("now = %v, want 7", e.Now())
-	}
-}
-
-// TestRetimeKeepsRank verifies that Retime moves an event's deadline
-// without refreshing its tie-break rank: an event retimed onto
-// another's instant still dispatches in original schedule order.
-func TestRetimeKeepsRank(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	a := atHandle(e, 100, func() { order = append(order, "a") })
-	e.Schedule(50, func() { order = append(order, "b") })
-	// Move a onto b's instant. a was scheduled first, so with its
-	// original rank it must still fire before b.
-	e.Retime(a, 50)
-	e.Run()
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("order = %v, want [a b]", order)
-	}
-}
-
-// TestRetimeOfCancelledPanics pins the contract that Retime only
-// applies to live pending events.
-func TestRetimeOfCancelledPanics(t *testing.T) {
-	e := NewEngine()
-	ev := atHandle(e, 10, func() {})
-	e.Cancel(ev)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic retiming a cancelled event")
-		}
-	}()
-	e.Retime(ev, 20)
-}
-
 // TestAtInstantEndRunsAfterInstantDrains checks the flush hook fires
 // only once every event at the current timestamp has dispatched, and
 // before the clock advances.

@@ -10,8 +10,9 @@ import (
 // TestQueuePropertyVsReference drives the engine through randomized op
 // sequences — schedules (dense same-instant ties included), lazy
 // cancels (storms of them, so the queue compacts), revives of queued and
-// compacted tombstones, retimes to and from the far-future park sentinel,
-// reserved-rank placement, pool recycling, engine-owned events mixed
+// compacted tombstones, placements to and from the far-future park
+// sentinel on an event's own rank or a fresh reserved one, reserved-rank
+// blocks, pool recycling, engine-owned events mixed
 // with caller-owned ones (some scheduling follow-ups from inside their
 // callbacks, onto storage a caller may just have recycled), and
 // interleaved partial runs — and mirrors every op on refQueue, a
@@ -78,7 +79,7 @@ func (m *refQueue) add(daemon bool) int {
 }
 
 // place queues id at (at, seq), taking it out of the queue first if it
-// is there: schedule, Reschedule, Retime and PlaceRanked all end here.
+// is there: schedules and PlaceRanked both end here.
 func (m *refQueue) place(id int, at Time, seq uint64) {
 	m.remove(id)
 	ev := &m.evs[id]
@@ -339,22 +340,7 @@ func runQueueProperty(t *testing.T, seed int64) {
 					m.cancel(id)
 				}
 			}
-		case r < 55: // reschedule: revives cancelled, re-arms fired
-			if id := p.pick(rng); id >= 0 {
-				at := p.randTime(rng)
-				e.Reschedule(p.handles[id], at)
-				m.place(id, at, e.SeqMark())
-			}
-		case r < 65: // retime: park far or settle near, rank preserved
-			if id := p.pick(rng); id >= 0 && m.evs[id].queued {
-				at := p.randTime(rng)
-				if rng.Intn(3) == 0 {
-					at = farFuture
-				}
-				e.Retime(p.handles[id], at)
-				m.place(id, at, m.evs[id].seq)
-			}
-		case r < 75: // reserved-rank block placed in shuffled order
+		case r < 55: // reserved-rank block placed in shuffled order
 			k := 1 + rng.Intn(6)
 			at := p.randTime(rng)
 			base := e.ReserveSeq(k)
@@ -363,20 +349,33 @@ func runQueueProperty(t *testing.T, seed int64) {
 				p.handles[id] = e.AtRanked(at, base+uint64(j), p.callback(id, -1))
 				m.place(id, at, base+uint64(j))
 			}
-		case r < 80: // place a queued or cancelled event onto a reserved rank
+		case r < 80: // place a queued or cancelled event: onto a fresh
+			// reserved rank, or parked far / settled near on its own rank
 			if id := p.pick(rng); id >= 0 && !m.evs[id].fired {
 				at := p.randTime(rng)
-				if m.evs[id].queued && rng.Intn(2) == 0 {
-					at = m.evs[id].at // re-rank at the same deadline
+				s := m.evs[id].seq
+				switch rng.Intn(4) {
+				case 0:
+					at = farFuture
+				case 1:
+					if m.evs[id].queued {
+						at = m.evs[id].at // re-rank at the same deadline
+					}
+					s = e.ReserveSeq(1)
+				case 2:
+					s = e.ReserveSeq(1)
 				}
-				s := e.ReserveSeq(1)
 				e.PlaceRanked(p.handles[id], at, s)
 				m.place(id, at, s)
 			}
 		case r < 95: // partial run
 			p.run("until", e.Now()+Time(rng.Int63n(3000)))
-		default: // single step
-			p.run("step", 0)
+		default: // single step, short of the park sentinel: a clock
+			// there would leave no room for later ops (the final Run
+			// drains parked events)
+			if len(m.q) == 0 || m.evs[m.q[0]].at < farFuture {
+				p.run("step", 0)
+			}
 		}
 		p.check(t, seed, op)
 	}

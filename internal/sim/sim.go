@@ -88,7 +88,7 @@ type Engine struct {
 
 	// Lazy cancellation: Cancel marks an event as a tombstone and
 	// leaves it in the heap (skip-on-pop) instead of paying an
-	// O(log n) heap.Remove. tombstones counts the markers still
+	// O(log n) removal. tombstones counts the markers still
 	// queued; when they outnumber live events the queue is compacted.
 	tombstones  int
 	tombstoned  uint64 // cumulative tombstoned cancels (telemetry)
@@ -263,7 +263,7 @@ func (e *Engine) ReleasePool() { e.pool = nil }
 //
 // Cancellation is lazy: the event stays queued as a tombstone that is
 // skipped when popped, so Cancel is O(1) instead of an O(log n)
-// heap.Remove. When tombstones outnumber live events the queue is
+// removal. When tombstones outnumber live events the queue is
 // compacted in one pass, keeping memory bounded by the live event
 // population.
 func (e *Engine) Cancel(ev *Event) {
@@ -292,59 +292,6 @@ func (e *Engine) maybeCompact() {
 	}
 	e.tombstones -= e.queue.Compact()
 	e.compactions++
-}
-
-// Reschedule moves a pending event to a new absolute time, preserving
-// its callback. The event keeps its identity but is sequenced as if
-// newly scheduled (same-instant tie-break order follows the
-// reschedule, not the original schedule). If the event already fired
-// or was cancelled it is re-armed.
-func (e *Engine) Reschedule(ev *Event, t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: reschedule at %v before now %v", t, e.now))
-	}
-	e.seq++
-	if ev.index >= 0 {
-		// Still queued (possibly as a tombstone): fix it up in place —
-		// no allocation, one O(log n) sift instead of remove+push.
-		if ev.cancel {
-			ev.cancel = false
-			e.tombstones--
-			if !ev.daemon {
-				e.foreground++
-			}
-		}
-		ev.at = t
-		ev.seq = e.seq
-		e.queue.Fix(ev)
-		return
-	}
-	// Fired or compacted away: re-arm from scratch.
-	ev.cancel = false
-	ev.at = t
-	ev.seq = e.seq
-	e.queue.Push(ev)
-	if !ev.daemon {
-		e.foreground++
-	}
-}
-
-// Retime moves a pending event to a new absolute time while keeping
-// its sequence number, so its same-instant tie-break rank against
-// other events is whatever the most recent Schedule/Reschedule gave
-// it. This is the deferred-deadline primitive: a caller that has
-// already fixed an event's dispatch rank (via Reschedule) can settle
-// its final time later without perturbing tie order. The event must
-// be pending and live; retiming a fired or cancelled event panics.
-func (e *Engine) Retime(ev *Event, t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: retime at %v before now %v", t, e.now))
-	}
-	if ev.index < 0 || ev.cancel {
-		panic("sim: retime of a fired or cancelled event")
-	}
-	ev.at = t
-	e.queue.Fix(ev)
 }
 
 // SeqMark returns the most recently consumed sequence number. A caller
@@ -383,10 +330,12 @@ func (e *Engine) AtRanked(t Time, seq uint64, fn func()) *Event {
 }
 
 // PlaceRanked moves an event to absolute time t with a caller-assigned
-// sequence number from ReserveSeq, reviving it if it was cancelled.
-// Unlike Reschedule it consumes no fresh rank — the event's tie order
-// is wholly determined by the reserved rank — and unlike Retime it may
-// target tombstoned events. The event must still be queued.
+// sequence number from ReserveSeq, reviving it if it was cancelled. It
+// consumes no fresh rank: the event's tie order is wholly determined by
+// the reserved rank, so PlaceRanked(ev, t, ReserveSeq(1)) ranks the
+// event as if it were newly scheduled. The event must still be queued
+// or be a cancelled one (compacted away or not); placing an event that
+// fired panics.
 func (e *Engine) PlaceRanked(ev *Event, t Time, seq uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: place at %v before now %v", t, e.now))

@@ -153,17 +153,6 @@ func TestCancelDuringDispatch(t *testing.T) {
 	}
 }
 
-func TestReschedule(t *testing.T) {
-	e := NewEngine()
-	var at Time
-	ev := atHandle(e, 10, func() { at = e.Now() })
-	e.Reschedule(ev, 25)
-	e.Run()
-	if at != 25 {
-		t.Fatalf("rescheduled event fired at %v, want 25", at)
-	}
-}
-
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
@@ -446,24 +435,6 @@ func TestCancelDaemonLeavesForegroundCount(t *testing.T) {
 	eng.Run()
 	if eng.DaemonsFired() != 0 {
 		t.Fatalf("DaemonsFired = %d, want 0", eng.DaemonsFired())
-	}
-}
-
-func TestRescheduleDaemonStaysDaemon(t *testing.T) {
-	eng := NewEngine()
-	fired := false
-	ev := eng.AtDaemonHandle(10, func() { fired = true })
-	eng.Reschedule(ev, 100)
-	if eng.PendingForeground() != 0 {
-		t.Fatalf("foreground = %d after daemon reschedule, want 0", eng.PendingForeground())
-	}
-	eng.Schedule(50, func() {})
-	eng.Run()
-	if fired {
-		t.Fatal("daemon rescheduled past last foreground event fired")
-	}
-	if !ev.Daemon() {
-		t.Fatal("reschedule dropped the daemon flag")
 	}
 }
 

@@ -65,7 +65,7 @@ func RegisterNetwork(r *Registry, n *fabric.Network) {
 
 // RegisterHotPath registers the fabric/sim hot-path efficiency
 // counters: reallocation passes actually run vs. coalesced away,
-// completion events rescheduled vs. skipped, and the event queue's
+// completion deadlines rescheduled vs. skipped, and the event queue's
 // tombstone/compaction activity. These series are opt-in — they
 // describe the simulator's own internals rather than the simulated
 // system, and registering them changes dump bytes, so default

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 
 	"coarse/internal/fabric"
 )
@@ -63,16 +64,18 @@ func (g ScaleSpec) Validate() error {
 		return fmt.Errorf("scale: NodesPerRack %d < 1", g.NodesPerRack)
 	case g.GPUsPerNode < 1:
 		return fmt.Errorf("scale: GPUsPerNode %d < 1", g.GPUsPerNode)
+	case g.NodesPerRack > math.MaxInt/g.Racks || g.GPUsPerNode > math.MaxInt/(g.Racks*g.NodesPerRack):
+		return fmt.Errorf("scale: %d x %d x %d workers overflow", g.Racks, g.NodesPerRack, g.GPUsPerNode)
 	case g.MemDevs < 1:
 		return fmt.Errorf("scale: MemDevs %d < 1", g.MemDevs)
-	case g.Oversub < 0 || (g.Oversub > 0 && g.Oversub < 1):
-		return fmt.Errorf("scale: Oversub %g must be 0 or >= 1", g.Oversub)
+	case g.MemDevs > g.Workers():
+		return fmt.Errorf("scale: %d memory devices exceed %d workers", g.MemDevs, g.Workers())
+	case g.MemDevTier < TierSwitch || g.MemDevTier > TierRack:
+		return fmt.Errorf("scale: unknown memory-device tier %d", int(g.MemDevTier))
+	case math.IsNaN(g.Oversub) || math.IsInf(g.Oversub, 0) || g.Oversub < 0 || (g.Oversub > 0 && g.Oversub < 1):
+		return fmt.Errorf("scale: Oversub %g must be 0 or finite and >= 1", g.Oversub)
 	case g.MemDevTier == TierRack && g.Racks*g.NodesPerRack <= 1:
 		return fmt.Errorf("scale: TierRack needs a multi-node machine")
-	}
-	if g.MemDevTier == TierSwitch && g.MemDevs > g.Racks*g.NodesPerRack*g.GPUsPerNode {
-		return fmt.Errorf("scale: %d switch-tier devices exceed %d switches",
-			g.MemDevs, g.Racks*g.NodesPerRack*g.GPUsPerNode)
 	}
 	return nil
 }

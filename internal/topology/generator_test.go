@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -193,6 +194,11 @@ func TestValidate(t *testing.T) {
 		{Racks: 1, NodesPerRack: 1, GPUsPerNode: 1, MemDevs: 1, Oversub: 0.5},
 		{Racks: 1, NodesPerRack: 1, GPUsPerNode: 1, MemDevs: 1, MemDevTier: TierRack},
 		{Racks: 1, NodesPerRack: 1, GPUsPerNode: 2, MemDevs: 3, MemDevTier: TierSwitch},
+		{Racks: 2, NodesPerRack: 1, GPUsPerNode: 1, MemDevs: 3, MemDevTier: TierRack},
+		{Racks: 1, NodesPerRack: 1, GPUsPerNode: 1, MemDevs: 1, MemDevTier: 3},
+		{Racks: 1, NodesPerRack: 1, GPUsPerNode: 1, MemDevs: 1, Oversub: math.Inf(1)},
+		{Racks: 1, NodesPerRack: 1, GPUsPerNode: 1, MemDevs: 1, Oversub: math.NaN()},
+		{Racks: 1 << 32, NodesPerRack: 1 << 32, GPUsPerNode: 1, MemDevs: 1, MemDevTier: TierNode},
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {

@@ -122,7 +122,7 @@ type Config struct {
 	TelemetryMaxSamples int
 	// TelemetryHotPath additionally registers the simulator's own
 	// hot-path efficiency counters (reshare passes vs. coalesced,
-	// completion events retimed vs. skipped, event-queue tombstones and
+	// completion deadlines rescheduled vs. skipped, event-queue tombstones and
 	// compactions). Off by default: these series describe the engine,
 	// not the simulated system, and registering them changes telemetry
 	// dump bytes.
