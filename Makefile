@@ -40,17 +40,29 @@ vet:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# The repo benchmark end to end, for correctness only: one short run of
-# each workload at seed 1 (about 21 s on a 2-CPU VM). Fails unless
-# every run exits 0 and its result line says "correct":true and
-# "failed":0. Timings are printed but not judged. So are each
-# workload's allocation metrics, on a line of their own so logs show
-# allocation drift at a glance (training cells repeat them to 0.01%).
+# The repo benchmark end to end: one short run of each workload at seed
+# 1 (about 21 s on a 2-CPU VM). Fails unless every run exits 0 and its
+# result line says "correct":true and "failed":0. Timings are printed
+# but not judged. Each workload's allocation metrics are printed on a
+# line of their own, so logs show allocation drift at a glance
+# (training cells repeat them to 0.01%). On the Go release named by
+# BENCH_ALLOCS_GO, each workload's allocs_k must also stay at or below
+# its ceiling in BENCH_ALLOCS_CEILING: the value measured on that
+# release when the collective and CCI paths became allocation-free,
+# plus the benchmark's 3% allocs_k bound. Allocation counts can move
+# with the Go release, so on any other release (as reported by the go
+# that benchmark/run.sh builds with) the ceilings are not applied and
+# the target says so. A change that lowers a workload's
+# count for good lowers its ceiling too.
 BENCH_WORKLOADS = paper-fig16 scale-512 layouts-3d serve-kv
 BENCH_MEM_METRICS = allocs_k alloc_mb heap_live_mb
+BENCH_ALLOCS_GO = go1.24.0
+BENCH_ALLOCS_CEILING = paper-fig16:458.1 scale-512:1091.4 layouts-3d:732.2 serve-kv:63.1
 
 bench-e2e:
-	@for w in $(BENCH_WORKLOADS); do \
+	@gover=$$(GOTOOLCHAIN=local go env GOVERSION); \
+	[ "$$gover" = $(BENCH_ALLOCS_GO) ] || echo "bench-e2e: allocs_k ceilings were recorded on $(BENCH_ALLOCS_GO), not applied on $$gover"; \
+	for w in $(BENCH_WORKLOADS); do \
 		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || { echo "bench-e2e: $$w exited non-zero" >&2; exit 1; }; \
 		line=$$(printf '%s\n' "$$out" | tail -n 1); \
 		echo "$$w: $$line"; \
@@ -59,6 +71,11 @@ bench-e2e:
 		done; \
 		echo "$$w memory:$$mem"; \
 		case "$$line" in *'"correct":true,'*'"failed":0,'*) ;; *) echo "bench-e2e: $$w is not correct:true, failed:0" >&2; exit 1;; esac; \
+		[ "$$gover" = $(BENCH_ALLOCS_GO) ] || continue; \
+		ceil=""; for c in $(BENCH_ALLOCS_CEILING); do case "$$c" in "$$w:"*) ceil=$${c#*:};; esac; done; \
+		[ -n "$$ceil" ] || { echo "bench-e2e: $$w has no allocs_k ceiling" >&2; exit 1; }; \
+		allocs=$$(printf '%s\n' "$$line" | sed -n 's/.*"allocs_k":{"value":\([^,}]*\).*/\1/p'); \
+		awk -v a="$$allocs" -v c="$$ceil" 'BEGIN { exit !(a != "" && a + 0 <= c + 0) }' || { echo "bench-e2e: $$w allocs_k $$allocs exceeds its ceiling $$ceil" >&2; exit 1; }; \
 	done
 
 # Formatting + vet + staticcheck, the CI lint lane. The staticcheck

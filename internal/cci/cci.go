@@ -165,6 +165,10 @@ type Fabric struct {
 	dmaEff    *telemetry.Histogram
 	portTx    map[*topology.Device]*telemetry.Counter
 	portRx    map[*topology.Device]*telemetry.Counter
+
+	// Recycled operation records (see dmaOp and bounceOp).
+	directs *sim.FreeList[dmaOp]
+	bounces *sim.FreeList[bounceOp]
 }
 
 // NewFabric wires the protocol model to a topology.
@@ -172,7 +176,12 @@ func NewFabric(t *topology.Topology, p Params) *Fabric {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Fabric{Topo: t, Params: p}
+	return &Fabric{
+		Topo:    t,
+		Params:  p,
+		directs: sim.NewFreeList[dmaOp](t.Eng),
+		bounces: sim.NewFreeList[bounceOp](t.Eng),
+	}
 }
 
 // AttachTelemetry registers the protocol layer's metrics: message
@@ -242,54 +251,123 @@ func (f *Fabric) DMACopyTagged(tag *fabric.AggTag, src, dst *topology.Device, si
 		}
 	}
 	f.accountCopy(src, dst, size)
-	eng := f.Topo.Eng
 	if f.Topo.P2PSupported || src.Kind == topology.KindCPU || dst.Kind == topology.KindCPU {
-		eng.Schedule(f.Params.DMASetup, func() {
-			if tag != nil {
-				f.Topo.TransferEphemeralTagged(tag, src, dst, size, onDone)
-				return
-			}
-			f.Topo.TransferEphemeral(src, dst, size, onDone)
-		})
+		op := f.directs.Get()
+		if op == nil {
+			op = &dmaOp{f: f}
+			op.fire = op.start
+		}
+		op.tag, op.src, op.dst, op.size, op.onDone = tag, src, dst, size, onDone
+		f.Topo.Eng.Schedule(f.Params.DMASetup, op.fire)
 		return
 	}
-	// Bounce through the CPU on src's node. The staging chunks of one
-	// copy share a path and differ in size by at most one byte, so each
-	// leg is tagged as its own fan (members of one size class
-	// aggregate; the odd-remainder class simply starts a second group).
+	// Bounce through the CPU on src's node.
 	f.bounceOps.Inc()
-	cpu := f.Topo.CPUs[src.Node]
+	op := f.bounces.Get()
+	if op == nil {
+		op = newBounceOp(f)
+	}
 	chunks := int64(f.Params.StageChunks)
-	base := size / chunks
-	rem := size % chunks
-	remaining := int(chunks)
+	op.bounceState = bounceState{
+		src: src, cpu: f.Topo.CPUs[src.Node], dst: dst,
+		base: size / chunks, rem: size % chunks,
+		chunks: chunks, remaining: int(chunks), onDone: onDone,
+	}
 	if size == 0 {
-		remaining = 1
+		op.chunks, op.remaining = 1, 1
 	}
-	done := func() {
-		remaining--
-		if remaining == 0 && onDone != nil {
-			onDone()
-		}
-	}
-	var stageTag, deliverTag fabric.AggTag
-	eng.Schedule(f.Params.DMASetup, func() {
-		for i := int64(0); i < chunks; i++ {
-			sz := base
-			if i < rem {
-				sz++
-			}
-			if size == 0 && i > 0 {
-				break
-			}
-			f.Topo.TransferEphemeralTagged(&stageTag, src, cpu, sz, func() {
-				eng.Schedule(f.Params.DMASetup, func() {
-					f.Topo.TransferEphemeralTagged(&deliverTag, cpu, dst, sz, done)
-				})
-			})
-		}
-	})
+	f.Topo.Eng.Schedule(f.Params.DMASetup, op.launch)
 }
+
+// dmaOp is a direct DMA waiting out its descriptor set-up. fire is
+// bound once per object, so scheduling the set-up allocates nothing;
+// the record returns to the free list as it fires.
+type dmaOp struct {
+	f        *Fabric
+	tag      *fabric.AggTag
+	src, dst *topology.Device
+	size     int64
+	onDone   func()
+	fire     func()
+}
+
+func (op *dmaOp) start() {
+	f, tag, src, dst, size, onDone := op.f, op.tag, op.src, op.dst, op.size, op.onDone
+	op.tag, op.src, op.dst, op.onDone = nil, nil, nil, nil
+	f.directs.Put(op)
+	if tag != nil {
+		f.Topo.TransferEphemeralTagged(tag, src, dst, size, onDone)
+		return
+	}
+	f.Topo.TransferEphemeral(src, dst, size, onDone)
+}
+
+// bounceOp is one copy bounced through host memory, from its first
+// set-up to its last delivered chunk. Its callbacks are bound once per
+// object; the per-copy state is bounceState, zeroed as the record
+// returns to the free list.
+type bounceOp struct {
+	f *Fabric
+	bounceState
+	launch             func() // after the first set-up: stage every chunk
+	stagedHi, stagedLo func() // a large / small chunk reached host memory
+	sendHi, sendLo     func() // its delivery set-up is over
+	delivered          func() // one chunk reached dst
+}
+
+// bounceState is a bounced copy's own state. The staging chunks of one
+// copy share a path and differ in size by at most one byte, so each leg
+// is tagged as its own fan: members of one size class aggregate, and
+// the odd-remainder class simply starts a second group.
+type bounceState struct {
+	src, cpu, dst        *topology.Device
+	base, rem            int64 // chunk size; the first rem chunks carry one byte more
+	chunks               int64 // chunks staged: StageChunks, or one for an empty copy
+	remaining            int   // chunks not yet delivered
+	onDone               func()
+	stageTag, deliverTag fabric.AggTag
+}
+
+func newBounceOp(f *Fabric) *bounceOp {
+	op := &bounceOp{f: f}
+	op.launch = op.stageAll
+	op.stagedHi = func() { op.f.Topo.Eng.Schedule(op.f.Params.DMASetup, op.sendHi) }
+	op.stagedLo = func() { op.f.Topo.Eng.Schedule(op.f.Params.DMASetup, op.sendLo) }
+	op.sendHi = func() { op.deliver(op.base + 1) }
+	op.sendLo = func() { op.deliver(op.base) }
+	op.delivered = op.chunkDone
+	return op
+}
+
+func (op *bounceOp) stageAll() {
+	for i := int64(0); i < op.chunks; i++ {
+		sz, staged := op.base, op.stagedLo
+		if i < op.rem {
+			sz, staged = sz+1, op.stagedHi
+		}
+		op.f.Topo.TransferEphemeralTagged(&op.stageTag, op.src, op.cpu, sz, staged)
+	}
+}
+
+func (op *bounceOp) deliver(sz int64) {
+	op.f.Topo.TransferEphemeralTagged(&op.deliverTag, op.cpu, op.dst, sz, op.delivered)
+}
+
+func (op *bounceOp) chunkDone() {
+	op.remaining--
+	if op.remaining > 0 {
+		return
+	}
+	onDone := op.onDone
+	op.bounceState = bounceState{}
+	op.f.bounces.Put(op)
+	if onDone != nil {
+		onDone()
+	}
+}
+
+// noop stands in for a nil completion callback.
+func noop() {}
 
 // LoadStoreCopy moves size bytes between the CPU and a CCI device using
 // load/store line traffic. The line window, not the link, is the
@@ -311,9 +389,8 @@ func (f *Fabric) LoadStoreCopy(cpu, dev *topology.Device, size int64, write bool
 		bw = pathBW
 	}
 	t := sim.Seconds(float64(size)/bw) + f.Topo.PathLatency(cpu, dev)
-	f.Topo.Eng.Schedule(t, func() {
-		if onDone != nil {
-			onDone()
-		}
-	})
+	if onDone == nil {
+		onDone = noop
+	}
+	f.Topo.Eng.Schedule(t, onDone)
 }

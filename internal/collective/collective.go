@@ -35,6 +35,8 @@ type Ring struct {
 	// Telemetry handles; nil (no-op) until AttachTelemetry is called.
 	sends     *telemetry.Counter
 	sentBytes *telemetry.Counter
+
+	ops *sim.FreeList[bytesOp] // recycled AllReduceBytes records
 }
 
 // AttachTelemetry registers <prefix>/sends and <prefix>/sent_bytes
@@ -56,7 +58,7 @@ func NewRing(eng *sim.Engine, p int, send SendFunc) *Ring {
 	if p < 1 {
 		panic(fmt.Sprintf("collective: ring of %d", p))
 	}
-	return &Ring{eng: eng, p: p, send: send}
+	return &Ring{eng: eng, p: p, send: send, ops: sim.NewFreeList[bytesOp](eng)}
 }
 
 // segment returns the [lo,hi) element range of segment s for buffers of
@@ -233,7 +235,8 @@ func (r *Ring) Broadcast(buffers [][]float32, root int, onDone func()) {
 // one totalBytes/p segment to its neighbor, with ALU time charged on the
 // p-1 reduction rounds. Strategies use it when gradients are simulated
 // rather than materialized, keeping the timing path identical to the
-// functional one.
+// functional one. Each call runs on a recycled bytesOp record, so the
+// rounds allocate nothing once the ring's free list has grown.
 func (r *Ring) AllReduceBytes(totalBytes int64, reverse bool, onDone func()) {
 	if totalBytes < 0 {
 		panic("collective: negative payload")
@@ -242,54 +245,101 @@ func (r *Ring) AllReduceBytes(totalBytes int64, reverse bool, onDone func()) {
 		r.eng.Schedule(0, onDone)
 		return
 	}
-	segBase := totalBytes / int64(r.p)
-	segExtra := totalBytes % int64(r.p)
-	segSize := func(s int) int64 {
-		if int64(s) < segExtra {
-			return segBase + 1
-		}
-		return segBase
+	op := r.ops.Get()
+	if op == nil {
+		op = r.newBytesOp()
 	}
-	sendSeg := make([]int, r.p)
-	for i := range sendSeg {
-		sendSeg[i] = i
+	op.reverse = reverse
+	op.segBase = totalBytes / int64(r.p)
+	op.segExtra = totalBytes % int64(r.p)
+	op.step = 0
+	op.onDone = onDone
+	for i := range op.sendSeg {
+		op.sendSeg[i] = i
 	}
-	rotate := func() {
-		next := make([]int, r.p)
-		for j := 0; j < r.p; j++ {
-			next[r.neighbor(j, reverse)] = sendSeg[j]
-		}
-		sendSeg = next
+	op.round()
+}
+
+// bytesOp is one AllReduceBytes call in flight. Its callbacks are bound
+// once per object: arrive[i] runs when participant i's segment lands,
+// after when one arrival's reduction is done.
+type bytesOp struct {
+	r                 *Ring
+	reverse           bool
+	segBase, segExtra int64
+	step, remaining   int
+	sendSeg, spare    []int // segment each participant forwards this round; rotation scratch
+	onDone            func()
+	arrive            []func()
+	after             func()
+}
+
+func (r *Ring) newBytesOp() *bytesOp {
+	op := &bytesOp{
+		r:       r,
+		sendSeg: make([]int, r.p),
+		spare:   make([]int, r.p),
+		arrive:  make([]func(), r.p),
 	}
-	var round func(step int)
-	round = func(step int) {
-		if step == 2*(r.p-1) {
-			if onDone != nil {
-				onDone()
-			}
-			return
-		}
-		reducing := step < r.p-1
-		remaining := r.p
-		for i := 0; i < r.p; i++ {
-			size := segSize(sendSeg[i])
-			r.xmit(i, reverse, size, func() {
-				after := func() {
-					remaining--
-					if remaining == 0 {
-						rotate()
-						round(step + 1)
-					}
-				}
-				if reducing {
-					r.afterCompute(size, after)
-				} else {
-					after()
-				}
-			})
-		}
+	for i := range op.arrive {
+		i := i
+		op.arrive[i] = func() { op.arrived(i) }
 	}
-	round(0)
+	op.after = op.reduced
+	return op
+}
+
+func (op *bytesOp) segSize(s int) int64 {
+	if int64(s) < op.segExtra {
+		return op.segBase + 1
+	}
+	return op.segBase
+}
+
+// round starts step op.step, or finishes the call after the last one.
+func (op *bytesOp) round() {
+	r := op.r
+	if op.step == 2*(r.p-1) {
+		onDone := op.onDone
+		op.onDone = nil
+		r.ops.Put(op)
+		if onDone != nil {
+			onDone()
+		}
+		return
+	}
+	op.remaining = r.p
+	for i := 0; i < r.p; i++ {
+		r.xmit(i, op.reverse, op.segSize(op.sendSeg[i]), op.arrive[i])
+	}
+}
+
+// arrived charges the reduction of participant i's segment on the p-1
+// reduce-scatter rounds. sendSeg stays as sent until every arrival of
+// the round is reduced, so it still names i's segment.
+func (op *bytesOp) arrived(i int) {
+	if op.step < op.r.p-1 {
+		op.r.afterCompute(op.segSize(op.sendSeg[i]), op.after)
+		return
+	}
+	op.reduced()
+}
+
+// reduced counts one finished arrival; the last of a round rotates the
+// segments (each receiver forwards the one it just got) and starts the
+// next round.
+func (op *bytesOp) reduced() {
+	op.remaining--
+	if op.remaining > 0 {
+		return
+	}
+	r := op.r
+	for j, seg := range op.sendSeg {
+		op.spare[r.neighbor(j, op.reverse)] = seg
+	}
+	op.sendSeg, op.spare = op.spare, op.sendSeg
+	op.step++
+	op.round()
 }
 
 func (r *Ring) neighbor(i int, reverse bool) int {

@@ -23,6 +23,13 @@ type Hierarchy struct {
 	send   PairSendFunc
 	// ALUBytesPerSec models reduction throughput, as in Ring.
 	ALUBytesPerSec float64
+
+	// The per-node rings and the leader ring, built once so their
+	// record free lists are reused across calls.
+	nodeRings  []*Ring
+	leaderRing *Ring
+	ops        *sim.FreeList[hierOp]
+	bcasts     *sim.FreeList[bcastOp]
 }
 
 // NewHierarchy builds a hierarchy over the given per-node participant
@@ -43,7 +50,20 @@ func NewHierarchy(eng *sim.Engine, groups [][]int, send PairSendFunc) *Hierarchy
 			seen[id] = true
 		}
 	}
-	return &Hierarchy{eng: eng, groups: groups, send: send}
+	h := &Hierarchy{
+		eng:    eng,
+		groups: groups,
+		send:   send,
+		ops:    sim.NewFreeList[hierOp](eng),
+		bcasts: sim.NewFreeList[bcastOp](eng),
+	}
+	leaders := make([]int, len(groups))
+	for i, g := range groups {
+		h.nodeRings = append(h.nodeRings, h.ringOver(g))
+		leaders[i] = g[0]
+	}
+	h.leaderRing = h.ringOver(leaders)
+	return h
 }
 
 // ringOver adapts a participant-id subset to a Ring.
@@ -59,60 +79,114 @@ func (h *Hierarchy) ringOver(ids []int) *Ring {
 		}
 		h.send(ids[i], ids[j], size, onDone)
 	}
-	r := NewRing(h.eng, len(ids), send)
-	r.ALUBytesPerSec = h.ALUBytesPerSec
-	return r
+	return NewRing(h.eng, len(ids), send)
+}
+
+// syncALU hands the hierarchy's current ALU throughput to its rings.
+func (h *Hierarchy) syncALU() {
+	for _, r := range h.nodeRings {
+		r.ALUBytesPerSec = h.ALUBytesPerSec
+	}
+	h.leaderRing.ALUBytesPerSec = h.ALUBytesPerSec
 }
 
 // AllReduceBytes runs the two-level timing for a payload of totalBytes.
+// Each call runs on a recycled hierOp record.
 func (h *Hierarchy) AllReduceBytes(totalBytes int64, onDone func()) {
-	// Phase 1: intra-node allreduce, all nodes concurrently.
-	remaining := len(h.groups)
-	phase2 := func() {
-		// Phase 2: leaders allreduce across nodes.
-		leaders := make([]int, len(h.groups))
-		for i, g := range h.groups {
-			leaders[i] = g[0]
-		}
-		h.ringOver(leaders).AllReduceBytes(totalBytes, false, func() {
-			// Phase 3: leaders broadcast within their nodes.
-			left := len(h.groups)
-			for _, g := range h.groups {
-				g := g
-				h.broadcastBytes(g, totalBytes, func() {
-					left--
-					if left == 0 && onDone != nil {
-						onDone()
-					}
-				})
-			}
-		})
+	h.syncALU()
+	op := h.ops.Get()
+	if op == nil {
+		op = &hierOp{h: h}
+		op.nodeDone = op.nodeReduced
+		op.leadersDone = op.leadersReduced
+		op.bcastDone = op.broadcasted
 	}
-	for _, g := range h.groups {
-		h.ringOver(g).AllReduceBytes(totalBytes, false, func() {
-			remaining--
-			if remaining == 0 {
-				phase2()
-			}
-		})
+	op.bytes, op.onDone = totalBytes, onDone
+	// Phase 1: intra-node allreduce, all nodes concurrently.
+	op.left = len(h.groups)
+	for _, r := range h.nodeRings {
+		r.AllReduceBytes(totalBytes, false, op.nodeDone)
 	}
 }
 
-// broadcastBytes pipelines the payload down the node's chain.
+// hierOp is one Hierarchy.AllReduceBytes call in flight; its callbacks
+// are bound once per object.
+type hierOp struct {
+	h      *Hierarchy
+	bytes  int64
+	left   int // node rings, then broadcasts, still running
+	onDone func()
+
+	nodeDone, leadersDone, bcastDone func()
+}
+
+// nodeReduced counts one node ring's end; after the last, phase 2
+// allreduces across the node leaders.
+func (op *hierOp) nodeReduced() {
+	op.left--
+	if op.left == 0 {
+		op.h.leaderRing.AllReduceBytes(op.bytes, false, op.leadersDone)
+	}
+}
+
+// leadersReduced starts phase 3: leaders broadcast within their nodes.
+func (op *hierOp) leadersReduced() {
+	op.left = len(op.h.groups)
+	for _, g := range op.h.groups {
+		op.h.broadcastBytes(g, op.bytes, op.bcastDone)
+	}
+}
+
+func (op *hierOp) broadcasted() {
+	op.left--
+	if op.left > 0 {
+		return
+	}
+	onDone := op.onDone
+	op.onDone = nil
+	op.h.ops.Put(op)
+	if onDone != nil {
+		onDone()
+	}
+}
+
+// broadcastBytes pipelines the payload down the node's chain on a
+// recycled bcastOp record.
 func (h *Hierarchy) broadcastBytes(ids []int, bytes int64, onDone func()) {
 	if len(ids) == 1 {
 		h.eng.Schedule(0, onDone)
 		return
 	}
-	var hop func(i int)
-	hop = func(i int) {
-		if i == len(ids)-1 {
-			onDone()
-			return
-		}
-		h.send(ids[i], ids[i+1], bytes, func() { hop(i + 1) })
+	op := h.bcasts.Get()
+	if op == nil {
+		op = &bcastOp{h: h}
+		op.hop = op.landed
 	}
-	hop(0)
+	op.ids, op.bytes, op.i, op.onDone = ids, bytes, 0, onDone
+	h.send(ids[0], ids[1], bytes, op.hop)
+}
+
+// bcastOp is one broadcastBytes chain in flight: ids[i] has just sent
+// to ids[i+1]. hop is bound once per object.
+type bcastOp struct {
+	h      *Hierarchy
+	ids    []int
+	bytes  int64
+	i      int
+	onDone func()
+	hop    func()
+}
+
+func (op *bcastOp) landed() {
+	op.i++
+	if op.i < len(op.ids)-1 {
+		op.h.send(op.ids[op.i], op.ids[op.i+1], op.bytes, op.hop)
+		return
+	}
+	onDone := op.onDone
+	op.ids, op.onDone = nil, nil
+	op.h.bcasts.Put(op)
+	onDone()
 }
 
 // AllReduce is the functional two-level collective: every buffer ends
@@ -125,15 +199,14 @@ func (h *Hierarchy) AllReduce(buffers [][]float32, average bool, onDone func()) 
 	if len(buffers) != total {
 		panic(fmt.Sprintf("collective: %d buffers for %d participants", len(buffers), total))
 	}
+	h.syncALU()
 	remaining := len(h.groups)
 	phase2 := func() {
-		leaders := make([]int, len(h.groups))
 		leaderBufs := make([][]float32, len(h.groups))
 		for i, g := range h.groups {
-			leaders[i] = g[0]
 			leaderBufs[i] = buffers[g[0]]
 		}
-		h.ringOver(leaders).AllReduce(leaderBufs, false, false, func() {
+		h.leaderRing.AllReduce(leaderBufs, false, false, func() {
 			left := len(h.groups)
 			for _, g := range h.groups {
 				g := g
@@ -157,12 +230,12 @@ func (h *Hierarchy) AllReduce(buffers [][]float32, average bool, onDone func()) 
 			}
 		})
 	}
-	for _, g := range h.groups {
+	for k, g := range h.groups {
 		bufs := make([][]float32, len(g))
 		for i, id := range g {
 			bufs[i] = buffers[id]
 		}
-		h.ringOver(g).AllReduce(bufs, false, false, func() {
+		h.nodeRings[k].AllReduce(bufs, false, false, func() {
 			remaining--
 			if remaining == 0 {
 				phase2()

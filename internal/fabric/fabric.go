@@ -389,8 +389,8 @@ type Network struct {
 	compEntries []*Flow
 	compBounds  []int
 
-	flowPool []*Flow // recycled ephemeral flows
-	flushFn  func()  // n.flush, bound once: the end-of-instant hook
+	flowPool *sim.FreeList[Flow] // recycled ephemeral flows
+	flushFn  func()              // n.flush, bound once: the end-of-instant hook
 }
 
 // Trigger kinds accumulated in trigMask between reallocation passes.
@@ -414,9 +414,6 @@ func SetReferenceFillingForTest(on bool) (restore func()) {
 	return func() { referenceFilling.Store(prev) }
 }
 
-// maxFlowPool bounds the network's flow free-list.
-const maxFlowPool = 4096
-
 // listCompactMin is the tombstone floor below which active lists are
 // not compacted.
 const listCompactMin = 16
@@ -438,6 +435,7 @@ func NewNetwork(eng *sim.Engine) *Network {
 		lastSettle: -1,
 		dueInstant: -1,
 		reference:  referenceFilling.Load(),
+		flowPool:   sim.NewFreeList[Flow](eng),
 	}
 	n.flushFn = n.flush
 	n.doneFn = n.fireDue
@@ -639,8 +637,9 @@ func (n *Network) admit(f *Flow) {
 	if f.remaining == 0 {
 		f.finished = true
 		f.finish = now
-		if f.onDone != nil {
-			f.onDone()
+		if done := f.onDone; done != nil {
+			f.onDone = nil
+			done()
 		}
 		if f.ephemeral {
 			n.recycleFlow(f)
@@ -1579,6 +1578,7 @@ func (n *Network) completeMember(f *Flow, j int) {
 		f.dones[j] = nil
 	} else {
 		done = f.onDone
+		f.onDone = nil // a recycled flow keeps nothing its callback captured
 	}
 	if done != nil {
 		done()
@@ -1608,10 +1608,7 @@ func (n *Network) compactList(s []*Flow) []*Flow {
 }
 
 func (n *Network) newFlow() *Flow {
-	if k := len(n.flowPool); k > 0 {
-		f := n.flowPool[k-1]
-		n.flowPool[k-1] = nil
-		n.flowPool = n.flowPool[:k-1]
+	if f := n.flowPool.Get(); f != nil {
 		ids := f.pathIDs[:0] // keep the path-id buffer across recycles
 		dones := f.dones[:0] // likewise the member-onDone buffer
 		fire := f.fire       // and the bound callback
@@ -1626,11 +1623,7 @@ func (n *Network) newFlow() *Flow {
 	return f
 }
 
-func (n *Network) recycleFlow(f *Flow) {
-	if len(n.flowPool) < maxFlowPool {
-		n.flowPool = append(n.flowPool, f)
-	}
-}
+func (n *Network) recycleFlow(f *Flow) { n.flowPool.Put(f) }
 
 // SortChannels orders channels by name; used by diagnostics that need a
 // stable listing out of map-keyed aggregations.

@@ -1,0 +1,50 @@
+package sim
+
+// FreeList is a capped stack of recycled records. Callers that keep the
+// state of one operation in a small record whose callbacks are bound
+// once per object (the fabric's Flow.fire idiom) take records from it
+// and return them as the operation finishes, so a stream of operations
+// allocates nothing once the list has grown to the stream's peak.
+//
+// Get returns nil when the list is empty; the caller then builds a
+// record and binds its callbacks. Put keeps at most maxPool records,
+// the cap of the engine's own event free list, and drops the rest. The caller clears whatever a record's callbacks
+// captured before Put, so the list keeps nothing else alive. The
+// engine's ReleasePool empties every list made on it.
+type FreeList[T any] struct {
+	items []*T
+}
+
+// NewFreeList returns an empty list tied to eng's ReleasePool.
+func NewFreeList[T any](eng *Engine) *FreeList[T] {
+	l := &FreeList[T]{}
+	eng.freeLists = append(eng.freeLists, l)
+	return l
+}
+
+// Get pops a recycled record, or returns nil when there is none.
+func (l *FreeList[T]) Get() *T {
+	k := len(l.items)
+	if k == 0 {
+		return nil
+	}
+	x := l.items[k-1]
+	l.items[k-1] = nil
+	l.items = l.items[:k-1]
+	return x
+}
+
+// Put returns a record to the list, or drops it when the list is full.
+func (l *FreeList[T]) Put(x *T) {
+	if len(l.items) < maxPool {
+		l.items = append(l.items, x)
+	}
+}
+
+// Len reports how many records the list holds.
+func (l *FreeList[T]) Len() int { return len(l.items) }
+
+func (l *FreeList[T]) release() { l.items = nil }
+
+// releaser is the part of a FreeList the engine's ReleasePool needs.
+type releaser interface{ release() }

@@ -284,8 +284,9 @@ func TestFreeListDropsCallbacks(t *testing.T) {
 	}
 }
 
-// TestReleasePoolDropsFreeList: ReleasePool empties the free list, and
-// the engine keeps scheduling afterwards.
+// TestReleasePoolDropsFreeList: ReleasePool empties the event free
+// list and every record FreeList made on the engine, a FreeList keeps
+// at most maxPool records, and the engine keeps scheduling afterwards.
 func TestReleasePoolDropsFreeList(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 10; i++ {
@@ -295,9 +296,34 @@ func TestReleasePoolDropsFreeList(t *testing.T) {
 	if len(e.pool) != 10 {
 		t.Fatalf("free list holds %d events after the run, want 10", len(e.pool))
 	}
+	type rec struct{ n int }
+	lists := []*FreeList[rec]{NewFreeList[rec](e), NewFreeList[rec](e)}
+	for _, l := range lists {
+		for i := 0; i < maxPool+5; i++ {
+			l.Put(&rec{n: i})
+		}
+		if l.Len() != maxPool {
+			t.Fatalf("FreeList holds %d records after %d Puts, want its cap %d", l.Len(), maxPool+5, maxPool)
+		}
+	}
+	if r := lists[0].Get(); r == nil || r.n != maxPool-1 {
+		t.Fatalf("Get returned %v, want the last record kept (n=%d)", r, maxPool-1)
+	}
 	e.ReleasePool()
 	if e.pool != nil {
 		t.Fatal("ReleasePool kept the free list")
+	}
+	for i, l := range lists {
+		if l.Len() != 0 {
+			t.Fatalf("FreeList %d holds %d records after ReleasePool, want 0", i, l.Len())
+		}
+		if r := l.Get(); r != nil {
+			t.Fatalf("FreeList %d returned a record after ReleasePool", i)
+		}
+	}
+	lists[0].Put(&rec{})
+	if lists[0].Len() != 1 {
+		t.Fatal("FreeList does not refill after ReleasePool")
 	}
 	fired := false
 	e.Schedule(1, func() { fired = true })

@@ -107,10 +107,13 @@ type Engine struct {
 	// pool is the free list of events: engine-owned events return to it
 	// as they are dispatched, caller-owned ones through Recycle.
 	pool []*Event
+	// freeLists are the record free lists made by NewFreeList on this
+	// engine; ReleasePool empties them with the event free list.
+	freeLists []releaser
 }
 
-// maxEventPool bounds the engine's event free-list.
-const maxEventPool = 4096
+// maxPool bounds the engine's event free list and every FreeList.
+const maxPool = 4096
 
 // compactMinTombstones is the floor below which compaction is never
 // triggered; small queues just dispatch through their tombstones.
@@ -247,16 +250,22 @@ func (e *Engine) Recycle(ev *Event) {
 // free puts a dequeued event on the free list, dropping its callback.
 func (e *Engine) free(ev *Event) {
 	ev.fn = nil
-	if len(e.pool) < maxEventPool {
+	if len(e.pool) < maxPool {
 		e.pool = append(e.pool, ev)
 	}
 }
 
-// ReleasePool drops the engine's event free list. A finished simulation
-// that stays referenced — a trainer whose results are still being read
-// — calls it after its last Run, so the events its peak left on the
-// free list do not stay live with it. Later schedules allocate afresh.
-func (e *Engine) ReleasePool() { e.pool = nil }
+// ReleasePool drops the engine's event free list and empties every
+// record FreeList made on the engine. A finished simulation that stays
+// referenced — a trainer whose results are still being read — calls it
+// after its last Run, so the events and records its peak left on the
+// free lists do not stay live with it. Later schedules allocate afresh.
+func (e *Engine) ReleasePool() {
+	e.pool = nil
+	for _, l := range e.freeLists {
+		l.release()
+	}
+}
 
 // Cancel marks a pending event so it never fires. Cancelling an event
 // that already fired (or was already cancelled) is a no-op.

@@ -4,6 +4,7 @@ import (
 	"coarse/internal/collective"
 	"coarse/internal/fabric"
 	"coarse/internal/parallel"
+	"coarse/internal/sim"
 	"coarse/internal/telemetry"
 	"coarse/internal/topology"
 )
@@ -58,6 +59,10 @@ type GroupComm struct {
 	// all-to-all exchanges.
 	pairTags map[[2]int]*fabric.AggTag
 
+	// Recycled per-call records of offloadReduce and AllToAll.
+	offloads  *sim.FreeList[offloadOp]
+	exchanges *sim.FreeList[exchangeOp]
+
 	stat *int64 // payload accumulator for CommStats; may be nil
 }
 
@@ -73,6 +78,8 @@ func newGroupComm(c *Ctx, members []int, stat *int64, hier bool) *GroupComm {
 		pairTags: make(map[[2]int]*fabric.AggTag),
 		stat:     stat,
 	}
+	gc.offloads = sim.NewFreeList[offloadOp](c.Eng)
+	gc.exchanges = sim.NewFreeList[exchangeOp](c.Eng)
 	if hier && gc.alg != parallel.AlgNone {
 		gc.alg = parallel.AlgHier
 	}
@@ -121,9 +128,7 @@ func (gc *GroupComm) buildRing() {
 		// hop with a chaos-silenced endpoint completes only once it
 		// wakes: the ring is synchronous, so one silent member freezes
 		// the whole step.
-		c.CCI.DMACopyTagged(&tags[i][dir], c.Workers[wi].Dev, c.Workers[wj].Dev, size, func() {
-			c.RunAwake(onDone, wi, wj)
-		})
+		c.CCI.DMACopyTagged(&tags[i][dir], c.Workers[wi].Dev, c.Workers[wj].Dev, size, c.newHop(onDone, wi, wj))
 	}
 	gc.ring = collective.NewRing(c.Eng, n, send)
 }
@@ -145,9 +150,7 @@ func (gc *GroupComm) pairSend(from, to int, size int64, onDone func()) {
 		tag = new(fabric.AggTag)
 		gc.pairTags[key] = tag
 	}
-	c.CCI.DMACopyTagged(tag, c.Workers[from].Dev, c.Workers[to].Dev, size, func() {
-		c.RunAwake(onDone, from, to)
-	})
+	c.CCI.DMACopyTagged(tag, c.Workers[from].Dev, c.Workers[to].Dev, size, c.newHop(onDone, from, to))
 }
 
 // buildOffload resolves each member's rack device (the rack's own
@@ -233,32 +236,55 @@ func (gc *GroupComm) AllReduceBytes(bytes int64, onDone func()) {
 // racks on fabric the workers never touch, and members pull the result.
 func (gc *GroupComm) offloadReduce(bytes int64, onDone func()) {
 	c := gc.ctx
-	pending := len(gc.members)
-	pull := func() {
-		left := len(gc.members)
-		for i, w := range gc.members {
-			i, w := i, w
-			c.CCI.DMACopyTagged(&gc.pullTags[i], gc.memberDev[i], c.Workers[w].Dev, bytes, func() {
-				c.RunAwake(func() {
-					left--
-					if left == 0 {
-						onDone()
-					}
-				}, w)
-			})
-		}
+	op := gc.offloads.Get()
+	if op == nil {
+		op = &offloadOp{gc: gc}
+		op.pushed = op.pushDone
+		op.reduced = op.pull
+		op.pulled = op.pullDone
 	}
+	op.bytes, op.left, op.onDone = bytes, len(gc.members), onDone
 	for i, w := range gc.members {
-		i, w := i, w
-		c.CCI.DMACopyTagged(&gc.pushTags[i], c.Workers[w].Dev, gc.memberDev[i], bytes, func() {
-			c.RunAwake(func() {
-				pending--
-				if pending == 0 {
-					gc.devRing.AllReduceBytes(bytes, false, pull)
-				}
-			}, w)
-		})
+		c.CCI.DMACopyTagged(&gc.pushTags[i], c.Workers[w].Dev, gc.memberDev[i], bytes, c.newHop(op.pushed, w))
 	}
+}
+
+// offloadOp is one offloadReduce call in flight; its callbacks are
+// bound once per object.
+type offloadOp struct {
+	gc     *GroupComm
+	bytes  int64
+	left   int // pushes, then pulls, still to land
+	onDone func()
+
+	pushed, reduced, pulled func()
+}
+
+func (op *offloadOp) pushDone() {
+	op.left--
+	if op.left == 0 {
+		op.gc.devRing.AllReduceBytes(op.bytes, false, op.reduced)
+	}
+}
+
+func (op *offloadOp) pull() {
+	gc := op.gc
+	c := gc.ctx
+	op.left = len(gc.members)
+	for i, w := range gc.members {
+		c.CCI.DMACopyTagged(&gc.pullTags[i], gc.memberDev[i], c.Workers[w].Dev, op.bytes, c.newHop(op.pulled, w))
+	}
+}
+
+func (op *offloadOp) pullDone() {
+	op.left--
+	if op.left > 0 {
+		return
+	}
+	onDone := op.onDone
+	op.onDone = nil
+	op.gc.offloads.Put(op)
+	onDone()
 }
 
 // AllToAll issues the pairwise exchange of a routing matrix — m[i][j]
@@ -281,18 +307,70 @@ func (gc *GroupComm) AllToAll(m [][]int64, onDone func()) {
 		c.Eng.Schedule(0, onDone)
 		return
 	}
+	op := gc.exchanges.Get()
+	if op == nil {
+		op = &exchangeOp{gc: gc}
+		op.landed = op.land
+	}
+	op.pending, op.onDone = pending, onDone
 	for i, row := range m {
 		for j, v := range row {
 			if i == j || v <= 0 {
 				continue
 			}
-			from, to := gc.members[i], gc.members[j]
-			gc.pairSend(from, to, v, func() {
-				pending--
-				if pending == 0 {
-					onDone()
-				}
-			})
+			gc.pairSend(gc.members[i], gc.members[j], v, op.landed)
 		}
 	}
+}
+
+// exchangeOp is one AllToAll call in flight; landed is bound once per
+// object.
+type exchangeOp struct {
+	gc      *GroupComm
+	pending int
+	onDone  func()
+	landed  func()
+}
+
+func (op *exchangeOp) land() {
+	op.pending--
+	if op.pending > 0 {
+		return
+	}
+	onDone := op.onDone
+	op.onDone = nil
+	op.gc.exchanges.Put(op)
+	onDone()
+}
+
+// hop is one collective transfer between its landing and the
+// completion callback, which runs once the transfer's workers are awake
+// (Ctx.RunAwake). fire is bound once per object, so a hop allocates no
+// wrapper closure; the record returns to the free list as it fires.
+type hop struct {
+	c      *Ctx
+	onDone func()
+	w      [2]int
+	n      int // workers in w
+	fire   func()
+}
+
+// newHop returns the completion callback of a transfer whose onDone
+// must wait for workers (one or two) to be awake.
+func (c *Ctx) newHop(onDone func(), workers ...int) func() {
+	h := c.hops.Get()
+	if h == nil {
+		h = &hop{c: c}
+		h.fire = h.land
+	}
+	h.onDone = onDone
+	h.n = copy(h.w[:], workers)
+	return h.fire
+}
+
+func (h *hop) land() {
+	c, onDone, w, n := h.c, h.onDone, h.w, h.n
+	h.onDone = nil
+	c.hops.Put(h)
+	c.RunAwake(onDone, w[:n]...)
 }

@@ -185,6 +185,7 @@ type Ctx struct {
 	Grads  [][]*tensor.Tensor
 
 	trainer *Trainer
+	hops    *sim.FreeList[hop] // recycled collective hop records (comm.go)
 }
 
 // NumWorkers returns the worker count.
@@ -415,7 +416,7 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 	machine := topology.Build(eng, cfg.Spec)
 	cciFabric := cci.NewFabric(machine.Topology, cfg.CCIParams)
 
-	ctx := &Ctx{Cfg: cfg, Eng: eng, Machine: machine, CCI: cciFabric}
+	ctx := &Ctx{Cfg: cfg, Eng: eng, Machine: machine, CCI: cciFabric, hops: sim.NewFreeList[hop](eng)}
 	for i, w := range machine.Workers {
 		g := gpu.New(w, cfg.Spec.GPU)
 		if cfg.ComputeJitter > 0 && len(machine.Workers) > 1 {
