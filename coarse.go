@@ -47,8 +47,6 @@ type (
 	MachineSpec = topology.Spec
 	// Result is a training run's measurements.
 	Result = train.Result
-	// CoarseOptions toggles COARSE's mechanisms.
-	CoarseOptions = core.Options
 	// RoutingTable is a client's profiled routing table (Section III-E).
 	RoutingTable = profiler.Table
 	// Dataset is an in-memory supervised dataset.
@@ -66,13 +64,7 @@ type (
 // NewSession opens a push/pull session on a machine preset with the
 // full COARSE design enabled.
 func NewSession(machine MachineSpec) (*Session, error) {
-	return core.NewSession(machine, DefaultCoarseOptions())
-}
-
-// NewSessionWithOptions opens a push/pull session with explicit COARSE
-// options.
-func NewSessionWithOptions(machine MachineSpec, opts CoarseOptions) (*Session, error) {
-	return core.NewSession(machine, opts)
+	return core.NewSession(machine, core.DefaultOptions())
 }
 
 // Model zoo (paper Section V-D workloads plus extras).
@@ -93,9 +85,6 @@ var (
 	MultiNodeV100   = topology.MultiNodeV100
 	Presets         = topology.Presets
 )
-
-// DefaultCoarseOptions enables COARSE's full design.
-var DefaultCoarseOptions = core.DefaultOptions
 
 // GPUSpecOf builds a GPU description for custom machine specs.
 func GPUSpecOf(model string, tflops float64, memBytes int64, memBW float64) topology.GPUSpec {
@@ -121,27 +110,12 @@ func Strategies() []Strategy {
 	return []Strategy{StrategyCentralPS, StrategyDENSE, StrategyAllReduce, StrategyCOARSE}
 }
 
-// newStrategy resolves a strategy through the shared name table; only
-// COARSE takes the caller's options.
-func newStrategy(s Strategy, opts CoarseOptions) (train.Strategy, error) {
-	if s == StrategyCOARSE {
-		return core.New(opts), nil
-	}
-	return config.Strategy(string(s))
-}
-
 // Train simulates data-parallel training of a model on a machine preset
 // and returns its measurements. It fails with an out-of-memory error
 // when a replica plus the strategy's on-GPU state does not fit device
 // memory — the paper's Figure 16e batch-size effect.
 func Train(machine MachineSpec, m *Model, batch, iterations int, strategy Strategy) (*Result, error) {
-	return TrainWithOptions(machine, m, batch, iterations, strategy, DefaultCoarseOptions())
-}
-
-// TrainWithOptions is Train with explicit COARSE options (ignored for
-// other strategies).
-func TrainWithOptions(machine MachineSpec, m *Model, batch, iterations int, strategy Strategy, opts CoarseOptions) (*Result, error) {
-	strat, err := newStrategy(strategy, opts)
+	strat, err := config.Strategy(string(strategy))
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +134,7 @@ func MaxFeasibleBatch(machine MachineSpec, m *Model, strategy Strategy, limit in
 		return 0, fmt.Errorf("coarse: limit %d", limit)
 	}
 	fits := func(batch int) bool {
-		strat, err := newStrategy(strategy, DefaultCoarseOptions())
+		strat, err := config.Strategy(string(strategy))
 		if err != nil {
 			return false
 		}
@@ -243,7 +217,7 @@ func TrainReal(machine MachineSpec, hidden []int, ds *Dataset, batch, iterations
 	sizes = append(sizes, ds.Classes)
 	spec := model.MLP("real-mlp", sizes...)
 
-	strat, err := newStrategy(strategy, DefaultCoarseOptions())
+	strat, err := config.Strategy(string(strategy))
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"coarse/internal/config"
 	"coarse/internal/tensor"
 	"coarse/internal/train"
 )
@@ -190,7 +191,7 @@ func TestPropertyRandomStacks(t *testing.T) {
 		iters := rng.Intn(3) + 2
 
 		final := func(s Strategy) [][]*Tensor {
-			strat, err := newStrategy(s, DefaultCoarseOptions())
+			strat, err := config.Strategy(string(s))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -194,6 +194,13 @@ func scaleInflation(base, r *runner.Result) float64 {
 }
 
 func scaleRun(cfg Config) *scaleData {
+	d, rs := scaleCells(cfg)
+	d.got, d.records = rs.results(cfg)
+	return d
+}
+
+// scaleCells registers every cell of the family without running it.
+func scaleCells(cfg Config) (*scaleData, *runSet) {
 	rs := &runSet{}
 	d := &scaleData{}
 	add := func(workers, shards, batch int, strategy string) scaleCell {
@@ -219,8 +226,7 @@ func scaleRun(cfg Config) *scaleData {
 			d.shard = append(d.shard, add(scaleShardWorkers, k, scaleWeakBatch, strat))
 		}
 	}
-	d.got, d.records = rs.results(cfg)
-	return d
+	return d, rs
 }
 
 // tierUtil pulls one tier's mean utilization out of a run (0 when the

@@ -6,9 +6,9 @@ import (
 	"coarse/internal/sim"
 )
 
-// The fabric microbenchmarks model the three hot-path shapes the
-// training simulations exercise hardest, so BENCH_fabric.json tracks
-// exactly the costs the quick suite pays:
+// The fabric microbenchmarks model the hot-path shapes the training
+// simulations exercise hardest, so `go test -bench . ./internal/fabric`
+// measures the costs the quick suite pays:
 //
 //   - incast: many same-instant flows onto one bottleneck channel (an
 //     all-reduce reduce step, a parameter-server pull storm);
