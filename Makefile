@@ -139,6 +139,7 @@ fuzz-smoke:
 	$(GO) test ./internal/config -fuzz FuzzScenarioRead -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/topology -fuzz FuzzScaleSpec -fuzztime 10s -run '^$$'
 	$(GO) test ./internal/telemetry -fuzz FuzzReadDump -fuzztime 10s -run '^$$'
+	$(GO) test ./internal/serve -fuzz FuzzServeWorkload -fuzztime 10s -run '^$$'
 
 # Live-dashboard smoke: coarsebench -serve on a quick grid — endpoints
 # healthy and well-formed, clean SIGTERM shutdown, and stdout

@@ -22,6 +22,7 @@
 package coarse
 
 import (
+	"errors"
 	"fmt"
 
 	"coarse/internal/cci"
@@ -29,6 +30,7 @@ import (
 	"coarse/internal/core"
 	"coarse/internal/data"
 	"coarse/internal/experiments"
+	"coarse/internal/gpu"
 	"coarse/internal/model"
 	"coarse/internal/nn"
 	"coarse/internal/profiler"
@@ -133,22 +135,34 @@ func MaxFeasibleBatch(machine MachineSpec, m *Model, strategy Strategy, limit in
 	if limit < 1 {
 		return 0, fmt.Errorf("coarse: limit %d", limit)
 	}
-	fits := func(batch int) bool {
-		strat, err := config.Strategy(string(strategy))
-		if err != nil {
-			return false
-		}
-		cfg := train.DefaultConfig(machine, m, batch, 1)
-		_, err = train.New(cfg, strat)
-		return err == nil
+	strat, err := config.Strategy(string(strategy))
+	if err != nil {
+		return 0, err
 	}
-	if !fits(1) {
+	// fits reports whether batch fits; an error other than an OOM ends
+	// the search.
+	fits := func(batch int) (bool, error) {
+		_, err := train.New(train.DefaultConfig(machine, m, batch, 1), strat)
+		if errors.Is(err, gpu.ErrOOM) {
+			return false, nil
+		}
+		return err == nil, err
+	}
+	ok, err := fits(1)
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
 		return 0, fmt.Errorf("coarse: %s does not fit %s at batch 1", m.Name, machine.Label)
 	}
 	lo, hi := 1, limit
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if fits(mid) {
+		ok, err := fits(mid)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -223,7 +237,6 @@ func TrainReal(machine MachineSpec, hidden []int, ds *Dataset, batch, iterations
 	}
 	cfg := train.DefaultConfig(machine, spec, batch, iterations)
 	cfg.Numeric = true
-	cfg.LR = 0.1
 	tr, err := train.New(cfg, strat)
 	if err != nil {
 		return nil, err

@@ -141,4 +141,10 @@ func TestMaxFeasibleBatchErrors(t *testing.T) {
 	if _, err := MaxFeasibleBatch(AWSV100(), huge, StrategyAllReduce, 4); err == nil {
 		t.Fatal("unfittable model accepted")
 	}
+	// An unknown strategy is a naming error, not a model that does not
+	// fit.
+	_, err := MaxFeasibleBatch(AWSV100(), BERTBase(), Strategy("nope"), 4)
+	if err == nil || strings.Contains(err.Error(), "does not fit") || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("unknown strategy: err = %v, want an unknown-strategy error", err)
+	}
 }

@@ -61,9 +61,6 @@ type Options struct {
 	// Partitioning enables equal-shard tensor partitioning; off pushes
 	// whole tensors.
 	Partitioning bool
-	// DualSync enables the GPU/proxy split; off sends everything to the
-	// proxies.
-	DualSync bool
 	// Scheduler picks the proxy service discipline.
 	Scheduler Scheduler
 	// SyncGroups is the number of parallel sync-core groups.
@@ -73,7 +70,8 @@ type Options struct {
 	ReprofileEvery int
 	// MFraction overrides the dual-sync split: the fraction of the
 	// parameter volume sent to the proxies. Negative (the default) lets
-	// the Equation (1) planner choose. The ablation benches sweep it.
+	// the Equation (1) planner choose; 1 turns dual sync off, sending
+	// every layer to the proxies. The ablation benches sweep it.
 	MFraction float64
 	// Checkpoint snapshots parameter storage at the end of every epoch
 	// (here: every EpochIters iterations).
@@ -99,7 +97,6 @@ func DefaultOptions() Options {
 	return Options{
 		Routing:        true,
 		Partitioning:   true,
-		DualSync:       true,
 		Scheduler:      QueueBased,
 		SyncGroups:     4,
 		ReprofileEvery: 50,
@@ -370,13 +367,6 @@ func (s *Strategy) planDualSync() {
 	n := ctx.Cfg.Model.ParamBytes()
 	s.proxySynced = make([]bool, len(layers))
 
-	if !s.Opts.DualSync {
-		for l := range layers {
-			s.proxySynced[l] = true
-		}
-		s.mBytes = n
-		return
-	}
 	if s.Opts.MFraction >= 0 {
 		s.assignSplit(int64(s.Opts.MFraction * float64(n)))
 		return
@@ -779,10 +769,9 @@ func (s *Strategy) finishPull(it, w, layer, gid int) {
 // captureParam writes the master copy of a layer's parameters into its
 // home device's storage (numeric mode, epoch boundaries only): the
 // parameter-storage tier of Section III-D holding the state the epoch
-// checkpoint snapshots. With plain SGD the captured value includes the
-// boundary iteration's update (exactly what every worker will apply at
-// its next forward pass); stateful optimizers checkpoint the
-// pre-update epoch-boundary state.
+// checkpoint snapshots. The captured value includes the boundary
+// iteration's SGD update (exactly what every worker will apply at its
+// next forward pass).
 func (s *Strategy) captureParam(it, layer int) {
 	ctx := s.ctx
 	if !ctx.Cfg.Numeric || s.Opts.EpochIters <= 0 || (it+1)%s.Opts.EpochIters != 0 {

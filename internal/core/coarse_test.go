@@ -110,7 +110,7 @@ func TestDualSyncSplitsLayers(t *testing.T) {
 
 func TestDualSyncOffProxiesEverything(t *testing.T) {
 	opts := DefaultOptions()
-	opts.DualSync = false
+	opts.MFraction = 1 // dual sync off: the proxies take every layer
 	cfg := train.DefaultConfig(topology.SDSCP100(), model.MLP("tiny", 64, 32), 2, 2)
 	s := New(opts)
 	tr, err := train.New(cfg, s)

@@ -68,7 +68,7 @@ func TestCheckpointMatchesIndependentRun(t *testing.T) {
 
 	// Manually compute post-update params from the long run itself.
 	ctx := sLong.ctx
-	lr := ctx.Cfg.LR
+	const lr = 0.1 // the trainer's SGD learning rate
 	for l := range ctx.Layers() {
 		want := longParams[0][l].Clone()
 		want.AXPY(-lr, ctx.Grads[0][l])

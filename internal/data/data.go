@@ -2,10 +2,9 @@
 // on. The paper uses ImageNet for ResNet-50 and SQuAD 1.1 for BERT;
 // neither is available offline, and the evaluation's communication
 // behaviour depends only on sample shapes and batch sizes — not on
-// pixel or token content. The generators therefore produce
-// deterministic, seeded datasets with the right shapes: Gaussian class
-// blobs for classification (separable, so real training demonstrably
-// converges) and token-like integer sequences for QA-shaped workloads.
+// pixel or token content. The generator therefore produces
+// deterministic, seeded Gaussian class blobs for classification
+// (separable, so real training demonstrably converges).
 package data
 
 import (
@@ -63,23 +62,6 @@ func Blobs(seed int64, n, dim, classes int, spread float64) *Dataset {
 		d.X[i], d.X[j] = d.X[j], d.X[i]
 		d.Y[i], d.Y[j] = d.Y[j], d.Y[i]
 	})
-	return d
-}
-
-// ImageNetLike generates image-shaped samples (flattened CxHxW floats)
-// with 1000 classes, used to exercise the ResNet-50 data path at
-// whatever resolution the test budget affords.
-func ImageNetLike(seed int64, n, c, h, w int) *Dataset {
-	d := Blobs(seed, n, c*h*w, 1000, 2)
-	d.Name = "imagenet-like"
-	return d
-}
-
-// SQuADLike generates QA-shaped samples: seqLen pseudo-token embeddings
-// with a start-position label, matching BERT fine-tuning's shape.
-func SQuADLike(seed int64, n, seqLen, embed int) *Dataset {
-	d := Blobs(seed, n, seqLen*embed/64, seqLen, 2) // compact stand-in
-	d.Name = "squad-like"
 	return d
 }
 

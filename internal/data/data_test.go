@@ -107,14 +107,3 @@ func TestPanicsOnBadArgs(t *testing.T) {
 		}()
 	}
 }
-
-func TestNamedGenerators(t *testing.T) {
-	img := ImageNetLike(1, 10, 3, 8, 8)
-	if img.Dim() != 192 || img.Classes != 1000 {
-		t.Fatalf("imagenet-like dim=%d classes=%d", img.Dim(), img.Classes)
-	}
-	qa := SQuADLike(1, 10, 384, 64)
-	if qa.Classes != 384 {
-		t.Fatalf("squad-like classes=%d, want seq positions", qa.Classes)
-	}
-}

@@ -6,68 +6,11 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
 	"coarse/internal/sim"
 )
-
-// Recorder accumulates counters and named durations during one run.
-type Recorder struct {
-	counters  map[string]float64
-	durations map[string]sim.Time
-	series    map[string][]float64
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		counters:  make(map[string]float64),
-		durations: make(map[string]sim.Time),
-		series:    make(map[string][]float64),
-	}
-}
-
-// Add increments a named counter.
-func (r *Recorder) Add(name string, v float64) { r.counters[name] += v }
-
-// Counter returns a counter's value (0 when never set).
-func (r *Recorder) Counter(name string) float64 { return r.counters[name] }
-
-// AddTime accumulates a named duration.
-func (r *Recorder) AddTime(name string, d sim.Time) { r.durations[name] += d }
-
-// Time returns an accumulated duration.
-func (r *Recorder) Time(name string) sim.Time { return r.durations[name] }
-
-// Append adds a sample to a named series.
-func (r *Recorder) Append(name string, v float64) {
-	r.series[name] = append(r.series[name], v)
-}
-
-// Series returns the samples recorded under name.
-func (r *Recorder) Series(name string) []float64 { return r.series[name] }
-
-// Names returns all metric names, sorted, for stable dumps.
-func (r *Recorder) Names() []string {
-	seen := map[string]bool{}
-	for k := range r.counters {
-		seen[k] = true
-	}
-	for k := range r.durations {
-		seen[k] = true
-	}
-	for k := range r.series {
-		seen[k] = true
-	}
-	names := make([]string, 0, len(seen))
-	for k := range seen {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Mean returns the arithmetic mean of a series, 0 when empty.
 func Mean(xs []float64) float64 {

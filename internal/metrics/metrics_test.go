@@ -6,44 +6,12 @@ import (
 	"testing"
 )
 
-func TestCountersAndDurations(t *testing.T) {
-	r := NewRecorder()
-	r.Add("bytes", 10)
-	r.Add("bytes", 5)
-	if r.Counter("bytes") != 15 {
-		t.Fatalf("counter = %v", r.Counter("bytes"))
-	}
-	r.AddTime("blocked", 100)
-	r.AddTime("blocked", 50)
-	if r.Time("blocked") != 150 {
-		t.Fatalf("duration = %v", r.Time("blocked"))
-	}
-	if r.Counter("missing") != 0 || r.Time("missing") != 0 {
-		t.Fatal("missing metrics should be zero")
-	}
-}
-
 func TestSeriesAndMean(t *testing.T) {
-	r := NewRecorder()
-	for _, v := range []float64{1, 2, 3} {
-		r.Append("iter", v)
-	}
-	if got := Mean(r.Series("iter")); got != 2 {
+	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("mean = %v", got)
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("mean of empty should be 0")
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	r := NewRecorder()
-	r.Add("z", 1)
-	r.AddTime("a", 1)
-	r.Append("m", 1)
-	names := r.Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "m" || names[2] != "z" {
-		t.Fatalf("names = %v", names)
 	}
 }
 

@@ -85,16 +85,6 @@ func (m *Model) ActBytes() int64 {
 	return total
 }
 
-// TensorSizes returns every layer's parameter size in bytes, in forward
-// order; the profiler and router consume this distribution.
-func (m *Model) TensorSizes() []int64 {
-	sizes := make([]int64, len(m.Layers))
-	for i, l := range m.Layers {
-		sizes[i] = l.SizeBytes()
-	}
-	return sizes
-}
-
 func conv(name string, k, cin, cout, outH, outW int) []Layer {
 	weight := Layer{
 		Name:       name + ".w",
@@ -284,15 +274,4 @@ func MoETransformer(name string, blocks, hidden, ffn, experts, topk, seq int) *M
 		layers = append(layers, moe)
 	}
 	return &Model{Name: name, Layers: layers}
-}
-
-// Zoo returns the evaluation models keyed by the names used in the
-// paper's figures.
-func Zoo() map[string]*Model {
-	return map[string]*Model{
-		"ResNet50":   ResNet50(),
-		"BERT-Base":  BERTBase(),
-		"BERT-Large": BERTLarge(),
-		"VGG16":      VGG16(),
-	}
 }

@@ -56,15 +56,25 @@ func TestBERTFLOPsScaleWithSeq(t *testing.T) {
 	}
 }
 
+// paperModels are the evaluation models, keyed by the names the
+// paper's figures use.
+func paperModels() map[string]*Model {
+	return map[string]*Model{
+		"ResNet50":   ResNet50(),
+		"BERT-Base":  BERTBase(),
+		"BERT-Large": BERTLarge(),
+		"VGG16":      VGG16(),
+	}
+}
+
 func TestTensorSizeDistributionIsNonUniform(t *testing.T) {
 	// Paper Section III-E: "small-size parameter communication (less
 	// than 2MB) is latency-critical... transfer of large-size parameters
 	// is bandwidth critical". The models must exhibit both classes.
-	for name, m := range Zoo() {
-		sizes := m.TensorSizes()
+	for name, m := range paperModels() {
 		small, large := 0, 0
-		for _, s := range sizes {
-			if s < 2<<20 {
+		for _, l := range m.Layers {
+			if l.SizeBytes() < 2<<20 {
 				small++
 			} else {
 				large++
@@ -77,8 +87,10 @@ func TestTensorSizeDistributionIsNonUniform(t *testing.T) {
 }
 
 func TestBERTDominatedByLargeTensors(t *testing.T) {
-	m := BERTBase()
-	sizes := m.TensorSizes()
+	var sizes []int64
+	for _, l := range BERTBase().Layers {
+		sizes = append(sizes, l.SizeBytes())
+	}
 	sort.Slice(sizes, func(i, j int) bool { return sizes[i] > sizes[j] })
 	var top, total int64
 	for i, s := range sizes {
@@ -93,7 +105,7 @@ func TestBERTDominatedByLargeTensors(t *testing.T) {
 }
 
 func TestActivationBytesPositive(t *testing.T) {
-	for name, m := range Zoo() {
+	for name, m := range paperModels() {
 		if m.ActBytes() <= 0 {
 			t.Errorf("%s: non-positive activation bytes", name)
 		}

@@ -1,138 +1,23 @@
-// Package optim implements the optimizers the training paths apply
-// once gradients are synchronized: plain SGD, SGD with momentum, and
-// Adam — the optimizer whose two moment tensors make up half of a
-// replica's training state and drive the paper's Figure 16e memory
-// arithmetic (COARSE offloads exactly this state to the memory
-// devices' extended storage).
-//
-// Every optimizer is deterministic and per-layer: replicas applying
-// the same averaged gradients stay bit-identical, which the
-// synchronized-training equivalence tests rely on.
+// Package optim implements the optimizer the training paths apply once
+// gradients are synchronized: plain SGD. It is stateless and
+// per-element, so replicas applying the same averaged gradients stay
+// bit-identical, which the synchronized-training equivalence tests rely
+// on.
 package optim
 
-import (
-	"fmt"
-	"math"
-)
-
-// Optimizer applies per-layer parameter updates.
-type Optimizer interface {
-	// Name labels the optimizer in reports.
-	Name() string
-	// StateBytesPerParam is the persistent optimizer state per
-	// parameter, excluding the parameter and gradient themselves
-	// (0 for SGD, 4 for momentum, 8 for Adam).
-	StateBytesPerParam() int64
-	// Step applies the update for one layer: params -= f(grad).
-	Step(layer int, params, grad []float32)
-}
+import "fmt"
 
 // SGD is plain stochastic gradient descent.
 type SGD struct {
 	LR float32
 }
 
-// NewSGD returns plain SGD.
-func NewSGD(lr float32) *SGD { return &SGD{LR: lr} }
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// StateBytesPerParam implements Optimizer.
-func (s *SGD) StateBytesPerParam() int64 { return 0 }
-
-// Step implements Optimizer.
-func (s *SGD) Step(_ int, params, grad []float32) {
-	checkLens(params, grad)
-	for i, g := range grad {
-		params[i] -= s.LR * g
-	}
-}
-
-// Momentum is SGD with classical momentum.
-type Momentum struct {
-	LR, Mu   float32
-	velocity [][]float32
-}
-
-// NewMomentum returns a momentum optimizer with per-layer velocity
-// buffers sized by layerSizes.
-func NewMomentum(lr, mu float32, layerSizes []int) *Momentum {
-	m := &Momentum{LR: lr, Mu: mu}
-	for _, n := range layerSizes {
-		m.velocity = append(m.velocity, make([]float32, n))
-	}
-	return m
-}
-
-// Name implements Optimizer.
-func (m *Momentum) Name() string { return "momentum" }
-
-// StateBytesPerParam implements Optimizer.
-func (m *Momentum) StateBytesPerParam() int64 { return 4 }
-
-// Step implements Optimizer.
-func (m *Momentum) Step(layer int, params, grad []float32) {
-	checkLens(params, grad)
-	v := m.velocity[layer]
-	if len(v) != len(params) {
-		panic(fmt.Sprintf("optim: layer %d velocity size %d != %d", layer, len(v), len(params)))
-	}
-	for i, g := range grad {
-		v[i] = m.Mu*v[i] + g
-		params[i] -= m.LR * v[i]
-	}
-}
-
-// Adam is the Adam optimizer (Kingma & Ba). Each layer keeps first and
-// second moment estimates and its own step counter.
-type Adam struct {
-	LR, Beta1, Beta2, Eps float32
-	m, v                  [][]float32
-	t                     []int
-}
-
-// NewAdam returns Adam with standard defaults for the unset betas.
-func NewAdam(lr float32, layerSizes []int) *Adam {
-	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-	for _, n := range layerSizes {
-		a.m = append(a.m, make([]float32, n))
-		a.v = append(a.v, make([]float32, n))
-		a.t = append(a.t, 0)
-	}
-	return a
-}
-
-// Name implements Optimizer.
-func (a *Adam) Name() string { return "adam" }
-
-// StateBytesPerParam implements Optimizer.
-func (a *Adam) StateBytesPerParam() int64 { return 8 }
-
-// Step implements Optimizer.
-func (a *Adam) Step(layer int, params, grad []float32) {
-	checkLens(params, grad)
-	m, v := a.m[layer], a.v[layer]
-	if len(m) != len(params) {
-		panic(fmt.Sprintf("optim: layer %d moment size %d != %d", layer, len(m), len(params)))
-	}
-	a.t[layer]++
-	t := float64(a.t[layer])
-	c1 := 1 / float32(1-math.Pow(float64(a.Beta1), t))
-	c2 := 1 / float32(1-math.Pow(float64(a.Beta2), t))
-	for i, g := range grad {
-		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-		v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-		mHat := m[i] * c1
-		vHat := v[i] * c2
-		params[i] -= a.LR * mHat / (sqrt32(vHat) + a.Eps)
-	}
-}
-
-func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
-
-func checkLens(params, grad []float32) {
+// Step applies one update: params -= LR * grad.
+func (s SGD) Step(params, grad []float32) {
 	if len(params) != len(grad) {
 		panic(fmt.Sprintf("optim: params %d vs grad %d", len(params), len(grad)))
+	}
+	for i, g := range grad {
+		params[i] -= s.LR * g
 	}
 }

@@ -26,12 +26,12 @@ import (
 	"coarse/internal/train"
 )
 
+// psUpdateBytesPerSec is CentralPS's server-side aggregation rate:
+// memory-bound, 30 GB/s.
+const psUpdateBytesPerSec float64 = 30e9
+
 // CentralPS is the host-CPU parameter server baseline.
 type CentralPS struct {
-	// UpdateBytesPerSec is the server-side aggregation rate (CPU memory
-	// bound).
-	UpdateBytesPerSec float64
-
 	// Shards selects the server placement. 0 keeps the historical
 	// behavior: every node's own host CPU aggregates its workers'
 	// gradients (the single-node reading of Section II-B, where
@@ -41,7 +41,7 @@ type CentralPS struct {
 	// every worker's push now crosses the network toward the server,
 	// which is exactly the incast bottleneck the paper's Section IV
 	// scaling argument is about. Each server aggregates serially at
-	// UpdateBytesPerSec.
+	// psUpdateBytesPerSec.
 	Shards int
 
 	ctx *train.Ctx
@@ -61,10 +61,9 @@ type psServer struct {
 	free sim.Time
 }
 
-// NewCentralPS returns the baseline with a memory-bound 30 GB/s
-// aggregation rate.
+// NewCentralPS returns the baseline.
 func NewCentralPS() *CentralPS {
-	return &CentralPS{UpdateBytesPerSec: 30e9}
+	return &CentralPS{}
 }
 
 // Name implements train.Strategy.
@@ -126,7 +125,7 @@ func (s *CentralPS) GradientReady(it, w, layer int) {
 			return
 		}
 		delete(s.arrived, key)
-		update := sim.Seconds(float64(size) / s.UpdateBytesPerSec)
+		update := sim.Seconds(float64(size) / psUpdateBytesPerSec)
 		apply := func() {
 			if ctx.Cfg.Numeric {
 				ctx.AverageGrads(layer)
@@ -198,17 +197,20 @@ func (p *pipe) transfer(worker int, size int64, onDone func()) {
 	p.ctx.Eng.At(finish, onDone)
 }
 
+// DENSE's generalized-processor figures.
+const (
+	// denseProcessorBytesPerSec is the on-device generalized processor's
+	// aggregation rate, ARM-class 2 GB/s; the paper's ARM cores are
+	// slow, which is what motivated the sync cores (Section IV-A).
+	denseProcessorBytesPerSec float64 = 2e9
+	// denseRequestOverhead is the per-push/pull service time on the
+	// generalized processor, 0.5 ms; it dominates for models with many
+	// small tensors (ResNet's BN parameters).
+	denseRequestOverhead sim.Time = 500_000
+)
+
 // DENSE is the naive single-device CCI parameter server.
 type DENSE struct {
-	// ProcessorBytesPerSec is the on-device generalized processor's
-	// aggregation rate; the paper's ARM cores are slow, which is what
-	// motivated the sync cores (Section IV-A).
-	ProcessorBytesPerSec float64
-	// RequestOverhead is the per-push/pull service time on the
-	// generalized processor; it dominates for models with many small
-	// tensors (ResNet's BN parameters).
-	RequestOverhead sim.Time
-
 	// Shards gives the design k independent memory devices, each with
 	// its own port pair and generalized processor, serving layer
 	// l ≡ s (mod k). 0 or 1 is the paper's single-device DENSE; the
@@ -231,10 +233,9 @@ type DENSE struct {
 	pushes, pulls, pushBytes, pullBytes *telemetry.Counter
 }
 
-// NewDENSE returns the baseline with an ARM-class 2 GB/s aggregation
-// rate and a 0.5 ms per-request service time.
+// NewDENSE returns the baseline.
 func NewDENSE() *DENSE {
-	return &DENSE{ProcessorBytesPerSec: 2e9, RequestOverhead: 500_000}
+	return &DENSE{}
 }
 
 // Name implements train.Strategy.
@@ -257,9 +258,9 @@ func (s *DENSE) Setup(ctx *train.Ctx) error {
 	}
 	for si := 0; si < k; si++ {
 		s.writePorts = append(s.writePorts,
-			&pipe{ctx: ctx, perOp: s.RequestOverhead, rate: p.SharingPenalty(p.LoadStoreBandwidth(true), sharers)})
+			&pipe{ctx: ctx, perOp: denseRequestOverhead, rate: p.SharingPenalty(p.LoadStoreBandwidth(true), sharers)})
 		s.readPorts = append(s.readPorts,
-			&pipe{ctx: ctx, perOp: s.RequestOverhead, rate: p.SharingPenalty(p.LoadStoreBandwidth(false), sharers)})
+			&pipe{ctx: ctx, perOp: denseRequestOverhead, rate: p.SharingPenalty(p.LoadStoreBandwidth(false), sharers)})
 	}
 	reg := ctx.Cfg.Telemetry
 	s.pushes = reg.Counter("dense/pushes", "ops")
@@ -325,7 +326,7 @@ func (s *DENSE) GradientReady(it, w, layer int) {
 			return
 		}
 		delete(s.arrived, key)
-		update := sim.Seconds(float64(size) / s.ProcessorBytesPerSec)
+		update := sim.Seconds(float64(size) / denseProcessorBytesPerSec)
 		ctx.Eng.Schedule(update, func() {
 			if ctx.Cfg.Numeric {
 				ctx.AverageGrads(layer)

@@ -34,7 +34,6 @@ import (
 	"coarse/internal/model"
 	"coarse/internal/parallel"
 	"coarse/internal/serve"
-	"coarse/internal/sim"
 	"coarse/internal/telemetry"
 	"coarse/internal/topology"
 	"coarse/internal/train"
@@ -89,16 +88,14 @@ type Spec struct {
 	Chaos *chaos.Spec
 
 	// Telemetry enables the virtual-time metrics layer for this cell: the
-	// runner builds a fresh registry, hands it to the trainer, and stores
-	// the resulting time-series dump on Result.Telemetry. Telemetry cells
-	// bypass the memoization cache (cached Results carry no dump), and
-	// because sampling rides daemon events the measured metrics are
-	// identical to an uninstrumented run's.
+	// runner builds a fresh registry, hands it to the trainer (which
+	// samples it at the telemetry package's default period and sample
+	// cap), and stores the resulting time-series dump on
+	// Result.Telemetry. Telemetry cells bypass the memoization cache
+	// (cached Results carry no dump), and because sampling rides daemon
+	// events the measured metrics are identical to an uninstrumented
+	// run's.
 	Telemetry bool
-	// TelemetryPeriod / TelemetryMaxSamples tune the sampler; zero means
-	// the telemetry package defaults.
-	TelemetryPeriod     sim.Time
-	TelemetryMaxSamples int
 }
 
 // Probe is the environment a Spec.Probe hook runs in.
@@ -372,8 +369,6 @@ func Run(s Spec) (res *Result) {
 	cfg.FlatCollectives = s.FlatCollectives
 	if s.Telemetry {
 		cfg.Telemetry = telemetry.NewRegistry()
-		cfg.TelemetryPeriod = s.TelemetryPeriod
-		cfg.TelemetryMaxSamples = s.TelemetryMaxSamples
 	}
 	if s.Configure != nil {
 		s.Configure(&cfg)

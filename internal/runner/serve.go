@@ -7,7 +7,6 @@ import (
 	"coarse/internal/metrics"
 	"coarse/internal/model"
 	"coarse/internal/serve"
-	"coarse/internal/sim"
 	"coarse/internal/telemetry"
 	"coarse/internal/topology"
 )
@@ -28,7 +27,7 @@ type ServeSpec struct {
 	Workload serve.Workload
 
 	// Options adjusts the serve.Config after defaults apply (KV
-	// placement, prefetch, pool split, SLOs, chaos...). It runs inside
+	// placement, prefetch, pool split, chaos...). It runs inside
 	// the cell, so it must not touch shared mutable state.
 	Options func(*serve.Config)
 
@@ -37,9 +36,7 @@ type ServeSpec struct {
 
 	// Telemetry mirrors Spec.Telemetry: build a registry, attach the
 	// dump to the Result, bypass the cache.
-	Telemetry           bool
-	TelemetryPeriod     sim.Time
-	TelemetryMaxSamples int
+	Telemetry bool
 }
 
 // DerivedSeed mirrors Spec.DerivedSeed over the serving identity
@@ -117,8 +114,6 @@ func RunServe(s ServeSpec) (res *Result) {
 	cfg.Seed = res.Seed
 	if s.Telemetry {
 		cfg.Telemetry = telemetry.NewRegistry()
-		cfg.TelemetryPeriod = s.TelemetryPeriod
-		cfg.TelemetryMaxSamples = s.TelemetryMaxSamples
 	}
 	if s.Options != nil {
 		s.Options(&cfg)

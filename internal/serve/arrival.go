@@ -18,13 +18,13 @@ const (
 	// Poisson is a homogeneous Poisson process at RatePerSec.
 	Poisson ArrivalKind = iota
 	// Diurnal modulates the rate with a triangle wave (period
-	// DiurnalPeriod, relative depth DiurnalDepth) around RatePerSec —
+	// diurnalPeriod, relative depth diurnalDepth) around RatePerSec —
 	// the compressed day/night load curve. A triangle rather than a
 	// sinusoid keeps the modulation in +,-,*,/ only, so the trace is
 	// bit-reproducible without trusting a libm.
 	Diurnal
 	// Bursty is a two-state modulated Poisson process: the first
-	// BurstFraction of every BurstPeriod runs at BurstFactor times the
+	// burstFraction of every burstPeriod runs at burstFactor times the
 	// off-burst rate, with the off-burst rate chosen so the long-run
 	// mean stays RatePerSec.
 	Bursty
@@ -67,51 +67,69 @@ type Workload struct {
 	// all (a zero-traffic run is byte-identical to an idle machine).
 	Requests int
 
-	// Diurnal shape knobs; zero values take the defaults (4 s period,
-	// 0.8 depth — one compressed "day" per few seconds of virtual time).
-	DiurnalPeriod sim.Time
-	DiurnalDepth  float64
-
-	// Bursty shape knobs; zero values take the defaults (1 s period,
-	// burst in the first 25% of each period at 4x the off-burst rate).
-	BurstPeriod   sim.Time
-	BurstFraction float64
-	BurstFactor   float64
-
-	// Prompt/output token-length distribution bounds; zero values take
-	// the defaults (prompt 24 mean / 64 max, output 48 mean / 96 max).
-	PromptMean, PromptMax int
-	OutputMean, OutputMax int
+	// Mean prompt and output token lengths; zero values take the
+	// defaults (24 and 48).
+	PromptMean, OutputMean int
 }
 
-// withDefaults fills zero-valued knobs.
+// The arrival shapes and length bounds every workload shares. The
+// diurnal curve is one compressed "day" per few seconds of virtual
+// time; a burst runs in the first burstFraction of every burstPeriod
+// at burstFactor times the off-burst rate.
+const (
+	diurnalPeriod sim.Time = 4_000_000_000
+	diurnalDepth  float64  = 0.8
+
+	burstPeriod   sim.Time = 1_000_000_000
+	burstFraction float64  = 0.25
+	burstFactor   float64  = 4
+
+	promptMax = 64
+	outputMax = 96
+)
+
+// Input bounds New enforces before any trace is generated.
+const (
+	// maxRequests caps a workload's request count: GenerateTrace
+	// allocates the whole trace up front, 32 bytes a request. The
+	// experiments and the benchmark use at most 1,000.
+	maxRequests = 1_000_000
+	// maxRatePerSec keeps every shape's peak rate finite and the
+	// thinning generator's candidate count within a small multiple of
+	// the request count.
+	maxRatePerSec = 1e9
+	// maxSpanSeconds caps the trace's mean span (Requests/RatePerSec)
+	// far inside the int64-nanosecond range arrival times live in.
+	maxSpanSeconds = 1e6
+)
+
+// validate rejects workloads the generator cannot turn into a bounded,
+// well-formed trace: an unknown arrival shape, a NaN, infinite, negative
+// or huge rate, a negative or huge request count, or a rate so low the
+// arrivals would leave virtual time's range. Requests == 0 at rate 0 is
+// the valid zero-traffic run.
+func (w Workload) validate() error {
+	switch {
+	case w.Arrival < Poisson || w.Arrival > Bursty:
+		return fmt.Errorf("serve: unknown arrival process %v", w.Arrival)
+	case !(w.RatePerSec >= 0 && w.RatePerSec <= maxRatePerSec):
+		return fmt.Errorf("serve: arrival rate %v: want a finite rate in [0, %g]", w.RatePerSec, maxRatePerSec)
+	case w.Requests < 0 || w.Requests > maxRequests:
+		return fmt.Errorf("serve: %d requests: want 0 to %d", w.Requests, maxRequests)
+	case w.Requests > 0 && w.RatePerSec > 0 && float64(w.Requests)/w.RatePerSec > maxSpanSeconds:
+		return fmt.Errorf("serve: %d requests at %v/s span more than %g virtual seconds",
+			w.Requests, w.RatePerSec, maxSpanSeconds)
+	}
+	return nil
+}
+
+// withDefaults fills the zero-valued length means.
 func (w Workload) withDefaults() Workload {
-	if w.DiurnalPeriod <= 0 {
-		w.DiurnalPeriod = sim.Seconds(4)
-	}
-	if w.DiurnalDepth <= 0 {
-		w.DiurnalDepth = 0.8
-	}
-	if w.BurstPeriod <= 0 {
-		w.BurstPeriod = sim.Seconds(1)
-	}
-	if w.BurstFraction <= 0 {
-		w.BurstFraction = 0.25
-	}
-	if w.BurstFactor <= 0 {
-		w.BurstFactor = 4
-	}
 	if w.PromptMean <= 0 {
 		w.PromptMean = 24
 	}
-	if w.PromptMax <= 0 {
-		w.PromptMax = 64
-	}
 	if w.OutputMean <= 0 {
 		w.OutputMean = 48
-	}
-	if w.OutputMax <= 0 {
-		w.OutputMax = 96
 	}
 	return w
 }
@@ -121,9 +139,9 @@ func (w Workload) withDefaults() Workload {
 func (w Workload) peakRate() float64 {
 	switch w.Arrival {
 	case Diurnal:
-		return w.RatePerSec * (1 + w.DiurnalDepth)
+		return w.RatePerSec * (1 + diurnalDepth)
 	case Bursty:
-		return w.offBurstRate() * w.BurstFactor
+		return w.offBurstRate() * burstFactor
 	}
 	return w.RatePerSec
 }
@@ -131,29 +149,29 @@ func (w Workload) peakRate() float64 {
 // offBurstRate is the bursty shape's base rate, chosen so the long-run
 // mean over burst and quiet phases equals RatePerSec.
 func (w Workload) offBurstRate() float64 {
-	f := w.BurstFraction
-	return w.RatePerSec / (1 - f + w.BurstFactor*f)
+	f := burstFraction
+	return w.RatePerSec / (1 - f + burstFactor*f)
 }
 
 // rateAt returns the instantaneous arrival rate at virtual second t.
 func (w Workload) rateAt(t float64) float64 {
 	switch w.Arrival {
 	case Diurnal:
-		period := w.DiurnalPeriod.ToSeconds()
+		period := diurnalPeriod.ToSeconds()
 		p := t / period
 		p -= float64(int64(p)) // fractional phase in [0, 1)
 		tri := 2 * p           // triangle wave in [0, 1]
 		if p >= 0.5 {
 			tri = 2 * (1 - p)
 		}
-		return w.RatePerSec * (1 + w.DiurnalDepth*(2*tri-1))
+		return w.RatePerSec * (1 + diurnalDepth*(2*tri-1))
 	case Bursty:
-		period := w.BurstPeriod.ToSeconds()
+		period := burstPeriod.ToSeconds()
 		p := t / period
 		p -= float64(int64(p))
 		base := w.offBurstRate()
-		if p < w.BurstFraction {
-			return base * w.BurstFactor
+		if p < burstFraction {
+			return base * burstFactor
 		}
 		return base
 	}
@@ -196,8 +214,8 @@ func GenerateTrace(w Workload, seed int64) []Request {
 		out = append(out, Request{
 			ID:           len(out),
 			Arrival:      sim.Seconds(t),
-			PromptTokens: lengthSample(r, w.PromptMean, w.PromptMax),
-			OutputTokens: lengthSample(r, w.OutputMean, w.OutputMax),
+			PromptTokens: lengthSample(r, w.PromptMean, promptMax),
+			OutputTokens: lengthSample(r, w.OutputMean, outputMax),
 		})
 	}
 	return out

@@ -53,7 +53,6 @@ func TestTraceShape(t *testing.T) {
 	if len(reqs) != 300 {
 		t.Fatalf("got %d requests, want 300", len(reqs))
 	}
-	wd := w.withDefaults()
 	var prev sim.Time
 	for i, q := range reqs {
 		if q.ID != i {
@@ -63,11 +62,11 @@ func TestTraceShape(t *testing.T) {
 			t.Fatalf("request %d arrives at %d before predecessor %d", i, q.Arrival, prev)
 		}
 		prev = q.Arrival
-		if q.PromptTokens < 1 || q.PromptTokens > wd.PromptMax {
-			t.Fatalf("request %d prompt length %d outside [1, %d]", i, q.PromptTokens, wd.PromptMax)
+		if q.PromptTokens < 1 || q.PromptTokens > promptMax {
+			t.Fatalf("request %d prompt length %d outside [1, %d]", i, q.PromptTokens, promptMax)
 		}
-		if q.OutputTokens < 1 || q.OutputTokens > wd.OutputMax {
-			t.Fatalf("request %d output length %d outside [1, %d]", i, q.OutputTokens, wd.OutputMax)
+		if q.OutputTokens < 1 || q.OutputTokens > outputMax {
+			t.Fatalf("request %d output length %d outside [1, %d]", i, q.OutputTokens, outputMax)
 		}
 	}
 }

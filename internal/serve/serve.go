@@ -9,20 +9,20 @@
 // disaggregated prefill/decode with KV pooling):
 //
 //   - One shared parameter copy lives in the CCI pool. Every worker
-//     holds a local coherent cache of a ParamCacheFraction of it; the
+//     holds a local coherent cache of a paramCacheFraction of it; the
 //     miss remainder streams over the fabric (cci.Fabric.DMACopy) once
 //     per prefill and once per decode iteration — amortized across the
 //     batch, which is what makes batching pay.
 //   - With KVPooled, each sequence's KV cache lives in a CCI memory
 //     device: every decode step writes the new token's KV page to the
-//     pool and reads back the (1-KVHitRate) slice of the growing
+//     pool and reads back the (1-kvHitRate) slice of the growing
 //     context that missed the worker's local page cache. Prefetch
 //     overlaps the next step's reads under compute instead of gating
 //     the iteration on them (the bandwidth is still spent).
 //   - With KVLocal, KV pages stay in worker HBM: no per-step fabric
 //     traffic (beyond the shared parameter stream), but admission into
 //     a decode batch reserves the sequence's full-context KV footprint
-//     against LocalKVBudget — the HBM wall that caps concurrency.
+//     against localKVBudget — the HBM wall that caps concurrency.
 //
 // Decode iterations are the continuous-batching boundary: sequences
 // join and leave a worker's batch only between iterations, one token
@@ -58,7 +58,7 @@ type KVPlacement int
 
 const (
 	// KVLocal keeps KV pages in the decode worker's HBM, capacity-capped
-	// by LocalKVBudget.
+	// by localKVBudget.
 	KVLocal KVPlacement = iota
 	// KVPooled allocates KV in CCI memory devices, traded for per-step
 	// fabric traffic.
@@ -84,7 +84,8 @@ func ParseKVPlacement(s string) (KVPlacement, error) {
 	return 0, fmt.Errorf("serve: unknown KV placement %q (local, pooled)", s)
 }
 
-// Config describes one serving run.
+// Config describes one serving run. The batching, KV and SLO figures
+// every run shares are the package constants below, not fields.
 type Config struct {
 	Spec     topology.Spec
 	Model    *model.Model
@@ -95,36 +96,12 @@ type Config struct {
 	// PrefillWorkers is the size of the prefill pool (the first N
 	// worker GPUs); the rest decode. Zero derives max(1, workers/4).
 	PrefillWorkers int
-	// MaxBatch caps the sequences a decode worker batches per
-	// iteration; zero means 8.
-	MaxBatch int
 
 	KVPlacement KVPlacement
 	// Prefetch (KVPooled only) issues the next decode step's KV page
 	// reads under the current step's compute instead of gating the
 	// iteration barrier on them.
 	Prefetch bool
-	// KVBytesPerToken is the KV-cache footprint of one token; zero
-	// means 4 MiB (a large-decoder surrogate: the model graph stands in
-	// for a much bigger network's compute, the KV page size for its
-	// memory footprint).
-	KVBytesPerToken int64
-	// LocalKVBudget is the per-decode-worker HBM set aside for KV pages
-	// under KVLocal; zero means 1 GiB.
-	LocalKVBudget int64
-	// KVHitRate is the fraction of a pooled sequence's context KV that
-	// hits the worker's local page cache each step; the miss slice is
-	// read over the fabric. Zero means 0.95.
-	KVHitRate float64
-	// ParamCacheFraction is the slice of the shared parameter copy each
-	// worker caches locally; the rest streams from the pool per prefill
-	// and per decode iteration. Zero means 0.95.
-	ParamCacheFraction float64
-
-	// SLOTTFT / SLOTPOT define goodput: a request is "good" when its
-	// TTFT and TPOT both meet the objective. Zeros mean 25 ms / 20 ms.
-	SLOTTFT sim.Time
-	SLOTPOT sim.Time
 
 	// Chaos compiles into a deterministic fault plan (using Seed)
 	// injected during the run, exactly as in training: CCI brownouts
@@ -136,9 +113,7 @@ type Config struct {
 	// Telemetry, when non-nil, receives fabric/CCI/chaos series plus
 	// serving counters (arrivals, tokens, queue depths, TTFT/TPOT
 	// histograms), sampled on daemon events only.
-	Telemetry           *telemetry.Registry
-	TelemetryPeriod     sim.Time
-	TelemetryMaxSamples int
+	Telemetry *telemetry.Registry
 
 	Seed int64
 }
@@ -154,34 +129,41 @@ func DefaultConfig(spec topology.Spec, m *model.Model, w Workload) Config {
 	}
 }
 
-// withDefaults resolves zero-valued knobs.
+// The serving constants every run shares. The float ones are typed so
+// that expressions like 1 - kvHitRate round exactly as run-time float64
+// arithmetic does.
+const (
+	// maxBatch caps the sequences a decode worker batches per iteration.
+	maxBatch = 8
+	// kvBytesPerToken is the KV-cache footprint of one token (a
+	// large-decoder surrogate: the model graph stands in for a much
+	// bigger network's compute, the KV page size for its memory
+	// footprint).
+	kvBytesPerToken int64 = 4 << 20
+	// localKVBudget is the per-decode-worker HBM set aside for KV pages
+	// under KVLocal.
+	localKVBudget int64 = 1 << 30
+	// kvHitRate is the fraction of a pooled sequence's context KV that
+	// hits the worker's local page cache each step; the miss slice is
+	// read over the fabric.
+	kvHitRate float64 = 0.95
+	// paramCacheFraction is the slice of the shared parameter copy each
+	// worker caches locally; the rest streams from the pool per prefill
+	// and per decode iteration.
+	paramCacheFraction float64 = 0.95
+	// sloTTFT and sloTPOT define goodput: a request is "good" when its
+	// TTFT and TPOT both meet the objective.
+	sloTTFT sim.Time = 25 * 1_000_000
+	sloTPOT sim.Time = 20 * 1_000_000
+)
+
+// withDefaults resolves the zero-valued pool split.
 func (c Config) withDefaults(workers int) Config {
 	if c.PrefillWorkers <= 0 {
 		c.PrefillWorkers = workers / 4
 		if c.PrefillWorkers < 1 {
 			c.PrefillWorkers = 1
 		}
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.KVBytesPerToken <= 0 {
-		c.KVBytesPerToken = 4 << 20
-	}
-	if c.LocalKVBudget <= 0 {
-		c.LocalKVBudget = 1 << 30
-	}
-	if c.KVHitRate <= 0 {
-		c.KVHitRate = 0.95
-	}
-	if c.ParamCacheFraction <= 0 {
-		c.ParamCacheFraction = 0.95
-	}
-	if c.SLOTTFT <= 0 {
-		c.SLOTTFT = 25 * 1_000_000
-	}
-	if c.SLOTPOT <= 0 {
-		c.SLOTPOT = 20 * 1_000_000
 	}
 	return c
 }
@@ -342,13 +324,16 @@ type Sim struct {
 // that many tokens.
 const tokensPerSample = 128
 
-// New builds a serving simulation. It fails when the machine cannot
-// host the configuration: fewer than two workers (the pools must
-// disaggregate), no CCI memory device for the shared parameter copy,
-// or a LocalKVBudget too small for one maximal sequence.
+// New builds a serving simulation. It fails on a workload outside the
+// bounds Workload.validate states, and when the machine cannot host the
+// configuration: fewer than two workers (the pools must disaggregate)
+// or no CCI memory device for the shared parameter copy.
 func New(cfg Config) (*Sim, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("serve: no model")
+	}
+	if err := cfg.Workload.validate(); err != nil {
+		return nil, err
 	}
 	eng := sim.NewEngine()
 	machine := topology.Build(eng, cfg.Spec)
@@ -364,13 +349,6 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("serve: %d prefill workers leave no decode pool on %d GPUs",
 			cfg.PrefillWorkers, len(machine.Workers))
 	}
-	w := cfg.Workload.withDefaults()
-	cfg.Workload = w
-	maxSeqKV := int64(w.PromptMax+w.OutputMax) * cfg.KVBytesPerToken
-	if cfg.KVPlacement == KVLocal && maxSeqKV > cfg.LocalKVBudget {
-		return nil, fmt.Errorf("serve: local KV budget %d cannot hold one maximal sequence (%d bytes)",
-			cfg.LocalKVBudget, maxSeqKV)
-	}
 
 	s := &Sim{
 		cfg:      cfg,
@@ -379,14 +357,14 @@ func New(cfg Config) (*Sim, error) {
 		fab:      cci.NewFabric(machine.Topology, cfg.CCIParams),
 		paramDev: machine.Devs[0],
 	}
-	s.paramMiss = int64((1 - cfg.ParamCacheFraction) * float64(cfg.Model.ParamBytes()))
+	s.paramMiss = int64((1 - paramCacheFraction) * float64(cfg.Model.ParamBytes()))
 	s.tokenFLOPs = cfg.Model.FwdFLOPs() / tokensPerSample
 	s.layerCount = len(cfg.Model.Layers)
 
 	// Worker GPUs; the locally cached parameter slice is a permanent
 	// allocation on every worker, KV reservations come and go on the
 	// decode pool under KVLocal.
-	paramCache := int64(cfg.ParamCacheFraction * float64(cfg.Model.ParamBytes()))
+	paramCache := int64(paramCacheFraction * float64(cfg.Model.ParamBytes()))
 	for _, dev := range machine.Workers {
 		g := gpu.New(dev, cfg.Spec.GPU)
 		if err := g.Alloc(paramCache); err != nil {
@@ -492,15 +470,7 @@ func (s *Sim) Run() (*Result, error) {
 	s.chaos.Arm(s.eng)
 	var sampler *telemetry.Sampler
 	if cfg.Telemetry != nil {
-		period := cfg.TelemetryPeriod
-		if period <= 0 {
-			period = telemetry.DefaultSamplePeriod
-		}
-		max := cfg.TelemetryMaxSamples
-		if max <= 0 {
-			max = telemetry.DefaultMaxSamples
-		}
-		sampler = telemetry.NewSampler(s.eng, cfg.Telemetry, period, max)
+		sampler = telemetry.NewSampler(s.eng, cfg.Telemetry, telemetry.DefaultSamplePeriod, telemetry.DefaultMaxSamples)
 		sampler.Start()
 	}
 	s.eng.Run()
@@ -580,7 +550,7 @@ func (s *Sim) finishPrefill(pw, i int) {
 	// Prompt KV leaves the prefill worker either way: to the pool
 	// device (KVPooled) or to the decode worker's HBM (KVLocal). The
 	// sequence joins the decode queue when the pages land.
-	kv := int64(seq.req.PromptTokens) * s.cfg.KVBytesPerToken
+	kv := int64(seq.req.PromptTokens) * kvBytesPerToken
 	dst := seq.kvDev
 	if s.cfg.KVPlacement == KVLocal {
 		dst = s.machine.Workers[seq.decoder]
@@ -602,18 +572,18 @@ func (s *Sim) enqueueDecode(i int) {
 }
 
 // admit moves queued sequences into decode worker d's active batch up
-// to MaxBatch; under KVLocal each admission reserves the sequence's
+// to maxBatch; under KVLocal each admission reserves the sequence's
 // full-context KV footprint against the budget, and the queue blocks
 // head-of-line when the next sequence does not fit (FIFO admission
 // keeps the schedule deterministic and models the HBM wall as
 // queueing, not reordering).
 func (s *Sim) admit(d int) {
-	for len(s.decodeActive[d]) < s.cfg.MaxBatch && len(s.decodeQ[d]) > 0 {
+	for len(s.decodeActive[d]) < maxBatch && len(s.decodeQ[d]) > 0 {
 		i := s.decodeQ[d][0]
 		seq := &s.seqs[i]
 		if s.cfg.KVPlacement == KVLocal {
-			need := int64(seq.req.PromptTokens+seq.req.OutputTokens) * s.cfg.KVBytesPerToken
-			if s.kvUsed[d]+need > s.cfg.LocalKVBudget {
+			need := int64(seq.req.PromptTokens+seq.req.OutputTokens) * kvBytesPerToken
+			if s.kvUsed[d]+need > localKVBudget {
 				return
 			}
 			s.kvUsed[d] += need
@@ -658,14 +628,14 @@ func (s *Sim) startIteration(d int) {
 			seq := &s.seqs[i]
 			// The new token's KV page goes to the pool.
 			b.add()
-			s.kvBytes += s.cfg.KVBytesPerToken
-			s.fab.DMACopy(g.Dev, seq.kvDev, s.cfg.KVBytesPerToken, done)
+			s.kvBytes += kvBytesPerToken
+			s.fab.DMACopy(g.Dev, seq.kvDev, kvBytesPerToken, done)
 			// The context slice that missed the local page cache comes
 			// back. Prefetched reads overlap compute (they are the
 			// *next* step's pages, issued now) and do not gate the
 			// barrier; the fabric still carries them.
 			ctx := seq.req.PromptTokens + seq.generated
-			miss := int64((1 - s.cfg.KVHitRate) * float64(int64(ctx)*s.cfg.KVBytesPerToken))
+			miss := int64((1 - kvHitRate) * float64(int64(ctx)*kvBytesPerToken))
 			if miss <= 0 {
 				continue
 			}
@@ -768,7 +738,7 @@ func (s *Sim) result() *Result {
 		tp := tpot(seq)
 		ttfts = append(ttfts, ttft)
 		tpots = append(tpots, tp)
-		if ttft <= cfg.SLOTTFT && tp <= cfg.SLOTPOT {
+		if ttft <= sloTTFT && tp <= sloTPOT {
 			good++
 		}
 	}

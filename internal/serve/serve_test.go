@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"coarse/internal/chaos"
@@ -164,13 +165,13 @@ func TestServeBrownoutInflatesTails(t *testing.T) {
 // TestServeConfigValidation: impossible configurations fail loudly at
 // construction, not mid-run.
 func TestServeConfigValidation(t *testing.T) {
-	cfg := testConfig(KVLocal)
-	cfg.LocalKVBudget = 1 << 20 // one maximal sequence cannot fit
-	if _, err := New(cfg); err == nil {
-		t.Fatalf("tiny local KV budget accepted")
+	// KVLocal admission would block forever on a sequence whose full
+	// context exceeds the budget.
+	if maxSeqKV := int64(promptMax+outputMax) * kvBytesPerToken; maxSeqKV > localKVBudget {
+		t.Fatalf("one maximal sequence (%d bytes) exceeds the local KV budget %d", maxSeqKV, localKVBudget)
 	}
 
-	cfg = testConfig(KVPooled)
+	cfg := testConfig(KVPooled)
 	cfg.PrefillWorkers = 4 // all four GPUs prefill, no decode pool
 	if _, err := New(cfg); err == nil {
 		t.Fatalf("empty decode pool accepted")
@@ -180,6 +181,31 @@ func TestServeConfigValidation(t *testing.T) {
 	cfg.Model = nil
 	if _, err := New(cfg); err == nil {
 		t.Fatalf("nil model accepted")
+	}
+
+	// Workloads that would allocate an outsized trace or turn into
+	// ill-formed arrival times; the zero-traffic run stays valid.
+	for name, w := range map[string]Workload{
+		"NaN rate":       {RatePerSec: math.NaN(), Requests: 8},
+		"+Inf rate":      {RatePerSec: math.Inf(1), Requests: 8},
+		"-Inf rate":      {RatePerSec: math.Inf(-1), Requests: 8},
+		"negative rate":  {RatePerSec: -1, Requests: 8},
+		"huge rate":      {RatePerSec: 1e300, Requests: 8},
+		"too many":       {RatePerSec: 40, Requests: maxRequests + 1},
+		"negative count": {RatePerSec: 40, Requests: -1},
+		"unknown shape":  {Arrival: Bursty + 1, RatePerSec: 40, Requests: 8},
+		"span too long":  {RatePerSec: 1e-9, Requests: 1},
+	} {
+		cfg = testConfig(KVPooled)
+		cfg.Workload = w
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: workload %+v accepted", name, w)
+		}
+	}
+	cfg = testConfig(KVPooled)
+	cfg.Workload = Workload{}
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("zero-traffic workload rejected: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package tensor provides the parameter tensors that flow through the
-// synchronization paths: named float32 buffers, the equal-shard
-// partitioning scheme of paper Section III-E, and the arithmetic the
-// sync cores and optimizers apply to them.
+// synchronization paths: named float32 buffers and the arithmetic the
+// sync cores and the optimizer apply to them.
 package tensor
 
 import (
@@ -102,107 +101,6 @@ func (t *Tensor) AXPY(a float32, x *Tensor) {
 func AddSlice(dst, src []float32) {
 	for i, v := range src {
 		dst[i] += v
-	}
-}
-
-// Shard is one piece of a partitioned tensor. Data aliases the parent
-// tensor's buffer on the push side; pulled shards own fresh buffers.
-type Shard struct {
-	Parent string // originating tensor name
-	Index  int    // shard ordinal within the partition
-	Total  int    // number of shards in the partition
-	Offset int    // element offset within the parent
-	Data   []float32
-}
-
-// Name returns a unique key for the shard within its parent's partition.
-func (s *Shard) Name() string {
-	if s.Total == 1 {
-		return s.Parent
-	}
-	return fmt.Sprintf("%s#%d/%d", s.Parent, s.Index, s.Total)
-}
-
-// SizeBytes returns the shard payload size.
-func (s *Shard) SizeBytes() int64 { return int64(len(s.Data)) * BytesPerElem }
-
-// Partition splits t into equal-sized shards of at least thresholdBytes
-// each (paper Section IV-B: "each shard's size is equal to or larger
-// than the threshold to maximize bandwidth utilization"). A tensor at or
-// below the threshold yields a single shard aliasing the whole tensor.
-func Partition(t *Tensor, thresholdBytes int64) []*Shard {
-	if thresholdBytes <= 0 {
-		panic(fmt.Sprintf("tensor: partition threshold %d", thresholdBytes))
-	}
-	size := t.SizeBytes()
-	k := 1
-	if size > thresholdBytes {
-		k = int(size / thresholdBytes) // floor: every shard stays >= threshold
-	}
-	if k > len(t.Data) {
-		k = len(t.Data)
-	}
-	if k < 1 {
-		k = 1
-	}
-	shards := make([]*Shard, 0, k)
-	n := len(t.Data)
-	base := n / k
-	extra := n % k
-	off := 0
-	for i := 0; i < k; i++ {
-		ln := base
-		if i < extra {
-			ln++
-		}
-		shards = append(shards, &Shard{
-			Parent: t.Name,
-			Index:  i,
-			Total:  k,
-			Offset: off,
-			Data:   t.Data[off : off+ln],
-		})
-		off += ln
-	}
-	return shards
-}
-
-// Reassemble writes a full set of shards back into dst, which must be
-// the partition's parent (same name and length).
-func Reassemble(dst *Tensor, shards []*Shard) {
-	if len(shards) == 0 {
-		panic("tensor: reassemble with no shards")
-	}
-	total := shards[0].Total
-	seen := make([]bool, total)
-	covered := 0
-	for _, s := range shards {
-		if s.Parent != dst.Name {
-			panic(fmt.Sprintf("tensor: shard of %q reassembled into %q", s.Parent, dst.Name))
-		}
-		if s.Total != total {
-			panic(fmt.Sprintf("tensor: shard %s disagrees on partition size", s.Name()))
-		}
-		if s.Index < 0 || s.Index >= total {
-			panic(fmt.Sprintf("tensor: shard index %d out of range", s.Index))
-		}
-		if seen[s.Index] {
-			panic(fmt.Sprintf("tensor: duplicate shard %s", s.Name()))
-		}
-		seen[s.Index] = true
-		if s.Offset+len(s.Data) > len(dst.Data) {
-			panic(fmt.Sprintf("tensor: shard %s overruns parent", s.Name()))
-		}
-		copy(dst.Data[s.Offset:], s.Data)
-		covered += len(s.Data)
-	}
-	for i, ok := range seen {
-		if !ok {
-			panic(fmt.Sprintf("tensor: missing shard %d of %q", i, dst.Name))
-		}
-	}
-	if covered != len(dst.Data) {
-		panic(fmt.Sprintf("tensor: shards cover %d of %d elements", covered, len(dst.Data)))
 	}
 }
 

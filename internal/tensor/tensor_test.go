@@ -99,158 +99,16 @@ func TestFingerprintDetectsChange(t *testing.T) {
 	}
 }
 
-func TestPartitionSmallTensorSingleShard(t *testing.T) {
-	x := randomTensor("w", 100, 3) // 400 bytes
-	shards := Partition(x, 1024)
-	if len(shards) != 1 {
-		t.Fatalf("got %d shards, want 1", len(shards))
-	}
-	if shards[0].Name() != "w" {
-		t.Fatalf("single shard name = %q, want parent name", shards[0].Name())
-	}
-	if &shards[0].Data[0] != &x.Data[0] {
-		t.Fatal("single shard should alias the tensor")
-	}
-}
-
-func TestPartitionShardsMeetThreshold(t *testing.T) {
-	x := randomTensor("w", 2500, 4) // 10000 bytes
-	const threshold = 1200
-	shards := Partition(x, threshold)
-	// floor(10000/1200) = 8 shards.
-	if len(shards) != 8 {
-		t.Fatalf("got %d shards, want 8", len(shards))
-	}
-	for _, s := range shards {
-		if s.SizeBytes() < threshold {
-			t.Fatalf("shard %s is %d bytes, below threshold %d", s.Name(), s.SizeBytes(), threshold)
-		}
-	}
-}
-
-func TestPartitionEqualSized(t *testing.T) {
-	x := randomTensor("w", 1000, 5)
-	shards := Partition(x, 400) // 4000/400 = 10 shards of 100 elems
-	if len(shards) != 10 {
-		t.Fatalf("got %d shards", len(shards))
-	}
-	for _, s := range shards {
-		if len(s.Data) != 100 {
-			t.Fatalf("shard %s has %d elems, want 100", s.Name(), len(s.Data))
-		}
-	}
-}
-
-func TestPartitionReassembleRoundTrip(t *testing.T) {
-	x := randomTensor("w", 12345, 6)
-	shards := Partition(x, 4096)
-	dst := New("w", x.Len())
-	// Simulate pulled shards owning their own buffers.
-	for _, s := range shards {
-		d := make([]float32, len(s.Data))
-		copy(d, s.Data)
-		s.Data = d
-	}
-	Reassemble(dst, shards)
-	if MaxAbsDiff(x, dst) != 0 {
-		t.Fatal("round trip lost data")
-	}
-}
-
-func TestReassembleRejectsMissingShard(t *testing.T) {
-	x := randomTensor("w", 1000, 8)
-	shards := Partition(x, 1000)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on missing shard")
-		}
-	}()
-	Reassemble(New("w", 1000), shards[1:])
-}
-
-func TestReassembleRejectsDuplicateShard(t *testing.T) {
-	x := randomTensor("w", 1000, 9)
-	shards := Partition(x, 1000)
-	shards[1] = shards[0]
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate shard")
-		}
-	}()
-	Reassemble(New("w", 1000), shards)
-}
-
-func TestReassembleRejectsWrongParent(t *testing.T) {
-	x := randomTensor("w", 10, 10)
-	shards := Partition(x, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on wrong parent")
-		}
-	}()
-	Reassemble(New("v", 10), shards)
-}
-
-func TestPartitionZeroThresholdPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Partition(New("w", 10), 0)
-}
-
-func TestPartitionTinyTensorManyShardsClamped(t *testing.T) {
-	// Threshold of 1 byte would ask for more shards than elements;
-	// the partition must clamp to one element per shard.
-	x := randomTensor("w", 3, 11)
-	shards := Partition(x, 1)
-	if len(shards) != 3 {
-		t.Fatalf("got %d shards, want 3", len(shards))
-	}
-}
-
-// Property: partition always covers the tensor exactly, in order, with
-// contiguous non-overlapping shards, each above threshold (when the
-// tensor itself is).
-func TestPropertyPartitionCoverage(t *testing.T) {
-	f := func(nRaw uint16, thRaw uint16) bool {
-		n := int(nRaw)%10000 + 1
-		th := int64(thRaw)%8192 + 1
-		x := randomTensor("w", n, int64(n)*31+int64(th))
-		shards := Partition(x, th)
-		off := 0
-		for i, s := range shards {
-			if s.Index != i || s.Total != len(shards) || s.Offset != off {
-				return false
-			}
-			off += len(s.Data)
-		}
-		if off != n {
-			return false
-		}
-		// Round trip.
-		dst := New("w", n)
-		Reassemble(dst, shards)
-		return MaxAbsDiff(x, dst) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: AddSlice is commutative in aggregate — summing shards of two
-// tensors equals sharding the sum.
+// Property: AddSlice is commutative in aggregate — summing two tensors
+// slice by slice equals summing them whole.
 func TestPropertyShardedAddEqualsWholeAdd(t *testing.T) {
 	f := func(seed int64) bool {
 		a := randomTensor("a", 1024, seed)
 		b := randomTensor("a", 1024, seed+1)
 		whole := a.Clone()
 		whole.Add(b)
-		sa := Partition(a, 512)
-		sb := Partition(b, 512)
-		for i := range sa {
-			AddSlice(sa[i].Data, sb[i].Data)
+		for lo := 0; lo < 1024; lo += 512 {
+			AddSlice(a.Data[lo:lo+512], b.Data[lo:lo+512])
 		}
 		return MaxAbsDiff(a, whole) == 0
 	}
@@ -266,14 +124,5 @@ func BenchmarkAddSlice(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AddSlice(dst, src)
-	}
-}
-
-func BenchmarkPartition(b *testing.B) {
-	x := randomTensor("w", 1<<22, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Partition(x, 2<<20)
 	}
 }

@@ -11,9 +11,6 @@ import (
 // on the ring — the weakness the paper quotes ("as low as 34%
 // utilization on NVIDIA DGX-1").
 type AllReduce struct {
-	// BucketBytes is the gradient-fusion threshold; a bucket launches
-	// when it exceeds this size or the backward pass ends.
-	BucketBytes int64
 	// Hierarchical makes every reduction tree run the two-level
 	// collective (intra-node rings, a cross-node leader ring, then an
 	// intra-node broadcast) instead of the planner's choice — on the
@@ -35,10 +32,14 @@ type arTreeState struct {
 	pending int // layers of the tree not yet fully arrived
 }
 
-// NewAllReduce returns the baseline with the framework-typical 25 MB
-// fusion bucket.
+// bucketBytes is the framework-typical 25 MB gradient-fusion
+// threshold: a bucket launches when it exceeds this size or the
+// backward pass ends.
+const bucketBytes int64 = 25 << 20
+
+// NewAllReduce returns the baseline.
 func NewAllReduce() *AllReduce {
-	return &AllReduce{BucketBytes: 25 << 20}
+	return &AllReduce{}
 }
 
 // Name implements Strategy.
@@ -48,7 +49,7 @@ func (a *AllReduce) Name() string { return "AllReduce" }
 // Adam moments and the fusion buffer all live on the GPU — the memory
 // pressure that caps the batch size in Figure 16e.
 func (a *AllReduce) WorkerStateBytes(m *model.Model) int64 {
-	return 4*m.ParamBytes() + a.BucketBytes
+	return 4*m.ParamBytes() + bucketBytes
 }
 
 // Setup implements Strategy. The communicators are built lazily, one
@@ -82,7 +83,7 @@ func (a *AllReduce) GradientReady(it, w, layer int) {
 	st.pending--
 	st.bucket = append(st.bucket, layer)
 	st.bytes += plan.SyncBytes(layer)
-	if st.bytes >= a.BucketBytes || st.pending == 0 {
+	if st.bytes >= bucketBytes || st.pending == 0 {
 		a.flush(it, gid, st)
 	}
 	if st.pending == 0 {

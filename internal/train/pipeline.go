@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"coarse/internal/gpu"
+	"coarse/internal/optim"
 	"coarse/internal/parallel"
 	"coarse/internal/sim"
 )
@@ -241,9 +242,9 @@ func (r *pipeWorker) paramsReady(idx int, arrived sim.Time) {
 	l := r.stage[idx]
 	r.stalled(arrived, func() string { return "wait params " + ctx.Layers()[l].Name })
 	if t.cfg.Numeric && r.it > 0 {
-		// Apply the optimizer step with the averaged gradient the
-		// strategy left in the buffer.
-		t.optimizers[r.w].Step(l, ctx.Params[r.w][l].Data, ctx.Grads[r.w][l].Data)
+		// Apply the SGD step with the averaged gradient the strategy
+		// left in the buffer.
+		optim.SGD{LR: learningRate}.Step(ctx.Params[r.w][l].Data, ctx.Grads[r.w][l].Data)
 	}
 	if r.moeLayer(l) {
 		r.moeStep(l, phaseMoEDispatch, func() { r.fwdCompute(idx) })

@@ -69,7 +69,9 @@ func (l *Latch) Open() {
 // IsOpen reports whether the latch has been opened.
 func (l *Latch) IsOpen() bool { return l.open }
 
-// Config describes one training run.
+// Config describes one training run. Figures every run shares, such as
+// the activation-memory overhead and the numeric learning rate, are
+// package constants rather than fields.
 type Config struct {
 	Spec       topology.Spec
 	Model      *model.Model
@@ -77,19 +79,10 @@ type Config struct {
 	Iterations int
 	CCIParams  cci.Params
 	MemDev     memdev.Config
-	// FrameworkActOverhead multiplies activation memory to account for
-	// framework allocator slack and non-persistent workspaces; TF2-era
-	// training uses roughly 2x the analytic activation volume.
-	FrameworkActOverhead float64
 	// Numeric materializes real parameter and gradient buffers so
-	// strategies perform actual float arithmetic; leave false for the
-	// big-model timing runs.
+	// strategies perform actual float arithmetic, applied by plain SGD
+	// at learningRate; leave false for the big-model timing runs.
 	Numeric bool
-	// NewOptimizer builds each worker's optimizer in numeric mode; nil
-	// means plain SGD at LR. Stateful optimizers (momentum, Adam) keep
-	// per-replica state, which stays identical across replicas because
-	// every replica applies the same averaged gradients.
-	NewOptimizer func(layerSizes []int) optim.Optimizer
 	// ComputeJitter spreads per-worker compute speed: worker w runs
 	// (1 + ComputeJitter*w/(W-1))x slower than worker 0. It models the
 	// *permanent* skew side of the stragglers that make synchronous
@@ -111,15 +104,10 @@ type Config struct {
 	// link gauges, CCI protocol counters, and per-worker running totals.
 	// The trainer drives a periodic Sampler over the registry during Run
 	// and exposes the resulting dump via Trainer.TelemetryDump. Sampling
-	// uses daemon events only, so enabling it changes neither the event
-	// fingerprint nor any timing.
+	// runs at telemetry.DefaultSamplePeriod, up to
+	// telemetry.DefaultMaxSamples per series, on daemon events only, so
+	// enabling it changes neither the event fingerprint nor any timing.
 	Telemetry *telemetry.Registry
-	// TelemetryPeriod is the sampling period in virtual time; zero means
-	// telemetry.DefaultSamplePeriod.
-	TelemetryPeriod sim.Time
-	// TelemetryMaxSamples bounds the per-series sample count (older
-	// samples are decimated); zero means telemetry.DefaultMaxSamples.
-	TelemetryMaxSamples int
 	// TelemetryHotPath additionally registers the simulator's own
 	// hot-path efficiency counters (reshare passes vs. coalesced,
 	// completion deadlines rescheduled vs. skipped, event-queue tombstones and
@@ -149,23 +137,29 @@ type Config struct {
 	// ordering experiment compares the planner's choices against.
 	// Data-parallel layouts always reduce over a flat ring.
 	FlatCollectives bool
-	// LR is the SGD learning rate used in numeric mode.
-	LR   float32
-	Seed int64
+	Seed            int64
 }
+
+// The training constants every run shares.
+const (
+	// frameworkActOverhead multiplies activation memory to account for
+	// framework allocator slack and non-persistent workspaces; TF2-era
+	// training uses roughly 2x the analytic activation volume.
+	frameworkActOverhead = 2.0
+	// learningRate is the SGD step numeric mode applies.
+	learningRate float32 = 0.1
+)
 
 // DefaultConfig fills in the standard evaluation constants.
 func DefaultConfig(spec topology.Spec, m *model.Model, batch, iterations int) Config {
 	return Config{
-		Spec:                 spec,
-		Model:                m,
-		Batch:                batch,
-		Iterations:           iterations,
-		CCIParams:            cci.DefaultParams(),
-		MemDev:               memdev.DefaultConfig(),
-		FrameworkActOverhead: 2.0,
-		LR:                   0.1,
-		Seed:                 1,
+		Spec:       spec,
+		Model:      m,
+		Batch:      batch,
+		Iterations: iterations,
+		CCIParams:  cci.DefaultParams(),
+		MemDev:     memdev.DefaultConfig(),
+		Seed:       1,
 	}
 }
 
@@ -376,7 +370,6 @@ type Trainer struct {
 	iterEnd    []sim.Time // completion time per iteration (max over workers)
 	workerDone []int      // iterations completed per worker
 	gradFn     func(it, w, layer int, grad *tensor.Tensor)
-	optimizers []optim.Optimizer // per worker, numeric mode only
 
 	// chaos executes the compiled fault plan; nil (inert) when
 	// Cfg.Chaos is nil or compiles to nothing observable.
@@ -408,9 +401,6 @@ type Trainer struct {
 func New(cfg Config, strat Strategy) (*Trainer, error) {
 	if cfg.Iterations < 1 || cfg.Batch < 1 {
 		return nil, fmt.Errorf("train: iterations %d, batch %d", cfg.Iterations, cfg.Batch)
-	}
-	if cfg.FrameworkActOverhead <= 0 {
-		cfg.FrameworkActOverhead = 2.0
 	}
 	eng := sim.NewEngine()
 	machine := topology.Build(eng, cfg.Spec)
@@ -452,7 +442,7 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 		}
 		wm := stageModels[s]
 		inflight := min(plan.Micro, plan.PP-s)
-		acts := int64(float64(wm.ActBytes()*int64(mbSize*inflight)) * cfg.FrameworkActOverhead)
+		acts := int64(float64(wm.ActBytes()*int64(mbSize*inflight)) * frameworkActOverhead)
 		if err := g.Alloc(strat.WorkerStateBytes(wm) + acts); err != nil {
 			if cfg.Layout.Trivial() {
 				return nil, fmt.Errorf("%s replica (batch %d) does not fit: %w", cfg.Model.Name, cfg.Batch, err)
@@ -522,21 +512,6 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 	if cfg.Telemetry != nil {
 		tr.registerTelemetry()
 	}
-	if cfg.Numeric {
-		sizes := make([]int, len(cfg.Model.Layers))
-		for l, layer := range cfg.Model.Layers {
-			sizes[l] = layer.ParamElems
-		}
-		for range ctx.Workers {
-			var opt optim.Optimizer
-			if cfg.NewOptimizer != nil {
-				opt = cfg.NewOptimizer(sizes)
-			} else {
-				opt = optim.NewSGD(cfg.LR)
-			}
-			tr.optimizers = append(tr.optimizers, opt)
-		}
-	}
 	ctx.trainer = tr
 	return tr, nil
 }
@@ -563,19 +538,13 @@ func (c *Ctx) AverageGrads(layer int) {
 }
 
 // PreviewUpdate returns what worker w's layer parameters will be once
-// the current averaged gradient is applied. For stateless SGD this is
-// exact; for stateful optimizers the preview returns the pre-update
-// parameters (previewing would mutate moment state), so checkpoints
-// taken through it hold epoch-boundary pre-update state instead.
+// the current averaged gradient is applied: the SGD step, taken on a
+// copy.
 func (c *Ctx) PreviewUpdate(w, layer int) []float32 {
 	p := c.Params[w][layer]
 	out := make([]float32, len(p.Data))
 	copy(out, p.Data)
-	if sgd, ok := c.trainer.optimizers[w].(*optim.SGD); ok {
-		for i, g := range c.Grads[w][layer].Data {
-			out[i] -= sgd.LR * g
-		}
-	}
+	optim.SGD{LR: learningRate}.Step(out, c.Grads[w][layer].Data)
 	return out
 }
 
@@ -647,15 +616,7 @@ func (t *Trainer) Run() (*Result, error) {
 	}
 	var sampler *telemetry.Sampler
 	if t.cfg.Telemetry != nil {
-		period := t.cfg.TelemetryPeriod
-		if period <= 0 {
-			period = telemetry.DefaultSamplePeriod
-		}
-		max := t.cfg.TelemetryMaxSamples
-		if max <= 0 {
-			max = telemetry.DefaultMaxSamples
-		}
-		sampler = telemetry.NewSampler(ctx.Eng, t.cfg.Telemetry, period, max)
+		sampler = telemetry.NewSampler(ctx.Eng, t.cfg.Telemetry, telemetry.DefaultSamplePeriod, telemetry.DefaultMaxSamples)
 		sampler.Start()
 	}
 	for w := range ctx.Workers {
