@@ -32,6 +32,18 @@
 // channels (see fill). Finished flows leave the per-channel active
 // lists by tombstone + amortized compaction so completion cost no
 // longer scales with the number of concurrent flows on every hop.
+// Flows finish roughly in admission order, so tombstones gather at a
+// list's front; each channel keeps a head cursor past them, and walks
+// start there and stop once they have seen every live member.
+//
+// Every pass, full or shortcut, ends with one utilization fold (ffFold)
+// over a maintained list of non-idle channels. It re-sums a channel's
+// folded rate only when the pass stamped the channel: one on the path
+// of a flow admitted, completed or joined since the last pass, or of a
+// flow whose rate bits the pass changed. Every other channel keeps its
+// cached rate, since a re-sum would add the same float64 summands in
+// the same order. The reference pass (SetReferenceFillingForTest)
+// re-sums every channel instead.
 //
 // Completions do not sit in the engine's event queue one per flow. Each
 // live entry keeps its completion key — deadline and dispatch rank — on
@@ -92,14 +104,11 @@
 // frozen on (and no flow stalled across) any channel of the completed
 // flows' paths — then no surviving filling round's bottleneck changed,
 // so every surviving rate is bitwise the cached one and only the
-// utilization fold needs to run. The fold itself walks a maintained
-// list of non-idle channels (rather than all channels) and reuses the
-// cached channel rate wherever the completion touched none of the
-// channel's flows; a re-sum would add the same float64 summands in the
-// same order, so the reuse is exact. A lone entrant on otherwise idle
-// channels — an offline profiler probe — is also served without a
-// full pass: survivors replay their cached rates and the entrant fills
-// in one round from full capacity (ffAdmitPass).
+// utilization fold needs to run, re-summing just the departed paths. A
+// lone entrant on otherwise idle channels — an offline profiler probe —
+// is also served without a full pass: survivors replay their cached
+// rates and the entrant fills in one round from full capacity
+// (ffAdmitPass).
 //
 // Component passes: the skip above needs every survivor's bottleneck
 // to be untouched. When it is not, max-min filling still decomposes
@@ -148,6 +157,7 @@ import (
 type Channel struct {
 	name     string
 	id       int32 // dense index into the network's channel SoA scratch
+	head     int32 // active[:head] are all tombstones (see channelRate)
 	capacity float64
 	latency  sim.Time
 	net      *Network // owner; reads force a pending reshare to run
@@ -244,7 +254,7 @@ func (l *Link) Rev() *Channel { return l.rev }
 // per-channel byte accounting) is re-materialized at completion; all
 // other state is provably identical across members and stored once.
 //
-// Field order keeps the struct at 232 bytes, inside the allocator's
+// Field order keeps the struct at exactly 240 bytes, the allocator's
 // 240-byte size class (see TestFlowSizeClass).
 type Flow struct {
 	id        uint64
@@ -253,6 +263,7 @@ type Flow struct {
 	size      float64 // per member
 	remaining float64 // per member (members stay bitwise identical)
 	rate      float64 // per member
+	prevRate  float64 // rate before the running full pass refilled it
 	lastTick  sim.Time
 	fire      func()     // the entry's one event callback (dispatch), bound once per object
 	due       sim.Time   // completion deadline while armed; farFuture once parked
@@ -371,7 +382,7 @@ type Network struct {
 	ffValid     bool    // freeze bookkeeping below reflects the last pass
 	stalled     int     // rated live entries whose rate is 0
 	frozenCount []int32 // rated live entries frozen per channel, dense id
-	ffPaths     []int32 // path ids of members completed since the last pass
+	ffPaths     []int32 // path ids of members completed, or joined late, since the last pass
 	chTouched   []uint64
 	ffEpoch     uint64
 	activeCh    []*Channel // non-idle channels, the fold worklist
@@ -675,8 +686,10 @@ func (n *Network) admit(f *Flow) {
 			if !g.pending {
 				// A mid-instant pass already rated the group; growing its
 				// multiplicity invalidates that rate, which only a full
-				// pass re-derives.
+				// pass re-derives. The group's channels changed members, so
+				// that pass's fold re-sums them.
 				n.joinedLate = true
+				n.ffPaths = append(n.ffPaths, g.pathIDs...)
 			}
 			n.recycleFlow(f)
 			n.refreshCompletions(now)
@@ -905,6 +918,13 @@ func (n *Network) flush() {
 // operation order and tie-breaks are exactly those of a scan of the
 // live entries in admission order, so every rate — and every golden
 // downstream of one — is bit-identical.
+//
+// The fold after a full pass re-sums only the channels whose folded
+// rate can have moved: the trigger channels, stamped before passDone
+// forgets them, and the path of every entry whose rate bits the fill
+// changed. Any other channel keeps the same live entries at the same
+// rates, so a re-sum would add the same float64 summands in the same
+// order as the cached one did.
 func (n *Network) reallocate(now sim.Time) {
 	// Capacity changes and late group joins alter rated entries in ways
 	// the trigger channels do not capture; only the full pass serves them.
@@ -912,7 +932,6 @@ func (n *Network) reallocate(now sim.Time) {
 		n.passDone()
 		return
 	}
-	n.passDone()
 	n.passes++
 	if len(n.chResidual) < len(n.channels) {
 		n.chResidual = make([]float64, len(n.channels))
@@ -921,8 +940,11 @@ func (n *Network) reallocate(now sim.Time) {
 		n.frozenCount = make([]int32, len(n.channels))
 		n.chTouched = make([]uint64, len(n.channels))
 	}
+	ep := n.stampTriggers()
+	n.passDone()
 	for _, f := range n.flows {
 		if !f.finished {
+			f.prevRate = f.rate
 			f.rate = -1 // fill's unassigned marker
 		}
 	}
@@ -933,27 +955,23 @@ func (n *Network) reallocate(now sim.Time) {
 	clear(n.frozenCount)
 	n.stalled = 0
 	for _, f := range n.flows {
-		if !f.finished {
-			n.freeze(f)
+		if f.finished {
+			continue
+		}
+		n.freeze(f)
+		if math.Float64bits(f.rate) != math.Float64bits(f.prevRate) {
+			for _, id := range f.pathIDs {
+				n.chTouched[id] = ep
+			}
 		}
 	}
 	n.ffValid = true
-	// Fold per-channel utilization accounting. A channel with no live
-	// flows and a zero current rate is skipped outright: folding it
-	// would add rate*dt = 0 to the integral and re-store a zero rate,
-	// and IntegratedBytes extrapolates the zero rate past the stale
-	// lastAccount stamp, so the skip is exact. Every other channel is
-	// visited so one that just went idle stops accumulating busy time.
-	// Summation order is the channel's active list in admission order —
-	// the same order the eager implementation summed — so the folded
-	// integrals are bit-identical. The reference pass scans every
-	// channel; otherwise the fold walks the maintained non-idle channel
-	// list, whose skipped channels are exactly those the full scan
-	// skips, and channels are independent, so the result is unchanged.
 	if !n.reference {
-		n.foldActive(now)
+		n.ffFold(now, ep)
 		return
 	}
+	// The reference pass re-sums every channel, skipping those with no
+	// live flows and a zero current rate exactly as ffFold does.
 	for _, c := range n.channels {
 		if c.live == 0 && c.currentRate == 0 {
 			continue
@@ -991,7 +1009,7 @@ func (n *Network) fill(chans []*Channel) {
 		}
 		res[c.id] = c.capacity
 		un[c.id] = int32(c.live)
-		cur[c.id] = 0
+		cur[c.id] = c.head
 		live = append(live, c.id)
 	}
 	for {
@@ -1151,15 +1169,7 @@ func (n *Network) ffAdmitPass(now sim.Time, f *Flow) {
 	f.rate = share
 	f.bneck = bneck
 	n.freeze(f)
-	n.ffEpoch++
-	ep := n.ffEpoch
-	for _, id := range n.ffPaths {
-		n.chTouched[id] = ep
-	}
-	for _, id := range f.pathIDs {
-		n.chTouched[id] = ep
-	}
-	n.ffFold(now, ep)
+	n.ffFold(now, n.stampTriggers())
 }
 
 // componentPass refills only the connected components of the flow
@@ -1229,7 +1239,7 @@ func (n *Network) componentPass(now sim.Time) bool {
 			// Active lists keep tombstones: stop once every live member
 			// has been seen.
 			seen := 0
-			for _, f := range c.active {
+			for _, f := range c.active[c.head:] {
 				if seen == c.live || giveUp {
 					break
 				}
@@ -1312,47 +1322,43 @@ func (n *Network) freeze(f *Flow) {
 // active list in admission order — the bitwise-pinned fold order. A
 // group entry contributes per member by repeated addition (rate*m
 // would round differently from m member entries summing in sequence).
+//
+// Flows finish roughly in admission order, so a list's tombstones
+// gather at its front. The walk starts at the channel's head cursor,
+// first moving it past the finished entries there, and stops once it
+// has seen every live member: the entries it skips are all finished,
+// which the whole-list sum skips too, so the summands and their order
+// are the same.
 func channelRate(c *Channel) float64 {
+	if c.live == 0 {
+		return 0.0
+	}
+	act := c.active
+	i := c.head
+	for act[i].finished {
+		i++
+	}
+	c.head = i
 	rate := 0.0
-	for _, f := range c.active {
-		if f.finished || f.rate <= 0 {
+	seen := 0
+	for _, f := range act[i:] {
+		if f.finished {
 			continue
 		}
-		if f.mult == 1 {
-			rate += f.rate
-		} else {
-			for j := 0; j < f.mult; j++ {
+		if f.rate > 0 {
+			if f.mult == 1 {
 				rate += f.rate
+			} else {
+				for j := 0; j < f.mult; j++ {
+					rate += f.rate
+				}
 			}
+		}
+		if seen += f.mult; seen == c.live {
+			break
 		}
 	}
 	return rate
-}
-
-// foldActive is the utilization fold over the maintained non-idle
-// channel list. A channel leaves the list exactly when the full scan's
-// skip condition first holds for it (no live flows, zero folded rate);
-// it re-enters on the next admission that crosses it. Idle-at-entry
-// channels are dropped without accounting — the same no-op the full
-// scan's skip is.
-func (n *Network) foldActive(now sim.Time) {
-	keep := n.activeCh[:0]
-	for _, c := range n.activeCh {
-		if c.live == 0 && c.currentRate == 0 {
-			c.inActive = false
-			continue
-		}
-		c.account(now, channelRate(c))
-		if c.live == 0 && c.currentRate == 0 {
-			c.inActive = false
-			continue
-		}
-		keep = append(keep, c)
-	}
-	for i := len(keep); i < len(n.activeCh); i++ {
-		n.activeCh[i] = nil
-	}
-	n.activeCh = keep
 }
 
 // ffStable reports whether no surviving entry was frozen on any
@@ -1380,18 +1386,42 @@ func (n *Network) ffStable() bool {
 func (n *Network) ffPass(now sim.Time) {
 	n.passes++
 	n.ffPasses++
+	n.ffFold(now, n.stampTriggers())
+}
+
+// stampTriggers opens a fresh touch epoch, stamps with it every trigger
+// channel of the window — the paths of members completed or joined
+// late, and of entries admitted — and returns it. It must run before
+// passDone clears those lists.
+func (n *Network) stampTriggers() uint64 {
 	n.ffEpoch++
 	ep := n.ffEpoch
 	for _, id := range n.ffPaths {
 		n.chTouched[id] = ep
 	}
-	n.ffFold(now, ep)
+	for _, f := range n.instAdmits {
+		for _, id := range f.pathIDs {
+			n.chTouched[id] = ep
+		}
+	}
+	return ep
 }
 
-// ffFold is the fast-forward utilization fold: channels stamped with
-// the current touch epoch re-sum their active lists; the rest keep
-// their cached folded rate (a re-sum would add the identical float64
-// summands in the identical order).
+// ffFold is the utilization fold every pass kind runs, over the
+// maintained non-idle channel list: channels stamped with the pass's
+// touch epoch re-sum their active lists; the rest keep their cached
+// folded rate (a re-sum would add the identical float64 summands in
+// the identical order).
+//
+// A channel with no live flows and a zero current rate is dropped from
+// the list without accounting: folding it would add rate*dt = 0 to the
+// integral and re-store a zero rate, and IntegratedBytes extrapolates
+// the zero rate past the stale lastAccount stamp, so the skip is exact.
+// Every other channel is visited so one that just went idle stops
+// accumulating busy time. A dropped channel re-enters the list on the
+// next admission that crosses it. Summation order is the channel's
+// active list in admission order — the order the eager implementation
+// summed — so the folded integrals are bit-identical.
 func (n *Network) ffFold(now sim.Time, ep uint64) {
 	keep := n.activeCh[:0]
 	for _, c := range n.activeCh {
@@ -1563,6 +1593,7 @@ func (n *Network) completeMember(f *Flow, j int) {
 			if c.dead >= listCompactMin && c.dead*2 > len(c.active) {
 				c.active = n.compactList(c.active)
 				c.dead = 0
+				c.head = 0
 			}
 		}
 		if n.deadFlows >= listCompactMin && n.deadFlows*2 > len(n.flows) {

@@ -27,7 +27,12 @@ package fabric
 //	    channel equal what worklistRates — the entry-order progressive
 //	    filling the fabric's channel-driven fill replaced — derives
 //	    from the live entries, so every shortcut pass and every tie-
-//	    break matches a fresh fill bit for bit.
+//	    break matches a fresh fill bit for bit;
+//	(g) fold: every channel's folded rate equals, bit for bit, what
+//	    refChannelRate — a re-sum of the channel's whole active list —
+//	    derives, so every pass re-summed each channel whose rate could
+//	    have moved, and each channel's head cursor sits at or before
+//	    its first live entry.
 //
 // Clustered cases split the channels into disjoint groups and keep each
 // flow's path inside one group, so the flow graph has several
@@ -302,8 +307,46 @@ func checkWorklistOracle(t *testing.T, n *Network, label string) {
 	}
 }
 
+// refChannelRate is the utilization fold's per-channel sum as it was
+// before channels kept a head cursor, kept as a read-only oracle: it
+// walks the channel's whole active list in admission order and adds
+// each live entry's positive rate once per member.
+func refChannelRate(c *Channel) float64 {
+	rate := 0.0
+	for _, f := range c.active {
+		if f.finished || f.rate <= 0 {
+			continue
+		}
+		for j := 0; j < f.mult; j++ {
+			rate += f.rate
+		}
+	}
+	return rate
+}
+
+// checkFold asserts invariant (g): after the pending pass, every
+// channel's folded rate is refChannelRate's, bit for bit, and only
+// finished entries lie before its head cursor.
+func checkFold(t *testing.T, n *Network, label string) {
+	t.Helper()
+	n.Flush()
+	for _, c := range n.channels {
+		if want := refChannelRate(c); math.Float64bits(c.currentRate) != math.Float64bits(want) {
+			t.Errorf("%s t=%v: channel %s folded rate %.17g, whole-list re-sum %.17g",
+				label, n.eng.Now(), c.name, c.currentRate, want)
+		}
+		for i, f := range c.active[:c.head] {
+			if !f.finished {
+				t.Errorf("%s t=%v: channel %s head %d passes live entry %d at index %d",
+					label, n.eng.Now(), c.name, c.head, f.seq, i)
+				break
+			}
+		}
+	}
+}
+
 // checkAllocation flushes the pending pass and asserts invariants (a),
-// (b), (d), (e) and (f) on the settled allocation.
+// (b), (d), (e), (f) and (g) on the settled allocation.
 func (pc *propCase) checkAllocation(t *testing.T, seed int, where string) {
 	t.Helper()
 	pc.net.Flush()
@@ -370,8 +413,10 @@ func (pc *propCase) checkAllocation(t *testing.T, seed int, where string) {
 				seed, where, pc.eng.Now(), n.frozenCount, n.stalled, frozen, stalled)
 		}
 	}
-	// (f) filling order.
-	checkWorklistOracle(t, pc.net, fmt.Sprintf("seed %d %s", seed, where))
+	// (f) filling order and (g) fold.
+	label := fmt.Sprintf("seed %d %s", seed, where)
+	checkWorklistOracle(t, pc.net, label)
+	checkFold(t, pc.net, label)
 }
 
 // checkConservation asserts invariant (c) after the schedule drained.
@@ -525,10 +570,10 @@ func checkClusteredMatchesReference(t *testing.T, seedBase int64, burst bool) {
 	}
 }
 
-// TestWorklistOracleTaggedFans checks invariant (f) on seeded random
-// schedules of tagged fans: runs of identical transfers over one path
-// slice that the fabric folds into multiplicity-counted group entries,
-// interleaved with untagged singles. Every admission instant and every
+// TestWorklistOracleTaggedFans checks invariants (f) and (g) on seeded
+// random schedules of tagged fans: runs of identical transfers over one
+// path slice that the fabric folds into multiplicity-counted group
+// entries, interleaved with untagged singles. Every admission instant and every
 // member completion — fan-outs included — is a checkpoint, so group
 // entries are filled whole, partly drained and mid-fan-out. The test
 // fails if nothing folded, so it cannot pass vacuously.
@@ -545,7 +590,10 @@ func TestWorklistOracleTaggedFans(t *testing.T) {
 			chans = append(chans, l.Fwd(), l.Rev())
 		}
 		label := fmt.Sprintf("seed %d", seed)
-		check := func() { checkWorklistOracle(t, net, label) }
+		check := func() {
+			checkWorklistOracle(t, net, label)
+			checkFold(t, net, label)
+		}
 		for i := 0; i < 10+rng.Intn(20); i++ {
 			perm := rng.Perm(len(chans))
 			path := make([]*Channel, 1+rng.Intn(3))

@@ -1,16 +1,17 @@
 package sim
 
-// FreeList is a capped stack of recycled records. Callers that keep the
-// state of one operation in a small record whose callbacks are bound
-// once per object (the fabric's Flow.fire idiom) take records from it
-// and return them as the operation finishes, so a stream of operations
-// allocates nothing once the list has grown to the stream's peak.
+// FreeList is a stack of recycled records. Callers that keep the state
+// of one operation in a small record whose callbacks are bound once per
+// object (the fabric's Flow.fire idiom) take records from it and return
+// them as the operation finishes, so a stream of operations allocates
+// nothing once the list has grown to the stream's peak.
 //
 // Get returns nil when the list is empty; the caller then builds a
-// record and binds its callbacks. Put keeps at most maxPool records,
-// the cap of the engine's own event free list, and drops the rest. The caller clears whatever a record's callbacks
-// captured before Put, so the list keeps nothing else alive. The
-// engine's ReleasePool empties every list made on it.
+// record and binds its callbacks. Put keeps every record, so a list
+// never holds more records than were outstanding at once, and the
+// engine's ReleasePool empties every list made on it when a run ends.
+// The caller clears whatever a record's callbacks captured before Put,
+// so the list keeps nothing else alive.
 type FreeList[T any] struct {
 	items []*T
 }
@@ -34,12 +35,8 @@ func (l *FreeList[T]) Get() *T {
 	return x
 }
 
-// Put returns a record to the list, or drops it when the list is full.
-func (l *FreeList[T]) Put(x *T) {
-	if len(l.items) < maxPool {
-		l.items = append(l.items, x)
-	}
-}
+// Put returns a record to the list.
+func (l *FreeList[T]) Put(x *T) { l.items = append(l.items, x) }
 
 // Len reports how many records the list holds.
 func (l *FreeList[T]) Len() int { return len(l.items) }

@@ -284,9 +284,11 @@ func TestFreeListDropsCallbacks(t *testing.T) {
 	}
 }
 
-// TestReleasePoolDropsFreeList: ReleasePool empties the event free
-// list and every record FreeList made on the engine, a FreeList keeps
-// at most maxPool records, and the engine keeps scheduling afterwards.
+// TestReleasePoolDropsFreeList: a FreeList keeps every record put
+// back, even beyond the event free list's maxPool cap, so Gets return
+// recycled records until the list runs dry; ReleasePool empties the
+// event free list and every FreeList made on the engine; and the engine
+// keeps scheduling afterwards.
 func TestReleasePoolDropsFreeList(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 10; i++ {
@@ -297,17 +299,39 @@ func TestReleasePoolDropsFreeList(t *testing.T) {
 		t.Fatalf("free list holds %d events after the run, want 10", len(e.pool))
 	}
 	type rec struct{ n int }
+	const puts = 5000 // more than maxPool
 	lists := []*FreeList[rec]{NewFreeList[rec](e), NewFreeList[rec](e)}
 	for _, l := range lists {
-		for i := 0; i < maxPool+5; i++ {
+		for i := 0; i < puts; i++ {
 			l.Put(&rec{n: i})
 		}
-		if l.Len() != maxPool {
-			t.Fatalf("FreeList holds %d records after %d Puts, want its cap %d", l.Len(), maxPool+5, maxPool)
+		if l.Len() != puts {
+			t.Fatalf("FreeList holds %d records after %d Puts, want all of them", l.Len(), puts)
 		}
 	}
-	if r := lists[0].Get(); r == nil || r.n != maxPool-1 {
-		t.Fatalf("Get returned %v, want the last record kept (n=%d)", r, maxPool-1)
+	// A caller builds a record only when Get finds none: puts Gets, last
+	// in first out, must build nothing.
+	built := 0
+	taken := make([]*rec, 0, puts)
+	for i := puts - 1; i >= 0; i-- {
+		r := lists[0].Get()
+		if r == nil {
+			built++
+			continue
+		}
+		if r.n != i {
+			t.Fatalf("Get returned record %d, want %d (last put, first out)", r.n, i)
+		}
+		taken = append(taken, r)
+	}
+	if built != 0 {
+		t.Fatalf("%d of %d Gets after %d Puts found no recycled record", built, puts, puts)
+	}
+	if r := lists[0].Get(); r != nil || lists[0].Len() != 0 {
+		t.Fatalf("FreeList returned %v and holds %d records after %d Gets, want nil and 0", r, lists[0].Len(), puts)
+	}
+	for _, r := range taken {
+		lists[0].Put(r)
 	}
 	e.ReleasePool()
 	if e.pool != nil {

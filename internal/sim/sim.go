@@ -112,7 +112,8 @@ type Engine struct {
 	freeLists []releaser
 }
 
-// maxPool bounds the engine's event free list and every FreeList.
+// maxPool bounds the engine's event free list. A FreeList keeps every
+// record put back; see FreeList.
 const maxPool = 4096
 
 // compactMinTombstones is the floor below which compaction is never
