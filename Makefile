@@ -92,11 +92,11 @@ lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
-# CI guard: every fabric and engine microbenchmark must still compile
+# CI guard: every fabric, engine and ring microbenchmark must still compile
 # and run. One iteration each, no file rewritten, no timing claims.
 # Figures are regenerated by coarsebench, not by benchmarks.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/fabric ./internal/sim
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/fabric ./internal/sim ./internal/collective
 	$(GO) test -race -bench=. -benchtime=1x -run=^$$ ./internal/fabric
 
 # Regenerate the full evaluation (quick mode) with suite timing on

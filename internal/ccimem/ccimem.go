@@ -4,18 +4,15 @@
 // devices access with load/store instructions (the prototype exposes it
 // as an mmap-able PCIe BAR region).
 //
-// The space is a flat 64-bit range carved into per-device windows. An
-// allocator hands out regions inside a device's window; reads and
-// writes resolve the owning device by address and are backed by real
-// byte storage, so the functional paths (parameter storage, checkpoint
-// serialization) can sit directly on CCI memory semantics. Timed access
-// goes through the cci package's transfer models; this package owns
-// placement, translation and the data itself.
+// The space is a flat 64-bit range carved into per-device windows. A
+// first-fit allocator hands out regions inside a device's window; the
+// memory devices use it to account their DRAM capacity. The space holds
+// placement only, no bytes: timed access goes through the cci package's
+// transfer models.
 package ccimem
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -49,7 +46,6 @@ func (s *Space) AddDevice(name string, capacity int64) *Window {
 		panic(fmt.Sprintf("ccimem: device %q capacity %d exceeds window", name, capacity))
 	}
 	w := &Window{
-		space:    s,
 		Name:     name,
 		Index:    len(s.devices),
 		Base:     Addr(len(s.devices)) << WindowBits,
@@ -62,74 +58,20 @@ func (s *Space) AddDevice(name string, capacity int64) *Window {
 // Devices returns the mapped windows in device order.
 func (s *Space) Devices() []*Window { return s.devices }
 
-// Resolve returns the window owning an address and the offset within
-// its DRAM, or an error for unmapped or out-of-capacity addresses.
-func (s *Space) Resolve(a Addr) (*Window, int64, error) {
-	idx := int(a >> WindowBits)
-	if idx >= len(s.devices) {
-		return nil, 0, fmt.Errorf("ccimem: address %#x beyond mapped windows", uint64(a))
-	}
-	w := s.devices[idx]
-	off := int64(a & (WindowSize - 1))
-	if off >= w.Capacity {
-		return nil, 0, fmt.Errorf("ccimem: address %#x beyond device %q capacity", uint64(a), w.Name)
-	}
-	return w, off, nil
-}
-
-// ReadAt copies len(dst) bytes starting at a into dst. The access must
-// stay within one device window (hardware enforces the same).
-func (s *Space) ReadAt(a Addr, dst []byte) error {
-	w, off, err := s.Resolve(a)
-	if err != nil {
-		return err
-	}
-	if off+int64(len(dst)) > w.Capacity {
-		return fmt.Errorf("ccimem: read of %d at %#x crosses device %q capacity", len(dst), uint64(a), w.Name)
-	}
-	w.ensure(off + int64(len(dst)))
-	copy(dst, w.data[off:])
-	return nil
-}
-
-// WriteAt copies src into the space starting at a.
-func (s *Space) WriteAt(a Addr, src []byte) error {
-	w, off, err := s.Resolve(a)
-	if err != nil {
-		return err
-	}
-	if off+int64(len(src)) > w.Capacity {
-		return fmt.Errorf("ccimem: write of %d at %#x crosses device %q capacity", len(src), uint64(a), w.Name)
-	}
-	w.ensure(off + int64(len(src)))
-	copy(w.data[off:], src)
-	return nil
-}
-
 // Window is one device's slice of the unified space plus a first-fit
 // allocator over its physical DRAM.
 type Window struct {
-	space    *Space
 	Name     string
 	Index    int
 	Base     Addr
 	Capacity int64
 
-	data   []byte // backing storage, grown on demand
 	allocs []span // sorted by offset
 }
 
 type span struct {
 	off  int64
 	size int64
-}
-
-func (w *Window) ensure(size int64) {
-	if int64(len(w.data)) < size {
-		grown := make([]byte, size)
-		copy(grown, w.data)
-		w.data = grown
-	}
 }
 
 // Used returns the allocated bytes.
@@ -163,7 +105,7 @@ func (w *Window) Alloc(size int64) (*Region, error) {
 		}
 		off = s.off + s.size
 	}
-	if off+size > w.Capacity {
+	if size > w.Capacity-off { // off+size could overflow
 		return nil, fmt.Errorf("ccimem: device %q cannot fit %d (used %d of %d)", w.Name, size, w.Used(), w.Capacity)
 	}
 	w.allocs = append(w.allocs, span{})
@@ -188,34 +130,6 @@ func (r *Region) Free() {
 // Device returns the window owning the region.
 func (r *Region) Device() *Window { return r.window }
 
-// WriteFloats stores a float32 slice into the region (little-endian).
-func (r *Region) WriteFloats(off int64, vals []float32) error {
-	if off+int64(len(vals))*4 > r.Size {
-		return fmt.Errorf("ccimem: write of %d floats at %d overruns region of %d bytes", len(vals), off, r.Size)
-	}
-	buf := make([]byte, len(vals)*4)
-	for i, v := range vals {
-		putFloat(buf[i*4:], v)
-	}
-	return r.window.space.WriteAt(r.Addr+Addr(off), buf)
-}
-
-// ReadFloats loads count float32 values from the region.
-func (r *Region) ReadFloats(off int64, count int) ([]float32, error) {
-	if off+int64(count)*4 > r.Size {
-		return nil, fmt.Errorf("ccimem: read of %d floats at %d overruns region of %d bytes", count, off, r.Size)
-	}
-	buf := make([]byte, count*4)
-	if err := r.window.space.ReadAt(r.Addr+Addr(off), buf); err != nil {
-		return nil, err
-	}
-	vals := make([]float32, count)
-	for i := range vals {
-		vals[i] = getFloat(buf[i*4:])
-	}
-	return vals, nil
-}
-
 // CheckInvariants verifies the allocator's bookkeeping: spans sorted,
 // non-overlapping, within capacity.
 func (w *Window) CheckInvariants() error {
@@ -227,23 +141,10 @@ func (w *Window) CheckInvariants() error {
 		if s.off < prevEnd {
 			return fmt.Errorf("ccimem: %q spans overlap at %d", w.Name, s.off)
 		}
+		if s.size > w.Capacity-s.off {
+			return fmt.Errorf("ccimem: %q span at %d exceeds capacity", w.Name, s.off)
+		}
 		prevEnd = s.off + s.size
 	}
-	if prevEnd > w.Capacity {
-		return fmt.Errorf("ccimem: %q spans exceed capacity", w.Name)
-	}
 	return nil
-}
-
-func putFloat(b []byte, v float32) {
-	bits := math.Float32bits(v)
-	b[0] = byte(bits)
-	b[1] = byte(bits >> 8)
-	b[2] = byte(bits >> 16)
-	b[3] = byte(bits >> 24)
-}
-
-func getFloat(b []byte) float32 {
-	bits := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	return math.Float32frombits(bits)
 }

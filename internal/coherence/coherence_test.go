@@ -163,6 +163,62 @@ func TestCoherenceTrafficGrowsWithSharers(t *testing.T) {
 	}
 }
 
+// TestDENSEExchangePattern runs the DENSE parameter flow of Figure 5 on
+// the directory: workers write gradient lines into disjoint slots, the
+// server reads every slot and writes the parameter lines, and every
+// worker reads those back. From the second iteration on, the server's
+// write hits lines that every worker holds Shared and invalidates each
+// copy; the reads move data. Every read returns the last value written
+// and SWMR holds throughout.
+func TestDENSEExchangePattern(t *testing.T) {
+	const workers, slot = 4, 16 // lines per worker slot and for the parameters
+	d := NewDirectory(64)
+	caches := make([]*Cache, workers+1)
+	for i := range caches {
+		caches[i] = d.NewCache()
+	}
+	server := caches[workers]
+	params := LineAddr(workers * slot)
+	last := make([]uint64, params+slot) // reference model: last value per line
+	write := func(c *Cache, addr LineAddr) {
+		last[addr]++
+		c.Write(addr, last[addr])
+	}
+	read := func(c *Cache, addr LineAddr) {
+		if got := c.Read(addr); got != last[addr] {
+			t.Fatalf("cache %d read %d from line %d, want %d", c.ID(), got, addr, last[addr])
+		}
+	}
+	for iter := 1; iter <= 2; iter++ {
+		for w := 0; w < workers; w++ {
+			for l := LineAddr(0); l < slot; l++ {
+				write(caches[w], LineAddr(w)*slot+l)
+			}
+		}
+		for addr := LineAddr(0); addr < params; addr++ {
+			read(server, addr)
+		}
+		before := d.Stats().Invalidations
+		for l := LineAddr(0); l < slot; l++ {
+			write(server, params+l)
+		}
+		if inval := d.Stats().Invalidations - before; iter > 1 && inval != workers*slot {
+			t.Fatalf("iter %d: the parameter write invalidated %d copies, want %d", iter, inval, workers*slot)
+		}
+		for w := 0; w < workers; w++ {
+			for l := LineAddr(0); l < slot; l++ {
+				read(caches[w], params+l)
+			}
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+	}
+	if st := d.Stats(); st.DataMsgs == 0 || st.Writebacks == 0 {
+		t.Fatalf("exchange moved no data: %+v", st)
+	}
+}
+
 func TestStatsAddAndTrafficBytes(t *testing.T) {
 	var a, b Stats
 	a.ControlMsgs, a.DataMsgs = 3, 2

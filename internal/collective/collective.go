@@ -1,13 +1,15 @@
-// Package collective implements MPI-like collective communication over
-// the simulated fabric: ring reduce-scatter, all-gather and allreduce.
+// Package collective times MPI-like collective communication over the
+// simulated fabric: a ring allreduce (p-1 reduce-scatter rounds, then
+// p-1 all-gather rounds) and a two-level hierarchy of rings.
 //
-// The collectives are functional — participants hold real float32
-// buffers and the reduction actually sums them — and timed: every step's
-// transfers are issued on the simulation engine through a caller-supplied
-// send function, so ring bandwidth, direction and contention come from
-// the fabric. The ring can run in either direction; the memory devices'
-// sync groups run two rings in opposite directions to fill both halves
-// of each full-duplex link (paper Figure 11b).
+// The collectives move byte counts, not data: every step's transfers
+// are issued on the simulation engine through a caller-supplied send
+// function, so ring bandwidth, direction and contention come from the
+// fabric. Numeric gradients are averaged once per layer by the trainer
+// (train.Ctx.AverageGrads) when the layer's timed reduction completes.
+// The ring can run in either direction; the memory devices' sync groups
+// run two rings in opposite directions to fill both halves of each
+// full-duplex link (paper Figure 11b).
 package collective
 
 import (
@@ -15,7 +17,6 @@ import (
 
 	"coarse/internal/sim"
 	"coarse/internal/telemetry"
-	"coarse/internal/tensor"
 )
 
 // SendFunc issues a timed transfer of size bytes from participant i to
@@ -61,181 +62,11 @@ func NewRing(eng *sim.Engine, p int, send SendFunc) *Ring {
 	return &Ring{eng: eng, p: p, send: send, ops: sim.NewFreeList[bytesOp](eng)}
 }
 
-// segment returns the [lo,hi) element range of segment s for buffers of
-// length n split p ways.
-func segment(n, p, s int) (int, int) {
-	base := n / p
-	extra := n % p
-	lo := s*base + min(s, extra)
-	ln := base
-	if s < extra {
-		ln++
-	}
-	return lo, lo + ln
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// AllReduce sums the participants' equal-length buffers element-wise so
-// every buffer ends up holding the total, then calls onDone. Passing
-// average=true divides the result by p. Buffers are mutated in place.
-func (r *Ring) AllReduce(buffers [][]float32, reverse, average bool, onDone func()) {
-	r.ReduceScatter(buffers, reverse, func() {
-		r.AllGather(buffers, reverse, func() {
-			if average {
-				inv := 1 / float32(r.p)
-				for _, b := range buffers {
-					for i := range b {
-						b[i] *= inv
-					}
-				}
-			}
-			if onDone != nil {
-				onDone()
-			}
-		})
-	})
-}
-
-// ReduceScatter runs the p-1 reduction rounds: afterwards participant i
-// holds the fully reduced segment (i+1) mod p (forward direction).
-func (r *Ring) ReduceScatter(buffers [][]float32, reverse bool, onDone func()) {
-	r.validate(buffers)
-	if r.p == 1 {
-		r.eng.Schedule(0, onDone)
-		return
-	}
-	n := len(buffers[0])
-	// sendSeg[i] tracks which segment participant i forwards this round.
-	sendSeg := make([]int, r.p)
-	for i := range sendSeg {
-		sendSeg[i] = i
-	}
-	var round func(step int)
-	round = func(step int) {
-		if step == r.p-1 {
-			if onDone != nil {
-				onDone()
-			}
-			return
-		}
-		remaining := r.p
-		for i := 0; i < r.p; i++ {
-			i := i
-			seg := sendSeg[i]
-			lo, hi := segment(n, r.p, seg)
-			size := int64(hi-lo) * tensor.BytesPerElem
-			dst := r.neighbor(i, reverse)
-			r.xmit(i, reverse, size, func() {
-				// Payload landed: dst accumulates i's segment into its own.
-				tensor.AddSlice(buffers[dst][lo:hi], buffers[i][lo:hi])
-				r.afterCompute(size, func() {
-					remaining--
-					if remaining == 0 {
-						// dst now forwards the segment it just reduced.
-						next := make([]int, r.p)
-						for j := 0; j < r.p; j++ {
-							next[r.neighbor(j, reverse)] = sendSeg[j]
-						}
-						sendSeg = next
-						round(step + 1)
-					}
-				})
-			})
-		}
-	}
-	round(0)
-}
-
-// AllGather propagates each participant's reduced segment around the
-// ring so every buffer holds every segment. It must run in the same
-// direction as the preceding ReduceScatter.
-func (r *Ring) AllGather(buffers [][]float32, reverse bool, onDone func()) {
-	r.validate(buffers)
-	if r.p == 1 {
-		r.eng.Schedule(0, onDone)
-		return
-	}
-	n := len(buffers[0])
-	// After reduce-scatter, participant i owns the segment it last
-	// reduced: with p-1 rounds of rotation starting from seg i, that is
-	// segment (i+1) mod p forward, (i-1+p) mod p reverse.
-	own := make([]int, r.p)
-	for i := range own {
-		if reverse {
-			own[i] = (i - 1 + r.p) % r.p
-		} else {
-			own[i] = (i + 1) % r.p
-		}
-	}
-	var round func(step int)
-	round = func(step int) {
-		if step == r.p-1 {
-			if onDone != nil {
-				onDone()
-			}
-			return
-		}
-		remaining := r.p
-		for i := 0; i < r.p; i++ {
-			i := i
-			seg := own[i]
-			lo, hi := segment(n, r.p, seg)
-			size := int64(hi-lo) * tensor.BytesPerElem
-			dst := r.neighbor(i, reverse)
-			r.xmit(i, reverse, size, func() {
-				copy(buffers[dst][lo:hi], buffers[i][lo:hi])
-				remaining--
-				if remaining == 0 {
-					next := make([]int, r.p)
-					for j := 0; j < r.p; j++ {
-						next[r.neighbor(j, reverse)] = own[j]
-					}
-					own = next
-					round(step + 1)
-				}
-			})
-		}
-	}
-	round(0)
-}
-
-// Broadcast copies root's buffer to every participant around the ring.
-func (r *Ring) Broadcast(buffers [][]float32, root int, onDone func()) {
-	r.validate(buffers)
-	if r.p == 1 {
-		r.eng.Schedule(0, onDone)
-		return
-	}
-	size := int64(len(buffers[0])) * tensor.BytesPerElem
-	var hop func(i, hops int)
-	hop = func(i, hops int) {
-		if hops == r.p-1 {
-			if onDone != nil {
-				onDone()
-			}
-			return
-		}
-		dst := r.neighbor(i, false)
-		r.xmit(i, false, size, func() {
-			copy(buffers[dst], buffers[i])
-			hop(dst, hops+1)
-		})
-	}
-	hop(root, 0)
-}
-
 // AllReduceBytes runs the allreduce timing for a payload of totalBytes
 // without moving data: 2(p-1) rounds in which every participant sends
 // one totalBytes/p segment to its neighbor, with ALU time charged on the
-// p-1 reduction rounds. Strategies use it when gradients are simulated
-// rather than materialized, keeping the timing path identical to the
-// functional one. Each call runs on a recycled bytesOp record, so the
+// p-1 reduction rounds. The first totalBytes mod p segments carry one
+// extra byte. Each call runs on a recycled bytesOp record, so the
 // rounds allocate nothing once the ring's free list has grown.
 func (r *Ring) AllReduceBytes(totalBytes int64, reverse bool, onDone func()) {
 	if totalBytes < 0 {
@@ -355,17 +186,6 @@ func (r *Ring) afterCompute(size int64, fn func()) {
 		return
 	}
 	r.eng.Schedule(sim.Seconds(float64(size)/r.ALUBytesPerSec), fn)
-}
-
-func (r *Ring) validate(buffers [][]float32) {
-	if len(buffers) != r.p {
-		panic(fmt.Sprintf("collective: %d buffers for %d participants", len(buffers), r.p))
-	}
-	for i, b := range buffers {
-		if len(b) != len(buffers[0]) {
-			panic(fmt.Sprintf("collective: buffer %d length %d != %d", i, len(b), len(buffers[0])))
-		}
-	}
 }
 
 // RingBytesPerParticipant returns the total bytes each participant sends

@@ -188,58 +188,3 @@ func (op *bcastOp) landed() {
 	op.h.bcasts.Put(op)
 	onDone()
 }
-
-// AllReduce is the functional two-level collective: every buffer ends
-// with the global sum (or mean with average=true).
-func (h *Hierarchy) AllReduce(buffers [][]float32, average bool, onDone func()) {
-	total := 0
-	for _, g := range h.groups {
-		total += len(g)
-	}
-	if len(buffers) != total {
-		panic(fmt.Sprintf("collective: %d buffers for %d participants", len(buffers), total))
-	}
-	h.syncALU()
-	remaining := len(h.groups)
-	phase2 := func() {
-		leaderBufs := make([][]float32, len(h.groups))
-		for i, g := range h.groups {
-			leaderBufs[i] = buffers[g[0]]
-		}
-		h.leaderRing.AllReduce(leaderBufs, false, false, func() {
-			left := len(h.groups)
-			for _, g := range h.groups {
-				g := g
-				h.broadcastBytes(g, int64(len(buffers[g[0]]))*4, func() {
-					for _, id := range g[1:] {
-						copy(buffers[id], buffers[g[0]])
-					}
-					if average {
-						inv := 1 / float32(total)
-						for _, id := range g {
-							for i := range buffers[id] {
-								buffers[id][i] *= inv
-							}
-						}
-					}
-					left--
-					if left == 0 && onDone != nil {
-						onDone()
-					}
-				})
-			}
-		})
-	}
-	for k, g := range h.groups {
-		bufs := make([][]float32, len(g))
-		for i, id := range g {
-			bufs[i] = buffers[id]
-		}
-		h.nodeRings[k].AllReduce(bufs, false, false, func() {
-			remaining--
-			if remaining == 0 {
-				phase2()
-			}
-		})
-	}
-}

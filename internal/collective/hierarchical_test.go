@@ -22,41 +22,6 @@ func pairSend(eng *sim.Engine, intraBW, interBW float64) PairSendFunc {
 
 func twoNodeGroups() [][]int { return [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}} }
 
-func TestHierarchicalAllReduceSums(t *testing.T) {
-	eng := sim.NewEngine()
-	h := NewHierarchy(eng, twoNodeGroups(), pairSend(eng, 1e9, 1e8))
-	buffers, want := randBuffers(8, 512, 3)
-	done := false
-	h.AllReduce(buffers, false, func() { done = true })
-	eng.Run()
-	if !done {
-		t.Fatal("never completed")
-	}
-	for i, b := range buffers {
-		for j := range b {
-			if b[j] != want[j] {
-				t.Fatalf("buffer %d elem %d = %v, want %v", i, j, b[j], want[j])
-			}
-		}
-	}
-}
-
-func TestHierarchicalAverage(t *testing.T) {
-	eng := sim.NewEngine()
-	h := NewHierarchy(eng, twoNodeGroups(), pairSend(eng, 1e9, 1e8))
-	buffers := make([][]float32, 8)
-	for i := range buffers {
-		buffers[i] = []float32{16}
-	}
-	h.AllReduce(buffers, true, nil)
-	eng.Run()
-	for i, b := range buffers {
-		if b[0] != 16 {
-			t.Fatalf("buffer %d = %v, want 16 (mean of equals)", i, b[0])
-		}
-	}
-}
-
 func TestHierarchicalBeatsFlatOnSlowInterconnect(t *testing.T) {
 	// With a 10x slower inter-node link, the two-level collective must
 	// beat a flat ring that crosses the boundary every round.
@@ -90,17 +55,29 @@ func TestHierarchicalBeatsFlatOnSlowInterconnect(t *testing.T) {
 }
 
 func TestHierarchicalSingleNodeDegenerates(t *testing.T) {
+	// One node: the leader ring has a single participant and costs
+	// nothing, so the hierarchy takes exactly as long as a flat ring over
+	// the node plus the leader's broadcast down the node's k-1 hop chain.
+	const bytes = 1 << 16
 	eng := sim.NewEngine()
 	h := NewHierarchy(eng, [][]int{{0, 1, 2}}, pairSend(eng, 1e9, 1e8))
-	buffers, want := randBuffers(3, 64, 5)
-	h.AllReduce(buffers, false, nil)
+	h.ALUBytesPerSec = 4e9
+	var hier sim.Time
+	h.AllReduceBytes(bytes, func() { hier = eng.Now() })
 	eng.Run()
-	for i, b := range buffers {
-		for j := range b {
-			if b[j] != want[j] {
-				t.Fatalf("buffer %d elem %d wrong", i, j)
-			}
-		}
+
+	eng = sim.NewEngine()
+	send := pairSend(eng, 1e9, 1e8)
+	r := NewRing(eng, 3, func(i int, reverse bool, size int64, onDone func()) {
+		send(i, (i+1)%3, size, onDone)
+	})
+	r.ALUBytesPerSec = 4e9
+	var flat sim.Time
+	r.AllReduceBytes(bytes, false, func() { flat = eng.Now() })
+	eng.Run()
+	bcast := 2 * sim.Seconds(bytes/1e9)
+	if hier != flat+bcast {
+		t.Fatalf("single-node hierarchy took %v, want flat ring %v + broadcast %v", hier, flat, bcast)
 	}
 }
 
@@ -111,23 +88,28 @@ func TestHierarchicalOverRealMultiNodeFabric(t *testing.T) {
 	for i, w := range m.Workers {
 		groups[w.Node] = append(groups[w.Node], i)
 	}
+	sends := 0
 	send := func(from, to int, size int64, onDone func()) {
+		sends++
 		m.Transfer(m.Workers[from], m.Workers[to], size, onDone)
 	}
 	h := NewHierarchy(eng, groups, send)
-	buffers, want := randBuffers(len(m.Workers), 1<<14, 7)
 	var done sim.Time
-	h.AllReduce(buffers, false, func() { done = eng.Now() })
+	h.AllReduceBytes(1<<16, func() { done = eng.Now() })
 	eng.Run()
 	if done == 0 {
 		t.Fatal("never completed")
 	}
-	for i, b := range buffers {
-		for j := range b {
-			if b[j] != want[j] {
-				t.Fatalf("buffer %d elem %d wrong over real fabric", i, j)
-			}
-		}
+	// Per node of k workers: a k-ring allreduce and a k-1 hop broadcast
+	// chain; across the m leaders: one m-ring allreduce.
+	want := 0
+	for _, g := range groups {
+		k := len(g)
+		want += 2*(k-1)*k + k - 1
+	}
+	want += 2 * (len(groups) - 1) * len(groups)
+	if sends != want {
+		t.Fatalf("%d sends, want %d", sends, want)
 	}
 }
 
@@ -138,10 +120,6 @@ func TestHierarchyValidation(t *testing.T) {
 		"empty":      func() { NewHierarchy(eng, nil, send) },
 		"empty node": func() { NewHierarchy(eng, [][]int{{}}, send) },
 		"duplicate":  func() { NewHierarchy(eng, [][]int{{0, 1}, {1, 2}}, send) },
-		"buffer mismatch": func() {
-			h := NewHierarchy(eng, [][]int{{0, 1}}, send)
-			h.AllReduce(make([][]float32, 3), false, nil)
-		},
 	} {
 		func() {
 			defer func() {

@@ -518,15 +518,6 @@ func (s *Strategy) Tables() []profiler.Table { return s.shards[0].tables }
 // examples read its checkpoint and storage statistics).
 func (s *Strategy) Pool() *memdev.Pool { return s.shards[0].pool }
 
-// Pools exposes every coherence domain's device pool, in shard order.
-func (s *Strategy) Pools() []*memdev.Pool {
-	out := make([]*memdev.Pool, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.pool
-	}
-	return out
-}
-
 // NumShards reports the number of coherence domains in use.
 func (s *Strategy) NumShards() int { return len(s.shards) }
 

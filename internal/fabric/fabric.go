@@ -144,7 +144,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"coarse/internal/sim"
@@ -1655,12 +1654,6 @@ func (n *Network) newFlow() *Flow {
 }
 
 func (n *Network) recycleFlow(f *Flow) { n.flowPool.Put(f) }
-
-// SortChannels orders channels by name; used by diagnostics that need a
-// stable listing out of map-keyed aggregations.
-func SortChannels(cs []*Channel) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].name < cs[j].name })
-}
 
 // SetLinkCapacity changes a link's per-direction capacities at the
 // current virtual time — a degraded lane, a throttled switch port, a

@@ -8,9 +8,11 @@
 // sync core of every device, rings run in alternating directions so
 // adjacent groups fill both directions of each full-duplex CCI link
 // (Figure 11b), and each group processes its share of the parameter
-// volume chunk by chunk (Figure 11c). The data movement is functional —
-// real float32 sums over the simulated fabric — and the DRAM staging,
-// ALU throughput and ring transfers are all charged to virtual time.
+// volume chunk by chunk (Figure 11c). Sync groups time bytes: DRAM
+// staging, ALU throughput and ring transfers are charged to virtual
+// time, and the numeric gradients are averaged once per layer by the
+// trainer (train.Ctx.AverageGrads) when the layer's timed reduction
+// completes.
 package memdev
 
 import (
@@ -223,35 +225,17 @@ func (g *SyncGroup) QueueDepth() int {
 	return n
 }
 
-// AllReduce sums the per-device buffers (buffers[i] belongs to device i)
-// so each ends up with the total, charging DRAM staging, ring transfer
-// and ALU time. average=true divides by the device count. Requests on a
-// busy group queue FIFO — the group's sync core is a serial resource.
-func (g *SyncGroup) AllReduce(buffers [][]float32, average bool, onDone func()) {
-	if len(buffers) != len(g.pool.Devices) {
-		panic(fmt.Sprintf("memdev: %d buffers for %d devices", len(buffers), len(g.pool.Devices)))
-	}
-	bytes := int64(len(buffers[0])) * 4
-	g.enqueue(bytes, func(done func()) {
-		g.ring.AllReduce(buffers, g.Reverse, average, done)
-	}, onDone)
-}
-
-// AllReduceBytes runs the same staged, queued synchronization for a
-// payload of the given size without materialized buffers.
+// AllReduceBytes synchronizes a payload of the given size across the
+// group's devices, charging DRAM staging, ring transfer and ALU time.
+// Requests on a busy group queue FIFO — the group's sync core is a
+// serial resource.
 func (g *SyncGroup) AllReduceBytes(bytes int64, onDone func()) {
-	g.enqueue(bytes, func(done func()) {
-		g.ring.AllReduceBytes(bytes, g.Reverse, done)
-	}, onDone)
-}
-
-func (g *SyncGroup) enqueue(bytes int64, collectiveOp func(done func()), onDone func()) {
 	eng := g.pool.Topo.Eng
 	stage := g.pool.Devices[0].DRAMTime(bytes)
 	g.queue = append(g.queue, func(finish func()) {
 		// Stage in: every device streams its chunk from DRAM to LocalBuf.
 		eng.Schedule(stage, func() {
-			collectiveOp(func() {
+			g.ring.AllReduceBytes(bytes, g.Reverse, func() {
 				// Stage out: write reduced data back to DRAM.
 				eng.Schedule(stage, func() {
 					finish()

@@ -1,7 +1,6 @@
 package memdev
 
 import (
-	"math/rand"
 	"testing"
 
 	"coarse/internal/cci"
@@ -14,20 +13,6 @@ func newPool(t *testing.T, spec topology.Spec, groups int) (*sim.Engine, *Pool) 
 	eng := sim.NewEngine()
 	m := topology.Build(eng, spec)
 	return eng, NewPool(cci.NewFabric(m.Topology, cci.DefaultParams()), m.Devs, DefaultConfig(), groups)
-}
-
-func randBuffers(p, n int, seed int64) ([][]float32, []float32) {
-	r := rand.New(rand.NewSource(seed))
-	buffers := make([][]float32, p)
-	want := make([]float32, n)
-	for i := range buffers {
-		buffers[i] = make([]float32, n)
-		for j := range buffers[i] {
-			buffers[i][j] = float32(r.Intn(32))
-			want[j] += buffers[i][j]
-		}
-	}
-	return buffers, want
 }
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -79,24 +64,6 @@ func TestDRAMAllocation(t *testing.T) {
 	}
 }
 
-func TestPoolGroupAllReduceSums(t *testing.T) {
-	eng, p := newPool(t, topology.AWSV100(), 2)
-	buffers, want := randBuffers(len(p.Devices), 4096, 1)
-	done := false
-	p.Group(0).AllReduce(buffers, false, func() { done = true })
-	eng.Run()
-	if !done {
-		t.Fatal("allreduce never completed")
-	}
-	for i, b := range buffers {
-		for j := range b {
-			if b[j] != want[j] {
-				t.Fatalf("device %d elem %d = %v, want %v", i, j, b[j], want[j])
-			}
-		}
-	}
-}
-
 func TestGroupsAlternateDirection(t *testing.T) {
 	_, p := newPool(t, topology.AWSV100(), 4)
 	if len(p.Groups()) != 4 {
@@ -128,8 +95,7 @@ func TestOppositeGroupsOverlapPerfectly(t *testing.T) {
 		eng, p := newPool(t, topology.AWSV100(), 2)
 		var last sim.Time
 		for g := 0; g < groups; g++ {
-			buffers, _ := randBuffers(len(p.Devices), 1<<18, int64(g))
-			p.Group(g).AllReduce(buffers, false, func() {
+			p.Group(g).AllReduceBytes(1<<20, func() {
 				if eng.Now() > last {
 					last = eng.Now()
 				}
@@ -149,11 +115,9 @@ func TestSameGroupSerializes(t *testing.T) {
 	// Two syncs on the same group must run back to back, not overlap.
 	eng, p := newPool(t, topology.AWSV100(), 1)
 	var first, second sim.Time
-	b1, _ := randBuffers(len(p.Devices), 1<<16, 1)
-	b2, _ := randBuffers(len(p.Devices), 1<<16, 2)
 	g := p.Group(0)
-	g.AllReduce(b1, false, func() { first = eng.Now() })
-	g.AllReduce(b2, false, func() { second = eng.Now() })
+	g.AllReduceBytes(1<<18, func() { first = eng.Now() })
+	g.AllReduceBytes(1<<18, func() { second = eng.Now() })
 	if g.QueueDepth() != 2 {
 		t.Fatalf("queue depth = %d, want 2", g.QueueDepth())
 	}
@@ -164,32 +128,6 @@ func TestSameGroupSerializes(t *testing.T) {
 	if g.QueueDepth() != 0 {
 		t.Fatalf("queue depth after run = %d", g.QueueDepth())
 	}
-}
-
-func TestAllReduceAverage(t *testing.T) {
-	eng, p := newPool(t, topology.SDSCP100(), 1)
-	n := len(p.Devices)
-	buffers := make([][]float32, n)
-	for i := range buffers {
-		buffers[i] = []float32{2, 4}
-	}
-	p.Group(0).AllReduce(buffers, true, nil)
-	eng.Run()
-	for _, b := range buffers {
-		if b[0] != 2 || b[1] != 4 {
-			t.Fatalf("average = %v", b)
-		}
-	}
-}
-
-func TestAllReduceWrongBufferCountPanics(t *testing.T) {
-	_, p := newPool(t, topology.SDSCP100(), 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	p.Group(0).AllReduce(make([][]float32, 1), false, nil)
 }
 
 func TestEmptyPoolPanics(t *testing.T) {

@@ -66,9 +66,6 @@ type Event struct {
 	owned  bool // engine-owned: recycled by Step as it is dispatched
 }
 
-// Daemon reports whether the event was scheduled as a daemon event.
-func (e *Event) Daemon() bool { return e.daemon }
-
 // Cancelled reports whether Cancel was called on the event before it fired.
 func (e *Event) Cancelled() bool { return e.cancel }
 

@@ -1,11 +1,10 @@
 // Package tensor provides the parameter tensors that flow through the
 // synchronization paths: named float32 buffers and the arithmetic the
-// sync cores and the optimizer apply to them.
+// numeric training path and the optimizer apply to them.
 package tensor
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -51,22 +50,6 @@ func (t *Tensor) Fill(v float32) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
-}
-
-// Fingerprint returns a content hash used by tests and the checkpoint
-// store to detect modification without comparing full payloads.
-func (t *Tensor) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var b [4]byte
-	for _, v := range t.Data {
-		bits := math.Float32bits(v)
-		b[0] = byte(bits)
-		b[1] = byte(bits >> 8)
-		b[2] = byte(bits >> 16)
-		b[3] = byte(bits >> 24)
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }
 
 // Add accumulates src into t element-wise. Lengths must match.
