@@ -29,7 +29,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"coarse/internal/fabric"
 	"coarse/internal/memdev"
@@ -116,8 +115,21 @@ type Strategy struct {
 	// proxySynced[layer] records the dual-sync assignment.
 	proxySynced []bool
 	mBytes      int64
+	// reprofiler is the lowest-indexed worker owning the last layer:
+	// the first to produce an iteration's gradients on every layout.
+	reprofiler int
 
-	iters map[int]*iterState
+	// live holds the iterations still synchronizing, a few at most: a
+	// worker's next forward pass waits for its current iteration's
+	// synchronization. Their states, and the records of the shards and
+	// reductions in flight, are recycled through the free lists.
+	live   []*iterState
+	states *sim.FreeList[iterState]
+	ops    *sim.FreeList[shardOp]
+	// pushTags[w] marks worker w's push fans for aggregation. A worker
+	// pushes one layer per instant (a backward compute separates its
+	// gradients), so one tag per worker serves every fan.
+	pushTags []fabric.AggTag
 
 	// stats
 	Reprofiles     int
@@ -148,23 +160,27 @@ func (s *Strategy) WorkerStateBytes(m *model.Model) int64 {
 	return 2*m.ParamBytes() + clientQueue
 }
 
+// shardKey names one shard: the idx-th partition of a layer's
+// reduction tree in iteration it.
+type shardKey struct{ it, layer, gid, idx int }
+
+// iterState is one iteration's synchronization bookkeeping, in slices
+// indexed by dense coordinates rather than maps: a recycled state is
+// reset in place for a later iteration, so once the first iterations
+// have sized it, bookkeeping allocates nothing.
 type iterState struct {
-	// shardArrived counts, per shard key, how many clients' copies have
-	// reached the proxies.
-	shardArrived map[string]int
-	// shardsLeft counts, per (worker, layer), shards not yet pulled back.
-	shardsLeft map[[2]int]int
-	// gpuArrived counts, per (layer, reduction tree), workers that
-	// produced the gradient (GPU-synced layers). The tree id is 0 on the
-	// data-parallel layout.
-	gpuArrived map[[2]int]int
-	// workersLeft counts, per proxy-synced (layer, reduction tree),
-	// members that have not finished pulling yet.
-	workersLeft map[[2]int]int
+	it int
+	// pairs holds each (layer, reduction tree) pair's state, indexed
+	// layer*trees + gid. The tree id is 0 on the data-parallel layout.
+	pairs []pairState
+	trees int
+	// shardsLeft counts, per (worker, layer) at w*layers + layer,
+	// shards not yet pulled back.
+	shardsLeft []int32
 	// averaged marks layers whose gradients have been numerically
 	// averaged (once per layer, at first shard-sync completion — before
 	// any worker can consume them).
-	averaged map[int]bool
+	averaged []bool
 	// layersLeft counts (layer, reduction tree) completions still owed
 	// this iteration — the layer count on the data-parallel layout; the
 	// iteration's state is dropped (and the epoch checkpoint taken) when
@@ -174,6 +190,62 @@ type iterState struct {
 	// mid-iteration re-profile (which may re-plan the split) cannot put
 	// two workers' copies of one layer on different paths.
 	assign []bool
+}
+
+// pairState is one (layer, reduction tree) pair's synchronization in
+// one iteration.
+type pairState struct {
+	// gpuArrived counts members that produced the gradient
+	// (GPU-synced layers).
+	gpuArrived int32
+	// workersLeft counts members that have not finished pulling yet
+	// (proxy-synced layers); zero until the pair's first push.
+	workersLeft int32
+	// shards holds the pair's shards by index; it keeps the longest
+	// partition any member has pushed, and only the first k entries of
+	// a k-shard partition are used.
+	shards []shardState
+}
+
+// shardState is one shard's synchronization in one iteration.
+type shardState struct {
+	// arrived counts the clients' copies that have reached the proxies.
+	arrived int32
+	// cached lists the proxies (indices in the layer's domain) that
+	// have already staged the shard from storage DRAM (the Section III-D
+	// parameter cache): the first len(cachedIn) of them inline, the rest
+	// in more. A cached shard's pull skips the storage read; the
+	// iteration's shards are never pulled again once it ends, so the
+	// cache goes with its state.
+	ncached  int32
+	cachedIn [4]int32
+	more     []int32
+}
+
+// cachedAt reports whether proxy px has staged the shard.
+func (sh *shardState) cachedAt(px int) bool {
+	n := min(int(sh.ncached), len(sh.cachedIn))
+	for _, c := range sh.cachedIn[:n] {
+		if int(c) == px {
+			return true
+		}
+	}
+	for _, c := range sh.more {
+		if int(c) == px {
+			return true
+		}
+	}
+	return false
+}
+
+// cache records that proxy px has staged the shard.
+func (sh *shardState) cache(px int) {
+	if int(sh.ncached) < len(sh.cachedIn) {
+		sh.cachedIn[sh.ncached] = int32(px)
+	} else {
+		sh.more = append(sh.more, int32(px))
+	}
+	sh.ncached++
 }
 
 // coarseShard is one coherence domain: a contiguous slice of the
@@ -202,20 +274,15 @@ func (s *Strategy) shardOf(layer int) *coarseShard { return s.shards[layer%len(s
 type proxy struct {
 	dev *memdev.Device
 	// FCFS mode: one head-of-line queue of un-registered arrivals.
-	fifo []*arrival
+	fifo []arrival
 	// queue-based mode needs no structure here: per-client queues drain
 	// concurrently, so arrivals register immediately.
-
-	// cached marks shard keys whose synchronized value this proxy has
-	// already staged from storage DRAM (the Section III-D parameter
-	// cache). A cached shard's pull skips the storage read.
-	cached map[string]bool
 }
 
+// arrival is one shard copy waiting in an FCFS proxy queue.
 type arrival struct {
-	key    string
-	client int
-	fn     func()
+	key  shardKey
+	size int64
 }
 
 // Setup implements train.Strategy: partition the device pool into
@@ -223,7 +290,17 @@ type arrival struct {
 // solve the dual-synchronization split.
 func (s *Strategy) Setup(ctx *train.Ctx) error {
 	s.ctx = ctx
-	s.iters = make(map[int]*iterState)
+	s.live = nil
+	s.states = sim.NewFreeList[iterState](ctx.Eng)
+	s.ops = sim.NewFreeList[shardOp](ctx.Eng)
+	s.pushTags = make([]fabric.AggTag, ctx.NumWorkers())
+	last := len(ctx.Layers()) - 1
+	for w := range ctx.Workers {
+		if ctx.Plan().OwnsLayer(w, last) {
+			s.reprofiler = w
+			break
+		}
+	}
 	devs := ctx.Machine.Devs
 	if len(devs) == 0 {
 		return fmt.Errorf("coarse: machine %q has no memory devices", ctx.Machine.Label)
@@ -249,7 +326,7 @@ func (s *Strategy) Setup(ctx *train.Ctx) error {
 		sh := &coarseShard{idx: si, devs: sdevs, layerBytes: layerBytes[si]}
 		sh.pool = memdev.NewPool(ctx.CCI, sdevs, ctx.Cfg.MemDev, s.Opts.SyncGroups)
 		for _, d := range sh.pool.Devices {
-			sh.prox = append(sh.prox, &proxy{dev: d, cached: make(map[string]bool)})
+			sh.prox = append(sh.prox, &proxy{dev: d})
 			// Extended parameter storage: master weights and both Adam
 			// moments for this domain's layers, sharded across its
 			// devices. A domain can own zero bytes when the model has
@@ -521,26 +598,107 @@ func (s *Strategy) Pool() *memdev.Pool { return s.shards[0].pool }
 // NumShards reports the number of coherence domains in use.
 func (s *Strategy) NumShards() int { return len(s.shards) }
 
+// state returns iteration it's synchronization state, taking a
+// recycled one for an iteration's first call.
 func (s *Strategy) state(it int) *iterState {
-	st, ok := s.iters[it]
-	if !ok {
-		st = &iterState{
-			shardArrived: make(map[string]int),
-			shardsLeft:   make(map[[2]int]int),
-			gpuArrived:   make(map[[2]int]int),
-			workersLeft:  make(map[[2]int]int),
-			averaged:     make(map[int]bool),
-			layersLeft:   s.ctx.Plan().SyncTrees(),
-			assign:       append([]bool(nil), s.proxySynced...),
-		}
-		s.iters[it] = st
+	if st := s.find(it); st != nil {
+		return st
 	}
+	st := s.states.Get()
+	if st == nil {
+		ctx := s.ctx
+		layers := len(ctx.Layers())
+		trees := len(ctx.Plan().Groups())
+		st = &iterState{
+			pairs:      make([]pairState, layers*trees),
+			trees:      trees,
+			shardsLeft: make([]int32, ctx.NumWorkers()*layers),
+			averaged:   make([]bool, layers),
+		}
+	}
+	st.it = it
+	st.layersLeft = s.ctx.Plan().SyncTrees()
+	st.assign = append(st.assign[:0], s.proxySynced...)
+	s.live = append(s.live, st)
 	return st
+}
+
+// pair returns the state of a (layer, reduction tree) pair.
+func (st *iterState) pair(layer, gid int) *pairState {
+	return &st.pairs[layer*st.trees+gid]
+}
+
+// shard returns a shard's state.
+func (st *iterState) shard(key shardKey) *shardState {
+	return &st.pair(key.layer, key.gid).shards[key.idx]
+}
+
+// find returns iteration it's state, or nil when it has none.
+func (s *Strategy) find(it int) *iterState {
+	for _, st := range s.live {
+		if st.it == it {
+			return st
+		}
+	}
+	return nil
+}
+
+// drop recycles a finished iteration's state.
+func (s *Strategy) drop(st *iterState) {
+	for i, x := range s.live {
+		if x == st {
+			last := len(s.live) - 1
+			copy(s.live[i:], s.live[i+1:])
+			s.live[last] = nil
+			s.live = s.live[:last]
+			break
+		}
+	}
+	for i := range st.pairs {
+		ps := &st.pairs[i]
+		ps.gpuArrived, ps.workersLeft = 0, 0
+		for j := range ps.shards {
+			sh := &ps.shards[j]
+			sh.arrived, sh.ncached, sh.more = 0, 0, sh.more[:0]
+		}
+	}
+	clear(st.shardsLeft)
+	clear(st.averaged)
+	s.states.Put(st)
+}
+
+// shardOp is one shard or reduction in flight: a shard copy's push or
+// pull, a shard's sync-group reduction, or a GPU-synced layer's
+// reduction. Its callbacks are bound once per object, and the record
+// is recycled as its last callback runs.
+type shardOp struct {
+	s    *Strategy
+	key  shardKey
+	w    int // the pushing or pulling worker
+	px   int // the proxy pushed to or pulled from
+	size int64
+
+	arrived, synced, pull, pulled, awake, reduced func()
+}
+
+func (s *Strategy) newOp(key shardKey, w, px int, size int64) *shardOp {
+	op := s.ops.Get()
+	if op == nil {
+		op = &shardOp{s: s}
+		op.arrived = op.onArrived
+		op.synced = op.onSynced
+		op.pull = op.startPull
+		op.pulled = op.onPulled
+		op.awake = op.onAwake
+		op.reduced = op.onReduced
+	}
+	op.key, op.w, op.px, op.size = key, w, px, size
+	return op
 }
 
 // GradientReady implements train.Strategy.
 func (s *Strategy) GradientReady(it, w, layer int) {
-	if s.Opts.ReprofileEvery > 0 && w == 0 && layer == len(s.ctx.Layers())-1 &&
+	if s.Opts.ReprofileEvery > 0 && w == s.reprofiler && layer == len(s.ctx.Layers())-1 &&
 		it > 0 && it%s.Opts.ReprofileEvery == 0 {
 		s.reprofile()
 	}
@@ -561,25 +719,30 @@ func (s *Strategy) gpuSync(it, w, layer int) {
 	plan := ctx.Plan()
 	st := s.state(it)
 	gid := plan.GroupID(w, layer)
-	members := plan.GroupMembers(gid)
-	gk := [2]int{layer, gid}
-	st.gpuArrived[gk]++
-	if st.gpuArrived[gk] < len(members) {
+	ps := st.pair(layer, gid)
+	ps.gpuArrived++
+	if int(ps.gpuArrived) < len(plan.GroupMembers(gid)) {
 		return
 	}
 	size := plan.SyncBytes(layer)
 	s.GPUSyncedBytes += size
-	done := func() {
-		if ctx.Cfg.Numeric {
-			ctx.AverageGrads(layer)
-			s.captureParam(it, layer)
-		}
-		for _, dst := range members {
-			ctx.MarkReady(it, dst, layer)
-		}
-		s.layerDone(it)
+	op := s.newOp(shardKey{it: it, layer: layer, gid: gid}, -1, -1, size)
+	ctx.SyncComm(gid).AllReduceBytes(size, op.reduced)
+}
+
+// onReduced completes a GPU-synced layer.
+func (op *shardOp) onReduced() {
+	s, key := op.s, op.key
+	s.ops.Put(op)
+	ctx := s.ctx
+	if ctx.Cfg.Numeric {
+		ctx.AverageGrads(key.layer)
+		s.captureParam(key.it, key.layer)
 	}
-	ctx.SyncComm(gid).AllReduceBytes(size, done)
+	for _, dst := range ctx.Plan().GroupMembers(key.gid) {
+		ctx.MarkReady(key.it, dst, key.layer)
+	}
+	s.layerDone(key.it)
 }
 
 // pushToProxies: partition, route, push; proxies register arrivals and
@@ -592,35 +755,33 @@ func (s *Strategy) pushToProxies(it, w, layer int) {
 	gid := plan.GroupID(w, layer)
 	table := sh.tables[w]
 
-	var shardSizes []int64
+	// Equal shards, the first size%k one byte larger.
+	k := int64(1)
 	if s.Opts.Partitioning && size > table.PartitionBytes {
-		k := size / table.PartitionBytes
-		base := size / k
-		rem := size % k
-		for i := int64(0); i < k; i++ {
-			sz := base
-			if i < rem {
-				sz++
-			}
-			shardSizes = append(shardSizes, sz)
-		}
-	} else {
-		shardSizes = []int64{size}
+		k = size / table.PartitionBytes
 	}
+	base, rem := size/k, size%k
 
 	st := s.state(it)
-	st.shardsLeft[[2]int{w, layer}] = len(shardSizes)
-	gk := [2]int{layer, gid}
-	if _, ok := st.workersLeft[gk]; !ok {
-		st.workersLeft[gk] = len(plan.GroupMembers(gid))
+	st.shardsLeft[w*len(ctx.Layers())+layer] = int32(k)
+	ps := st.pair(layer, gid)
+	if ps.workersLeft == 0 {
+		ps.workersLeft = int32(len(plan.GroupMembers(gid)))
+	}
+	if n := int(k); len(ps.shards) < n {
+		ps.shards = append(ps.shards, make([]shardState, n-len(ps.shards))...)
 	}
 
 	// One worker's partition pushes are a symmetric fan: size-based
 	// routing sends equal-size shards to the same proxy over the same
 	// route, back-to-back, so the fabric may carry each size class as
 	// one aggregated flow (byte-identical; see fabric.AggTag).
-	var tag fabric.AggTag
-	for idx, shardSize := range shardSizes {
+	tag := &s.pushTags[w]
+	for idx := int64(0); idx < k; idx++ {
+		shardSize := base
+		if idx < rem {
+			shardSize++
+		}
 		dst := sh.localProxy[w]
 		if s.Opts.Routing {
 			dst = table.Route(shardSize)
@@ -630,61 +791,57 @@ func (s *Strategy) pushToProxies(it, w, layer int) {
 		} else {
 			s.PushedToBw += shardSize
 		}
-		key := fmt.Sprintf("%d/%d/%d/%d", it, layer, gid, idx)
-		shardSize := shardSize
-		idx := idx
-		ctx.CCI.DMACopyTagged(&tag, ctx.Workers[w].Dev, sh.pool.Devices[dst].Dev, shardSize, func() {
-			s.onProxyArrival(it, w, layer, gid, idx, shardSize, dst, key)
-		})
+		op := s.newOp(shardKey{it, layer, gid, int(idx)}, w, dst, shardSize)
+		ctx.CCI.DMACopyTagged(tag, ctx.Workers[w].Dev, sh.pool.Devices[dst].Dev, shardSize, op.arrived)
 	}
 }
 
-func (s *Strategy) onProxyArrival(it, w, layer, gid, idx int, shardSize int64, dst int, key string) {
-	px := s.shardOf(layer).prox[dst]
-	register := func() {
-		s.registerShard(it, layer, gid, idx, shardSize, key)
-	}
+// onArrived lands one pushed shard copy at its proxy.
+func (op *shardOp) onArrived() {
+	s, key, dst, size := op.s, op.key, op.px, op.size
+	s.ops.Put(op)
 	if s.Opts.Scheduler == QueueBased {
 		// Per-client queues drain concurrently: the arrival registers
 		// immediately regardless of what else this proxy is serving.
-		register()
+		s.registerShard(key, size)
 		return
 	}
 	// FCFS: only the head of the proxy's single arrival queue may
 	// register; everything behind waits for the head's shard to finish.
-	px.fifo = append(px.fifo, &arrival{key: key, client: w, fn: register})
+	px := s.shardOf(key.layer).prox[dst]
+	px.fifo = append(px.fifo, arrival{key: key, size: size})
 	if len(px.fifo) == 1 {
-		px.fifo[0].fn()
+		s.registerShard(key, size)
 	}
 }
 
 // registerShard counts a shard copy's arrival; when all of the layer's
 // tree members' copies are in, the shard synchronizes on a sync group.
-func (s *Strategy) registerShard(it, layer, gid, idx int, shardSize int64, key string) {
-	ctx := s.ctx
-	st := s.state(it)
-	st.shardArrived[key]++
-	if st.shardArrived[key] < len(ctx.Plan().GroupMembers(gid)) {
+func (s *Strategy) registerShard(key shardKey, shardSize int64) {
+	shard := s.state(key.it).shard(key)
+	shard.arrived++
+	if int(shard.arrived) < len(s.ctx.Plan().GroupMembers(key.gid)) {
 		return
 	}
-	delete(st.shardArrived, key)
-	sh := s.shardOf(layer)
+	sh := s.shardOf(key.layer)
 	group := sh.pool.Group(sh.rr)
 	sh.rr++
-	group.AllReduceBytes(shardSize, func() {
-		s.onShardSynced(it, layer, gid, idx, shardSize, key)
-	})
+	group.AllReduceBytes(shardSize, s.newOp(key, -1, -1, shardSize).synced)
 }
 
-func (s *Strategy) onShardSynced(it, layer, gid, idx int, shardSize int64, key string) {
+// onSynced pulls a synchronized shard back to every tree member.
+func (op *shardOp) onSynced() {
+	s, key, shardSize := op.s, op.key, op.size
+	s.ops.Put(op)
 	ctx := s.ctx
-	sh := s.shardOf(layer)
+	sh := s.shardOf(key.layer)
+	st := s.state(key.it)
 	if ctx.Cfg.Numeric {
 		// Average once per layer, before any worker can pull and apply.
-		if st := s.state(it); !st.averaged[layer] {
-			st.averaged[layer] = true
-			ctx.AverageGrads(layer)
-			s.captureParam(it, layer)
+		if !st.averaged[key.layer] {
+			st.averaged[key.layer] = true
+			ctx.AverageGrads(key.layer)
+			s.captureParam(key.it, key.layer)
 		}
 	}
 	// FCFS: the synced shard releases the head of every proxy queue
@@ -695,7 +852,7 @@ func (s *Strategy) onShardSynced(it, layer, gid, idx int, shardSize int64, key s
 			for len(px.fifo) > 0 && px.fifo[0].key == key {
 				px.fifo = px.fifo[1:]
 				if len(px.fifo) > 0 {
-					px.fifo[0].fn()
+					s.registerShard(px.fifo[0].key, px.fifo[0].size)
 				}
 			}
 		}
@@ -704,56 +861,56 @@ func (s *Strategy) onShardSynced(it, layer, gid, idx int, shardSize int64, key s
 	// The first pull through a proxy stages the shard out of storage
 	// DRAM into the proxy's parameter cache; later pulls of the same
 	// shard hit the cache (Section III-D).
-	for _, w := range ctx.Plan().GroupMembers(gid) {
-		w := w
+	shard := st.shard(key)
+	for _, w := range ctx.Plan().GroupMembers(key.gid) {
 		src := sh.localProxy[w]
 		if s.Opts.Routing {
 			src = sh.tables[w].Route(shardSize)
 		}
 		var stage sim.Time
-		if px := sh.prox[src]; s.Opts.ProxyCache && px.cached[key] {
+		if s.Opts.ProxyCache && shard.cachedAt(src) {
 			s.PullHits++
 		} else {
 			s.PullMisses++
-			stage = px.dev.DRAMTime(shardSize)
+			stage = sh.prox[src].dev.DRAMTime(shardSize)
 			if s.Opts.ProxyCache {
-				px.cached[key] = true
+				shard.cache(src)
 			}
 		}
-		ctx.Eng.Schedule(stage, func() {
-			s.pullShard(it, w, layer, gid, shardSize, src)
-		})
+		ctx.Eng.Schedule(stage, s.newOp(key, w, src, shardSize).pull)
 	}
 }
 
-// pullShard moves one synchronized shard from its proxy back to a
-// worker and accounts layer completion. Queue-based synchronization is
-// what keeps this path fault-tolerant: shards synchronize on the
-// memory devices' sync cores regardless of worker health, and only the
-// *silenced* worker's own pull hand-off defers until it wakes — every
-// other worker's pulls land immediately (no head-of-line blocking, the
-// same property that avoids the Figure 10 deadlock).
-func (s *Strategy) pullShard(it, w, layer, gid int, shardSize int64, src int) {
-	ctx := s.ctx
-	ctx.CCI.DMACopy(s.shardOf(layer).pool.Devices[src].Dev, ctx.Workers[w].Dev, shardSize, func() {
-		ctx.RunAwake(func() { s.finishPull(it, w, layer, gid) }, w)
-	})
+// startPull moves one synchronized shard from its proxy back to a
+// worker. Queue-based synchronization is what keeps this path
+// fault-tolerant: shards synchronize on the memory devices' sync cores
+// regardless of worker health, and only the *silenced* worker's own
+// pull hand-off defers until it wakes — every other worker's pulls land
+// immediately (no head-of-line blocking, the same property that avoids
+// the Figure 10 deadlock).
+func (op *shardOp) startPull() {
+	ctx := op.s.ctx
+	ctx.CCI.DMACopy(op.s.shardOf(op.key.layer).pool.Devices[op.px].Dev, ctx.Workers[op.w].Dev, op.size, op.pulled)
 }
 
-func (s *Strategy) finishPull(it, w, layer, gid int) {
-	st := s.state(it)
-	k := [2]int{w, layer}
+func (op *shardOp) onPulled() { op.s.ctx.RunAwake(op.awake, op.w) }
+
+// onAwake accounts a landed pull and the layer's completion.
+func (op *shardOp) onAwake() {
+	s, key, w := op.s, op.key, op.w
+	s.ops.Put(op)
+	ctx := s.ctx
+	st := s.state(key.it)
+	k := w*len(ctx.Layers()) + key.layer
 	st.shardsLeft[k]--
 	if st.shardsLeft[k] > 0 {
 		return
 	}
-	delete(st.shardsLeft, k)
-	s.ctx.MarkReady(it, w, layer)
-	gk := [2]int{layer, gid}
-	st.workersLeft[gk]--
-	if st.workersLeft[gk] == 0 {
-		delete(st.workersLeft, gk)
-		s.layerDone(it)
+	ctx.MarkReady(key.it, w, key.layer)
+	ps := st.pair(key.layer, key.gid)
+	ps.workersLeft--
+	if ps.workersLeft == 0 {
+		s.layerDone(key.it)
 	}
 }
 
@@ -805,30 +962,18 @@ func (s *Strategy) RestoreLatest() bool {
 }
 
 // layerDone accounts a fully synchronized layer; when the whole
-// iteration has synchronized, its state is dropped and the epoch-end
-// checkpoint fires.
+// iteration has synchronized, its state (with the proxy caches of its
+// shards) is dropped and the epoch-end checkpoint fires.
 func (s *Strategy) layerDone(it int) {
-	st, ok := s.iters[it]
-	if !ok {
+	st := s.find(it)
+	if st == nil {
 		return
 	}
 	st.layersLeft--
 	if st.layersLeft > 0 {
 		return
 	}
-	delete(s.iters, it)
-	// The iteration's shards will never be pulled again: evict them
-	// from the proxy caches.
-	prefix := fmt.Sprintf("%d/", it)
-	for _, sh := range s.shards {
-		for _, px := range sh.prox {
-			for key := range px.cached {
-				if strings.HasPrefix(key, prefix) {
-					delete(px.cached, key)
-				}
-			}
-		}
-	}
+	s.drop(st)
 	if s.Opts.EpochIters > 0 && (it+1)%s.Opts.EpochIters == 0 {
 		for _, sh := range s.shards {
 			for _, d := range sh.pool.Devices {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"coarse/internal/model"
+	"coarse/internal/parallel"
 	"coarse/internal/paramserver"
 	"coarse/internal/tensor"
 	"coarse/internal/topology"
@@ -207,20 +208,41 @@ func TestQueueBasedAvoidsDeadlock(t *testing.T) {
 	}
 }
 
+// TestReprofilingRuns: dynamic profiling fires every ReprofileEvery
+// iterations after the first, on every layout. The trigger is the
+// first worker to produce an iteration's last-layer gradient, which on
+// a pipeline-parallel layout sits in the last stage, not at worker 0.
 func TestReprofilingRuns(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ReprofileEvery = 2
-	cfg := train.DefaultConfig(topology.SDSCP100(), model.MLP("tiny", 64, 32), 2, 5)
-	s := New(opts)
-	tr, err := train.New(cfg, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Reprofiles == 0 {
-		t.Fatal("dynamic profiling never ran")
+	rack := topology.ScaleSpec{Racks: 2, NodesPerRack: 2, GPUsPerNode: 2, MemDevs: 2, MemDevTier: topology.TierRack}.Generate()
+	mlp := model.MLP("tiny5", 64, 64, 48, 48, 32, 32)
+	for _, c := range []struct {
+		name   string
+		spec   topology.Spec
+		m      *model.Model
+		every  int
+		layout parallel.Layout
+		want   int
+	}{
+		{"p100-dp", topology.SDSCP100(), model.MLP("tiny", 64, 32), 2, parallel.Layout{}, 2},
+		{"rack-dp", rack, mlp, 1, parallel.Layout{}, 4},
+		{"rack-pp2", rack, mlp, 1, parallel.Layout{PP: 2}, 4},
+		{"rack-tp2", rack, mlp, 1, parallel.Layout{TP: 2}, 4},
+	} {
+		opts := DefaultOptions()
+		opts.ReprofileEvery = c.every
+		cfg := train.DefaultConfig(c.spec, c.m, 4, 5)
+		cfg.Layout = c.layout
+		s := New(opts)
+		tr, err := train.New(cfg, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Reprofiles != c.want {
+			t.Errorf("%s: dynamic profiling ran %d times over 5 iterations, want %d", c.name, s.Reprofiles, c.want)
+		}
 	}
 }
 

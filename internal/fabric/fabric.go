@@ -425,7 +425,7 @@ func SetReferenceFillingForTest(on bool) (restore func()) {
 }
 
 // listCompactMin is the tombstone floor below which active lists are
-// not compacted.
+// not compacted while their channel still carries a live member.
 const listCompactMin = 16
 
 // compHotShare: a component search gives up on reaching a channel
@@ -1585,11 +1585,16 @@ func (n *Network) completeMember(f *Flow, j int) {
 			f.bneck = -1
 		}
 		// Leave the active lists by tombstone: iteration skips finished
-		// flows, and lists compact once tombstones reach half their length.
+		// flows, and a list compacts once tombstones reach half its
+		// length, or at once when its channel has no live member left.
+		// The second rule recycles the flows of a channel that carries
+		// a few transfers per iteration at the iteration's pace; left
+		// to the first, their tombstones (and so the flow records) would
+		// pile up over many iterations before one compaction.
 		n.deadFlows++
 		for _, c := range f.path {
 			c.dead++
-			if c.dead >= listCompactMin && c.dead*2 > len(c.active) {
+			if c.live == 0 || c.dead >= listCompactMin && c.dead*2 > len(c.active) {
 				c.active = n.compactList(c.active)
 				c.dead = 0
 				c.head = 0

@@ -182,13 +182,27 @@ type SyncGroup struct {
 	Reverse bool
 	ring    *collective.Ring
 	// A group's sync core runs one collective at a time; later requests
-	// queue FIFO behind the running one.
-	queue   []func(finish func())
+	// queue FIFO behind the running one. queue[head:] is waiting.
+	queue   []*syncTask
+	head    int
 	running bool
+	tasks   *sim.FreeList[syncTask]
+}
+
+// syncTask is one queued synchronization. Its callbacks are bound once
+// per object, and the record is recycled as it finishes.
+type syncTask struct {
+	g        *SyncGroup
+	bytes    int64
+	stage    sim.Time // DRAM staging time, each way
+	detailed bool     // AllReduceDetailed's chunked pipeline
+	onDone   func()
+
+	run, staged, reduced, finished func()
 }
 
 func newSyncGroup(p *Pool, index int) *SyncGroup {
-	g := &SyncGroup{pool: p, Index: index, Reverse: index%2 == 1}
+	g := &SyncGroup{pool: p, Index: index, Reverse: index%2 == 1, tasks: sim.NewFreeList[syncTask](p.Topo.Eng)}
 	n := len(p.Devices)
 	send := func(i int, reverse bool, size int64, onDone func()) {
 		j := (i + 1) % n
@@ -218,7 +232,7 @@ func newSyncGroup(p *Pool, index int) *SyncGroup {
 // QueueDepth reports how many synchronizations are waiting on or
 // running in this group.
 func (g *SyncGroup) QueueDepth() int {
-	n := len(g.queue)
+	n := len(g.queue) - g.head
 	if g.running {
 		n++
 	}
@@ -230,34 +244,71 @@ func (g *SyncGroup) QueueDepth() int {
 // Requests on a busy group queue FIFO — the group's sync core is a
 // serial resource.
 func (g *SyncGroup) AllReduceBytes(bytes int64, onDone func()) {
-	eng := g.pool.Topo.Eng
-	stage := g.pool.Devices[0].DRAMTime(bytes)
-	g.queue = append(g.queue, func(finish func()) {
-		// Stage in: every device streams its chunk from DRAM to LocalBuf.
-		eng.Schedule(stage, func() {
-			g.ring.AllReduceBytes(bytes, g.Reverse, func() {
-				// Stage out: write reduced data back to DRAM.
-				eng.Schedule(stage, func() {
-					finish()
-					if onDone != nil {
-						onDone()
-					}
-				})
-			})
-		})
-	})
+	g.enqueue(bytes, false, onDone)
+}
+
+// enqueue queues one synchronization and starts it when the group is
+// idle.
+func (g *SyncGroup) enqueue(bytes int64, detailed bool, onDone func()) {
+	t := g.tasks.Get()
+	if t == nil {
+		t = &syncTask{g: g}
+		t.run = t.start
+		t.staged = t.ringReduce
+		t.reduced = t.stageOut
+		t.finished = t.finish
+	}
+	t.bytes, t.detailed, t.onDone = bytes, detailed, onDone
+	if !detailed {
+		t.stage = g.pool.Devices[0].DRAMTime(bytes)
+	}
+	if g.head > 0 && len(g.queue) == cap(g.queue) {
+		// Slide the waiting tasks down rather than grow the queue.
+		n := copy(g.queue, g.queue[g.head:])
+		clear(g.queue[n:])
+		g.queue, g.head = g.queue[:n], 0
+	}
+	g.queue = append(g.queue, t)
 	g.pump()
 }
 
 func (g *SyncGroup) pump() {
-	if g.running || len(g.queue) == 0 {
+	if g.running || g.head == len(g.queue) {
 		return
 	}
 	g.running = true
-	task := g.queue[0]
-	g.queue = g.queue[1:]
-	task(func() {
-		g.running = false
-		g.pump()
-	})
+	t := g.queue[g.head]
+	g.queue[g.head] = nil
+	g.head++
+	if g.head == len(g.queue) {
+		g.queue, g.head = g.queue[:0], 0
+	}
+	t.run()
+}
+
+func (t *syncTask) start() {
+	if t.detailed {
+		t.g.runDetailed(t.bytes, t.finished)
+		return
+	}
+	// Stage in: every device streams its chunk from DRAM to LocalBuf.
+	t.g.pool.Topo.Eng.Schedule(t.stage, t.staged)
+}
+
+func (t *syncTask) ringReduce() { t.g.ring.AllReduceBytes(t.bytes, t.g.Reverse, t.reduced) }
+
+// stageOut writes the reduced data back to DRAM.
+func (t *syncTask) stageOut() { t.g.pool.Topo.Eng.Schedule(t.stage, t.finished) }
+
+// finish frees the group's sync core for the next queued task, then
+// reports completion.
+func (t *syncTask) finish() {
+	g, onDone := t.g, t.onDone
+	t.onDone = nil
+	g.tasks.Put(t)
+	g.running = false
+	g.pump()
+	if onDone != nil {
+		onDone()
+	}
 }

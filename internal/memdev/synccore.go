@@ -22,15 +22,7 @@ func (g *SyncGroup) AllReduceDetailed(bytes int64, onDone func()) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("memdev: detailed allreduce of %d bytes", bytes))
 	}
-	g.queue = append(g.queue, func(finish func()) {
-		g.runDetailed(bytes, func() {
-			finish()
-			if onDone != nil {
-				onDone()
-			}
-		})
-	})
-	g.pump()
+	g.enqueue(bytes, true, onDone)
 }
 
 func (g *SyncGroup) runDetailed(bytes int64, done func()) {

@@ -54,8 +54,27 @@ func (r Router) Matrix(it, mb, layer, group, tokens int, bytesPerToken int64) []
 	for i := range out {
 		out[i] = make([]int64, r.Ranks)
 	}
+	r.route(out, nil, it, mb, layer, group, tokens, bytesPerToken)
+	return out
+}
+
+// MatrixInto is Matrix into caller-owned storage: it overwrites out,
+// Ranks rows of Ranks entries, drawing from rng, which it reseeds for
+// every source rank. The result does not depend on rng's prior state,
+// so a caller that keeps one generator and reuses its matrices routes
+// without allocating.
+func (r Router) MatrixInto(out [][]int64, rng *rand.Rand, it, mb, layer, group, tokens int, bytesPerToken int64) {
+	for _, row := range out {
+		clear(row)
+	}
+	r.route(out, rng, it, mb, layer, group, tokens, bytesPerToken)
+}
+
+// route adds the routed payloads to a zeroed out, building a generator
+// on first use when rng is nil.
+func (r Router) route(out [][]int64, rng *rand.Rand, it, mb, layer, group, tokens int, bytesPerToken int64) {
 	if r.Experts < 1 || r.Ranks < 1 || tokens < 1 || bytesPerToken < 1 {
-		return out
+		return
 	}
 	topK := r.TopK
 	if topK < 1 {
@@ -67,8 +86,11 @@ func (r Router) Matrix(it, mb, layer, group, tokens int, bytesPerToken int64) []
 	// One generator and one pick buffer serve every source rank: Seed
 	// resets the source completely, so each rank draws exactly the
 	// stream a fresh rand.New(rand.NewSource(seed)) would.
-	var rng *rand.Rand
-	picked := make([]int, 0, topK)
+	var buf [8]int
+	picked := buf[:0]
+	if topK > len(buf) {
+		picked = make([]int, 0, topK)
+	}
 	for i := 0; i < r.Ranks; i++ {
 		// One sub-stream per source rank: a rank's routing is
 		// independent of how many other ranks exist in the sweep.
@@ -97,7 +119,6 @@ func (r Router) Matrix(it, mb, layer, group, tokens int, bytesPerToken int64) []
 			}
 		}
 	}
-	return out
 }
 
 // Transpose returns the combine exchange of a dispatch matrix.
@@ -106,12 +127,18 @@ func Transpose(m [][]int64) [][]int64 {
 	for i := range out {
 		out[i] = make([]int64, len(m))
 	}
+	TransposeInto(out, m)
+	return out
+}
+
+// TransposeInto writes the transpose of the square matrix m into out,
+// which has m's shape.
+func TransposeInto(out, m [][]int64) {
 	for i, row := range m {
 		for j, v := range row {
 			out[j][i] = v
 		}
 	}
-	return out
 }
 
 // MatrixSum returns the total payload of an exchange matrix, diagonal

@@ -144,6 +144,33 @@ func TestRouterMatrixAllocs(t *testing.T) {
 	}
 }
 
+// TestRouterMatrixIntoAllocs: routing into caller-owned matrices with
+// a caller-owned generator allocates nothing, whatever the buffers held
+// before, and gives Matrix's and Transpose's results.
+func TestRouterMatrixIntoAllocs(t *testing.T) {
+	r := testRouter(11)
+	mat, tr := make([][]int64, r.Ranks), make([][]int64, r.Ranks)
+	for i := range mat {
+		mat[i], tr[i] = make([]int64, r.Ranks), make([]int64, r.Ranks)
+	}
+	rng := rand.New(rand.NewSource(99))
+	r.MatrixInto(mat, rng, 0, 1, 0, 3, 17, 8) // leave other routing in the buffers
+	allocs := testing.AllocsPerRun(20, func() {
+		r.MatrixInto(mat, rng, 1, 0, 2, 0, 256, 64)
+		TransposeInto(tr, mat)
+	})
+	if allocs != 0 {
+		t.Errorf("MatrixInto and TransposeInto allocate %.0f objects per call, want 0", allocs)
+	}
+	want := r.Matrix(1, 0, 2, 0, 256, 64)
+	if !reflect.DeepEqual(mat, want) {
+		t.Errorf("MatrixInto gave %v, Matrix %v", mat, want)
+	}
+	if wantTr := Transpose(want); !reflect.DeepEqual(tr, wantTr) {
+		t.Errorf("TransposeInto gave %v, Transpose %v", tr, wantTr)
+	}
+}
+
 // TestRouterDegenerate: invalid shapes return the zero matrix instead
 // of panicking, and TopK clamps into [1, Experts].
 func TestRouterDegenerate(t *testing.T) {

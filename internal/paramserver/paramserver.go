@@ -45,10 +45,12 @@ type CentralPS struct {
 	Shards int
 
 	ctx *train.Ctx
-	// arrived counts pushes per (iteration, layer, reduction tree); the
-	// tree id is always 0 on the data-parallel layout, where the
-	// single tree holds every worker.
-	arrived map[[3]int]int
+	// trees holds each (layer, reduction tree) pair's exchange state,
+	// indexed by treeIndex. A tree member's next push of a layer waits
+	// for its pull of the current one, so one state per pair serves
+	// every iteration.
+	trees   []psTree
+	ops     *sim.FreeList[psOp]
 	servers []*psServer // nil in the Shards == 0 legacy mode
 
 	pushes, pulls *telemetry.Counter
@@ -59,6 +61,20 @@ type CentralPS struct {
 type psServer struct {
 	cpu  *topology.Device
 	free sim.Time
+}
+
+// psTree is one (layer, reduction tree) pair's exchange state: the
+// pushes that have arrived this iteration, and the tag marking its pull
+// fan for aggregation (the pair pulls once per iteration, so one tag
+// serves every fan).
+type psTree struct {
+	arrived int
+	tag     fabric.AggTag
+}
+
+// treeIndex flattens a (layer, reduction tree) pair.
+func treeIndex(ctx *train.Ctx, layer, gid int) int {
+	return layer*len(ctx.Plan().Groups()) + gid
 }
 
 // NewCentralPS returns the baseline.
@@ -76,7 +92,8 @@ func (s *CentralPS) WorkerStateBytes(m *model.Model) int64 { return 2 * m.ParamB
 // Setup implements train.Strategy.
 func (s *CentralPS) Setup(ctx *train.Ctx) error {
 	s.ctx = ctx
-	s.arrived = make(map[[3]int]int)
+	s.trees = make([]psTree, len(ctx.Layers())*len(ctx.Plan().Groups()))
+	s.ops = sim.NewFreeList[psOp](ctx.Eng)
 	s.pushes = ctx.Cfg.Telemetry.Counter("ps/pushes", "ops")
 	s.pulls = ctx.Cfg.Telemetry.Counter("ps/pulls", "ops")
 	if s.Shards >= 1 {
@@ -108,9 +125,6 @@ func (s *CentralPS) Setup(ctx *train.Ctx) error {
 func (s *CentralPS) GradientReady(it, w, layer int) {
 	ctx := s.ctx
 	plan := ctx.Plan()
-	size := plan.SyncBytes(layer)
-	gid := plan.GroupID(w, layer)
-	members := plan.GroupMembers(gid)
 	cpu := ctx.Machine.CPUs[ctx.Workers[w].Dev.Node]
 	var srv *psServer
 	if len(s.servers) > 0 {
@@ -118,52 +132,99 @@ func (s *CentralPS) GradientReady(it, w, layer int) {
 		cpu = srv.cpu
 	}
 	s.pushes.Inc()
-	ctx.CCI.DMACopy(ctx.Workers[w].Dev, cpu, size, func() {
-		key := [3]int{it, layer, gid}
-		s.arrived[key]++
-		if s.arrived[key] < len(members) {
-			return
-		}
-		delete(s.arrived, key)
-		update := sim.Seconds(float64(size) / psUpdateBytesPerSec)
-		apply := func() {
-			if ctx.Cfg.Numeric {
-				ctx.AverageGrads(layer)
-			}
-			// The push-back fan is emitted in one burst and may be
-			// tagged: pulls sharing a source CPU, route, and size can
-			// ride one aggregated flow (workers on distinct devices
-			// route differently and simply stay separate).
-			var tag fabric.AggTag
-			for _, dst := range members {
-				dst := dst
-				dstCPU := cpu
-				if srv == nil {
-					dstCPU = ctx.Machine.CPUs[ctx.Workers[dst].Dev.Node]
-				}
-				s.pulls.Inc()
-				ctx.CCI.DMACopyTagged(&tag, dstCPU, ctx.Workers[dst].Dev, size, func() {
-					// A silenced worker cannot accept its pull; the
-					// hand-off defers until it wakes. Other workers'
-					// pulls proceed independently.
-					ctx.RunAwake(func() { ctx.MarkReady(it, dst, layer) }, dst)
-				})
-			}
-		}
+	op := s.newOp(it, layer, plan.GroupID(w, layer), w, plan.SyncBytes(layer))
+	op.srv, op.cpu = srv, cpu
+	ctx.CCI.DMACopy(ctx.Workers[w].Dev, cpu, op.size, op.pushed)
+}
+
+// psOp is one push, update or pull in flight. Its callbacks are bound
+// once per object, and the record is recycled as its last callback
+// runs.
+type psOp struct {
+	s                 *CentralPS
+	it, layer, gid, w int
+	size              int64
+	srv               *psServer
+	cpu               *topology.Device
+
+	pushed, apply, pulled, awake func()
+}
+
+func (s *CentralPS) newOp(it, layer, gid, w int, size int64) *psOp {
+	op := s.ops.Get()
+	if op == nil {
+		op = &psOp{s: s}
+		op.pushed = op.onPushed
+		op.apply = op.onApply
+		op.pulled = op.onPulled
+		op.awake = op.onAwake
+	}
+	op.it, op.layer, op.gid, op.w, op.size = it, layer, gid, w, size
+	return op
+}
+
+// onPushed counts a landed push; the tree's last one schedules the
+// server's update.
+func (op *psOp) onPushed() {
+	s := op.s
+	ctx := s.ctx
+	tree := &s.trees[treeIndex(ctx, op.layer, op.gid)]
+	tree.arrived++
+	if tree.arrived < len(ctx.Plan().GroupMembers(op.gid)) {
+		s.ops.Put(op)
+		return
+	}
+	tree.arrived = 0
+	update := sim.Seconds(float64(op.size) / psUpdateBytesPerSec)
+	srv := op.srv
+	if srv == nil {
+		ctx.Eng.Schedule(update, op.apply)
+		return
+	}
+	// True-central mode: the server CPU aggregates serially — a
+	// layer's update queues behind whatever the server is already
+	// applying (the compute half of the incast bottleneck).
+	start := ctx.Eng.Now()
+	if srv.free > start {
+		start = srv.free
+	}
+	srv.free = start + update
+	ctx.Eng.At(srv.free, op.apply)
+}
+
+// onApply pushes the updated parameters back to every tree member.
+func (op *psOp) onApply() {
+	s, it, layer, gid, size, srv, cpu := op.s, op.it, op.layer, op.gid, op.size, op.srv, op.cpu
+	s.ops.Put(op)
+	ctx := s.ctx
+	if ctx.Cfg.Numeric {
+		ctx.AverageGrads(layer)
+	}
+	// The push-back fan is emitted in one burst and may be tagged:
+	// pulls sharing a source CPU, route, and size can ride one
+	// aggregated flow (workers on distinct devices route differently
+	// and simply stay separate).
+	tag := &s.trees[treeIndex(ctx, layer, gid)].tag
+	for _, dst := range ctx.Plan().GroupMembers(gid) {
+		dstCPU := cpu
 		if srv == nil {
-			ctx.Eng.Schedule(update, apply)
-			return
+			dstCPU = ctx.Machine.CPUs[ctx.Workers[dst].Dev.Node]
 		}
-		// True-central mode: the server CPU aggregates serially — a
-		// layer's update queues behind whatever the server is already
-		// applying (the compute half of the incast bottleneck).
-		start := ctx.Eng.Now()
-		if srv.free > start {
-			start = srv.free
-		}
-		srv.free = start + update
-		ctx.Eng.At(srv.free, apply)
-	})
+		s.pulls.Inc()
+		pull := s.newOp(it, layer, gid, dst, size)
+		ctx.CCI.DMACopyTagged(tag, dstCPU, ctx.Workers[dst].Dev, size, pull.pulled)
+	}
+}
+
+// onPulled hands a landed pull to its worker. A silenced worker cannot
+// accept it; the hand-off defers until it wakes. Other workers' pulls
+// proceed independently.
+func (op *psOp) onPulled() { op.s.ctx.RunAwake(op.awake, op.w) }
+
+func (op *psOp) onAwake() {
+	s, it, w, layer := op.s, op.it, op.w, op.layer
+	s.ops.Put(op)
+	s.ctx.MarkReady(it, w, layer)
 }
 
 // pipe is a FIFO serial resource with a fixed byte rate: the CCI
@@ -221,9 +282,10 @@ type DENSE struct {
 	Shards int
 
 	ctx *train.Ctx
-	// arrived counts pushes per (iteration, layer, reduction tree), as
-	// in CentralPS.
-	arrived map[[3]int]int
+	// arrived counts pushes per (layer, reduction tree) this iteration,
+	// indexed by treeIndex, as in CentralPS.
+	arrived []int
+	ops     *sim.FreeList[denseOp]
 	// Per-device CCI ports, one pair per shard (a single pair in the
 	// paper's configuration). Coherence overhead scales with the number
 	// of workers sharing the region.
@@ -249,7 +311,8 @@ func (s *DENSE) WorkerStateBytes(m *model.Model) int64 { return 2 * m.ParamBytes
 // Setup implements train.Strategy.
 func (s *DENSE) Setup(ctx *train.Ctx) error {
 	s.ctx = ctx
-	s.arrived = make(map[[3]int]int)
+	s.arrived = make([]int, len(ctx.Layers())*len(ctx.Plan().Groups()))
+	s.ops = sim.NewFreeList[denseOp](ctx.Eng)
 	p := ctx.Cfg.CCIParams
 	sharers := ctx.NumWorkers()
 	k := s.Shards
@@ -308,39 +371,73 @@ func (s *DENSE) PortRate(write bool) float64 {
 
 // GradientReady implements train.Strategy.
 func (s *DENSE) GradientReady(it, w, layer int) {
-	ctx := s.ctx
-	plan := ctx.Plan()
-	size := plan.SyncBytes(layer)
-	gid := plan.GroupID(w, layer)
-	members := plan.GroupMembers(gid)
-	writePort := s.writePorts[layer%len(s.writePorts)]
-	readPort := s.readPorts[layer%len(s.readPorts)]
+	plan := s.ctx.Plan()
+	op := s.newOp(it, layer, plan.GroupID(w, layer), w, plan.SyncBytes(layer))
 	// Push: write into the CCI parameter region through the layer's
 	// shared port.
 	s.pushes.Inc()
-	s.pushBytes.Add(float64(size))
-	writePort.transfer(w, size, func() {
-		key := [3]int{it, layer, gid}
-		s.arrived[key]++
-		if s.arrived[key] < len(members) {
-			return
-		}
-		delete(s.arrived, key)
-		update := sim.Seconds(float64(size) / denseProcessorBytesPerSec)
-		ctx.Eng.Schedule(update, func() {
-			if ctx.Cfg.Numeric {
-				ctx.AverageGrads(layer)
-			}
-			// Pull: each member reads the updated parameters back
-			// through its coherent cache and the same shared port.
-			for _, dst := range members {
-				dst := dst
-				s.pulls.Inc()
-				s.pullBytes.Add(float64(size))
-				readPort.transfer(dst, size, func() {
-					ctx.MarkReady(it, dst, layer)
-				})
-			}
-		})
-	})
+	s.pushBytes.Add(float64(op.size))
+	s.writePorts[layer%len(s.writePorts)].transfer(w, op.size, op.pushed)
+}
+
+// denseOp is one push, update or pull in flight. Its callbacks are
+// bound once per object, and the record is recycled as its last
+// callback runs.
+type denseOp struct {
+	s                 *DENSE
+	it, layer, gid, w int
+	size              int64
+
+	pushed, updated, pulled func()
+}
+
+func (s *DENSE) newOp(it, layer, gid, w int, size int64) *denseOp {
+	op := s.ops.Get()
+	if op == nil {
+		op = &denseOp{s: s}
+		op.pushed = op.onPushed
+		op.updated = op.onUpdated
+		op.pulled = op.onPulled
+	}
+	op.it, op.layer, op.gid, op.w, op.size = it, layer, gid, w, size
+	return op
+}
+
+// onPushed counts a landed push; the tree's last one starts the
+// generalized processor's update.
+func (op *denseOp) onPushed() {
+	s := op.s
+	ctx := s.ctx
+	i := treeIndex(ctx, op.layer, op.gid)
+	s.arrived[i]++
+	if s.arrived[i] < len(ctx.Plan().GroupMembers(op.gid)) {
+		s.ops.Put(op)
+		return
+	}
+	s.arrived[i] = 0
+	update := sim.Seconds(float64(op.size) / denseProcessorBytesPerSec)
+	ctx.Eng.Schedule(update, op.updated)
+}
+
+// onUpdated pulls the updated parameters: each member reads them back
+// through its coherent cache and the layer's shared port.
+func (op *denseOp) onUpdated() {
+	s, it, layer, gid, size := op.s, op.it, op.layer, op.gid, op.size
+	s.ops.Put(op)
+	ctx := s.ctx
+	if ctx.Cfg.Numeric {
+		ctx.AverageGrads(layer)
+	}
+	readPort := s.readPorts[layer%len(s.readPorts)]
+	for _, dst := range ctx.Plan().GroupMembers(gid) {
+		s.pulls.Inc()
+		s.pullBytes.Add(float64(size))
+		readPort.transfer(dst, size, s.newOp(it, layer, gid, dst, size).pulled)
+	}
+}
+
+func (op *denseOp) onPulled() {
+	s, it, w, layer := op.s, op.it, op.w, op.layer
+	s.ops.Put(op)
+	s.ctx.MarkReady(it, w, layer)
 }

@@ -43,5 +43,11 @@ func (l *FreeList[T]) Len() int { return len(l.items) }
 
 func (l *FreeList[T]) release() { l.items = nil }
 
-// releaser is the part of a FreeList the engine's ReleasePool needs.
-type releaser interface{ release() }
+func (l *FreeList[T]) size() int { return len(l.items) }
+
+// releaser is the part of a FreeList the engine's ReleasePool and
+// Pooled need.
+type releaser interface {
+	release()
+	size() int
+}

@@ -265,6 +265,17 @@ func (e *Engine) ReleasePool() {
 	}
 }
 
+// Pooled reports the records the engine's free lists hold: its event
+// free list plus every FreeList made on it. ReleasePool brings it to
+// zero.
+func (e *Engine) Pooled() int {
+	n := len(e.pool)
+	for _, l := range e.freeLists {
+		n += l.size()
+	}
+	return n
+}
+
 // Cancel marks a pending event so it never fires. Cancelling an event
 // that already fired (or was already cancelled) is a no-op.
 //

@@ -2,6 +2,7 @@ package train
 
 import (
 	"coarse/internal/model"
+	"coarse/internal/sim"
 )
 
 // AllReduce is the decentralized baseline (paper Section II-B): an
@@ -20,8 +21,12 @@ type AllReduce struct {
 	Hierarchical bool
 
 	ctx *Ctx
-	// trees holds per-(iteration, reduction-tree) bucketing state.
-	trees map[[2]int]*arTreeState
+	// trees holds each reduction tree's bucketing state, indexed by
+	// tree id and built on first use. A tree's iteration it+1 cannot
+	// produce a gradient before its iteration it has flushed every
+	// bucket, so one state per tree serves every iteration.
+	trees   []*arTreeState
+	flushes *sim.FreeList[arFlush]
 }
 
 // arTreeState buckets one reduction tree's layers within an iteration.
@@ -56,7 +61,8 @@ func (a *AllReduce) WorkerStateBytes(m *model.Model) int64 {
 // per reduction tree.
 func (a *AllReduce) Setup(ctx *Ctx) error {
 	a.ctx = ctx
-	a.trees = make(map[[2]int]*arTreeState)
+	a.trees = make([]*arTreeState, len(ctx.Plan().Groups()))
+	a.flushes = sim.NewFreeList[arFlush](ctx.Eng)
 	return nil
 }
 
@@ -67,46 +73,65 @@ func (a *AllReduce) Setup(ctx *Ctx) error {
 func (a *AllReduce) GradientReady(it, w, layer int) {
 	plan := a.ctx.Plan()
 	gid := plan.GroupID(w, layer)
-	key := [2]int{it, gid}
-	st := a.trees[key]
+	st := a.trees[gid]
 	if st == nil {
-		st = &arTreeState{
-			arrived: make([]int, len(a.ctx.Layers())),
-			pending: len(plan.GroupLayers(gid)),
-		}
-		a.trees[key] = st
+		st = &arTreeState{arrived: make([]int, len(a.ctx.Layers()))}
+		a.trees[gid] = st
+	}
+	if st.pending == 0 {
+		// The tree's first gradient of the iteration.
+		st.pending = len(plan.GroupLayers(gid))
 	}
 	st.arrived[layer]++
 	if st.arrived[layer] < len(plan.GroupMembers(gid)) {
 		return
 	}
+	st.arrived[layer] = 0
 	st.pending--
 	st.bucket = append(st.bucket, layer)
 	st.bytes += plan.SyncBytes(layer)
 	if st.bytes >= bucketBytes || st.pending == 0 {
 		a.flush(it, gid, st)
 	}
-	if st.pending == 0 {
-		delete(a.trees, key)
-	}
 }
 
+// flush allreduces the tree's pending bucket.
 func (a *AllReduce) flush(it, gid int, st *arTreeState) {
-	layers := st.bucket
+	f := a.flushes.Get()
+	if f == nil {
+		f = &arFlush{a: a}
+		f.fire = f.reduced
+	}
+	f.it, f.gid = it, gid
+	f.layers = append(f.layers[:0], st.bucket...)
 	bytes := st.bytes
-	st.bucket = nil
+	st.bucket = st.bucket[:0]
 	st.bytes = 0
-	members := a.ctx.Plan().GroupMembers(gid)
-	a.ctx.syncComm(gid, a.Hierarchical).AllReduceBytes(bytes, func() {
-		if a.ctx.Cfg.Numeric {
-			for _, l := range layers {
-				a.ctx.AverageGrads(l)
-			}
+	a.ctx.syncComm(gid, a.Hierarchical).AllReduceBytes(bytes, f.fire)
+}
+
+// arFlush is one bucket's reduction in flight; fire is bound once per
+// object, and the record is recycled as it fires.
+type arFlush struct {
+	a       *AllReduce
+	it, gid int
+	layers  []int
+	fire    func()
+}
+
+func (f *arFlush) reduced() {
+	a := f.a
+	ctx := a.ctx
+	if ctx.Cfg.Numeric {
+		for _, l := range f.layers {
+			ctx.AverageGrads(l)
 		}
-		for _, l := range layers {
-			for _, w := range members {
-				a.ctx.MarkReady(it, w, l)
-			}
+	}
+	members := ctx.Plan().GroupMembers(f.gid)
+	for _, l := range f.layers {
+		for _, w := range members {
+			ctx.MarkReady(f.it, w, l)
 		}
-	})
+	}
+	a.flushes.Put(f)
 }

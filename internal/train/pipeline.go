@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"math/rand"
 
 	"coarse/internal/gpu"
 	"coarse/internal/optim"
@@ -23,35 +24,6 @@ import (
 // microbatch backward retires, GradientReady fires and the strategy
 // reduces over the plan's tree.
 
-// pipeOp is one in-flight group rendezvous: members arrive, the last
-// arrival launches the collective, completion resumes everyone.
-type pipeOp struct {
-	arrived int
-	waiters []func()
-}
-
-// joinOp registers one member's arrival at a rendezvous point. The
-// members-th arrival launches the collective; its completion resumes
-// every registered waiter.
-func (t *Trainer) joinOp(key [5]int, members int, launch func(done func()), resume func()) {
-	op := t.pipeOps[key]
-	if op == nil {
-		op = &pipeOp{}
-		t.pipeOps[key] = op
-	}
-	op.waiters = append(op.waiters, resume)
-	op.arrived++
-	if op.arrived == members {
-		delete(t.pipeOps, key)
-		ws := op.waiters
-		launch(func() {
-			for _, fn := range ws {
-				fn()
-			}
-		})
-	}
-}
-
 // Rendezvous phases disambiguating the (it, mb, layer) coordinate.
 const (
 	phaseFwdTP = iota
@@ -69,31 +41,199 @@ func (t *Trainer) pipeLatch(w, it, mb, slot int) *Latch {
 	return &t.pipeLatches[((w*t.cfg.Iterations+it)*t.plan.Micro+mb)*2+slot]
 }
 
-func (t *Trainer) tpComm(base int, members []int) *GroupComm {
-	gc, ok := t.tpComms[base]
-	if !ok {
-		gc = newGroupComm(t.ctx, members, &t.stats.TPReduce, false)
-		t.tpComms[base] = gc
-	}
-	return gc
+// The rendezvous phases a layer step meets, in order: before a
+// forward's compute, after it, and after a backward's compute. A phase
+// of a kind the layer does not use (TP phases when TP is 1, MoE phases
+// on a dense layer or without EP) is skipped.
+var (
+	fwdPrePhases  = []int{phaseMoEDispatch}
+	fwdPostPhases = []int{phaseMoECombine, phaseFwdTP}
+	bwdPostPhases = []int{phaseMoEBwdCombine, phaseBwdTP, phaseMoEBwdDispatch}
+)
+
+// rendezvousGroup is one tensor- or expert-parallel group's pipeline
+// state: its communicator, the rendezvous still gathering members and,
+// on an EP group, the routings its exchanges are using.
+type rendezvousGroup struct {
+	comm      *GroupComm
+	gathering *pipeOp
+	routes    []*moeRoute
 }
 
-func (t *Trainer) epComm(base int, members []int) *GroupComm {
-	gc, ok := t.epComms[base]
-	if !ok {
-		gc = newGroupComm(t.ctx, members, nil, false)
-		t.epComms[base] = gc
+// group returns the cached rendezvous group of a sorted member set in
+// groups (keyed by its lowest member), building it on first use.
+func (t *Trainer) group(groups map[int]*rendezvousGroup, members []int, stat *int64) *rendezvousGroup {
+	g := groups[members[0]]
+	if g == nil {
+		g = &rendezvousGroup{comm: newGroupComm(t.ctx, members, stat, false)}
+		groups[members[0]] = g
 	}
-	return gc
+	return g
+}
+
+// pipeKey is the coordinate of one rendezvous: the members of a group
+// pass their rendezvous in the same order, so a group gathers at most
+// one at a time.
+type pipeKey struct{ it, mb, layer, phase int }
+
+// pipeOp is one group rendezvous: members arrive, the last arrival
+// launches the collective, and its completion resumes every member in
+// arrival order. fire is bound once per object.
+type pipeOp struct {
+	t       *Trainer
+	key     pipeKey
+	waiters []*pipeWorker
+	fire    func()
+}
+
+// join registers worker r's arrival at rendezvous key of group g; the
+// members-th arrival launches the group's collective.
+func (t *Trainer) join(g *rendezvousGroup, key pipeKey, r *pipeWorker) {
+	op := g.gathering
+	if op == nil {
+		if op = t.pipeOps.Get(); op == nil {
+			op = &pipeOp{t: t}
+			op.fire = op.complete
+		}
+		op.key = key
+		g.gathering = op
+	} else if op.key != key {
+		panic(fmt.Sprintf("train: worker %d at rendezvous %+v while its group gathers at %+v", r.w, key, op.key))
+	}
+	op.waiters = append(op.waiters, r)
+	if len(op.waiters) < len(g.comm.members) {
+		return
+	}
+	g.gathering = nil
+	layer := t.ctx.Layers()[key.layer]
+	if key.phase == phaseFwdTP || key.phase == phaseBwdTP {
+		// The partial sums every tensor-parallel rank holds after its
+		// sharded matmul.
+		g.comm.AllReduceBytes(layer.ActBytes*int64(r.mbSize), op.fire)
+		return
+	}
+	rt := t.route(g, key, r.mbSize)
+	mat := rt.mat
+	if key.phase == phaseMoECombine || key.phase == phaseMoEBwdDispatch {
+		mat = rt.tr
+	}
+	g.comm.AllToAll(mat, op.fire)
+	if rt.uses++; rt.uses == moePhases {
+		t.dropRoute(g, rt)
+	}
+}
+
+func (op *pipeOp) complete() {
+	for _, r := range op.waiters {
+		r.rejoin()
+	}
+	clear(op.waiters)
+	op.waiters = op.waiters[:0]
+	op.t.pipeOps.Put(op)
+}
+
+// moeRoute is one expert layer's routing for one (group, iteration,
+// microbatch): the dispatch matrix and its transpose, built once and
+// shared by the exchange's moePhases all-to-alls. The record and its
+// matrices are recycled once the last of them has launched.
+type moeRoute struct {
+	it, mb, layer int
+	mat, tr       [][]int64
+	uses          int
+}
+
+// moePhases is the number of all-to-alls one routing serves: dispatch
+// and combine forward, and their two backwards.
+const moePhases = 4
+
+// route returns the routing of the exchange at key in EP group g. The
+// routing matrix is a pure function of (seed, it, mb, layer, group),
+// so every member computes the same exchange; the first of the layer's
+// phases to launch builds it into a recycled record, drawing from the
+// trainer's one generator, which the router reseeds per source rank.
+func (t *Trainer) route(g *rendezvousGroup, key pipeKey, mbSize int) *moeRoute {
+	for _, rt := range g.routes {
+		if rt.it == key.it && rt.mb == key.mb && rt.layer == key.layer {
+			return rt
+		}
+	}
+	ranks := t.plan.EP
+	rt := t.routes.Get()
+	if rt == nil {
+		rt = &moeRoute{mat: make([][]int64, ranks), tr: make([][]int64, ranks)}
+		for i := range rt.mat {
+			rt.mat[i] = make([]int64, ranks)
+			rt.tr[i] = make([]int64, ranks)
+		}
+	}
+	if t.moeRand == nil {
+		t.moeRand = rand.New(rand.NewSource(t.cfg.Seed))
+	}
+	layer := t.ctx.Layers()[key.layer]
+	router := parallel.Router{
+		Seed:    t.cfg.Seed,
+		Experts: layer.MoE.Experts,
+		TopK:    layer.MoE.TopK,
+		Ranks:   ranks,
+	}
+	bpt := layer.ActBytes / int64(2*layer.MoE.Tokens)
+	if bpt < 1 {
+		bpt = 1
+	}
+	router.MatrixInto(rt.mat, t.moeRand, key.it, key.mb, key.layer, g.comm.members[0], layer.MoE.Tokens*mbSize, bpt)
+	parallel.TransposeInto(rt.tr, rt.mat)
+	rt.it, rt.mb, rt.layer, rt.uses = key.it, key.mb, key.layer, 0
+	g.routes = append(g.routes, rt)
+	return rt
+}
+
+// dropRoute recycles a routing whose last exchange has launched.
+func (t *Trainer) dropRoute(g *rendezvousGroup, rt *moeRoute) {
+	for i, x := range g.routes {
+		if x == rt {
+			last := len(g.routes) - 1
+			g.routes[i] = g.routes[last]
+			g.routes[last] = nil
+			g.routes = g.routes[:last]
+			break
+		}
+	}
+	t.routes.Put(rt)
+}
+
+// latchOpen opens a latch when a boundary transfer lands; fire is
+// bound once per object, and the record is recycled as it fires.
+type latchOpen struct {
+	t    *Trainer
+	lat  *Latch
+	fire func()
+}
+
+// opener returns a callback that opens lat.
+func (t *Trainer) opener(lat *Latch) func() {
+	op := t.opens.Get()
+	if op == nil {
+		op = &latchOpen{t: t}
+		op.fire = op.open
+	}
+	op.lat = lat
+	return op.fire
+}
+
+func (op *latchOpen) open() {
+	lat := op.lat
+	op.lat = nil
+	op.t.opens.Put(op)
+	lat.Open()
 }
 
 // pipeWorker drives one worker through every iteration. A worker runs
-// one microbatch pass (forward or backward) at a time, so the pass's
-// microbatch and continuation live here and the per-layer callbacks
-// capture only the worker, a layer index and their timestamps. Layers
-// that rendezvous with neither a TP nor an EP group call their
-// continuations directly, so the data-parallel layout allocates
-// nothing per layer beyond its latch wait and compute event.
+// one microbatch pass (forward or backward) at a time and, within it,
+// one layer step at a time, so the pass's microbatch and continuation,
+// the step's layer, its compute span and the rendezvous phases still
+// ahead of it all live here. Its callbacks are bound once, so a worker
+// allocates nothing per layer: a wait parks one of them on a latch or
+// a rendezvous, and a compute schedules one.
 type pipeWorker struct {
 	t      *Trainer
 	w      int
@@ -101,14 +241,27 @@ type pipeWorker struct {
 	c      parallel.Coord
 	stage  []int // global layer indices of the worker's stage
 	mbSize int
-	warmup int // 1F1B warmup forwards
-	track  string
+	warmup int    // 1F1B warmup forwards
+	track  string // the worker's trace track; set only under a trace
 
 	it               int
 	fwdDone, bwdDone int    // microbatch passes started this iteration
 	mb               int    // microbatch of the pass in flight
 	done             func() // continuation of the pass in flight
-	step, bwdNext    func() // cached method values
+
+	idx        int      // stage index of the layer step in flight
+	arrived    sim.Time // when the worker began its current wait
+	start, dur sim.Time // the compute span in flight
+	phases     []int    // rendezvous phases still ahead of the step
+	then       func()   // the step's continuation past them
+
+	tp, ep *rendezvousGroup // resolved on first use
+
+	// Cached method values.
+	step, bwdNext                   func()
+	actsIn, gradsIn, paramsIn       func()
+	fwdCompute, fwdRetired, fwdNext func()
+	bwdRetired, produced, rejoin    func()
 }
 
 func newPipeWorker(t *Trainer, w int) *pipeWorker {
@@ -122,10 +275,21 @@ func newPipeWorker(t *Trainer, w int) *pipeWorker {
 		stage:  p.Stages[c.PP],
 		mbSize: t.cfg.Batch / p.Micro,
 		warmup: min(p.Micro, p.PP-1-c.PP),
-		track:  fmt.Sprintf("worker %d", w),
+	}
+	if t.cfg.Trace != nil {
+		r.track = fmt.Sprintf("worker %d", w)
 	}
 	r.step = r.schedule
-	r.bwdNext = func() { r.backward(r.step) }
+	r.bwdNext = r.backwardNext
+	r.actsIn = r.actsArrived
+	r.gradsIn = r.gradsArrived
+	r.paramsIn = r.paramsReady
+	r.fwdCompute = r.forwardCompute
+	r.fwdRetired = r.forwardRetired
+	r.fwdNext = r.forwardNext
+	r.bwdRetired = r.backwardRetired
+	r.produced = r.gradientProduced
+	r.rejoin = r.rendezvoused
 	return r
 }
 
@@ -165,37 +329,50 @@ func (r *pipeWorker) schedule() {
 	}
 }
 
-// stalled charges the wait since arrived as blocked time. A non-nil
-// what builds the wait's trace label, called only when the worker
-// actually waited under a recording trace.
-func (r *pipeWorker) stalled(arrived sim.Time, what func() string) {
+func (r *pipeWorker) backwardNext() { r.backward(r.step) }
+
+// The waits a worker stalls in; each but a rendezvous records a trace
+// span.
+const (
+	waitRendezvous = iota
+	waitActs
+	waitGrads
+	waitParams
+)
+
+// stalled charges the wait since r.arrived as blocked time, recording
+// it as a span of the wait's kind when the worker actually waited
+// under a recording trace.
+func (r *pipeWorker) stalled(kind int) {
 	now := r.t.ctx.Eng.Now()
-	if stall := now - arrived; stall > 0 {
+	if stall := now - r.arrived; stall > 0 {
 		r.t.blocked[r.w] += stall
-		if tr := r.t.cfg.Trace; tr != nil && what != nil {
-			tr.Span(r.track, "stall", what(), arrived, now)
+		if tr := r.t.cfg.Trace; tr != nil && kind != waitRendezvous {
+			tr.Span(r.track, "stall", r.waitLabel(kind), r.arrived, now)
 		}
 	}
 }
 
-// retired accounts a compute span of dur started at start that just
-// finished (chaos may have paused it beyond dur).
-func (r *pipeWorker) retired(verb string, l int, start, dur sim.Time) {
-	t := r.t
-	now := t.ctx.Eng.Now()
-	t.compute[r.w] += dur
-	t.chaos.NoteWorkerStall(now - start - dur)
-	if tr := t.cfg.Trace; tr != nil {
-		tr.Span(r.track, "compute", verb+" "+t.ctx.Layers()[l].Name, start, now)
+func (r *pipeWorker) waitLabel(kind int) string {
+	switch kind {
+	case waitActs:
+		return fmt.Sprintf("wait acts mb%d", r.mb)
+	case waitGrads:
+		return fmt.Sprintf("wait grads mb%d", r.mb)
 	}
+	return "wait params " + r.t.ctx.Layers()[r.stage[r.idx]].Name
 }
 
-// rendezvous reports whether layer l meets its TP or EP group.
-func (r *pipeWorker) rendezvous(l int) bool { return r.t.plan.TP > 1 || r.moeLayer(l) }
-
-// moeLayer reports whether layer l exchanges tokens with its EP group.
-func (r *pipeWorker) moeLayer(l int) bool {
-	return r.t.plan.EP > 1 && r.t.ctx.Layers()[l].MoE != nil
+// retired accounts the compute span of the step's layer that just
+// finished (chaos may have paused it beyond r.dur).
+func (r *pipeWorker) retired(verb string) {
+	t := r.t
+	now := t.ctx.Eng.Now()
+	t.compute[r.w] += r.dur
+	t.chaos.NoteWorkerStall(now - r.start - r.dur)
+	if tr := t.cfg.Trace; tr != nil {
+		tr.Span(r.track, "compute", verb+" "+t.ctx.Layers()[r.stage[r.idx]].Name, r.start, now)
+	}
 }
 
 // forward starts the next microbatch's forward pass, gated on the
@@ -207,12 +384,13 @@ func (r *pipeWorker) forward(done func()) {
 		r.fwdLayer(0)
 		return
 	}
-	mb := r.mb
-	arrived := r.t.ctx.Eng.Now()
-	r.t.pipeLatch(r.w, r.it, mb, 0).Wait(func() {
-		r.stalled(arrived, func() string { return fmt.Sprintf("wait acts mb%d", mb) })
-		r.fwdLayer(0)
-	})
+	r.arrived = r.t.ctx.Eng.Now()
+	r.t.pipeLatch(r.w, r.it, r.mb, 0).Wait(r.actsIn)
+}
+
+func (r *pipeWorker) actsArrived() {
+	r.stalled(waitActs)
+	r.fwdLayer(0)
 }
 
 // fwdLayer runs stage[idx]'s forward once its parameters are up to
@@ -226,67 +404,61 @@ func (r *pipeWorker) fwdLayer(idx int) {
 			size := t.plan.BoundaryBytes(r.c.PP) * int64(r.mbSize)
 			t.stats.PPActs += size
 			lat := t.pipeLatch(next, r.it, r.mb, 0)
-			ctx.CCI.DMACopyTagged(&t.actTags[r.w], r.g.Dev, ctx.Workers[next].Dev, size, lat.Open)
+			ctx.CCI.DMACopyTagged(&t.actTags[r.w], r.g.Dev, ctx.Workers[next].Dev, size, t.opener(lat))
 		}
 		r.done()
 		return
 	}
-	arrived := ctx.Eng.Now()
-	t.latch(r.it, r.w, r.stage[idx]).Wait(func() { r.paramsReady(idx, arrived) })
+	r.idx = idx
+	r.arrived = ctx.Eng.Now()
+	t.latch(r.it, r.w, r.stage[idx]).Wait(r.paramsIn)
 }
 
-// paramsReady runs once stage[idx]'s parameters are up to date.
-func (r *pipeWorker) paramsReady(idx int, arrived sim.Time) {
+// paramsReady runs once the step's parameters are up to date.
+func (r *pipeWorker) paramsReady() {
 	t := r.t
 	ctx := t.ctx
-	l := r.stage[idx]
-	r.stalled(arrived, func() string { return "wait params " + ctx.Layers()[l].Name })
+	l := r.stage[r.idx]
+	r.stalled(waitParams)
 	if t.cfg.Numeric && r.it > 0 {
 		// Apply the SGD step with the averaged gradient the strategy
 		// left in the buffer.
 		optim.SGD{LR: learningRate}.Step(ctx.Params[r.w][l].Data, ctx.Grads[r.w][l].Data)
 	}
-	if r.moeLayer(l) {
-		r.moeStep(l, phaseMoEDispatch, func() { r.fwdCompute(idx) })
-	} else {
-		r.fwdCompute(idx)
-	}
+	r.meet(fwdPrePhases, r.fwdCompute)
 }
 
-func (r *pipeWorker) fwdCompute(idx int) {
+func (r *pipeWorker) forwardCompute() {
 	t := r.t
 	eng := t.ctx.Eng
-	l := r.stage[idx]
-	start := eng.Now()
-	dur := r.g.LayerFwdTime(t.plan.LayerShard(l), r.mbSize)
-	eng.At(t.chaos.AdvanceCompute(r.w, start, dur), func() {
-		r.retired("fwd", l, start, dur)
-		if !r.rendezvous(l) {
-			r.fwdLayer(idx + 1)
-			return
-		}
-		r.moeStep(l, phaseMoECombine, func() {
-			r.tpStep(l, phaseFwdTP, func() { r.fwdLayer(idx + 1) })
-		})
-	})
+	r.start = eng.Now()
+	r.dur = r.g.LayerFwdTime(t.plan.LayerShard(r.stage[r.idx]), r.mbSize)
+	eng.At(t.chaos.AdvanceCompute(r.w, r.start, r.dur), r.fwdRetired)
 }
+
+func (r *pipeWorker) forwardRetired() {
+	r.retired("fwd")
+	r.meet(fwdPostPhases, r.fwdNext)
+}
+
+func (r *pipeWorker) forwardNext() { r.fwdLayer(r.idx + 1) }
 
 // backward starts the next microbatch's backward pass, gated on the
 // next stage's boundary gradients before the last stage.
 func (r *pipeWorker) backward(done func()) {
 	r.mb, r.done = r.bwdDone, done
 	r.bwdDone++
-	last := len(r.stage) - 1
 	if r.c.PP == r.t.plan.PP-1 {
-		r.bwdLayer(last)
+		r.bwdLayer(len(r.stage) - 1)
 		return
 	}
-	mb := r.mb
-	arrived := r.t.ctx.Eng.Now()
-	r.t.pipeLatch(r.w, r.it, mb, 1).Wait(func() {
-		r.stalled(arrived, func() string { return fmt.Sprintf("wait grads mb%d", mb) })
-		r.bwdLayer(last)
-	})
+	r.arrived = r.t.ctx.Eng.Now()
+	r.t.pipeLatch(r.w, r.it, r.mb, 1).Wait(r.gradsIn)
+}
+
+func (r *pipeWorker) gradsArrived() {
+	r.stalled(waitGrads)
+	r.bwdLayer(len(r.stage) - 1)
 }
 
 // bwdLayer runs stage[idx]'s backward; below the stage's first layer it
@@ -299,32 +471,28 @@ func (r *pipeWorker) bwdLayer(idx int) {
 			size := t.plan.BoundaryBytes(r.c.PP-1) * int64(r.mbSize)
 			t.stats.PPActs += size
 			lat := t.pipeLatch(prev, r.it, r.mb, 1)
-			ctx.CCI.DMACopyTagged(&t.gradTags[r.w], r.g.Dev, ctx.Workers[prev].Dev, size, lat.Open)
+			ctx.CCI.DMACopyTagged(&t.gradTags[r.w], r.g.Dev, ctx.Workers[prev].Dev, size, t.opener(lat))
 		}
 		r.done()
 		return
 	}
-	l := r.stage[idx]
-	start := ctx.Eng.Now()
-	dur := r.g.LayerBwdTime(t.plan.LayerShard(l), r.mbSize)
-	ctx.Eng.At(t.chaos.AdvanceCompute(r.w, start, dur), func() {
-		r.retired("bwd", l, start, dur)
-		if !r.rendezvous(l) {
-			r.produced(idx)
-			return
-		}
-		r.moeStep(l, phaseMoEBwdCombine, func() {
-			r.tpStep(l, phaseBwdTP, func() {
-				r.moeStep(l, phaseMoEBwdDispatch, func() { r.produced(idx) })
-			})
-		})
-	})
+	r.idx = idx
+	r.start = ctx.Eng.Now()
+	r.dur = r.g.LayerBwdTime(t.plan.LayerShard(r.stage[idx]), r.mbSize)
+	ctx.Eng.At(t.chaos.AdvanceCompute(r.w, r.start, r.dur), r.bwdRetired)
 }
 
-// produced hands stage[idx]'s gradient to the strategy once the layer's
-// last microbatch backward has retired, then moves down the stage.
-func (r *pipeWorker) produced(idx int) {
+func (r *pipeWorker) backwardRetired() {
+	r.retired("bwd")
+	r.meet(bwdPostPhases, r.produced)
+}
+
+// gradientProduced hands the step's gradient to the strategy once the
+// layer's last microbatch backward has retired, then moves down the
+// stage.
+func (r *pipeWorker) gradientProduced() {
 	t := r.t
+	idx := r.idx
 	l := r.stage[idx]
 	last := true
 	if micro := t.plan.Micro; micro > 1 {
@@ -340,85 +508,53 @@ func (r *pipeWorker) produced(idx int) {
 	r.bwdLayer(idx - 1)
 }
 
-// tpStep rendezvouses the TP group for one layer's activation (or
-// activation-gradient) all-reduce: the partial sums every
-// tensor-parallel rank holds after its sharded matmul.
-func (r *pipeWorker) tpStep(l, phase int, next func()) {
-	t := r.t
-	if t.plan.TP == 1 {
-		next()
-		return
-	}
-	members := t.plan.TPGroup(r.w)
-	base := members[0]
-	comm := t.tpComm(base, members)
-	vol := t.ctx.Layers()[l].ActBytes * int64(r.mbSize)
-	arrived := t.ctx.Eng.Now()
-	t.joinOp([5]int{base, r.it, r.mb, l, phase}, len(members), func(done func()) {
-		comm.AllReduceBytes(vol, done)
-	}, func() {
-		r.stalled(arrived, nil)
-		next()
-	})
+// meet passes the step's rendezvous phases in order, then runs then.
+func (r *pipeWorker) meet(phases []int, then func()) {
+	r.phases, r.then = phases, then
+	r.nextPhase()
 }
 
-// moeRoute is one expert layer's routing for one (group, iteration,
-// microbatch): the dispatch matrix and its transpose, built once and
-// shared by the exchange's moePhases all-to-alls.
-type moeRoute struct {
-	mat, tr [][]int64
-	uses    int
+// nextPhase joins the next phase the step's layer takes part in, or
+// runs the step's continuation once none is left.
+func (r *pipeWorker) nextPhase() {
+	for len(r.phases) > 0 {
+		phase := r.phases[0]
+		r.phases = r.phases[1:]
+		if g := r.groupFor(phase); g != nil {
+			r.arrived = r.t.ctx.Eng.Now()
+			r.t.join(g, pipeKey{r.it, r.mb, r.stage[r.idx], phase}, r)
+			return
+		}
+	}
+	r.then()
 }
 
-// moePhases is the number of all-to-alls one routing serves: dispatch
-// and combine forward, and their two backwards.
-const moePhases = 4
+// rendezvoused resumes the worker once its group's collective is done.
+func (r *pipeWorker) rendezvoused() {
+	r.stalled(waitRendezvous)
+	r.nextPhase()
+}
 
-// moeStep rendezvouses the EP group for one all-to-all exchange of an
-// expert layer. The routing matrix is a pure function of (seed, it, mb,
-// layer, group), so every member computes the same exchange; the first
-// of the layer's phases to launch builds it and the last one drops it.
-func (r *pipeWorker) moeStep(l, phase int, next func()) {
-	if !r.moeLayer(l) {
-		next()
-		return
-	}
+// groupFor returns the group the step's layer meets in a phase:
+// the TP group for a TP phase when TP > 1 (its activation all-reduce),
+// the EP group for a MoE phase of an expert layer (its all-to-all), or
+// nil when the layer skips the phase.
+func (r *pipeWorker) groupFor(phase int) *rendezvousGroup {
 	t := r.t
-	plan := t.plan
-	layer := t.ctx.Layers()[l]
-	members := plan.EPGroup(r.w)
-	base := members[0]
-	comm := t.epComm(base, members)
-	it, mb := r.it, r.mb
-	arrived := t.ctx.Eng.Now()
-	t.joinOp([5]int{base, it, mb, l, phase}, len(members), func(done func()) {
-		key := [4]int{base, it, mb, l}
-		rt := t.moeRoutes[key]
-		if rt == nil {
-			router := parallel.Router{
-				Seed:    t.cfg.Seed,
-				Experts: layer.MoE.Experts,
-				TopK:    layer.MoE.TopK,
-				Ranks:   plan.EP,
-			}
-			bpt := layer.ActBytes / int64(2*layer.MoE.Tokens)
-			if bpt < 1 {
-				bpt = 1
-			}
-			mat := router.Matrix(it, mb, l, base, layer.MoE.Tokens*r.mbSize, bpt)
-			rt = &moeRoute{mat: mat, tr: parallel.Transpose(mat)}
-			t.moeRoutes[key] = rt
+	if phase == phaseFwdTP || phase == phaseBwdTP {
+		if t.plan.TP == 1 {
+			return nil
 		}
-		if rt.uses++; rt.uses == moePhases {
-			delete(t.moeRoutes, key)
+		if r.tp == nil {
+			r.tp = t.group(t.tpGroups, t.plan.TPGroup(r.w), &t.stats.TPReduce)
 		}
-		mat := rt.mat
-		if phase == phaseMoECombine || phase == phaseMoEBwdDispatch {
-			mat = rt.tr
-		}
-		comm.AllToAll(mat, done)
-	}, func() {
-		r.stalled(arrived, nil)
-		next()
-	})
+		return r.tp
+	}
+	if t.plan.EP == 1 || t.ctx.Layers()[r.stage[r.idx]].MoE == nil {
+		return nil
+	}
+	if r.ep == nil {
+		r.ep = t.group(t.epGroups, t.plan.EPGroup(r.w), nil)
+	}
+	return r.ep
 }

@@ -39,18 +39,26 @@ import (
 )
 
 // Latch is a one-shot condition variable on the simulation engine.
+// The trainer's latches each have one waiter, the worker that owns
+// them, so a latch holds a single callback: a worker's callbacks are
+// bound once, and parking one allocates nothing. Further waiters chain
+// behind it in registration order.
 type Latch struct {
-	open    bool
-	waiters []func()
+	open   bool
+	waiter func()
 }
 
 // Wait runs fn once the latch opens (immediately when already open).
 func (l *Latch) Wait(fn func()) {
-	if l.open {
+	switch {
+	case l.open:
 		fn()
-		return
+	case l.waiter == nil:
+		l.waiter = fn
+	default:
+		first := l.waiter
+		l.waiter = func() { first(); fn() }
 	}
-	l.waiters = append(l.waiters, fn)
 }
 
 // Open releases the latch, running all waiters. Idempotent.
@@ -59,9 +67,8 @@ func (l *Latch) Open() {
 		return
 	}
 	l.open = true
-	ws := l.waiters
-	l.waiters = nil
-	for _, fn := range ws {
+	if fn := l.waiter; fn != nil {
+		l.waiter = nil
 		fn()
 	}
 }
@@ -377,16 +384,20 @@ type Trainer struct {
 
 	// plan is the bound parallelism plan (the single all-worker tree on
 	// data-parallel layouts). Beside it: the communication totals, the
-	// communicator caches, the pipeline's per-(worker, iteration,
-	// microbatch) boundary latches and transfer tags (PP > 1 only), and
-	// the per-layer microbatch counts (Micro > 1 only).
+	// communicator and rendezvous-group caches, the free lists of the
+	// pipeline's rendezvous, routing and boundary-latch records, the
+	// pipeline's per-(worker, iteration, microbatch) boundary latches and
+	// transfer tags (PP > 1 only), and the per-layer microbatch counts
+	// (Micro > 1 only).
 	plan        *parallel.Plan
 	stats       CommStats
 	syncComms   map[int]*GroupComm
-	tpComms     map[int]*GroupComm
-	epComms     map[int]*GroupComm
-	pipeOps     map[[5]int]*pipeOp
-	moeRoutes   map[[4]int]*moeRoute // keyed like pipeOps, without the phase
+	tpGroups    map[int]*rendezvousGroup // keyed by lowest member
+	epGroups    map[int]*rendezvousGroup
+	pipeOps     *sim.FreeList[pipeOp]
+	routes      *sim.FreeList[moeRoute]
+	opens       *sim.FreeList[latchOpen]
+	moeRand     *rand.Rand // MoE routing's generator, built on first use
 	pipeLatches []Latch
 	actTags     []fabric.AggTag
 	gradTags    []fabric.AggTag
@@ -486,10 +497,11 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 		workerDone: make([]int, len(ctx.Workers)),
 		plan:       plan,
 		syncComms:  make(map[int]*GroupComm),
-		tpComms:    make(map[int]*GroupComm),
-		epComms:    make(map[int]*GroupComm),
-		pipeOps:    make(map[[5]int]*pipeOp),
-		moeRoutes:  make(map[[4]int]*moeRoute),
+		tpGroups:   make(map[int]*rendezvousGroup),
+		epGroups:   make(map[int]*rendezvousGroup),
+		pipeOps:    sim.NewFreeList[pipeOp](eng),
+		routes:     sim.NewFreeList[moeRoute](eng),
+		opens:      sim.NewFreeList[latchOpen](eng),
 	}
 	if plan.PP > 1 {
 		tr.pipeLatches = make([]Latch, len(ctx.Workers)*cfg.Iterations*plan.Micro*2)
@@ -623,7 +635,9 @@ func (t *Trainer) Run() (*Result, error) {
 		newPipeWorker(t, w).run(0)
 	}
 	ctx.Eng.Run()
-	ctx.Eng.ReleasePool() // the finished trainer stays referenced while its results are read
+	// The finished trainer stays referenced while its results are read.
+	ctx.Eng.ReleasePool()
+	t.moeRand = nil
 	for w, done := range t.workerDone {
 		if done != t.cfg.Iterations {
 			return nil, fmt.Errorf("train: %s stalled: worker %d finished %d of %d iterations (synchronization deadlock?)",

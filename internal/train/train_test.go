@@ -221,7 +221,12 @@ func TestMoERoutesReleased(t *testing.T) {
 	if tr.CommStats().EPTokens <= 0 {
 		t.Fatal("EP layout routed no tokens")
 	}
-	if len(tr.moeRoutes) != 0 || len(tr.pipeOps) != 0 {
-		t.Errorf("after Run: %d cached routings, %d open rendezvous; want none", len(tr.moeRoutes), len(tr.pipeOps))
+	if len(tr.epGroups) == 0 {
+		t.Fatal("EP layout built no EP group")
+	}
+	for base, g := range tr.epGroups {
+		if len(g.routes) != 0 || g.gathering != nil {
+			t.Errorf("after Run: EP group %d holds %d routings and an open rendezvous %v; want none", base, len(g.routes), g.gathering != nil)
+		}
 	}
 }
