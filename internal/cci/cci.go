@@ -24,7 +24,6 @@ package cci
 import (
 	"fmt"
 
-	"coarse/internal/fabric"
 	"coarse/internal/sim"
 	"coarse/internal/telemetry"
 	"coarse/internal/topology"
@@ -225,20 +224,11 @@ func (f *Fabric) accountCopy(src, dst *topology.Device, size int64) {
 // DMACopy moves size bytes from src to dst. On machines with
 // peer-to-peer support this is a single DMA over the routed path; on
 // machines without it (the paper's T4 instance) the copy bounces through
-// CPU memory, pipelined in StageChunks chunks.
+// CPU memory, pipelined in StageChunks chunks. Copies launched back to
+// back with the same src, dst and size (a sharded gradient push, a
+// collective phase) reach the fabric as one symmetric fan, which it
+// folds into a single group entry.
 func (f *Fabric) DMACopy(src, dst *topology.Device, size int64, onDone func()) {
-	f.DMACopyTagged(nil, src, dst, size, onDone)
-}
-
-// DMACopyTagged is DMACopy for one member of a symmetric fan: callers
-// that launch several DMAs with the same src, dst, and size
-// back-to-back (a sharded gradient push, a collective phase) pass one
-// fabric.AggTag per fan so the fabric may aggregate the members into
-// one multiplicity-counted flow — byte-identical to untagged copies,
-// cheaper at scale. A nil tag is exactly DMACopy. The bounced path
-// tags its own staging chunks regardless of the caller's tag: the
-// chunk fan of one copy is itself symmetric per size class.
-func (f *Fabric) DMACopyTagged(tag *fabric.AggTag, src, dst *topology.Device, size int64, onDone func()) {
 	if size < 0 {
 		panic("cci: negative copy size")
 	}
@@ -257,7 +247,7 @@ func (f *Fabric) DMACopyTagged(tag *fabric.AggTag, src, dst *topology.Device, si
 			op = &dmaOp{f: f}
 			op.fire = op.start
 		}
-		op.tag, op.src, op.dst, op.size, op.onDone = tag, src, dst, size, onDone
+		op.src, op.dst, op.size, op.onDone = src, dst, size, onDone
 		f.Topo.Eng.Schedule(f.Params.DMASetup, op.fire)
 		return
 	}
@@ -284,7 +274,6 @@ func (f *Fabric) DMACopyTagged(tag *fabric.AggTag, src, dst *topology.Device, si
 // the record returns to the free list as it fires.
 type dmaOp struct {
 	f        *Fabric
-	tag      *fabric.AggTag
 	src, dst *topology.Device
 	size     int64
 	onDone   func()
@@ -292,13 +281,9 @@ type dmaOp struct {
 }
 
 func (op *dmaOp) start() {
-	f, tag, src, dst, size, onDone := op.f, op.tag, op.src, op.dst, op.size, op.onDone
-	op.tag, op.src, op.dst, op.onDone = nil, nil, nil, nil
+	f, src, dst, size, onDone := op.f, op.src, op.dst, op.size, op.onDone
+	op.src, op.dst, op.onDone = nil, nil, nil
 	f.directs.Put(op)
-	if tag != nil {
-		f.Topo.TransferEphemeralTagged(tag, src, dst, size, onDone)
-		return
-	}
 	f.Topo.TransferEphemeral(src, dst, size, onDone)
 }
 
@@ -316,16 +301,14 @@ type bounceOp struct {
 }
 
 // bounceState is a bounced copy's own state. The staging chunks of one
-// copy share a path and differ in size by at most one byte, so each leg
-// is tagged as its own fan: members of one size class aggregate, and
-// the odd-remainder class simply starts a second group.
+// copy share a path and differ in size by at most one byte, so the
+// fabric folds each size class of a leg into one group entry.
 type bounceState struct {
-	src, cpu, dst        *topology.Device
-	base, rem            int64 // chunk size; the first rem chunks carry one byte more
-	chunks               int64 // chunks staged: StageChunks, or one for an empty copy
-	remaining            int   // chunks not yet delivered
-	onDone               func()
-	stageTag, deliverTag fabric.AggTag
+	src, cpu, dst *topology.Device
+	base, rem     int64 // chunk size; the first rem chunks carry one byte more
+	chunks        int64 // chunks staged: StageChunks, or one for an empty copy
+	remaining     int   // chunks not yet delivered
+	onDone        func()
 }
 
 func newBounceOp(f *Fabric) *bounceOp {
@@ -345,12 +328,12 @@ func (op *bounceOp) stageAll() {
 		if i < op.rem {
 			sz, staged = sz+1, op.stagedHi
 		}
-		op.f.Topo.TransferEphemeralTagged(&op.stageTag, op.src, op.cpu, sz, staged)
+		op.f.Topo.TransferEphemeral(op.src, op.cpu, sz, staged)
 	}
 }
 
 func (op *bounceOp) deliver(sz int64) {
-	op.f.Topo.TransferEphemeralTagged(&op.deliverTag, op.cpu, op.dst, sz, op.delivered)
+	op.f.Topo.TransferEphemeral(op.cpu, op.dst, sz, op.delivered)
 }
 
 func (op *bounceOp) chunkDone() {

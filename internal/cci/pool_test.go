@@ -3,15 +3,14 @@ package cci
 import (
 	"testing"
 
-	"coarse/internal/fabric"
 	"coarse/internal/sim"
 	"coarse/internal/topology"
 )
 
 // TestDMACopyStreamAllocsZero: once the DMA records, the fabric's flows
 // and the engine's events have grown their free lists, a stream of
-// copies — direct and host-bounced DMAs, tagged and untagged, empty
-// and with an odd remainder, plus load/store copies with and without a
+// copies — direct and host-bounced DMAs, single and in symmetric fans,
+// empty and with an odd remainder, plus load/store copies with and without a
 // callback — allocates nothing. The V100 machine moves GPU copies
 // peer to peer; the T4 machine bounces them through host memory.
 func TestDMACopyStreamAllocsZero(t *testing.T) {
@@ -28,11 +27,10 @@ func TestDMACopyStreamAllocsZero(t *testing.T) {
 		f := NewFabric(m.Topology, DefaultParams())
 		done := 0
 		onDone := func() { done++ }
-		var tag fabric.AggTag
 		burst := func() {
 			f.DMACopy(m.Workers[0], m.Devs[1], 3*mib+3, onDone)
-			f.DMACopyTagged(&tag, m.Workers[1], m.Devs[0], mib, onDone)
-			f.DMACopyTagged(&tag, m.Workers[1], m.Devs[0], mib, onDone)
+			f.DMACopy(m.Workers[1], m.Devs[0], mib, onDone)
+			f.DMACopy(m.Workers[1], m.Devs[0], mib, onDone)
 			f.DMACopy(m.Workers[1], m.Workers[0], 0, onDone)
 			f.DMACopy(m.CPUs[0], m.Devs[0], mib, onDone)
 			f.LoadStoreCopy(m.CPUs[0], m.Devs[0], 4096, true, onDone)
@@ -63,7 +61,7 @@ func TestDMACopyStreamAllocsZero(t *testing.T) {
 // returned. With warm free lists, the chain must finish at the same
 // offsets, dispatch the same events and aggregate the same staging
 // chunks as on fresh objects: nothing of the first copy (its counter,
-// its size classes, its staging tags) leaks into the second. DMASetup
+// its size classes, its staging groups) leaks into the second. DMASetup
 // is zero, so the second copy starts at the instant the first ends.
 func TestBouncedDMAReuseDeterministic(t *testing.T) {
 	eng := sim.NewEngine()
@@ -95,7 +93,7 @@ func TestBouncedDMAReuseDeterministic(t *testing.T) {
 	}
 	fresh := chain()
 	if fresh.aggregated == 0 {
-		t.Fatal("the chain aggregates no staging chunks; the test would not see a stale tag")
+		t.Fatal("the chain aggregates no staging chunks; the test would not see a stale group")
 	}
 	for i := 0; i < 3; i++ {
 		if got := chain(); got != fresh {

@@ -4,28 +4,26 @@ import (
 	"slices"
 	"testing"
 
-	"coarse/internal/fabric"
 	"coarse/internal/sim"
 	"coarse/internal/topology"
 )
 
 // fabricRing wires a ring over the V100 machine's memory devices, each
-// hop an ephemeral transfer tagged per (sender, direction) as the
-// trainer's rings tag theirs. sent, when non-nil, sees every hop.
+// hop an ephemeral transfer, as the trainer's rings send theirs. sent,
+// when non-nil, sees every hop.
 func fabricRing(eng *sim.Engine, sent func(i int, reverse bool, size int64)) (*topology.Machine, *Ring) {
 	m := topology.Build(eng, topology.AWSV100())
 	devs := m.Devs
 	p := len(devs)
-	tags := make([][2]fabric.AggTag, p)
 	send := func(i int, reverse bool, size int64, onDone func()) {
-		j, dir := (i+1)%p, 0
+		j := (i + 1) % p
 		if reverse {
-			j, dir = (i-1+p)%p, 1
+			j = (i - 1 + p) % p
 		}
 		if sent != nil {
 			sent(i, reverse, size)
 		}
-		m.TransferEphemeralTagged(&tags[i][dir], devs[i], devs[j], size, onDone)
+		m.TransferEphemeral(devs[i], devs[j], size, onDone)
 	}
 	return m, NewRing(eng, p, send)
 }

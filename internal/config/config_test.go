@@ -2,13 +2,16 @@ package config
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"coarse/internal/gpu"
 	"coarse/internal/topology"
+	"coarse/internal/train"
 )
 
 func parse(t *testing.T, js string) *Scenario {
@@ -92,6 +95,40 @@ func TestRejections(t *testing.T) {
 	}
 }
 
+// largestMLP is the MLP spec with the most parameters Model accepts:
+// (in+1)*out = maxParamElems.
+const largestMLP = "mlp:144115188075855870,1"
+
+// TestLargestMLPDoesNotFit: the largest accepted MLP builds a trainer
+// under every strategy without wrapping a byte count, so each reports
+// that it does not fit, at a small batch and at batches whose
+// activations pass an int64.
+func TestLargestMLPDoesNotFit(t *testing.T) {
+	m, err := Model(largestMLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := Machine("v100", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range Strategies() {
+		for _, batch := range []int{2, 16, 1 << 40} {
+			strat, err := Strategy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b := strat.WorkerStateBytes(m); b < m.ParamBytes() {
+				t.Errorf("%s: worker state %d bytes wraps (parameters %d bytes)", name, b, m.ParamBytes())
+			}
+			_, err = train.New(train.DefaultConfig(spec, m, batch, 2), strat)
+			if !errors.Is(err, gpu.ErrOOM) {
+				t.Errorf("%s, batch %d: err = %v, want %v", name, batch, err, gpu.ErrOOM)
+			}
+		}
+	}
+}
+
 // TestValidateRejectsIgnoredOrWrappedValues: every value BuildSpec
 // would silently ignore, clamp or wrap is an error, and the boundary
 // values on the accepted side still load.
@@ -117,7 +154,15 @@ func TestValidateRejectsIgnoredOrWrappedValues(t *testing.T) {
 		{"negative nodes", `{"machine":"multi","nodes":-3,` + base + `}`, false},
 		{"one node", `{"machine":"multi","nodes":1,` + base + `}`, false},
 		{"two nodes", `{"machine":"multi","nodes":2,` + base + `}`, true},
+		{"largest node count", `{"machine":"multi","nodes":128,` + base + `}`, true},
+		{"one node past the largest", `{"machine":"multi","nodes":129,` + base + `}`, false},
+		{"two million nodes", `{"machine":"multi","nodes":2000000,` + base + `}`, false},
 		{"nodes on a one-node preset", `{"machine":"v100","nodes":4,` + base + `}`, false},
+		// (in+1)*out parameters per MLP layer, at most maxParamElems.
+		{"largest mlp", `{"machine":"v100","model":"` + largestMLP + `","batch":2,"iterations":2}`, true},
+		{"mlp one parameter past the largest", `{"machine":"v100","model":"mlp:144115188075855871,1","batch":2,"iterations":2}`, false},
+		{"mlp whose parameter count wraps", `{"machine":"v100","model":"mlp:4000000000,4000000000,10","batch":2,"iterations":2}`, false},
+		{"mlp whose layer width wraps", `{"machine":"v100","model":"mlp:9223372036854775807,1","batch":2,"iterations":2}`, false},
 	} {
 		s, err := Read(strings.NewReader(tc.js))
 		if (err == nil) != tc.ok {
@@ -128,6 +173,9 @@ func TestValidateRejectsIgnoredOrWrappedValues(t *testing.T) {
 			spec := s.BuildSpec()
 			if spec.GPU.MemBytes <= 0 || spec.EdgeBW <= 0 {
 				t.Errorf("%s: spec has MemBytes %d, EdgeBW %g", tc.name, spec.GPU.MemBytes, spec.EdgeBW)
+			}
+			if m, err := s.BuildModel(); err != nil || m.ParamBytes() <= 0 {
+				t.Errorf("%s: model %v, err %v", tc.name, m, err)
 			}
 		}
 	}
@@ -145,6 +193,8 @@ func FuzzScenarioRead(f *testing.F) {
 		`{"machine":"multi","nodes":-3,"model":"vgg16","batch":1,"iterations":1}`,
 		`{"machine":"v100","model":"vgg16","batch":1,"iterations":1,"overrides":{"host_gbps":1e300}}`,
 		`{"machine":"v100","model":"mlp:5,x","batch":2,"iterations":2}`,
+		`{"machine":"v100","model":"mlp:4000000000,4000000000,10","batch":2,"iterations":2}`,
+		`{"machine":"multi","nodes":2000000,"model":"vgg16","batch":1,"iterations":1}`,
 		`{"machine":"v100"} trailing`,
 		`not json`,
 		``,
@@ -168,8 +218,15 @@ func FuzzScenarioRead(f *testing.F) {
 				t.Fatalf("accepted scenario builds bandwidth %g", bw)
 			}
 		}
-		if _, err := s.BuildModel(); err != nil {
+		m, err := s.BuildModel()
+		if err != nil {
 			t.Fatalf("accepted scenario's model fails: %v", err)
+		}
+		if m.ParamBytes() <= 0 {
+			t.Fatalf("accepted scenario's model holds %d parameter bytes", m.ParamBytes())
+		}
+		if spec.NodeCount > maxNodes {
+			t.Fatalf("accepted scenario builds %d nodes", spec.NodeCount)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,8 +47,20 @@ var strategies = []struct {
 	{"COARSE", func() train.Strategy { return core.New(core.DefaultOptions()) }},
 }
 
+// maxNodes bounds multi's node count: 128 eight-GPU nodes are 1,024
+// workers, the size of the scale family's 1024-worker cell. Far larger
+// counts exhaust host memory while the machine is built.
+const maxNodes = 128
+
+// maxParamElems bounds an MLP's parameter count so that every byte
+// count derived from it fits an int: the largest, AllReduce's four
+// float32 copies plus its bucket, stays under math.MaxInt/4. It also
+// bounds the activations, since a layer's (in+1)*out parameters are at
+// least its in+out activations.
+const maxParamElems = math.MaxInt / 64
+
 // Machine returns the named machine preset. nodes is multi's node
-// count: at least 2, or 0 for 2. Every other preset is one node and
+// count: 2 to maxNodes, or 0 for 2. Every other preset is one node and
 // takes only 0.
 func Machine(name string, nodes int) (topology.Spec, error) {
 	build, ok := machines[name]
@@ -58,6 +71,8 @@ func Machine(name string, nodes int) (topology.Spec, error) {
 		return topology.Spec{}, fmt.Errorf("config: nodes %d: only the multi preset takes a node count", nodes)
 	case nodes < 0 || nodes == 1:
 		return topology.Spec{}, fmt.Errorf("config: nodes %d: multi needs at least 2", nodes)
+	case nodes > maxNodes:
+		return topology.Spec{}, fmt.Errorf("config: nodes %d: multi takes at most %d", nodes, maxNodes)
 	case nodes > 2:
 		return topology.MultiNodeV100(nodes), nil
 	}
@@ -84,6 +99,15 @@ func Model(name string) (*model.Model, error) {
 	}
 	if len(sizes) < 2 {
 		return nil, fmt.Errorf("config: mlp needs >=2 sizes in %q", name)
+	}
+	// Layer i holds (sizes[i]+1)*sizes[i+1] parameters (weights and
+	// biases); the running total must stay within maxParamElems.
+	total := 0
+	for i, out := range sizes[1:] {
+		if sizes[i] > (maxParamElems-total)/out-1 {
+			return nil, fmt.Errorf("config: mlp %q has too many parameters", name)
+		}
+		total += (sizes[i] + 1) * out
 	}
 	return model.MLP("mlp", sizes...), nil
 }

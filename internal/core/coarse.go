@@ -30,7 +30,6 @@ package core
 import (
 	"fmt"
 
-	"coarse/internal/fabric"
 	"coarse/internal/memdev"
 	"coarse/internal/model"
 	"coarse/internal/profiler"
@@ -126,10 +125,6 @@ type Strategy struct {
 	live   []*iterState
 	states *sim.FreeList[iterState]
 	ops    *sim.FreeList[shardOp]
-	// pushTags[w] marks worker w's push fans for aggregation. A worker
-	// pushes one layer per instant (a backward compute separates its
-	// gradients), so one tag per worker serves every fan.
-	pushTags []fabric.AggTag
 
 	// stats
 	Reprofiles     int
@@ -293,7 +288,6 @@ func (s *Strategy) Setup(ctx *train.Ctx) error {
 	s.live = nil
 	s.states = sim.NewFreeList[iterState](ctx.Eng)
 	s.ops = sim.NewFreeList[shardOp](ctx.Eng)
-	s.pushTags = make([]fabric.AggTag, ctx.NumWorkers())
 	last := len(ctx.Layers()) - 1
 	for w := range ctx.Workers {
 		if ctx.Plan().OwnsLayer(w, last) {
@@ -775,8 +769,8 @@ func (s *Strategy) pushToProxies(it, w, layer int) {
 	// One worker's partition pushes are a symmetric fan: size-based
 	// routing sends equal-size shards to the same proxy over the same
 	// route, back-to-back, so the fabric may carry each size class as
-	// one aggregated flow (byte-identical; see fabric.AggTag).
-	tag := &s.pushTags[w]
+	// one aggregated flow (byte-identical; see the fabric package
+	// comment).
 	for idx := int64(0); idx < k; idx++ {
 		shardSize := base
 		if idx < rem {
@@ -792,7 +786,7 @@ func (s *Strategy) pushToProxies(it, w, layer int) {
 			s.PushedToBw += shardSize
 		}
 		op := s.newOp(shardKey{it, layer, gid, int(idx)}, w, dst, shardSize)
-		ctx.CCI.DMACopyTagged(tag, ctx.Workers[w].Dev, sh.pool.Devices[dst].Dev, shardSize, op.arrived)
+		ctx.CCI.DMACopy(ctx.Workers[w].Dev, sh.pool.Devices[dst].Dev, shardSize, op.arrived)
 	}
 }
 

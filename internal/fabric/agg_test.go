@@ -1,37 +1,35 @@
 package fabric
 
 import (
+	"math"
 	"testing"
 
 	"coarse/internal/sim"
 )
 
-// runFan admits k size-sized flows over path at t=0, tagged as one fan,
-// plus one background flow over bgPath, and returns every completion
-// time (fan members first, background last) together with the
-// bottleneck channel's integrated byte count at drain. With agg false
-// the network runs the reference pass, which admits every member on
-// its own.
-func runFan(t *testing.T, agg bool, k int, size float64, mkPaths func(n *Network) (fan, bg []*Channel)) (fanDone []sim.Time, bgDone sim.Time, bneckBytes float64) {
+// runAgg runs one admission script on a fresh network and returns
+// every transfer's completion time (in the order the script asked for
+// their callbacks), every channel's integrated byte count at drain, and
+// how many transfers the fabric folded into a group entry. With agg
+// false the network runs the reference pass, which admits every
+// transfer on its own. rec hands the script one completion callback
+// per transfer.
+func runAgg(t *testing.T, agg bool, script func(eng *sim.Engine, net *Network, rec func() func())) (doneAt []sim.Time, bytes []float64, aggregated uint64) {
 	t.Helper()
 	defer SetReferenceFillingForTest(!agg)()
 	eng, net := newNet()
-	fan, bg := mkPaths(net)
-	fanDone = make([]sim.Time, k)
-	var tag AggTag
-	eng.Schedule(0, func() {
-		for i := 0; i < k; i++ {
-			i := i
-			net.StartEphemeralTagged(&tag, fan, size, func() { fanDone[i] = eng.Now() })
-		}
-		if bg != nil {
-			net.StartEphemeralTagged(nil, bg, size, func() { bgDone = eng.Now() })
-		}
-	})
+	rec := func() func() {
+		i := len(doneAt)
+		doneAt = append(doneAt, -1)
+		return func() { doneAt[i] = eng.Now() }
+	}
+	script(eng, net, rec)
 	eng.Run()
 	net.Flush()
-	bneckBytes = fan[0].IntegratedBytes(eng.Now())
-	return fanDone, bgDone, bneckBytes
+	for _, l := range net.Links() {
+		bytes = append(bytes, l.Fwd().IntegratedBytes(eng.Now()), l.Rev().IntegratedBytes(eng.Now()))
+	}
+	return doneAt, bytes, net.FlowsAggregated()
 }
 
 // TestGroupCompletionAllocsConstant: completing an aggregated group
@@ -49,9 +47,8 @@ func TestGroupCompletionAllocsConstant(t *testing.T) {
 		// instant, all admitted before measuring.
 		for g := 0; g <= runs; g++ {
 			path := []*Channel{net.NewLink("l", gib, gib, 0).Fwd()}
-			tag := new(AggTag)
 			for i := 0; i < k; i++ {
-				net.StartEphemeralTagged(tag, path, float64((g+1)*mib), done)
+				net.StartEphemeral(path, float64((g+1)*mib), done)
 			}
 		}
 		eng.RunUntil(0)
@@ -72,40 +69,108 @@ func TestGroupCompletionAllocsConstant(t *testing.T) {
 }
 
 // TestAggregatedGroupMatchesIndependentFlows pins the core byte-identity
-// claim: a multiplicity-k group must carry exactly the bytes, rates, and
-// completion instants of k independently admitted flows — to the last
-// bit — both when the fan is alone on its bottleneck and when it shares
-// the bottleneck with an untagged bystander.
+// claim and the join rule. A multiplicity-k group must carry exactly
+// the bytes, rates, and completion instants of k independently
+// admitted flows — to the last bit — when the fan is alone on its
+// bottleneck, when it shares the bottleneck with a bystander, and when
+// its members come from different callers. The other cases pin what
+// must not join: a handle flow, a transfer after a foreign admission,
+// one of another size, and a repeat at a later instant. Each case states how many transfers
+// fold, and is checked against the reference pass either way.
 func TestAggregatedGroupMatchesIndependentFlows(t *testing.T) {
+	const size = 3 * gib
+	// One path slice per link, as a topology's route cache hands out.
+	links := func(n *Network) (a, b []*Channel) {
+		return []*Channel{n.NewLink("a", 10*gib, 10*gib, 0).Fwd()},
+			[]*Channel{n.NewLink("b", 40*gib, 40*gib, 0).Fwd()}
+	}
 	cases := []struct {
-		name string
-		mk   func(n *Network) (fan, bg []*Channel)
+		name   string
+		folded uint64
+		script func(eng *sim.Engine, net *Network, rec func() func())
 	}{
-		{"fan-only", func(n *Network) ([]*Channel, []*Channel) {
-			l := n.NewLink("pcie", 10*gib, 10*gib, 0)
-			return []*Channel{l.Fwd()}, nil
+		{"fan-only", 6, func(eng *sim.Engine, net *Network, rec func() func()) {
+			a, _ := links(net)
+			for i := 0; i < 7; i++ {
+				net.StartEphemeral(a, size, rec())
+			}
 		}},
-		{"shared-bottleneck", func(n *Network) ([]*Channel, []*Channel) {
-			a := n.NewLink("a", 10*gib, 10*gib, 0)
-			b := n.NewLink("b", 40*gib, 40*gib, 0)
-			return []*Channel{a.Fwd(), b.Fwd()}, []*Channel{a.Fwd()}
+		{"shared-bottleneck", 6, func(eng *sim.Engine, net *Network, rec func() func()) {
+			a, b := links(net)
+			fan := []*Channel{a[0], b[0]}
+			for i := 0; i < 7; i++ {
+				net.StartEphemeral(fan, size, rec())
+			}
+			net.StartEphemeral(a, size, rec())
+		}},
+		// The handle flow neither joins the entry before it nor is joined
+		// by the one after it; the last two ephemerals start a new group.
+		{"handle-flow", 1, func(eng *sim.Engine, net *Network, rec func() func()) {
+			a, _ := links(net)
+			net.StartEphemeral(a, size, rec())
+			net.StartFlow(a, size, rec())
+			net.StartEphemeral(a, size, rec())
+			net.StartEphemeral(a, size, rec())
+		}},
+		// An admission over another path breaks the run: only the last
+		// transfer, which repeats the one right before it, joins.
+		{"foreign-between", 1, func(eng *sim.Engine, net *Network, rec func() func()) {
+			a, b := links(net)
+			net.StartEphemeral(a, size, rec())
+			net.StartEphemeral(b, size, rec())
+			net.StartEphemeral(a, size, rec())
+			net.StartEphemeral(a, size, rec())
+		}},
+		// A transfer of another size over the same path starts a group
+		// of its own.
+		{"other-size", 1, func(eng *sim.Engine, net *Network, rec func() func()) {
+			a, _ := links(net)
+			net.StartEphemeral(a, size, rec())
+			net.StartEphemeral(a, size/2, rec())
+			net.StartEphemeral(a, size/2, rec())
+		}},
+		// A repeat one nanosecond later is admitted on its own; two
+		// repeats at that later instant fold with each other.
+		{"later-instant", 1, func(eng *sim.Engine, net *Network, rec func() func()) {
+			a, _ := links(net)
+			net.StartEphemeral(a, size, rec())
+			eng.Schedule(1, func() {
+				net.StartEphemeral(a, size, rec())
+				net.StartEphemeral(a, size, rec())
+			})
+		}},
+		// Two independent callers, each emitting one transfer from its
+		// own event at the same instant, back to back.
+		{"two-callers", 1, func(eng *sim.Engine, net *Network, rec func() func()) {
+			a, b := links(net)
+			fan := []*Channel{a[0], b[0]}
+			net.StartEphemeral(a, size/2, rec())
+			eng.Schedule(0, func() { net.StartEphemeral(fan, size, rec()) })
+			eng.Schedule(0, func() { net.StartEphemeral(fan, size, rec()) })
 		}},
 	}
-	const k = 7
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			offDone, offBG, offBytes := runFan(t, false, k, 3*gib, tc.mk)
-			onDone, onBG, onBytes := runFan(t, true, k, 3*gib, tc.mk)
-			for i := range offDone {
-				if offDone[i] != onDone[i] {
-					t.Errorf("member %d: finish %v aggregated vs %v independent", i, onDone[i], offDone[i])
+			refDone, refBytes, refFolded := runAgg(t, false, tc.script)
+			onDone, onBytes, folded := runAgg(t, true, tc.script)
+			if refFolded != 0 {
+				t.Errorf("the reference pass folded %d transfers, want 0", refFolded)
+			}
+			if folded != tc.folded {
+				t.Errorf("%d transfers folded into a group, want %d", folded, tc.folded)
+			}
+			if len(onDone) != len(refDone) {
+				t.Fatalf("%d transfers, reference %d", len(onDone), len(refDone))
+			}
+			for i := range refDone {
+				if refDone[i] < 0 || onDone[i] != refDone[i] {
+					t.Errorf("transfer %d: finish %v aggregated vs %v independent", i, onDone[i], refDone[i])
 				}
 			}
-			if offBG != onBG {
-				t.Errorf("bystander finish %v aggregated vs %v independent", onBG, offBG)
-			}
-			if offBytes != onBytes {
-				t.Errorf("bottleneck integrated bytes %v aggregated vs %v independent", onBytes, offBytes)
+			for i := range refBytes {
+				if math.Float64bits(onBytes[i]) != math.Float64bits(refBytes[i]) {
+					t.Errorf("channel %d: integrated bytes %v aggregated vs %v independent", i, onBytes[i], refBytes[i])
+				}
 			}
 		})
 	}

@@ -78,22 +78,25 @@
 // on; SetReferenceFillingForTest switches them off for the tests that
 // use the plain progressive-filling pass as their oracle.
 //
-// Flow aggregation: collective phases emit fans of
-// pairwise-identical transfers — same path, same size, admitted
-// back-to-back at one instant. Callers mark such fans with an AggTag;
-// members after the first fold into the first member's Flow entry as a
-// multiplicity count instead of new entries, provided no foreign
-// admission interleaved (the lastAdmitted check — an interleaved entry
-// would change admission order and therefore float fold order). The
-// progressive-filling pass charges a group's bottleneck m times by
-// repeated subtraction (never share*m: float multiply is not repeated
-// addition), so residuals, rates, and stall decisions are bitwise what
-// m separate entries produce. Completion fans back out: the group's
-// carrier completes at the first of the m consecutive ranks reserved
-// for the group and the remaining members each fire an event at the
-// following ranks, so per-member completion dispatches — count, order,
-// and interleaving with everything else — are exactly the unaggregated
-// schedule's.
+// Flow aggregation: collective phases emit fans of pairwise-identical
+// transfers — same path, same size, admitted back-to-back at one
+// instant. The fabric finds such fans itself: an ephemeral admission
+// that repeats the previous admission (also ephemeral, at the same
+// instant, over the same path slice, of the same size) folds into that
+// entry as a multiplicity count instead of a new entry. Only the
+// previous admission qualifies, because an interleaved entry would
+// change admission order and therefore float fold order; handle flows
+// (StartFlow) never join or get joined, since their callers read their
+// own entry. Callers need only take routes from one cache, so that a
+// fan's members share a path slice. The progressive-filling pass
+// charges a group's bottleneck m times by repeated subtraction (never
+// share*m: float multiply is not repeated addition), so residuals,
+// rates, and stall decisions are bitwise what m separate entries
+// produce. Completion fans back out: the group's carrier completes at
+// the first of the m consecutive ranks reserved for the group and the
+// remaining members each fire an event at the following ranks, so
+// per-member completion dispatches — count, order, and interleaving
+// with everything else — are exactly the unaggregated schedule's.
 //
 // Steady-state fast-forward: between collective
 // boundaries the fabric sees long completion-only cascades whose
@@ -138,6 +141,33 @@
 // changes, and chaos actuations (which arrive as capacity changes)
 // always force a full pass, which is what makes every shortcut exact
 // rather than approximate.
+//
+// What each shortcut buys, measured on the repo benchmark (benchmark/)
+// against the same build with only that shortcut switched off, on a
+// 2-CPU Intel Xeon VM with go1.24.0: times are medians of 10
+// alternating pairs (in parentheses, the pairs the shortcut won), and
+// allocation counts, which repeat run to run, come from one run.
+//
+//   - Flow aggregation: paper-fig16 run_s −19% (10/10), allocs_k
+//     79.0k → 70.3k, alloc_mb 6.64 → 5.51 MB. scale-512 and layouts-3d
+//     admit no fan it folds; serve-kv's allocations do not move.
+//   - Steady-state skip (ffPass): run_s −13% on scale-512 (10/10),
+//     −10% on layouts-3d (9/10) and serve-kv (7/10); paper-fig16
+//     within noise. Without it component passes serve its instants,
+//     and the fast-path share TestScaleOrdering holds at 0.99 reads
+//     0.9965, so the times, not that floor, are what keep it.
+//   - Solo-entrant pass (ffAdmitPass): setup_s, where COARSE's
+//     profiler probes run, −15% on scale-512 and −11% on layouts-3d
+//     (10/10 on both, each inside the parent's spread); paper-fig16 and
+//     serve-kv within noise. What keeps it is TestScaleOrdering's
+//     floor: without it a probe alone on an idle fabric is one
+//     component holding every live entry, so it takes the full pass,
+//     and the 1024-worker cell's fast-path share falls from 0.9979 to
+//     0.4996, below that test's 0.99.
+//   - Component passes: layouts-3d run_s 3.93 → 0.79 s (one run),
+//     scale-512 run_s −10% (9/10); paper-fig16 within noise, with
+//     4.7% more heap_live_mb, most likely its search scratch; serve-kv
+//     run_s +1.2% (it won 1/10), within that workload's spread.
 package fabric
 
 import (
@@ -253,8 +283,8 @@ func (l *Link) Rev() *Channel { return l.rev }
 // per-channel byte accounting) is re-materialized at completion; all
 // other state is provably identical across members and stored once.
 //
-// Field order keeps the struct at exactly 240 bytes, the allocator's
-// 240-byte size class (see TestFlowSizeClass).
+// Field order keeps the struct within the allocator's 240-byte size
+// class (see TestFlowSizeClass).
 type Flow struct {
 	id        uint64
 	path      []*Channel
@@ -281,24 +311,10 @@ type Flow struct {
 	dones    []func() // per-member onDone once a second member joins
 	doneBase int      // index into dones of the first still-live member
 	doneRank uint64   // completion rank; group members fan out at doneRank+1..+mult-1
-	tag      *AggTag  // aggregation tag carried from emission to admit
 	bneck    int32    // channel that froze this entry when last rated, -1 none
 	listRefs int32    // tombstone references still held by active lists
 	seq      uint64   // admission rank: position in the network's admission order
 	visit    uint64   // component-search stamp (Network.ffEpoch)
-}
-
-// AggTag marks a fan of transfers as aggregation candidates: callers
-// that emit several transfers with the same path, size, and start
-// instant pass one tag (zero value, one per fan) to
-// StartEphemeralTagged and the fabric folds the fan into a single
-// multiplicity-counted entry. The tag
-// is only a hint — members that turn out not to be symmetric, or that
-// get interleaved with foreign admissions, are admitted individually
-// and the simulation is byte-identical either way.
-type AggTag struct {
-	group *Flow    // candidate entry, valid only while at == now
-	at    sim.Time // admission instant group was recorded at
 }
 
 // Size returns the flow's total payload in bytes.
@@ -372,8 +388,9 @@ type Network struct {
 	reference bool
 
 	// Flow aggregation (see the package comment).
-	lastAdmitted *Flow  // last entry admitted; joins require no interleaving
-	aggregated   uint64 // members folded into a group entry instead of admitted
+	lastAdmitted *Flow    // last entry admitted; joins require no interleaving
+	lastAdmitAt  sim.Time // instant lastAdmitted was admitted at
+	aggregated   uint64   // members folded into a group entry instead of admitted
 	groupObs     func(int)
 
 	// Steady-state fast-forward and component passes.
@@ -414,11 +431,11 @@ const (
 var referenceFilling atomic.Bool
 
 // SetReferenceFillingForTest makes the networks NewNetwork builds from
-// now on fold no aggregation tags and never refill fewer than all
-// flows (no fast-forward, no component pass), so every reallocation is
-// the plain progressive-filling pass over every flow and channel. Tests
-// run a workload both ways and require identical bytes. It returns a
-// func that restores the previous setting.
+// now on fold no transfer into a group entry and never refill fewer
+// than all flows (no fast-forward, no component pass), so every
+// reallocation is the plain progressive-filling pass over every flow
+// and channel. Tests run a workload both ways and require identical
+// bytes. It returns a func that restores the previous setting.
 func SetReferenceFillingForTest(on bool) (restore func()) {
 	prev := referenceFilling.Swap(on)
 	return func() { referenceFilling.Store(prev) }
@@ -488,8 +505,9 @@ func (n *Network) CompletionsRescheduled() uint64 { return n.rescheduled }
 func (n *Network) CompletionsSkipped() uint64 { return n.skipped }
 
 // FlowsAggregated returns how many transfers were folded into an
-// existing group entry instead of admitted as their own flow. Zero
-// unless callers tag symmetric fans.
+// existing group entry instead of admitted as their own flow: the
+// ephemeral admissions that repeated the previous one (see the package
+// comment).
 func (n *Network) FlowsAggregated() uint64 { return n.aggregated }
 
 // FastForwardPasses returns how many reallocation passes refilled
@@ -562,25 +580,11 @@ func (n *Network) StartFlow(path []*Channel, size float64, onDone func()) *Flow 
 // every active list, so steady-state transfer traffic allocates
 // nothing per flow. The flow must not be referenced after onDone
 // returns (there is no way to, short of capturing it inside onDone —
-// don't).
+// don't). An ephemeral transfer that repeats the previous admission
+// may be folded into its entry (see the package comment).
 func (n *Network) StartEphemeral(path []*Channel, size float64, onDone func()) {
 	f := n.newFlow()
 	f.ephemeral = true
-	n.start(f, path, size, onDone)
-}
-
-// StartEphemeralTagged is StartEphemeral for a member of a symmetric
-// fan: every transfer started with the same tag that shares the fan's
-// path (the same path slice — routes from a topology cache qualify),
-// size, and admission instant may be aggregated into one
-// multiplicity-counted entry. The tag
-// must be zero-valued at the fan's first transfer and must not be
-// shared across fans that could interleave with each other's
-// admissions; a fresh tag per fan is always correct.
-func (n *Network) StartEphemeralTagged(tag *AggTag, path []*Channel, size float64, onDone func()) {
-	f := n.newFlow()
-	f.ephemeral = true
-	f.tag = tag
 	n.start(f, path, size, onDone)
 }
 
@@ -632,18 +636,10 @@ func (n *Network) TransferEphemeral(path []*Channel, size int64, onDone func()) 
 	n.StartEphemeral(path, float64(size), onDone)
 }
 
-// TransferEphemeralTagged is a convenience wrapper for
-// StartEphemeralTagged with an int64 size.
-func (n *Network) TransferEphemeralTagged(tag *AggTag, path []*Channel, size int64, onDone func()) {
-	n.StartEphemeralTagged(tag, path, float64(size), onDone)
-}
-
 func (n *Network) admit(f *Flow) {
 	now := n.eng.Now()
 	f.started = true
 	f.start = now
-	tag := f.tag
-	f.tag = nil
 	if f.remaining == 0 {
 		f.finished = true
 		f.finish = now
@@ -658,51 +654,48 @@ func (n *Network) admit(f *Flow) {
 	}
 	n.requests++
 	n.settle(now)
-	if tag != nil && !n.reference {
-		// Join the tag's group if this admission is exactly a repeat of
-		// the group's: same instant, same path slice, same size, and —
-		// load-bearing for byte identity — no foreign admission in
-		// between (an interleaved entry would sit between the members in
-		// admission order, changing per-channel float fold order). The
-		// instant check runs first: it proves tag.group was recorded at
-		// this very instant, so the pointer is alive (a non-empty flow
-		// admitted now cannot complete, compact, and be recycled before
-		// now ends — its deadline rounds up to at least one nanosecond).
-		if g := tag.group; g != nil && tag.at == now && g == n.lastAdmitted &&
-			g.size == f.size && len(g.path) == len(f.path) && &g.path[0] == &f.path[0] {
-			if len(g.dones) == 0 {
-				g.dones = append(g.dones[:0], g.onDone)
-				g.onDone = nil
-			}
-			g.dones = append(g.dones, f.onDone)
-			g.mult++
-			n.liveFlows++
-			for _, c := range g.path {
-				c.live++
-			}
-			n.aggregated++
-			n.trigMask |= trigAdmit
-			if !g.pending {
-				// A mid-instant pass already rated the group; growing its
-				// multiplicity invalidates that rate, which only a full
-				// pass re-derives. The group's channels changed members, so
-				// that pass's fold re-sums them.
-				n.joinedLate = true
-				n.ffPaths = append(n.ffPaths, g.pathIDs...)
-			}
-			n.recycleFlow(f)
-			n.refreshCompletions(now)
-			n.markDirty()
-			return
+	// Join the previous admission's entry if this one exactly repeats it:
+	// both ephemeral (a handle flow's caller reads its own entry), the
+	// same instant, the same path slice and the same size. Joining only
+	// the previous admission is load-bearing for byte identity: an
+	// interleaved foreign entry would sit between the members in
+	// admission order, changing per-channel float fold order. The
+	// instant check runs first: it proves lastAdmitted was recorded at
+	// this very instant, so the pointer is alive (a non-empty flow
+	// admitted now cannot complete, compact, and be recycled before now
+	// ends — its deadline rounds up to at least one nanosecond).
+	if g := n.lastAdmitted; n.lastAdmitAt == now && g != nil && !n.reference && f.ephemeral && g.ephemeral &&
+		g.size == f.size && len(g.path) == len(f.path) && &g.path[0] == &f.path[0] {
+		if len(g.dones) == 0 {
+			g.dones = append(g.dones[:0], g.onDone)
+			g.onDone = nil
 		}
-		tag.group = f
-		tag.at = now
+		g.dones = append(g.dones, f.onDone)
+		g.mult++
+		n.liveFlows++
+		for _, c := range g.path {
+			c.live++
+		}
+		n.aggregated++
+		n.trigMask |= trigAdmit
+		if !g.pending {
+			// A mid-instant pass already rated the group; growing its
+			// multiplicity invalidates that rate, which only a full
+			// pass re-derives. The group's channels changed members, so
+			// that pass's fold re-sums them.
+			n.joinedLate = true
+			n.ffPaths = append(n.ffPaths, g.pathIDs...)
+		}
+		n.recycleFlow(f)
+		n.refreshCompletions(now)
+		n.markDirty()
+		return
 	}
 	n.flows = append(n.flows, f)
 	n.liveFlows++
 	n.admitSeq++
 	f.seq = n.admitSeq
-	n.lastAdmitted = f
+	n.lastAdmitted, n.lastAdmitAt = f, now
 	f.lastTick = now
 	f.pending = true
 	n.instAdmits = append(n.instAdmits, f)

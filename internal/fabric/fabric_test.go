@@ -675,12 +675,11 @@ func TestRareTriggerFoldMatchesReference(t *testing.T) {
 			net.Transfer([]*Channel{c.Fwd()}, 4*gib, nil)
 			group := []*Channel{b.Fwd()}
 			eng.Schedule(sim.Seconds(0.25), func() {
-				tag := new(AggTag)
 				// Zero latency: each member is admitted at this instant,
 				// after the events already queued for it.
-				net.TransferEphemeralTagged(tag, group, gib, nil)
+				net.TransferEphemeral(group, gib, nil)
 				eng.Schedule(0, func() { record(o, net) }) // rates the first member
-				net.TransferEphemeralTagged(tag, group, gib, nil)
+				net.TransferEphemeral(group, gib, nil)
 				eng.Schedule(0, func() {
 					if net.joinedLate {
 						o.lateJoins++

@@ -570,14 +570,15 @@ func checkClusteredMatchesReference(t *testing.T, seedBase int64, burst bool) {
 	}
 }
 
-// TestWorklistOracleTaggedFans checks invariants (f) and (g) on seeded
-// random schedules of tagged fans: runs of identical transfers over one
-// path slice that the fabric folds into multiplicity-counted group
-// entries, interleaved with untagged singles. Every admission instant and every
-// member completion — fan-outs included — is a checkpoint, so group
-// entries are filled whole, partly drained and mid-fan-out. The test
-// fails if nothing folded, so it cannot pass vacuously.
-func TestWorklistOracleTaggedFans(t *testing.T) {
+// TestWorklistOracleRandomFans checks invariants (f) and (g) on seeded
+// random schedules of fans: runs of identical ephemeral transfers over
+// one path slice, which the fabric folds into multiplicity-counted
+// group entries, interleaved with fans of handle flows, which it never
+// folds. Every admission instant and every member completion — fan-outs
+// included — is a checkpoint, so group entries are filled whole, partly
+// drained and mid-fan-out. The test fails if nothing folded, so it
+// cannot pass vacuously.
+func TestWorklistOracleRandomFans(t *testing.T) {
 	var folded uint64
 	for seed := 0; seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed) + 15485863))
@@ -602,15 +603,15 @@ func TestWorklistOracleTaggedFans(t *testing.T) {
 			}
 			size := float64((1 + rng.Intn(8)) * mib)
 			members := 1 + rng.Intn(6)
-			tagged := rng.Intn(4) != 0
+			ephemeral := rng.Intn(4) != 0
 			at := sim.Time(rng.Intn(2_000_000))
 			eng.Schedule(at, func() {
-				var tag *AggTag
-				if tagged {
-					tag = new(AggTag)
-				}
 				for j := 0; j < members; j++ {
-					net.StartEphemeralTagged(tag, path, size, check)
+					if ephemeral {
+						net.StartEphemeral(path, size, check)
+					} else {
+						net.StartFlow(path, size, check)
+					}
 				}
 			})
 			eng.Schedule(at+PathLatency(path)+1, check)
@@ -622,7 +623,7 @@ func TestWorklistOracleTaggedFans(t *testing.T) {
 		}
 	}
 	if folded == 0 {
-		t.Error("no tagged member folded into a group entry; the oracle check is vacuous")
+		t.Error("no member folded into a group entry; the oracle check is vacuous")
 	}
 }
 

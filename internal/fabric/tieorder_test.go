@@ -51,7 +51,6 @@ func tieOrderScript() []string {
 	foreign(s(2.5), "pre2")
 	pd, pe := path("d", gib, 0), path("e", gib, 0)
 	eng.At(s(2), func() {
-		var tag AggTag
 		for i := 0; i < 4; i++ {
 			label := fmt.Sprintf("g%d", i)
 			done := note(label)
@@ -61,7 +60,7 @@ func tieOrderScript() []string {
 					foreign(eng.Now(), "g0.onDone")
 				}
 			}
-			net.StartEphemeralTagged(&tag, pd, gib/8, done)
+			net.StartEphemeral(pd, gib/8, done)
 		}
 		net.Transfer(pe, gib/2, note("e"))
 	})

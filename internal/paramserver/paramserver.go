@@ -18,7 +18,6 @@ package paramserver
 import (
 	"fmt"
 
-	"coarse/internal/fabric"
 	"coarse/internal/model"
 	"coarse/internal/sim"
 	"coarse/internal/telemetry"
@@ -45,11 +44,11 @@ type CentralPS struct {
 	Shards int
 
 	ctx *train.Ctx
-	// trees holds each (layer, reduction tree) pair's exchange state,
-	// indexed by treeIndex. A tree member's next push of a layer waits
-	// for its pull of the current one, so one state per pair serves
-	// every iteration.
-	trees   []psTree
+	// arrived counts each (layer, reduction tree) pair's pushes landed
+	// this iteration, indexed by treeIndex. A tree member's next push of
+	// a layer waits for its pull of the current one, so one count per
+	// pair serves every iteration.
+	arrived []int
 	ops     *sim.FreeList[psOp]
 	servers []*psServer // nil in the Shards == 0 legacy mode
 
@@ -61,15 +60,6 @@ type CentralPS struct {
 type psServer struct {
 	cpu  *topology.Device
 	free sim.Time
-}
-
-// psTree is one (layer, reduction tree) pair's exchange state: the
-// pushes that have arrived this iteration, and the tag marking its pull
-// fan for aggregation (the pair pulls once per iteration, so one tag
-// serves every fan).
-type psTree struct {
-	arrived int
-	tag     fabric.AggTag
 }
 
 // treeIndex flattens a (layer, reduction tree) pair.
@@ -92,7 +82,7 @@ func (s *CentralPS) WorkerStateBytes(m *model.Model) int64 { return 2 * m.ParamB
 // Setup implements train.Strategy.
 func (s *CentralPS) Setup(ctx *train.Ctx) error {
 	s.ctx = ctx
-	s.trees = make([]psTree, len(ctx.Layers())*len(ctx.Plan().Groups()))
+	s.arrived = make([]int, len(ctx.Layers())*len(ctx.Plan().Groups()))
 	s.ops = sim.NewFreeList[psOp](ctx.Eng)
 	s.pushes = ctx.Cfg.Telemetry.Counter("ps/pushes", "ops")
 	s.pulls = ctx.Cfg.Telemetry.Counter("ps/pulls", "ops")
@@ -168,13 +158,13 @@ func (s *CentralPS) newOp(it, layer, gid, w int, size int64) *psOp {
 func (op *psOp) onPushed() {
 	s := op.s
 	ctx := s.ctx
-	tree := &s.trees[treeIndex(ctx, op.layer, op.gid)]
-	tree.arrived++
-	if tree.arrived < len(ctx.Plan().GroupMembers(op.gid)) {
+	arrived := &s.arrived[treeIndex(ctx, op.layer, op.gid)]
+	*arrived++
+	if *arrived < len(ctx.Plan().GroupMembers(op.gid)) {
 		s.ops.Put(op)
 		return
 	}
-	tree.arrived = 0
+	*arrived = 0
 	update := sim.Seconds(float64(op.size) / psUpdateBytesPerSec)
 	srv := op.srv
 	if srv == nil {
@@ -200,11 +190,9 @@ func (op *psOp) onApply() {
 	if ctx.Cfg.Numeric {
 		ctx.AverageGrads(layer)
 	}
-	// The push-back fan is emitted in one burst and may be tagged:
-	// pulls sharing a source CPU, route, and size can ride one
-	// aggregated flow (workers on distinct devices route differently
-	// and simply stay separate).
-	tag := &s.trees[treeIndex(ctx, layer, gid)].tag
+	// The push-back fan is emitted in one burst: pulls sharing a source
+	// CPU, route, and size can ride one aggregated flow (workers on
+	// distinct devices route differently and simply stay separate).
 	for _, dst := range ctx.Plan().GroupMembers(gid) {
 		dstCPU := cpu
 		if srv == nil {
@@ -212,7 +200,7 @@ func (op *psOp) onApply() {
 		}
 		s.pulls.Inc()
 		pull := s.newOp(it, layer, gid, dst, size)
-		ctx.CCI.DMACopyTagged(tag, dstCPU, ctx.Workers[dst].Dev, size, pull.pulled)
+		ctx.CCI.DMACopy(dstCPU, ctx.Workers[dst].Dev, size, pull.pulled)
 	}
 }
 

@@ -310,19 +310,12 @@ func (t *Topology) Transfer(a, b *Device, size int64, onDone func()) *fabric.Flo
 // returning a handle, letting the fabric recycle the flow record once
 // it completes and leaves every active list. Use it for
 // fire-and-forget traffic whose only observable is onDone; callers
-// that need Rate/Remaining or flow identity must use Transfer.
+// that need Rate/Remaining or flow identity must use Transfer. Routes
+// come from the topology's cache, so repeated a→b transfers share one
+// path slice, which is what lets the fabric fold a back-to-back fan of
+// them into one entry.
 func (t *Topology) TransferEphemeral(a, b *Device, size int64, onDone func()) {
 	t.Net.TransferEphemeral(t.Path(a, b), size, onDone)
-}
-
-// TransferEphemeralTagged is TransferEphemeral for one member of a
-// symmetric fan — several transfers sharing a tag, an a→b route, a
-// size, and a start instant — which the fabric may aggregate into one
-// multiplicity-counted flow (byte-identical either way; see
-// fabric.AggTag). The route cache guarantees members see the same path
-// slice, which is the identity aggregation keys on.
-func (t *Topology) TransferEphemeralTagged(tag *fabric.AggTag, a, b *Device, size int64, onDone func()) {
-	t.Net.TransferEphemeralTagged(tag, t.Path(a, b), size, onDone)
 }
 
 // PathBandwidth returns the zero-load bandwidth of the a→b route: the

@@ -2,7 +2,6 @@ package train
 
 import (
 	"coarse/internal/collective"
-	"coarse/internal/fabric"
 	"coarse/internal/parallel"
 	"coarse/internal/sim"
 	"coarse/internal/telemetry"
@@ -37,9 +36,7 @@ func commTopo(c *Ctx) parallel.CommTopo {
 // membership span: a flat ring within a node, a hierarchical reduce
 // across nodes, or the COARSE-style offload — push to the rack's CCI
 // device, reduce on the device ring, pull back — where rack-tier
-// devices sit on the path. Same-step hops across concurrent operations
-// are tagged as symmetric fans for flow aggregation (byte-identical
-// whether or not anything aggregates).
+// devices sit on the path.
 type GroupComm struct {
 	ctx     *Ctx
 	members []int
@@ -52,12 +49,6 @@ type GroupComm struct {
 	memberDev []*topology.Device // per member: its rack's pooled device
 	ringDevs  []*topology.Device // distinct devices, Machine.Devs order
 	devRing   *collective.Ring
-	pushTags  []fabric.AggTag
-	pullTags  []fabric.AggTag
-
-	// Lazily grown per-(from,to) tags shared by hierarchy sends and
-	// all-to-all exchanges.
-	pairTags map[[2]int]*fabric.AggTag
 
 	// Recycled per-call records of offloadReduce and AllToAll.
 	offloads  *sim.FreeList[offloadOp]
@@ -72,11 +63,10 @@ type GroupComm struct {
 // set.
 func newGroupComm(c *Ctx, members []int, stat *int64, hier bool) *GroupComm {
 	gc := &GroupComm{
-		ctx:      c,
-		members:  members,
-		alg:      parallel.Choose(members, commTopo(c)),
-		pairTags: make(map[[2]int]*fabric.AggTag),
-		stat:     stat,
+		ctx:     c,
+		members: members,
+		alg:     parallel.Choose(members, commTopo(c)),
+		stat:    stat,
 	}
 	gc.offloads = sim.NewFreeList[offloadOp](c.Eng)
 	gc.exchanges = sim.NewFreeList[exchangeOp](c.Eng)
@@ -114,13 +104,10 @@ func (gc *GroupComm) AttachTelemetry(reg *telemetry.Registry, prefix string) {
 func (gc *GroupComm) buildRing() {
 	c := gc.ctx
 	n := len(gc.members)
-	tags := make([][2]fabric.AggTag, n)
 	send := func(i int, reverse bool, size int64, onDone func()) {
 		j := (i + 1) % n
-		dir := 0
 		if reverse {
 			j = (i - 1 + n) % n
-			dir = 1
 		}
 		wi, wj := gc.members[i], gc.members[j]
 		// Hops go through the CCI fabric, so machines without
@@ -128,7 +115,7 @@ func (gc *GroupComm) buildRing() {
 		// hop with a chaos-silenced endpoint completes only once it
 		// wakes: the ring is synchronous, so one silent member freezes
 		// the whole step.
-		c.CCI.DMACopyTagged(&tags[i][dir], c.Workers[wi].Dev, c.Workers[wj].Dev, size, c.newHop(onDone, wi, wj))
+		c.CCI.DMACopy(c.Workers[wi].Dev, c.Workers[wj].Dev, size, c.newHop(onDone, wi, wj))
 	}
 	gc.ring = collective.NewRing(c.Eng, n, send)
 }
@@ -141,16 +128,10 @@ func (gc *GroupComm) buildHier() {
 	gc.hier = collective.NewHierarchy(c.Eng, groups, gc.pairSend)
 }
 
-// pairSend moves size bytes between two workers, tagged per route.
+// pairSend moves size bytes between two workers.
 func (gc *GroupComm) pairSend(from, to int, size int64, onDone func()) {
 	c := gc.ctx
-	key := [2]int{from, to}
-	tag := gc.pairTags[key]
-	if tag == nil {
-		tag = new(fabric.AggTag)
-		gc.pairTags[key] = tag
-	}
-	c.CCI.DMACopyTagged(tag, c.Workers[from].Dev, c.Workers[to].Dev, size, c.newHop(onDone, from, to))
+	c.CCI.DMACopy(c.Workers[from].Dev, c.Workers[to].Dev, size, c.newHop(onDone, from, to))
 }
 
 // buildOffload resolves each member's rack device (the rack's own
@@ -197,18 +178,13 @@ func (gc *GroupComm) buildOffload() {
 			gc.ringDevs = append(gc.ringDevs, d)
 		}
 	}
-	gc.pushTags = make([]fabric.AggTag, len(gc.members))
-	gc.pullTags = make([]fabric.AggTag, len(gc.members))
-	devTags := make([][2]fabric.AggTag, len(gc.ringDevs))
 	p := len(gc.ringDevs)
 	send := func(i int, reverse bool, size int64, onDone func()) {
 		j := (i + 1) % p
-		dir := 0
 		if reverse {
 			j = (i - 1 + p) % p
-			dir = 1
 		}
-		c.CCI.DMACopyTagged(&devTags[i][dir], gc.ringDevs[i], gc.ringDevs[j], size, onDone)
+		c.CCI.DMACopy(gc.ringDevs[i], gc.ringDevs[j], size, onDone)
 	}
 	gc.devRing = collective.NewRing(c.Eng, p, send)
 }
@@ -245,7 +221,7 @@ func (gc *GroupComm) offloadReduce(bytes int64, onDone func()) {
 	}
 	op.bytes, op.left, op.onDone = bytes, len(gc.members), onDone
 	for i, w := range gc.members {
-		c.CCI.DMACopyTagged(&gc.pushTags[i], c.Workers[w].Dev, gc.memberDev[i], bytes, c.newHop(op.pushed, w))
+		c.CCI.DMACopy(c.Workers[w].Dev, gc.memberDev[i], bytes, c.newHop(op.pushed, w))
 	}
 }
 
@@ -272,7 +248,7 @@ func (op *offloadOp) pull() {
 	c := gc.ctx
 	op.left = len(gc.members)
 	for i, w := range gc.members {
-		c.CCI.DMACopyTagged(&gc.pullTags[i], gc.memberDev[i], c.Workers[w].Dev, op.bytes, c.newHop(op.pulled, w))
+		c.CCI.DMACopy(gc.memberDev[i], c.Workers[w].Dev, op.bytes, c.newHop(op.pulled, w))
 	}
 }
 

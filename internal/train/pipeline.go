@@ -16,7 +16,7 @@ import (
 // data-parallel layout that is one microbatch through every layer:
 // forward gated per layer on the strategy's latches, then backward,
 // handing each gradient to the strategy as it is produced.
-// Activations cross stage boundaries as tagged DMA transfers that open
+// Activations cross stage boundaries as DMA transfers that open
 // the receiver's per-microbatch latch; tensor-parallel groups
 // rendezvous for per-layer activation all-reduces; expert-parallel MoE
 // layers rendezvous for seeded top-k routed all-to-alls. Gradient
@@ -404,7 +404,7 @@ func (r *pipeWorker) fwdLayer(idx int) {
 			size := t.plan.BoundaryBytes(r.c.PP) * int64(r.mbSize)
 			t.stats.PPActs += size
 			lat := t.pipeLatch(next, r.it, r.mb, 0)
-			ctx.CCI.DMACopyTagged(&t.actTags[r.w], r.g.Dev, ctx.Workers[next].Dev, size, t.opener(lat))
+			ctx.CCI.DMACopy(r.g.Dev, ctx.Workers[next].Dev, size, t.opener(lat))
 		}
 		r.done()
 		return
@@ -471,7 +471,7 @@ func (r *pipeWorker) bwdLayer(idx int) {
 			size := t.plan.BoundaryBytes(r.c.PP-1) * int64(r.mbSize)
 			t.stats.PPActs += size
 			lat := t.pipeLatch(prev, r.it, r.mb, 1)
-			ctx.CCI.DMACopyTagged(&t.gradTags[r.w], r.g.Dev, ctx.Workers[prev].Dev, size, t.opener(lat))
+			ctx.CCI.DMACopy(r.g.Dev, ctx.Workers[prev].Dev, size, t.opener(lat))
 		}
 		r.done()
 		return

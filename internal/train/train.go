@@ -386,9 +386,9 @@ type Trainer struct {
 	// data-parallel layouts). Beside it: the communication totals, the
 	// communicator and rendezvous-group caches, the free lists of the
 	// pipeline's rendezvous, routing and boundary-latch records, the
-	// pipeline's per-(worker, iteration, microbatch) boundary latches and
-	// transfer tags (PP > 1 only), and the per-layer microbatch counts
-	// (Micro > 1 only).
+	// pipeline's per-(worker, iteration, microbatch) boundary latches
+	// (PP > 1 only), and the per-layer microbatch counts (Micro > 1
+	// only).
 	plan        *parallel.Plan
 	stats       CommStats
 	syncComms   map[int]*GroupComm
@@ -399,8 +399,6 @@ type Trainer struct {
 	opens       *sim.FreeList[latchOpen]
 	moeRand     *rand.Rand // MoE routing's generator, built on first use
 	pipeLatches []Latch
-	actTags     []fabric.AggTag
-	gradTags    []fabric.AggTag
 	gradCount   [][]int // per worker, per stage-local layer, microbatches done
 
 	dump *telemetry.Dump // built by Run when Cfg.Telemetry is set
@@ -453,7 +451,9 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 		}
 		wm := stageModels[s]
 		inflight := min(plan.Micro, plan.PP-s)
-		acts := int64(float64(wm.ActBytes()*int64(mbSize*inflight)) * frameworkActOverhead)
+		// Saturated, not wrapped: a batch or model too large for any
+		// memory must fail the fit below.
+		acts := int64(min(float64(wm.ActBytes())*float64(mbSize*inflight)*frameworkActOverhead, 1<<62))
 		if err := g.Alloc(strat.WorkerStateBytes(wm) + acts); err != nil {
 			if cfg.Layout.Trivial() {
 				return nil, fmt.Errorf("%s replica (batch %d) does not fit: %w", cfg.Model.Name, cfg.Batch, err)
@@ -505,8 +505,6 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 	}
 	if plan.PP > 1 {
 		tr.pipeLatches = make([]Latch, len(ctx.Workers)*cfg.Iterations*plan.Micro*2)
-		tr.actTags = make([]fabric.AggTag, len(ctx.Workers))
-		tr.gradTags = make([]fabric.AggTag, len(ctx.Workers))
 	}
 	if plan.Micro > 1 {
 		tr.gradCount = make([][]int, len(ctx.Workers))
