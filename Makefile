@@ -57,10 +57,10 @@ bench-module:
 BENCH_WORKLOADS = paper-fig16 scale-512 layouts-3d serve-kv
 BENCH_MEM_METRICS = allocs_k alloc_mb heap_live_mb
 BENCH_ALLOCS_GO = go1.24.0
-BENCH_CEILINGS = paper-fig16:allocs_k:72.5 paper-fig16:alloc_mb:5.63 \
-	scale-512:allocs_k:563.8 scale-512:alloc_mb:49.16 \
-	layouts-3d:allocs_k:327.2 layouts-3d:alloc_mb:23.07 \
-	serve-kv:allocs_k:59.8 serve-kv:alloc_mb:2.78
+BENCH_CEILINGS = paper-fig16:allocs_k:57.6 paper-fig16:alloc_mb:5.37 \
+	scale-512:allocs_k:269.4 scale-512:alloc_mb:43.79 \
+	layouts-3d:allocs_k:191.5 layouts-3d:alloc_mb:20.68 \
+	serve-kv:allocs_k:58.8 serve-kv:alloc_mb:2.76
 
 bench-e2e:
 	@gover=$$(GOTOOLCHAIN=local go env GOVERSION); \

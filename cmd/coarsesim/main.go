@@ -302,11 +302,18 @@ func checkChaos(intensity, horizon float64, faults int) error {
 		return nil
 	case !(horizon > 0) || math.IsInf(horizon, 1):
 		return fmt.Errorf("-chaos-horizon %v: want a finite span above 0 seconds", horizon)
-	case faults < 1:
-		return fmt.Errorf("-chaos-faults %d: want at least 1", faults)
+	case faults < 1 || faults > maxChaosFaults:
+		return fmt.Errorf("-chaos-faults %d: want 1..%d", faults, maxChaosFaults)
 	}
 	return nil
 }
+
+// maxChaosFaults bounds -chaos-faults. The profile compiles into one
+// fault record per window and kind before the run starts, and each
+// window schedules its own events, so a count near math.MaxInt
+// exhausts host memory up front. 65,536 windows per kind is already
+// far denser than the chaos studies' few per run.
+const maxChaosFaults = 1 << 16
 
 // printServe prints a serving run's summary: goodput, SLO attainment,
 // and the TTFT/TPOT percentile rows.

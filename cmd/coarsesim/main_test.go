@@ -21,6 +21,13 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{args: "-batch -3", code: 1, stderr: "batch -3"},
 		{args: "-batch 0", code: 1, stderr: "batch 0"},
 		{args: "-jitter -0.5", code: 1, stderr: "jitter -0.5"},
+		// Bounds that keep a run inside host memory and the simulated
+		// clock: each of these once ran out of memory or wrapped.
+		{args: "-iters 100000000000 -strategy AllReduce -machine sdsc -model mlp:2,2", code: 1, stderr: "iterations 100000000000: want 1..65536"},
+		{args: "-iters 65537 -strategy AllReduce", code: 1, stderr: "iterations 65537"},
+		{args: "-jitter 1e12", code: 1, stderr: "jitter 1e+12: want 0..1000"},
+		{args: "-chaos-intensity 0.5 -chaos-faults 100000000", code: 1, stderr: "-chaos-faults 100000000: want 1..65536"},
+		{args: "-workload serve -chaos-intensity 0.5 -chaos-faults 65537", code: 1, stderr: "-chaos-faults 65537"},
 		{args: "-strategy bogus", code: 1, stderr: `unknown strategy "bogus"`},
 		{args: "-machine nope", code: 1, stderr: `unknown machine "nope" (have multi, sdsc, t4, v100, v100-2to1, v100-nvlink)`},
 		{args: "-model nope", code: 1, stderr: `unknown model "nope"`},

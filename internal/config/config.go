@@ -31,13 +31,29 @@ type Scenario struct {
 	Model string `json:"model"`
 	// Batch is the per-GPU batch size.
 	Batch int `json:"batch"`
-	// Iterations is the simulated iteration count.
+	// Iterations is the simulated iteration count, 1..65,536.
 	Iterations int `json:"iterations"`
 	// Strategies lists the schemes to run; empty means all four.
 	Strategies []string `json:"strategies,omitempty"`
-	// ComputeJitter spreads per-worker compute speed (stragglers).
+	// ComputeJitter spreads per-worker compute speed (stragglers),
+	// 0..1000.
 	ComputeJitter float64 `json:"compute_jitter,omitempty"`
 }
+
+// maxIterations bounds Scenario.Iterations. The trainer sizes its
+// per-iteration state up front (an end time per iteration, a latch per
+// worker, layer and iteration), so a count near math.MaxInt exhausts
+// host memory before the first event. 65,536 iterations is far past
+// any experiment here: the paper's runs take a handful.
+const maxIterations = 1 << 16
+
+// maxComputeJitter bounds Scenario.ComputeJitter, under which the
+// slowest worker computes (1+jitter)x slower than worker 0. Every
+// compute time must fit the simulated clock (2^63 ns, ~292 years): the
+// slowest preset iteration is ~8 s (vgg16 on t4 at the largest batch
+// whose activations fit), and 1,001 x 8 s x maxIterations is ~5e8 s,
+// a 17x margin; a jitter of 1e12 would wrap compute times negative.
+const maxComputeJitter = 1000
 
 // SpecOverrides are optional machine-parameter overrides, in the
 // paper's units (GB/s for bandwidths, ns for latencies).
@@ -91,16 +107,16 @@ func (s *Scenario) Validate() error {
 	if s.Batch < 1 {
 		return fmt.Errorf("config: batch %d: want at least 1", s.Batch)
 	}
-	if s.Iterations < 1 {
-		return fmt.Errorf("config: iterations %d: want at least 1", s.Iterations)
+	if s.Iterations < 1 || s.Iterations > maxIterations {
+		return fmt.Errorf("config: iterations %d: want 1..%d", s.Iterations, maxIterations)
 	}
 	for _, st := range s.Strategies {
 		if _, err := Strategy(st); err != nil {
 			return err
 		}
 	}
-	if !(s.ComputeJitter >= 0) || math.IsInf(s.ComputeJitter, 1) {
-		return fmt.Errorf("config: compute jitter %v: want a finite value >= 0", s.ComputeJitter)
+	if !(s.ComputeJitter >= 0 && s.ComputeJitter <= maxComputeJitter) {
+		return fmt.Errorf("config: compute jitter %v: want 0..%d", s.ComputeJitter, maxComputeJitter)
 	}
 	return nil
 }

@@ -163,6 +163,14 @@ func TestValidateRejectsIgnoredOrWrappedValues(t *testing.T) {
 		{"mlp one parameter past the largest", `{"machine":"v100","model":"mlp:144115188075855871,1","batch":2,"iterations":2}`, false},
 		{"mlp whose parameter count wraps", `{"machine":"v100","model":"mlp:4000000000,4000000000,10","batch":2,"iterations":2}`, false},
 		{"mlp whose layer width wraps", `{"machine":"v100","model":"mlp:9223372036854775807,1","batch":2,"iterations":2}`, false},
+		// Iteration counts the trainer's per-iteration tables hold, and
+		// jitter that keeps every compute time on the simulated clock.
+		{"largest iteration count", `{"machine":"sdsc","model":"mlp:2,2","batch":2,"iterations":65536}`, true},
+		{"one iteration past the largest", `{"machine":"sdsc","model":"mlp:2,2","batch":2,"iterations":65537}`, false},
+		{"iterations exhausting host memory", `{"machine":"sdsc","model":"mlp:2,2","batch":2,"iterations":100000000000}`, false},
+		{"largest compute jitter", `{"machine":"v100",` + base + `,"compute_jitter":1000}`, true},
+		{"compute jitter past the largest", `{"machine":"v100",` + base + `,"compute_jitter":1000.0001}`, false},
+		{"compute jitter wrapping compute times", `{"machine":"v100",` + base + `,"compute_jitter":1e12}`, false},
 	} {
 		s, err := Read(strings.NewReader(tc.js))
 		if (err == nil) != tc.ok {
@@ -195,6 +203,9 @@ func FuzzScenarioRead(f *testing.F) {
 		`{"machine":"v100","model":"mlp:5,x","batch":2,"iterations":2}`,
 		`{"machine":"v100","model":"mlp:4000000000,4000000000,10","batch":2,"iterations":2}`,
 		`{"machine":"multi","nodes":2000000,"model":"vgg16","batch":1,"iterations":1}`,
+		`{"machine":"sdsc","model":"mlp:2,2","batch":2,"iterations":100000000000}`,
+		`{"machine":"sdsc","model":"mlp:2,2","batch":2,"iterations":65536,"compute_jitter":1000}`,
+		`{"machine":"v100","model":"bert-base","batch":2,"iterations":2,"compute_jitter":1e12}`,
 		`{"machine":"v100"} trailing`,
 		`not json`,
 		``,
@@ -227,6 +238,9 @@ func FuzzScenarioRead(f *testing.F) {
 		}
 		if spec.NodeCount > maxNodes {
 			t.Fatalf("accepted scenario builds %d nodes", spec.NodeCount)
+		}
+		if s.Iterations > maxIterations || s.ComputeJitter > maxComputeJitter {
+			t.Fatalf("accepted scenario runs %d iterations at jitter %g", s.Iterations, s.ComputeJitter)
 		}
 	})
 }

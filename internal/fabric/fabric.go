@@ -173,6 +173,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -288,7 +289,7 @@ func (l *Link) Rev() *Channel { return l.rev }
 type Flow struct {
 	id        uint64
 	path      []*Channel
-	pathIDs   []int32 // dense channel ids of path, the reallocate view
+	pathIDs   []int32 // dense channel ids of path, the reallocate view; kept across recycles
 	size      float64 // per member
 	remaining float64 // per member (members stay bitwise identical)
 	rate      float64 // per member
@@ -308,7 +309,7 @@ type Flow struct {
 	finish    sim.Time
 
 	mult     int      // live members sharing this entry (1 = plain flow)
-	dones    []func() // per-member onDone once a second member joins
+	dones    []func() // per-member onDone once a second member joins; a spare buffer (see spareDones)
 	doneBase int      // index into dones of the first still-live member
 	doneRank uint64   // completion rank; group members fan out at doneRank+1..+mult-1
 	bneck    int32    // channel that froze this entry when last rated, -1 none
@@ -418,6 +419,14 @@ type Network struct {
 
 	flowPool *sim.FreeList[Flow] // recycled ephemeral flows
 	flushFn  func()              // n.flush, bound once: the end-of-instant hook
+
+	// Capacities that Flow.pathIDs and Flow.dones are allocated at:
+	// the longest path and the largest group seen so far, rounded up
+	// by pow2. A recycled record keeps its pathIDs buffer; a finished
+	// group's dones buffer returns to spareDone (see spareDones).
+	pathIDsCap int
+	donesCap   int
+	spareDone  [][]func()
 }
 
 // Trigger kinds accumulated in trigMask between reallocation passes.
@@ -598,6 +607,10 @@ func (n *Network) start(f *Flow, path []*Channel, size float64, onDone func()) {
 	n.nextID++
 	f.id = n.nextID
 	f.path = path
+	if cap(f.pathIDs) < len(path) {
+		n.pathIDsCap = max(n.pathIDsCap, pow2(len(path)))
+		f.pathIDs = make([]int32, 0, n.pathIDsCap)
+	}
 	f.pathIDs = f.pathIDs[:0]
 	for _, c := range path {
 		f.pathIDs = append(f.pathIDs, c.id)
@@ -667,10 +680,10 @@ func (n *Network) admit(f *Flow) {
 	if g := n.lastAdmitted; n.lastAdmitAt == now && g != nil && !n.reference && f.ephemeral && g.ephemeral &&
 		g.size == f.size && len(g.path) == len(f.path) && &g.path[0] == &f.path[0] {
 		if len(g.dones) == 0 {
-			g.dones = append(g.dones[:0], g.onDone)
+			g.dones = append(n.growDones(n.spareDones(), 2), g.onDone)
 			g.onDone = nil
 		}
-		g.dones = append(g.dones, f.onDone)
+		g.dones = append(n.growDones(g.dones, g.mult+1), f.onDone)
 		g.mult++
 		n.liveFlows++
 		for _, c := range g.path {
@@ -1566,9 +1579,29 @@ func (n *Network) completeMember(f *Flow, j int) {
 	// skip check regardless of whether the entry is drained.
 	n.ffPaths = append(n.ffPaths, f.pathIDs...)
 	n.trigMask |= trigComplete
+	// Take the member's callback before the entry's dones buffer is
+	// handed on below.
+	var done func()
+	if len(f.dones) > 0 {
+		done = f.dones[j]
+		f.dones[j] = nil
+	} else {
+		done = f.onDone
+		f.onDone = nil // a recycled flow keeps nothing its callback captured
+	}
 	if f.mult == 0 {
 		if n.groupObs != nil && len(f.dones) > 1 {
 			n.groupObs(len(f.dones))
+		}
+		// Every member's callback has been taken: hand the buffer on
+		// now, not when the entry's tombstones are compacted. One
+		// sized before the largest group so far was seen is dropped,
+		// so every spare fits any group.
+		if f.dones != nil {
+			if cap(f.dones) == n.donesCap {
+				n.spareDone = append(n.spareDone, f.dones[:0])
+			}
+			f.dones = nil
 		}
 		f.remaining = 0
 		f.finished = true
@@ -1600,14 +1633,6 @@ func (n *Network) completeMember(f *Flow, j int) {
 	}
 	n.refreshCompletions(now)
 	n.markDirty()
-	var done func()
-	if len(f.dones) > 0 {
-		done = f.dones[j]
-		f.dones[j] = nil
-	} else {
-		done = f.onDone
-		f.onDone = nil // a recycled flow keeps nothing its callback captured
-	}
 	if done != nil {
 		done()
 	}
@@ -1638,11 +1663,9 @@ func (n *Network) compactList(s []*Flow) []*Flow {
 func (n *Network) newFlow() *Flow {
 	if f := n.flowPool.Get(); f != nil {
 		ids := f.pathIDs[:0] // keep the path-id buffer across recycles
-		dones := f.dones[:0] // likewise the member-onDone buffer
 		fire := f.fire       // and the bound callback
 		*f = Flow{}
 		f.pathIDs = ids
-		f.dones = dones
 		f.fire = fire
 		return f
 	}
@@ -1651,7 +1674,46 @@ func (n *Network) newFlow() *Flow {
 	return f
 }
 
+// pow2 rounds n up to a power of two: at least the capacity append's
+// doubling would reach, and a size class of its own.
+func pow2(n int) int { return 1 << bits.Len(uint(n-1)) }
+
 func (n *Network) recycleFlow(f *Flow) { n.flowPool.Put(f) }
+
+// growDones returns s with capacity for need group members,
+// reallocating it at donesCap when short. A need above donesCap first
+// raises donesCap to need rounded up to a power of two and drops the
+// spare buffers, which are now too small.
+func (n *Network) growDones(s []func(), need int) []func() {
+	if cap(s) >= need {
+		return s
+	}
+	if need > n.donesCap {
+		n.donesCap = pow2(need)
+		clear(n.spareDone)
+		n.spareDone = n.spareDone[:0]
+	}
+	grown := make([]func(), len(s), n.donesCap)
+	copy(grown, s)
+	return grown
+}
+
+// spareDones pops a spare dones buffer, or returns nil when none is
+// left. Buffers stay with the network rather than with the records
+// that led groups: the LIFO flow pool makes a different record the
+// leader from one iteration to the next, and a buffer kept on its
+// record would sit in the pool, so every record that ever led a group
+// would need one of its own.
+func (n *Network) spareDones() []func() {
+	k := len(n.spareDone)
+	if k == 0 {
+		return nil
+	}
+	buf := n.spareDone[k-1]
+	n.spareDone[k-1] = nil
+	n.spareDone = n.spareDone[:k-1]
+	return buf
+}
 
 // SetLinkCapacity changes a link's per-direction capacities at the
 // current virtual time — a degraded lane, a throttled switch port, a

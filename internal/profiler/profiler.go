@@ -70,6 +70,11 @@ type Profiler struct {
 	SweepSizes []int64
 	// SaturationFrac defines "full bandwidth" for the S' search.
 	SaturationFrac float64
+
+	// done is the running probe's completion time, which onDone (bound
+	// once to p.finish) records, so a probe allocates no closure.
+	done   sim.Time
+	onDone func()
 }
 
 // New returns a profiler with the paper's probe ladder (4 KiB ... 64 MiB).
@@ -95,15 +100,21 @@ func (p *Profiler) probe(src, dst *topology.Device, size int64) sim.Time {
 		// don't disqualify the engine from offline profiling.
 		panic("profiler: engine busy; offline profiling requires an idle engine")
 	}
+	if p.onDone == nil {
+		p.onDone = p.finish
+	}
 	start := eng.Now()
-	var done sim.Time = -1
-	p.Fabric.DMACopy(src, dst, size, func() { done = eng.Now() })
+	p.done = -1
+	p.Fabric.DMACopy(src, dst, size, p.onDone)
 	eng.Run()
-	if done < 0 {
+	if p.done < 0 {
 		panic(fmt.Sprintf("profiler: probe %s->%s never completed", src, dst))
 	}
-	return done - start
+	return p.done - start
 }
+
+// finish records the running probe's completion time.
+func (p *Profiler) finish() { p.done = p.Fabric.Topo.Eng.Now() }
 
 // Measure profiles one client against one proxy endpoint.
 func (p *Profiler) Measure(client, proxy *topology.Device) Measurement {
@@ -131,7 +142,7 @@ func (p *Profiler) BuildTable(client *topology.Device, proxies []*topology.Devic
 	if len(proxies) == 0 {
 		panic("profiler: no proxies")
 	}
-	t := Table{}
+	t := Table{Measurements: make([]Measurement, 0, len(proxies))}
 	for i, proxy := range proxies {
 		m := p.Measure(client, proxy)
 		m.Proxy = i
@@ -182,7 +193,7 @@ func AnalyticTableFrac(f *cci.Fabric, client *topology.Device, proxies []*topolo
 	if len(proxies) == 0 {
 		panic("profiler: no proxies")
 	}
-	t := Table{}
+	t := Table{Measurements: make([]Measurement, 0, len(proxies))}
 	for i, proxy := range proxies {
 		m := Measurement{
 			Proxy:     i,

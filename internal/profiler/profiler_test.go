@@ -257,3 +257,23 @@ func TestAnalyticTableFracMonotone(t *testing.T) {
 		prev = table.PartitionBytes
 	}
 }
+
+// TestMeasureAllocatesNothingWarm: once a client–proxy pair has been
+// probed a few times, so its route is cached and the engine's, the
+// fabric's and the DMA engine's free lists hold every record a probe
+// uses, probing it again allocates nothing. COARSE probes every
+// client–proxy pair before training, so one allocation per probe
+// costs ~96k objects per COARSE cell on a 512-worker machine.
+func TestMeasureAllocatesNothingWarm(t *testing.T) {
+	rack := topology.ScaleSpec{Racks: 2, NodesPerRack: 2, GPUsPerNode: 2, MemDevs: 2, MemDevTier: topology.TierRack}
+	for _, spec := range []topology.Spec{topology.AWSV100(), topology.AWST4(), rack.Generate()} {
+		m, p := rig(t, spec)
+		client, proxy := m.Workers[0], m.Devs[len(m.Devs)-1]
+		for range 8 {
+			p.Measure(client, proxy)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { p.Measure(client, proxy) }); allocs != 0 {
+			t.Errorf("%s: a warm Measure allocates %v objects (%v per probe), want 0", spec.Label, allocs, allocs/2)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -103,28 +104,59 @@ func TestGenerateRouting(t *testing.T) {
 }
 
 // TestPathUncachedAllocs pins that deriving a route from a source's
-// cached shortest-path tree allocates only the returned path, built at
-// its exact length.
+// cached shortest-path tree allocates nothing beyond the shared path
+// chunk it is carved from: materializing the route over and over
+// allocates exactly one object per chunk started, chunks grow, and
+// every copy is the same route at exact capacity. Mallocs also counts
+// the runtime's own allocations, which the race detector now and then
+// adds, so a count that differs is measured again, up to three times.
 func TestPathUncachedAllocs(t *testing.T) {
 	g := ScaleSpec{Racks: 2, NodesPerRack: 2, GPUsPerNode: 2, MemDevs: 3, MemDevTier: TierRack}
-	m := Build(sim.NewEngine(), g.Generate())
-	a, b := m.Workers[0], m.Workers[len(m.Workers)-1]
-	want := m.Path(a, b) // builds a's tree and caches the route
-	sr := m.routes[a.ID]
-	var got []*fabric.Channel
-	allocs := testing.AllocsPerRun(100, func() {
-		delete(sr.paths, int32(b.ID))
-		got = m.Path(a, b)
-	})
-	if allocs != 1 {
-		t.Fatalf("uncached Path allocates %v objects, want 1 (the path)", allocs)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 400
+	var want []*fabric.Channel
+	var paths [][]*fabric.Channel
+	var mallocs uint64
+	chunks := 0
+	for attempt := 0; attempt < 3; attempt++ {
+		m := Build(sim.NewEngine(), g.Generate())
+		a, b := m.Workers[0], m.Workers[len(m.Workers)-1]
+		want = m.Path(a, b) // builds a's tree and caches the route
+		sr := m.routes[a.ID]
+		paths = make([][]*fabric.Channel, 0, runs)
+		chunks = 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			delete(sr.paths, int32(b.ID))
+			free := len(m.pathFree)
+			paths = append(paths, m.Path(a, b))
+			if len(m.pathFree) != free-len(want) { // not carved from the old tail
+				chunks++
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if mallocs = after.Mallocs - before.Mallocs; mallocs == uint64(chunks) {
+			break
+		}
 	}
-	if len(got) != len(want) || cap(got) != len(got) {
-		t.Fatalf("path len %d cap %d, want len %d at exact capacity", len(got), cap(got), len(want))
+	if mallocs != uint64(chunks) {
+		t.Fatalf("%d uncached Paths allocate %d objects, want %d (one per chunk started)", runs, mallocs, chunks)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("hop %d: %s, want %s", i, got[i].Name(), want[i].Name())
+	if chunks == 0 || chunks > 10 {
+		t.Fatalf("%d uncached Paths of %d hops start %d chunks, want 1..10 (chunks double)", runs, len(want), chunks)
+	}
+	for i, got := range paths {
+		if len(got) != len(want) || cap(got) != len(got) {
+			t.Fatalf("path %d: len %d cap %d, want len %d at exact capacity", i, len(got), cap(got), len(want))
+		}
+		for h := range want {
+			if got[h] != want[h] {
+				t.Fatalf("path %d hop %d: %s, want %s", i, h, got[h].Name(), want[h].Name())
+			}
+		}
+		if i > 0 && &got[0] == &paths[i-1][0] {
+			t.Fatalf("paths %d and %d share storage", i-1, i)
 		}
 	}
 }

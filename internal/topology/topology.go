@@ -77,9 +77,19 @@ type Topology struct {
 	Net *fabric.Network
 
 	devices  []*Device
-	adj      [][]edge // indexed by device ID, kept sorted by peer ID
-	routes   map[int]*sourceRoutes
+	adj      [][]edge        // indexed by device ID, kept sorted by peer ID
+	routes   []*sourceRoutes // indexed by source device ID; nil until its first query
 	linkEnds map[*fabric.Link][2]*Device
+
+	// Materialized paths are carved from shared chunks of channel
+	// pointers rather than allocated one by one: pathFree is the
+	// current chunk's unused tail, and pathChunk the length of the
+	// last chunk cut. Chunks double from minPathChunk up to
+	// maxPathChunk, so a small machine holds a few hundred bytes of
+	// route storage and a rack-scale one allocates a chunk per ~600
+	// routes, not one slice per route.
+	pathFree  []*fabric.Channel
+	pathChunk int
 
 	// BFS scratch, reused across route queries: a generated multi-rack
 	// cell runs one BFS per source device, and per-call allocation of
@@ -118,20 +128,27 @@ type Topology struct {
 // materialization as the predecessor's first adjacency entry pointing
 // at the device — adjacency lists are sorted with parallel links in
 // stable creation order, so that first entry is exactly the one whose
-// visit set the predecessor. Materialized paths live in a map because
-// a source routes to a handful of destinations, not to every device
-// on the machine.
+// visit set the predecessor. A source routes to a handful of
+// destinations, not to every device on the machine, so its
+// materialized paths are indexed by a map from destination ID; each
+// path is carved from the topology's shared chunks (see carvePath).
 type sourceRoutes struct {
 	prev  []int32 // predecessor device ID per device ID; -1 if unreached
 	paths map[int32][]*fabric.Channel
 }
+
+// Path chunk lengths, in channel pointers: the first chunk holds a few
+// preset routes, and the cap keeps a chunk within 32 KiB.
+const (
+	minPathChunk = 16
+	maxPathChunk = 4096
+)
 
 // New creates an empty topology bound to a fresh network on eng.
 func New(eng *sim.Engine) *Topology {
 	return &Topology{
 		Eng:          eng,
 		Net:          fabric.NewNetwork(eng),
-		routes:       make(map[int]*sourceRoutes),
 		linkEnds:     make(map[*fabric.Link][2]*Device),
 		P2PSupported: true,
 	}
@@ -174,7 +191,7 @@ func (t *Topology) Connect(a, b *Device, fwdCap, revCap float64, latency sim.Tim
 	t.insertEdge(a.ID, edge{link: l, peer: b, fwd: true})
 	t.insertEdge(b.ID, edge{link: l, peer: a, fwd: false})
 	t.linkEnds[l] = [2]*Device{a, b}
-	t.routes = make(map[int]*sourceRoutes) // invalidate cache
+	t.routes = nil // invalidate cache
 	return l
 }
 
@@ -201,10 +218,14 @@ func (t *Topology) insertEdge(id int, e edge) {
 //
 // Routing is cached per source: the first query from a runs one BFS
 // that fixes the predecessor of every reachable device, then every
-// destination's path is materialized from that tree on first use. The
-// per-pair work — and the per-frontier-node adjacency copy and sort
-// the old router paid — is gone; a generated cell routes from each
-// worker once, not once per peer. The tree a full BFS fixes for
+// destination's path is materialized from that tree on first use,
+// into a shared path chunk (see carvePath). Each (source, destination)
+// pair gets exactly one slice, which every later query returns: the
+// fabric's aggregation join compares paths by their first element's
+// address. The per-pair work — and the per-frontier-node adjacency
+// copy and sort the old router paid — is gone; a generated cell
+// routes from each worker once, not once per peer. The tree a full
+// BFS fixes for
 // devices at depth <= depth(b) is exactly what the early-terminating
 // per-pair BFS computed (a device's predecessor is set by its first
 // visitor, which later levels cannot change), so every returned path
@@ -213,8 +234,11 @@ func (t *Topology) Path(a, b *Device) []*fabric.Channel {
 	if a == b {
 		panic("topology: path to self")
 	}
-	sr, ok := t.routes[a.ID]
-	if !ok {
+	if len(t.routes) != len(t.devices) {
+		t.routes = make([]*sourceRoutes, len(t.devices))
+	}
+	sr := t.routes[a.ID]
+	if sr == nil {
 		sr = t.bfs(a)
 		t.routes[a.ID] = sr
 	}
@@ -232,7 +256,7 @@ func (t *Topology) Path(a, b *Device) []*fabric.Channel {
 	for cur := int32(b.ID); cur != src; cur = sr.prev[cur] {
 		hops++
 	}
-	path := make([]*fabric.Channel, hops)
+	path := t.carvePath(hops)
 	cur := int32(b.ID)
 	for i := hops - 1; i >= 0; i-- {
 		pred := sr.prev[cur]
@@ -252,6 +276,20 @@ func (t *Topology) Path(a, b *Device) []*fabric.Channel {
 		cur = pred
 	}
 	sr.paths[int32(b.ID)] = path
+	return path
+}
+
+// carvePath returns room for an n-hop path cut from the current chunk,
+// starting a chunk twice as long as the last when it runs out. The
+// slice's capacity is exactly n, so no caller's append can write into
+// the next route carved after it.
+func (t *Topology) carvePath(n int) []*fabric.Channel {
+	if len(t.pathFree) < n {
+		t.pathChunk = min(max(2*t.pathChunk, minPathChunk), maxPathChunk)
+		t.pathFree = make([]*fabric.Channel, max(t.pathChunk, n))
+	}
+	path := t.pathFree[:n:n]
+	t.pathFree = t.pathFree[n:]
 	return path
 }
 

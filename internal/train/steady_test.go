@@ -28,9 +28,20 @@ func steadyCases() []steadyCase {
 	mlp := model.MLP("steady", 64, 48, 32, 16)
 	moe := model.MoETransformer("steady-moe", 2, 128, 256, 4, 2, 32)
 	allReduce := func() train.Strategy { return train.NewAllReduce() }
+	coarse := func() train.Strategy { return core.New(core.DefaultOptions()) }
+	// The smallest rack-tier machine: two racks of one single-GPU node.
+	rack := topology.ScaleSpec{Racks: 2, NodesPerRack: 1, GPUsPerNode: 1, MemDevs: 2, MemDevTier: topology.TierRack}.Generate()
 	return []steadyCase{
 		{"AllReduce", topology.AWSV100(), mlp, 2, parallel.Layout{}, allReduce},
-		{"COARSE", topology.AWSV100(), mlp, 2, parallel.Layout{}, func() train.Strategy { return core.New(core.DefaultOptions()) }},
+		{"COARSE", topology.AWSV100(), mlp, 2, parallel.Layout{}, coarse},
+		// COARSE on the T4 machine folds same-instant transfers into
+		// groups whose leaders change from one iteration to the next,
+		// which pins that group members' callback buffers are reused.
+		{"COARSE-groups", topology.AWST4(), mlp, 2, parallel.Layout{}, coarse},
+		// On a rack machine the pooled flow records carry paths of
+		// several lengths, which pins that a recycled record's channel-id
+		// buffer never grows again.
+		{"COARSE-rack", rack, pipeDense(), 2, parallel.Layout{}, coarse},
 		{"DENSE", topology.AWSV100(), mlp, 2, parallel.Layout{}, func() train.Strategy { return paramserver.NewDENSE() }},
 		{"CentralPS", topology.AWSV100(), mlp, 2, parallel.Layout{}, func() train.Strategy { return paramserver.NewCentralPS() }},
 		{"pp", pipeSpec(), pipeDense(), 4, parallel.Layout{PP: 2, Micro: 2}, allReduce},
