@@ -46,25 +46,26 @@ bench-module:
 # but not judged. Each workload's allocation metrics are printed on a
 # line of their own, so logs show allocation drift at a glance
 # (training cells repeat them to 0.01%, alloc_mb to 0.1%). On the Go
-# release named by BENCH_ALLOCS_GO, each workload's allocs_k and
-# alloc_mb must also stay at or below their ceilings in BENCH_CEILINGS
-# (workload:metric:ceiling): the seed-1 value measured on that release,
-# plus the benchmark's 3% bound on both metrics. Allocation counts can
+# release named by BENCH_ALLOCS_GO, each workload's allocs_k, alloc_mb
+# and heap_live_mb must also stay at or below their ceilings in
+# BENCH_CEILINGS (workload:metric:ceiling): the seed-1 value measured
+# on that release, plus the benchmark's bound on that metric (3% on
+# allocs_k and alloc_mb, 5% on heap_live_mb). Allocation counts can
 # move with the Go release, so on any other release (as reported by
 # the go that benchmark/run.sh builds with) the ceilings are not
 # applied and the target says so. A change that lowers a workload's
-# allocations for good lowers its ceilings too.
+# allocations or live heap for good lowers its ceilings too.
 BENCH_WORKLOADS = paper-fig16 scale-512 layouts-3d serve-kv
 BENCH_MEM_METRICS = allocs_k alloc_mb heap_live_mb
 BENCH_ALLOCS_GO = go1.24.0
-BENCH_CEILINGS = paper-fig16:allocs_k:57.6 paper-fig16:alloc_mb:5.37 \
-	scale-512:allocs_k:269.4 scale-512:alloc_mb:43.79 \
-	layouts-3d:allocs_k:191.5 layouts-3d:alloc_mb:20.68 \
-	serve-kv:allocs_k:58.8 serve-kv:alloc_mb:2.76
+BENCH_CEILINGS = paper-fig16:allocs_k:57.5 paper-fig16:alloc_mb:5.37 paper-fig16:heap_live_mb:0.302 \
+	scale-512:allocs_k:265.5 scale-512:alloc_mb:28.53 scale-512:heap_live_mb:8.35 \
+	layouts-3d:allocs_k:187.6 layouts-3d:alloc_mb:16.35 layouts-3d:heap_live_mb:1.302 \
+	serve-kv:allocs_k:58.8 serve-kv:alloc_mb:2.76 serve-kv:heap_live_mb:0.193
 
 bench-e2e:
 	@gover=$$(GOTOOLCHAIN=local go env GOVERSION); \
-	[ "$$gover" = $(BENCH_ALLOCS_GO) ] || echo "bench-e2e: allocs_k/alloc_mb ceilings were recorded on $(BENCH_ALLOCS_GO), not applied on $$gover"; \
+	[ "$$gover" = $(BENCH_ALLOCS_GO) ] || echo "bench-e2e: allocs_k/alloc_mb/heap_live_mb ceilings were recorded on $(BENCH_ALLOCS_GO), not applied on $$gover"; \
 	for w in $(BENCH_WORKLOADS); do \
 		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || { echo "bench-e2e: $$w exited non-zero" >&2; exit 1; }; \
 		line=$$(printf '%s\n' "$$out" | tail -n 1); \
@@ -82,7 +83,7 @@ bench-e2e:
 			awk -v a="$$v" -v c="$$ceil" 'BEGIN { exit !(a != "" && a + 0 <= c + 0) }' || { echo "bench-e2e: $$w $$m $$v exceeds its ceiling $$ceil" >&2; exit 1; }; \
 			echo "$$w ceiling: $$m $$v <= $$ceil"; gated="$$gated $$m"; \
 		done; \
-		[ "$$gated" = " allocs_k alloc_mb" ] || { echo "bench-e2e: $$w needs an allocs_k and an alloc_mb ceiling, has:$$gated" >&2; exit 1; }; \
+		[ "$$gated" = " allocs_k alloc_mb heap_live_mb" ] || { echo "bench-e2e: $$w needs an allocs_k, an alloc_mb and a heap_live_mb ceiling, has:$$gated" >&2; exit 1; }; \
 	done
 
 # Formatting + vet + staticcheck, the CI lint lane. The staticcheck
@@ -92,11 +93,11 @@ lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
-# CI guard: every fabric, engine and ring microbenchmark must still compile
-# and run. One iteration each, no file rewritten, no timing claims.
+# CI guard: every fabric, engine, ring and routing microbenchmark must
+# still compile and run. One iteration each, no file rewritten, no timing claims.
 # Figures are regenerated by coarsebench, not by benchmarks.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/fabric ./internal/sim ./internal/collective
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/fabric ./internal/sim ./internal/collective ./internal/topology
 	$(GO) test -race -bench=. -benchtime=1x -run=^$$ ./internal/fabric
 
 # Regenerate the full evaluation (quick mode) with suite timing on

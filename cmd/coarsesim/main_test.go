@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -16,6 +18,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		code   int
 		stderr string // substring, when code != 0
 		stdout string // substring that must appear on stdout; rejected input with none prints nothing there
+		config string // when set, a scenario written to a file that -config names
 	}{
 		{args: "-strategy COARSE -iters 0", code: 1, stderr: "iterations 0"},
 		{args: "-batch -3", code: 1, stderr: "batch -3"},
@@ -27,6 +30,14 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{args: "-iters 65537 -strategy AllReduce", code: 1, stderr: "iterations 65537"},
 		{args: "-jitter 1e12", code: 1, stderr: "jitter 1e+12: want 0..1000"},
 		{args: "-chaos-intensity 0.5 -chaos-faults 100000000", code: 1, stderr: "-chaos-faults 100000000: want 1..65536"},
+		{config: `{"machine":"v100","model":"bert-base","batch":2,"iterations":2,"strategies":["COARSE"],"overrides":{"gpu_tflops":1e-12}}`,
+			code: 1, stderr: "overrides.gpu_tflops 1e-12: want 0 (keeps the preset's) or a finite value >= 1"},
+		{config: `{"machine":"v100","model":"bert-base","batch":2,"iterations":2,"strategies":["COARSE"],"overrides":{"edge_gbps":1e-300}}`,
+			code: 1, stderr: "overrides.edge_gbps 1e-300: want 0 (keeps the preset's) or a finite value >= 0.01"},
+		{config: `{"machine":"multi","model":"bert-base","batch":2,"iterations":2,"overrides":{"net_gbps":0.005}}`,
+			code: 1, stderr: "overrides.net_gbps 0.005"},
+		{config: `{"machine":"multi","nodes":128,"model":"mlp:44721,44721,10","batch":1,"iterations":1025,"strategies":["DENSE"],"overrides":{"net_gbps":0.01}}`,
+			code: 1, stderr: "iterations 1025 on 128 nodes: want at most 1024 (iterations x nodes <= 131072)"},
 		{args: "-workload serve -chaos-intensity 0.5 -chaos-faults 65537", code: 1, stderr: "-chaos-faults 65537"},
 		{args: "-strategy bogus", code: 1, stderr: `unknown strategy "bogus"`},
 		{args: "-machine nope", code: 1, stderr: `unknown machine "nope" (have multi, sdsc, t4, v100, v100-2to1, v100-nvlink)`},
@@ -65,8 +76,20 @@ func TestRunRejectsBadInput(t *testing.T) {
 			stdout: "DENSE   ",
 		},
 	} {
+		args := strings.Fields(tc.args)
+		if tc.config != "" {
+			path := filepath.Join(t.TempDir(), "scenario.json")
+			if err := os.WriteFile(path, []byte(tc.config), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			args = append(args, "-config", path)
+			tc.args = "-config " + tc.config
+		}
 		var stdout, stderr bytes.Buffer
-		code := run(strings.Fields(tc.args), &stdout, &stderr)
+		code := run(args, &stdout, &stderr)
+		if strings.Contains(stderr.String(), "panic:") {
+			t.Errorf("%s: stderr reports a panic: %q", tc.args, stderr.String())
+		}
 		if code != tc.code {
 			t.Errorf("%s: exit %d, want %d (stderr %q)", tc.args, code, tc.code, stderr.String())
 			continue

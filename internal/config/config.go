@@ -31,7 +31,8 @@ type Scenario struct {
 	Model string `json:"model"`
 	// Batch is the per-GPU batch size.
 	Batch int `json:"batch"`
-	// Iterations is the simulated iteration count, 1..65,536.
+	// Iterations is the simulated iteration count, 1..65,536, and at
+	// most 131,072 divided by the machine's node count.
 	Iterations int `json:"iterations"`
 	// Strategies lists the schemes to run; empty means all four.
 	Strategies []string `json:"strategies,omitempty"`
@@ -54,6 +55,39 @@ const maxIterations = 1 << 16
 // whose activations fit), and 1,001 x 8 s x maxIterations is ~5e8 s,
 // a 17x margin; a jitter of 1e12 would wrap compute times negative.
 const maxComputeJitter = 1000
+
+// minGPUTFLOPS bounds overrides.gpu_tflops from below: compute time
+// scales as 1/TFLOPS. The slowest preset iteration above is ~65 TFLOP
+// of work (~8 s at T4's 8.1 TFLOPS), so at 1 TFLOPS it takes ~65 s,
+// and 1,001 x 65 s x maxIterations is ~4.3e9 s, under half the clock;
+// gpu_tflops 1e-12 wraps compute times negative.
+const minGPUTFLOPS = 1
+
+// minLinkGBps bounds the six *_gbps overrides from below: transfer
+// time scales as 1/bandwidth. With every link class at 0.01 GB/s and
+// the GPU at minGPUTFLOPS, the slowest one-node cells measured (vgg16
+// at batch 128 and a 2-billion-parameter mlp, every strategy on t4,
+// v100 and sdsc, compute jitter 1000) take at most ~2.6e4 s an
+// iteration, ~1.7e9 s at maxIterations, a 5x margin; edge_gbps 1e-300
+// wraps transfer times negative. Multi-node cells are bounded by
+// maxNodeIterations.
+const minLinkGBps = 0.01
+
+// maxNodeIterations bounds iterations x server nodes (the multi
+// preset's node count, 1 on the other presets). A multi-node cell's
+// transfer time grows with the square of its node count: at the floors
+// above, DENSE training the largest mlp a V100 holds (2.0e9
+// parameters, jitter 0) takes 189 s an iteration on 2 nodes, 2.7e4 s
+// on 32, 1.1e5 s on 64 and 4.2e5 s on 128, so past ~72 nodes
+// maxIterations would pass the clock (128 nodes: ~2.8e10 s, which ends
+// in "schedule at ... before now"). Under this bound an iteration's
+// cost grows 4x per doubling of nodes while the iterations allowed
+// halve: at the bound that cell runs to its end on 2, 16, 32, 64 and
+// 128 nodes, the last in 4.3e8 s (1,024 iterations), a 21x margin. The trainer's latch table
+// (workers x layers x iterations at 16 B) is bounded with it: ~3.3 GB
+// for bert-large at the bound, against ~200 GB for 128 nodes at
+// maxIterations.
+const maxNodeIterations = 2 * maxIterations
 
 // SpecOverrides are optional machine-parameter overrides, in the
 // paper's units (GB/s for bandwidths, ns for latencies).
@@ -95,7 +129,8 @@ func Read(r io.Reader) (*Scenario, error) {
 // Validate checks the scenario's fields. It rejects every value that
 // BuildSpec would otherwise ignore, clamp or wrap.
 func (s *Scenario) Validate() error {
-	if _, err := Machine(s.Machine, s.Nodes); err != nil {
+	spec, err := Machine(s.Machine, s.Nodes)
+	if err != nil {
 		return err
 	}
 	if err := s.Overrides.validate(); err != nil {
@@ -110,6 +145,10 @@ func (s *Scenario) Validate() error {
 	if s.Iterations < 1 || s.Iterations > maxIterations {
 		return fmt.Errorf("config: iterations %d: want 1..%d", s.Iterations, maxIterations)
 	}
+	if nodes := max(spec.NodeCount, 1); s.Iterations*nodes > maxNodeIterations {
+		return fmt.Errorf("config: iterations %d on %d nodes: want at most %d (iterations x nodes <= %d)",
+			s.Iterations, nodes, maxNodeIterations/nodes, maxNodeIterations)
+	}
 	for _, st := range s.Strategies {
 		if _, err := Strategy(st); err != nil {
 			return err
@@ -121,18 +160,29 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// validate rejects negative overrides, values that overflow once
-// BuildSpec scales them to bytes (bandwidths by topology.GB, GPU memory
-// by 1 GiB in an int64), and, for a scenario built in Go, NaN. A nil
-// receiver has nothing to check.
+// validate rejects overrides below their floors (minLinkGBps,
+// minGPUTFLOPS) other than 0, values that overflow once BuildSpec
+// scales them to bytes (bandwidths by topology.GB, GPU memory by 1 GiB
+// in an int64), and, for a scenario built in Go, NaN. A nil receiver
+// has nothing to check.
 func (o *SpecOverrides) validate() error {
 	if o == nil {
 		return nil
 	}
-	names := [...]string{"edge_gbps", "peer_gbps", "up_gbps", "host_gbps", "cci_gbps", "net_gbps", "gpu_tflops"}
-	for i, v := range [...]float64{o.EdgeGBps, o.PeerGBps, o.UpGBps, o.HostGBps, o.CCIGBps, o.NetGBps, o.GPUTFLOPS} {
-		if !(v >= 0) || math.IsInf(v*topology.GB, 0) {
-			return fmt.Errorf("config: overrides.%s %v: want a finite value >= 0 (0 keeps the preset's)", names[i], v)
+	for _, f := range [...]struct {
+		name     string
+		v, floor float64
+	}{
+		{"edge_gbps", o.EdgeGBps, minLinkGBps},
+		{"peer_gbps", o.PeerGBps, minLinkGBps},
+		{"up_gbps", o.UpGBps, minLinkGBps},
+		{"host_gbps", o.HostGBps, minLinkGBps},
+		{"cci_gbps", o.CCIGBps, minLinkGBps},
+		{"net_gbps", o.NetGBps, minLinkGBps},
+		{"gpu_tflops", o.GPUTFLOPS, minGPUTFLOPS},
+	} {
+		if !(f.v == 0 || f.v >= f.floor) || math.IsInf(f.v*topology.GB, 0) {
+			return fmt.Errorf("config: overrides.%s %v: want 0 (keeps the preset's) or a finite value >= %v", f.name, f.v, f.floor)
 		}
 	}
 	if o.GPUMemGiB < 0 || o.GPUMemGiB > math.MaxInt64>>30 {

@@ -151,6 +151,20 @@ func TestValidateRejectsIgnoredOrWrappedValues(t *testing.T) {
 		{"GPU memory one past int64", `{"machine":"v100",` + base + `,"overrides":{"gpu_mem_gib":8589934592}}`, false},
 		{"largest GPU memory", `{"machine":"v100",` + base + `,"overrides":{"gpu_mem_gib":8589934591}}`, true},
 		{"zero overrides keep the preset", `{"machine":"v100",` + base + `,"overrides":{"edge_gbps":0}}`, true},
+		// Floors that keep every compute and transfer time on the
+		// simulated clock.
+		{"slowest link bandwidth", `{"machine":"v100",` + base + `,"overrides":{"edge_gbps":0.01,"peer_gbps":0.01,"up_gbps":0.01,"host_gbps":0.01,"cci_gbps":0.01}}`, true},
+		{"slowest network bandwidth", `{"machine":"multi",` + base + `,"overrides":{"net_gbps":0.01}}`, true},
+		{"edge bandwidth under the floor", `{"machine":"v100",` + base + `,"overrides":{"edge_gbps":0.0099}}`, false},
+		{"edge bandwidth wrapping transfer times", `{"machine":"v100",` + base + `,"overrides":{"edge_gbps":1e-300}}`, false},
+		{"peer bandwidth under the floor", `{"machine":"v100",` + base + `,"overrides":{"peer_gbps":0.001}}`, false},
+		{"uplink bandwidth under the floor", `{"machine":"v100",` + base + `,"overrides":{"up_gbps":0.001}}`, false},
+		{"host bandwidth under the floor", `{"machine":"v100",` + base + `,"overrides":{"host_gbps":0.001}}`, false},
+		{"CCI bandwidth under the floor", `{"machine":"v100",` + base + `,"overrides":{"cci_gbps":0.001}}`, false},
+		{"network bandwidth under the floor", `{"machine":"multi",` + base + `,"overrides":{"net_gbps":0.001}}`, false},
+		{"slowest GPU", `{"machine":"v100",` + base + `,"overrides":{"gpu_tflops":1}}`, true},
+		{"GPU under the floor", `{"machine":"v100",` + base + `,"overrides":{"gpu_tflops":0.99}}`, false},
+		{"GPU wrapping compute times", `{"machine":"v100",` + base + `,"overrides":{"gpu_tflops":1e-12}}`, false},
 		{"negative nodes", `{"machine":"multi","nodes":-3,` + base + `}`, false},
 		{"one node", `{"machine":"multi","nodes":1,` + base + `}`, false},
 		{"two nodes", `{"machine":"multi","nodes":2,` + base + `}`, true},
@@ -168,6 +182,14 @@ func TestValidateRejectsIgnoredOrWrappedValues(t *testing.T) {
 		{"largest iteration count", `{"machine":"sdsc","model":"mlp:2,2","batch":2,"iterations":65536}`, true},
 		{"one iteration past the largest", `{"machine":"sdsc","model":"mlp:2,2","batch":2,"iterations":65537}`, false},
 		{"iterations exhausting host memory", `{"machine":"sdsc","model":"mlp:2,2","batch":2,"iterations":100000000000}`, false},
+		// Iterations x nodes, which keeps multi-node cells at the floors
+		// on the simulated clock.
+		{"largest iteration count on two nodes", `{"machine":"multi","model":"mlp:2,2","batch":2,"iterations":65536}`, true},
+		{"largest iteration count on three nodes", `{"machine":"multi","nodes":3,"model":"mlp:2,2","batch":2,"iterations":43690}`, true},
+		{"one iteration past it on three nodes", `{"machine":"multi","nodes":3,"model":"mlp:2,2","batch":2,"iterations":43691}`, false},
+		{"largest iteration count on 128 nodes", `{"machine":"multi","nodes":128,"model":"mlp:2,2","batch":2,"iterations":1024,"overrides":{"net_gbps":0.01}}`, true},
+		{"one iteration past it on 128 nodes", `{"machine":"multi","nodes":128,"model":"mlp:2,2","batch":2,"iterations":1025,"overrides":{"net_gbps":0.01}}`, false},
+		{"most iterations on 128 nodes", `{"machine":"multi","nodes":128,"model":"mlp:2,2","batch":2,"iterations":65536}`, false},
 		{"largest compute jitter", `{"machine":"v100",` + base + `,"compute_jitter":1000}`, true},
 		{"compute jitter past the largest", `{"machine":"v100",` + base + `,"compute_jitter":1000.0001}`, false},
 		{"compute jitter wrapping compute times", `{"machine":"v100",` + base + `,"compute_jitter":1e12}`, false},
@@ -206,6 +228,11 @@ func FuzzScenarioRead(f *testing.F) {
 		`{"machine":"sdsc","model":"mlp:2,2","batch":2,"iterations":100000000000}`,
 		`{"machine":"sdsc","model":"mlp:2,2","batch":2,"iterations":65536,"compute_jitter":1000}`,
 		`{"machine":"v100","model":"bert-base","batch":2,"iterations":2,"compute_jitter":1e12}`,
+		`{"machine":"v100","model":"bert-base","batch":2,"iterations":2,"strategies":["COARSE"],"overrides":{"gpu_tflops":1e-12}}`,
+		`{"machine":"v100","model":"bert-base","batch":2,"iterations":2,"strategies":["COARSE"],"overrides":{"edge_gbps":1e-300}}`,
+		`{"machine":"t4","model":"vgg16","batch":128,"iterations":65536,"compute_jitter":1000,"overrides":{"edge_gbps":0.01,"peer_gbps":0.01,"up_gbps":0.01,"host_gbps":0.01,"cci_gbps":0.01,"gpu_tflops":1}}`,
+		`{"machine":"multi","nodes":128,"model":"mlp:44721,44721,10","batch":1,"iterations":1024,"strategies":["DENSE"],"overrides":{"edge_gbps":0.01,"peer_gbps":0.01,"up_gbps":0.01,"host_gbps":0.01,"cci_gbps":0.01,"net_gbps":0.01,"gpu_tflops":1}}`,
+		`{"machine":"multi","nodes":64,"model":"mlp:44721,44721,10","batch":1,"iterations":65536,"strategies":["DENSE"],"overrides":{"net_gbps":0.01}}`,
 		`{"machine":"v100"} trailing`,
 		`not json`,
 		``,
@@ -239,8 +266,16 @@ func FuzzScenarioRead(f *testing.F) {
 		if spec.NodeCount > maxNodes {
 			t.Fatalf("accepted scenario builds %d nodes", spec.NodeCount)
 		}
-		if s.Iterations > maxIterations || s.ComputeJitter > maxComputeJitter {
-			t.Fatalf("accepted scenario runs %d iterations at jitter %g", s.Iterations, s.ComputeJitter)
+		if s.Iterations > maxIterations || s.Iterations*max(spec.NodeCount, 1) > maxNodeIterations || s.ComputeJitter > maxComputeJitter {
+			t.Fatalf("accepted scenario runs %d iterations on %d nodes at jitter %g", s.Iterations, spec.NodeCount, s.ComputeJitter)
+		}
+		if spec.GPU.TFLOPS < minGPUTFLOPS {
+			t.Fatalf("accepted scenario builds a %g TFLOPS GPU", spec.GPU.TFLOPS)
+		}
+		for _, bw := range []float64{spec.EdgeBW, spec.PeerBW, spec.UpBW, spec.HostBW, spec.CCIRingBW, spec.NetBW} {
+			if bw > 0 && bw < minLinkGBps*topology.GB {
+				t.Fatalf("accepted scenario builds bandwidth %g B/s", bw)
+			}
 		}
 	})
 }

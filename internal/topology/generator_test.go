@@ -122,16 +122,16 @@ func TestPathUncachedAllocs(t *testing.T) {
 		m := Build(sim.NewEngine(), g.Generate())
 		a, b := m.Workers[0], m.Workers[len(m.Workers)-1]
 		want = m.Path(a, b) // builds a's tree and caches the route
-		sr := m.routes[a.ID]
+		sr := &m.routes[m.source[a.ID]-1]
 		paths = make([][]*fabric.Channel, 0, runs)
 		chunks = 0
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
-			delete(sr.paths, int32(b.ID))
-			free := len(m.pathFree)
+			sr.dsts, sr.paths = sr.dsts[:0], sr.paths[:0] // forget the route, keeping the index's storage
+			free := len(m.paths.free)
 			paths = append(paths, m.Path(a, b))
-			if len(m.pathFree) != free-len(want) { // not carved from the old tail
+			if len(m.paths.free) != free-len(want) { // not carved from the old tail
 				chunks++
 			}
 		}

@@ -15,6 +15,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"coarse/internal/fabric"
 	"coarse/internal/sim"
@@ -77,27 +78,40 @@ type Topology struct {
 	Net *fabric.Network
 
 	devices  []*Device
-	adj      [][]edge        // indexed by device ID, kept sorted by peer ID
-	routes   []*sourceRoutes // indexed by source device ID; nil until its first query
+	adj      [][]edge // indexed by device ID, kept sorted by peer ID
 	linkEnds map[*fabric.Link][2]*Device
 
-	// Materialized paths are carved from shared chunks of channel
-	// pointers rather than allocated one by one: pathFree is the
-	// current chunk's unused tail, and pathChunk the length of the
-	// last chunk cut. Chunks double from minPathChunk up to
-	// maxPathChunk, so a small machine holds a few hundred bytes of
-	// route storage and a rack-scale one allocates a chunk per ~600
-	// routes, not one slice per route.
-	pathFree  []*fabric.Channel
-	pathChunk int
+	// routes holds one entry per device routed from, in first-query
+	// order; source[id] is device id's index in routes plus one, 0 for
+	// a device not yet routed from. Both are dropped by Connect.
+	routes []sourceRoutes
+	source []int32
 
-	// BFS scratch, reused across route queries: a generated multi-rack
-	// cell runs one BFS per source device, and per-call allocation of
-	// the visited set and frontiers is measurable at thousands of
-	// devices. visitGen stamps visitMark entries so the mark array
-	// never needs clearing between calls.
+	// base is the one dense shortest-path tree the cache keeps: the
+	// predecessor of every device (-1 if unreached) in the first tree
+	// built since routes were last dropped. Every other source stores
+	// only where its tree differs from it (see sourceRoutes).
+	base []int32
+
+	// Materialized paths and tree diffs are carved from shared chunks
+	// rather than allocated one by one (see chunks.carve): a small
+	// machine holds a few hundred bytes of route storage, and a
+	// rack-scale one allocates a path chunk per ~600 routes, not one
+	// slice per route.
+	paths chunks[*fabric.Channel]
+	diffs chunks[predDiff]
+
+	// BFS scratch, reused across trees: a generated multi-rack cell
+	// builds one tree per source device, and per-call allocation of the
+	// visited set, predecessor array and frontiers is measurable at
+	// thousands of devices. visitGen stamps visitMark entries, and prev
+	// is read only where the stamp is current, so neither array needs
+	// clearing between calls. diff collects a tree's differences from
+	// base before they are copied into a carved slice.
 	visitMark []uint64
 	visitGen  uint64
+	prev      []int32
+	diff      []predDiff
 	frontier  []int32
 	frontier2 []int32
 
@@ -116,33 +130,87 @@ type Topology struct {
 	Label string
 }
 
-// sourceRoutes caches one device's shortest-path tree: the BFS
-// predecessor array over all reachable devices, plus per-destination
-// channel paths materialized on first use. One BFS serves every
-// destination a source ever routes to, instead of one BFS per pair.
+// sourceRoutes caches one source device's routes.
 //
-// The predecessor array stores bare device IDs rather than edges: a
-// generated multi-rack machine keeps one tree per source, and
-// pointer-free storage is a quarter the size and invisible to the
-// garbage collector's scan. The claiming edge is recovered during path
-// materialization as the predecessor's first adjacency entry pointing
-// at the device — adjacency lists are sorted with parallel links in
-// stable creation order, so that first entry is exactly the one whose
-// visit set the predecessor. A source routes to a handful of
-// destinations, not to every device on the machine, so its
-// materialized paths are indexed by a map from destination ID; each
-// path is carved from the topology's shared chunks (see carvePath).
+// Its shortest-path tree is kept as a diff against the topology's base
+// tree: diff lists, sorted by device ID, each device whose predecessor
+// differs from base's, with its predecessor in this tree (-1 where
+// unreached, the source itself included). The source of the base tree
+// has an empty diff. The generated machines are trees, so two sources'
+// trees differ only along the path between them: with every device as
+// a source, diffs average 6-10 entries on every preset and generated
+// machine (at most 21, on AWS T4), where a dense array holds one per
+// device, so tree storage grows with sources, not sources x devices.
+//
+// A source routes to a handful of destinations, not to every device on
+// the machine, so its materialized paths are indexed by dsts, the
+// destination IDs in ascending order, searched by binary search;
+// paths[i] is the route to dsts[i], carved from the topology's shared
+// path chunks. A run asks for routes in sweeps: again the route it
+// just asked for, or the source's next destination up (62-87% of all
+// lookups, recorded on each benchmark workload). last is the position
+// of the source's last lookup, so those two are tried before the
+// search.
 type sourceRoutes struct {
-	prev  []int32 // predecessor device ID per device ID; -1 if unreached
-	paths map[int32][]*fabric.Channel
+	diff     []predDiff
+	diffMask uint64 // bit dev%64 set for each dev in diff
+	dsts     []int32
+	paths    [][]*fabric.Channel
+	last     int32
 }
 
-// Path chunk lengths, in channel pointers: the first chunk holds a few
-// preset routes, and the cap keeps a chunk within 32 KiB.
+// predDiff records that dev's predecessor in a source's tree is pred.
+type predDiff struct{ dev, pred int32 }
+
+// firstRoutes is the number of routes a source has room for when its
+// tree is built: a preset's endpoint routes to at most a few peers.
+const firstRoutes = 8
+
+// pred returns d's predecessor in sr's tree: its diff entry when it has
+// one, else base's. diffMask spares most devices outside the diff the
+// scan.
+func (sr *sourceRoutes) pred(base []int32, d int32) int32 {
+	if sr.diffMask&(1<<(uint32(d)%64)) != 0 {
+		for _, e := range sr.diff {
+			if e.dev >= d {
+				if e.dev == d {
+					return e.pred
+				}
+				break
+			}
+		}
+	}
+	return base[d]
+}
+
+// Chunk lengths, in elements: the first chunk holds a few preset
+// routes, and the cap keeps a path chunk within 32 KiB.
 const (
-	minPathChunk = 16
-	maxPathChunk = 4096
+	minChunk = 16
+	maxChunk = 4096
 )
+
+// chunks hands out exact-capacity slices cut from shared chunks: free
+// is the current chunk's unused tail, and last the length of the last
+// chunk cut. Chunks double from minChunk up to maxChunk.
+type chunks[T any] struct {
+	free []T
+	last int
+}
+
+// carve returns room for n elements cut from the current chunk,
+// starting a chunk twice as long as the last when it runs out. The
+// slice's capacity is exactly n, so no caller's append can write into
+// the next slice carved after it.
+func (c *chunks[T]) carve(n int) []T {
+	if len(c.free) < n {
+		c.last = min(max(2*c.last, minChunk), maxChunk)
+		c.free = make([]T, max(c.last, n))
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
+}
 
 // New creates an empty topology bound to a fresh network on eng.
 func New(eng *sim.Engine) *Topology {
@@ -191,7 +259,7 @@ func (t *Topology) Connect(a, b *Device, fwdCap, revCap float64, latency sim.Tim
 	t.insertEdge(a.ID, edge{link: l, peer: b, fwd: true})
 	t.insertEdge(b.ID, edge{link: l, peer: a, fwd: false})
 	t.linkEnds[l] = [2]*Device{a, b}
-	t.routes = nil // invalidate cache
+	t.source = nil // invalidate cache; Path drops the routes and base tree with it
 	return l
 }
 
@@ -217,103 +285,111 @@ func (t *Topology) insertEdge(id int, e edge) {
 // so a missing route is a bug, not a condition to handle.
 //
 // Routing is cached per source: the first query from a runs one BFS
-// that fixes the predecessor of every reachable device, then every
-// destination's path is materialized from that tree on first use,
-// into a shared path chunk (see carvePath). Each (source, destination)
-// pair gets exactly one slice, which every later query returns: the
-// fabric's aggregation join compares paths by their first element's
-// address. The per-pair work — and the per-frontier-node adjacency
-// copy and sort the old router paid — is gone; a generated cell
-// routes from each worker once, not once per peer. The tree a full
-// BFS fixes for
-// devices at depth <= depth(b) is exactly what the early-terminating
-// per-pair BFS computed (a device's predecessor is set by its first
-// visitor, which later levels cannot change), so every returned path
-// is identical to the old router's.
+// that fixes the predecessor of every reachable device. The first tree
+// built since the last Connect (or AddDevice) becomes the topology's
+// base tree, and every later one is kept as its sorted diff against
+// the base (see sourceRoutes). Each destination's path is then
+// materialized from the tree on first use, into a shared path chunk,
+// and inserted in the source's sorted destination index. Each (source,
+// destination) pair gets exactly one slice, which every later query
+// returns: the fabric's aggregation join compares paths by their first
+// element's address. The tree a full BFS fixes for devices at depth
+// <= depth(b) is exactly what an early-terminating per-pair BFS
+// computes (a device's predecessor is set by its first visitor, which
+// later levels cannot change), so every returned path is the per-pair
+// router's.
 func (t *Topology) Path(a, b *Device) []*fabric.Channel {
 	if a == b {
 		panic("topology: path to self")
 	}
-	if len(t.routes) != len(t.devices) {
-		t.routes = make([]*sourceRoutes, len(t.devices))
+	if len(t.source) != len(t.devices) { // first query since a Connect or AddDevice
+		t.source = make([]int32, len(t.devices))
+		// Sources are usually endpoints: make room for them once.
+		t.routes = make([]sourceRoutes, 0, len(t.GPUs)+len(t.MemDevs)+len(t.CPUs)+len(t.NICs))
+		t.base = nil
 	}
-	sr := t.routes[a.ID]
-	if sr == nil {
-		sr = t.bfs(a)
-		t.routes[a.ID] = sr
+	if t.source[a.ID] == 0 {
+		t.routes = append(t.routes, sourceRoutes{})
+		t.source[a.ID] = int32(len(t.routes))
+		t.buildTree(a, &t.routes[len(t.routes)-1])
 	}
-	if p, ok := sr.paths[int32(b.ID)]; ok {
-		return p
+	sr := &t.routes[t.source[a.ID]-1]
+	dst := int32(b.ID)
+	for at := int(sr.last); at <= int(sr.last)+1 && at < len(sr.dsts); at++ {
+		if sr.dsts[at] == dst {
+			sr.last = int32(at)
+			return sr.paths[at]
+		}
 	}
-	if sr.prev[b.ID] < 0 {
+	at, ok := slices.BinarySearch(sr.dsts, dst)
+	sr.last = int32(at)
+	if ok {
+		return sr.paths[at]
+	}
+	if sr.pred(t.base, dst) < 0 {
 		panic(fmt.Sprintf("topology: no route %s -> %s", a, b))
 	}
 	// Count the hops, then walk back from b filling the path from its
 	// end, recovering each hop's claiming edge as the predecessor's
-	// first adjacency entry pointing at the device.
+	// first adjacency entry pointing at the device. A tree that loops
+	// or names a predecessor with no link to the device is corrupt.
 	src := int32(a.ID)
 	hops := 0
-	for cur := int32(b.ID); cur != src; cur = sr.prev[cur] {
-		hops++
+	for cur := dst; cur != src; cur = sr.pred(t.base, cur) {
+		if hops++; hops > len(t.devices) {
+			panic(fmt.Sprintf("topology: route %s -> %s loops", a, b))
+		}
 	}
-	path := t.carvePath(hops)
-	cur := int32(b.ID)
+	path := t.paths.carve(hops)
+	cur := dst
 	for i := hops - 1; i >= 0; i-- {
-		pred := sr.prev[cur]
-		adj := t.adj[pred]
-		var e *edge
-		for j := range adj {
-			if int32(adj[j].peer.ID) == cur {
-				e = &adj[j]
+		pred := sr.pred(t.base, cur)
+		for _, e := range t.adj[pred] {
+			if int32(e.peer.ID) == cur {
+				if e.fwd {
+					path[i] = e.link.Fwd()
+				} else {
+					path[i] = e.link.Rev()
+				}
 				break
 			}
 		}
-		if e.fwd {
-			path[i] = e.link.Fwd()
-		} else {
-			path[i] = e.link.Rev()
+		if path[i] == nil {
+			panic(fmt.Sprintf("topology: route %s -> %s: %s has no link to %s", a, b, t.devices[pred], t.devices[cur]))
 		}
 		cur = pred
 	}
-	sr.paths[int32(b.ID)] = path
+	sr.dsts = slices.Insert(sr.dsts, at, dst)
+	sr.paths = slices.Insert(sr.paths, at, path)
 	return path
 }
 
-// carvePath returns room for an n-hop path cut from the current chunk,
-// starting a chunk twice as long as the last when it runs out. The
-// slice's capacity is exactly n, so no caller's append can write into
-// the next route carved after it.
-func (t *Topology) carvePath(n int) []*fabric.Channel {
-	if len(t.pathFree) < n {
-		t.pathChunk = min(max(2*t.pathChunk, minPathChunk), maxPathChunk)
-		t.pathFree = make([]*fabric.Channel, max(t.pathChunk, n))
-	}
-	path := t.pathFree[:n:n]
-	t.pathFree = t.pathFree[n:]
-	return path
-}
-
-// bfs computes a's full shortest-path tree. Only infrastructure nodes
-// may carry transit traffic: endpoints (GPUs, memory devices, CPUs,
-// NICs) terminate flows, they do not forward them — without this rule
-// the router would "shortcut" GPU traffic through a memory device's
-// CCI ring port. Frontier devices expand in visit order and their
-// adjacency lists are pre-sorted by peer ID, preserving the old
-// router's lower-ID tie-break exactly.
-func (t *Topology) bfs(a *Device) *sourceRoutes {
-	sr := &sourceRoutes{
-		prev:  make([]int32, len(t.devices)),
-		paths: make(map[int32][]*fabric.Channel),
-	}
-	for i := range sr.prev {
-		sr.prev[i] = -1
-	}
-	if len(t.visitMark) < len(t.devices) {
-		t.visitMark = make([]uint64, len(t.devices))
+// buildTree computes a's full shortest-path tree into the scratch
+// predecessor array, then keeps it as the base tree when there is none
+// yet, or as sr's diff against the base. Only infrastructure nodes may
+// carry transit traffic: endpoints (GPUs, memory devices, CPUs, NICs)
+// terminate flows, they do not forward them — without this rule the
+// router would "shortcut" GPU traffic through a memory device's CCI
+// ring port. Frontier devices expand in visit order and their
+// adjacency lists are pre-sorted by peer ID, preserving the lower-ID
+// tie-break exactly.
+//
+// The predecessor arrays store bare device IDs rather than edges: the
+// claiming edge is recovered during path materialization as the
+// predecessor's first adjacency entry pointing at the device —
+// adjacency lists are sorted with parallel links in stable creation
+// order, so that first entry is exactly the one whose visit set the
+// predecessor.
+func (t *Topology) buildTree(a *Device, sr *sourceRoutes) {
+	n := len(t.devices)
+	if len(t.visitMark) < n {
+		t.visitMark = make([]uint64, n)
+		t.prev = make([]int32, n)
 	}
 	t.visitGen++
-	gen := t.visitGen
-	t.visitMark[a.ID] = gen
+	gen, mark, prev := t.visitGen, t.visitMark, t.prev
+	mark[a.ID] = gen
+	prev[a.ID] = -1
 	frontier := append(t.frontier[:0], int32(a.ID))
 	next := t.frontier2[:0]
 	for len(frontier) > 0 {
@@ -325,18 +401,44 @@ func (t *Topology) bfs(a *Device) *sourceRoutes {
 			}
 			for _, e := range t.adj[id] {
 				p := int32(e.peer.ID)
-				if t.visitMark[p] == gen {
+				if mark[p] == gen {
 					continue
 				}
-				t.visitMark[p] = gen
-				sr.prev[p] = id
+				mark[p] = gen
+				prev[p] = id
 				next = append(next, p)
 			}
 		}
 		frontier, next = next, frontier
 	}
 	t.frontier, t.frontier2 = frontier, next
-	return sr
+
+	sr.dsts = make([]int32, 0, firstRoutes)
+	sr.paths = make([][]*fabric.Channel, 0, firstRoutes)
+	if t.base == nil {
+		t.base = make([]int32, n)
+		for i := range t.base {
+			t.base[i] = -1
+			if mark[i] == gen {
+				t.base[i] = prev[i]
+			}
+		}
+		return
+	}
+	diff := t.diff[:0]
+	for i, b := range t.base {
+		p := int32(-1)
+		if mark[i] == gen {
+			p = prev[i]
+		}
+		if p != b {
+			diff = append(diff, predDiff{int32(i), p})
+			sr.diffMask |= 1 << (i % 64)
+		}
+	}
+	t.diff = diff
+	sr.diff = t.diffs.carve(len(diff))
+	copy(sr.diff, diff)
 }
 
 // Transfer starts a flow of size bytes from a to b.
