@@ -173,17 +173,25 @@ serve-golden:
 
 # End-to-end observability check: run one telemetry-enabled training
 # simulation and one serving simulation (both through internal/runner),
-# verify the dumps and the Perfetto trace are written and byte-stable
-# across two runs, and that the inspector reads them back.
+# verify the dumps and the Perfetto traces are written and byte-stable
+# across two runs, and that the inspector reads them back. A
+# two-strategy -trace run (from a -config scenario) must write the same
+# per-strategy files twice.
 telemetry-smoke:
 	rm -rf .telemetry-smoke && mkdir -p .telemetry-smoke
 	$(GO) run ./cmd/coarsesim -machine v100 -model bert-base -batch 2 -iters 2 \
-		-strategy COARSE -telemetry .telemetry-smoke/a.json -trace-out .telemetry-smoke/a.trace
+		-strategy COARSE -telemetry .telemetry-smoke/a.json -trace .telemetry-smoke/a
 	$(GO) run ./cmd/coarsesim -machine v100 -model bert-base -batch 2 -iters 2 \
-		-strategy COARSE -telemetry .telemetry-smoke/b.json -trace-out .telemetry-smoke/b.trace
+		-strategy COARSE -telemetry .telemetry-smoke/b.json -trace .telemetry-smoke/b
 	cmp .telemetry-smoke/a.json .telemetry-smoke/b.json
-	cmp .telemetry-smoke/a.trace .telemetry-smoke/b.trace
+	cmp .telemetry-smoke/a.COARSE.json .telemetry-smoke/b.COARSE.json
 	$(GO) run ./cmd/coarsestat .telemetry-smoke/a.json
+	printf '{"machine":"v100","model":"bert-base","batch":2,"iterations":2,"strategies":["COARSE","AllReduce"]}' \
+		> .telemetry-smoke/two.json
+	$(GO) run ./cmd/coarsesim -config .telemetry-smoke/two.json -trace .telemetry-smoke/two-a
+	$(GO) run ./cmd/coarsesim -config .telemetry-smoke/two.json -trace .telemetry-smoke/two-b
+	cmp .telemetry-smoke/two-a.COARSE.json .telemetry-smoke/two-b.COARSE.json
+	cmp .telemetry-smoke/two-a.AllReduce.json .telemetry-smoke/two-b.AllReduce.json
 	$(GO) run ./cmd/coarsesim -workload serve -requests 24 -telemetry .telemetry-smoke/serve-a.json
 	$(GO) run ./cmd/coarsesim -workload serve -requests 24 -telemetry .telemetry-smoke/serve-b.json
 	cmp .telemetry-smoke/serve-a.json .telemetry-smoke/serve-b.json

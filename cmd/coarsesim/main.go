@@ -53,9 +53,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	iters := fs.Int("iters", 4, "training iterations")
 	strategy := fs.String("strategy", "all", strings.Join(config.Strategies(), ", ")+", or all")
 	jitter := fs.Float64("jitter", 0, "per-worker compute skew (0.3 = slowest worker 30% slower)")
-	traceFile := fs.String("trace", "", "write a chrome://tracing JSON timeline to this file (single-strategy runs)")
+	traceFile := fs.String("trace", "", "write a Perfetto/chrome://tracing timeline with telemetry counter tracks per strategy, to PATH (minus .json) plus .<strategy>.json")
 	telemetryFile := fs.String("telemetry", "", "write the sampled time-series telemetry dump (JSON) to this exact path; single-strategy")
-	traceOut := fs.String("trace-out", "", "write a Perfetto trace with telemetry counter tracks to this exact path; single-strategy")
 	configFile := fs.String("config", "", "load a JSON training scenario in place of -machine, -model, -batch, -iters, -strategy and -jitter")
 	hotPath := fs.Bool("telemetry-hot-path", false, "include the simulator's own hot-path counters (reshare coalescing, event-queue tombstones) in telemetry output; changes dump bytes")
 	chaosIntensity := fs.Float64("chaos-intensity", 0, "transient-fault duty cycle in (0,1]; 0 disables the seed-deterministic chaos profile")
@@ -121,11 +120,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		out := runner.RunServe(runner.ServeSpec{
+		out := runner.Run(runner.Spec{
 			ID:       "serve",
 			Topology: spec,
 			Model:    mdl,
-			Workload: serve.Workload{
+			Workload: &serve.Workload{
 				Arrival:    kind,
 				RatePerSec: *rate,
 				Requests:   *requests,
@@ -133,13 +132,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 				OutputMean: *outputMean,
 			},
 			Seed: *seed,
-			Options: func(cfg *serve.Config) {
+			ConfigureServe: func(cfg *serve.Config) {
 				cfg.KVPlacement = placement
 				cfg.Prefetch = *prefetch
 				// Spec.Seed 0 means "derive one"; -seed 0 means seed 0.
 				cfg.Seed = *seed
-				cfg.Chaos = chaosSpec
 			},
+			Chaos:     chaosSpec,
 			Telemetry: *telemetryFile != "",
 		})
 		return printServe(out, *telemetryFile, stdout, stderr)
@@ -162,10 +161,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	strategies := scn.StrategyNames()
-	if (*telemetryFile != "" || *traceOut != "") && len(strategies) > 1 {
-		// Telemetry/trace output is one file per run; pick the paper's
+	if *telemetryFile != "" && len(strategies) > 1 {
+		// The telemetry dump is one file per run; pick the paper's
 		// strategy rather than overwrite it three times.
-		fmt.Fprintln(stderr, "coarsesim: -telemetry/-trace-out are single-strategy outputs; selecting COARSE (pass -strategy to choose)")
+		fmt.Fprintln(stderr, "coarsesim: -telemetry is a single-strategy output; selecting COARSE (pass -strategy to choose)")
 		strategies = []string{"COARSE"}
 	}
 	lay := parallel.Layout{PP: *pp, TP: *tp, EP: *ep, Micro: *micro}
@@ -183,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, err)
 		}
 		var rec *trace.Recorder
-		if *traceFile != "" || *traceOut != "" {
+		if *traceFile != "" {
 			rec = trace.New()
 		}
 		out := runner.Run(runner.Spec{
@@ -201,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			},
 			Layout:    lay,
 			Chaos:     chaosSpec,
-			Telemetry: *telemetryFile != "" || *traceOut != "",
+			Telemetry: *telemetryFile != "" || *traceFile != "",
 		})
 		if !out.OK() {
 			if !out.OOM {
@@ -218,13 +217,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "           chaos: %d fault windows, %v attributed stall\n",
 				res.ChaosFaults, res.ChaosStall)
 		}
-		if *traceFile != "" {
-			// Per-strategy span timeline (no counter tracks).
-			if err := writeFile(fmt.Sprintf("%s.%s.json", strings.TrimSuffix(*traceFile, ".json"), s), rec.WriteChrome); err != nil {
-				return fail(stderr, err)
-			}
-			fmt.Fprintf(stdout, "           trace: %d events written\n", rec.Len())
-		}
 		dump := out.Telemetry
 		if *telemetryFile != "" {
 			if err := writeFile(*telemetryFile, dump.WriteJSON); err != nil {
@@ -233,16 +225,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "           telemetry: %d series, %d samples -> %s\n",
 				len(dump.Series), len(dump.TimesNS), *telemetryFile)
 		}
-		if *traceOut != "" {
+		if *traceFile != "" {
 			// Span timeline plus counter tracks for the curves worth
 			// eyeballing: instantaneous per-link utilization, per-worker
 			// running totals, and queue/backlog depths. The full series
 			// set stays in the -telemetry dump.
 			dump.EmitTraceCounters(rec, telemetry.DefaultTraceFilter)
-			if err := writeFile(*traceOut, rec.WriteChrome); err != nil {
+			path := fmt.Sprintf("%s.%s.json", strings.TrimSuffix(*traceFile, ".json"), s)
+			if err := writeFile(path, rec.WriteChrome); err != nil {
 				return fail(stderr, err)
 			}
-			fmt.Fprintf(stdout, "           perfetto trace: %d events -> %s\n", rec.Len(), *traceOut)
+			fmt.Fprintf(stdout, "           trace: %d events -> %s\n", rec.Len(), path)
 		}
 	}
 	return 0

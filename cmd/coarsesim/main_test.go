@@ -110,3 +110,40 @@ func TestRunRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceWritesOneFilePerStrategy: -trace writes the span timeline
+// plus telemetry counter tracks for every strategy the run covers, each
+// to its own file, and the retired -trace-out is an unknown flag.
+func TestTraceWritesOneFilePerStrategy(t *testing.T) {
+	dir := t.TempDir()
+	scenario := filepath.Join(dir, "s.json")
+	scn := `{"machine":"sdsc","model":"mlp:64,32,10","batch":4,"iterations":2,"strategies":["COARSE","AllReduce"]}`
+	if err := os.WriteFile(scenario, []byte(scn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-config", scenario, "-trace", filepath.Join(dir, "run.json")}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	for _, s := range []string{"COARSE", "AllReduce"} {
+		path := filepath.Join(dir, "run."+s+".json")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		if !bytes.Contains(data, []byte(`"ph":"C"`)) {
+			t.Errorf("%s: trace has no counter events", path)
+		}
+		if !strings.Contains(stdout.String(), "-> "+path) {
+			t.Errorf("stdout does not name %s: %q", path, stdout.String())
+		}
+	}
+
+	stderr.Reset()
+	if code := run([]string{"-trace-out", filepath.Join(dir, "x.trace")}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-trace-out exit %d, want 2 (unknown flag)", code)
+	}
+	if !strings.Contains(stderr.String(), "trace-out") {
+		t.Fatalf("stderr %q does not name the unknown flag", stderr.String())
+	}
+}

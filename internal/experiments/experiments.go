@@ -194,7 +194,7 @@ func (rs *runSet) results(cfg Config) (map[string]*runner.Result, []metrics.Resu
 			specs[i] = s
 		}
 	}
-	out := cfg.pool().Train(specs)
+	out := cfg.pool().Run(specs)
 	byID := make(map[string]*runner.Result, len(out))
 	for i, r := range out {
 		byID[rs.specs[i].ID] = r
@@ -202,20 +202,24 @@ func (rs *runSet) results(cfg Config) (map[string]*runner.Result, []metrics.Resu
 	return byID, runner.Records(out)
 }
 
-// withTracing wraps a spec so its run records telemetry and a span
-// trace, written to dir after a successful run. File writes happen
-// inside the cell (each cell owns unique paths), so the batch stays
-// safe under the parallel pool; write errors go to stderr rather than
-// failing the run.
+// withTracing wraps a spec so its run records telemetry and, for a
+// training cell, a span trace, written to dir after a successful run.
+// Serving cells have no span recorder, so they write the telemetry
+// dump only. File writes happen inside the cell (each cell owns unique
+// paths), so the batch stays safe under the parallel pool; write
+// errors go to stderr rather than failing the run.
 func withTracing(s runner.Spec, dir string) runner.Spec {
-	rec := trace.New()
 	s.Telemetry = true
-	prevConfigure := s.Configure
-	s.Configure = func(c *train.Config) {
-		if prevConfigure != nil {
-			prevConfigure(c)
+	var rec *trace.Recorder
+	if s.Workload == nil {
+		rec = trace.New()
+		prevConfigure := s.Configure
+		s.Configure = func(c *train.Config) {
+			if prevConfigure != nil {
+				prevConfigure(c)
+			}
+			c.Trace = rec
 		}
-		c.Trace = rec
 	}
 	prevProbe := s.Probe
 	s.Probe = func(p *runner.Probe) {
@@ -223,11 +227,16 @@ func withTracing(s runner.Spec, dir string) runner.Spec {
 			prevProbe(p)
 		}
 		base := filepath.Join(dir, strings.ReplaceAll(s.ID, "/", "_"))
-		if d := p.Result.Telemetry; d != nil {
+		d := p.Result.Telemetry
+		if d != nil {
 			writeFileOrWarn(base+".telemetry.json", d.WriteJSON)
-			d.EmitTraceCounters(rec, telemetry.DefaultTraceFilter)
 		}
-		writeFileOrWarn(base+".trace.json", rec.WriteChrome)
+		if rec != nil {
+			if d != nil {
+				d.EmitTraceCounters(rec, telemetry.DefaultTraceFilter)
+			}
+			writeFileOrWarn(base+".trace.json", rec.WriteChrome)
+		}
 	}
 	return s
 }

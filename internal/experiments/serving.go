@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"path/filepath"
-	"strings"
 
 	"coarse/internal/chaos"
 	"coarse/internal/metrics"
@@ -45,70 +43,24 @@ func serveRequests(cfg Config) int {
 // prefix so they can never alias training keys in the runner's shared
 // memo cache.
 func serveSpec(cfg Config, spec topology.Spec, m *model.Model, arrival serve.ArrivalKind,
-	rate float64, placement serve.KVPlacement, prefetch bool) runner.ServeSpec {
+	rate float64, placement serve.KVPlacement, prefetch bool) runner.Spec {
 	n := serveRequests(cfg)
 	id := fmt.Sprintf("serve/%s/%s/%s/r%.0f/%s/n%d", spec.Label, m.Name, arrival, rate, placement, n)
 	if prefetch {
 		id += "/prefetch"
 	}
-	return runner.ServeSpec{
+	return runner.Spec{
 		ID:       id,
 		Key:      id,
 		Topology: spec,
 		Model:    m,
-		Workload: serve.Workload{Arrival: arrival, RatePerSec: rate, Requests: n},
-		Options: func(c *serve.Config) {
+		Workload: &serve.Workload{Arrival: arrival, RatePerSec: rate, Requests: n},
+		ConfigureServe: func(c *serve.Config) {
 			c.KVPlacement = placement
 			c.Prefetch = prefetch
 			c.PrefillWorkers = 2
 		},
 	}
-}
-
-// serveRunSet mirrors runSet for serving cells.
-type serveRunSet struct {
-	specs []runner.ServeSpec
-	index map[string]int
-}
-
-func (rs *serveRunSet) add(s runner.ServeSpec) string {
-	if rs.index == nil {
-		rs.index = make(map[string]int)
-	}
-	if _, dup := rs.index[s.ID]; !dup {
-		rs.index[s.ID] = len(rs.specs)
-		rs.specs = append(rs.specs, s)
-	}
-	return s.ID
-}
-
-func (rs *serveRunSet) results(cfg Config) (map[string]*runner.Result, []metrics.Result) {
-	specs := rs.specs
-	if cfg.TraceDir != "" || cfg.Telemetry {
-		specs = make([]runner.ServeSpec, len(rs.specs))
-		for i, s := range rs.specs {
-			s.Telemetry = true
-			specs[i] = s
-		}
-	}
-	out := cfg.pool().Serve(specs)
-	// Serving cells have no span recorder; a trace dir gets the
-	// telemetry dump only, written after the pool drains (cell IDs are
-	// unique, so paths cannot collide).
-	if cfg.TraceDir != "" {
-		for _, r := range out {
-			if r.Telemetry == nil {
-				continue
-			}
-			base := filepath.Join(cfg.TraceDir, strings.ReplaceAll(r.ID, "/", "_"))
-			writeFileOrWarn(base+".telemetry.json", r.Telemetry.WriteJSON)
-		}
-	}
-	byID := make(map[string]*runner.Result, len(out))
-	for i, r := range out {
-		byID[rs.specs[i].ID] = r
-	}
-	return byID, runner.Records(out)
 }
 
 // serveBrownoutFaults browns out every CCI memory-device port to 25%
@@ -142,9 +94,9 @@ func serveRun(cfg Config) *serveData {
 	spec := topology.AWSV100()
 	m := evalModel("bert-base")
 
-	// Phase 1: the cacheable cells — load sweep, arrival shapes, and the
-	// prefetch variant — as one parallel batch.
-	rs := &serveRunSet{}
+	// One parallel batch: the cacheable cells (load sweep, arrival
+	// shapes, the prefetch variant), then the brownout cell.
+	rs := &runSet{}
 	sweepIDs := make(map[string]string)
 	for _, rate := range serveRates {
 		for _, placement := range []serve.KVPlacement{serve.KVLocal, serve.KVPooled} {
@@ -157,23 +109,17 @@ func serveRun(cfg Config) *serveData {
 		shapeIDs[kind] = rs.add(serveSpec(cfg, spec, m, kind, serveMidRate, serve.KVPooled, false))
 	}
 	prefetchID := rs.add(serveSpec(cfg, spec, m, serve.Poisson, serveMidRate, serve.KVPooled, true))
-	got, records := rs.results(cfg)
 
-	// Phase 2: the chaos variant. Like resilience cells it carries no
-	// cache key — a browned-out run must never alias the cached
-	// baseline it is compared against.
-	faulted := &serveRunSet{}
+	// The chaos variant. Like resilience cells it carries no cache key —
+	// a browned-out run must never alias the cached baseline it is
+	// compared against.
 	bs := serveSpec(cfg, spec, m, serve.Poisson, serveMidRate, serve.KVPooled, false)
 	bs.ID = fmt.Sprintf("serve/brownout/%s/r%.0f/n%d", spec.Label, float64(serveMidRate), serveRequests(cfg))
 	bs.Key = ""
-	prevOpts := bs.Options
-	bs.Options = func(c *serve.Config) {
-		prevOpts(c)
-		// AWSV100 has one CCI port per memory device, four in all.
-		c.Chaos = &chaos.Spec{Faults: serveBrownoutFaults(4)}
-	}
-	brownID := faulted.add(bs)
-	faultGot, faultRecords := faulted.results(cfg)
+	// AWSV100 has one CCI port per memory device, four in all.
+	bs.Chaos = &chaos.Spec{Faults: serveBrownoutFaults(4)}
+	brownID := rs.add(bs)
+	got, records := rs.results(cfg)
 
 	data := &serveData{
 		sweep:    got,
@@ -181,8 +127,8 @@ func serveRun(cfg Config) *serveData {
 		shapes:   make(map[serve.ArrivalKind]*runner.Result),
 		prefetch: got[prefetchID],
 		base:     got[shapeIDs[serve.Poisson]],
-		browned:  faultGot[brownID],
-		records:  append(records, faultRecords...),
+		browned:  got[brownID],
+		records:  records,
 	}
 	for kind, id := range shapeIDs {
 		data.shapes[kind] = got[id]

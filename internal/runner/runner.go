@@ -1,9 +1,11 @@
 // Package runner is the structured run harness the experiment suite is
-// built on: a RunSpec describes one training simulation cell (topology
-// preset, model, strategy, batch, iterations, derived seed) and a
-// worker-pool executor fans independent cells out across GOMAXPROCS
-// goroutines while guaranteeing byte-identical results to serial
-// execution.
+// built on: a Spec describes one simulation cell, either a training run
+// (topology preset, model, strategy, batch, iterations) or, when its
+// Workload is set, a serving run (topology, model, request stream), and
+// a worker-pool executor fans independent cells of both kinds out
+// across GOMAXPROCS goroutines while guaranteeing byte-identical
+// results to serial execution. Both kinds share one pool, one memo
+// cache, one seed derivation and one panic capture.
 //
 // Determinism is preserved under parallelism by construction:
 //
@@ -39,7 +41,10 @@ import (
 	"coarse/internal/train"
 )
 
-// Spec describes one independent training-simulation cell.
+// Spec describes one independent simulation cell: a training run, or a
+// serving run when Workload is non-nil. Batch, Iterations, NewStrategy,
+// Configure, Layout and FlatCollectives apply to training cells only;
+// ConfigureServe applies to serving cells only.
 type Spec struct {
 	// ID uniquely labels the cell inside a batch. It names the run in
 	// records and participates in seed derivation.
@@ -65,8 +70,8 @@ type Spec struct {
 	// Configure, when non-nil, adjusts the train.Config after defaults
 	// are applied (compute jitter, numeric mode, OnStart hooks...).
 	Configure func(*train.Config)
-	// Probe, when non-nil, runs after a successful training run, still
-	// inside the cell; experiments use it to pull strategy-internal
+	// Probe, when non-nil, runs after a successful run of either kind,
+	// still inside the cell; experiments use it to pull strategy-internal
 	// counters (routed bytes, checkpoint stats) into Result.Extra.
 	Probe func(*Probe)
 
@@ -87,8 +92,18 @@ type Spec struct {
 	// cell can never alias a fault-free cell's cached Result.
 	Chaos *chaos.Spec
 
+	// Workload, when non-nil, makes the cell a serving run of this
+	// request stream instead of a training run. Experiment families
+	// prefix serving keys with "serve/" so they can never alias a
+	// training key in the shared cache.
+	Workload *serve.Workload
+	// ConfigureServe, when non-nil, adjusts a serving cell's
+	// serve.Config after defaults are applied (KV placement, prefetch,
+	// pool split...). Like Configure it runs inside the cell.
+	ConfigureServe func(*serve.Config)
+
 	// Telemetry enables the virtual-time metrics layer for this cell: the
-	// runner builds a fresh registry, hands it to the trainer (which
+	// runner builds a fresh registry, hands it to the simulation (which
 	// samples it at the telemetry package's default period and sample
 	// cap), and stores the resulting time-series dump on
 	// Result.Telemetry. Telemetry cells bypass the memoization cache
@@ -98,7 +113,8 @@ type Spec struct {
 	Telemetry bool
 }
 
-// Probe is the environment a Spec.Probe hook runs in.
+// Probe is the environment a Spec.Probe hook runs in. Trainer and
+// Strategy are nil for serving cells.
 type Probe struct {
 	Trainer  *train.Trainer
 	Strategy train.Strategy
@@ -107,7 +123,9 @@ type Probe struct {
 
 // DerivedSeed returns the seed the runner will use for this spec: the
 // explicit Seed when set, otherwise an FNV-1a hash of the identifying
-// fields. Independent of execution order by construction.
+// fields. A serving cell hashes its workload shape where a training
+// cell hashes batch and iterations, since each changes the run the
+// same way. Independent of execution order by construction.
 func (s Spec) DerivedSeed() int64 {
 	if s.Seed != 0 {
 		return s.Seed
@@ -117,7 +135,11 @@ func (s Spec) DerivedSeed() int64 {
 	if s.Model != nil {
 		mname = s.Model.Name
 	}
-	fmt.Fprintf(h, "%s|%s|%s|%d|%d", s.ID, s.Topology.Label, mname, s.Batch, s.Iterations)
+	if w := s.Workload; w != nil {
+		fmt.Fprintf(h, "%s|%s|%s|%s|%g|%d", s.ID, s.Topology.Label, mname, w.Arrival, w.RatePerSec, w.Requests)
+	} else {
+		fmt.Fprintf(h, "%s|%s|%s|%d|%d", s.ID, s.Topology.Label, mname, s.Batch, s.Iterations)
+	}
 	seed := int64(h.Sum64() >> 1) // keep it positive
 	if seed == 0 {
 		seed = 1
@@ -125,9 +147,10 @@ func (s Spec) DerivedSeed() int64 {
 	return seed
 }
 
-// Result is the structured outcome of one cell. Exactly one of Err and
-// Train is meaningful: a non-empty Err means the run failed (OOM,
-// synchronization deadlock, panic) and Train is nil.
+// Result is the structured outcome of one cell. A non-empty Err means
+// the run failed (OOM, synchronization deadlock, panic) and the cell
+// carries no outputs: Train, Serve, Telemetry and Extra are nil.
+// Otherwise exactly one of Train and Serve is set, by the cell's kind.
 type Result struct {
 	ID    string            `json:"id"`
 	Seed  int64             `json:"seed"`
@@ -259,10 +282,11 @@ func (p *Pool) workers() int {
 	return p.Parallel
 }
 
-// Train runs every spec and returns results aligned by index. Output is
-// byte-identical regardless of Parallel: cells share no mutable state
-// and seeds derive from the specs, so ordering cannot leak into values.
-func (p *Pool) Train(specs []Spec) []*Result {
+// Run runs every spec, training and serving alike, and returns results
+// aligned by index. Output is byte-identical regardless of Parallel:
+// cells share no mutable state and seeds derive from the specs, so
+// ordering cannot leak into values.
+func (p *Pool) Run(specs []Spec) []*Result {
 	var obs Observer
 	if p != nil {
 		obs = p.Observer
@@ -348,19 +372,29 @@ func runCached(s Spec) *Result {
 }
 
 // Run executes one cell serially in the calling goroutine, bypassing
-// the cache. A panic inside the simulation is captured into Result.Err
-// so one bad cell cannot take down a whole suite regeneration.
+// the cache. A panic inside the simulation or a hook is captured into
+// Result.Err, dropping every output the cell had produced, so one bad
+// cell cannot take down a whole suite regeneration.
 func Run(s Spec) (res *Result) {
 	res = &Result{ID: s.ID, Seed: s.DerivedSeed()}
 	defer func() {
 		if v := recover(); v != nil {
-			res.Err = fmt.Sprintf("panic: %v", v)
-			res.Train = nil
+			*res = Result{ID: res.ID, Seed: res.Seed, Err: fmt.Sprintf("panic: %v", v)}
 		}
 	}()
+	if s.Workload != nil {
+		runServe(s, res)
+	} else {
+		runTrain(s, res)
+	}
+	return res
+}
+
+// runTrain is Run's body for a training cell.
+func runTrain(s Spec, res *Result) {
 	if s.NewStrategy == nil {
 		res.Err = "runner: spec has no strategy"
-		return res
+		return
 	}
 	cfg := train.DefaultConfig(s.Topology, s.Model, s.Batch, s.Iterations)
 	cfg.Seed = res.Seed
@@ -381,16 +415,21 @@ func Run(s Spec) (res *Result) {
 	}
 	if err != nil {
 		res.fail(err)
-		return res
+		return
 	}
 	res.Train = tres
-	if d := tr.TelemetryDump(); d != nil {
+	s.finish(res, tr.TelemetryDump(), &Probe{Trainer: tr, Strategy: strat, Result: res})
+}
+
+// finish attaches a successful cell's telemetry dump, labelled with
+// the cell's identity, and then runs its Probe hook.
+func (s Spec) finish(res *Result, d *telemetry.Dump, p *Probe) {
+	if d != nil {
 		d.SetLabel("id", s.ID)
 		d.SetLabel("seed", fmt.Sprint(res.Seed))
 		res.Telemetry = d
 	}
 	if s.Probe != nil {
-		s.Probe(&Probe{Trainer: tr, Strategy: strat, Result: res})
+		s.Probe(p)
 	}
-	return res
 }

@@ -8,6 +8,7 @@ import (
 
 	"coarse/internal/model"
 	"coarse/internal/paramserver"
+	"coarse/internal/serve"
 	"coarse/internal/topology"
 	"coarse/internal/train"
 )
@@ -20,6 +21,31 @@ func testSpec(id string) Spec {
 		Batch:       4,
 		Iterations:  2,
 		NewStrategy: func() train.Strategy { return train.NewAllReduce() },
+	}
+}
+
+// testServeSpec is a small serving cell: a few requests through the
+// V100 machine's prefill/decode pools.
+func testServeSpec(id string) Spec {
+	return Spec{
+		ID:       id,
+		Topology: topology.AWSV100(),
+		Model:    model.MLP("runner-mlp", 256, 128, 64),
+		Workload: &serve.Workload{Arrival: serve.Poisson, RatePerSec: 28, Requests: 8},
+	}
+}
+
+// countRuns makes s count its executions in n: a training cell counts
+// strategy builds, a serving cell its config hook.
+func countRuns(s *Spec, n *atomic.Int32) {
+	if s.Workload != nil {
+		s.ConfigureServe = func(*serve.Config) { n.Add(1) }
+		return
+	}
+	base := s.NewStrategy
+	s.NewStrategy = func() train.Strategy {
+		n.Add(1)
+		return base()
 	}
 }
 
@@ -81,11 +107,21 @@ func TestSerialTwiceVsParallelByteIdentical(t *testing.T) {
 			s.Batch = 2 + i
 			specs = append(specs, s)
 		}
+		for i := 0; i < 3; i++ {
+			s := testServeSpec(fmt.Sprintf("det-serve-%d", i))
+			s.Workload = &serve.Workload{Arrival: serve.Bursty, RatePerSec: float64(20 + 10*i), Requests: 8}
+			specs = append(specs, s)
+		}
 		return specs
 	}
 	dump := func(parallel int) string {
 		pool := &Pool{Parallel: parallel}
-		out := pool.Train(build())
+		out := pool.Run(build())
+		for i, r := range out {
+			if !r.OK() {
+				t.Fatalf("cell %d failed: %s", i, r.Err)
+			}
+		}
 		js, err := json.MarshalIndent(out, "", " ")
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
@@ -120,35 +156,58 @@ func TestDerivedSeedStableAndDistinct(t *testing.T) {
 	if res.Seed != testSpec("a").DerivedSeed() {
 		t.Fatalf("result seed %d does not match derivation %d", res.Seed, testSpec("a").DerivedSeed())
 	}
+	sv := testServeSpec("serve-a")
+	if res := Run(sv); res.Seed != sv.DerivedSeed() {
+		t.Fatalf("serving result seed %d does not match derivation %d", res.Seed, sv.DerivedSeed())
+	}
+	sv.Workload = &serve.Workload{Arrival: serve.Bursty, RatePerSec: 28, Requests: 8}
+	if sv.DerivedSeed() == testServeSpec("serve-a").DerivedSeed() {
+		t.Fatal("the workload shape does not reach the serving seed")
+	}
+}
+
+// TestDerivedSeedPinned pins the derivation to literal values: every
+// golden depends on these seeds, so no refactor of the spec type may
+// move one.
+func TestDerivedSeedPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want int64
+	}{
+		{testSpec("a"), 3615320251857563799},
+		{testServeSpec("serve-a"), 3294349536239227495},
+	} {
+		if got := tc.spec.DerivedSeed(); got != tc.want {
+			t.Errorf("%s: DerivedSeed %d, want %d", tc.spec.ID, got, tc.want)
+		}
+	}
 }
 
 func TestCacheMemoizesKeyedSpecs(t *testing.T) {
+	for _, mk := range []func(string) Spec{testSpec, testServeSpec} {
+		ClearCache()
+		var runs atomic.Int32
+		spec := mk("cached")
+		spec.Key = "runner-test-cache-key"
+		countRuns(&spec, &runs)
+		pool := &Pool{Parallel: 1}
+		first := pool.Run([]Spec{spec})[0]
+		second := pool.Run([]Spec{spec})[0]
+		if runs.Load() != 1 {
+			t.Fatalf("%s: keyed spec ran %d times, want 1", first.ID, runs.Load())
+		}
+		if first != second || !first.OK() {
+			t.Fatalf("cache did not return the memoized result: %+v", first)
+		}
+		uncached := mk("uncached")
+		countRuns(&uncached, &runs)
+		pool.Run([]Spec{uncached})
+		pool.Run([]Spec{uncached})
+		if runs.Load() != 3 {
+			t.Fatalf("unkeyed spec should run every time; total runs %d, want 3", runs.Load())
+		}
+	}
 	ClearCache()
-	defer ClearCache()
-	var runs atomic.Int32
-	spec := testSpec("cached")
-	spec.Key = "runner-test-cache-key"
-	base := spec.NewStrategy
-	spec.NewStrategy = func() train.Strategy {
-		runs.Add(1)
-		return base()
-	}
-	pool := &Pool{Parallel: 1}
-	first := pool.Train([]Spec{spec})[0]
-	second := pool.Train([]Spec{spec})[0]
-	if runs.Load() != 1 {
-		t.Fatalf("keyed spec ran %d times, want 1", runs.Load())
-	}
-	if first != second {
-		t.Fatal("cache did not return the memoized result")
-	}
-	uncached := testSpec("uncached")
-	uncached.NewStrategy = spec.NewStrategy
-	pool.Train([]Spec{uncached})
-	pool.Train([]Spec{uncached})
-	if runs.Load() != 3 {
-		t.Fatalf("unkeyed spec should run every time; total runs %d, want 3", runs.Load())
-	}
 }
 
 func TestRunCapturesErrorsAndPanics(t *testing.T) {
@@ -172,10 +231,39 @@ func TestRunCapturesErrorsAndPanics(t *testing.T) {
 		t.Fatalf("unexpected panic result: %q (OOM %v)", res.Err, res.OOM)
 	}
 
+	// A serving cell's panic is captured the same way.
+	serveBoom := testServeSpec("serve-boom")
+	serveBoom.ConfigureServe = func(*serve.Config) { panic("serve kaboom") }
+	if res = Run(serveBoom); res.Err != "panic: serve kaboom" || res.Serve != nil {
+		t.Fatalf("serving panic not captured: %+v", res)
+	}
+
+	// A probe that panics after a successful run fails the cell, and a
+	// failed cell carries none of the outputs it had produced: no
+	// result, no telemetry dump, no extras.
+	for _, mk := range []func(string) Spec{testSpec, testServeSpec} {
+		probeBoom := mk("probe-boom")
+		probeBoom.Telemetry = true
+		probeBoom.Probe = func(p *Probe) {
+			p.Result.SetExtra("k", "v")
+			panic("probe boom")
+		}
+		res = Run(probeBoom)
+		if res.Err != "panic: probe boom" || res.OOM {
+			t.Fatalf("probe panic not captured: %q (OOM %v)", res.Err, res.OOM)
+		}
+		if res.Train != nil || res.Serve != nil || res.Telemetry != nil || res.Extra != nil {
+			t.Fatalf("failed cell kept outputs: %+v", res)
+		}
+		if res.ID != "probe-boom" || res.Seed != probeBoom.DerivedSeed() {
+			t.Fatalf("failed cell lost its identity: %+v", res)
+		}
+	}
+
 	// And captured in parallel pool execution too.
-	out := (&Pool{Parallel: 4}).Train([]Spec{testSpec("ok"), boom, testSpec("ok2")})
-	if !out[0].OK() || out[1].OK() || !out[2].OK() {
-		t.Fatalf("pool did not isolate the panicking cell: %+v", out)
+	out := (&Pool{Parallel: 4}).Run([]Spec{testSpec("ok"), boom, testServeSpec("ok-serve"), serveBoom, testSpec("ok2")})
+	if !out[0].OK() || out[1].OK() || !out[2].OK() || out[3].OK() || !out[4].OK() {
+		t.Fatalf("pool did not isolate the panicking cells: %+v", out)
 	}
 }
 
@@ -195,6 +283,17 @@ func TestProbeExtra(t *testing.T) {
 	if rec.Extra["note"] != "hello" {
 		t.Fatalf("record lost extra: %+v", rec)
 	}
+
+	sv := testServeSpec("serve-probe")
+	sv.Probe = func(p *Probe) {
+		if p.Trainer != nil || p.Strategy != nil {
+			t.Error("serving probe got a trainer")
+		}
+		p.Result.SetExtra("note", "served")
+	}
+	if res := Run(sv); !res.OK() || res.Serve == nil || res.Record().Extra["note"] != "served" {
+		t.Fatalf("serving probe extra missing: %+v", res)
+	}
 }
 
 func TestTelemetryResultsByteIdenticalAcrossParallelism(t *testing.T) {
@@ -209,11 +308,17 @@ func TestTelemetryResultsByteIdenticalAcrossParallelism(t *testing.T) {
 			s.Batch = 2 + i
 			specs = append(specs, s)
 		}
+		for _, kv := range []serve.KVPlacement{serve.KVLocal, serve.KVPooled} {
+			s := testServeSpec("tel-serve-" + kv.String())
+			s.Telemetry = true
+			s.ConfigureServe = func(c *serve.Config) { c.KVPlacement = kv }
+			specs = append(specs, s)
+		}
 		return specs
 	}
 	dump := func(parallel int) string {
 		pool := &Pool{Parallel: parallel}
-		out := pool.Train(build())
+		out := pool.Run(build())
 		for i, r := range out {
 			if r.Telemetry == nil {
 				t.Fatalf("spec %d: telemetry requested but dump missing", i)
@@ -236,46 +341,46 @@ func TestTelemetrySpecsBypassCache(t *testing.T) {
 	// A memoized result would hand every caller the same *Dump; traced
 	// runs also mutate per-spec recorders. Telemetry specs therefore run
 	// fresh even when keyed.
+	for _, mk := range []func(string) Spec{testSpec, testServeSpec} {
+		ClearCache()
+		var runs atomic.Int32
+		spec := mk("tel-cache")
+		spec.Key = "runner-test-telemetry-key"
+		spec.Telemetry = true
+		countRuns(&spec, &runs)
+		pool := &Pool{Parallel: 1}
+		a := pool.Run([]Spec{spec})[0]
+		b := pool.Run([]Spec{spec})[0]
+		if runs.Load() != 2 {
+			t.Fatalf("telemetry spec ran %d times, want 2 (must bypass cache)", runs.Load())
+		}
+		if a.Telemetry == nil || a.Telemetry == b.Telemetry {
+			t.Fatal("telemetry dumps missing or aliased across runs")
+		}
+	}
 	ClearCache()
-	defer ClearCache()
-	var runs atomic.Int32
-	spec := testSpec("tel-cache")
-	spec.Key = "runner-test-telemetry-key"
-	spec.Telemetry = true
-	base := spec.NewStrategy
-	spec.NewStrategy = func() train.Strategy {
-		runs.Add(1)
-		return base()
-	}
-	pool := &Pool{Parallel: 1}
-	a := pool.Train([]Spec{spec})[0]
-	b := pool.Train([]Spec{spec})[0]
-	if runs.Load() != 2 {
-		t.Fatalf("telemetry spec ran %d times, want 2 (must bypass cache)", runs.Load())
-	}
-	if a.Telemetry == b.Telemetry {
-		t.Fatal("telemetry dumps aliased across runs")
-	}
 }
 
 func TestTelemetryDumpLabeledWithSpecID(t *testing.T) {
-	spec := testSpec("tel-label")
-	spec.Telemetry = true
-	res := Run(spec)
-	if !res.OK() {
-		t.Fatalf("run failed: %s", res.Err)
-	}
-	d := res.Telemetry
-	if d == nil {
-		t.Fatal("no dump")
-	}
-	if d.GetLabel("id") != "tel-label" {
-		t.Fatalf("id label = %q", d.GetLabel("id"))
-	}
-	if d.GetLabel("seed") == "" {
-		t.Fatal("seed label missing")
-	}
-	if res.Train != nil && d.TotalTimeNS != res.Train.TotalTime {
-		t.Fatalf("dump total %v != run total %v", d.TotalTimeNS, res.Train.TotalTime)
+	for _, spec := range []Spec{testSpec("tel-label"), testServeSpec("tel-serve-label")} {
+		spec.Telemetry = true
+		res := Run(spec)
+		if !res.OK() {
+			t.Fatalf("run failed: %s", res.Err)
+		}
+		d := res.Telemetry
+		if d == nil {
+			t.Fatal("no dump")
+		}
+		if d.GetLabel("id") != spec.ID {
+			t.Fatalf("id label = %q, want %q", d.GetLabel("id"), spec.ID)
+		}
+		if d.GetLabel("seed") != fmt.Sprint(spec.DerivedSeed()) {
+			t.Fatalf("seed label = %q, want %d", d.GetLabel("seed"), spec.DerivedSeed())
+		}
+		total := d.TotalTimeNS
+		if res.Train != nil && total != res.Train.TotalTime || res.Serve != nil && total != res.Serve.TotalTime {
+			t.Fatalf("%s: dump total %v does not match the run's", spec.ID, total)
+		}
 	}
 }

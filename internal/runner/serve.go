@@ -1,122 +1,21 @@
 package runner
 
 import (
-	"fmt"
-	"hash/fnv"
-
 	"coarse/internal/metrics"
-	"coarse/internal/model"
 	"coarse/internal/serve"
 	"coarse/internal/telemetry"
-	"coarse/internal/topology"
 )
 
-// ServeSpec describes one independent serving-simulation cell — the
-// inference counterpart of Spec, executed on the same pool with the
-// same memoization and determinism guarantees.
-type ServeSpec struct {
-	// ID uniquely labels the cell; it participates in seed derivation.
-	ID string
-	// Key memoizes the Result like Spec.Key; experiment families prefix
-	// serve keys with "serve/" so they can never alias a training key in
-	// the shared cache. Leave empty for chaos cells.
-	Key string
-
-	Topology topology.Spec
-	Model    *model.Model
-	Workload serve.Workload
-
-	// Options adjusts the serve.Config after defaults apply (KV
-	// placement, prefetch, pool split, chaos...). It runs inside
-	// the cell, so it must not touch shared mutable state.
-	Options func(*serve.Config)
-
-	// Seed overrides the derived per-spec seed when non-zero.
-	Seed int64
-
-	// Telemetry mirrors Spec.Telemetry: build a registry, attach the
-	// dump to the Result, bypass the cache.
-	Telemetry bool
-}
-
-// DerivedSeed mirrors Spec.DerivedSeed over the serving identity
-// fields: the workload shape joins the hash because it changes the
-// generated trace the way Batch/Iterations change a training run.
-func (s ServeSpec) DerivedSeed() int64 {
-	if s.Seed != 0 {
-		return s.Seed
-	}
-	h := fnv.New64a()
-	mname := ""
-	if s.Model != nil {
-		mname = s.Model.Name
-	}
-	fmt.Fprintf(h, "%s|%s|%s|%s|%g|%d", s.ID, s.Topology.Label, mname,
-		s.Workload.Arrival, s.Workload.RatePerSec, s.Workload.Requests)
-	seed := int64(h.Sum64() >> 1)
-	if seed == 0 {
-		seed = 1
-	}
-	return seed
-}
-
-// observerSpec is the minimal training-shaped Spec handed to Observer
-// hooks for serving cells: observers predate serving and key off the
-// ID, which is all a serving cell shares with the training shape.
-func (s ServeSpec) observerSpec() Spec {
-	return Spec{ID: s.ID, Topology: s.Topology, Model: s.Model, Seed: s.Seed}
-}
-
-// Serve runs every serving spec and returns results aligned by index,
-// byte-identical regardless of Parallel — same contract as Train.
-func (p *Pool) Serve(specs []ServeSpec) []*Result {
-	var obs Observer
-	if p != nil {
-		obs = p.Observer
-	}
-	return Map(p.workers(), len(specs), func(i int) *Result {
-		if obs != nil {
-			obs.CellStarted(specs[i].observerSpec())
-		}
-		res := runServeCached(specs[i])
-		if obs != nil {
-			obs.CellFinished(specs[i].observerSpec(), res)
-		}
-		return res
-	})
-}
-
-func runServeCached(s ServeSpec) *Result {
-	if s.Key == "" || s.Telemetry {
-		return RunServe(s)
-	}
-	if v, ok := cache.Load(s.Key); ok {
-		return v.(*Result)
-	}
-	res := RunServe(s)
-	if v, loaded := cache.LoadOrStore(s.Key, res); loaded {
-		return v.(*Result)
-	}
-	return res
-}
-
-// RunServe executes one serving cell serially, bypassing the cache,
-// with the same panic capture as Run.
-func RunServe(s ServeSpec) (res *Result) {
-	res = &Result{ID: s.ID, Seed: s.DerivedSeed()}
-	defer func() {
-		if v := recover(); v != nil {
-			res.Err = fmt.Sprintf("panic: %v", v)
-			res.Serve = nil
-		}
-	}()
-	cfg := serve.DefaultConfig(s.Topology, s.Model, s.Workload)
+// runServe is Run's body for a serving cell.
+func runServe(s Spec, res *Result) {
+	cfg := serve.DefaultConfig(s.Topology, s.Model, *s.Workload)
 	cfg.Seed = res.Seed
+	cfg.Chaos = s.Chaos
 	if s.Telemetry {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
-	if s.Options != nil {
-		s.Options(&cfg)
+	if s.ConfigureServe != nil {
+		s.ConfigureServe(&cfg)
 	}
 	sv, err := serve.New(cfg)
 	var sres *serve.Result
@@ -125,15 +24,10 @@ func RunServe(s ServeSpec) (res *Result) {
 	}
 	if err != nil {
 		res.fail(err)
-		return res
+		return
 	}
 	res.Serve = sres
-	if d := sv.TelemetryDump(); d != nil {
-		d.SetLabel("id", s.ID)
-		d.SetLabel("seed", fmt.Sprint(res.Seed))
-		res.Telemetry = d
-	}
-	return res
+	s.finish(res, sv.TelemetryDump(), &Probe{Result: res})
 }
 
 // serveRecord flattens a serving result into the machine-readable

@@ -57,7 +57,7 @@ func TestServeEndpoints(t *testing.T) {
 	specs = append(specs, broken)
 
 	s.ExperimentStarted("grid", "serve unit grid")
-	results := (&runner.Pool{Parallel: 2, Observer: s}).Train(specs)
+	results := (&runner.Pool{Parallel: 2, Observer: s}).Run(specs)
 	s.ExperimentFinished("grid", []string{"table-bytes-here"}, "")
 
 	if err := s.Start("127.0.0.1:0"); err != nil {
@@ -203,7 +203,7 @@ func TestConcurrentObservationAndServing(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		specs = append(specs, testSpec(fmt.Sprintf("conc/%d", i), i%3 == 0))
 	}
-	(&runner.Pool{Parallel: 4, Observer: s}).Train(specs)
+	(&runner.Pool{Parallel: 4, Observer: s}).Run(specs)
 	<-done
 
 	_, body := get(t, base+"/cells")
