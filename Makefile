@@ -58,10 +58,10 @@ bench-module:
 BENCH_WORKLOADS = paper-fig16 scale-512 layouts-3d serve-kv
 BENCH_MEM_METRICS = allocs_k alloc_mb heap_live_mb
 BENCH_ALLOCS_GO = go1.24.0
-BENCH_CEILINGS = paper-fig16:allocs_k:57.5 paper-fig16:alloc_mb:5.37 paper-fig16:heap_live_mb:0.302 \
-	scale-512:allocs_k:265.5 scale-512:alloc_mb:28.53 scale-512:heap_live_mb:8.35 \
-	layouts-3d:allocs_k:187.6 layouts-3d:alloc_mb:16.35 layouts-3d:heap_live_mb:1.302 \
-	serve-kv:allocs_k:58.8 serve-kv:alloc_mb:2.76 serve-kv:heap_live_mb:0.193
+BENCH_CEILINGS = paper-fig16:allocs_k:52.9 paper-fig16:alloc_mb:5.28 paper-fig16:heap_live_mb:0.296 \
+	scale-512:allocs_k:205.9 scale-512:alloc_mb:27.24 scale-512:heap_live_mb:8.21 \
+	layouts-3d:allocs_k:136.2 layouts-3d:alloc_mb:15.54 layouts-3d:heap_live_mb:1.296 \
+	serve-kv:allocs_k:57.5 serve-kv:alloc_mb:2.73 serve-kv:heap_live_mb:0.190
 
 bench-e2e:
 	@gover=$$(GOTOOLCHAIN=local go env GOVERSION); \

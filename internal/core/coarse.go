@@ -401,12 +401,13 @@ func (s *Strategy) registerTelemetry() {
 // across their tied-best sets.
 func (sh *coarseShard) spreadBwProxies() {
 	const tolerance = 0.95
-	taken := make(map[int]int) // proxy -> clients already aimed at it
+	taken := make([]int, len(sh.devs)) // proxy -> clients already aimed at it
+	cands := make([]int, 0, len(sh.devs))
 	for w := range sh.tables {
 		t := &sh.tables[w]
 		best := t.Measurements[t.BwProxy].Bandwidth
 		// Candidates within tolerance of the best.
-		var cands []int
+		cands = cands[:0]
 		for _, m := range t.Measurements {
 			if m.Bandwidth >= tolerance*best {
 				cands = append(cands, m.Proxy)

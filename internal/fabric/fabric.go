@@ -180,12 +180,13 @@ import (
 	"coarse/internal/sim"
 )
 
-// Channel is one direction of a link. Capacity is in bytes per second.
-// Per-reshare scratch does not live here: it sits in struct-of-arrays
-// on the owning Network, indexed by the channel's dense id, so the
-// progressive-filling pass walks flat arrays instead of these structs.
+// Channel is one direction of a link, held by value inside its Link.
+// Capacity is in bytes per second. Per-reshare scratch does not live
+// here: it sits in struct-of-arrays on the owning Network, indexed by
+// the channel's dense id, so the progressive-filling pass walks flat
+// arrays instead of these structs.
 type Channel struct {
-	name     string
+	link     *Link // owner: Name is its name plus which of its two channels this is
 	id       int32 // dense index into the network's channel SoA scratch
 	head     int32 // active[:head] are all tombstones (see channelRate)
 	capacity float64
@@ -205,8 +206,15 @@ type Channel struct {
 	inActive bool // member of the network's non-idle channel list
 }
 
-// Name returns the channel's diagnostic name.
-func (c *Channel) Name() string { return c.name }
+// Name returns the channel's diagnostic name: its link's name followed
+// by "/fwd" or "/rev". It is built on each call; nothing on a hot path
+// reads it.
+func (c *Channel) Name() string {
+	if c == &c.link.fwd {
+		return c.link.name + "/fwd"
+	}
+	return c.link.name + "/rev"
+}
 
 // Capacity returns the channel capacity in bytes per second.
 func (c *Channel) Capacity() float64 { return c.capacity }
@@ -261,21 +269,25 @@ func (c *Channel) account(now sim.Time, newRate float64) {
 	c.currentRate = newRate
 }
 
-// Link is a full-duplex connection between two topology endpoints.
+// Link is a full-duplex connection between two topology endpoints. Its
+// two channels live inside it, so a link is one allocation (see
+// TestLinkSizeClass). fwd comes first, so in a 64-byte-aligned Link
+// each channel's fields other than its cold link pointer sit in two
+// cache lines, as they did in a channel of its own.
 type Link struct {
+	fwd  Channel
+	rev  Channel
 	name string
-	fwd  *Channel
-	rev  *Channel
 }
 
 // Name returns the link name given at creation.
 func (l *Link) Name() string { return l.name }
 
 // Fwd returns the forward-direction channel (A to B).
-func (l *Link) Fwd() *Channel { return l.fwd }
+func (l *Link) Fwd() *Channel { return &l.fwd }
 
 // Rev returns the reverse-direction channel (B to A).
-func (l *Link) Rev() *Channel { return l.rev }
+func (l *Link) Rev() *Channel { return &l.rev }
 
 // Flow is a single in-flight transfer across a path of channels — or,
 // when flow aggregation folded symmetric siblings into it, the shared
@@ -551,15 +563,10 @@ func (n *Network) NewLink(name string, fwdCap, revCap float64, latency sim.Time)
 	if latency < 0 {
 		panic(fmt.Sprintf("fabric: link %q with negative latency", name))
 	}
-	l := &Link{
-		name: name,
-		fwd:  &Channel{name: name + "/fwd", capacity: fwdCap, latency: latency, net: n},
-		rev:  &Channel{name: name + "/rev", capacity: revCap, latency: latency, net: n},
-	}
-	l.fwd.id = int32(len(n.channels))
-	n.channels = append(n.channels, l.fwd)
-	l.rev.id = int32(len(n.channels))
-	n.channels = append(n.channels, l.rev)
+	l := &Link{name: name}
+	l.fwd = Channel{link: l, id: int32(len(n.channels)), capacity: fwdCap, latency: latency, net: n}
+	l.rev = Channel{link: l, id: int32(len(n.channels)) + 1, capacity: revCap, latency: latency, net: n}
+	n.channels = append(n.channels, &l.fwd, &l.rev)
 	n.links = append(n.links, l)
 	n.ffValid = false // the next pass is a full one, which sizes the channel scratch
 	return l

@@ -546,12 +546,66 @@ func TestFlowSizeClass(t *testing.T) {
 	}
 }
 
-// TestChannelSizeClass: Channel must fit the allocator's 128-byte size
-// class. At 136 bytes a channel takes a 144-byte slot, and the repo
-// benchmark's alloc_mb rose 0.5% and heap_live_mb 0.7-0.9%.
+// TestChannelSizeClass: Channel must stay within 128 bytes. Each Link
+// holds two, so TestLinkSizeClass is the tighter bound: two channels
+// and the link's name fit 256 bytes only while a channel is at most
+// 120.
 func TestChannelSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(Channel{}); got > 128 {
 		t.Fatalf("Channel is %d bytes, want at most 128", got)
+	}
+}
+
+// TestLinkSizeClass: Link, which holds both its channels by value,
+// must fit the allocator's 256-byte size class, so a link costs one
+// 256-byte object instead of a link, two channels and two name strings.
+func TestLinkSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Link{}); got > 256 {
+		t.Fatalf("Link is %d bytes, want at most 256", got)
+	}
+}
+
+// TestNewLinkOneAllocation: once the network's link and channel slices
+// have room, NewLink allocates exactly one object, the Link itself.
+func TestNewLinkOneAllocation(t *testing.T) {
+	const runs = 100
+	_, net := newNet()
+	net.links = make([]*Link, 0, runs+1)
+	net.channels = make([]*Channel, 0, 2*(runs+1))
+	if got := testing.AllocsPerRun(runs, func() {
+		net.NewLink("pcie", gib, gib, 0)
+	}); got != 1 {
+		t.Fatalf("NewLink allocates %v objects, want 1", got)
+	}
+}
+
+// TestChannelNames pins the names channels report, their dense ids and
+// their order in the network to what they were when each channel
+// stored its own name: routes are compared by these names.
+func TestChannelNames(t *testing.T) {
+	_, net := newNet()
+	names := []string{"n0/gpu0<->n0/port0", "n0/port0<->n0/sw-peer0", "x"}
+	for _, name := range names {
+		net.NewLink(name, gib, 2*gib, 0)
+	}
+	for i, l := range net.Links() {
+		if l.Name() != names[i] {
+			t.Errorf("link %d named %q, want %q", i, l.Name(), names[i])
+		}
+		for j, want := range []struct {
+			c     *Channel
+			name  string
+			bytes float64
+		}{{l.Fwd(), names[i] + "/fwd", gib}, {l.Rev(), names[i] + "/rev", 2 * gib}} {
+			id := 2*i + j
+			if got := want.c.Name(); got != want.name {
+				t.Errorf("channel %d named %q, want %q", id, got, want.name)
+			}
+			if int(want.c.id) != id || net.channels[id] != want.c || want.c.Capacity() != want.bytes {
+				t.Errorf("channel %q has id %d, capacity %g, want id %d, capacity %g",
+					want.name, want.c.id, want.c.Capacity(), id, want.bytes)
+			}
+		}
 	}
 }
 

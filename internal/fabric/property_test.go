@@ -333,12 +333,12 @@ func checkFold(t *testing.T, n *Network, label string) {
 	for _, c := range n.channels {
 		if want := refChannelRate(c); math.Float64bits(c.currentRate) != math.Float64bits(want) {
 			t.Errorf("%s t=%v: channel %s folded rate %.17g, whole-list re-sum %.17g",
-				label, n.eng.Now(), c.name, c.currentRate, want)
+				label, n.eng.Now(), c.Name(), c.currentRate, want)
 		}
 		for i, f := range c.active[:c.head] {
 			if !f.finished {
 				t.Errorf("%s t=%v: channel %s head %d passes live entry %d at index %d",
-					label, n.eng.Now(), c.name, c.head, f.seq, i)
+					label, n.eng.Now(), c.Name(), c.head, f.seq, i)
 				break
 			}
 		}

@@ -75,6 +75,10 @@ type Profiler struct {
 	// once to p.finish) records, so a probe allocates no closure.
 	done   sim.Time
 	onDone func()
+
+	// bws is findPartitionSize's per-size bandwidth scratch, kept
+	// across tables.
+	bws []float64
 }
 
 // New returns a profiler with the paper's probe ladder (4 KiB ... 64 MiB).
@@ -240,7 +244,10 @@ func AnalyticTableFrac(f *cci.Fabric, client *topology.Device, proxies []*topolo
 // SaturationFrac of the best measured bandwidth to the BwProxy.
 func (p *Profiler) findPartitionSize(client, bwProxy *topology.Device) int64 {
 	best := 0.0
-	bws := make([]float64, len(p.SweepSizes))
+	if len(p.bws) < len(p.SweepSizes) {
+		p.bws = make([]float64, len(p.SweepSizes))
+	}
+	bws := p.bws[:len(p.SweepSizes)]
 	for i, size := range p.SweepSizes {
 		dt := p.probe(client, bwProxy, size)
 		bws[i] = float64(size) / dt.ToSeconds()

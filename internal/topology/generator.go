@@ -179,13 +179,9 @@ func linkTier(a, b Kind) string {
 // reporting in the scale experiments.
 func (t *Topology) LinksByTier() []TierLinks {
 	byName := make(map[string][]*fabric.Link)
-	for _, l := range t.Net.Links() {
-		ends, ok := t.linkEnds[l]
-		if !ok {
-			continue
-		}
-		tier := linkTier(ends[0].Kind, ends[1].Kind)
-		byName[tier] = append(byName[tier], l)
+	for _, e := range t.ends {
+		tier := linkTier(e.a.Kind, e.b.Kind)
+		byName[tier] = append(byName[tier], e.link)
 	}
 	var out []TierLinks
 	for _, name := range tierOrder {

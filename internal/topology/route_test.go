@@ -18,15 +18,15 @@ type refHop struct {
 }
 
 // refAdjacency builds the reference router's adjacency from the
-// network's links in creation order: per device, its hops ordered by
-// peer ID, parallel links to one peer in the order they were created.
+// links Connect made, in creation order: per device, its hops ordered
+// by peer ID, parallel links to one peer in the order they were
+// created.
 func refAdjacency(m *Machine) [][]refHop {
 	adj := make([][]refHop, len(m.Devices()))
-	for _, l := range m.Net.Links() {
-		ends := m.linkEnds[l]
-		a, b := ends[0].ID, ends[1].ID
-		adj[a] = append(adj[a], refHop{b, l.Fwd()})
-		adj[b] = append(adj[b], refHop{a, l.Rev()})
+	for _, e := range m.ends {
+		a, b := e.a.ID, e.b.ID
+		adj[a] = append(adj[a], refHop{b, e.link.Fwd()})
+		adj[b] = append(adj[b], refHop{a, e.link.Rev()})
 	}
 	for _, hops := range adj {
 		slices.SortStableFunc(hops, func(x, y refHop) int { return x.peer - y.peer })
