@@ -61,7 +61,7 @@ BENCH_ALLOCS_GO = go1.24.0
 BENCH_CEILINGS = paper-fig16:allocs_k:52.9 paper-fig16:alloc_mb:5.28 paper-fig16:heap_live_mb:0.296 \
 	scale-512:allocs_k:205.9 scale-512:alloc_mb:27.24 scale-512:heap_live_mb:8.21 \
 	layouts-3d:allocs_k:136.2 layouts-3d:alloc_mb:15.54 layouts-3d:heap_live_mb:1.296 \
-	serve-kv:allocs_k:57.5 serve-kv:alloc_mb:2.73 serve-kv:heap_live_mb:0.190
+	serve-kv:allocs_k:4.60 serve-kv:alloc_mb:1.44 serve-kv:heap_live_mb:0.182
 
 bench-e2e:
 	@gover=$$(GOTOOLCHAIN=local go env GOVERSION); \

@@ -36,9 +36,18 @@
 // uses the same flow machinery training does, and chaos windows
 // (notably CCI brownouts browning out the pool's ports under live
 // traffic) compose exactly as in training.
+//
+// A run's allocations do not grow with its request count. Run reserves
+// one engine rank per request up front, and arrivals are one
+// caller-owned event re-armed at the next request's time and reserved
+// rank, so same-instant arrivals keep trace order. Each prefill worker's
+// barrier, each decode worker's barrier and every KV ship record (from
+// a sim.FreeList) bind their callbacks once, and the request queues keep
+// their storage. TestServeSteadyStateAllocs gates this. A Sim runs once.
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -287,11 +296,21 @@ type Sim struct {
 
 	trace []Request
 	seqs  []seqState
+	ran   bool
 
-	prefillQ    []int // request indices, FIFO
-	prefillBusy []bool
+	// arrival is the one caller-owned event that walks the trace: each
+	// firing re-arms it at the next request's arrival time and at that
+	// request's rank, arrivalBase+i, reserved when Run starts.
+	arrival     *sim.Event
+	arrivalBase uint64
+	nextArrival int
+	arriveNext  func() // s.fireArrival, bound once
 
-	decodeQ      [][]int // per decode worker, FIFO
+	prefillQ fifo // request indices
+	prefill  []prefillWorker
+	ships    *sim.FreeList[kvShip]
+
+	decodeQ      []fifo // per decode worker
 	decodeActive [][]int
 	decodeBusy   []bool
 	decodeBar    []*barrier // per decode worker: one iteration in flight at a time
@@ -374,9 +393,17 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.weightPass = sim.Seconds(float64(cfg.Model.ParamBytes()) / cfg.Spec.GPU.MemBW)
 
+	s.arriveNext = s.fireArrival
+	s.prefill = make([]prefillWorker, cfg.PrefillWorkers)
+	for pw := range s.prefill {
+		w := &s.prefill[pw]
+		w.bar.fn = func() { s.finishPrefill(pw) }
+		w.done = w.bar.done
+	}
+	s.ships = sim.NewFreeList[kvShip](eng)
+
 	decode := len(machine.Workers) - cfg.PrefillWorkers
-	s.prefillBusy = make([]bool, cfg.PrefillWorkers)
-	s.decodeQ = make([][]int, decode)
+	s.decodeQ = make([]fifo, decode)
 	s.decodeActive = make([][]int, decode)
 	s.decodeBusy = make([]bool, decode)
 	s.decodeBar = make([]*barrier, decode)
@@ -448,8 +475,66 @@ func (b *barrier) done() {
 	}
 }
 
-// Run executes the serving simulation.
+// prefillWorker is one prefill GPU. It holds one request at a time, so
+// its barrier and the barrier's done callback are bound once.
+type prefillWorker struct {
+	busy bool
+	req  int // the request in flight while busy
+	bar  barrier
+	done func() // bar.done, bound once
+}
+
+// kvShip is one prompt-KV handoff from a prefill worker to the decode
+// side. Ships from one worker can overlap, so each takes a record from
+// Sim.ships whose callback is bound once.
+type kvShip struct {
+	s      *Sim
+	i      int    // the request whose KV is in flight
+	landed func() // k.land, bound once
+}
+
+func (k *kvShip) land() {
+	s, i := k.s, k.i
+	s.ships.Put(k)
+	s.enqueueDecode(i)
+}
+
+// fifo is a queue of request indices that keeps its storage: a pop
+// advances the head, an emptied queue rewinds, and a push into a full
+// slice whose front half has been popped slides the live entries down
+// instead of growing it. Pops stay O(1) even when a burst queues the
+// whole trace at once, which copying down on every pop would not.
+type fifo struct {
+	q    []int
+	head int
+}
+
+func (f *fifo) len() int  { return len(f.q) - f.head }
+func (f *fifo) peek() int { return f.q[f.head] }
+
+func (f *fifo) pop() int {
+	i := f.q[f.head]
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return i
+}
+
+func (f *fifo) push(i int) {
+	if len(f.q) == cap(f.q) && 2*f.head >= len(f.q) {
+		f.q, f.head = f.q[:copy(f.q, f.q[f.head:])], 0
+	}
+	f.q = append(f.q, i)
+}
+
+// Run executes the serving simulation. A Sim runs once: a second call
+// returns an error, and another run needs a new Sim.
 func (s *Sim) Run() (*Result, error) {
+	if s.ran {
+		return nil, errors.New("serve: Run called twice on one Sim; build a new Sim with New for another run")
+	}
+	s.ran = true
 	cfg := s.cfg
 	s.trace = GenerateTrace(cfg.Workload, cfg.Seed)
 	s.seqs = make([]seqState, len(s.trace))
@@ -462,10 +547,12 @@ func (s *Sim) Run() (*Result, error) {
 		}
 	}
 	// Arrivals are foreground events: they must keep Run alive until
-	// the last request drains.
-	for i := range s.seqs {
-		i := i
-		s.eng.At(s.seqs[i].req.Arrival, func() { s.arrive(i) })
+	// the last request drains. Each request's rank is reserved here, as
+	// if every arrival were scheduled now, but only the next one is
+	// queued at a time.
+	s.arrivalBase = s.eng.ReserveSeq(len(s.seqs))
+	if len(s.seqs) > 0 {
+		s.arrival = s.eng.AtRanked(s.seqs[0].req.Arrival, s.arrivalBase, s.arriveNext)
 	}
 	s.chaos.Arm(s.eng)
 	var sampler *telemetry.Sampler
@@ -494,29 +581,43 @@ func (s *Sim) Run() (*Result, error) {
 // Config.Telemetry was not set.
 func (s *Sim) TelemetryDump() *telemetry.Dump { return s.dump }
 
+// fireArrival admits the request the arrival event stands for and
+// re-arms the event for the next one. The trace is sorted by arrival
+// time, so the next arrival is never before now.
+func (s *Sim) fireArrival() {
+	i := s.nextArrival
+	s.nextArrival++
+	s.eng.Recycle(s.arrival)
+	s.arrival = nil
+	if next := s.nextArrival; next < len(s.seqs) {
+		s.arrival = s.eng.AtRanked(s.seqs[next].req.Arrival, s.arrivalBase+uint64(next), s.arriveNext)
+	}
+	s.arrive(i)
+}
+
 // arrive enqueues a request on the prefill pool.
 func (s *Sim) arrive(i int) {
 	if s.cArrived != nil {
 		s.cArrived.Inc()
 	}
-	s.prefillQ = append(s.prefillQ, i)
+	s.prefillQ.push(i)
 	s.kickPrefill()
 }
 
 // kickPrefill hands queued requests to idle prefill workers in worker
 // order — one request per worker at a time (prefill batches of one).
 func (s *Sim) kickPrefill() {
-	for pw := range s.prefillBusy {
-		if len(s.prefillQ) == 0 {
+	for pw := range s.prefill {
+		if s.prefillQ.len() == 0 {
 			return
 		}
-		if s.prefillBusy[pw] {
+		w := &s.prefill[pw]
+		if w.busy {
 			continue
 		}
-		i := s.prefillQ[0]
-		s.prefillQ = s.prefillQ[1:]
-		s.prefillBusy[pw] = true
-		s.startPrefill(pw, i)
+		w.busy = true
+		w.req = s.prefillQ.pop()
+		s.startPrefill(pw)
 	}
 }
 
@@ -524,24 +625,26 @@ func (s *Sim) kickPrefill() {
 // prompt forward overlapped with the shared-parameter miss stream from
 // the pool. Completion is the first response token (TTFT), after which
 // the prompt's KV ships to the decode side and the worker frees.
-func (s *Sim) startPrefill(pw, i int) {
-	seq := &s.seqs[i]
+func (s *Sim) startPrefill(pw int) {
+	w := &s.prefill[pw]
+	seq := &s.seqs[w.req]
 	g := s.gpus[pw]
 	start := s.eng.Now()
-	b := &barrier{fn: func() { s.finishPrefill(pw, i) }}
-	b.add()
+	w.bar.add()
 	dur := s.prefillTime(g, seq.req.PromptTokens)
-	s.eng.At(s.chaos.AdvanceCompute(pw, start, dur), b.done)
+	s.eng.At(s.chaos.AdvanceCompute(pw, start, dur), w.done)
 	if s.paramMiss > 0 {
-		b.add()
+		w.bar.add()
 		s.paramBytes += s.paramMiss
-		s.fab.DMACopy(s.paramDev, g.Dev, s.paramMiss, b.done)
+		s.fab.DMACopy(s.paramDev, g.Dev, s.paramMiss, w.done)
 	}
 }
 
 // finishPrefill emits the first token, ships the prompt KV, and frees
 // the prefill worker.
-func (s *Sim) finishPrefill(pw, i int) {
+func (s *Sim) finishPrefill(pw int) {
+	w := &s.prefill[pw]
+	i := w.req
 	seq := &s.seqs[i]
 	seq.firstTok = s.eng.Now()
 	if s.ttftHist != nil {
@@ -556,8 +659,14 @@ func (s *Sim) finishPrefill(pw, i int) {
 		dst = s.machine.Workers[seq.decoder]
 	}
 	s.kvBytes += kv
-	s.fab.DMACopy(s.gpus[pw].Dev, dst, kv, func() { s.enqueueDecode(i) })
-	s.prefillBusy[pw] = false
+	ship := s.ships.Get()
+	if ship == nil {
+		ship = &kvShip{s: s}
+		ship.landed = ship.land
+	}
+	ship.i = i
+	s.fab.DMACopy(s.gpus[pw].Dev, dst, kv, ship.landed)
+	w.busy = false
 	s.kickPrefill()
 }
 
@@ -565,7 +674,7 @@ func (s *Sim) finishPrefill(pw, i int) {
 func (s *Sim) enqueueDecode(i int) {
 	seq := &s.seqs[i]
 	d := seq.decoder - s.cfg.PrefillWorkers
-	s.decodeQ[d] = append(s.decodeQ[d], i)
+	s.decodeQ[d].push(i)
 	if !s.decodeBusy[d] {
 		s.startIteration(d)
 	}
@@ -578,8 +687,9 @@ func (s *Sim) enqueueDecode(i int) {
 // keeps the schedule deterministic and models the HBM wall as
 // queueing, not reordering).
 func (s *Sim) admit(d int) {
-	for len(s.decodeActive[d]) < maxBatch && len(s.decodeQ[d]) > 0 {
-		i := s.decodeQ[d][0]
+	q := &s.decodeQ[d]
+	for len(s.decodeActive[d]) < maxBatch && q.len() > 0 {
+		i := q.peek()
 		seq := &s.seqs[i]
 		if s.cfg.KVPlacement == KVLocal {
 			need := int64(seq.req.PromptTokens+seq.req.OutputTokens) * kvBytesPerToken
@@ -589,7 +699,7 @@ func (s *Sim) admit(d int) {
 			s.kvUsed[d] += need
 			seq.reserved = need
 		}
-		s.decodeQ[d] = s.decodeQ[d][1:]
+		q.pop()
 		s.decodeActive[d] = append(s.decodeActive[d], i)
 	}
 }
@@ -702,11 +812,11 @@ func (s *Sim) registerTelemetry() {
 	s.chaos.AttachTelemetry(reg)
 	s.cArrived = reg.Counter("serve/requests_arrived", "reqs")
 	s.cTokens = reg.Counter("serve/tokens_generated", "tokens")
-	reg.GaugeFunc("serve/prefill_queue", "reqs", func() float64 { return float64(len(s.prefillQ)) })
+	reg.GaugeFunc("serve/prefill_queue", "reqs", func() float64 { return float64(s.prefillQ.len()) })
 	reg.GaugeFunc("serve/decode_queued", "reqs", func() float64 {
 		n := 0
-		for _, q := range s.decodeQ {
-			n += len(q)
+		for i := range s.decodeQ {
+			n += s.decodeQ[i].len()
 		}
 		return float64(n)
 	})

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"coarse/internal/chaos"
@@ -219,5 +221,125 @@ func TestParseKVPlacement(t *testing.T) {
 	}
 	if _, err := ParseKVPlacement("remote"); err == nil {
 		t.Fatalf("ParseKVPlacement accepted an unknown placement")
+	}
+}
+
+// TestServeArrivalTieOrder pins how requests arriving at the same
+// nanosecond are ordered: by trace position, the rank each arrival
+// reserved when Run started. At 1e9 requests/s the 64-request seed-7
+// trace holds 18 same-instant arrival pairs under Poisson and 34 under
+// Bursty; handing either of a pair to the prefill pool first changes
+// which request waits, so the pinned figures (computed when every
+// arrival was scheduled up front) move with any change of tie order.
+// The engine's rank count after Run is pinned too: each arrival takes
+// the rank reserved for it, so re-arming one at a fresh rank shows.
+func TestServeArrivalTieOrder(t *testing.T) {
+	cases := []struct {
+		shape     ArrivalKind
+		placement KVPlacement
+		total     sim.Time
+		events    uint64
+		ranks     uint64
+		completed int
+		kvBytes   int64
+		ttft      LatencyStats
+		tpot      LatencyStats
+	}{
+		{Poisson, KVLocal, 2274828012, 4936, 11344, 64, 5721030656,
+			LatencyStats{175715671, 167148290, 381514010, 381514010},
+			LatencyStats{71576047, 19410844, 1353355791, 1353355791}},
+		{Poisson, KVPooled, 1837190781, 17886, 29406, 64, 44630748976,
+			LatencyStats{175647119, 167148290, 380681943, 380681943},
+			LatencyStats{27197911, 12633007, 260884658, 260884658}},
+		{Bursty, KVLocal, 2274828011, 4936, 11344, 64, 5721030656,
+			LatencyStats{175715694, 167148312, 381514054, 381514054},
+			LatencyStats{71576047, 19410844, 1353355791, 1353355791}},
+		{Bursty, KVPooled, 1837190780, 17886, 29406, 64, 44630748976,
+			LatencyStats{175647141, 167148312, 380681987, 380681987},
+			LatencyStats{27197911, 12633007, 260884658, 260884658}},
+	}
+	for _, c := range cases {
+		t.Run(c.shape.String()+"-"+c.placement.String(), func(t *testing.T) {
+			w := Workload{Arrival: c.shape, RatePerSec: 1e9, Requests: 64}
+			cfg := DefaultConfig(topology.AWSV100(), model.BERTBase(), w)
+			cfg.KVPlacement = c.placement
+			cfg.Seed = 7
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranks := s.eng.SeqMark()
+			if res.TotalTime != c.total || res.Events != c.events || ranks != c.ranks || res.Completed != c.completed ||
+				res.KVFabricBytes != c.kvBytes || res.TTFT != c.ttft || res.TPOT != c.tpot {
+				t.Errorf("got TotalTime %d Events %d ranks %d Completed %d KVFabricBytes %d TTFT %+v TPOT %+v\n"+
+					"want TotalTime %d Events %d ranks %d Completed %d KVFabricBytes %d TTFT %+v TPOT %+v",
+					res.TotalTime, res.Events, ranks, res.Completed, res.KVFabricBytes, res.TTFT, res.TPOT,
+					c.total, c.events, c.ranks, c.completed, c.kvBytes, c.ttft, c.tpot)
+			}
+		})
+	}
+}
+
+// TestServeRunTwice: a Sim runs once. A second Run returns an error
+// naming the remedy instead of rescheduling the trace in the past.
+func TestServeRunTwice(t *testing.T) {
+	s, err := New(testConfig(KVPooled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err == nil || !strings.Contains(err.Error(), "new Sim") {
+		t.Fatalf("second Run = %v, %v; want an error saying to build a new Sim", res, err)
+	}
+	if res != nil {
+		t.Fatalf("second Run returned a result: %+v", res)
+	}
+	if again, err := Run(testConfig(KVPooled)); err != nil || *again != *first {
+		t.Fatalf("a fresh Sim after the rejected Run = %+v, %v; want %+v", again, err, first)
+	}
+}
+
+// TestFifoMatchesSlice drives the request queue through bursts and
+// drains against a plain slice: it pops in push order, and its storage
+// stays within four times the deepest backlog however many indices
+// pass (it grows only when more than half full, by at most double).
+func TestFifoMatchesSlice(t *testing.T) {
+	var f fifo
+	var ref []int
+	r := rand.New(rand.NewSource(3))
+	next, peak := 0, 0
+	for step := 0; step < 20000; step++ {
+		if r.Intn(2) == 0 {
+			for k := r.Intn(40); k > 0; k-- {
+				f.push(next)
+				ref = append(ref, next)
+				next++
+			}
+		} else {
+			for k := r.Intn(40); k > 0 && len(ref) > 0; k-- {
+				if got := f.peek(); got != ref[0] {
+					t.Fatalf("step %d: peek %d, want %d", step, got, ref[0])
+				}
+				if got := f.pop(); got != ref[0] {
+					t.Fatalf("step %d: pop %d, want %d", step, got, ref[0])
+				}
+				ref = ref[1:]
+			}
+		}
+		if f.len() != len(ref) {
+			t.Fatalf("step %d: len %d, want %d", step, f.len(), len(ref))
+		}
+		peak = max(peak, len(ref))
+	}
+	if cap(f.q) > 4*peak {
+		t.Fatalf("storage holds %d indices for a deepest backlog of %d", cap(f.q), peak)
 	}
 }
