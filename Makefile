@@ -10,7 +10,7 @@ GO ?= go
 # `make lint`, so bumping the version here is the whole upgrade.
 STATICCHECK_VERSION = 2024.1.1
 
-.PHONY: all build test race vet lint bench-module bench-e2e bench-smoke serve-smoke serve-family-smoke serve-golden suite golden-drift telemetry-smoke cover fuzz-smoke parallel-smoke ci
+.PHONY: all build test race vet lint examples-smoke bench-module bench-e2e bench-smoke serve-smoke serve-family-smoke serve-golden suite golden-drift telemetry-smoke cover fuzz-smoke parallel-smoke ci
 
 # Coverage floor for `make cover` (total statement coverage, percent,
 # measured under -short so the floor tracks the fast deterministic
@@ -33,6 +33,16 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Run every example program to completion, not just compile it: each
+# examples/*/ main must exit 0. The glob finds them, so adding or
+# deleting an example needs no edit here. Their output goes to
+# /dev/null; the programs print timings, not checked figures.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "examples-smoke: $$d"; \
+		$(GO) run ./$$d > /dev/null || { echo "examples-smoke: $$d exited non-zero" >&2; exit 1; }; \
+	done
 
 # The repo benchmark (benchmark/) is its own module, so the root
 # `go build ./...` never compiles it: vet and test it separately so an
@@ -58,9 +68,9 @@ bench-module:
 BENCH_WORKLOADS = paper-fig16 scale-512 layouts-3d serve-kv
 BENCH_MEM_METRICS = allocs_k alloc_mb heap_live_mb
 BENCH_ALLOCS_GO = go1.24.0
-BENCH_CEILINGS = paper-fig16:allocs_k:52.9 paper-fig16:alloc_mb:5.28 paper-fig16:heap_live_mb:0.296 \
-	scale-512:allocs_k:205.9 scale-512:alloc_mb:27.24 scale-512:heap_live_mb:8.21 \
-	layouts-3d:allocs_k:136.2 layouts-3d:alloc_mb:15.54 layouts-3d:heap_live_mb:1.296 \
+BENCH_CEILINGS = paper-fig16:allocs_k:52.8 paper-fig16:alloc_mb:5.27 paper-fig16:heap_live_mb:0.294 \
+	scale-512:allocs_k:205.7 scale-512:alloc_mb:27.22 scale-512:heap_live_mb:8.20 \
+	layouts-3d:allocs_k:136.0 layouts-3d:alloc_mb:15.53 layouts-3d:heap_live_mb:1.293 \
 	serve-kv:allocs_k:4.60 serve-kv:alloc_mb:1.44 serve-kv:heap_live_mb:0.182
 
 bench-e2e:

@@ -5,12 +5,11 @@
 // The package simulates the paper's full stack — PCIe/CCI fabrics with
 // max-min fair bandwidth sharing, directory coherence, disaggregated
 // memory devices with near-memory sync cores, worker GPUs with roofline
-// compute timing — and runs real data-parallel training over it with
-// four synchronization strategies: a centralized CPU parameter server,
-// the naive DENSE CCI design, NCCL-style ring AllReduce, and COARSE
-// itself (decentralized proxies, bandwidth-aware tensor routing,
-// equal-shard partitioning, dual synchronization, queue-based deadlock
-// avoidance, copy-on-write checkpointing).
+// compute timing — and times data-parallel training over it with four
+// synchronization strategies: a centralized CPU parameter server, the
+// naive DENSE CCI design, NCCL-style ring AllReduce, and COARSE itself
+// (decentralized proxies, bandwidth-aware tensor routing, equal-shard
+// partitioning, dual synchronization, queue-based deadlock avoidance).
 //
 // Quick start:
 //
@@ -28,11 +27,9 @@ import (
 	"coarse/internal/cci"
 	"coarse/internal/config"
 	"coarse/internal/core"
-	"coarse/internal/data"
 	"coarse/internal/experiments"
 	"coarse/internal/gpu"
 	"coarse/internal/model"
-	"coarse/internal/nn"
 	"coarse/internal/profiler"
 	"coarse/internal/sim"
 	"coarse/internal/tensor"
@@ -51,8 +48,6 @@ type (
 	Result = train.Result
 	// RoutingTable is a client's profiled routing table (Section III-E).
 	RoutingTable = profiler.Table
-	// Dataset is an in-memory supervised dataset.
-	Dataset = data.Dataset
 	// Tensor is a named float32 parameter buffer.
 	Tensor = tensor.Tensor
 	// Session is COARSE's standalone push/pull parameter-server
@@ -92,9 +87,6 @@ var (
 func GPUSpecOf(model string, tflops float64, memBytes int64, memBW float64) topology.GPUSpec {
 	return topology.GPUSpec{Model: model, TFLOPS: tflops, MemBytes: memBytes, MemBW: memBW}
 }
-
-// Blobs generates a seeded Gaussian-blob classification dataset.
-var Blobs = data.Blobs
 
 // Strategy selects a parameter-synchronization scheme.
 type Strategy string
@@ -210,78 +202,4 @@ func ExperimentInfo(id string) (title, paper string, err error) {
 		return "", "", fmt.Errorf("coarse: unknown experiment %q", id)
 	}
 	return e.Title, e.Paper, nil
-}
-
-// RealTrainingReport is the outcome of an end-to-end numeric run: a
-// real MLP trained by real backpropagation, with gradients synchronized
-// through the selected strategy's simulated machinery.
-type RealTrainingReport struct {
-	Result    *Result
-	LossStart float64
-	LossEnd   float64
-	Accuracy  float64
-}
-
-// TrainReal trains an actual MLP (real forward/backward math, real SGD)
-// on a dataset, with every worker computing gradients on its own data
-// shard and the strategy synchronizing them. It demonstrates that the
-// synchronization paths are numerically faithful, not just timed.
-func TrainReal(machine MachineSpec, hidden []int, ds *Dataset, batch, iterations int, strategy Strategy) (*RealTrainingReport, error) {
-	sizes := append([]int{ds.Dim()}, hidden...)
-	sizes = append(sizes, ds.Classes)
-	spec := model.MLP("real-mlp", sizes...)
-
-	strat, err := config.Strategy(string(strategy))
-	if err != nil {
-		return nil, err
-	}
-	cfg := train.DefaultConfig(machine, spec, batch, iterations)
-	cfg.Numeric = true
-	tr, err := train.New(cfg, strat)
-	if err != nil {
-		return nil, err
-	}
-	ctx := tr.Ctx()
-
-	// Give every replica the same Xavier init and its own data shard.
-	nets := make([]*nn.MLP, ctx.NumWorkers())
-	shards := make([]*Dataset, ctx.NumWorkers())
-	for w := range nets {
-		nets[w] = nn.FromParams(sizes, ctx.Params[w])
-		nets[w].InitXavier(11)
-		shards[w] = ds.Shard(w, ctx.NumWorkers())
-	}
-	lossStart := nets[0].Loss(ds.X, ds.Y)
-
-	// Real gradients: each worker backpropagates its shard's batch. The
-	// trainer invokes this per layer in production order; backprop runs
-	// once per (iteration, worker) and is cached.
-	type gradSet struct {
-		it    int
-		grads []*Tensor
-	}
-	cache := make([]gradSet, ctx.NumWorkers())
-	tr.SetGradientFunc(func(it, w, layer int, grad *Tensor) {
-		if cache[w].grads == nil || cache[w].it != it {
-			gs := make([]*Tensor, len(ctx.Grads[w]))
-			for l, g := range ctx.Grads[w] {
-				gs[l] = tensor.New(g.Name, g.Len())
-			}
-			xs, ys := shards[w].Batch(it, batch)
-			nets[w].Backward(xs, ys, gs)
-			cache[w] = gradSet{it: it, grads: gs}
-		}
-		copy(grad.Data, cache[w].grads[layer].Data)
-	})
-
-	res, err := tr.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &RealTrainingReport{
-		Result:    res,
-		LossStart: lossStart,
-		LossEnd:   nets[0].Loss(ds.X, ds.Y),
-		Accuracy:  nets[0].Accuracy(ds.X, ds.Y),
-	}, nil
 }

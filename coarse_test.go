@@ -73,40 +73,6 @@ func TestRunExperiment(t *testing.T) {
 	}
 }
 
-func TestTrainRealConverges(t *testing.T) {
-	ds := Blobs(3, 400, 8, 4, 5)
-	rep, err := TrainReal(SDSCP100(), []int{32}, ds, 16, 40, StrategyCOARSE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LossEnd >= rep.LossStart/2 {
-		t.Fatalf("loss %v -> %v: training through COARSE did not converge", rep.LossStart, rep.LossEnd)
-	}
-	if rep.Accuracy < 0.85 {
-		t.Fatalf("accuracy %.2f, want >= 0.85", rep.Accuracy)
-	}
-}
-
-func TestTrainRealStrategiesAgree(t *testing.T) {
-	// All strategies implement the same averaged-gradient SGD: identical
-	// final loss and accuracy.
-	ds := Blobs(5, 200, 6, 3, 5)
-	var first *RealTrainingReport
-	for _, s := range []Strategy{StrategyAllReduce, StrategyCOARSE, StrategyDENSE} {
-		rep, err := TrainReal(SDSCP100(), []int{16}, ds, 8, 10, s)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if first == nil {
-			first = rep
-			continue
-		}
-		if diff := rep.LossEnd - first.LossEnd; diff > 1e-5 || diff < -1e-5 {
-			t.Fatalf("%s final loss %v differs from %v", s, rep.LossEnd, first.LossEnd)
-		}
-	}
-}
-
 func TestMaxFeasibleBatch(t *testing.T) {
 	// BERT-Large on 16 GB V100: AllReduce caps at batch 2-3, COARSE goes
 	// higher thanks to offloaded optimizer state (the Figure 16e gap).

@@ -59,26 +59,13 @@ func ExampleNewSession() {
 		for j := range g.Data {
 			g.Data[j] = float32(i + 1) // contributions 1,2,3,4
 		}
-		c.Push(g)
+		if err := c.Push(g); err != nil {
+			panic(err)
+		}
 	}
 	var got *coarse.Tensor
 	s.Clients()[0].Pull("grad", func(t *coarse.Tensor) { got = t })
 	s.Drain()
 	fmt.Println("synchronized value:", got.Data[0])
 	// Output: synchronized value: 2.5
-}
-
-// TrainReal trains an actual MLP with real backpropagation; gradients
-// synchronize through the simulated COARSE machinery.
-func ExampleTrainReal() {
-	ds := coarse.Blobs(42, 400, 8, 4, 5)
-	rep, err := coarse.TrainReal(coarse.SDSCP100(), []int{16}, ds, 16, 30, coarse.StrategyCOARSE)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("converged:", rep.LossEnd < rep.LossStart/2)
-	fmt.Println("accuracy above 85%:", rep.Accuracy > 0.85)
-	// Output:
-	// converged: true
-	// accuracy above 85%: true
 }

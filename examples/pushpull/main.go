@@ -45,7 +45,9 @@ func main() {
 			for i := range grad.Data {
 				grad.Data[i] = float32(w + 1)
 			}
-			c.Push(grad)
+			if err := c.Push(grad); err != nil {
+				log.Fatal(err)
+			}
 		}
 		// Pull the synchronized average and apply SGD locally.
 		for w, c := range clients {

@@ -1,10 +1,9 @@
-// Quickstart: train a real model through COARSE.
+// Quickstart: time BERT-Base training through COARSE and AllReduce.
 //
-// This example builds a small classification dataset, spins up the
-// simulated SDSC machine (two worker GPUs, two CCI memory devices), and
-// trains an actual MLP with real backpropagation — gradients are
-// synchronized through COARSE's clients, proxies and sync cores, so the
-// run demonstrates both the timing model and numerical correctness.
+// This example simulates data-parallel BERT-Base training on the AWS
+// V100 machine (four worker GPUs, two CCI memory devices) with COARSE
+// and with NCCL-style ring AllReduce, and compares their iteration
+// time, blocked communication time and throughput.
 //
 //	go run ./examples/quickstart
 package main
@@ -17,28 +16,24 @@ import (
 )
 
 func main() {
-	// A seeded, linearly separable 4-class problem.
-	ds := coarse.Blobs(42, 1000, 16, 4, 5)
+	machine, m := coarse.AWSV100(), coarse.BERTBase()
+	const batch, iterations = 2, 4
+	fmt.Printf("training %s (batch %d per GPU, %d iterations) on %s...\n\n",
+		m.Name, batch, iterations, machine.Label)
 
-	fmt.Println("training a 16-32-4 MLP on the simulated SDSC P100 machine with COARSE...")
-	rep, err := coarse.TrainReal(coarse.SDSCP100(), []int{32}, ds, 32, 60, coarse.StrategyCOARSE)
-	if err != nil {
-		log.Fatal(err)
+	var iters []float64
+	for _, s := range []coarse.Strategy{coarse.StrategyAllReduce, coarse.StrategyCOARSE} {
+		res, err := coarse.Train(machine, m, batch, iterations, s)
+		if err != nil {
+			log.Fatal(err)
+		}
+		iters = append(iters, res.IterTime.ToSeconds())
+		fmt.Println(s)
+		fmt.Printf("  iteration:   %v (compute %v, blocked comm %v)\n",
+			res.IterTime, res.ComputeTime, res.BlockedComm)
+		fmt.Printf("  GPU util:    %.1f%%\n", 100*res.GPUUtil)
+		fmt.Printf("  throughput:  %.0f samples/s across %d workers\n\n",
+			res.Throughput(), res.Workers)
 	}
-
-	fmt.Printf("\n  loss:        %.4f -> %.4f\n", rep.LossStart, rep.LossEnd)
-	fmt.Printf("  accuracy:    %.1f%%\n", 100*rep.Accuracy)
-	fmt.Printf("  iteration:   %v (compute %v, blocked comm %v)\n",
-		rep.Result.IterTime, rep.Result.ComputeTime, rep.Result.BlockedComm)
-	fmt.Printf("  GPU util:    %.1f%%\n", 100*rep.Result.GPUUtil)
-	fmt.Printf("  throughput:  %.0f samples/s across %d workers\n",
-		rep.Result.Throughput(), rep.Result.Workers)
-
-	// The same run over NCCL-style AllReduce produces the identical
-	// parameter trajectory — COARSE is a drop-in synchronization scheme.
-	ar, err := coarse.TrainReal(coarse.SDSCP100(), []int{32}, ds, 32, 60, coarse.StrategyAllReduce)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nAllReduce reaches the same loss: %.6f vs %.6f\n", ar.LossEnd, rep.LossEnd)
+	fmt.Printf("COARSE speedup over AllReduce: %.2fx\n", iters[0]/iters[1])
 }

@@ -5,11 +5,9 @@
 // The collectives move byte counts, not data: every step's transfers
 // are issued on the simulation engine through a caller-supplied send
 // function, so ring bandwidth, direction and contention come from the
-// fabric. Numeric gradients are averaged once per layer by the trainer
-// (train.Ctx.AverageGrads) when the layer's timed reduction completes.
-// The ring can run in either direction; the memory devices' sync groups
-// run two rings in opposite directions to fill both halves of each
-// full-duplex link (paper Figure 11b).
+// fabric. The ring can run in either direction; the memory devices'
+// sync groups run two rings in opposite directions to fill both halves
+// of each full-duplex link (paper Figure 11b).
 package collective
 
 import (

@@ -71,9 +71,6 @@ type Options struct {
 	// the Equation (1) planner choose; 1 turns dual sync off, sending
 	// every layer to the proxies. The ablation benches sweep it.
 	MFraction float64
-	// Checkpoint snapshots parameter storage at the end of every epoch
-	// (here: every EpochIters iterations).
-	EpochIters int
 	// ProxyCache enables the proxy-side parameter cache of Section
 	// III-D: the first pull of a synchronized shard reads it out of
 	// storage DRAM into the proxy, subsequent pulls of the same shard
@@ -172,14 +169,9 @@ type iterState struct {
 	// shardsLeft counts, per (worker, layer) at w*layers + layer,
 	// shards not yet pulled back.
 	shardsLeft []int32
-	// averaged marks layers whose gradients have been numerically
-	// averaged (once per layer, at first shard-sync completion — before
-	// any worker can consume them).
-	averaged []bool
 	// layersLeft counts (layer, reduction tree) completions still owed
 	// this iteration — the layer count on the data-parallel layout; the
-	// iteration's state is dropped (and the epoch checkpoint taken) when
-	// it reaches zero.
+	// iteration's state is dropped when it reaches zero.
 	layersLeft int
 	// assign freezes the dual-sync assignment for this iteration, so a
 	// mid-iteration re-profile (which may re-plan the split) cannot put
@@ -586,10 +578,6 @@ func (s *Strategy) ProxySynced(layer int) bool { return s.proxySynced[layer] }
 // domain (the only one in the paper's single-domain configuration).
 func (s *Strategy) Tables() []profiler.Table { return s.shards[0].tables }
 
-// Pool exposes the first domain's memory-device pool (experiments and
-// examples read its checkpoint and storage statistics).
-func (s *Strategy) Pool() *memdev.Pool { return s.shards[0].pool }
-
 // NumShards reports the number of coherence domains in use.
 func (s *Strategy) NumShards() int { return len(s.shards) }
 
@@ -608,7 +596,6 @@ func (s *Strategy) state(it int) *iterState {
 			pairs:      make([]pairState, layers*trees),
 			trees:      trees,
 			shardsLeft: make([]int32, ctx.NumWorkers()*layers),
-			averaged:   make([]bool, layers),
 		}
 	}
 	st.it = it
@@ -658,7 +645,6 @@ func (s *Strategy) drop(st *iterState) {
 		}
 	}
 	clear(st.shardsLeft)
-	clear(st.averaged)
 	s.states.Put(st)
 }
 
@@ -730,10 +716,6 @@ func (op *shardOp) onReduced() {
 	s, key := op.s, op.key
 	s.ops.Put(op)
 	ctx := s.ctx
-	if ctx.Cfg.Numeric {
-		ctx.AverageGrads(key.layer)
-		s.captureParam(key.it, key.layer)
-	}
 	for _, dst := range ctx.Plan().GroupMembers(key.gid) {
 		ctx.MarkReady(key.it, dst, key.layer)
 	}
@@ -831,14 +813,6 @@ func (op *shardOp) onSynced() {
 	ctx := s.ctx
 	sh := s.shardOf(key.layer)
 	st := s.state(key.it)
-	if ctx.Cfg.Numeric {
-		// Average once per layer, before any worker can pull and apply.
-		if !st.averaged[key.layer] {
-			st.averaged[key.layer] = true
-			ctx.AverageGrads(key.layer)
-			s.captureParam(key.it, key.layer)
-		}
-	}
 	// FCFS: the synced shard releases the head of every proxy queue
 	// holding it, letting the next arrival register. Keys are
 	// layer-scoped, so only the owning domain's proxies can hold them.
@@ -909,56 +883,9 @@ func (op *shardOp) onAwake() {
 	}
 }
 
-// captureParam writes the master copy of a layer's parameters into its
-// home device's storage (numeric mode, epoch boundaries only): the
-// parameter-storage tier of Section III-D holding the state the epoch
-// checkpoint snapshots. The captured value includes the boundary
-// iteration's SGD update (exactly what every worker will apply at its
-// next forward pass).
-func (s *Strategy) captureParam(it, layer int) {
-	ctx := s.ctx
-	if !ctx.Cfg.Numeric || s.Opts.EpochIters <= 0 || (it+1)%s.Opts.EpochIters != 0 {
-		return
-	}
-	s.homeDevice(layer).Store.Put(ctx.Params[0][layer].Name, ctx.PreviewUpdate(0, layer))
-}
-
-// homeDevice returns the storage device holding a layer's master copy:
-// within the layer's coherence domain, homes rotate across the domain's
-// devices. With one domain this is the historical layer-mod-devices map.
-func (s *Strategy) homeDevice(layer int) *memdev.Device {
-	sh := s.shardOf(layer)
-	return sh.pool.Devices[(layer/len(s.shards))%len(sh.pool.Devices)]
-}
-
-// RestoreLatest loads the most recent epoch checkpoint back into every
-// worker's parameters, returning false when no checkpoint exists. It is
-// the recovery path of Section IV-A: a failed worker resumes from the
-// storage tier's snapshot instead of retraining from scratch.
-func (s *Strategy) RestoreLatest() bool {
-	for _, sh := range s.shards {
-		for _, d := range sh.pool.Devices {
-			if !d.Ckpt.Recover() {
-				return false
-			}
-		}
-	}
-	ctx := s.ctx
-	for layer := range ctx.Layers() {
-		data := s.homeDevice(layer).Store.Get(ctx.Params[0][layer].Name)
-		if data == nil {
-			return false
-		}
-		for w := 0; w < ctx.NumWorkers(); w++ {
-			copy(ctx.Params[w][layer].Data, data)
-		}
-	}
-	return true
-}
-
 // layerDone accounts a fully synchronized layer; when the whole
 // iteration has synchronized, its state (with the proxy caches of its
-// shards) is dropped and the epoch-end checkpoint fires.
+// shards) is dropped.
 func (s *Strategy) layerDone(it int) {
 	st := s.find(it)
 	if st == nil {
@@ -969,13 +896,6 @@ func (s *Strategy) layerDone(it int) {
 		return
 	}
 	s.drop(st)
-	if s.Opts.EpochIters > 0 && (it+1)%s.Opts.EpochIters == 0 {
-		for _, sh := range s.shards {
-			for _, d := range sh.pool.Devices {
-				d.Ckpt.EpochEnd()
-			}
-		}
-	}
 }
 
 // reprofile re-derives routing tables analytically (dynamic profiling,

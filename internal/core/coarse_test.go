@@ -7,7 +7,6 @@ import (
 	"coarse/internal/model"
 	"coarse/internal/parallel"
 	"coarse/internal/paramserver"
-	"coarse/internal/tensor"
 	"coarse/internal/topology"
 	"coarse/internal/train"
 )
@@ -129,52 +128,6 @@ func TestDualSyncOffProxiesEverything(t *testing.T) {
 	}
 }
 
-func TestNumericEquivalenceWithAllReduce(t *testing.T) {
-	// COARSE and AllReduce must produce bit-comparable parameter
-	// evolution (both average the same gradients).
-	final := func(strat train.Strategy) [][]*tensor.Tensor {
-		cfg := train.DefaultConfig(topology.AWSV100(), model.MLP("tiny", 32, 16, 8), 2, 4)
-		cfg.Numeric = true
-		tr, err := train.New(cfg, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tr.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return tr.Ctx().Params
-	}
-	coarse := final(New(DefaultOptions()))
-	ar := final(train.NewAllReduce())
-	for l := range coarse[0] {
-		for w := range coarse {
-			if d := tensor.MaxAbsDiff(coarse[w][l], ar[w][l]); d > 1e-6 {
-				t.Fatalf("layer %d worker %d diverged by %v", l, w, d)
-			}
-		}
-	}
-}
-
-func TestReplicasStayIdentical(t *testing.T) {
-	cfg := train.DefaultConfig(topology.AWSV100(), model.MLP("tiny", 64, 32, 16), 2, 3)
-	cfg.Numeric = true
-	tr, err := train.New(cfg, New(DefaultOptions()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := tr.Ctx()
-	for l := range ctx.Layers() {
-		for w := 1; w < ctx.NumWorkers(); w++ {
-			if tensor.MaxAbsDiff(ctx.Params[0][l], ctx.Params[w][l]) != 0 {
-				t.Fatalf("replicas diverged at layer %d", l)
-			}
-		}
-	}
-}
-
 func TestFCFSDeadlocks(t *testing.T) {
 	// Paper Figure 10 / Section III-F: when a proxy is shared by
 	// multiple clients, first-come-first-serve scheduling blocks on the
@@ -242,25 +195,6 @@ func TestReprofilingRuns(t *testing.T) {
 		}
 		if s.Reprofiles != c.want {
 			t.Errorf("%s: dynamic profiling ran %d times over 5 iterations, want %d", c.name, s.Reprofiles, c.want)
-		}
-	}
-}
-
-func TestEpochCheckpointing(t *testing.T) {
-	opts := DefaultOptions()
-	opts.EpochIters = 2
-	cfg := train.DefaultConfig(topology.SDSCP100(), model.MLP("tiny", 64, 32), 2, 4)
-	s := New(opts)
-	tr, err := train.New(cfg, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range s.Pool().Devices {
-		if d.Ckpt.Epoch() != 2 {
-			t.Fatalf("device %s checkpointed %d epochs, want 2", d.Dev, d.Ckpt.Epoch())
 		}
 	}
 }

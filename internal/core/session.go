@@ -36,7 +36,6 @@ type Session struct {
 }
 
 type pendingTensor struct {
-	name    string
 	arrived int
 	synced  bool
 	sum     []float32
@@ -103,9 +102,15 @@ func (s *Session) Drain() sim.Time { return s.Engine().Run() }
 // Push submits the client's contribution for the named tensor. Once
 // every client has pushed the same tensor name, the memory devices
 // synchronize it (averaging across clients) and queued pulls complete.
-// The tensor's data is captured at call time.
-func (c *Client) Push(t *tensor.Tensor) {
+// The tensor's data is captured at call time. The first push of a name
+// since the last Reset fixes its length; a later push of another length
+// is rejected and nothing is sent.
+func (c *Client) Push(t *tensor.Tensor) error {
 	s := c.s
+	p := s.tensorState(t.Name, len(t.Data))
+	if len(p.sum) != len(t.Data) {
+		return fmt.Errorf("coarse: push of %q with %d elems, expected %d", t.Name, len(t.Data), len(p.sum))
+	}
 	data := append([]float32(nil), t.Data...)
 	size := t.SizeBytes()
 	dst := s.local[c.index]
@@ -113,10 +118,6 @@ func (c *Client) Push(t *tensor.Tensor) {
 		dst = s.tables[c.index].Route(size)
 	}
 	s.fabric.DMACopy(c.Worker, s.pool.Devices[dst].Dev, size, func() {
-		p := s.tensorState(t.Name, len(data))
-		if len(p.sum) != len(data) {
-			panic(fmt.Sprintf("coarse: push of %q with %d elems, expected %d", t.Name, len(data), len(p.sum)))
-		}
 		tensor.AddSlice(p.sum, data)
 		p.arrived++
 		if p.arrived < len(s.clients) {
@@ -130,15 +131,13 @@ func (c *Client) Push(t *tensor.Tensor) {
 				p.sum[i] *= inv
 			}
 			p.synced = true
-			// Store the synchronized tensor in its home device.
-			home := s.pool.Devices[dst]
-			home.Store.Put(t.Name, p.sum)
 			for _, w := range p.waiters {
 				w(tensor.FromData(t.Name, append([]float32(nil), p.sum...)))
 			}
 			p.waiters = nil
 		})
 	})
+	return nil
 }
 
 // Pull requests the synchronized value of the named tensor; fn runs
@@ -163,7 +162,7 @@ func (c *Client) Pull(name string, fn func(*tensor.Tensor)) {
 	if !ok {
 		// Pull before any push: queue against a placeholder whose size
 		// the first push fixes.
-		p = &pendingTensor{name: name}
+		p = &pendingTensor{}
 		s.pending[name] = p
 	}
 	p.waiters = append(p.waiters, deliver)
@@ -172,7 +171,7 @@ func (c *Client) Pull(name string, fn func(*tensor.Tensor)) {
 func (s *Session) tensorState(name string, elems int) *pendingTensor {
 	p, ok := s.pending[name]
 	if !ok {
-		p = &pendingTensor{name: name}
+		p = &pendingTensor{}
 		s.pending[name] = p
 	}
 	if p.sum == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"coarse/internal/sim"
@@ -17,6 +18,23 @@ func newSession(t *testing.T) *Session {
 	return s
 }
 
+// push pushes g from c, failing the test on a rejected push.
+func push(t *testing.T, c *Client, g *tensor.Tensor) {
+	t.Helper()
+	if err := c.Push(g); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// filled returns an n-element tensor holding v everywhere.
+func filled(name string, n int, v float32) *tensor.Tensor {
+	g := tensor.New(name, n)
+	for i := range g.Data {
+		g.Data[i] = v
+	}
+	return g
+}
+
 func TestSessionPushPullAverages(t *testing.T) {
 	s := newSession(t)
 	clients := s.Clients()
@@ -24,9 +42,8 @@ func TestSessionPushPullAverages(t *testing.T) {
 		t.Fatalf("clients = %d", len(clients))
 	}
 	for i, c := range clients {
-		g := tensor.New("grad", 1000)
-		g.Fill(float32(i + 1)) // contributions 1,2,3,4 -> mean 2.5
-		c.Push(g)
+		// Contributions 1,2,3,4 -> mean 2.5.
+		push(t, c, filled("grad", 1000, float32(i+1)))
 	}
 	got := make([]*tensor.Tensor, len(clients))
 	for i, c := range clients {
@@ -52,9 +69,7 @@ func TestSessionPullBeforePush(t *testing.T) {
 	var got *tensor.Tensor
 	clients[0].Pull("w", func(t *tensor.Tensor) { got = t })
 	for _, c := range clients {
-		g := tensor.New("w", 8)
-		g.Fill(4)
-		c.Push(g)
+		push(t, c, filled("w", 8, 4))
 	}
 	s.Drain()
 	if got == nil || got.Data[0] != 4 {
@@ -67,9 +82,7 @@ func TestSessionPullReturnsPrivateCopy(t *testing.T) {
 	clients := s.Clients()
 	var a, b *tensor.Tensor
 	for _, c := range clients {
-		g := tensor.New("w", 4)
-		g.Fill(1)
-		c.Push(g)
+		push(t, c, filled("w", 4, 1))
 	}
 	clients[0].Pull("w", func(t *tensor.Tensor) { a = t })
 	clients[1].Pull("w", func(t *tensor.Tensor) { b = t })
@@ -84,7 +97,7 @@ func TestSessionTimingIsVirtual(t *testing.T) {
 	s := newSession(t)
 	for _, c := range s.Clients() {
 		g := tensor.New("w", 1<<20)
-		c.Push(g)
+		push(t, c, g)
 	}
 	end := s.Drain()
 	if end <= 0 {
@@ -95,35 +108,11 @@ func TestSessionTimingIsVirtual(t *testing.T) {
 	}
 }
 
-func TestSessionStoresSynchronizedTensor(t *testing.T) {
-	s := newSession(t)
-	for _, c := range s.Clients() {
-		g := tensor.New("w", 16)
-		g.Fill(2)
-		c.Push(g)
-	}
-	s.Drain()
-	found := false
-	for _, d := range s.pool.Devices {
-		if data := d.Store.Get("w"); data != nil {
-			found = true
-			if data[0] != 2 {
-				t.Fatalf("stored value %v, want 2", data[0])
-			}
-		}
-	}
-	if !found {
-		t.Fatal("synchronized tensor not in any device store")
-	}
-}
-
 func TestSessionReset(t *testing.T) {
 	s := newSession(t)
 	for round := 1; round <= 2; round++ {
 		for _, c := range s.Clients() {
-			g := tensor.New("w", 8)
-			g.Fill(float32(round))
-			c.Push(g)
+			push(t, c, filled("w", 8, float32(round)))
 		}
 		var got *tensor.Tensor
 		s.Clients()[0].Pull("w", func(t *tensor.Tensor) { got = t })
@@ -135,17 +124,37 @@ func TestSessionReset(t *testing.T) {
 	}
 }
 
-func TestSessionMismatchedPushPanics(t *testing.T) {
+// TestSessionMismatchedPushRejected: a push whose length differs from
+// the first push of its name fails at call time, naming the tensor and
+// both lengths, sends nothing, and leaves the round drainable.
+func TestSessionMismatchedPushRejected(t *testing.T) {
 	s := newSession(t)
 	clients := s.Clients()
-	clients[0].Push(tensor.New("w", 8))
-	clients[1].Push(tensor.New("w", 9))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on mismatched tensor size")
+	push(t, clients[0], tensor.New("w", 8))
+	err := clients[1].Push(tensor.New("w", 9))
+	if err == nil {
+		t.Fatal("push of 9 elems accepted after one of 8")
+	}
+	for _, want := range []string{`"w"`, "9", "8"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %s", err, want)
 		}
-	}()
+	}
 	s.Drain()
+	// The rejected push sent nothing: the other clients still complete
+	// the round, and the mean covers their contributions only.
+	for _, c := range clients[1:] {
+		push(t, c, filled("w", 8, 4))
+	}
+	var got *tensor.Tensor
+	clients[0].Pull("w", func(t *tensor.Tensor) { got = t })
+	s.Drain()
+	if got == nil || got.Data[0] != 3 {
+		t.Fatalf("pulled %v, want the mean of 0,4,4,4 = 3", got)
+	}
+	// After Reset the name takes a new length.
+	s.Reset()
+	push(t, clients[0], tensor.New("w", 9))
 }
 
 func TestSessionNoMemDevsRejected(t *testing.T) {

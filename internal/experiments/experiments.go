@@ -98,7 +98,7 @@ func All() []Experiment {
 		Fig3(), Fig8(), Fig9(), Fig10(), Fig13(), Fig14(), Fig15(),
 		Fig16(), Fig17(), Table1(),
 		AblationRouting(), AblationPartitioning(), AblationDualSync(), AblationSharing(),
-		ExtStraggler(), ExtNVLink(), ExtHierarchical(), ExtSensitivity(), ExtDynamic(), ExtRecovery(),
+		ExtStraggler(), ExtNVLink(), ExtHierarchical(), ExtSensitivity(), ExtDynamic(),
 		Resilience(), Scale(), Serve(), Parallelism(),
 	}
 }

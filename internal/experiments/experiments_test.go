@@ -38,7 +38,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig3", "fig8", "fig9", "fig10", "fig13", "fig14", "fig15",
 		"fig16", "fig17", "tab1",
 		"ablation-routing", "ablation-partition", "ablation-dual", "ablation-sharing",
-		"ext-straggler", "ext-nvlink", "ext-hierarchical", "ext-sensitivity", "ext-dynamic", "ext-recovery",
+		"ext-straggler", "ext-nvlink", "ext-hierarchical", "ext-sensitivity", "ext-dynamic",
 		"resilience", "scale", "serve", "parallelism",
 	}
 	ids := IDs()
@@ -264,10 +264,6 @@ func TestExtensionShapes(t *testing.T) {
 	nvlink := runExperiment(t, "ext-nvlink")[0]
 	if !strings.Contains(nvlink, "NVLink") {
 		t.Fatalf("nvlink table incomplete:\n%s", nvlink)
-	}
-	recovery := runExperiment(t, "ext-recovery")[0]
-	if !strings.Contains(recovery, "restored every replica") {
-		t.Fatalf("recovery did not succeed:\n%s", recovery)
 	}
 }
 

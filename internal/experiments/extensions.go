@@ -5,7 +5,6 @@ import (
 
 	"coarse/internal/core"
 	"coarse/internal/metrics"
-	"coarse/internal/model"
 	"coarse/internal/runner"
 	"coarse/internal/sim"
 	"coarse/internal/topology"
@@ -274,67 +273,5 @@ func degradeUplinksAfter(at sim.Time) func(*train.Ctx) {
 				ctx.Machine.SetLinkCapacity(l, 3*topology.GB, 3*topology.GB)
 			}
 		})
-	}
-}
-
-// ExtRecovery demonstrates the fault-tolerance path end to end: numeric
-// training with epoch checkpoints, a simulated replica loss, recovery
-// from the storage tier, and the copy-on-write cost accounting. The
-// replica loss, restore and cost audit run in the cell's probe, so the
-// whole narrative is captured in the structured result.
-func ExtRecovery() Experiment {
-	return Experiment{
-		ID:    "ext-recovery",
-		Title: "Extension: checkpoint/recovery fault tolerance",
-		Paper: "Section IV-A: CoW epoch snapshots in the storage tier; recovery from the latest",
-		Run: func(cfg Config) *Report {
-			rs := &runSet{}
-			id := rs.add(runner.Spec{
-				ID:         "ext-recovery",
-				Topology:   topology.SDSCP100(),
-				Model:      model.MLP("recovery-mlp", 64, 32, 8),
-				Batch:      8,
-				Iterations: 4,
-				NewStrategy: func() train.Strategy {
-					opts := core.DefaultOptions()
-					opts.EpochIters = 2
-					return core.New(opts)
-				},
-				Configure: func(c *train.Config) { c.Numeric = true },
-				Probe: func(p *runner.Probe) {
-					ctx := p.Trainer.Ctx()
-					for l := range ctx.Layers() {
-						ctx.Params[1][l].Fill(0) // replica loss
-					}
-					s := p.Strategy.(*core.Strategy)
-					if s.RestoreLatest() {
-						p.Result.SetExtra("recovery", "restored every replica from the latest epoch checkpoint")
-					} else {
-						p.Result.SetExtra("recovery", "FAILED")
-					}
-					var copies uint64
-					var copied int64
-					for _, d := range s.Pool().Devices {
-						st := d.Store.Stats()
-						copies += st.Copies
-						copied += st.CopiedBytes
-					}
-					p.Result.SetExtra("cow", fmt.Sprintf("%d copies, %s", copies, byteSize(copied)))
-				},
-			})
-			got, records := rs.results(cfg)
-			res := got[id]
-			tab := metrics.NewTable("Extension: epoch checkpointing + recovery (SDSC, numeric MLP)",
-				"step", "outcome")
-			if !res.OK() {
-				tab.AddRow("train", res.Err)
-				return &Report{Tables: []*metrics.Table{tab}, Records: records}
-			}
-			tab.AddRow("train 4 iterations", fmt.Sprintf("done in %v, 2 epochs checkpointed", res.Train.TotalTime))
-			tab.AddRow("worker 1 replica lost", "parameters zeroed")
-			tab.AddRow("recovery", res.Extra["recovery"])
-			tab.AddRow("copy-on-write cost", res.Extra["cow"])
-			return &Report{Tables: []*metrics.Table{tab}, Records: records}
-		},
 	}
 }

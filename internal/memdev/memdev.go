@@ -10,9 +10,7 @@
 // (Figure 11b), and each group processes its share of the parameter
 // volume chunk by chunk (Figure 11c). Sync groups time bytes: DRAM
 // staging, ALU throughput and ring transfers are charged to virtual
-// time, and the numeric gradients are averaged once per layer by the
-// trainer (train.Ctx.AverageGrads) when the layer's timed reduction
-// completes.
+// time.
 package memdev
 
 import (
@@ -20,9 +18,7 @@ import (
 
 	"coarse/internal/cci"
 	"coarse/internal/ccimem"
-	"coarse/internal/checkpoint"
 	"coarse/internal/collective"
-	"coarse/internal/kvstore"
 	"coarse/internal/sim"
 	"coarse/internal/topology"
 )
@@ -41,8 +37,6 @@ type Config struct {
 	BufEntries int
 	// ALUBytesPerSec is one core's reduction throughput.
 	ALUBytesPerSec float64
-	// CheckpointKeep bounds retained epoch snapshots.
-	CheckpointKeep int
 }
 
 // DefaultConfig returns a device modeled after a product-scale CCI
@@ -54,7 +48,6 @@ func DefaultConfig() Config {
 		SyncCores:      8,
 		BufEntries:     4096,
 		ALUBytesPerSec: 16e9,
-		CheckpointKeep: 2,
 	}
 }
 
@@ -79,8 +72,6 @@ func (c Config) Validate() error {
 type Device struct {
 	Dev    *topology.Device
 	Config Config
-	Store  *kvstore.Store
-	Ckpt   *checkpoint.Manager
 	// Window is the device's slice of the CCI-unified address space;
 	// allocations come out of it (paper Section II-C: devices map their
 	// DRAM into a shared byte-addressable space).
@@ -101,12 +92,9 @@ func newDevice(dev *topology.Device, cfg Config, space *ccimem.Space) *Device {
 	if dev.Kind != topology.KindMemDev {
 		panic(fmt.Sprintf("memdev: %s is not a memory device", dev))
 	}
-	store := kvstore.New()
 	return &Device{
 		Dev:    dev,
 		Config: cfg,
-		Store:  store,
-		Ckpt:   checkpoint.NewManager(store, cfg.CheckpointKeep),
 		Window: space.AddDevice(dev.Name, cfg.DRAMBytes),
 	}
 }

@@ -141,21 +141,6 @@ func TestEmptyPoolPanics(t *testing.T) {
 	NewPool(cci.NewFabric(m.Topology, cci.DefaultParams()), nil, DefaultConfig(), 1)
 }
 
-func TestCheckpointIntegration(t *testing.T) {
-	eng := sim.NewEngine()
-	m := topology.Build(eng, topology.SDSCP100())
-	d := NewDevice(m.Devs[0], DefaultConfig())
-	d.Store.Put("w", []float32{1, 2, 3})
-	d.Ckpt.EpochEnd()
-	d.Store.Update("w", func(x []float32) { x[0] = 9 })
-	if !d.Ckpt.Recover() {
-		t.Fatal("recover failed")
-	}
-	if d.Store.Get("w")[0] != 1 {
-		t.Fatal("checkpoint did not restore")
-	}
-}
-
 func TestDRAMTimeScalesLinearly(t *testing.T) {
 	eng := sim.NewEngine()
 	m := topology.Build(eng, topology.SDSCP100())

@@ -232,9 +232,8 @@ func VGG16() *Model {
 	return &Model{Name: "VGG16", Layers: layers}
 }
 
-// MLP builds a small fully-connected network; the functional training
-// tests and the quickstart example use it because it is cheap to train
-// for real.
+// MLP builds a small fully-connected network; tests use it because it
+// simulates in microseconds.
 func MLP(name string, sizes ...int) *Model {
 	if len(sizes) < 2 {
 		panic("model: MLP needs at least input and output sizes")

@@ -187,9 +187,6 @@ func (op *psOp) onApply() {
 	s, it, layer, gid, size, srv, cpu := op.s, op.it, op.layer, op.gid, op.size, op.srv, op.cpu
 	s.ops.Put(op)
 	ctx := s.ctx
-	if ctx.Cfg.Numeric {
-		ctx.AverageGrads(layer)
-	}
 	// The push-back fan is emitted in one burst: pulls sharing a source
 	// CPU, route, and size can ride one aggregated flow (workers on
 	// distinct devices route differently and simply stay separate).
@@ -413,9 +410,6 @@ func (op *denseOp) onUpdated() {
 	s, it, layer, gid, size := op.s, op.it, op.layer, op.gid, op.size
 	s.ops.Put(op)
 	ctx := s.ctx
-	if ctx.Cfg.Numeric {
-		ctx.AverageGrads(layer)
-	}
 	readPort := s.readPorts[layer%len(s.readPorts)]
 	for _, dst := range ctx.Plan().GroupMembers(gid) {
 		s.pulls.Inc()

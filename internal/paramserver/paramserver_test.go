@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"coarse/internal/model"
-	"coarse/internal/tensor"
 	"coarse/internal/topology"
 	"coarse/internal/train"
 )
@@ -93,34 +92,6 @@ func TestDENSECoherencePenaltyGrowsWithWorkers(t *testing.T) {
 	four := mkCtx(topology.AWSV100()) // 4 workers
 	if four.PortRate(true) >= two.PortRate(true) {
 		t.Fatal("DENSE port rate should degrade with more sharers")
-	}
-}
-
-func TestNumericEquivalenceAcrossBaselines(t *testing.T) {
-	// CentralPS, DENSE and AllReduce must produce the exact same
-	// parameter evolution: they all average the same gradients.
-	final := func(strat train.Strategy) [][]*tensor.Tensor {
-		cfg := train.DefaultConfig(topology.SDSCP100(), model.MLP("tiny", 16, 8, 4), 2, 3)
-		cfg.Numeric = true
-		tr, err := train.New(cfg, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tr.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return tr.Ctx().Params
-	}
-	ps := final(NewCentralPS())
-	dense := final(NewDENSE())
-	ar := final(train.NewAllReduce())
-	for l := range ps[0] {
-		if tensor.MaxAbsDiff(ps[0][l], dense[0][l]) > 1e-6 {
-			t.Fatalf("layer %d: CentralPS and DENSE diverged", l)
-		}
-		if tensor.MaxAbsDiff(ps[0][l], ar[0][l]) > 1e-6 {
-			t.Fatalf("layer %d: CentralPS and AllReduce diverged", l)
-		}
 	}
 }
 

@@ -68,11 +68,11 @@ type Spec struct {
 	// touch shared mutable state.
 	NewStrategy func() train.Strategy
 	// Configure, when non-nil, adjusts the train.Config after defaults
-	// are applied (compute jitter, numeric mode, OnStart hooks...).
+	// are applied (compute jitter, chaos, OnStart hooks...).
 	Configure func(*train.Config)
 	// Probe, when non-nil, runs after a successful run of either kind,
 	// still inside the cell; experiments use it to pull strategy-internal
-	// counters (routed bytes, checkpoint stats) into Result.Extra.
+	// counters (routed bytes, proxy-cache hits) into Result.Extra.
 	Probe func(*Probe)
 
 	// Layout declares the cell's parallelism factors; the zero value is

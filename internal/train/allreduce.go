@@ -122,11 +122,6 @@ type arFlush struct {
 func (f *arFlush) reduced() {
 	a := f.a
 	ctx := a.ctx
-	if ctx.Cfg.Numeric {
-		for _, l := range f.layers {
-			ctx.AverageGrads(l)
-		}
-	}
 	members := ctx.Plan().GroupMembers(f.gid)
 	for _, l := range f.layers {
 		for _, w := range members {

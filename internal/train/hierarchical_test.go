@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"coarse/internal/model"
-	"coarse/internal/tensor"
 	"coarse/internal/topology"
 )
 
@@ -24,32 +23,6 @@ func TestHierarchicalAllReduceFasterOnTwoNodes(t *testing.T) {
 	if hier.IterTime >= flat.IterTime {
 		t.Fatalf("hierarchical %v not faster than flat %v across the slow network",
 			hier.IterTime, flat.IterTime)
-	}
-}
-
-func TestHierarchicalNumericEquivalence(t *testing.T) {
-	final := func(hier bool) [][]*tensor.Tensor {
-		a := NewAllReduce()
-		a.Hierarchical = hier
-		cfg := DefaultConfig(topology.MultiNodeV100(2), model.MLP("tiny", 16, 8), 2, 3)
-		cfg.Numeric = true
-		tr, err := New(cfg, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tr.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return tr.Ctx().Params
-	}
-	flat := final(false)
-	hier := final(true)
-	for l := range flat[0] {
-		for w := range flat {
-			if tensor.MaxAbsDiff(flat[w][l], hier[w][l]) != 0 {
-				t.Fatalf("hierarchical diverged at worker %d layer %d", w, l)
-			}
-		}
 	}
 }
 

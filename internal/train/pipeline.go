@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"coarse/internal/gpu"
-	"coarse/internal/optim"
 	"coarse/internal/parallel"
 	"coarse/internal/sim"
 )
@@ -416,15 +415,7 @@ func (r *pipeWorker) fwdLayer(idx int) {
 
 // paramsReady runs once the step's parameters are up to date.
 func (r *pipeWorker) paramsReady() {
-	t := r.t
-	ctx := t.ctx
-	l := r.stage[r.idx]
 	r.stalled(waitParams)
-	if t.cfg.Numeric && r.it > 0 {
-		// Apply the SGD step with the averaged gradient the strategy
-		// left in the buffer.
-		optim.SGD{LR: learningRate}.Step(ctx.Params[r.w][l].Data, ctx.Grads[r.w][l].Data)
-	}
 	r.meet(fwdPrePhases, r.fwdCompute)
 }
 
@@ -500,9 +491,6 @@ func (r *pipeWorker) gradientProduced() {
 		last = t.gradCount[r.w][idx] == micro
 	}
 	if last {
-		if t.cfg.Numeric {
-			t.fillGradient(r.it, r.w, l)
-		}
 		t.strat.GradientReady(r.it, r.w, l)
 	}
 	r.bwdLayer(idx - 1)

@@ -29,11 +29,9 @@ import (
 	"coarse/internal/gpu"
 	"coarse/internal/memdev"
 	"coarse/internal/model"
-	"coarse/internal/optim"
 	"coarse/internal/parallel"
 	"coarse/internal/sim"
 	"coarse/internal/telemetry"
-	"coarse/internal/tensor"
 	"coarse/internal/topology"
 	"coarse/internal/trace"
 )
@@ -77,8 +75,8 @@ func (l *Latch) Open() {
 func (l *Latch) IsOpen() bool { return l.open }
 
 // Config describes one training run. Figures every run shares, such as
-// the activation-memory overhead and the numeric learning rate, are
-// package constants rather than fields.
+// the activation-memory overhead, are package constants rather than
+// fields.
 type Config struct {
 	Spec       topology.Spec
 	Model      *model.Model
@@ -86,10 +84,6 @@ type Config struct {
 	Iterations int
 	CCIParams  cci.Params
 	MemDev     memdev.Config
-	// Numeric materializes real parameter and gradient buffers so
-	// strategies perform actual float arithmetic, applied by plain SGD
-	// at learningRate; leave false for the big-model timing runs.
-	Numeric bool
 	// ComputeJitter spreads per-worker compute speed: worker w runs
 	// (1 + ComputeJitter*w/(W-1))x slower than worker 0. It models the
 	// *permanent* skew side of the stragglers that make synchronous
@@ -134,10 +128,9 @@ type Config struct {
 	// count the layout leaves over is data-parallel. The zero value (or
 	// any explicitly trivial layout) is pure data parallelism: one
 	// microbatch, and one reduction tree of every worker per layer,
-	// reduced over the paper's flat worker ring. Non-trivial layouts are
-	// timing-only (no Numeric). Every layout runs the same driver and
-	// scopes each strategy's gradient synchronization to the plan's
-	// per-layer reduction trees. See internal/parallel.
+	// reduced over the paper's flat worker ring. Every layout runs the
+	// same driver and scopes each strategy's gradient synchronization
+	// to the plan's per-layer reduction trees. See internal/parallel.
 	Layout parallel.Layout
 	// FlatCollectives forces the collective planner to a flat ring for
 	// every communicator — the topology-blind baseline the parallelism
@@ -147,15 +140,10 @@ type Config struct {
 	Seed            int64
 }
 
-// The training constants every run shares.
-const (
-	// frameworkActOverhead multiplies activation memory to account for
-	// framework allocator slack and non-persistent workspaces; TF2-era
-	// training uses roughly 2x the analytic activation volume.
-	frameworkActOverhead = 2.0
-	// learningRate is the SGD step numeric mode applies.
-	learningRate float32 = 0.1
-)
+// frameworkActOverhead multiplies activation memory to account for
+// framework allocator slack and non-persistent workspaces; TF2-era
+// training uses roughly 2x the analytic activation volume.
+const frameworkActOverhead = 2.0
 
 // DefaultConfig fills in the standard evaluation constants.
 func DefaultConfig(spec topology.Spec, m *model.Model, batch, iterations int) Config {
@@ -177,13 +165,6 @@ type Ctx struct {
 	Machine *topology.Machine
 	CCI     *cci.Fabric
 	Workers []*gpu.GPU
-
-	// Params and Grads are per-worker per-layer tensors; nil unless
-	// Cfg.Numeric. Strategies must leave every worker's gradient buffer
-	// holding the cross-worker average (AverageGrads) before marking the
-	// layer ready.
-	Params [][]*tensor.Tensor
-	Grads  [][]*tensor.Tensor
 
 	trainer *Trainer
 	hops    *sim.FreeList[hop] // recycled collective hop records (comm.go)
@@ -376,7 +357,6 @@ type Trainer struct {
 	compute    []sim.Time // per worker, total roofline busy time
 	iterEnd    []sim.Time // completion time per iteration (max over workers)
 	workerDone []int      // iterations completed per worker
-	gradFn     func(it, w, layer int, grad *tensor.Tensor)
 
 	// chaos executes the compiled fault plan; nil (inert) when
 	// Cfg.Chaos is nil or compiles to nothing observable.
@@ -428,9 +408,6 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 		return nil, fmt.Errorf("train: %d microbatches on a data-parallel layout; microbatching needs pipeline, tensor or expert parallelism",
 			cfg.Layout.Micro)
 	}
-	if cfg.Numeric && !cfg.Layout.Trivial() {
-		return nil, fmt.Errorf("train: numeric mode supports only the data-parallel layout")
-	}
 	plan, err := parallel.NewPlan(cfg.Layout, len(machine.Workers), cfg.Model)
 	if err != nil {
 		return nil, fmt.Errorf("train: %w", err)
@@ -462,28 +439,6 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 				cfg.Model.Name, cfg.Batch, plan.Label(), w, err)
 		}
 	}
-	if cfg.Numeric {
-		r := rand.New(rand.NewSource(cfg.Seed))
-		init := make([][]float32, len(cfg.Model.Layers))
-		for l, layer := range cfg.Model.Layers {
-			init[l] = make([]float32, layer.ParamElems)
-			for i := range init[l] {
-				init[l][i] = float32(r.NormFloat64() * 0.1)
-			}
-		}
-		for range ctx.Workers {
-			var ps, gs []*tensor.Tensor
-			for l, layer := range cfg.Model.Layers {
-				p := tensor.New(layer.Name, layer.ParamElems)
-				copy(p.Data, init[l]) // replicas start identical
-				ps = append(ps, p)
-				gs = append(gs, tensor.New(layer.Name, layer.ParamElems))
-			}
-			ctx.Params = append(ctx.Params, ps)
-			ctx.Grads = append(ctx.Grads, gs)
-		}
-	}
-
 	stride := (cfg.Iterations + 1) * len(cfg.Model.Layers)
 	tr := &Trainer{
 		cfg:        cfg,
@@ -524,38 +479,6 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 	}
 	ctx.trainer = tr
 	return tr, nil
-}
-
-// AverageGrads replaces every worker's gradient for a layer with the
-// cross-worker mean: the numeric effect of a completed reduction, which
-// strategies apply before marking the layer ready. Numeric runs are
-// data-parallel, so the mean is over every worker.
-func (c *Ctx) AverageGrads(layer int) {
-	n := c.NumWorkers()
-	inv := 1 / float32(n)
-	sum := c.Grads[0][layer].Data
-	for w := 1; w < n; w++ {
-		for i, v := range c.Grads[w][layer].Data {
-			sum[i] += v
-		}
-	}
-	for i := range sum {
-		sum[i] *= inv
-	}
-	for w := 1; w < n; w++ {
-		copy(c.Grads[w][layer].Data, sum)
-	}
-}
-
-// PreviewUpdate returns what worker w's layer parameters will be once
-// the current averaged gradient is applied: the SGD step, taken on a
-// copy.
-func (c *Ctx) PreviewUpdate(w, layer int) []float32 {
-	p := c.Params[w][layer]
-	out := make([]float32, len(p.Data))
-	copy(out, p.Data)
-	optim.SGD{LR: learningRate}.Step(out, c.Grads[w][layer].Data)
-	return out
 }
 
 // Ctx exposes the strategy context (tests and the facade use it).
@@ -656,30 +579,6 @@ func (t *Trainer) Run() (*Result, error) {
 		}
 	}
 	return t.result(), nil
-}
-
-// fillGradient produces worker w's local gradient for a layer in
-// iteration it. The values are a deterministic function of (seed, it,
-// w, layer) so numeric equivalence across strategies is testable without
-// a real loss function; the examples that train real models override
-// this path through the nn package.
-func (t *Trainer) fillGradient(it, w, layer int) {
-	grad := t.ctx.Grads[w][layer]
-	if t.gradFn != nil {
-		t.gradFn(it, w, layer, grad)
-		return
-	}
-	seed := t.cfg.Seed*1_000_003 + int64(it)*10_007 + int64(w)*101 + int64(layer)
-	r := rand.New(rand.NewSource(seed))
-	for i := range grad.Data {
-		grad.Data[i] = float32(r.NormFloat64())
-	}
-}
-
-// SetGradientFunc overrides synthetic gradient generation in numeric
-// mode. fn must fill grad with worker w's local gradient for the layer.
-func (t *Trainer) SetGradientFunc(fn func(it, w, layer int, grad *tensor.Tensor)) {
-	t.gradFn = fn
 }
 
 func (t *Trainer) result() *Result {

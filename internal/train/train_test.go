@@ -8,7 +8,6 @@ import (
 	"coarse/internal/model"
 	"coarse/internal/parallel"
 	"coarse/internal/sim"
-	"coarse/internal/tensor"
 	"coarse/internal/topology"
 )
 
@@ -124,67 +123,6 @@ func TestAllReduceCompletes(t *testing.T) {
 	}
 	if res.Throughput() <= 0 {
 		t.Fatal("non-positive throughput")
-	}
-}
-
-func TestAllReduceNumericEquivalence(t *testing.T) {
-	// The averaged gradient must equal the mean of the per-worker
-	// synthetic gradients, and all replicas must stay bit-identical.
-	cfg := mlpConfig(3)
-	cfg.Numeric = true
-	tr, err := New(cfg, NewAllReduce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tr.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = res
-	ctx := tr.Ctx()
-	for l := range ctx.Layers() {
-		for w := 1; w < ctx.NumWorkers(); w++ {
-			if tensor.MaxAbsDiff(ctx.Params[0][l], ctx.Params[w][l]) != 0 {
-				t.Fatalf("replicas diverged at layer %d worker %d", l, w)
-			}
-		}
-	}
-}
-
-func TestReplicasEvolve(t *testing.T) {
-	cfg := mlpConfig(3)
-	cfg.Numeric = true
-	tr, err := New(cfg, NewAllReduce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := tr.Ctx().Params[0][0].Clone()
-	if _, err := tr.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if tensor.MaxAbsDiff(initial, tr.Ctx().Params[0][0]) == 0 {
-		t.Fatal("parameters never changed across 3 iterations")
-	}
-}
-
-func TestCustomGradientFunc(t *testing.T) {
-	cfg := mlpConfig(2)
-	cfg.Numeric = true
-	tr, err := New(cfg, NewAllReduce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	tr.SetGradientFunc(func(it, w, layer int, grad *tensor.Tensor) {
-		calls++
-		grad.Fill(1)
-	})
-	if _, err := tr.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := cfg.Iterations * 2 /*workers*/ * len(cfg.Model.Layers)
-	if calls != want {
-		t.Fatalf("gradient func called %d times, want %d", calls, want)
 	}
 }
 
