@@ -68,9 +68,9 @@ bench-module:
 BENCH_WORKLOADS = paper-fig16 scale-512 layouts-3d serve-kv
 BENCH_MEM_METRICS = allocs_k alloc_mb heap_live_mb
 BENCH_ALLOCS_GO = go1.24.0
-BENCH_CEILINGS = paper-fig16:allocs_k:52.8 paper-fig16:alloc_mb:5.27 paper-fig16:heap_live_mb:0.294 \
-	scale-512:allocs_k:205.7 scale-512:alloc_mb:27.22 scale-512:heap_live_mb:8.20 \
-	layouts-3d:allocs_k:136.0 layouts-3d:alloc_mb:15.53 layouts-3d:heap_live_mb:1.293 \
+BENCH_CEILINGS = paper-fig16:allocs_k:52.8 paper-fig16:alloc_mb:4.70 paper-fig16:heap_live_mb:0.210 \
+	scale-512:allocs_k:205.7 scale-512:alloc_mb:27.22 scale-512:heap_live_mb:4.71 \
+	layouts-3d:allocs_k:136.0 layouts-3d:alloc_mb:15.53 layouts-3d:heap_live_mb:1.075 \
 	serve-kv:allocs_k:4.60 serve-kv:alloc_mb:1.44 serve-kv:heap_live_mb:0.182
 
 bench-e2e:

@@ -367,11 +367,11 @@ func (f *Fabric) LoadStoreCopy(cpu, dev *topology.Device, size int64, write bool
 	}
 	bw := f.Params.LoadStoreBandwidth(write)
 	// The path's physical capacity also applies.
-	pathBW := f.Topo.PathBandwidth(cpu, dev)
+	lat, pathBW := f.Topo.ZeroLoad(cpu, dev)
 	if pathBW < bw {
 		bw = pathBW
 	}
-	t := sim.Seconds(float64(size)/bw) + f.Topo.PathLatency(cpu, dev)
+	t := sim.Seconds(float64(size)/bw) + lat
 	if onDone == nil {
 		onDone = noop
 	}

@@ -42,10 +42,12 @@ type Scenario struct {
 }
 
 // maxIterations bounds Scenario.Iterations. The trainer sizes its
-// per-iteration state up front (an end time per iteration, a latch per
-// worker, layer and iteration), so a count near math.MaxInt exhausts
-// host memory before the first event. 65,536 iterations is far past
-// any experiment here: the paper's runs take a handful.
+// per-iteration state up front (iterEnd, an end time per iteration, and
+// on pipeline layouts pipeLatches, a boundary latch per worker,
+// iteration and microbatch), so a count near math.MaxInt exhausts host
+// memory before the first event. Its forward latches do not count: they
+// are a ring of two iterations. 65,536 iterations is far past any
+// experiment here: the paper's runs take a handful.
 const maxIterations = 1 << 16
 
 // maxComputeJitter bounds Scenario.ComputeJitter, under which the
@@ -83,10 +85,10 @@ const minLinkGBps = 0.01
 // in "schedule at ... before now"). Under this bound an iteration's
 // cost grows 4x per doubling of nodes while the iterations allowed
 // halve: at the bound that cell runs to its end on 2, 16, 32, 64 and
-// 128 nodes, the last in 4.3e8 s (1,024 iterations), a 21x margin. The trainer's latch table
-// (workers x layers x iterations at 16 B) is bounded with it: ~3.3 GB
-// for bert-large at the bound, against ~200 GB for 128 nodes at
-// maxIterations.
+// 128 nodes, the last in 4.3e8 s (1,024 iterations), a 21x margin. The
+// forward latch table no longer scales with iterations (workers x 2 x
+// layers at 16 B); iterEnd and pipeLatches still do, and are bounded
+// with it.
 const maxNodeIterations = 2 * maxIterations
 
 // SpecOverrides are optional machine-parameter overrides, in the

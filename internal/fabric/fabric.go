@@ -1685,7 +1685,12 @@ func (n *Network) newFlow() *Flow {
 // doubling would reach, and a size class of its own.
 func pow2(n int) int { return 1 << bits.Len(uint(n-1)) }
 
-func (n *Network) recycleFlow(f *Flow) { n.flowPool.Put(f) }
+// recycleFlow returns f to the pool. It drops f's path, so a pooled
+// record does not pin route storage the topology has released.
+func (n *Network) recycleFlow(f *Flow) {
+	f.path = nil
+	n.flowPool.Put(f)
+}
 
 // growDones returns s with capacity for need group members,
 // reallocating it at donesCap when short. A need above donesCap first

@@ -199,24 +199,20 @@ func AnalyticTableFrac(f *cci.Fabric, client *topology.Device, proxies []*topolo
 	}
 	t := Table{Measurements: make([]Measurement, 0, len(proxies))}
 	for i, proxy := range proxies {
-		m := Measurement{
-			Proxy:     i,
-			Latency:   f.Params.DMASetup + f.Topo.PathLatency(client, proxy),
-			Bandwidth: f.Topo.PathBandwidth(client, proxy),
-		}
+		lat, bw := f.Topo.ZeroLoad(client, proxy)
+		m := Measurement{Proxy: i, Latency: f.Params.DMASetup + lat, Bandwidth: bw}
 		if !f.Topo.P2PSupported {
 			// Bounced copies take two hops through host memory: both
 			// legs' latencies and setups accrue, the slower leg binds
 			// the pipelined bandwidth, and the direct path is unused.
 			cpu := f.Topo.CPUs[client.Node]
-			up := f.Topo.PathBandwidth(client, cpu)
-			down := f.Topo.PathBandwidth(cpu, proxy)
+			upLat, up := f.Topo.ZeroLoad(client, cpu)
+			downLat, down := f.Topo.ZeroLoad(cpu, proxy)
 			m.Bandwidth = up
 			if down < m.Bandwidth {
 				m.Bandwidth = down
 			}
-			m.Latency = 2*f.Params.DMASetup +
-				f.Topo.PathLatency(client, cpu) + f.Topo.PathLatency(cpu, proxy)
+			m.Latency = 2*f.Params.DMASetup + upLat + downLat
 		}
 		t.Measurements = append(t.Measurements, m)
 		if m.Latency < t.Measurements[t.LatProxy].Latency {

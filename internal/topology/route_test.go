@@ -330,3 +330,96 @@ func BenchmarkPathLookup(b *testing.B) {
 
 // pathSink keeps the benchmarked lookups from being optimized away.
 var pathSink []*fabric.Channel
+
+// endpoints lists m's addressable devices: GPUs, memory devices, CPUs
+// and NICs.
+func endpoints(m *Machine) []*Device {
+	var out []*Device
+	for _, d := range m.Devices() {
+		if !transitKind(d.Kind) || d.Kind == KindNIC {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// TestRouteQueriesDoNotCache pins that PathLatency and PathBandwidth
+// read the route without materializing it, on every ordered endpoint
+// pair of every preset and of the 32-rack machine, one source at a
+// time: a sweep of queries from a source allocates nothing once its
+// tree exists and leaves the route count at zero; each query agrees
+// with the materialized path; and after ReleaseRoutes, Path rebuilds
+// the same channel sequence and returns one slice per pair again.
+func TestRouteQueriesDoNotCache(t *testing.T) {
+	machines := []*Machine{rackMachine32()}
+	for _, spec := range append(Presets(), AWSV100NVLink()) {
+		machines = append(machines, Build(sim.NewEngine(), spec))
+	}
+	for _, m := range machines {
+		ends := endpoints(m)
+		lat := make([]sim.Time, len(ends))
+		bw := make([]float64, len(ends))
+		paths := make([][]*fabric.Channel, len(ends))
+		for _, a := range ends {
+			query := func() {
+				for i, b := range ends {
+					if b != a {
+						lat[i], bw[i] = m.PathLatency(a, b), m.PathBandwidth(a, b)
+					}
+				}
+			}
+			if allocs := testing.AllocsPerRun(1, query); allocs != 0 {
+				t.Fatalf("%s: queries from %s allocated %.0f objects, want 0", m.Label, a, allocs)
+			}
+			if n := m.CachedRoutes(); n != 0 {
+				t.Fatalf("%s: queries from %s cached %d routes", m.Label, a, n)
+			}
+			for i, b := range ends {
+				if b == a {
+					continue
+				}
+				p := m.Path(a, b)
+				minCap := p[0].Capacity()
+				for _, c := range p {
+					minCap = min(minCap, c.Capacity())
+				}
+				if want := fabric.PathLatency(p); lat[i] != want {
+					t.Fatalf("%s: %s -> %s: PathLatency %v, path %v", m.Label, a, b, lat[i], want)
+				}
+				if bw[i] != minCap {
+					t.Fatalf("%s: %s -> %s: PathBandwidth %v, path minimum %v", m.Label, a, b, bw[i], minCap)
+				}
+				paths[i] = p
+			}
+			m.ReleaseRoutes()
+			if n := m.CachedRoutes(); n != 0 {
+				t.Fatalf("%s: %d routes cached after ReleaseRoutes", m.Label, n)
+			}
+			for i, b := range ends {
+				if b == a {
+					continue
+				}
+				p := m.Path(a, b)
+				if !slices.Equal(p, paths[i]) {
+					t.Fatalf("%s: %s -> %s: path %v after ReleaseRoutes, %v before", m.Label, a, b, names(p), names(paths[i]))
+				}
+				if q := m.Path(a, b); &q[0] != &p[0] {
+					t.Fatalf("%s: %s -> %s: repeated Path calls after ReleaseRoutes return different slices", m.Label, a, b)
+				}
+			}
+			m.ReleaseRoutes()
+		}
+	}
+}
+
+// TestReleaseRoutesPanicsWhileBusy: releasing routes under a flow in
+// flight would split later same-pair transfers from its path.
+func TestReleaseRoutesPanicsWhileBusy(t *testing.T) {
+	m := Build(sim.NewEngine(), AWSV100())
+	m.Transfer(m.Workers[0], m.Devs[0], 1<<20, nil)
+	if !panics(m.ReleaseRoutes) {
+		t.Fatal("ReleaseRoutes with a flow in flight did not panic")
+	}
+	m.Eng.Run()
+	m.ReleaseRoutes()
+}

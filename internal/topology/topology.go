@@ -184,7 +184,8 @@ type sourceRoutes struct {
 type predDiff struct{ dev, pred int32 }
 
 // firstRoutes is the number of routes a source has room for when its
-// tree is built: a preset's endpoint routes to at most a few peers.
+// first route is materialized, and again after ReleaseRoutes: a
+// preset's endpoint routes to at most a few peers.
 const firstRoutes = 8
 
 // pred returns d's predecessor in sr's tree: its diff entry when it has
@@ -317,29 +318,15 @@ func (t *Topology) insertEdge(id int, e edge) {
 // the base (see sourceRoutes). Each destination's path is then
 // materialized from the tree on first use, into a shared path chunk,
 // and inserted in the source's sorted destination index. Each (source,
-// destination) pair gets exactly one slice, which every later query
-// returns: the fabric's aggregation join compares paths by their first
-// element's address. The tree a full BFS fixes for devices at depth
-// <= depth(b) is exactly what an early-terminating per-pair BFS
-// computes (a device's predecessor is set by its first visitor, which
-// later levels cannot change), so every returned path is the per-pair
-// router's.
+// destination) pair gets one slice until ReleaseRoutes, which every
+// later query returns: the fabric's aggregation join compares paths by
+// their first element's address. The tree a full BFS fixes for devices
+// at depth <= depth(b) is exactly what an early-terminating per-pair
+// BFS computes (a device's predecessor is set by its first visitor,
+// which later levels cannot change), so every returned path is the
+// per-pair router's.
 func (t *Topology) Path(a, b *Device) []*fabric.Channel {
-	if a == b {
-		panic("topology: path to self")
-	}
-	if len(t.source) != len(t.devices) { // first query since a Connect or AddDevice
-		t.source = make([]int32, len(t.devices))
-		// Sources are usually endpoints: make room for them once.
-		t.routes = make([]sourceRoutes, 0, len(t.GPUs)+len(t.MemDevs)+len(t.CPUs)+len(t.NICs))
-		t.base = nil
-	}
-	if t.source[a.ID] == 0 {
-		t.routes = append(t.routes, sourceRoutes{})
-		t.source[a.ID] = int32(len(t.routes))
-		t.buildTree(a, &t.routes[len(t.routes)-1])
-	}
-	sr := &t.routes[t.source[a.ID]-1]
+	sr := t.tree(a)
 	dst := int32(b.ID)
 	for at := int(sr.last); at <= int(sr.last)+1 && at < len(sr.dsts); at++ {
 		if sr.dsts[at] == dst {
@@ -352,42 +339,123 @@ func (t *Topology) Path(a, b *Device) []*fabric.Channel {
 	if ok {
 		return sr.paths[at]
 	}
-	if sr.pred(t.base, dst) < 0 {
-		panic(fmt.Sprintf("topology: no route %s -> %s", a, b))
+	// Walk back from b into a stack buffer (routes on the generated
+	// machines are at most a dozen hops), then copy the hops into a
+	// carved slice in route order.
+	var buf [32]*fabric.Channel
+	hops := buf[:0]
+	for w := t.walk(sr, a, b); ; {
+		c := w.next()
+		if c == nil {
+			break
+		}
+		hops = append(hops, c)
 	}
-	// Count the hops, then walk back from b filling the path from its
-	// end, recovering each hop's claiming edge as the predecessor's
-	// first adjacency entry pointing at the device. A tree that loops
-	// or names a predecessor with no link to the device is corrupt.
-	src := int32(a.ID)
-	hops := 0
-	for cur := dst; cur != src; cur = sr.pred(t.base, cur) {
-		if hops++; hops > len(t.devices) {
-			panic(fmt.Sprintf("topology: route %s -> %s loops", a, b))
-		}
+	path := t.paths.carve(len(hops))
+	for i, c := range hops {
+		path[len(hops)-1-i] = c
 	}
-	path := t.paths.carve(hops)
-	cur := dst
-	for i := hops - 1; i >= 0; i-- {
-		pred := sr.pred(t.base, cur)
-		for _, e := range t.adj[pred] {
-			if int32(e.peer.ID) == cur {
-				if e.fwd {
-					path[i] = e.link.Fwd()
-				} else {
-					path[i] = e.link.Rev()
-				}
-				break
-			}
-		}
-		if path[i] == nil {
-			panic(fmt.Sprintf("topology: route %s -> %s: %s has no link to %s", a, b, t.devices[pred], t.devices[cur]))
-		}
-		cur = pred
+	if sr.dsts == nil { // the tree's first route, or the first since ReleaseRoutes
+		sr.dsts = make([]int32, 0, firstRoutes)
+		sr.paths = make([][]*fabric.Channel, 0, firstRoutes)
 	}
 	sr.dsts = slices.Insert(sr.dsts, at, dst)
 	sr.paths = slices.Insert(sr.paths, at, path)
 	return path
+}
+
+// tree returns a's routes, building a's shortest-path tree on its
+// first query.
+func (t *Topology) tree(a *Device) *sourceRoutes {
+	if len(t.source) != len(t.devices) { // first query since a Connect or AddDevice
+		t.source = make([]int32, len(t.devices))
+		// Sources are usually endpoints: make room for them once.
+		t.routes = make([]sourceRoutes, 0, len(t.GPUs)+len(t.MemDevs)+len(t.CPUs)+len(t.NICs))
+		t.base = nil
+	}
+	if t.source[a.ID] == 0 {
+		t.routes = append(t.routes, sourceRoutes{})
+		t.source[a.ID] = int32(len(t.routes))
+		t.buildTree(a, &t.routes[len(t.routes)-1])
+	}
+	return &t.routes[t.source[a.ID]-1]
+}
+
+// routeWalk steps along a route in sr's tree from its destination back
+// to its source, one channel per step, materializing nothing.
+type routeWalk struct {
+	t    *Topology
+	sr   *sourceRoutes
+	a, b *Device
+	cur  int32
+	hops int
+}
+
+// walk starts a walk of the a→b route in sr, a's tree. It panics when
+// a is b or the tree does not reach b.
+func (t *Topology) walk(sr *sourceRoutes, a, b *Device) routeWalk {
+	if a == b {
+		panic("topology: path to self")
+	}
+	if sr.pred(t.base, int32(b.ID)) < 0 {
+		panic(fmt.Sprintf("topology: no route %s -> %s", a, b))
+	}
+	return routeWalk{t: t, sr: sr, a: a, b: b, cur: int32(b.ID)}
+}
+
+// next returns the channel into the current device from its
+// predecessor and steps to the predecessor, or nil once the walk is
+// back at the source. Each hop's channel is the predecessor's first
+// adjacency entry pointing at the device. A tree that loops or names a
+// predecessor with no link to the device is corrupt.
+func (w *routeWalk) next() *fabric.Channel {
+	t, cur := w.t, w.cur
+	if cur == int32(w.a.ID) {
+		return nil
+	}
+	if w.hops++; w.hops > len(t.devices) {
+		panic(fmt.Sprintf("topology: route %s -> %s loops", w.a, w.b))
+	}
+	pred := w.sr.pred(t.base, cur)
+	w.cur = pred
+	for _, e := range t.adj[pred] {
+		if int32(e.peer.ID) == cur {
+			if e.fwd {
+				return e.link.Fwd()
+			}
+			return e.link.Rev()
+		}
+	}
+	panic(fmt.Sprintf("topology: route %s -> %s: %s has no link to %s", w.a, w.b, t.devices[pred], t.devices[cur]))
+}
+
+// ReleaseRoutes drops every materialized path and every source's
+// destination index, keeping the trees: the next Path for a pair
+// materializes a new slice. A setup pass that probes many more pairs
+// than traffic will use (COARSE's offline profiler) calls it once it
+// is done, so a cell retains only the routes its traffic asks for. It
+// panics unless the engine is idle: a flow in flight still holds its
+// path, and a later same-pair transfer would no longer share it.
+func (t *Topology) ReleaseRoutes() {
+	if t.Net.ActiveFlows() != 0 || t.Eng.PendingForeground() != 0 {
+		panic("topology: ReleaseRoutes while the engine is busy")
+	}
+	for i := range t.routes {
+		sr := &t.routes[i]
+		sr.dsts, sr.paths, sr.last = nil, nil, 0
+	}
+	t.paths = chunks[*fabric.Channel]{}
+}
+
+// CachedRoutes returns the number of materialized paths the route
+// cache holds. It is a diagnostic of what a cell retains: routing never
+// reads it.
+func (t *Topology) CachedRoutes() int {
+	n := 0
+	for i := range t.routes {
+		n += len(t.routes[i].dsts)
+	}
+	return n
 }
 
 // buildTree computes a's full shortest-path tree into the scratch
@@ -439,8 +507,6 @@ func (t *Topology) buildTree(a *Device, sr *sourceRoutes) {
 	}
 	t.frontier, t.frontier2 = frontier, next
 
-	sr.dsts = make([]int32, 0, firstRoutes)
-	sr.paths = make([][]*fabric.Channel, 0, firstRoutes)
 	if t.base == nil {
 		t.base = make([]int32, n)
 		for i := range t.base {
@@ -484,21 +550,37 @@ func (t *Topology) TransferEphemeral(a, b *Device, size int64, onDone func()) {
 	t.Net.TransferEphemeral(t.Path(a, b), size, onDone)
 }
 
-// PathBandwidth returns the zero-load bandwidth of the a→b route: the
-// minimum channel capacity along the path.
-func (t *Topology) PathBandwidth(a, b *Device) float64 {
-	bw := -1.0
-	for _, c := range t.Path(a, b) {
+// ZeroLoad returns the a→b route's propagation latency and its
+// zero-load bandwidth, the minimum channel capacity along it. It walks
+// a's tree and materializes nothing, so a setup-time query (a profiler
+// probe, a placement choice) leaves no route in the cache; traffic
+// routes through Path.
+func (t *Topology) ZeroLoad(a, b *Device) (lat sim.Time, bw float64) {
+	bw = -1
+	for w := t.walk(t.tree(a), a, b); ; {
+		c := w.next()
+		if c == nil {
+			return lat, bw
+		}
+		lat += c.Latency()
 		if bw < 0 || c.Capacity() < bw {
 			bw = c.Capacity()
 		}
 	}
+}
+
+// PathBandwidth returns the zero-load bandwidth of the a→b route (see
+// ZeroLoad).
+func (t *Topology) PathBandwidth(a, b *Device) float64 {
+	_, bw := t.ZeroLoad(a, b)
 	return bw
 }
 
-// PathLatency returns the propagation latency of the a→b route.
+// PathLatency returns the propagation latency of the a→b route (see
+// ZeroLoad).
 func (t *Topology) PathLatency(a, b *Device) sim.Time {
-	return fabric.PathLatency(t.Path(a, b))
+	lat, _ := t.ZeroLoad(a, b)
+	return lat
 }
 
 // SameSwitch reports whether two endpoint devices sit under the same PCIe

@@ -1,6 +1,9 @@
 package train
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestLatchWaitAfterOpenRunsImmediately(t *testing.T) {
 	var l Latch
@@ -69,4 +72,45 @@ func TestLatchWaiterMayReenter(t *testing.T) {
 	if !inner {
 		t.Fatal("nested waiter did not run")
 	}
+}
+
+// TestLatchRingIndependentOfIterations: the trainer keeps forward
+// latches for two iterations, not for every iteration of the run, and
+// a latch stays 16 B. Reclaiming a slot that still has a parked
+// waiter, or asking for an iteration whose slot already serves a later
+// one, panics. TestLatchRingGatesEveryLayer runs every strategy over
+// the ring.
+func TestLatchRingIndependentOfIterations(t *testing.T) {
+	for _, iters := range []int{4, 4096} {
+		cfg := mlpConfig(iters)
+		tr, err := New(cfg, &instant{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(tr.latches), len(tr.ctx.Workers)*2*len(cfg.Model.Layers); got != want {
+			t.Errorf("%d iterations: %d latches, want workers x 2 x layers = %d", iters, got, want)
+		}
+	}
+	if size := unsafe.Sizeof(Latch{}); size != 16 {
+		t.Errorf("a latch takes %d B, want 16", size)
+	}
+
+	tr, err := New(mlpConfig(4), &instant{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.latch(1, 0, 0).Wait(func() {})
+	if !panics(func() { tr.latch(3, 0, 0) }) {
+		t.Error("reclaiming a latch slot with a parked waiter did not panic")
+	}
+	tr.latch(2, 0, 1)
+	if !panics(func() { tr.latch(0, 0, 1) }) {
+		t.Error("asking for an iteration whose slot serves a later one did not panic")
+	}
+}
+
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
 }

@@ -111,3 +111,18 @@ func TestReadyAfterEveryGradient(t *testing.T) {
 		}
 	}
 }
+
+// TestLatchRingGatesEveryLayer: over a run that reuses every slot of
+// the trainer's two-iteration latch ring, every strategy still gates
+// each layer on every gradient.
+func TestLatchRingGatesEveryLayer(t *testing.T) {
+	for _, name := range config.Strategies() {
+		t.Run(name, func(t *testing.T) {
+			strat, err := config.Strategy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runLate(t, train.DefaultConfig(topology.AWSV100(), model.MLP("tiny", 16, 8, 8), 2, 5), strat)
+		})
+	}
+}

@@ -43,6 +43,7 @@ import (
 // behind it in registration order.
 type Latch struct {
 	open   bool
+	iter   int32 // the iteration a trainer's ring slot serves (see Trainer.latch)
 	waiter func()
 }
 
@@ -348,10 +349,9 @@ type Trainer struct {
 	strat Strategy
 	ctx   *Ctx
 
-	// latches is a dense (worker, iteration, layer) grid; workers own
-	// disjoint contiguous segments.
-	latches   []Latch
-	latStride int // latches per worker: (Iterations+1) * layer count
+	// latches is a dense (worker, iteration mod 2, layer) ring; workers
+	// own disjoint contiguous segments (see latch).
+	latches []Latch
 
 	blocked    []sim.Time // per worker, total forward stall
 	compute    []sim.Time // per worker, total roofline busy time
@@ -439,13 +439,11 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 				cfg.Model.Name, cfg.Batch, plan.Label(), w, err)
 		}
 	}
-	stride := (cfg.Iterations + 1) * len(cfg.Model.Layers)
 	tr := &Trainer{
 		cfg:        cfg,
 		strat:      strat,
 		ctx:        ctx,
-		latches:    make([]Latch, len(ctx.Workers)*stride),
-		latStride:  stride,
+		latches:    make([]Latch, len(ctx.Workers)*2*len(cfg.Model.Layers)),
 		blocked:    make([]sim.Time, len(ctx.Workers)),
 		compute:    make([]sim.Time, len(ctx.Workers)),
 		iterEnd:    make([]sim.Time, cfg.Iterations),
@@ -518,8 +516,25 @@ func (t *Trainer) registerTelemetry() {
 	}
 }
 
+// latch returns the latch gating worker w's forward of layer in
+// iteration it. Two iterations' latches are live at once: iteration
+// it+1's opens while iteration it's forward still waits on its own,
+// and iteration it+2's cannot open before w has produced iteration
+// it+1's gradient for the layer, which is past its forward of
+// iteration it. So the table is a ring of two iterations, and a slot
+// still serving an earlier iteration is reset when a later one asks
+// for it. A slot with a parked waiter, or one already serving a later
+// iteration, means that order was broken: latch panics.
 func (t *Trainer) latch(it, w, layer int) *Latch {
-	return &t.latches[w*t.latStride+it*len(t.cfg.Model.Layers)+layer]
+	layers := len(t.cfg.Model.Layers)
+	l := &t.latches[(2*w+it%2)*layers+layer]
+	if iter := int32(it); l.iter != iter {
+		if l.iter > iter || l.waiter != nil {
+			panic(fmt.Sprintf("train: worker %d layer %d: iteration %d's latch slot still serves iteration %d", w, layer, it, l.iter))
+		}
+		*l = Latch{iter: iter}
+	}
+	return l
 }
 
 func (t *Trainer) markReady(it, w, layer int) {
