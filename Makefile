@@ -68,10 +68,10 @@ bench-module:
 BENCH_WORKLOADS = paper-fig16 scale-512 layouts-3d serve-kv
 BENCH_MEM_METRICS = allocs_k alloc_mb heap_live_mb
 BENCH_ALLOCS_GO = go1.24.0
-BENCH_CEILINGS = paper-fig16:allocs_k:52.8 paper-fig16:alloc_mb:4.70 paper-fig16:heap_live_mb:0.210 \
-	scale-512:allocs_k:205.7 scale-512:alloc_mb:27.22 scale-512:heap_live_mb:4.71 \
-	layouts-3d:allocs_k:136.0 layouts-3d:alloc_mb:15.53 layouts-3d:heap_live_mb:1.075 \
-	serve-kv:allocs_k:4.60 serve-kv:alloc_mb:1.44 serve-kv:heap_live_mb:0.182
+BENCH_CEILINGS = paper-fig16:allocs_k:52.6 paper-fig16:alloc_mb:4.53 paper-fig16:heap_live_mb:0.197 \
+	scale-512:allocs_k:199.9 scale-512:alloc_mb:20.73 scale-512:heap_live_mb:3.99 \
+	layouts-3d:allocs_k:130.6 layouts-3d:alloc_mb:12.46 layouts-3d:heap_live_mb:0.842 \
+	serve-kv:allocs_k:4.55 serve-kv:alloc_mb:1.41 serve-kv:heap_live_mb:0.176
 
 bench-e2e:
 	@gover=$$(GOTOOLCHAIN=local go env GOVERSION); \

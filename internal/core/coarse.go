@@ -346,10 +346,6 @@ func (s *Strategy) Setup(ctx *train.Ctx) error {
 		}
 		s.shards = append(s.shards, sh)
 	}
-	// The probes routed every worker to every proxy; training uses a
-	// few of those pairs. Keep only the routes traffic asks for again.
-	ctx.Machine.ReleaseRoutes()
-
 	s.planDualSync()
 	s.registerTelemetry()
 	return nil

@@ -354,39 +354,3 @@ func TestProxyCacheSpeedsPulls(t *testing.T) {
 		t.Fatalf("cache on (%v) slower than off (%v)", with.IterTime, without.IterTime)
 	}
 }
-
-// TestCOARSEKeepsTrafficRoutesOnly: the offline profiler probes every
-// worker against every memory device, and training routes a fraction
-// of those pairs. A finished cell must hold only the routes traffic
-// asked for: re-profiling every iteration reads routes without caching
-// them, so it ends with the same cached-route count as a run without
-// re-profiling, and that count is under half the probed pairs.
-func TestCOARSEKeepsTrafficRoutesOnly(t *testing.T) {
-	spec := topology.ScaleSpec{Racks: 8, NodesPerRack: 4, GPUsPerNode: 4, MemDevs: 16, MemDevTier: topology.TierRack, Oversub: 2}.Generate()
-	routes := func(every int) (cached, probed int) {
-		opts := DefaultOptions()
-		opts.ReprofileEvery = every
-		s := New(opts)
-		tr, err := train.New(train.DefaultConfig(spec, model.MLP("tiny", 64, 32, 16), 4, 3), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tr.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if every > 0 && s.Reprofiles == 0 {
-			t.Fatalf("ReprofileEvery %d: no re-profile ran", every)
-		}
-		m := tr.Ctx().Machine
-		return m.CachedRoutes(), len(m.Workers) * len(m.Devs)
-	}
-	off, probed := routes(0)
-	every, _ := routes(1)
-	t.Logf("%d routes cached of %d probed pairs", off, probed)
-	if every != off {
-		t.Errorf("re-profiling every iteration ends with %d cached routes, without re-profiling %d", every, off)
-	}
-	if off >= probed/2 {
-		t.Errorf("%d routes cached, want fewer than half the %d probed pairs", off, probed)
-	}
-}

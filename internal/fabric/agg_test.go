@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"coarse/internal/sim"
@@ -72,14 +73,15 @@ func TestGroupCompletionAllocsConstant(t *testing.T) {
 // claim and the join rule. A multiplicity-k group must carry exactly
 // the bytes, rates, and completion instants of k independently
 // admitted flows — to the last bit — when the fan is alone on its
-// bottleneck, when it shares the bottleneck with a bystander, and when
-// its members come from different callers. The other cases pin what
+// bottleneck, when it shares the bottleneck with a bystander, when its
+// members come from different callers, and when each member passes its
+// own slice of the same channels. The other cases pin what
 // must not join: a handle flow, a transfer after a foreign admission,
 // one of another size, and a repeat at a later instant. Each case states how many transfers
 // fold, and is checked against the reference pass either way.
 func TestAggregatedGroupMatchesIndependentFlows(t *testing.T) {
 	const size = 3 * gib
-	// One path slice per link, as a topology's route cache hands out.
+	// One one-hop route per link.
 	links := func(n *Network) (a, b []*Channel) {
 		return []*Channel{n.NewLink("a", 10*gib, 10*gib, 0).Fwd()},
 			[]*Channel{n.NewLink("b", 40*gib, 40*gib, 0).Fwd()}
@@ -139,6 +141,13 @@ func TestAggregatedGroupMatchesIndependentFlows(t *testing.T) {
 				net.StartEphemeral(a, size, rec())
 			})
 		}},
+		// Equal routes fold whatever slices carry them: each transfer
+		// passes a fresh slice of the same channels.
+		{"equal-slices", 1, func(eng *sim.Engine, net *Network, rec func() func()) {
+			a, b := links(net)
+			net.StartEphemeral([]*Channel{a[0], b[0]}, size, rec())
+			net.StartEphemeral([]*Channel{a[0], b[0]}, size, rec())
+		}},
 		// Two independent callers, each emitting one transfer from its
 		// own event at the same instant, back to back.
 		{"two-callers", 1, func(eng *sim.Engine, net *Network, rec func() func()) {
@@ -173,5 +182,62 @@ func TestAggregatedGroupMatchesIndependentFlows(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCallerRouteNotKept: the fabric copies a route's channels before
+// StartFlow or StartEphemeral returns, so a caller may reuse its slice
+// at once. A script that passes one buffer to every call and
+// overwrites it with another link's channel right after each must
+// finish every transfer when the same script with a fresh slice per
+// call does, leave the same bytes on every channel and none on the
+// scribbled link, and see the same handle-flow rates.
+func TestCallerRouteNotKept(t *testing.T) {
+	const size = 3 * gib
+	var done [2][]sim.Time
+	var bytes, rates [2][]float64
+	for pass, reuse := range []bool{false, true} {
+		done[pass], bytes[pass], _ = runAgg(t, true, func(eng *sim.Engine, net *Network, rec func() func()) {
+			a := net.NewLink("a", 10*gib, 10*gib, 100).Fwd()
+			b := net.NewLink("b", 40*gib, 40*gib, 30).Fwd()
+			spare := net.NewLink("spare", gib, gib, 7).Fwd()
+			var buf []*Channel
+			route := func(hops ...*Channel) []*Channel {
+				if !reuse {
+					return hops
+				}
+				buf = append(buf[:0], hops...)
+				return buf
+			}
+			scribble := func() {
+				for i := range buf {
+					buf[i] = spare
+				}
+			}
+			f := net.StartFlow(route(a, b), size, rec())
+			scribble()
+			net.StartEphemeral(route(a), size, rec())
+			scribble()
+			net.StartEphemeral(route(a), size, rec())
+			scribble()
+			eng.Schedule(200, func() {
+				net.StartEphemeral(route(b), size/2, rec())
+				scribble()
+				rates[pass] = append(rates[pass], f.Rate())
+			})
+			eng.Schedule(sim.Seconds(0.1), func() { rates[pass] = append(rates[pass], f.Rate()) })
+		})
+	}
+	if !slices.Equal(done[1], done[0]) {
+		t.Errorf("completion times %v with a reused, overwritten slice, %v with fresh slices", done[1], done[0])
+	}
+	if !slices.Equal(rates[1], rates[0]) {
+		t.Errorf("handle flow rates %v with a reused, overwritten slice, %v with fresh slices", rates[1], rates[0])
+	}
+	if !slices.Equal(bytes[1], bytes[0]) {
+		t.Errorf("channel bytes %v with a reused, overwritten slice, %v with fresh slices", bytes[1], bytes[0])
+	}
+	if spare := bytes[1][4]; spare != 0 {
+		t.Errorf("the scribbled link carried %v bytes, want 0", spare)
 	}
 }

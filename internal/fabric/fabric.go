@@ -82,21 +82,24 @@
 // transfers — same path, same size, admitted back-to-back at one
 // instant. The fabric finds such fans itself: an ephemeral admission
 // that repeats the previous admission (also ephemeral, at the same
-// instant, over the same path slice, of the same size) folds into that
-// entry as a multiplicity count instead of a new entry. Only the
-// previous admission qualifies, because an interleaved entry would
-// change admission order and therefore float fold order; handle flows
-// (StartFlow) never join or get joined, since their callers read their
-// own entry. Callers need only take routes from one cache, so that a
-// fan's members share a path slice. The progressive-filling pass
-// charges a group's bottleneck m times by repeated subtraction (never
-// share*m: float multiply is not repeated addition), so residuals,
-// rates, and stall decisions are bitwise what m separate entries
-// produce. Completion fans back out: the group's carrier completes at
-// the first of the m consecutive ranks reserved for the group and the
-// remaining members each fire an event at the following ranks, so
-// per-member completion dispatches — count, order, and interleaving
-// with everything else — are exactly the unaggregated schedule's.
+// instant, over the same channels in the same order, of the same size)
+// folds into that entry as a multiplicity count instead of a new
+// entry. Only the previous admission qualifies, because an interleaved
+// entry would change admission order and therefore float fold order;
+// handle flows (StartFlow) never join or get joined, since their
+// callers read their own entry. The join compares the flows' copied
+// channel ids, never the callers' slices: two entries with equal
+// routes and sizes, admitted back-to-back at one instant, are charged
+// the same channels in the same fold position, whichever slices their
+// callers passed. The progressive-filling pass charges a group's
+// bottleneck m times by repeated subtraction (never share*m: float
+// multiply is not repeated addition), so residuals, rates, and stall
+// decisions are bitwise what m separate entries produce. Completion
+// fans back out: the group's carrier completes at the first of the m
+// consecutive ranks reserved for the group and the remaining members
+// each fire an event at the following ranks, so per-member completion
+// dispatches — count, order, and interleaving with everything else —
+// are exactly the unaggregated schedule's.
 //
 // Steady-state fast-forward: between collective
 // boundaries the fabric sees long completion-only cascades whose
@@ -296,12 +299,11 @@ func (l *Link) Rev() *Channel { return &l.rev }
 // per-channel byte accounting) is re-materialized at completion; all
 // other state is provably identical across members and stored once.
 //
-// Field order keeps the struct within the allocator's 240-byte size
+// Field order keeps the struct within the allocator's 224-byte size
 // class (see TestFlowSizeClass).
 type Flow struct {
 	id        uint64
-	path      []*Channel
-	pathIDs   []int32 // dense channel ids of path, the reallocate view; kept across recycles
+	pathIDs   []int32 // dense ids of the route's channels, in route order; kept across recycles
 	size      float64 // per member
 	remaining float64 // per member (members stay bitwise identical)
 	rate      float64 // per member
@@ -429,7 +431,7 @@ type Network struct {
 	compEntries []*Flow
 	compBounds  []int
 
-	flowPool *sim.FreeList[Flow] // recycled ephemeral flows
+	flowPool *sim.FreeList[Flow] // recycled ephemeral flows, each keeping its pathIDs buffer and fire
 	flushFn  func()              // n.flush, bound once: the end-of-instant hook
 
 	// Capacities that Flow.pathIDs and Flow.dones are allocated at:
@@ -613,14 +615,17 @@ func (n *Network) start(f *Flow, path []*Channel, size float64, onDone func()) {
 	}
 	n.nextID++
 	f.id = n.nextID
-	f.path = path
+	// The flow's route is this copy of the channel ids: nothing keeps
+	// the caller's slice, which it may reuse as soon as start returns.
 	if cap(f.pathIDs) < len(path) {
 		n.pathIDsCap = max(n.pathIDsCap, pow2(len(path)))
 		f.pathIDs = make([]int32, 0, n.pathIDsCap)
 	}
-	f.pathIDs = f.pathIDs[:0]
-	for _, c := range path {
-		f.pathIDs = append(f.pathIDs, c.id)
+	f.pathIDs = f.pathIDs[:len(path)]
+	var latency sim.Time
+	for i, c := range path {
+		f.pathIDs[i] = c.id
+		latency += c.latency
 	}
 	f.size = size
 	f.remaining = size
@@ -628,7 +633,7 @@ func (n *Network) start(f *Flow, path []*Channel, size float64, onDone func()) {
 	f.net = n
 	f.mult = 1
 	f.bneck = -1
-	n.eng.Schedule(PathLatency(path), f.fire)
+	n.eng.Schedule(latency, f.fire)
 }
 
 // dispatch is the callback of an entry's own events, bound once per
@@ -668,7 +673,7 @@ func (n *Network) admit(f *Flow) {
 			done()
 		}
 		if f.ephemeral {
-			n.recycleFlow(f)
+			n.flowPool.Put(f)
 		}
 		return
 	}
@@ -676,8 +681,10 @@ func (n *Network) admit(f *Flow) {
 	n.settle(now)
 	// Join the previous admission's entry if this one exactly repeats it:
 	// both ephemeral (a handle flow's caller reads its own entry), the
-	// same instant, the same path slice and the same size. Joining only
-	// the previous admission is load-bearing for byte identity: an
+	// same instant, the same channels in the same order and the same
+	// size. The length and last channel are compared before the whole
+	// route: routes out of one source share their first hops. Joining
+	// only the previous admission is load-bearing for byte identity: an
 	// interleaved foreign entry would sit between the members in
 	// admission order, changing per-channel float fold order. The
 	// instant check runs first: it proves lastAdmitted was recorded at
@@ -685,7 +692,8 @@ func (n *Network) admit(f *Flow) {
 	// admitted now cannot complete, compact, and be recycled before now
 	// ends — its deadline rounds up to at least one nanosecond).
 	if g := n.lastAdmitted; n.lastAdmitAt == now && g != nil && !n.reference && f.ephemeral && g.ephemeral &&
-		g.size == f.size && len(g.path) == len(f.path) && &g.path[0] == &f.path[0] {
+		g.size == f.size && len(g.pathIDs) == len(f.pathIDs) &&
+		g.pathIDs[len(g.pathIDs)-1] == f.pathIDs[len(f.pathIDs)-1] && slices.Equal(g.pathIDs, f.pathIDs) {
 		if len(g.dones) == 0 {
 			g.dones = append(n.growDones(n.spareDones(), 2), g.onDone)
 			g.onDone = nil
@@ -693,8 +701,8 @@ func (n *Network) admit(f *Flow) {
 		g.dones = append(n.growDones(g.dones, g.mult+1), f.onDone)
 		g.mult++
 		n.liveFlows++
-		for _, c := range g.path {
-			c.live++
+		for _, id := range g.pathIDs {
+			n.channels[id].live++
 		}
 		n.aggregated++
 		n.trigMask |= trigAdmit
@@ -706,7 +714,7 @@ func (n *Network) admit(f *Flow) {
 			n.joinedLate = true
 			n.ffPaths = append(n.ffPaths, g.pathIDs...)
 		}
-		n.recycleFlow(f)
+		n.flowPool.Put(f)
 		n.refreshCompletions(now)
 		n.markDirty()
 		return
@@ -719,8 +727,9 @@ func (n *Network) admit(f *Flow) {
 	f.lastTick = now
 	f.pending = true
 	n.instAdmits = append(n.instAdmits, f)
-	f.listRefs = int32(len(f.path) + 1)
-	for _, c := range f.path {
+	f.listRefs = int32(len(f.pathIDs) + 1)
+	for _, id := range f.pathIDs {
+		c := n.channels[id]
 		c.active = append(c.active, f)
 		c.live++
 		if !c.inActive {
@@ -1144,8 +1153,8 @@ func (n *Network) soloEntrant() *Flow {
 		return nil
 	}
 	f := n.instAdmits[0]
-	for _, c := range f.path {
-		if c.live != f.mult {
+	for _, id := range f.pathIDs {
+		if n.channels[id].live != f.mult {
 			return nil
 		}
 	}
@@ -1577,7 +1586,8 @@ func (n *Network) completeMember(f *Flow, j int) {
 	n.settle(now)
 	n.liveFlows--
 	f.mult--
-	for _, c := range f.path {
+	for _, id := range f.pathIDs {
+		c := n.channels[id]
 		c.bytesCarried += f.size
 		c.live--
 	}
@@ -1625,7 +1635,8 @@ func (n *Network) completeMember(f *Flow, j int) {
 		// to the first, their tombstones (and so the flow records) would
 		// pile up over many iterations before one compaction.
 		n.deadFlows++
-		for _, c := range f.path {
+		for _, id := range f.pathIDs {
+			c := n.channels[id]
 			c.dead++
 			if c.live == 0 || c.dead >= listCompactMin && c.dead*2 > len(c.active) {
 				c.active = n.compactList(c.active)
@@ -1655,7 +1666,7 @@ func (n *Network) compactList(s []*Flow) []*Flow {
 		if f.finished {
 			f.listRefs--
 			if f.listRefs == 0 && f.ephemeral {
-				n.recycleFlow(f)
+				n.flowPool.Put(f)
 			}
 			continue
 		}
@@ -1684,13 +1695,6 @@ func (n *Network) newFlow() *Flow {
 // pow2 rounds n up to a power of two: at least the capacity append's
 // doubling would reach, and a size class of its own.
 func pow2(n int) int { return 1 << bits.Len(uint(n-1)) }
-
-// recycleFlow returns f to the pool. It drops f's path, so a pooled
-// record does not pin route storage the topology has released.
-func (n *Network) recycleFlow(f *Flow) {
-	f.path = nil
-	n.flowPool.Put(f)
-}
 
 // growDones returns s with capacity for need group members,
 // reallocating it at donesCap when short. A need above donesCap first

@@ -572,7 +572,7 @@ func checkClusteredMatchesReference(t *testing.T, seedBase int64, burst bool) {
 
 // TestWorklistOracleRandomFans checks invariants (f) and (g) on seeded
 // random schedules of fans: runs of identical ephemeral transfers over
-// one path slice, which the fabric folds into multiplicity-counted
+// one route, which the fabric folds into multiplicity-counted
 // group entries, interleaved with fans of handle flows, which it never
 // folds. Every admission instant and every member completion — fan-outs
 // included — is a checkpoint, so group entries are filled whole, partly

@@ -3,11 +3,9 @@ package topology
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
-	"coarse/internal/fabric"
 	"coarse/internal/sim"
 )
 
@@ -90,73 +88,15 @@ func TestGenerateRouting(t *testing.T) {
 		m := Build(sim.NewEngine(), g.Generate())
 		for _, w := range m.Workers {
 			for _, d := range m.Devs {
-				if len(m.Path(w, d)) == 0 {
+				if len(m.AppendPath(nil, w, d)) == 0 {
 					t.Fatalf("tier %s: empty path %s -> %s", tier, w, d)
 				}
 			}
 			for _, w2 := range m.Workers {
-				if w2 != w && len(m.Path(w, w2)) == 0 {
+				if w2 != w && len(m.AppendPath(nil, w, w2)) == 0 {
 					t.Fatalf("tier %s: empty path %s -> %s", tier, w, w2)
 				}
 			}
-		}
-	}
-}
-
-// TestPathUncachedAllocs pins that deriving a route from a source's
-// cached shortest-path tree allocates nothing beyond the shared path
-// chunk it is carved from: materializing the route over and over
-// allocates exactly one object per chunk started, chunks grow, and
-// every copy is the same route at exact capacity. Mallocs also counts
-// the runtime's own allocations, which the race detector now and then
-// adds, so a count that differs is measured again, up to three times.
-func TestPathUncachedAllocs(t *testing.T) {
-	g := ScaleSpec{Racks: 2, NodesPerRack: 2, GPUsPerNode: 2, MemDevs: 3, MemDevTier: TierRack}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 400
-	var want []*fabric.Channel
-	var paths [][]*fabric.Channel
-	var mallocs uint64
-	chunks := 0
-	for attempt := 0; attempt < 3; attempt++ {
-		m := Build(sim.NewEngine(), g.Generate())
-		a, b := m.Workers[0], m.Workers[len(m.Workers)-1]
-		want = m.Path(a, b) // builds a's tree and caches the route
-		sr := &m.routes[m.source[a.ID]-1]
-		paths = make([][]*fabric.Channel, 0, runs)
-		chunks = 0
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			sr.dsts, sr.paths = sr.dsts[:0], sr.paths[:0] // forget the route, keeping the index's storage
-			free := len(m.paths.free)
-			paths = append(paths, m.Path(a, b))
-			if len(m.paths.free) != free-len(want) { // not carved from the old tail
-				chunks++
-			}
-		}
-		runtime.ReadMemStats(&after)
-		if mallocs = after.Mallocs - before.Mallocs; mallocs == uint64(chunks) {
-			break
-		}
-	}
-	if mallocs != uint64(chunks) {
-		t.Fatalf("%d uncached Paths allocate %d objects, want %d (one per chunk started)", runs, mallocs, chunks)
-	}
-	if chunks == 0 || chunks > 10 {
-		t.Fatalf("%d uncached Paths of %d hops start %d chunks, want 1..10 (chunks double)", runs, len(want), chunks)
-	}
-	for i, got := range paths {
-		if len(got) != len(want) || cap(got) != len(got) {
-			t.Fatalf("path %d: len %d cap %d, want len %d at exact capacity", i, len(got), cap(got), len(want))
-		}
-		for h := range want {
-			if got[h] != want[h] {
-				t.Fatalf("path %d hop %d: %s, want %s", i, h, got[h].Name(), want[h].Name())
-			}
-		}
-		if i > 0 && &got[0] == &paths[i-1][0] {
-			t.Fatalf("paths %d and %d share storage", i-1, i)
 		}
 	}
 }
@@ -167,7 +107,7 @@ func TestTierAttachment(t *testing.T) {
 	gRack := ScaleSpec{Racks: 2, NodesPerRack: 1, GPUsPerNode: 1, MemDevs: 2, MemDevTier: TierRack}
 	m := Build(sim.NewEngine(), gRack.Generate())
 	// Worker 0 (rack 0) to device 1 (rack 1) must cross the spine.
-	path := m.Path(m.Workers[0], m.Devs[1])
+	path := m.AppendPath(nil, m.Workers[0], m.Devs[1])
 	crossesSpine := false
 	spine := m.LinksBetween(KindNetSwitch, KindNetSwitch)
 	for _, c := range path {

@@ -15,7 +15,7 @@ package topology
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"coarse/internal/fabric"
 	"coarse/internal/sim"
@@ -65,11 +65,9 @@ type Device struct {
 
 func (d *Device) String() string { return d.Name }
 
-type edge struct {
-	link *fabric.Link
-	peer *Device
-	fwd  bool // true when we are endpoint A of the link
-}
+// edge is one adjacency entry: the ID of the peer a link reaches and
+// the channel that leaves toward it, as its index in Topology.chans.
+type edge struct{ peer, ch int32 }
 
 // Topology is a device graph over a fabric network, with shortest-path
 // routing between endpoints.
@@ -78,8 +76,9 @@ type Topology struct {
 	Net *fabric.Network
 
 	devices []*Device
-	adj     [][]edge  // indexed by device ID, kept sorted by peer ID
-	ends    []linkEnd // every link Connect made, in creation order
+	adj     [][]edge          // indexed by device ID, kept sorted by peer ID
+	ends    []linkEnd         // every link Connect made, in creation order
+	chans   []*fabric.Channel // every link's forward then reverse channel, in creation order
 
 	// Adjacency lists are carved from shared blocks (see chunks.carve)
 	// and move to a carved slice twice as long when they fill, so a
@@ -93,19 +92,13 @@ type Topology struct {
 	routes []sourceRoutes
 	source []int32
 
-	// base is the one dense shortest-path tree the cache keeps: the
-	// predecessor of every device (-1 if unreached) in the first tree
-	// built since routes were last dropped. Every other source stores
-	// only where its tree differs from it (see sourceRoutes).
-	base []int32
-
-	// Materialized paths and tree diffs are carved from shared chunks
-	// rather than allocated one by one (see chunks.carve): a small
-	// machine holds a few hundred bytes of route storage, and a
-	// rack-scale one allocates a path chunk per ~600 routes, not one
-	// slice per route.
-	paths chunks[*fabric.Channel]
-	diffs chunks[predDiff]
+	// base is the one dense shortest-path tree the topology keeps: how
+	// every device is reached in the first tree built since routes were
+	// last dropped. Every other source stores only where its tree
+	// differs from it (see sourceRoutes), in diffs carved from shared
+	// chunks (see chunks.carve) rather than allocated one by one.
+	base  []reach
+	diffs chunks[devReach]
 
 	// BFS scratch, reused across trees: a generated multi-rack cell
 	// builds one tree per source device, and per-call allocation of the
@@ -116,8 +109,8 @@ type Topology struct {
 	// base before they are copied into a carved slice.
 	visitMark []uint64
 	visitGen  uint64
-	prev      []int32
-	diff      []predDiff
+	prev      []reach
+	diff      []devReach
 	frontier  []int32
 	frontier2 []int32
 
@@ -151,53 +144,56 @@ type linkEnd struct {
 // for eight, alloc_mb rose 1-7% on every workload.
 const firstEdges = 4
 
-// sourceRoutes caches one source device's routes.
+// sourceRoutes is one source device's shortest-path tree, from which
+// every route out of the source is walked on demand; no route is
+// stored.
 //
-// Its shortest-path tree is kept as a diff against the topology's base
-// tree: diff lists, sorted by device ID, each device whose predecessor
-// differs from base's, with its predecessor in this tree (-1 where
-// unreached, the source itself included). The source of the base tree
-// has an empty diff. The generated machines are trees, so two sources'
-// trees differ only along the path between them: with every device as
-// a source, diffs average 6-10 entries on every preset and generated
-// machine (at most 21, on AWS T4), where a dense array holds one per
-// device, so tree storage grows with sources, not sources x devices.
+// The tree is kept as a diff against the topology's base tree: diff
+// lists each device reached differently than in base, as it is reached
+// in this tree (unreached for the source itself). The source of the
+// base tree has an empty diff. The generated machines are trees, so
+// two sources' trees differ only along the path between them: with
+// every device as a source, diffs average 6-10 entries on every preset
+// and generated machine (at most 21, on AWS T4), where a dense array
+// holds one per device, so tree storage grows with sources, not
+// sources x devices.
 //
-// A source routes to a handful of destinations, not to every device on
-// the machine, so its materialized paths are indexed by dsts, the
-// destination IDs in ascending order, searched by binary search;
-// paths[i] is the route to dsts[i], carved from the topology's shared
-// path chunks. A run asks for routes in sweeps: again the route it
-// just asked for, or the source's next destination up (62-87% of all
-// lookups, recorded on each benchmark workload). last is the position
-// of the source's last lookup, so those two are tried before the
-// search.
+// A walk looks a device up at every hop, so the diff is ordered for a
+// lookup without a search: entries are sorted by bucket dev%64, then
+// by dev, and diffMask has bit dev%64 set for each. The bits below
+// d%64 count the buckets before d's, so d's entry, if any, is at that
+// count or, where buckets hold more than one entry (never on a machine
+// of at most 64 devices), a few entries past it.
 type sourceRoutes struct {
-	diff     []predDiff
-	diffMask uint64 // bit dev%64 set for each dev in diff
-	dsts     []int32
-	paths    [][]*fabric.Channel
-	last     int32
+	diff     []devReach
+	diffMask uint64
 }
 
-// predDiff records that dev's predecessor in a source's tree is pred.
-type predDiff struct{ dev, pred int32 }
+// reach records how a shortest-path tree reaches a device: from its
+// predecessor pred over channel Topology.chans[ch], the channel the
+// BFS claimed the device through. Both are -1 where the device is
+// unreached, and for the tree's source.
+type reach struct{ pred, ch int32 }
 
-// firstRoutes is the number of routes a source has room for when its
-// first route is materialized, and again after ReleaseRoutes: a
-// preset's endpoint routes to at most a few peers.
-const firstRoutes = 8
+// unreached is the reach of a device a tree does not reach.
+var unreached = reach{-1, -1}
 
-// pred returns d's predecessor in sr's tree: its diff entry when it has
-// one, else base's. diffMask spares most devices outside the diff the
-// scan.
-func (sr *sourceRoutes) pred(base []int32, d int32) int32 {
-	if sr.diffMask&(1<<(uint32(d)%64)) != 0 {
-		for _, e := range sr.diff {
-			if e.dev >= d {
-				if e.dev == d {
-					return e.pred
-				}
+// devReach is a diff entry: how a source's tree reaches dev.
+type devReach struct {
+	dev int32
+	reach
+}
+
+// at returns how d is reached in sr's tree: its diff entry when it has
+// one, else base's.
+func (sr *sourceRoutes) at(base []reach, d int32) reach {
+	b := uint32(d) % 64
+	if bit := uint64(1) << b; sr.diffMask&bit != 0 {
+		for _, e := range sr.diff[bits.OnesCount64(sr.diffMask&(bit-1)):] {
+			if e.dev == d {
+				return e.reach
+			}
+			if uint32(e.dev)%64 > b {
 				break
 			}
 		}
@@ -205,9 +201,9 @@ func (sr *sourceRoutes) pred(base []int32, d int32) int32 {
 	return base[d]
 }
 
-// Chunk lengths, in elements: the first chunk holds a few preset
-// routes, and the cap keeps a path chunk within 32 KiB (an edge chunk
-// within 96 KiB).
+// Chunk lengths, in elements: the first chunk holds a preset's few
+// tree diffs, and the cap keeps a diff chunk within 48 KiB (an edge
+// chunk within 32 KiB).
 const (
 	minChunk = 16
 	maxChunk = 4096
@@ -278,10 +274,12 @@ func (t *Topology) Connect(a, b *Device, fwdCap, revCap float64, latency sim.Tim
 		panic("topology: self link")
 	}
 	l := t.Net.NewLink(a.Name+"<->"+b.Name, fwdCap, revCap, latency)
-	t.insertEdge(a.ID, edge{link: l, peer: b, fwd: true})
-	t.insertEdge(b.ID, edge{link: l, peer: a, fwd: false})
+	fwd := int32(len(t.chans))
+	t.chans = append(t.chans, l.Fwd(), l.Rev())
+	t.insertEdge(a.ID, edge{peer: int32(b.ID), ch: fwd})
+	t.insertEdge(b.ID, edge{peer: int32(a.ID), ch: fwd + 1})
 	t.ends = append(t.ends, linkEnd{l, a, b})
-	t.source = nil // invalidate cache; Path drops the routes and base tree with it
+	t.source = nil // invalidate trees; the next route query drops them and the base tree
 	return l
 }
 
@@ -297,7 +295,7 @@ func (t *Topology) insertEdge(id int, e edge) {
 		s = grown
 	}
 	i := len(s)
-	for i > 0 && s[i-1].peer.ID > e.peer.ID {
+	for i > 0 && s[i-1].peer > e.peer {
 		i--
 	}
 	s = s[:len(s)+1]
@@ -306,62 +304,65 @@ func (t *Topology) insertEdge(id int, e edge) {
 	t.adj[id] = s
 }
 
-// Path returns the channels along a minimum-hop route from a to b.
-// Ties are broken toward lower device IDs, so routing is deterministic.
-// Path panics when no route exists: presets always build connected graphs,
-// so a missing route is a bug, not a condition to handle.
+// AppendPath appends the channels along a minimum-hop route from a to
+// b to dst, in route order, and returns the extended slice. Ties are
+// broken toward lower device IDs, so routing is deterministic.
+// AppendPath panics when no route exists: presets always build
+// connected graphs, so a missing route is a bug, not a condition to
+// handle.
 //
-// Routing is cached per source: the first query from a runs one BFS
-// that fixes the predecessor of every reachable device. The first tree
-// built since the last Connect (or AddDevice) becomes the topology's
-// base tree, and every later one is kept as its sorted diff against
-// the base (see sourceRoutes). Each destination's path is then
-// materialized from the tree on first use, into a shared path chunk,
-// and inserted in the source's sorted destination index. Each (source,
-// destination) pair gets one slice until ReleaseRoutes, which every
-// later query returns: the fabric's aggregation join compares paths by
-// their first element's address. The tree a full BFS fixes for devices
-// at depth <= depth(b) is exactly what an early-terminating per-pair
-// BFS computes (a device's predecessor is set by its first visitor,
-// which later levels cannot change), so every returned path is the
-// per-pair router's.
-func (t *Topology) Path(a, b *Device) []*fabric.Channel {
-	sr := t.tree(a)
-	dst := int32(b.ID)
-	for at := int(sr.last); at <= int(sr.last)+1 && at < len(sr.dsts); at++ {
-		if sr.dsts[at] == dst {
-			sr.last = int32(at)
-			return sr.paths[at]
+// Routes are walked, never stored (see walk). Once a's tree exists,
+// appending into a slice with room allocates nothing.
+func (t *Topology) AppendPath(dst []*fabric.Channel, a, b *Device) []*fabric.Channel {
+	var buf [routeRoom]*fabric.Channel
+	return append(dst, t.walk(buf[:], a, b)...)
+}
+
+// routeRoom is the route length the callers of walk make stack room
+// for: routes on the presets and generated machines are at most 12
+// hops.
+const routeRoom = 16
+
+// walk writes the a→b route's channels into buf's tail and returns
+// them, in route order, as a suffix of buf; a route longer than buf is
+// walked again into a buffer as long as the machine has devices. The
+// first query from a runs one BFS that fixes, for every reachable
+// device, its predecessor and the channel it was claimed through. The
+// first tree built since the last Connect (or AddDevice) becomes the
+// topology's base tree, and every later one is kept as its diff
+// against the base (see sourceRoutes). The route is then read from the
+// tree hop by hop, from b back to a, each hop filling buf one slot
+// further from its end. The tree a full BFS fixes for devices at depth
+// <= depth(b) is exactly what an early-terminating per-pair BFS
+// computes (a device's predecessor is set by its first visitor, which
+// later levels cannot change), so every route is the per-pair
+// router's. A tree that reaches a device over no channel, or loops, is
+// corrupt, and walk panics on it.
+func (t *Topology) walk(buf []*fabric.Channel, a, b *Device) []*fabric.Channel {
+	if a == b {
+		panic("topology: path to self")
+	}
+	sr, base := t.tree(a), t.base
+	i, src := len(buf), int32(a.ID)
+	for cur := int32(b.ID); cur != src; {
+		r := sr.at(base, cur)
+		if r.ch < 0 {
+			if cur == int32(b.ID) {
+				panic(fmt.Sprintf("topology: no route %s -> %s", a, b))
+			}
+			panic(fmt.Sprintf("topology: route %s -> %s: %s has no claiming channel", a, b, t.devices[cur]))
 		}
-	}
-	at, ok := slices.BinarySearch(sr.dsts, dst)
-	sr.last = int32(at)
-	if ok {
-		return sr.paths[at]
-	}
-	// Walk back from b into a stack buffer (routes on the generated
-	// machines are at most a dozen hops), then copy the hops into a
-	// carved slice in route order.
-	var buf [32]*fabric.Channel
-	hops := buf[:0]
-	for w := t.walk(sr, a, b); ; {
-		c := w.next()
-		if c == nil {
-			break
+		if i == 0 {
+			if len(buf) >= len(t.devices) { // no route has as many hops as devices
+				panic(fmt.Sprintf("topology: route %s -> %s loops", a, b))
+			}
+			return t.walk(make([]*fabric.Channel, len(t.devices)), a, b)
 		}
-		hops = append(hops, c)
+		i--
+		buf[i] = t.chans[r.ch]
+		cur = r.pred
 	}
-	path := t.paths.carve(len(hops))
-	for i, c := range hops {
-		path[len(hops)-1-i] = c
-	}
-	if sr.dsts == nil { // the tree's first route, or the first since ReleaseRoutes
-		sr.dsts = make([]int32, 0, firstRoutes)
-		sr.paths = make([][]*fabric.Channel, 0, firstRoutes)
-	}
-	sr.dsts = slices.Insert(sr.dsts, at, dst)
-	sr.paths = slices.Insert(sr.paths, at, path)
-	return path
+	return buf[i:]
 }
 
 // tree returns a's routes, building a's shortest-path tree on its
@@ -373,89 +374,14 @@ func (t *Topology) tree(a *Device) *sourceRoutes {
 		t.routes = make([]sourceRoutes, 0, len(t.GPUs)+len(t.MemDevs)+len(t.CPUs)+len(t.NICs))
 		t.base = nil
 	}
-	if t.source[a.ID] == 0 {
+	i := t.source[a.ID]
+	if i == 0 {
 		t.routes = append(t.routes, sourceRoutes{})
-		t.source[a.ID] = int32(len(t.routes))
-		t.buildTree(a, &t.routes[len(t.routes)-1])
+		i = int32(len(t.routes))
+		t.source[a.ID] = i
+		t.buildTree(a, &t.routes[i-1])
 	}
-	return &t.routes[t.source[a.ID]-1]
-}
-
-// routeWalk steps along a route in sr's tree from its destination back
-// to its source, one channel per step, materializing nothing.
-type routeWalk struct {
-	t    *Topology
-	sr   *sourceRoutes
-	a, b *Device
-	cur  int32
-	hops int
-}
-
-// walk starts a walk of the a→b route in sr, a's tree. It panics when
-// a is b or the tree does not reach b.
-func (t *Topology) walk(sr *sourceRoutes, a, b *Device) routeWalk {
-	if a == b {
-		panic("topology: path to self")
-	}
-	if sr.pred(t.base, int32(b.ID)) < 0 {
-		panic(fmt.Sprintf("topology: no route %s -> %s", a, b))
-	}
-	return routeWalk{t: t, sr: sr, a: a, b: b, cur: int32(b.ID)}
-}
-
-// next returns the channel into the current device from its
-// predecessor and steps to the predecessor, or nil once the walk is
-// back at the source. Each hop's channel is the predecessor's first
-// adjacency entry pointing at the device. A tree that loops or names a
-// predecessor with no link to the device is corrupt.
-func (w *routeWalk) next() *fabric.Channel {
-	t, cur := w.t, w.cur
-	if cur == int32(w.a.ID) {
-		return nil
-	}
-	if w.hops++; w.hops > len(t.devices) {
-		panic(fmt.Sprintf("topology: route %s -> %s loops", w.a, w.b))
-	}
-	pred := w.sr.pred(t.base, cur)
-	w.cur = pred
-	for _, e := range t.adj[pred] {
-		if int32(e.peer.ID) == cur {
-			if e.fwd {
-				return e.link.Fwd()
-			}
-			return e.link.Rev()
-		}
-	}
-	panic(fmt.Sprintf("topology: route %s -> %s: %s has no link to %s", w.a, w.b, t.devices[pred], t.devices[cur]))
-}
-
-// ReleaseRoutes drops every materialized path and every source's
-// destination index, keeping the trees: the next Path for a pair
-// materializes a new slice. A setup pass that probes many more pairs
-// than traffic will use (COARSE's offline profiler) calls it once it
-// is done, so a cell retains only the routes its traffic asks for. It
-// panics unless the engine is idle: a flow in flight still holds its
-// path, and a later same-pair transfer would no longer share it.
-func (t *Topology) ReleaseRoutes() {
-	if t.Net.ActiveFlows() != 0 || t.Eng.PendingForeground() != 0 {
-		panic("topology: ReleaseRoutes while the engine is busy")
-	}
-	for i := range t.routes {
-		sr := &t.routes[i]
-		sr.dsts, sr.paths, sr.last = nil, nil, 0
-	}
-	t.paths = chunks[*fabric.Channel]{}
-}
-
-// CachedRoutes returns the number of materialized paths the route
-// cache holds. It is a diagnostic of what a cell retains: routing never
-// reads it.
-func (t *Topology) CachedRoutes() int {
-	n := 0
-	for i := range t.routes {
-		n += len(t.routes[i].dsts)
-	}
-	return n
+	return &t.routes[i-1]
 }
 
 // buildTree computes a's full shortest-path tree into the scratch
@@ -468,22 +394,20 @@ func (t *Topology) CachedRoutes() int {
 // adjacency lists are pre-sorted by peer ID, preserving the lower-ID
 // tie-break exactly.
 //
-// The predecessor arrays store bare device IDs rather than edges: the
-// claiming edge is recovered during path materialization as the
-// predecessor's first adjacency entry pointing at the device —
-// adjacency lists are sorted with parallel links in stable creation
-// order, so that first entry is exactly the one whose visit set the
-// predecessor.
+// Each device records the channel of the adjacency entry whose visit
+// claimed it: the predecessor's first entry pointing at the device,
+// since adjacency lists are sorted with parallel links in stable
+// creation order.
 func (t *Topology) buildTree(a *Device, sr *sourceRoutes) {
 	n := len(t.devices)
 	if len(t.visitMark) < n {
 		t.visitMark = make([]uint64, n)
-		t.prev = make([]int32, n)
+		t.prev = make([]reach, n)
 	}
 	t.visitGen++
 	gen, mark, prev := t.visitGen, t.visitMark, t.prev
 	mark[a.ID] = gen
-	prev[a.ID] = -1
+	prev[a.ID] = unreached
 	frontier := append(t.frontier[:0], int32(a.ID))
 	next := t.frontier2[:0]
 	for len(frontier) > 0 {
@@ -494,12 +418,12 @@ func (t *Topology) buildTree(a *Device, sr *sourceRoutes) {
 				continue
 			}
 			for _, e := range t.adj[id] {
-				p := int32(e.peer.ID)
+				p := e.peer
 				if mark[p] == gen {
 					continue
 				}
 				mark[p] = gen
-				prev[p] = id
+				prev[p] = reach{pred: id, ch: e.ch}
 				next = append(next, p)
 			}
 		}
@@ -507,25 +431,26 @@ func (t *Topology) buildTree(a *Device, sr *sourceRoutes) {
 	}
 	t.frontier, t.frontier2 = frontier, next
 
+	reached := func(i int) reach {
+		if mark[i] == gen {
+			return prev[i]
+		}
+		return unreached
+	}
 	if t.base == nil {
-		t.base = make([]int32, n)
+		t.base = make([]reach, n)
 		for i := range t.base {
-			t.base[i] = -1
-			if mark[i] == gen {
-				t.base[i] = prev[i]
-			}
+			t.base[i] = reached(i)
 		}
 		return
 	}
 	diff := t.diff[:0]
-	for i, b := range t.base {
-		p := int32(-1)
-		if mark[i] == gen {
-			p = prev[i]
-		}
-		if p != b {
-			diff = append(diff, predDiff{int32(i), p})
-			sr.diffMask |= 1 << (i % 64)
+	for b := range min(n, 64) { // by bucket, then device (see sourceRoutes)
+		for i := b; i < n; i += 64 {
+			if r := reached(i); r != t.base[i] {
+				diff = append(diff, devReach{int32(i), r})
+				sr.diffMask |= 1 << b
+			}
 		}
 	}
 	t.diff = diff
@@ -535,38 +460,33 @@ func (t *Topology) buildTree(a *Device, sr *sourceRoutes) {
 
 // Transfer starts a flow of size bytes from a to b.
 func (t *Topology) Transfer(a, b *Device, size int64, onDone func()) *fabric.Flow {
-	return t.Net.Transfer(t.Path(a, b), size, onDone)
+	var buf [routeRoom]*fabric.Channel
+	return t.Net.Transfer(t.walk(buf[:], a, b), size, onDone)
 }
 
 // TransferEphemeral starts a flow of size bytes from a to b without
 // returning a handle, letting the fabric recycle the flow record once
 // it completes and leaves every active list. Use it for
 // fire-and-forget traffic whose only observable is onDone; callers
-// that need Rate/Remaining or flow identity must use Transfer. Routes
-// come from the topology's cache, so repeated a→b transfers share one
-// path slice, which is what lets the fabric fold a back-to-back fan of
-// them into one entry.
+// that need Rate/Remaining or flow identity must use Transfer.
+// Repeated a→b transfers cross the same channels, which is what lets
+// the fabric fold a back-to-back fan of them into one entry.
 func (t *Topology) TransferEphemeral(a, b *Device, size int64, onDone func()) {
-	t.Net.TransferEphemeral(t.Path(a, b), size, onDone)
+	var buf [routeRoom]*fabric.Channel
+	t.Net.TransferEphemeral(t.walk(buf[:], a, b), size, onDone)
 }
 
 // ZeroLoad returns the a→b route's propagation latency and its
-// zero-load bandwidth, the minimum channel capacity along it. It walks
-// a's tree and materializes nothing, so a setup-time query (a profiler
-// probe, a placement choice) leaves no route in the cache; traffic
-// routes through Path.
+// zero-load bandwidth, the minimum channel capacity along it.
 func (t *Topology) ZeroLoad(a, b *Device) (lat sim.Time, bw float64) {
-	bw = -1
-	for w := t.walk(t.tree(a), a, b); ; {
-		c := w.next()
-		if c == nil {
-			return lat, bw
-		}
+	var buf [routeRoom]*fabric.Channel
+	route := t.walk(buf[:], a, b)
+	bw = route[0].Capacity()
+	for _, c := range route {
 		lat += c.Latency()
-		if bw < 0 || c.Capacity() < bw {
-			bw = c.Capacity()
-		}
+		bw = min(bw, c.Capacity())
 	}
+	return lat, bw
 }
 
 // PathBandwidth returns the zero-load bandwidth of the a→b route (see
@@ -592,7 +512,7 @@ func (t *Topology) SameSwitch(a, b *Device) bool {
 }
 
 // SetLinkCapacity changes a link's capacities. Routes are hop-based,
-// so cached paths stay valid, and PathBandwidth reads the live
+// so the trees stay valid, and PathBandwidth reads the live
 // capacities.
 func (t *Topology) SetLinkCapacity(l *fabric.Link, fwdCap, revCap float64) {
 	t.Net.SetLinkCapacity(l, fwdCap, revCap)
@@ -634,12 +554,12 @@ func transitKind(k Kind) bool {
 func (t *Topology) switchOf(d *Device) int {
 	// endpoint -> port -> {sw-peer, sw-up}: find the peer core id.
 	for _, e1 := range t.adj[d.ID] {
-		if e1.peer.Kind != KindPort {
+		if t.devices[e1.peer].Kind != KindPort {
 			continue
 		}
-		for _, e2 := range t.adj[e1.peer.ID] {
-			if e2.peer.Kind == KindSwitchPeer {
-				return e2.peer.ID
+		for _, e2 := range t.adj[e1.peer] {
+			if t.devices[e2.peer].Kind == KindSwitchPeer {
+				return int(e2.peer)
 			}
 		}
 	}

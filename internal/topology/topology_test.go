@@ -88,8 +88,8 @@ func TestLocalLatencyAlwaysBetter(t *testing.T) {
 
 func TestPathIsSymmetricInHops(t *testing.T) {
 	m := build(t, AWSV100())
-	ab := m.Path(m.Workers[0], m.Workers[3])
-	ba := m.Path(m.Workers[3], m.Workers[0])
+	ab := m.AppendPath(nil, m.Workers[0], m.Workers[3])
+	ba := m.AppendPath(nil, m.Workers[3], m.Workers[0])
 	if len(ab) != len(ba) {
 		t.Fatalf("path lengths differ: %d vs %d", len(ab), len(ba))
 	}
@@ -103,8 +103,8 @@ func TestPathDeterminism(t *testing.T) {
 			if i == j {
 				continue
 			}
-			p1 := m1.Path(m1.Workers[i], m1.Devs[j])
-			p2 := m2.Path(m2.Workers[i], m2.Devs[j])
+			p1 := m1.AppendPath(nil, m1.Workers[i], m1.Devs[j])
+			p2 := m2.AppendPath(nil, m2.Workers[i], m2.Devs[j])
 			if len(p1) != len(p2) {
 				t.Fatalf("nondeterministic path %d->%d", i, j)
 			}
@@ -121,7 +121,7 @@ func TestPathDeterminism(t *testing.T) {
 func TestCCIRingConnectsMemDevs(t *testing.T) {
 	m := build(t, AWSV100())
 	// Adjacent memdevs must be one hop apart on the CCI ring.
-	p := m.Path(m.Devs[0], m.Devs[1])
+	p := m.AppendPath(nil, m.Devs[0], m.Devs[1])
 	if len(p) != 1 {
 		t.Fatalf("memdev0->memdev1 path has %d hops, want 1 (CCI ring)", len(p))
 	}
@@ -132,8 +132,8 @@ func TestCCIRingConnectsMemDevs(t *testing.T) {
 
 func TestTwoMemDevRingHasSingleLink(t *testing.T) {
 	m := build(t, SDSCP100())
-	p01 := m.Path(m.Devs[0], m.Devs[1])
-	p10 := m.Path(m.Devs[1], m.Devs[0])
+	p01 := m.AppendPath(nil, m.Devs[0], m.Devs[1])
+	p10 := m.AppendPath(nil, m.Devs[1], m.Devs[0])
 	if len(p01) != 1 || len(p10) != 1 {
 		t.Fatalf("2-device ring should be 1 hop each way, got %d and %d", len(p01), len(p10))
 	}
@@ -191,7 +191,7 @@ func TestSameSwitch(t *testing.T) {
 
 func TestNoP2PHasNoPeerCoreRoute(t *testing.T) {
 	m := build(t, AWST4())
-	for _, c := range m.Path(m.Workers[0], m.Devs[0]) {
+	for _, c := range m.AppendPath(nil, m.Workers[0], m.Devs[0]) {
 		// T4 has no peer-core links at all; local traffic rides the uplink core.
 		if c.Capacity() == AWST4().PeerBW && c.Capacity() != AWST4().UpBW {
 			t.Fatalf("unexpected peer-core hop on no-P2P machine")
@@ -206,7 +206,7 @@ func TestPathToSelfPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Path(m.Workers[0], m.Workers[0])
+	m.AppendPath(nil, m.Workers[0], m.Workers[0])
 }
 
 func TestDisconnectedPanics(t *testing.T) {
@@ -219,7 +219,7 @@ func TestDisconnectedPanics(t *testing.T) {
 			t.Fatal("expected panic on missing route")
 		}
 	}()
-	tp.Path(a, b)
+	tp.AppendPath(nil, a, b)
 }
 
 func TestGPUSpecsPopulated(t *testing.T) {
