@@ -10,7 +10,7 @@ GO ?= go
 # `make lint`, so bumping the version here is the whole upgrade.
 STATICCHECK_VERSION = 2024.1.1
 
-.PHONY: all build test race vet lint examples-smoke bench-module bench-e2e bench-smoke serve-smoke serve-family-smoke serve-golden suite golden-drift telemetry-smoke cover fuzz-smoke parallel-smoke ci
+.PHONY: all build test race vet lint examples-smoke bench-module bench-e2e bench-smoke serve-smoke serve-family-smoke serve-golden suite golden-drift telemetry-smoke parity cover fuzz-smoke parallel-smoke ci
 
 # Coverage floor for `make cover` (total statement coverage, percent,
 # measured under -short so the floor tracks the fast deterministic
@@ -69,8 +69,8 @@ BENCH_WORKLOADS = paper-fig16 scale-512 layouts-3d serve-kv
 BENCH_MEM_METRICS = allocs_k alloc_mb heap_live_mb
 BENCH_ALLOCS_GO = go1.24.0
 BENCH_CEILINGS = paper-fig16:allocs_k:52.6 paper-fig16:alloc_mb:4.53 paper-fig16:heap_live_mb:0.197 \
-	scale-512:allocs_k:199.9 scale-512:alloc_mb:20.73 scale-512:heap_live_mb:3.99 \
-	layouts-3d:allocs_k:130.6 layouts-3d:alloc_mb:12.46 layouts-3d:heap_live_mb:0.842 \
+	scale-512:allocs_k:199.9 scale-512:alloc_mb:20.68 scale-512:heap_live_mb:3.97 \
+	layouts-3d:allocs_k:130.6 layouts-3d:alloc_mb:12.40 layouts-3d:heap_live_mb:0.837 \
 	serve-kv:allocs_k:4.55 serve-kv:alloc_mb:1.41 serve-kv:heap_live_mb:0.176
 
 bench-e2e:
@@ -125,6 +125,15 @@ suite:
 #   go test ./internal/experiments -run TestGoldenDeterminism -update-goldens
 golden-drift:
 	$(GO) test ./internal/experiments -run TestGoldenDeterminism -count=1 -v
+
+# Output parity against a parent revision: `make parity PARENT=<rev>`
+# builds coarsebench from <rev> (via git archive) and from the working
+# tree, cmp's their `-quick` stdout, then runs the dump-writing families
+# with -trace-dir on both and names every file that differs. Exits 1 on
+# any difference and 2 when a build or run fails; a change that moves
+# output on purpose lists the named files in CHANGES.md.
+parity:
+	PARENT="$(PARENT)" GO="$(GO)" sh scripts/parity.sh
 
 # Per-package coverage summary plus a floored total: the `go test`
 # lines print per-package percentages, cover.out holds the merged

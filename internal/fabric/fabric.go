@@ -84,17 +84,18 @@
 // that repeats the previous admission (also ephemeral, at the same
 // instant, over the same channels in the same order, of the same size)
 // folds into that entry as a multiplicity count instead of a new
-// entry. Only the previous admission qualifies, because an interleaved
-// entry would change admission order and therefore float fold order;
-// handle flows (StartFlow) never join or get joined, since their
-// callers read their own entry. The join compares the flows' copied
-// channel ids, never the callers' slices: two entries with equal
-// routes and sizes, admitted back-to-back at one instant, are charged
-// the same channels in the same fold position, whichever slices their
-// callers passed. The progressive-filling pass charges a group's
-// bottleneck m times by repeated subtraction (never share*m: float
-// multiply is not repeated addition), so residuals, rates, and stall
-// decisions are bitwise what m separate entries produce. Completion
+// entry. Rates do not depend on the grouping: a fill is a function of
+// the capacities and the multiset of (path, multiplicity), and it
+// charges a group's channels m times by clamped repeated subtraction
+// (never share*m: float multiply is not repeated addition), so
+// residuals, rates, and stall decisions are bitwise what m separate
+// entries produce. Only the previous admission qualifies because of
+// what still follows admission order: the members keep consecutive
+// completion ranks, and a channel's folded rate adds them at the
+// position m separate entries would hold. Handle flows (StartFlow)
+// never join or get joined, since their callers read their own entry.
+// The join compares the flows' copied channel ids, so two callers that
+// pass different slices for one route still fold. Completion
 // fans back out: the group's carrier completes at the first of the m
 // consecutive ranks reserved for the group and the remaining members
 // each fire an event at the following ranks, so per-member completion
@@ -124,10 +125,11 @@
 // the last pass — need refilling (componentPass). A breadth-first
 // search from each trigger channel collects one component's flows and
 // channels; each component is filled on its own with the same fill the
-// full pass uses, over its channels, which then performs, float for
-// float, the rounds, subtractions and tie-breaks the full pass
-// performs for it, while every other component keeps its rates,
-// freezes and folded channel rates. Filling components apart also
+// full pass uses, over its channels. Since a fill breaks exact ties by
+// channel id alone, the component's rounds, subtractions and
+// bottlenecks are, float for float, those the full pass performs for
+// it, while every other component keeps its rates, freezes and folded
+// channel rates. Filling components apart also
 // keeps a pass that admits a whole collective step at once — each flow
 // alone on its channels — to one round per component, where one joint
 // fill would scan every channel once per flow.
@@ -328,7 +330,6 @@ type Flow struct {
 	doneRank uint64   // completion rank; group members fan out at doneRank+1..+mult-1
 	bneck    int32    // channel that froze this entry when last rated, -1 none
 	listRefs int32    // tombstone references still held by active lists
-	seq      uint64   // admission rank: position in the network's admission order
 	visit    uint64   // component-search stamp (Network.ffEpoch)
 }
 
@@ -373,7 +374,6 @@ type Network struct {
 	// nothing per pass.
 	chResidual   []float64
 	chUnassigned []int32
-	chCur        []int32 // active-list index at or before the first unassigned entry
 	fillCh       []int32 // channels still holding unassigned entries
 
 	ratesDirty  bool     // rates are stale; a pass must run before any rate read
@@ -420,7 +420,6 @@ type Network struct {
 	ffPasses    uint64     // passes that refilled fewer than all live entries
 	ffAdmits    uint64     // of which filled a solo entrant
 	compPasses  uint64     // of which refilled the triggered components
-	admitSeq    uint64     // admission ranks handed out (Flow.seq)
 
 	// Entries admitted since the last pass, in admission order, and the
 	// component pass's search scratch (channel queue, reached entries,
@@ -721,8 +720,6 @@ func (n *Network) admit(f *Flow) {
 	}
 	n.flows = append(n.flows, f)
 	n.liveFlows++
-	n.admitSeq++
-	f.seq = n.admitSeq
 	n.lastAdmitted, n.lastAdmitAt = f, now
 	f.lastTick = now
 	f.pending = true
@@ -935,10 +932,9 @@ func (n *Network) flush() {
 // completion keys; scheduleCompletions does that at instant end.
 //
 // A full pass marks every live entry unassigned and fills the
-// maintained non-idle channel list (fill). Bottleneck choice, float
-// operation order and tie-breaks are exactly those of a scan of the
-// live entries in admission order, so every rate — and every golden
-// downstream of one — is bit-identical.
+// maintained non-idle channel list (fill), whose rates and bottlenecks
+// depend only on the live entries' paths and multiplicities, not on
+// the order they were admitted in.
 //
 // The fold after a full pass re-sums only the channels whose folded
 // rate can have moved: the trigger channels, stamped before passDone
@@ -957,7 +953,6 @@ func (n *Network) reallocate(now sim.Time) {
 	if len(n.chResidual) < len(n.channels) {
 		n.chResidual = make([]float64, len(n.channels))
 		n.chUnassigned = make([]int32, len(n.channels))
-		n.chCur = make([]int32, len(n.channels))
 		n.frozenCount = make([]int32, len(n.channels))
 		n.chTouched = make([]uint64, len(n.channels))
 	}
@@ -1011,18 +1006,16 @@ func (n *Network) reallocate(now sim.Time) {
 // hops. Each channel's scratch starts at its capacity and its live
 // member count — a group entry counts once per member, as each member
 // crosses its channels once — and each round scans the channels still
-// holding unassigned entries for the smallest fair share. Exact ties
-// go to the channel that comes first in a scan of the unassigned
-// entries in admission order, hop by hop: the one whose first
-// unassigned entry was admitted first, then the one earlier on that
-// entry's path (fillsFirst). That is the strict-< winner of the
-// entry-order scan earlier versions of the pass ran, so every round
-// freezes the same channel. The bottleneck's own active list, in
-// admission order from its cursor, then names the entries it freezes,
-// and each is charged along its path in that order: the subtractions
-// per channel are the entry-order scan's, operation for operation.
+// holding unassigned entries for the smallest fair share; an exact tie
+// goes to the lowest channel id. The bottleneck's own active list, from
+// its head cursor, then names the entries it freezes, and each is
+// charged along its path. Every charge in a round subtracts the same
+// share, so a channel's residual depends only on how many members froze
+// on it, not on the order they froze in: the rates and bottlenecks are
+// a function of the capacities and the multiset of (path, multiplicity)
+// alone, whatever the admission order or grouping.
 func (n *Network) fill(chans []*Channel) {
-	res, un, cur := n.chResidual, n.chUnassigned, n.chCur
+	res, un := n.chResidual, n.chUnassigned
 	live := n.fillCh[:0]
 	for _, c := range chans {
 		if c.live == 0 {
@@ -1030,7 +1023,6 @@ func (n *Network) fill(chans []*Channel) {
 		}
 		res[c.id] = c.capacity
 		un[c.id] = int32(c.live)
-		cur[c.id] = c.head
 		live = append(live, c.id)
 	}
 	for {
@@ -1043,7 +1035,7 @@ func (n *Network) fill(chans []*Channel) {
 			}
 			keep = append(keep, id)
 			s := res[id] / float64(un[id])
-			if bneck < 0 || s < share || s == share && n.fillsFirst(id, bneck) {
+			if bneck < 0 || s < share || s == share && id < bneck {
 				bneck, share = id, s
 			}
 		}
@@ -1056,8 +1048,9 @@ func (n *Network) fill(chans []*Channel) {
 		// subtraction — residual - m*share would round differently; m
 		// sequential clamped subtractions are bitwise what m member
 		// entries do.
-		act := n.channels[bneck].active
-		for i := cur[bneck]; un[bneck] > 0; i++ {
+		c := n.channels[bneck]
+		act := c.active
+		for i := c.head; un[bneck] > 0; i++ {
 			f := act[i]
 			if f.finished || f.rate >= 0 {
 				continue
@@ -1088,30 +1081,6 @@ func (n *Network) fill(chans []*Channel) {
 		}
 	}
 	n.fillCh = live
-}
-
-// fillsFirst breaks an exact fair-share tie between channels a and b:
-// it reports whether a comes first in a hop-by-hop scan of the
-// unassigned entries in admission order.
-func (n *Network) fillsFirst(a, b int32) bool {
-	fa, fb := n.firstUnassigned(a), n.firstUnassigned(b)
-	if fa != fb {
-		return fa.seq < fb.seq
-	}
-	return slices.Index(fa.pathIDs, a) < slices.Index(fa.pathIDs, b)
-}
-
-// firstUnassigned returns the earliest-admitted unassigned entry on a
-// channel that still holds one. Entries only ever become assigned
-// within a fill, so the channel's cursor only moves forward.
-func (n *Network) firstUnassigned(id int32) *Flow {
-	act := n.channels[id].active
-	i := n.chCur[id]
-	for act[i].finished || act[i].rate >= 0 {
-		i++
-	}
-	n.chCur[id] = i
-	return act[i]
 }
 
 // passDone closes the trigger window: every pass — full or
@@ -1169,11 +1138,10 @@ func (n *Network) soloEntrant() *Flow {
 // cached allocation bitwise (the ffPass argument, extended by the
 // entrant sharing no channel with them), while the entrant alone fills
 // in a single round whose share is the smallest per-member capacity
-// along its path. The winner is exactly fill's: every channel's first
-// unassigned entry is the entrant, so fill breaks ties by hop, as the
-// strict-< scan of the path does; capacity/float64(m) is the very
-// division fill performs on fresh scratch. Completions in the same window
-// are covered by the ffStable guard, as in ffPass.
+// along its path, an exact tie going to the lowest channel id as in
+// fill; capacity/float64(m) is the very division fill performs on
+// fresh scratch. Completions in the same window are covered by the
+// ffStable guard, as in ffPass.
 func (n *Network) ffAdmitPass(now sim.Time, f *Flow) {
 	n.passes++
 	n.ffPasses++
@@ -1182,7 +1150,7 @@ func (n *Network) ffAdmitPass(now sim.Time, f *Flow) {
 	share := math.Inf(1)
 	bneck := int32(-1)
 	for _, id := range f.pathIDs {
-		if s := n.channels[id].capacity / m; s < share {
+		if s := n.channels[id].capacity / m; s < share || s == share && id < bneck {
 			share = s
 			bneck = id
 		}
@@ -1205,10 +1173,9 @@ func (n *Network) ffAdmitPass(now sim.Time, f *Flow) {
 // and the new freezes are recorded. Max-min filling decomposes over
 // components: a component filled alone performs, float for float, the
 // rounds, subtractions and tie-breaks the full pass performs for it,
-// since fill's tie-break key (admission rank, then hop) does not
-// depend on the order in which components or channels were reached,
-// and every other component keeps its cached rates, freezes and folded
-// channel rates.
+// since fill's tie-break key (the channel id) does not depend on the
+// order in which components or channels were reached, and every other
+// component keeps its cached rates, freezes and folded channel rates.
 //
 // The search gives up, changing no rate or freeze, on reaching a
 // channel that carries more than 1/compHotShare of the live members: a

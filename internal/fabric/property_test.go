@@ -17,17 +17,17 @@ package fabric
 //	    carried-byte counter equals the summed sizes of the flows
 //	    routed through it, and the rate integral agrees with it up to
 //	    nanosecond completion-rounding;
-//	(d) oracle: every admitted unfinished flow's rate matches, to a
-//	    relative 1e-9, what refMaxMin — a textbook solver written
-//	    independently of the fabric's pass — computes for the same
-//	    flows and capacities;
+//	(d) oracle: every admitted unfinished flow's rate equals, bit for
+//	    bit, what refMaxMin — a textbook solver written independently
+//	    of the fabric's pass — computes for the callers' paths and the
+//	    capacities;
 //	(e) bookkeeping: the freeze counts the partial passes rely on
 //	    agree with a recount over the live flows;
-//	(f) filling order: every live entry's rate bits and freezing
-//	    channel equal what worklistRates — the entry-order progressive
-//	    filling the fabric's channel-driven fill replaced — derives
-//	    from the live entries, so every shortcut pass and every tie-
-//	    break matches a fresh fill bit for bit;
+//	(f) entries: every live entry's rate bits and freezing channel
+//	    equal refMaxMin's over the live entries, each expanded into its
+//	    members, so every shortcut pass and every tie-break matches a
+//	    fresh fill bit for bit, and folding members into a group entry
+//	    changes no rate;
 //	(g) fold: every channel's folded rate equals, bit for bit, what
 //	    refChannelRate — a re-sum of the channel's whole active list —
 //	    derives, so every pass re-summed each channel whose rate could
@@ -100,9 +100,8 @@ func buildPropCase(rng *rand.Rand, clusters int, burst bool, onEvent func(where 
 			rev = math.Pow(10, 6+3*rng.Float64())
 		}
 		if clusters >= 2 {
-			// Few distinct capacities, so fair shares tie and the
-			// filling order's tie-breaks decide which channel freezes
-			// a flow.
+			// Few distinct capacities, so fair shares tie and the tie
+			// rule decides which channel freezes a flow.
 			fwd = 1e8 * float64(int(1)<<rng.Intn(3))
 			rev = 1e8 * float64(int(1)<<rng.Intn(3))
 		}
@@ -176,133 +175,96 @@ func buildPropCase(rng *rand.Rand, clusters int, burst bool, onEvent func(where 
 // the channel with the smallest fair share (residual capacity over the
 // unfrozen flows crossing it), freeze every unfrozen flow crossing it
 // at that share, and charge the share to each channel on those flows'
-// paths. Ties may resolve in any order; the max-min allocation is
-// unique.
-func refMaxMin(paths [][]*Channel) []float64 {
-	rates := make([]float64, len(paths))
-	frozen := make([]bool, len(paths))
-	residual := make(map[*Channel]float64)
+// paths. An exact tie goes to the lowest channel id, the fabric's rule,
+// so the rates are comparable bit for bit. A residual is clamped at 0
+// only where it is read: once negative it stays negative under further
+// charges, so the shares are those of clamping every charge, as the
+// fabric does. It returns each flow's rate and freezing channel; a
+// flow whose rate is 0 reports channel -1, as the fabric's freeze
+// bookkeeping records a stalled entry.
+func refMaxMin(paths [][]*Channel) (rates []float64, bnecks []int32) {
+	nch := 0
 	for _, p := range paths {
 		for _, c := range p {
-			residual[c] = c.Capacity()
+			nch = max(nch, int(c.id)+1)
 		}
 	}
+	residual := make([]float64, nch)
+	for _, p := range paths {
+		for _, c := range p {
+			residual[c.id] = c.Capacity()
+		}
+	}
+	rates = make([]float64, len(paths))
+	bnecks = make([]int32, len(paths))
+	frozen := make([]bool, len(paths))
 	for left := len(paths); left > 0; {
-		count := make(map[*Channel]int)
+		count := make([]int, nch)
 		for i, p := range paths {
 			if !frozen[i] {
 				for _, c := range p {
-					count[c]++
+					count[c.id]++
 				}
 			}
 		}
-		var bneck *Channel
+		// Scanning ids upward with a strict < keeps the lowest id of a tie.
+		bneck := int32(-1)
 		share := math.Inf(1)
-		for c, k := range count {
-			if s := math.Max(residual[c], 0) / float64(k); s < share {
-				bneck, share = c, s
+		for id, k := range count {
+			if k == 0 {
+				continue
+			}
+			if s := math.Max(residual[id], 0) / float64(k); s < share {
+				bneck, share = int32(id), s
 			}
 		}
 		for i, p := range paths {
-			if frozen[i] || !slices.Contains(p, bneck) {
+			if frozen[i] || !slices.ContainsFunc(p, func(c *Channel) bool { return c.id == bneck }) {
 				continue
 			}
 			frozen[i] = true
-			rates[i] = share
+			rates[i], bnecks[i] = share, bneck
+			if share <= 0 {
+				bnecks[i] = -1
+			}
 			left--
 			for _, c := range p {
-				residual[c] -= share
+				residual[c.id] -= share
 			}
 		}
 	}
-	return rates
+	return rates, bnecks
 }
 
-// worklistRates is the progressive filling the fabric ran before its
-// fill scanned channels instead of flow hops, kept as a read-only
-// oracle. It gathers the live entries in admission order; each round
-// scans the still-unassigned entries hop by hop, examines each channel
-// at its first appearance, takes the strict-< minimum fair share, and
-// assigns that share to every unassigned entry crossing the winner, in
-// worklist order, charging its path once per member by clamped
-// repeated subtraction. It writes nothing to the network. An entry
-// whose rate is 0 reports freezing channel -1, as the fabric's freeze
-// bookkeeping records a stalled entry.
-func worklistRates(n *Network) (ents []*Flow, rates []float64, bnecks []int32) {
-	residual := make([]float64, len(n.channels))
-	unassigned := make([]int, len(n.channels))
-	for _, c := range n.channels {
-		residual[c.id] = c.capacity
-	}
+// checkRefOracle asserts invariant (f): after the pending pass, every
+// live entry carries refMaxMin's rate, bit for bit, and its freezing
+// channel, where refMaxMin sees each entry as mult separate members.
+func checkRefOracle(t *testing.T, n *Network, label string) {
+	t.Helper()
+	n.Flush()
+	var ents []*Flow
+	var paths [][]*Channel
 	for _, f := range n.flows {
 		if f.finished {
 			continue
 		}
 		ents = append(ents, f)
-		rates = append(rates, -1)
-		bnecks = append(bnecks, -1)
-		for _, id := range f.pathIDs {
-			unassigned[id] += f.mult
+		path := make([]*Channel, len(f.pathIDs))
+		for i, id := range f.pathIDs {
+			path[i] = n.channels[id]
+		}
+		for j := 0; j < f.mult; j++ {
+			paths = append(paths, path)
 		}
 	}
-	work := make([]int, len(ents))
-	for i := range work {
-		work[i] = i
-	}
-	for len(work) > 0 {
-		seen := make([]bool, len(n.channels))
-		bneck := int32(-1)
-		share := math.Inf(1)
-		for _, i := range work {
-			for _, id := range ents[i].pathIDs {
-				if seen[id] || unassigned[id] == 0 {
-					continue
-				}
-				seen[id] = true
-				if s := residual[id] / float64(unassigned[id]); s < share {
-					share, bneck = s, id
-				}
+	rates, bnecks := refMaxMin(paths)
+	i := 0
+	for _, f := range ents {
+		for j := 0; j < f.mult; j, i = j+1, i+1 {
+			if math.Float64bits(f.rate) != math.Float64bits(rates[i]) || f.bneck != bnecks[i] {
+				t.Errorf("%s t=%v: entry %d member %d/%d rate %.17g frozen on %d; reference solver %.17g on %d",
+					label, n.eng.Now(), f.id, j, f.mult, f.rate, f.bneck, rates[i], bnecks[i])
 			}
-		}
-		if bneck < 0 {
-			break
-		}
-		rest := work[:0]
-		for _, i := range work {
-			f := ents[i]
-			if !slices.Contains(f.pathIDs, bneck) {
-				rest = append(rest, i)
-				continue
-			}
-			rates[i], bnecks[i] = share, bneck
-			for _, id := range f.pathIDs {
-				for j := 0; j < f.mult; j++ {
-					residual[id] = math.Max(residual[id]-share, 0)
-				}
-				unassigned[id] -= f.mult
-			}
-		}
-		work = rest
-	}
-	for i := range rates {
-		if rates[i] <= 0 {
-			rates[i], bnecks[i] = 0, -1
-		}
-	}
-	return ents, rates, bnecks
-}
-
-// checkWorklistOracle asserts invariant (f): after the pending pass,
-// every live entry carries worklistRates' rate, bit for bit, and its
-// freezing channel.
-func checkWorklistOracle(t *testing.T, n *Network, label string) {
-	t.Helper()
-	n.Flush()
-	ents, rates, bnecks := worklistRates(n)
-	for i, f := range ents {
-		if math.Float64bits(f.rate) != math.Float64bits(rates[i]) || f.bneck != bnecks[i] {
-			t.Errorf("%s t=%v: entry %d rate %.17g frozen on %d; worklist oracle %.17g on %d",
-				label, n.eng.Now(), f.seq, f.rate, f.bneck, rates[i], bnecks[i])
 		}
 	}
 }
@@ -338,7 +300,7 @@ func checkFold(t *testing.T, n *Network, label string) {
 		for i, f := range c.active[:c.head] {
 			if !f.finished {
 				t.Errorf("%s t=%v: channel %s head %d passes live entry %d at index %d",
-					label, n.eng.Now(), c.Name(), c.head, f.seq, i)
+					label, n.eng.Now(), c.Name(), c.head, f.id, i)
 				break
 			}
 		}
@@ -387,10 +349,11 @@ func (pc *propCase) checkAllocation(t *testing.T, seed int, where string) {
 			paths = append(paths, pf.path)
 		}
 	}
-	for i, want := range refMaxMin(paths) {
-		if got := live[i].f.Rate(); math.Abs(got-want) > 1e-9*want {
+	want, _ := refMaxMin(paths)
+	for i, pf := range live {
+		if got := pf.f.Rate(); math.Float64bits(got) != math.Float64bits(want[i]) {
 			t.Errorf("seed %d %s t=%v: flow rate %.17g, reference solver %.17g",
-				seed, where, pc.eng.Now(), got, want)
+				seed, where, pc.eng.Now(), got, want[i])
 		}
 	}
 	// (e) freeze bookkeeping: the per-channel freeze counts and the
@@ -413,9 +376,9 @@ func (pc *propCase) checkAllocation(t *testing.T, seed int, where string) {
 				seed, where, pc.eng.Now(), n.frozenCount, n.stalled, frozen, stalled)
 		}
 	}
-	// (f) filling order and (g) fold.
+	// (f) entries and (g) fold.
 	label := fmt.Sprintf("seed %d %s", seed, where)
-	checkWorklistOracle(t, pc.net, label)
+	checkRefOracle(t, pc.net, label)
 	checkFold(t, pc.net, label)
 }
 
@@ -498,8 +461,8 @@ func TestMaxMinClusteredMatchesReference(t *testing.T) {
 // TestMaxMinClusteredBurstMatchesReference is the clustered check with
 // every group admitting all its flows at one instant: the passes that
 // admit a group fill only new entries, often in several components at
-// once, and their many tied fair shares leave the filling order's
-// tie-breaks to decide every freeze.
+// once, and their many tied fair shares leave the tie rule to decide
+// every freeze.
 func TestMaxMinClusteredBurstMatchesReference(t *testing.T) {
 	checkClusteredMatchesReference(t, 104729, true)
 }
@@ -571,7 +534,10 @@ func checkClusteredMatchesReference(t *testing.T, seedBase int64, burst bool) {
 }
 
 // TestWorklistOracleRandomFans checks invariants (f) and (g) on seeded
-// random schedules of fans: runs of identical ephemeral transfers over
+// random schedules of fans: checkRefOracle compares every live entry,
+// expanded into its mult members, against refMaxMin bit for bit (the
+// name predates that oracle), and checkFold checks the folding. The
+// schedules are runs of identical ephemeral transfers over
 // one route, which the fabric folds into multiplicity-counted
 // group entries, interleaved with fans of handle flows, which it never
 // folds. Every admission instant and every member completion — fan-outs
@@ -592,7 +558,7 @@ func TestWorklistOracleRandomFans(t *testing.T) {
 		}
 		label := fmt.Sprintf("seed %d", seed)
 		check := func() {
-			checkWorklistOracle(t, net, label)
+			checkRefOracle(t, net, label)
 			checkFold(t, net, label)
 		}
 		for i := 0; i < 10+rng.Intn(20); i++ {
@@ -627,33 +593,99 @@ func TestWorklistOracleRandomFans(t *testing.T) {
 	}
 }
 
-// TestFillTieBreaksOnUnassignedEntries pins the tie-break rule on a
-// case where it decides a freeze. Channels C, X and Y carry 1, 3 and 4
-// GB/s; entries are admitted as F1 over C then X, F2 over Y, and F3
-// over X then Y. Round one freezes F1 on C at 1 GB/s. In round two X
-// and Y tie at 2 GB/s. Among the unassigned entries, Y appears first
-// (on F2), so F2 and F3 freeze on Y. Ranked by first appearance over
-// all entries, X (on F1) would win and F3 would freeze on X.
-func TestFillTieBreaksOnUnassignedEntries(t *testing.T) {
-	eng, net := newNet()
-	c := net.NewLink("c", 1e9, 1e9, 0).Fwd()
-	x := net.NewLink("x", 3e9, 3e9, 0).Fwd()
-	y := net.NewLink("y", 4e9, 4e9, 0).Fwd()
-	f1 := net.StartFlow([]*Channel{c, x}, gib, nil)
-	f2 := net.StartFlow([]*Channel{y}, gib, nil)
-	f3 := net.StartFlow([]*Channel{x, y}, gib, nil)
-	eng.RunUntil(0)
-	net.Flush()
-	for _, w := range []struct {
-		name  string
-		f     *Flow
-		rate  float64
-		bneck *Channel
-	}{{"F1", f1, 1e9, c}, {"F2", f2, 2e9, y}, {"F3", f3, 2e9, y}} {
-		if w.f.Rate() != w.rate || w.f.bneck != w.bneck.id {
-			t.Errorf("%s: rate %g frozen on channel %d, want %g on %s (channel %d)",
-				w.name, w.f.Rate(), w.f.bneck, w.rate, w.bneck.Name(), w.bneck.id)
+// TestFillTieGoesToLowestChannelID pins the tie-break rule on a case
+// where it decides a freeze. Channels C, X and Y carry 1, 3 and 4 GB/s
+// and are created in that order, so X has the lower id of X and Y; F1
+// crosses C then X, F2 crosses Y, and F3 crosses X then Y. Round one
+// freezes F1 on C at 1 GB/s. In round two X and Y tie at 2 GB/s, and
+// X, the lower id, freezes F3; F2 then freezes on Y. The three flows
+// are admitted in all six orders, and each order must give that
+// outcome with the same rate bits.
+func TestFillTieGoesToLowestChannelID(t *testing.T) {
+	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		eng, net := newNet()
+		c := net.NewLink("c", 1e9, 1e9, 0).Fwd()
+		x := net.NewLink("x", 3e9, 3e9, 0).Fwd()
+		y := net.NewLink("y", 4e9, 4e9, 0).Fwd()
+		paths := [3][]*Channel{{c, x}, {y}, {x, y}}
+		var fs [3]*Flow
+		for _, i := range order {
+			fs[i] = net.StartFlow(paths[i], gib, nil)
+		}
+		eng.RunUntil(0)
+		net.Flush()
+		for i, w := range []struct {
+			rate  float64
+			bneck *Channel
+		}{{1e9, c}, {2e9, y}, {2e9, x}} {
+			if f := fs[i]; math.Float64bits(f.Rate()) != math.Float64bits(w.rate) || f.bneck != w.bneck.id {
+				t.Errorf("order %v: F%d rate %g frozen on channel %d, want %g on %s (channel %d)",
+					order, i+1, f.Rate(), f.bneck, w.rate, w.bneck.Name(), w.bneck.id)
+			}
+		}
+		checkRefOracle(t, net, fmt.Sprintf("order %v", order))
+	}
+}
+
+// TestFillIgnoresAdmissionOrder admits one multiset of handle flows at
+// one instant in three shuffled orders, on the clustered cases'
+// tie-prone graphs: few distinct capacities, so fair shares tie and
+// the tie rule decides freezes. Every flow must get the same rate bits
+// and freezing channel in every order.
+func TestFillIgnoresAdmissionOrder(t *testing.T) {
+	for seed := 0; seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed) + 32452843))
+		nLinks := 2 + rng.Intn(7)
+		caps := make([][2]float64, nLinks)
+		for i := range caps {
+			caps[i] = [2]float64{1e8 * float64(int(1)<<rng.Intn(3)), 1e8 * float64(int(1)<<rng.Intn(3))}
+		}
+		// Paths as channel indices; some repeat, so the multiset has
+		// several flows per path.
+		var paths [][]int
+		for i, n := 0, 5+rng.Intn(40); i < n; i++ {
+			if len(paths) > 0 && rng.Intn(4) == 0 {
+				paths = append(paths, paths[rng.Intn(len(paths))])
+				continue
+			}
+			perm := rng.Perm(2 * nLinks)
+			paths = append(paths, perm[:1+rng.Intn(min(4, len(perm)))])
+		}
+		type outcome struct {
+			rate  uint64
+			bneck int32
+		}
+		var want []outcome
+		for run := 0; run < 3; run++ {
+			eng, net := newNet()
+			var chans []*Channel
+			for i, c := range caps {
+				l := net.NewLink(fmt.Sprintf("l%d", i), c[0], c[1], 0)
+				chans = append(chans, l.Fwd(), l.Rev())
+			}
+			fs := make([]*Flow, len(paths))
+			for _, i := range rng.Perm(len(paths)) {
+				path := make([]*Channel, len(paths[i]))
+				for h, ci := range paths[i] {
+					path[h] = chans[ci]
+				}
+				fs[i] = net.StartFlow(path, gib, nil)
+			}
+			eng.RunUntil(0)
+			net.Flush()
+			for i, f := range fs {
+				got := outcome{math.Float64bits(f.rate), f.bneck}
+				if run == 0 {
+					want = append(want, got)
+				} else if got != want[i] {
+					t.Errorf("seed %d order %d: flow %d on %v rate %.17g frozen on %d; first order %.17g on %d",
+						seed, run, i, paths[i], f.rate, f.bneck, math.Float64frombits(want[i].rate), want[i].bneck)
+				}
+			}
+			checkRefOracle(t, net, fmt.Sprintf("seed %d order %d", seed, run))
+		}
+		if t.Failed() {
+			t.Fatalf("seed %d: stopping at first failing scenario", seed)
 		}
 	}
-	checkWorklistOracle(t, net, "tie")
 }
