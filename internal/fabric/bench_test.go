@@ -17,11 +17,14 @@ import (
 //   - capacity flap: SetLinkCapacity storms under long-lived flows,
 //     the dynamic re-profiling path;
 //   - disjoint burst: waves of same-instant flows that each sit alone
-//     on their channels, one step of a ring collective, served by a
-//     component pass per wave;
+//     on their channels, one step of a ring collective, each wave one
+//     partial pass that rates every flow as a lone entrant;
 //   - rack fan-in: a tiered tree whose every worker sends to one of a
 //     few sinks, the rack-scale parameter-server shape, where every
-//     completion is a multi-round full pass over one component.
+//     completion is a multi-round full pass over one component;
+//   - solo stream: one ephemeral transfer at a time, each alone on its
+//     path, the shape of COARSE's offline profiler probes, where every
+//     pass rates a lone entrant in one round.
 //
 // Each iteration builds a fresh engine+network and runs to completion,
 // so ns/op covers admission, every reshare, and completion handling.
@@ -132,8 +135,8 @@ func BenchmarkFabricCapacityFlap(b *testing.B) {
 
 // BenchmarkFabricDisjointBurst admits 8 waves of 256 same-instant
 // flows, each alone on its own two-hop path, under one long-lived flow
-// that keeps the fabric warm: every wave is an all-new component pass
-// of 256 one-flow components, the shape of a data-parallel ring step.
+// that keeps the fabric warm: every wave is one partial pass rating 256
+// lone entrants, the shape of a data-parallel ring step.
 // Sizes are staggered so each wave drains through a completion cascade
 // before the next one arrives.
 func BenchmarkFabricDisjointBurst(b *testing.B) {
@@ -173,7 +176,7 @@ func BenchmarkFabricDisjointBurst(b *testing.B) {
 // capacities differ from link to link, so fills take several rounds
 // across the tiers, and each sink downlink carries a quarter of the
 // flows: the flow graph is one component on a hot channel, so no
-// component pass applies. Sizes are staggered so every completion
+// partial pass walks it. Sizes are staggered so every completion
 // lands at its own instant and most are full passes over every live
 // flow, the shape of scale-512's parameter-server cells.
 func BenchmarkFabricRackFanIn(b *testing.B) {
@@ -200,6 +203,42 @@ func BenchmarkFabricRackFanIn(b *testing.B) {
 		eng.Run()
 		if completed != racks*perRack*sinks {
 			b.Fatalf("completed %d of %d flows", completed, racks*perRack*sinks)
+		}
+	}
+}
+
+// BenchmarkFabricSoloStream sends 4,096 ephemeral transfers one after
+// another across a 2,048-link fabric, each over a 4-hop path of its
+// own and started by the previous one's completion: every instant
+// retires one transfer and admits the next, alone on its channels,
+// the shape of COARSE's profiler probes.
+func BenchmarkFabricSoloStream(b *testing.B) {
+	const links, hops, transfers = 2048, 4, 4096
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		net := NewNetwork(eng)
+		chans := make([]*Channel, links)
+		for j := range chans {
+			chans[j] = net.NewLink("l", float64(8+j%5)*gib, 8*gib, 0).Fwd()
+		}
+		path := make([]*Channel, hops)
+		sent := 0
+		var next func()
+		next = func() {
+			if sent == transfers {
+				return
+			}
+			for h := range path {
+				path[h] = chans[(sent*7+h*links/hops)%links]
+			}
+			sent++
+			net.TransferEphemeral(path, int64(1+sent%8)*mib, next)
+		}
+		next()
+		eng.Run()
+		if sent != transfers {
+			b.Fatalf("sent %d of %d transfers", sent, transfers)
 		}
 	}
 }

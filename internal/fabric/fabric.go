@@ -36,7 +36,7 @@
 // list's front; each channel keeps a head cursor past them, and walks
 // start there and stop once they have seen every live member.
 //
-// Every pass, full or shortcut, ends with one utilization fold (ffFold)
+// Every pass, full or partial, ends with one utilization fold (ffFold)
 // over a maintained list of non-idle channels. It re-sums a channel's
 // folded rate only when the pass stamped the channel: one on the path
 // of a flow admitted, completed or joined since the last pass, or of a
@@ -73,8 +73,8 @@
 //
 // # Scale accelerations
 //
-// Three further optimizations reshape the hot path enough that the
-// byte-identity argument deserves its own paragraph. All are always
+// Two further optimizations reshape the hot path enough that the
+// byte-identity argument deserves its own paragraph. Both are always
 // on; SetReferenceFillingForTest switches them off for the tests that
 // use the plain progressive-filling pass as their oracle.
 //
@@ -100,79 +100,46 @@
 // consecutive ranks reserved for the group and the remaining members
 // each fire an event at the following ranks, so per-member completion
 // dispatches — count, order, and interleaving with everything else —
-// are exactly the unaggregated schedule's.
+// are exactly the unaggregated schedule's. On the repo benchmark
+// (benchmark/, 2-CPU Intel Xeon VM, go1.24.0, 10 alternating pairs
+// against the same build without it) aggregation cut paper-fig16's
+// run_s by 19% (10/10), allocs_k from 79.0k to 70.3k and alloc_mb from
+// 6.64 to 5.51 MB; the other workloads admit no fan it folds.
 //
-// Steady-state fast-forward: between collective
-// boundaries the fabric sees long completion-only cascades whose
-// surviving allocation is provably constant, yet each completion pays
-// a full filling pass to rediscover it. Every pass records which
-// channel froze each flow; a pass whose triggers since the previous
-// pass were completions only may be skipped when no surviving flow was
-// frozen on (and no flow stalled across) any channel of the completed
-// flows' paths — then no surviving filling round's bottleneck changed,
-// so every surviving rate is bitwise the cached one and only the
-// utilization fold needs to run, re-summing just the departed paths. A
-// lone entrant on otherwise idle channels — an offline profiler probe —
-// is also served without a full pass: survivors replay their cached
-// rates and the entrant fills in one round from full capacity
-// (ffAdmitPass).
-//
-// Component passes: the skip above needs every survivor's bottleneck
-// to be untouched. When it is not, max-min filling still decomposes
-// over the connected components of the flow graph (channels joined by
-// the live flows crossing them), so only the components holding a
-// trigger — a channel on the path of a flow admitted or completed since
-// the last pass — need refilling (componentPass). A breadth-first
-// search from each trigger channel collects one component's flows and
-// channels; each component is filled on its own with the same fill the
-// full pass uses, over its channels. Since a fill breaks exact ties by
-// channel id alone, the component's rounds, subtractions and
-// bottlenecks are, float for float, those the full pass performs for
-// it, while every other component keeps its rates, freezes and folded
-// channel rates. Filling components apart also
-// keeps a pass that admits a whole collective step at once — each flow
-// alone on its channels — to one round per component, where one joint
-// fill would scan every channel once per flow.
-// Layouts that shard communication into many small groups — expert
-// all-to-alls, tensor-parallel rings, data-parallel ring steps —
-// produce many such components. The search gives up on reaching a
-// channel carrying more than an eighth of the live flows, checking the
-// trigger channels before it walks anything, so on fabrics that form
-// one component (a parameter-server fan-in, a pooled-memory fabric) a
-// failed search costs a fraction of the full pass that follows; a
-// search whose one component holds every live flow leaves the fill to
-// the full pass as well. A
-// member joining a group a mid-instant pass already rated, capacity
-// changes, and chaos actuations (which arrive as capacity changes)
-// always force a full pass, which is what makes every shortcut exact
-// rather than approximate.
-//
-// What each shortcut buys, measured on the repo benchmark (benchmark/)
-// against the same build with only that shortcut switched off, on a
-// 2-CPU Intel Xeon VM with go1.24.0: times are medians of 10
-// alternating pairs (in parentheses, the pairs the shortcut won), and
-// allocation counts, which repeat run to run, come from one run.
-//
-//   - Flow aggregation: paper-fig16 run_s −19% (10/10), allocs_k
-//     79.0k → 70.3k, alloc_mb 6.64 → 5.51 MB. scale-512 and layouts-3d
-//     admit no fan it folds; serve-kv's allocations do not move.
-//   - Steady-state skip (ffPass): run_s −13% on scale-512 (10/10),
-//     −10% on layouts-3d (9/10) and serve-kv (7/10); paper-fig16
-//     within noise. Without it component passes serve its instants,
-//     and the fast-path share TestScaleOrdering holds at 0.99 reads
-//     0.9965, so the times, not that floor, are what keep it.
-//   - Solo-entrant pass (ffAdmitPass): setup_s, where COARSE's
-//     profiler probes run, −15% on scale-512 and −11% on layouts-3d
-//     (10/10 on both, each inside the parent's spread); paper-fig16 and
-//     serve-kv within noise. What keeps it is TestScaleOrdering's
-//     floor: without it a probe alone on an idle fabric is one
-//     component holding every live entry, so it takes the full pass,
-//     and the 1024-worker cell's fast-path share falls from 0.9979 to
-//     0.4996, below that test's 0.99.
-//   - Component passes: layouts-3d run_s 3.93 → 0.79 s (one run),
-//     scale-512 run_s −10% (9/10); paper-fig16 within noise, with
-//     4.7% more heap_live_mb, most likely its search scratch; serve-kv
-//     run_s +1.2% (it won 1/10), within that workload's spread.
+// Partial passes: a pass refills only the components of the flow graph
+// (channels joined by the live entries crossing them) that its
+// triggers can have changed, and every other entry keeps its rate,
+// freeze and folded channel rates (partialPass). The window's triggers
+// seed it. Members completed since the last pass seed nothing when no
+// entry is stalled and no survivor was frozen on their channels: they
+// never crossed a surviving round's bottleneck, so their shares were
+// never subtracted there nor their members counted there, and each
+// surviving round replays bitwise. Otherwise each of their channels
+// seeds a breadth-first walk that collects one component's entries and
+// channels. An entrant alone on every channel it crosses — an offline
+// profiler probe, one flow of a ring step — is a component of its own,
+// rated in the one round fill would run for it: the smallest
+// per-member capacity along its path, an exact tie going to the lowest
+// channel id. Every other entrant seeds a walk from its first channel.
+// A window with no seed runs the utilization fold alone, re-summing
+// the departed channels. The refill is exact because max-min filling
+// decomposes over components: a component no trigger reached holds the
+// same entries on the same channels as at the last pass, and fill
+// breaks exact ties by channel id alone, never by the order in which
+// components or channels were reached, so a component filled on its
+// own performs, float for float, the rounds, subtractions and
+// bottlenecks the full pass performs for it. A walk gives up, and the
+// full pass runs, on reaching a channel that carries more than an
+// eighth of the live members (compHotShare), checking the seed
+// channels before walking anything: on fabrics that form one
+// component around a busy channel (a parameter-server fan-in, a
+// pooled-memory fabric) the full pass costs less than the walk plus the
+// fill. Below eight live members every occupied channel is busy, so a
+// small fabric walks nothing. A member joining a group a mid-instant
+// pass already rated, capacity changes, and chaos actuations (which
+// arrive as capacity changes) always force a full pass, which is what
+// makes a partial pass exact rather than approximate. On the 1024-worker
+// COARSE weak-scaling cell, 99.8% of passes are partial.
 package fabric
 
 import (
@@ -408,7 +375,7 @@ type Network struct {
 	aggregated   uint64   // members folded into a group entry instead of admitted
 	groupObs     func(int)
 
-	// Steady-state fast-forward and component passes.
+	// Partial passes (see partialPass).
 	trigMask    uint8   // trigger kinds observed since the last pass
 	ffValid     bool    // freeze bookkeeping below reflects the last pass
 	stalled     int     // rated live entries whose rate is 0
@@ -417,13 +384,12 @@ type Network struct {
 	chTouched   []uint64
 	ffEpoch     uint64
 	activeCh    []*Channel // non-idle channels, the fold worklist
-	ffPasses    uint64     // passes that refilled fewer than all live entries
-	ffAdmits    uint64     // of which filled a solo entrant
-	compPasses  uint64     // of which refilled the triggered components
+	ffPasses    uint64     // partial passes
+	compPasses  uint64     // of which rated at least one entry
 
 	// Entries admitted since the last pass, in admission order, and the
-	// component pass's search scratch (channel queue, reached entries,
-	// and the end of each component's run of queued channels).
+	// partial pass's walk scratch (channel queue, reached entries, and
+	// the end of each component's run of queued channels).
 	instAdmits  []*Flow
 	joinedLate  bool // a member joined a group that already holds a rate
 	compQueue   []*Channel
@@ -453,11 +419,11 @@ const (
 var referenceFilling atomic.Bool
 
 // SetReferenceFillingForTest makes the networks NewNetwork builds from
-// now on fold no transfer into a group entry and never refill fewer
-// than all flows (no fast-forward, no component pass), so every
-// reallocation is the plain progressive-filling pass over every flow
-// and channel. Tests run a workload both ways and require identical
-// bytes. It returns a func that restores the previous setting.
+// now on fold no transfer into a group entry and never serve a partial
+// pass, so every reallocation is the plain progressive-filling pass
+// over every flow and channel. Tests run a workload both ways and
+// require identical bytes. It returns a func that restores the
+// previous setting.
 func SetReferenceFillingForTest(on bool) (restore func()) {
 	prev := referenceFilling.Swap(on)
 	return func() { referenceFilling.Store(prev) }
@@ -467,9 +433,9 @@ func SetReferenceFillingForTest(on bool) (restore func()) {
 // not compacted while their channel still carries a live member.
 const listCompactMin = 16
 
-// compHotShare: a component search gives up on reaching a channel
+// compHotShare: a partial pass's walk gives up on reaching a channel
 // that carries more than 1/compHotShare of the live members (see
-// componentPass).
+// partialPass).
 const compHotShare = 8
 
 // farFuture is the deadline a parked due entry waits at: far enough
@@ -532,21 +498,14 @@ func (n *Network) CompletionsSkipped() uint64 { return n.skipped }
 // comment).
 func (n *Network) FlowsAggregated() uint64 { return n.aggregated }
 
-// FastForwardPasses returns how many reallocation passes refilled
-// fewer than all live entries: steady-state skips that refilled none,
-// solo-entrant fills (FastForwardAdmissions) and component passes
-// (ComponentPasses). They are included in Reshares, whose count is
-// identical with the accelerations on or off.
+// FastForwardPasses returns how many reallocation passes were partial:
+// served by refilling only the components their triggers can have
+// changed, or none (see partialPass). They are included in Reshares,
+// whose count is identical with the accelerations on or off.
 func (n *Network) FastForwardPasses() uint64 { return n.ffPasses }
 
-// FastForwardAdmissions counts the fast-forward passes that filled a
-// single entrant alone on its channels (ffAdmitPass), a subset of
-// FastForwardPasses.
-func (n *Network) FastForwardAdmissions() uint64 { return n.ffAdmits }
-
-// ComponentPasses counts the passes that refilled only the connected
-// components of the flow graph holding a trigger (componentPass), a
-// subset of FastForwardPasses.
+// ComponentPasses counts the partial passes that rated at least one
+// entry, by a walk or as a lone entrant, a subset of FastForwardPasses.
 func (n *Network) ComponentPasses() uint64 { return n.compPasses }
 
 // OnGroupComplete registers an observer called with the member count
@@ -931,7 +890,8 @@ func (n *Network) flush() {
 // folds per-channel utilization accounting. It does not touch
 // completion keys; scheduleCompletions does that at instant end.
 //
-// A full pass marks every live entry unassigned and fills the
+// partialPass serves every pass it can; the rest are full passes. A
+// full pass marks every live entry unassigned and fills the
 // maintained non-idle channel list (fill), whose rates and bottlenecks
 // depend only on the live entries' paths and multiplicities, not on
 // the order they were admitted in.
@@ -956,7 +916,19 @@ func (n *Network) reallocate(now sim.Time) {
 		n.frozenCount = make([]int32, len(n.channels))
 		n.chTouched = make([]uint64, len(n.channels))
 	}
-	ep := n.stampTriggers()
+	// Stamp every trigger channel of the window — the paths of members
+	// completed or joined late, and of entries admitted — before
+	// passDone forgets them.
+	n.ffEpoch++
+	ep := n.ffEpoch
+	for _, id := range n.ffPaths {
+		n.chTouched[id] = ep
+	}
+	for _, f := range n.instAdmits {
+		for _, id := range f.pathIDs {
+			n.chTouched[id] = ep
+		}
+	}
 	n.passDone()
 	for _, f := range n.flows {
 		if !f.finished {
@@ -965,9 +937,9 @@ func (n *Network) reallocate(now sim.Time) {
 		}
 	}
 	n.fill(n.activeCh)
-	// Record which channel froze each entry: the steady-state skip is
-	// legal only while completions depart channels nobody surviving was
-	// frozen on. Rebuilt from scratch every full pass.
+	// Record which channel froze each entry: departures seed no walk
+	// only while they leave channels nobody surviving was frozen on.
+	// Rebuilt from scratch every full pass.
 	clear(n.frozenCount)
 	n.stalled = 0
 	for _, f := range n.flows {
@@ -999,7 +971,7 @@ func (n *Network) reallocate(now sim.Time) {
 // fill runs one progressive filling over the live entries crossing the
 // given channels, which must include every channel those entries cross
 // (the non-idle channel list for a full pass, one component's channels
-// for a component pass), and sets each entry's rate and bneck. The
+// for a partial one), and sets each entry's rate and bneck. The
 // caller marks every entry to fill unassigned (rate -1) beforehand.
 //
 // The filling is the textbook one, run over channels rather than flow
@@ -1084,7 +1056,7 @@ func (n *Network) fill(chans []*Channel) {
 }
 
 // passDone closes the trigger window: every pass — full or
-// fast-forwarded — consumes the accumulated trigger mask, the
+// partial — consumes the accumulated trigger mask, the
 // completed-path list, and the pending-entrant list.
 func (n *Network) passDone() {
 	n.trigMask = 0
@@ -1096,173 +1068,101 @@ func (n *Network) passDone() {
 	n.joinedLate = false
 }
 
-// partialPass serves the pass by refilling fewer than all live
-// entries when that is provably exact, trying the cheapest shortcut
-// first, and reports whether it did. The caller has ruled out capacity
-// changes and late group joins.
-func (n *Network) partialPass(now sim.Time) bool {
-	if n.stalled == 0 && n.ffStable() {
-		if n.trigMask == trigComplete {
-			n.ffPass(now)
-			return true
-		}
-		if f := n.soloEntrant(); f != nil {
-			n.ffAdmitPass(now, f)
-			return true
-		}
-	}
-	return n.componentPass(now)
-}
-
-// soloEntrant returns the window's entrant when exactly one entry was
-// admitted since the last pass and it is alone on every channel it
-// crosses; nil otherwise.
-func (n *Network) soloEntrant() *Flow {
-	if len(n.instAdmits) != 1 {
-		return nil
-	}
-	f := n.instAdmits[0]
-	for _, id := range f.pathIDs {
-		if n.channels[id].live != f.mult {
-			return nil
-		}
-	}
-	return f
-}
-
-// ffAdmitPass serves a pass whose only rate change is one entrant
-// admitted onto channels that carry no other flow (soloEntrant) — the
-// shape of an offline profiler probe on an idle fabric, where a
-// component search would cost more than the fill. Max-min filling
-// decomposes over connected components: the survivors replay the
-// cached allocation bitwise (the ffPass argument, extended by the
-// entrant sharing no channel with them), while the entrant alone fills
-// in a single round whose share is the smallest per-member capacity
-// along its path, an exact tie going to the lowest channel id as in
-// fill; capacity/float64(m) is the very division fill performs on
-// fresh scratch. Completions in the same window are covered by the
-// ffStable guard, as in ffPass.
-func (n *Network) ffAdmitPass(now sim.Time, f *Flow) {
-	n.passes++
-	n.ffPasses++
-	n.ffAdmits++
-	m := float64(f.mult)
-	share := math.Inf(1)
-	bneck := int32(-1)
-	for _, id := range f.pathIDs {
-		if s := n.channels[id].capacity / m; s < share || s == share && id < bneck {
-			share = s
-			bneck = id
-		}
-	}
-	f.rate = share
-	f.bneck = bneck
-	n.freeze(f)
-	n.ffFold(now, n.stampTriggers())
-}
-
-// componentPass refills only the connected components of the flow
-// graph that hold a trigger, each on its own, and reports whether it
-// served the pass. The flow graph joins channels by the live entries
-// crossing them; a trigger is a channel on the path of a member
-// completed, or an entry admitted, since the last pass. A
-// breadth-first search from each trigger channel not yet reached
-// collects one component's entries and channels. Once every search has
-// finished, the reached entries retire their old freezes and are
-// marked unassigned, each component is filled over its own channels,
-// and the new freezes are recorded. Max-min filling decomposes over
-// components: a component filled alone performs, float for float, the
-// rounds, subtractions and tie-breaks the full pass performs for it,
-// since fill's tie-break key (the channel id) does not depend on the
-// order in which components or channels were reached, and every other
-// component keeps its cached rates, freezes and folded channel rates.
+// partialPass serves the pass by refilling only the components of the
+// flow graph its triggers can have changed, and reports whether it did;
+// false leaves the pass to the full fill. The flow graph joins channels
+// by the live entries crossing them. The caller has ruled out capacity
+// changes and late group joins. The window's triggers seed the refill:
 //
-// The search gives up, changing no rate or freeze, on reaching a
-// channel that carries more than 1/compHotShare of the live members: a
-// channel that busy ties most of the graph into one component (a
-// rack-scale parameter-server fan-in, a pooled-memory fabric), which a
-// full pass fills for less than the walk plus the fill. The trigger
-// channels are checked before anything is walked, so such fabrics pay
-// one comparison per trigger channel. Below compHotShare live members
-// every occupied channel counts as busy, so small fabrics take the
-// full pass directly. A search whose one component holds every live
-// entry (a graph with no busy channel that is still one component,
-// like a small all-to-all) also leaves the pass to the full fill.
-func (n *Network) componentPass(now sim.Time) bool {
-	busy := func(id int32) bool { return compHotShare*n.channels[id].live > n.liveFlows }
-	for _, id := range n.ffPaths {
-		if busy(id) {
+//   - Members completed since the last pass seed nothing when no entry
+//     is stalled and no survivor was frozen on their channels
+//     (ffStable): every surviving rate is then bitwise the cached one.
+//     Otherwise each of their channels seeds a walk.
+//   - An entrant alone on every channel it crosses is a one-entry
+//     component, rated in the one round fill would run for it
+//     (rateAlone).
+//   - Every other entrant seeds a walk from its first channel.
+//
+// refill walks and fills the seeded components. A window with no seed
+// is a fold-only pass.
+//
+// The walks give up, changing no rate or freeze, on a busy channel: one
+// carrying more than 1/compHotShare of the live members, which ties
+// most of the graph into one component (a rack-scale parameter-server
+// fan-in, a pooled-memory fabric) that a full pass fills for less than
+// the walk plus the fill. The seed channels are checked before anything
+// is walked, so such fabrics pay one comparison per channel. Below
+// compHotShare live members every occupied channel is busy, so small
+// fabrics take the full pass unless no walk is needed.
+func (n *Network) partialPass(now sim.Time) bool {
+	n.ffEpoch++
+	ep := n.ffEpoch
+	// Read before any entrant is rated: only survivors' freezes count.
+	hot := n.stalled != 0 || !n.ffStable()
+	walk, rated := hot, false
+	for _, f := range n.instAdmits {
+		if n.rateAlone(f, ep) {
+			rated = true
+			continue
+		}
+		for _, id := range f.pathIDs {
+			if n.busy(id) {
+				return false
+			}
+		}
+		walk = true
+	}
+	if walk {
+		if !n.refill(ep, hot) {
 			return false
 		}
+		rated = rated || len(n.compEntries) > 0
 	}
-	for _, f := range n.instAdmits {
-		for _, id := range f.pathIDs {
-			if busy(id) {
+	n.passes++
+	n.ffPasses++
+	if rated {
+		n.compPasses++
+	}
+	// The departed channels no walk reached still lost members: stamp
+	// them too, so the fold re-sums exactly the channels whose entries
+	// changed.
+	for _, id := range n.ffPaths {
+		n.chTouched[id] = ep
+	}
+	n.ffFold(now, ep)
+	return true
+}
+
+// refill walks the components the window's walk seeds reach — the
+// departed channels when hot, and every entrant not rated alone — one
+// walk (reach) per component, then fills each on its own: the reached
+// entries retire their old freezes, each component is filled over its
+// own channels, and the new freezes are recorded. It reports false,
+// having changed no rate or freeze, when a walk gives up.
+func (n *Network) refill(ep uint64, hot bool) bool {
+	n.compQueue, n.compEntries, n.compBounds = n.compQueue[:0], n.compEntries[:0], n.compBounds[:0]
+	if hot {
+		// Checked before anything is walked, as the walked entrants'
+		// channels are; a lone entrant's channel is never walked.
+		for _, id := range n.ffPaths {
+			if n.chTouched[id] != ep && n.busy(id) {
+				return false
+			}
+		}
+		for _, id := range n.ffPaths {
+			if !n.reach(id, ep) {
 				return false
 			}
 		}
 	}
-	n.ffEpoch++
-	ep := n.ffEpoch
-	q := n.compQueue[:0]
-	ents := n.compEntries[:0]
-	bounds := n.compBounds[:0]
-	giveUp := false
-	push := func(id int32) {
-		if n.chTouched[id] != ep {
-			n.chTouched[id] = ep
-			q = append(q, n.channels[id])
-			giveUp = giveUp || busy(id)
-		}
-	}
-	walk := func(root int32) {
-		if n.chTouched[root] == ep || giveUp {
-			return
-		}
-		first := len(ents)
-		h := len(q)
-		push(root)
-		for ; h < len(q) && !giveUp; h++ {
-			c := q[h]
-			// Active lists keep tombstones: stop once every live member
-			// has been seen.
-			seen := 0
-			for _, f := range c.active[c.head:] {
-				if seen == c.live || giveUp {
-					break
-				}
-				if f.finished {
-					continue
-				}
-				seen += f.mult
-				if f.visit == ep {
-					continue
-				}
-				f.visit = ep
-				ents = append(ents, f)
-				for _, id := range f.pathIDs {
-					push(id)
-				}
-			}
-		}
-		if len(ents) > first {
-			bounds = append(bounds, len(q))
-		}
-	}
-	for _, id := range n.ffPaths {
-		walk(id)
-	}
+	// A lone entrant's channels are stamped already, so its walk stops
+	// at once.
 	for _, f := range n.instAdmits {
-		for _, id := range f.pathIDs {
-			walk(id)
+		if !n.reach(f.pathIDs[0], ep) {
+			return false
 		}
 	}
-	n.compQueue = q[:0]
-	n.compBounds = bounds[:0]
-	n.compEntries = ents[:0]
-	if giveUp || len(bounds) == 1 && len(ents) == len(n.flows)-n.deadFlows {
-		return false
-	}
+	ents := n.compEntries
 	for _, f := range ents {
 		if !f.pending {
 			// Retire the freeze the entry's last rating recorded; an
@@ -1278,20 +1178,108 @@ func (n *Network) componentPass(now sim.Time) bool {
 	// A component's channel run may open with departed channels that
 	// reached no entry; fill skips them as idle.
 	lo := 0
-	for _, hi := range bounds {
-		n.fill(q[lo:hi])
+	for _, hi := range n.compBounds {
+		n.fill(n.compQueue[lo:hi])
 		lo = hi
 	}
 	for _, f := range ents {
 		n.freeze(f)
 	}
-	n.passes++
-	n.ffPasses++
-	n.compPasses++
-	// Every reached channel is stamped, the departed paths included, so
-	// the fold re-sums exactly the channels whose entries changed.
-	n.ffFold(now, ep)
 	return true
+}
+
+// rateAlone rates f and reports true when it is alone on every channel
+// it crosses, stamping its channels with ep; otherwise it changes
+// nothing. Such an entry is a component of its own, which fill would
+// rate in one round: the share is the smallest per-member capacity
+// along its path, an exact tie going to the lowest channel id, and
+// capacity/float64(m) is the very division fill performs on fresh
+// scratch.
+func (n *Network) rateAlone(f *Flow, ep uint64) bool {
+	m := float64(f.mult)
+	share := math.Inf(1)
+	bneck := int32(-1)
+	for _, id := range f.pathIDs {
+		c := n.channels[id]
+		if c.live != f.mult {
+			return false
+		}
+		if s := c.capacity / m; s < share || s == share && id < bneck {
+			share = s
+			bneck = id
+		}
+	}
+	for _, id := range f.pathIDs {
+		n.chTouched[id] = ep
+	}
+	f.rate = share
+	f.bneck = bneck
+	n.freeze(f)
+	return true
+}
+
+// busy reports whether a channel carries more than 1/compHotShare of
+// the live members (see partialPass).
+func (n *Network) busy(id int32) bool { return compHotShare*n.channels[id].live > n.liveFlows }
+
+// reach walks, breadth first, the component holding channel root unless
+// a walk of this pass already reached it, appending its channels to
+// compQueue, its entries to compEntries and the end of its channel run
+// to compBounds. It reports false, leaving the walk unfinished, on
+// pushing a busy channel. Each channel's walk first moves its head
+// cursor past the tombstones at its front, and stops once it has seen
+// every live member.
+func (n *Network) reach(root int32, ep uint64) bool {
+	if n.chTouched[root] == ep {
+		return true
+	}
+	first := len(n.compEntries)
+	h := len(n.compQueue)
+	if !n.push(root, ep) {
+		return false
+	}
+	for ; h < len(n.compQueue); h++ {
+		c := n.compQueue[h]
+		act := c.active
+		i := c.head
+		for int(i) < len(act) && act[i].finished {
+			i++
+		}
+		c.head = i
+		seen := 0
+		for _, f := range act[i:] {
+			if f.finished {
+				continue
+			}
+			if f.visit != ep {
+				f.visit = ep
+				n.compEntries = append(n.compEntries, f)
+				for _, id := range f.pathIDs {
+					if !n.push(id, ep) {
+						return false
+					}
+				}
+			}
+			if seen += f.mult; seen == c.live {
+				break
+			}
+		}
+	}
+	if len(n.compEntries) > first {
+		n.compBounds = append(n.compBounds, len(n.compQueue))
+	}
+	return true
+}
+
+// push queues channel id for the walk unless it is stamped with ep
+// already, and reports false when it is busy.
+func (n *Network) push(id int32, ep uint64) bool {
+	if n.chTouched[id] == ep {
+		return true
+	}
+	n.chTouched[id] = ep
+	n.compQueue = append(n.compQueue, n.channels[id])
+	return !n.busy(id)
 }
 
 // freeze records one rated entry in the freeze bookkeeping: the
@@ -1350,12 +1338,13 @@ func channelRate(c *Channel) float64 {
 }
 
 // ffStable reports whether no surviving entry was frozen on any
-// channel of the paths completed since the last pass. Combined with
-// completion-only triggers and no stalled entries, this proves every
-// surviving filling round replays bitwise: completed flows never
+// channel of the paths completed since the last pass. Combined with no
+// stalled entries, this proves that without the window's entrants
+// every surviving filling round replays bitwise: completed flows never
 // crossed a surviving round's bottleneck (their shares were never
 // subtracted there and their members never counted there), so each
-// surviving share's dividend and divisor are unchanged.
+// surviving share's dividend and divisor are unchanged. The entrants'
+// components are refilled apart (see partialPass).
 func (n *Network) ffStable() bool {
 	for _, id := range n.ffPaths {
 		if n.frozenCount[id] != 0 {
@@ -1363,36 +1352,6 @@ func (n *Network) ffStable() bool {
 		}
 	}
 	return true
-}
-
-// ffPass is the steady-state fast-forward: the allocation is provably
-// the last full pass's, so only the utilization fold runs. Channels
-// untouched by the departed flows keep their cached folded rate — a
-// re-sum would add the identical float64 summands in the identical
-// order — and channels on the departed paths are re-summed from their
-// active lists.
-func (n *Network) ffPass(now sim.Time) {
-	n.passes++
-	n.ffPasses++
-	n.ffFold(now, n.stampTriggers())
-}
-
-// stampTriggers opens a fresh touch epoch, stamps with it every trigger
-// channel of the window — the paths of members completed or joined
-// late, and of entries admitted — and returns it. It must run before
-// passDone clears those lists.
-func (n *Network) stampTriggers() uint64 {
-	n.ffEpoch++
-	ep := n.ffEpoch
-	for _, id := range n.ffPaths {
-		n.chTouched[id] = ep
-	}
-	for _, f := range n.instAdmits {
-		for _, id := range f.pathIDs {
-			n.chTouched[id] = ep
-		}
-	}
-	return ep
 }
 
 // ffFold is the utilization fold every pass kind runs, over the

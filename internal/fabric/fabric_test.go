@@ -621,62 +621,163 @@ func TestEventSizeClass(t *testing.T) {
 	}
 }
 
-// TestDisjointBurstComponentPass: after a warm-up flow has come and
-// gone, a burst of same-instant flows on pairwise-disjoint links — the
-// shape of one step of a ring collective — is served by a component
-// pass even though it admits every live entry, and each flow's rate is
-// bitwise what the reference pass assigns.
+// TestDisjointBurstComponentPass: windows that admit and complete
+// flows at one instant are served by the pass kind the seeded partial
+// rule names for them, and every channel's folded rate and rate
+// integral at every checkpoint, and every completion instant, are
+// bitwise what the reference pass produces. A case's setup calls
+// window at the instant its triggers land, before any of them.
 func TestDisjointBurstComponentPass(t *testing.T) {
-	const burst = 16
+	type kinds struct{ full, foldOnly, rated uint64 } // passes by kind
 	type outcome struct {
-		rates      []float64
-		finish     []sim.Time
-		compPasses uint64 // component passes at the burst's instant
+		bits   []uint64 // channel rates and integrals at checkpoints, then completion instants
+		window kinds    // passes that served the window's instant
 	}
-	run := func(reference bool) outcome {
-		defer SetReferenceFillingForTest(reference)()
-		eng, net := newNet()
-		warm := net.NewLink("warm", 10*gib, 10*gib, 0)
-		paths := make([][]*Channel, burst)
-		for i := range paths {
-			a := net.NewLink("a", float64(1+i%3)*gib, gib, 0)
-			b := net.NewLink("b", float64(2+i%4)*gib/2, gib, 0)
-			paths[i] = []*Channel{a.Fwd(), b.Fwd()}
-		}
-		net.StartFlow([]*Channel{warm.Fwd()}, 1024, nil) // done by t=1000
-		var o outcome
-		flows := make([]*Flow, burst)
-		var before uint64
-		eng.Schedule(1000, func() {
-			before = net.ComponentPasses()
-			for i, p := range paths {
-				flows[i] = net.StartFlow(p, float64(1+i)*mib, nil)
+	cases := []struct {
+		name  string
+		want  kinds
+		setup func(t *testing.T, eng *sim.Engine, net *Network, window, done func())
+	}{
+		// After a warm-up flow has come and gone, a burst of flows on
+		// pairwise-disjoint links, one step of a ring collective, is
+		// rated entrant by entrant although it admits every live entry.
+		{"disjoint-burst", kinds{rated: 1}, func(t *testing.T, eng *sim.Engine, net *Network, window, done func()) {
+			const burst = 16
+			warm := net.NewLink("warm", 10*gib, 10*gib, 0)
+			paths := make([][]*Channel, burst)
+			for i := range paths {
+				a := net.NewLink("a", float64(1+i%3)*gib, gib, 0)
+				b := net.NewLink("b", float64(2+i%4)*gib/2, gib, 0)
+				paths[i] = []*Channel{a.Fwd(), b.Fwd()}
+			}
+			net.StartFlow([]*Channel{warm.Fwd()}, 1024, done) // done by t=1000
+			flows := make([]*Flow, burst)
+			eng.Schedule(1000, func() {
+				window()
+				for i, p := range paths {
+					flows[i] = net.StartFlow(p, float64(1+i)*mib, done)
+				}
+			})
+			eng.Schedule(1001, func() {
+				for i, f := range flows {
+					if want := math.Min(float64(1+i%3)*gib, float64(2+i%4)*gib/2); f.Rate() != want {
+						t.Errorf("flow %d: rate %v, want its bottleneck capacity %v", i, f.Rate(), want)
+					}
+				}
+			})
+		}},
+		// A departure frees x, where survivor s was frozen, so it seeds a
+		// walk. Three lone entrants arrive with it, groups of 8 members
+		// whose channels each carry more than an eighth of the live
+		// members; one crosses z, a channel of the departed path the
+		// walk must not enter. Each is rated alone.
+		{"lone-entrants-hot-departure", kinds{rated: 1}, func(t *testing.T, eng *sim.Engine, net *Network, window, done func()) {
+			x := net.NewLink("x", gib, gib, 0).Fwd()
+			y := net.NewLink("y", 0.75*gib, gib, 0).Fwd()
+			z := net.NewLink("z", 4*gib, gib, 0).Fwd()
+			net.StartFlow([]*Channel{x, y}, 2*gib, done)
+			groups := [][]*Channel{{z, net.NewLink("w", 3*gib, gib, 0).Fwd()}}
+			for i := 0; i < 2; i++ {
+				groups = append(groups, []*Channel{net.NewLink("g", float64(2+i)*gib, gib, 0).Fwd()})
+			}
+			net.StartFlow([]*Channel{x, z}, gib/4, func() { // done at 0.5 s
+				window()
+				for i, p := range groups {
+					for m := 0; m < 8; m++ {
+						net.TransferEphemeral(p, int64(1+i)*gib/8, done)
+					}
+				}
+				done()
+			})
+		}},
+		// A departure from q, where no survivor was frozen, seeds
+		// nothing, though q carries more than an eighth of the live
+		// members; an entrant joining survivor a on p seeds the one
+		// walk. The fold must still re-sum q and d.
+		{"walked-entrant-cold-departure", kinds{rated: 1}, func(t *testing.T, eng *sim.Engine, net *Network, window, done func()) {
+			q := net.NewLink("q", 100*gib, gib, 0).Fwd()
+			p := net.NewLink("p", 2*gib, gib, 0).Fwd()
+			for i := 0; i < 4; i++ {
+				net.StartFlow([]*Channel{net.NewLink("s", float64(1+i%2)*gib, gib, 0).Fwd(), q}, 2*gib, done)
+			}
+			for i := 0; i < 12; i++ {
+				net.StartFlow([]*Channel{net.NewLink("bg", float64(1+i%3)*gib, gib, 0).Fwd()}, 3*gib, done)
+			}
+			net.StartFlow([]*Channel{p}, 2*gib, done)
+			d := net.NewLink("d", 2*gib, gib, 0).Fwd()
+			net.StartFlow([]*Channel{d, q}, gib/2, func() { // done at 0.25 s
+				window()
+				net.StartFlow([]*Channel{p}, gib, done)
+				done()
+			})
+		}},
+		// As in the second case, but on a fabric of four live members:
+		// the walk from x gives up at once, after both lone entrants were
+		// rated, and the full pass rebuilds the freeze bookkeeping.
+		{"lone-entrants-walk-gives-up", kinds{full: 1}, func(t *testing.T, eng *sim.Engine, net *Network, window, done func()) {
+			x := net.NewLink("x", gib, gib, 0).Fwd()
+			y := net.NewLink("y", 0.75*gib, gib, 0).Fwd()
+			z := net.NewLink("z", 4*gib, gib, 0).Fwd()
+			net.StartFlow([]*Channel{x, y}, 2*gib, done)
+			lone := [][]*Channel{{z, net.NewLink("w", 3*gib, gib, 0).Fwd()}, {net.NewLink("g", 2*gib, gib, 0).Fwd()}}
+			net.StartFlow([]*Channel{x, z}, gib/4, func() { // done at 0.5 s
+				window()
+				for i, p := range lone {
+					net.StartFlow(p, float64(1+i)*gib/2, done)
+				}
+				done()
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(reference bool) outcome {
+				defer SetReferenceFillingForTest(reference)()
+				eng, net := newNet()
+				var o outcome
+				count := func() kinds {
+					ff, rated := net.FastForwardPasses(), net.ComponentPasses()
+					return kinds{net.Reshares() - ff, ff - rated, rated}
+				}
+				window := func() {
+					before := count()
+					eng.Schedule(1, func() {
+						after := count()
+						o.window = kinds{after.full - before.full, after.foldOnly - before.foldOnly, after.rated - before.rated}
+					})
+				}
+				var finish []uint64
+				done := func() { finish = append(finish, uint64(eng.Now())) }
+				tc.setup(t, eng, net, window, done)
+				record := func() {
+					now := eng.Now()
+					for _, l := range net.Links() {
+						for _, c := range []*Channel{l.Fwd(), l.Rev()} {
+							o.bits = append(o.bits, math.Float64bits(c.CurrentRate()), math.Float64bits(c.IntegratedBytes(now)))
+						}
+					}
+				}
+				for i := 1; i <= 40; i++ {
+					eng.Schedule(sim.Seconds(0.0625*float64(i))+7, record)
+				}
+				eng.Run()
+				record()
+				o.bits = append(o.bits, finish...)
+				return o
+			}
+			acc, ref := run(false), run(true)
+			if acc.window != tc.want || ref.window != (kinds{full: 1}) {
+				t.Errorf("window served by %+v passes (reference %+v), want %+v ({full:1})", acc.window, ref.window, tc.want)
+			}
+			if len(acc.bits) != len(ref.bits) {
+				t.Fatalf("%d recorded values, reference pass %d", len(acc.bits), len(ref.bits))
+			}
+			for i := range acc.bits {
+				if acc.bits[i] != ref.bits[i] {
+					t.Errorf("value %d: %#x, reference pass %#x", i, acc.bits[i], ref.bits[i])
+				}
 			}
 		})
-		eng.Schedule(1001, func() {
-			o.compPasses = net.ComponentPasses() - before
-			for _, f := range flows {
-				o.rates = append(o.rates, f.Rate())
-			}
-		})
-		eng.Run()
-		for _, f := range flows {
-			o.finish = append(o.finish, f.FinishTime())
-		}
-		return o
-	}
-	acc, ref := run(false), run(true)
-	if acc.compPasses != 1 || ref.compPasses != 0 {
-		t.Errorf("burst instant served %d component passes (reference %d), want 1 (0)", acc.compPasses, ref.compPasses)
-	}
-	for i := range acc.rates {
-		if acc.rates[i] != ref.rates[i] || acc.finish[i] != ref.finish[i] {
-			t.Errorf("flow %d: rate %v finish %v, reference pass %v %v",
-				i, acc.rates[i], acc.finish[i], ref.rates[i], ref.finish[i])
-		}
-		if want := math.Min(float64(1+i%3)*gib, float64(2+i%4)*gib/2); acc.rates[i] != want {
-			t.Errorf("flow %d: rate %v, want its bottleneck capacity %v", i, acc.rates[i], want)
-		}
 	}
 }
 

@@ -82,7 +82,6 @@ func RegisterHotPath(r *Registry, eng *sim.Engine, n *fabric.Network) {
 		r.GaugeFunc("fabric/completions_skipped", "count", func() float64 { return float64(n.CompletionsSkipped()) })
 		r.GaugeFunc("fabric/flows_aggregated", "count", func() float64 { return float64(n.FlowsAggregated()) })
 		r.GaugeFunc("fabric/fastforward_passes", "count", func() float64 { return float64(n.FastForwardPasses()) })
-		r.GaugeFunc("fabric/fastforward_admissions", "count", func() float64 { return float64(n.FastForwardAdmissions()) })
 		r.GaugeFunc("fabric/component_passes", "count", func() float64 { return float64(n.ComponentPasses()) })
 		// Group-size distribution of aggregated fans: bucket bounds
 		// track the power-of-two fan widths the strategies produce
