@@ -103,11 +103,11 @@ lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
-# CI guard: every fabric, engine, ring and routing microbenchmark must
+# CI guard: every fabric, engine, ring, routing and profiler microbenchmark must
 # still compile and run. One iteration each, no file rewritten, no timing claims.
 # Figures are regenerated by coarsebench, not by benchmarks.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/fabric ./internal/sim ./internal/collective ./internal/topology
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./internal/fabric ./internal/sim ./internal/collective ./internal/topology ./internal/profiler
 	$(GO) test -race -bench=. -benchtime=1x -run=^$$ ./internal/fabric
 
 # Regenerate the full evaluation (quick mode) with suite timing on

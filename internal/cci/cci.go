@@ -157,9 +157,6 @@ type Fabric struct {
 	dmaOps    *telemetry.Counter
 	dmaBytes  *telemetry.Counter
 	bounceOps *telemetry.Counter
-	lsOps     *telemetry.Counter
-	lsRdBytes *telemetry.Counter
-	lsWrBytes *telemetry.Counter
 	dmaSizes  *telemetry.Histogram
 	dmaEff    *telemetry.Histogram
 	portTx    map[*topology.Device]*telemetry.Counter
@@ -193,9 +190,12 @@ func (f *Fabric) AttachTelemetry(reg *telemetry.Registry) {
 	f.dmaOps = reg.Counter("cci/dma/ops", "ops")
 	f.dmaBytes = reg.Counter("cci/dma/bytes", "B")
 	f.bounceOps = reg.Counter("cci/dma/bounced_ops", "ops")
-	f.lsOps = reg.Counter("cci/loadstore/ops", "ops")
-	f.lsRdBytes = reg.Counter("cci/loadstore/read_bytes", "B")
-	f.lsWrBytes = reg.Counter("cci/loadstore/write_bytes", "B")
+	// No timed operation moves load/store traffic (Figures 13/14 time it
+	// through Prototype.Bandwidth), so these stay zero; they stay
+	// registered because dump consumers read them.
+	reg.Counter("cci/loadstore/ops", "ops")
+	reg.Counter("cci/loadstore/read_bytes", "B")
+	reg.Counter("cci/loadstore/write_bytes", "B")
 	f.dmaSizes = reg.Histogram("cci/dma/size_bytes", "B",
 		telemetry.ExpBuckets(4<<10, 4, 10)) // 4 KiB .. 1 GiB
 	f.dmaEff = reg.Histogram("cci/dma/efficiency", "frac",
@@ -215,12 +215,6 @@ func (f *Fabric) AttachTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// accountCopy records one endpoint-to-endpoint movement of size bytes.
-func (f *Fabric) accountCopy(src, dst *topology.Device, size int64) {
-	f.portTx[src].Add(float64(size))
-	f.portRx[dst].Add(float64(size))
-}
-
 // DMACopy moves size bytes from src to dst. On machines with
 // peer-to-peer support this is a single DMA over the routed path; on
 // machines without it (the paper's T4 instance) the copy bounces through
@@ -232,16 +226,8 @@ func (f *Fabric) DMACopy(src, dst *topology.Device, size int64, onDone func()) {
 	if size < 0 {
 		panic("cci: negative copy size")
 	}
-	f.dmaOps.Inc()
-	f.dmaBytes.Add(float64(size))
-	f.dmaSizes.Observe(float64(size))
-	if f.dmaEff != nil {
-		if linkBW := f.Topo.PathBandwidth(src, dst); linkBW > 0 {
-			f.dmaEff.Observe(f.Params.DMABandwidth(size, linkBW) / linkBW)
-		}
-	}
-	f.accountCopy(src, dst, size)
-	if f.Topo.P2PSupported || src.Kind == topology.KindCPU || dst.Kind == topology.KindCPU {
+	f.AccountDMA(src, dst, size)
+	if f.Direct(src, dst) {
 		op := f.directs.Get()
 		if op == nil {
 			op = &dmaOp{f: f}
@@ -267,6 +253,31 @@ func (f *Fabric) DMACopy(src, dst *topology.Device, size int64, onDone func()) {
 		op.chunks, op.remaining = 1, 1
 	}
 	f.Topo.Eng.Schedule(f.Params.DMASetup, op.launch)
+}
+
+// AccountDMA records one src→dst copy of size bytes in the protocol
+// layer's telemetry: the DMA counters, the size and efficiency
+// histograms, and the endpoints' port byte counters. DMACopy calls it
+// for every copy; a caller that stands in for a copy without issuing
+// it (the profiler's probe replay) calls it instead.
+func (f *Fabric) AccountDMA(src, dst *topology.Device, size int64) {
+	f.dmaOps.Inc()
+	f.dmaBytes.Add(float64(size))
+	f.dmaSizes.Observe(float64(size))
+	if f.dmaEff != nil {
+		if linkBW := f.Topo.PathBandwidth(src, dst); linkBW > 0 {
+			f.dmaEff.Observe(f.Params.DMABandwidth(size, linkBW) / linkBW)
+		}
+	}
+	f.portTx[src].Add(float64(size))
+	f.portRx[dst].Add(float64(size))
+}
+
+// Direct reports whether a src→dst copy is one DMA over the routed
+// path: on a machine with peer-to-peer support, or to or from a CPU.
+// Any other copy bounces through host memory.
+func (f *Fabric) Direct(src, dst *topology.Device) bool {
+	return f.Topo.P2PSupported || src.Kind == topology.KindCPU || dst.Kind == topology.KindCPU
 }
 
 // dmaOp is a direct DMA waiting out its descriptor set-up. fire is
@@ -347,33 +358,4 @@ func (op *bounceOp) chunkDone() {
 	if onDone != nil {
 		onDone()
 	}
-}
-
-// noop stands in for a nil completion callback.
-func noop() {}
-
-// LoadStoreCopy moves size bytes between the CPU and a CCI device using
-// load/store line traffic. The line window, not the link, is the
-// bottleneck, so it is modelled as a flow whose rate is capped by
-// injecting it over the routed path in line-window rounds.
-func (f *Fabric) LoadStoreCopy(cpu, dev *topology.Device, size int64, write bool, onDone func()) {
-	f.lsOps.Inc()
-	if write {
-		f.lsWrBytes.Add(float64(size))
-		f.accountCopy(cpu, dev, size)
-	} else {
-		f.lsRdBytes.Add(float64(size))
-		f.accountCopy(dev, cpu, size)
-	}
-	bw := f.Params.LoadStoreBandwidth(write)
-	// The path's physical capacity also applies.
-	lat, pathBW := f.Topo.ZeroLoad(cpu, dev)
-	if pathBW < bw {
-		bw = pathBW
-	}
-	t := sim.Seconds(float64(size)/bw) + lat
-	if onDone == nil {
-		onDone = noop
-	}
-	f.Topo.Eng.Schedule(t, onDone)
 }

@@ -198,21 +198,6 @@ func TestDMACopyZeroBytes(t *testing.T) {
 	}
 }
 
-func TestLoadStoreCopyTiming(t *testing.T) {
-	eng := sim.NewEngine()
-	m := topology.Build(eng, topology.SDSCP100())
-	f := NewFabric(m.Topology, DefaultParams())
-	var done sim.Time
-	size := int64(1e6)
-	f.LoadStoreCopy(m.CPUs[0], m.Devs[0], size, false, func() { done = eng.Now() })
-	eng.Run()
-	bw := f.Params.LoadStoreBandwidth(false)
-	want := sim.Seconds(float64(size)/bw) + m.PathLatency(m.CPUs[0], m.Devs[0])
-	if done != want {
-		t.Fatalf("load/store copy finished at %v, want %v", done, want)
-	}
-}
-
 // Property: effective DMA bandwidth never exceeds the link and is
 // monotone in size for any positive setup cost.
 func TestPropertyDMABandwidthBounds(t *testing.T) {

@@ -268,10 +268,9 @@ func (l *Link) Rev() *Channel { return &l.rev }
 // per-channel byte accounting) is re-materialized at completion; all
 // other state is provably identical across members and stored once.
 //
-// Field order keeps the struct within the allocator's 224-byte size
+// Field order keeps the struct within the allocator's 192-byte size
 // class (see TestFlowSizeClass).
 type Flow struct {
-	id        uint64
 	pathIDs   []int32 // dense ids of the route's channels, in route order; kept across recycles
 	size      float64 // per member
 	remaining float64 // per member (members stay bitwise identical)
@@ -331,7 +330,6 @@ type Network struct {
 	flows     []*Flow // admission order, tombstones included
 	liveFlows int
 	deadFlows int // finished (tombstoned) entries in flows
-	nextID    uint64
 	links     []*Link
 	channels  []*Channel // both directions of every link, dense-id order
 
@@ -400,9 +398,11 @@ type Network struct {
 	flushFn  func()              // n.flush, bound once: the end-of-instant hook
 
 	// Capacities that Flow.pathIDs and Flow.dones are allocated at:
-	// the longest path and the largest group seen so far, rounded up
-	// by pow2. A recycled record keeps its pathIDs buffer; a finished
-	// group's dones buffer returns to spareDone (see spareDones).
+	// minPathIDs, or the longest path seen so far rounded up by pow2
+	// when that is longer, and the largest group seen so far, rounded
+	// up by pow2. A recycled record keeps its pathIDs buffer; a
+	// finished group's dones buffer returns to spareDone (see
+	// spareDones).
 	pathIDsCap int
 	donesCap   int
 	spareDone  [][]func()
@@ -438,6 +438,14 @@ const listCompactMin = 16
 // partialPass).
 const compHotShare = 8
 
+// minPathIDs is the least capacity a flow's path-id buffer is
+// allocated at: the longest route on the presets and generated
+// machines is 12 hops. A record's buffer, allocated with the record,
+// then fits every route it is recycled for, so how many buffers a run
+// allocates does not depend on the order the free list hands records
+// out in, nor on which routes the transfers that grew the list took.
+const minPathIDs = 12
+
 // farFuture is the deadline a parked due entry waits at: far enough
 // that it can never dispatch before the end-of-instant flush re-derives
 // it.
@@ -451,6 +459,7 @@ func NewNetwork(eng *sim.Engine) *Network {
 		dueInstant: -1,
 		reference:  referenceFilling.Load(),
 		flowPool:   sim.NewFreeList[Flow](eng),
+		pathIDsCap: minPathIDs,
 	}
 	n.flushFn = n.flush
 	n.doneFn = n.fireDue
@@ -571,8 +580,6 @@ func (n *Network) start(f *Flow, path []*Channel, size float64, onDone func()) {
 	if size < 0 {
 		panic("fabric: flow with negative size")
 	}
-	n.nextID++
-	f.id = n.nextID
 	// The flow's route is this copy of the channel ids: nothing keeps
 	// the caller's slice, which it may reuse as soon as start returns.
 	if cap(f.pathIDs) < len(path) {
@@ -1196,26 +1203,38 @@ func (n *Network) refill(ep uint64, hot bool) bool {
 // capacity/float64(m) is the very division fill performs on fresh
 // scratch.
 func (n *Network) rateAlone(f *Flow, ep uint64) bool {
-	m := float64(f.mult)
-	share := math.Inf(1)
-	bneck := int32(-1)
-	for _, id := range f.pathIDs {
-		c := n.channels[id]
-		if c.live != f.mult {
-			return false
-		}
-		if s := c.capacity / m; s < share || s == share && id < bneck {
-			share = s
-			bneck = id
-		}
+	share, bneck, ok := n.loneShare(f.pathIDs, f.mult, f.mult)
+	if !ok {
+		return false
 	}
 	for _, id := range f.pathIDs {
 		n.chTouched[id] = ep
 	}
-	f.rate = share
-	f.bneck = bneck
+	f.rate, f.bneck = share, bneck
 	n.freeze(f)
 	return true
+}
+
+// loneShare returns the share fill gives an entry of m members alone on
+// the given channels, in the one round it runs for it, and the channel
+// that freezes it: the smallest capacity/float64(m) along them, the
+// very division fill performs on fresh scratch, an exact tie going to
+// the lowest channel id. It reports false when a channel carries other
+// than live members: the entry's own m once it is admitted, none
+// before (a lone transfer's closed form, soloForm, asks with m = 1).
+func (n *Network) loneShare(ids []int32, m, live int) (share float64, bneck int32, ok bool) {
+	fm := float64(m)
+	share, bneck = math.Inf(1), -1
+	for _, id := range ids {
+		c := n.channels[id]
+		if c.live != live {
+			return 0, -1, false
+		}
+		if s := c.capacity / fm; s < share || s == share && id < bneck {
+			share, bneck = s, id
+		}
+	}
+	return share, bneck, true
 }
 
 // busy reports whether a channel carries more than 1/compHotShare of
@@ -1427,8 +1446,7 @@ func (n *Network) scheduleCompletions(now sim.Time) {
 			f.armed = false
 			continue // re-keyed by the flush after the next change
 		}
-		secs := f.remaining / f.rate
-		target := now + sim.Time(math.Ceil(secs*1e9))
+		target := deadline(now, f.remaining, f.rate)
 		if f.armed && f.due == target {
 			n.skipped += uint64(f.mult)
 		} else {
@@ -1449,6 +1467,13 @@ func (n *Network) scheduleCompletions(now sim.Time) {
 	} else if n.doneEv != nil {
 		n.eng.Cancel(n.doneEv)
 	}
+}
+
+// deadline is the completion instant of remaining bytes delivered at
+// rate from now on: the nanosecond the last byte arrives in, rounded
+// up.
+func deadline(now sim.Time, remaining, rate float64) sim.Time {
+	return now + sim.Time(math.Ceil(remaining/rate*1e9))
 }
 
 // complete handles the entry's completion. For a plain flow it

@@ -259,11 +259,11 @@ func checkRefOracle(t *testing.T, n *Network, label string) {
 	}
 	rates, bnecks := refMaxMin(paths)
 	i := 0
-	for _, f := range ents {
+	for k, f := range ents {
 		for j := 0; j < f.mult; j, i = j+1, i+1 {
 			if math.Float64bits(f.rate) != math.Float64bits(rates[i]) || f.bneck != bnecks[i] {
 				t.Errorf("%s t=%v: entry %d member %d/%d rate %.17g frozen on %d; reference solver %.17g on %d",
-					label, n.eng.Now(), f.id, j, f.mult, f.rate, f.bneck, rates[i], bnecks[i])
+					label, n.eng.Now(), k, j, f.mult, f.rate, f.bneck, rates[i], bnecks[i])
 			}
 		}
 	}
@@ -299,8 +299,8 @@ func checkFold(t *testing.T, n *Network, label string) {
 		}
 		for i, f := range c.active[:c.head] {
 			if !f.finished {
-				t.Errorf("%s t=%v: channel %s head %d passes live entry %d at index %d",
-					label, n.eng.Now(), c.Name(), c.head, f.id, i)
+				t.Errorf("%s t=%v: channel %s head %d passes the live entry at index %d",
+					label, n.eng.Now(), c.Name(), c.head, i)
 				break
 			}
 		}

@@ -7,15 +7,36 @@
 // the partition shard size S' (the smallest probe size that reaches full
 // bandwidth to the BwProxy).
 //
-// Probes are real timed operations, so anything the fabric models — the
+// Probes are timed through the fabric, so anything it models — the
 // AWS V100 anti-locality, the T4 machine's bounced copies — shows up in
-// the measurements rather than being asserted.
+// the measurements rather than being asserted. But the first direct
+// probe of each route class and size is simulated, and the rest replay
+// its footprint. A route class is the routes whose hops have the same
+// capacities and latencies in the same order.
+//
+// The replay is exact. A direct probe on an idle engine and fabric is
+// one DMA set-up followed by one lone flow, so everything it does is a
+// function of its route's class and its size: its set-up and latency
+// phases, its rate (the smallest capacity along the route, since
+// nothing else is live), its completion deadline, the events it
+// dispatches, the ranks it consumes, the fabric's passes and counters,
+// and the two accounting folds on each route channel.
+// fabric.Network.RecordSolo keeps a class and size only when the
+// simulated probe left, bit for bit, what that closed form says, and
+// fabric.Network.ReplaySolo writes the same state for every repeat, so
+// the engine, the fabric and the telemetry cannot tell a replayed probe
+// from a simulated one. Bounced copies (machines without peer-to-peer
+// DMA) are several flows in a pipeline and always simulate, as does a
+// probe issued while the engine or fabric is busy, or of a size that is
+// not a power of two.
 package profiler
 
 import (
 	"fmt"
+	"math/bits"
 
 	"coarse/internal/cci"
+	"coarse/internal/fabric"
 	"coarse/internal/sim"
 	"coarse/internal/topology"
 )
@@ -79,6 +100,42 @@ type Profiler struct {
 	// bws is findPartitionSize's per-size bandwidth scratch, kept
 	// across tables.
 	bws []float64
+
+	// The probe memo (see probe): the route classes met so far, their
+	// signatures back to back in hops, the counters a recorded probe
+	// adds, and the last two routes probed, recent[0] the latest, since
+	// tables probe one pair back to back. noMemo simulates every probe;
+	// probes and replayed count them.
+	classes          []routeClass
+	hops             []hop
+	solo             fabric.Solo
+	recorded         bool
+	recent           [2]routeSlot
+	noMemo           bool
+	probes, replayed int
+}
+
+// routeClass is the routes whose hops have the same capacities and
+// latencies in the same order, hops[lo:hi], and the probe sizes whose
+// simulation over one of them matched the closed form: bit k of sizes
+// stands for a probe of 1<<k bytes.
+type routeClass struct {
+	lo, hi int32
+	sizes  uint64
+}
+
+type hop struct {
+	capacity float64
+	latency  sim.Time
+}
+
+// routeSlot is a walked src→dst route, the machine's link count when
+// it was walked (a link added since may change it), and the index of
+// its class in Profiler.classes, -1 until looked up.
+type routeSlot struct {
+	src, dst     *topology.Device
+	route        []*fabric.Channel
+	links, class int
 }
 
 // New returns a profiler with the paper's probe ladder (4 KiB ... 64 MiB).
@@ -96,14 +153,50 @@ func New(f *cci.Fabric) *Profiler {
 	}
 }
 
-// probe runs one transfer and returns its completion time.
+// probe runs one transfer and returns its completion time. A direct
+// probe issued on an idle engine and fabric replays when a probe of its
+// size over its route's class was recorded (see the package comment);
+// otherwise it simulates, and the first simulation of a class and size
+// is recorded if it matches the closed form. Sizes are recorded by
+// their log2, so only power-of-two sizes, which the default ladder is
+// made of, replay.
 func (p *Profiler) probe(src, dst *topology.Device, size int64) sim.Time {
-	eng := p.Fabric.Topo.Eng
+	f := p.Fabric
+	eng, net := f.Topo.Eng, f.Topo.Net
 	if eng.PendingForeground() != 0 {
 		// Daemon events (telemetry sampling ticks) are pure observers and
 		// don't disqualify the engine from offline profiling.
 		panic("profiler: engine busy; offline profiling requires an idle engine")
 	}
+	p.probes++
+	if p.noMemo || size <= 0 || size&(size-1) != 0 || !f.Direct(src, dst) || eng.Pending() != 0 || !net.Idle() {
+		return p.simulate(src, dst, size)
+	}
+	bit := uint64(1) << bits.TrailingZeros64(uint64(size))
+	slot := p.routeOf(src, dst)
+	c := p.classOf(slot)
+	t0 := eng.Now()
+	start := t0 + f.Params.DMASetup
+	if c.sizes&bit != 0 {
+		p.replayed++
+		f.AccountDMA(src, dst, size)
+		return net.ReplaySolo(slot.route, float64(size), start, p.solo) - t0
+	}
+	mark := net.MarkSolo(slot.route)
+	dt := p.simulate(src, dst, size)
+	// Every recorded probe adds the same counters; one that does not
+	// stays simulated.
+	if s, ok := net.RecordSolo(mark, float64(size), start); ok && (!p.recorded || s == p.solo) {
+		p.solo, p.recorded = s, true
+		c.sizes |= bit
+	}
+	return dt
+}
+
+// simulate runs one probe through the engine and returns its
+// completion time.
+func (p *Profiler) simulate(src, dst *topology.Device, size int64) sim.Time {
+	eng := p.Fabric.Topo.Eng
 	if p.onDone == nil {
 		p.onDone = p.finish
 	}
@@ -115,6 +208,61 @@ func (p *Profiler) probe(src, dst *topology.Device, size int64) sim.Time {
 		panic(fmt.Sprintf("profiler: probe %s->%s never completed", src, dst))
 	}
 	return p.done - start
+}
+
+// routeOf returns the src→dst route's slot as recent[0], walking the
+// route into the older slot unless one of the two holds it already.
+func (p *Profiler) routeOf(src, dst *topology.Device) *routeSlot {
+	links := len(p.Fabric.Topo.Net.Links())
+	holds := func(s *routeSlot) bool { return s.src == src && s.dst == dst && s.links == links }
+	if holds(&p.recent[0]) {
+		return &p.recent[0]
+	}
+	p.recent[0], p.recent[1] = p.recent[1], p.recent[0]
+	s := &p.recent[0]
+	if !holds(s) {
+		s.src, s.dst, s.links, s.class = src, dst, links, -1
+		s.route = p.Fabric.Topo.AppendPath(s.route[:0], src, dst)
+	}
+	return s
+}
+
+// classOf returns the class of the slot's route, adding one when no
+// class matches. The slot's class is checked first, and every lookup
+// compares the hops' live capacities, so a capacity changed since the
+// route was last probed moves it to the class it now belongs to.
+func (p *Profiler) classOf(s *routeSlot) *routeClass {
+	if s.class >= 0 && p.matches(s.class, s.route) {
+		return &p.classes[s.class]
+	}
+	for i := range p.classes {
+		if p.matches(i, s.route) {
+			s.class = i
+			return &p.classes[i]
+		}
+	}
+	lo := len(p.hops)
+	for _, ch := range s.route {
+		p.hops = append(p.hops, hop{ch.Capacity(), ch.Latency()})
+	}
+	p.classes = append(p.classes, routeClass{lo: int32(lo), hi: int32(len(p.hops))})
+	s.class = len(p.classes) - 1
+	return &p.classes[s.class]
+}
+
+// matches reports whether route belongs to class i.
+func (p *Profiler) matches(i int, route []*fabric.Channel) bool {
+	c := p.classes[i]
+	sig := p.hops[c.lo:c.hi]
+	if len(route) != len(sig) {
+		return false
+	}
+	for j, ch := range route {
+		if ch.Capacity() != sig[j].capacity || ch.Latency() != sig[j].latency {
+			return false
+		}
+	}
+	return true
 }
 
 // finish records the running probe's completion time.

@@ -9,13 +9,13 @@
 //
 // # Event ownership
 //
-// Schedule, At, ScheduleDaemon and AtDaemon return nothing: the engine
-// owns those events and returns each one to its free list as it is
-// dispatched, so a steady stream of fire-and-forget events allocates
-// nothing. A caller that must cancel, move or recycle an event
-// schedules it through AtRanked instead (AtRanked(t, ReserveSeq(1), fn)
-// ranks it exactly as At would), or AtDaemonHandle for a daemon, and
-// owns the returned *Event: the engine never recycles it. The owner
+// Schedule, At and AtDaemon return nothing: the engine owns those
+// events and returns each one to its free list as it is dispatched, so
+// a steady stream of fire-and-forget events allocates nothing. A caller
+// that must cancel, move or recycle an event schedules it through
+// AtRanked instead (AtRanked(t, ReserveSeq(1), fn) ranks it exactly as
+// At would), or AtDaemonHandle for a daemon, and owns the returned
+// *Event: the engine never recycles it. The owner
 // may hand it back with Recycle once it has fired, or was cancelled and
 // compacted away, and must not touch it after that; dropping it instead
 // is always safe. ReleasePool drops the free list of a finished
@@ -65,9 +65,6 @@ type Event struct {
 	daemon bool
 	owned  bool // engine-owned: recycled by Step as it is dispatched
 }
-
-// Cancelled reports whether Cancel was called on the event before it fired.
-func (e *Event) Cancelled() bool { return e.cancel }
 
 // Time returns the virtual instant the event is (or was) scheduled for.
 func (e *Event) Time() Time { return e.at }
@@ -147,6 +144,33 @@ func (e *Engine) PendingForeground() int { return e.foreground }
 // observability does not change it.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
+// Replay moves an idle engine's clock to t and counts dispatched
+// events and consumed ranks as a recorded stretch of simulation did:
+// the caller simulated the same stretch once from an idle engine,
+// measured its Dispatched and SeqMark deltas, and stands in for a
+// repeat of it (the profiler's probe memo). Idle means what the
+// recorded stretch started from: no event pending, daemons included,
+// no end-of-instant hook registered, and no run in progress; Replay
+// panics on a busy engine or a t before Now. The tombstones still
+// queued at or before t are dropped, as the stretch's dispatch loop
+// pops them on its way to t: they all rank before its events, which
+// took their ranks later.
+func (e *Engine) Replay(t Time, dispatched, seqs uint64) {
+	if e.Pending() != 0 || len(e.instantEnd) != 0 || e.running {
+		panic("sim: Replay on a busy engine")
+	}
+	if t < e.now {
+		panic(fmt.Sprintf("sim: Replay to %v before now %v", t, e.now))
+	}
+	for ev := e.queue.Peek(); ev != nil && ev.at <= t; ev = e.queue.Peek() {
+		e.queue.Pop()
+		e.tombstones--
+	}
+	e.now = t
+	e.dispatched += dispatched
+	e.seq += seqs
+}
+
 // DaemonsFired returns the number of daemon events fired so far.
 func (e *Engine) DaemonsFired() uint64 { return e.daemons }
 
@@ -168,22 +192,14 @@ func (e *Engine) At(t Time, fn func()) {
 	e.foreground++
 }
 
-// ScheduleDaemon registers fn to run after delay as a daemon event.
-// Daemon events fire in timestamp order like any other event, but they
-// do not keep Run alive: once only daemon events remain queued, Run
-// returns without firing them, and they are excluded from Dispatched.
-// Observability machinery (the telemetry sampler) uses daemon events so
-// that enabling it perturbs neither the simulation's end time nor its
-// event-count fingerprint. The event is engine-owned, like Schedule's.
-func (e *Engine) ScheduleDaemon(delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: schedule with negative delay %d", delay))
-	}
-	e.AtDaemon(e.now+delay, fn)
-}
-
-// AtDaemon registers fn as an engine-owned daemon event at absolute
-// virtual time t. See ScheduleDaemon for daemon-event semantics.
+// AtDaemon registers fn to run at absolute virtual time t as a daemon
+// event. Daemon events fire in timestamp order like any other event,
+// but they do not keep Run alive: once only daemon events remain
+// queued, Run returns without firing them, and they are excluded from
+// Dispatched. Observability machinery (the telemetry sampler) uses
+// daemon events so that enabling it perturbs neither the simulation's
+// end time nor its event-count fingerprint. The event is engine-owned,
+// like Schedule's.
 func (e *Engine) AtDaemon(t Time, fn func()) {
 	e.at(t, e.nextSeq(), fn, true).owned = true
 }
@@ -515,9 +531,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// RunFor is RunUntil(Now()+d).
-func (e *Engine) RunFor(d Time) Time { return e.RunUntil(e.now + d) }
-
 // peek returns the earliest live event, popping tombstones off the
 // head of the queue until a live event (or nothing) surfaces.
 func (e *Engine) peek() *Event {
@@ -529,14 +542,4 @@ func (e *Engine) peek() *Event {
 		e.queue.Pop()
 		e.tombstones--
 	}
-}
-
-// NextEventTime returns the timestamp of the earliest pending event, or
-// Infinity when the queue is empty.
-func (e *Engine) NextEventTime() Time {
-	ev := e.peek()
-	if ev == nil {
-		return Infinity
-	}
-	return ev.at
 }

@@ -460,3 +460,48 @@ func TestNegativeDaemonDelayPanics(t *testing.T) {
 	}()
 	eng.ScheduleDaemon(-1, func() {})
 }
+
+// TestReplayMatchesSimulatedStretch: Replay leaves an idle engine as
+// simulating the recorded stretch does — the clock, the dispatch count,
+// the ranks, and the tombstones the stretch's dispatch loop pops on its
+// way, with later tombstones kept — and panics on a busy engine or a
+// time in the past.
+func TestReplayMatchesSimulatedStretch(t *testing.T) {
+	setup := func() *Engine {
+		e := NewEngine()
+		e.Schedule(5, func() {})
+		e.Run()
+		e.Cancel(e.AtRanked(20, e.ReserveSeq(1), func() {}))
+		e.Cancel(e.AtRanked(500, e.ReserveSeq(1), func() {}))
+		return e
+	}
+	sim, rep := setup(), setup()
+	var step func()
+	left := 3
+	step = func() {
+		if left--; left > 0 {
+			sim.Schedule(10, step)
+		}
+	}
+	d0, s0 := sim.Dispatched(), sim.SeqMark()
+	sim.Schedule(10, step)
+	sim.Run()
+	rep.Replay(sim.Now(), sim.Dispatched()-d0, sim.SeqMark()-s0)
+	if rep.Now() != sim.Now() || rep.Dispatched() != sim.Dispatched() || rep.SeqMark() != sim.SeqMark() ||
+		rep.tombstones != sim.tombstones || rep.queue.Len() != sim.queue.Len() {
+		t.Fatalf("replayed now %v dispatched %d seq %d tombstones %d queued %d; simulated %v %d %d %d %d",
+			rep.Now(), rep.Dispatched(), rep.SeqMark(), rep.tombstones, rep.queue.Len(),
+			sim.Now(), sim.Dispatched(), sim.SeqMark(), sim.tombstones, sim.queue.Len())
+	}
+	mustPanic := func(name string, fn func(e *Engine)) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn(NewEngine())
+	}
+	mustPanic("Replay on a busy engine", func(e *Engine) { e.Schedule(1, func() {}); e.Replay(10, 1, 1) })
+	mustPanic("Replay into the past", func(e *Engine) { e.Schedule(5, func() {}); e.Run(); e.Replay(4, 0, 0) })
+}
